@@ -87,14 +87,15 @@ TABLE_AUTO_DIR=$(mktemp -d)
 diff -u results/table_auto.csv "$TABLE_AUTO_DIR/table_auto.csv"
 rm -rf "$TABLE_AUTO_DIR"
 
-echo "== simulator parallel-tick oracle (fixed-seed) =="
-# The mta-sim determinism gate: Machine::run_parallel must be
-# bit-identical to the sequential interpreter (RunResult, SimStats, fault
-# order, final memory words and full/empty bits) at 1/2/8 workers across
-# the kernel corpus, a deadlock/fault matrix, and a fixed-seed
-# random-program fuzz smoke. Also part of `cargo test`; kept explicit so
-# a parallel-tick divergence is named in CI output.
-cargo test -q -p mta-sim --test par_oracle
+echo "== simulator pinned digests (both drivers) =="
+# The mta-sim regression gate: Machine::run must reproduce the pinned
+# FNV-1a digest of every run in the matrix (RunResult, SimStats, fault
+# order, final memory words and full/empty bits) — the kernel corpus,
+# lookahead, timeout, soft-spawn, deadlock and fault programs, and the
+# fixed-seed random programs — and Machine::run_parallel must reproduce
+# the same digests at 1/2/8 workers. Also part of `cargo test`; kept
+# explicit so a simulator behaviour change is named in CI output.
+cargo test -q -p mta-sim --test pinned_digests
 
 echo "== pinned regression corpus replay =="
 # Every minimized failure ever pinned under tests/corpus/ replays through
