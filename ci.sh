@@ -29,14 +29,6 @@ cargo test -q
 echo "== full workspace tests =="
 cargo test -q --workspace
 
-echo "== simd feature: build + tests + corpus replay =="
-# The `simd` feature swaps the LOS row sweeps onto explicit 4-wide lanes;
-# it is off by default so the pinned baselines stay scalar, and gated
-# here on producing bit-identical grids through the whole test suite and
-# the regression corpus.
-cargo test -q -p c3i -p c3i-fuzz --features c3i/simd
-cargo test -q --test corpus_replay --features c3i/simd
-
 echo "== kernels bench smoke (quick scale) =="
 # One pass over the per-kernel Criterion group at reduced sizes: proves
 # the bench target builds and runs; the paper-scale numbers live in
@@ -87,15 +79,24 @@ TABLE_AUTO_DIR=$(mktemp -d)
 diff -u results/table_auto.csv "$TABLE_AUTO_DIR/table_auto.csv"
 rm -rf "$TABLE_AUTO_DIR"
 
-echo "== simulator pinned digests (both drivers) =="
+echo "== simulator pinned digests (single driver) =="
 # The mta-sim regression gate: Machine::run must reproduce the pinned
 # FNV-1a digest of every run in the matrix (RunResult, SimStats, fault
 # order, final memory words and full/empty bits) — the kernel corpus,
 # lookahead, timeout, soft-spawn, deadlock and fault programs, and the
-# fixed-seed random programs — and Machine::run_parallel must reproduce
-# the same digests at 1/2/8 workers. Also part of `cargo test`; kept
-# explicit so a simulator behaviour change is named in CI output.
+# fixed-seed random programs. Also part of `cargo test`; kept explicit so
+# a simulator behaviour change is named in CI output.
 cargo test -q -p mta-sim --test pinned_digests
+
+echo "== deleted paths stay deleted =="
+# The parallel tick, its barrier, and its env knob are gone; the only
+# remaining matches are unrelated functions of the same name.
+if grep -rn 'run_parallel\|SpinBarrier\|MTA_WINDOW_STATS' \
+  crates docs README.md EXPERIMENTS.md |
+  grep -v '^crates/autopar/tests/exec_soundness.rs:\|^crates/core/src/validate.rs:'; then
+  echo "deleted simulator paths are referenced again" >&2
+  exit 1
+fi
 
 echo "== pinned regression corpus replay =="
 # Every minimized failure ever pinned under tests/corpus/ replays through
@@ -108,11 +109,8 @@ echo "== harness regression gate (schema + identity + speedups) =="
 # phase must carry a breakdown, and the report must carry the kernels
 # phase), fails if any phase's parallel output diverged from sequential,
 # fails if the table-generation phase fell below the 0.95x speedup gate,
-# fails if the mta_par phase is missing, non-identical, or shows the
-# windowed two-phase tick costing more than 5% over the sequential
-# interpreter, and fails if the run-based arena kernels fell below 1.5x
-# over the pinned scalar baseline on the terrain pipeline. The table-gen
-# check is
+# and fails if the run-based arena kernels fell below 1.5x over the
+# pinned scalar baseline on the terrain pipeline. The table-gen check is
 # robust on throttled or single-core CI hosts *because* of par_map's
 # measured sequential cutoff: when parallelism cannot pay for its own
 # dispatch, the phase runs sequentially and the ratio sits at ~1.0

@@ -135,9 +135,7 @@ fn run_terrain_case(s: &terrain::TerrainScenario) -> CaseOutcome {
 
     // Kernel differential: the pinned scalar baseline (historical
     // fresh-allocation, cell-at-a-time recurrence) must agree bitwise
-    // with the run-based arena kernels the oracle now uses — and, when
-    // the crate is built with `--features simd`, with the vectorized row
-    // sweeps the oracle then takes.
+    // with the run-based arena kernels the oracle now uses.
     {
         let config = "terrain reference baseline";
         match guarded(config, || terrain::terrain_masking_reference(s)) {

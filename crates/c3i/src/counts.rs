@@ -16,11 +16,11 @@ use sthreads::{OpCounts, OpRecorder, ThreadCounts};
 /// `spawn` is one logical thread creation.
 pub trait Rec {
     /// Whether this recorder actually accumulates counts. Kernels with a
-    /// batched fast path (the SoA engagement scan, the `simd` row sweep)
-    /// check this at compile time: when `true` they take the historical
-    /// stepwise path so recorded totals stay exactly those of the
-    /// reference code; when `false` (the [`NoRec`] timing path) they are
-    /// free to batch, since outputs are bit-identical either way.
+    /// batched fast path (the SoA engagement scan) check this at compile
+    /// time: when `true` they take the historical stepwise path so
+    /// recorded totals stay exactly those of the reference code; when
+    /// `false` (the [`NoRec`] timing path) they are free to batch, since
+    /// outputs are bit-identical either way.
     const COUNTING: bool = true;
     /// Record `n` integer ALU operations.
     fn int(&mut self, n: u64);

@@ -596,77 +596,6 @@ impl Default for KernelArena {
     }
 }
 
-/// Explicit-lane f64 vectors for the `simd` feature. Lanewise IEEE-754
-/// add/sub/mul/div/max/floor are bit-identical to their scalar
-/// counterparts, which is why the `simd` kernels produce bit-identical
-/// masking grids (pinned by the corpus-replay identity tests).
-#[cfg(feature = "simd")]
-mod wide {
-    /// Lane count of the hand-rolled vector type.
-    pub const LANES: usize = 4;
-
-    /// A 4-lane f64 vector. Plain arrays + per-lane loops: LLVM lowers
-    /// these to packed vector instructions, and every lane op is the
-    /// exact IEEE operation the scalar path performs.
-    #[derive(Debug, Clone, Copy)]
-    pub struct F64s(pub [f64; LANES]);
-
-    impl F64s {
-        #[inline]
-        pub fn splat(v: f64) -> Self {
-            Self([v; LANES])
-        }
-        #[inline]
-        pub fn from_fn(f: impl FnMut(usize) -> f64) -> Self {
-            Self(std::array::from_fn(f))
-        }
-        #[inline]
-        pub fn max(self, o: Self) -> Self {
-            Self(std::array::from_fn(|i| self.0[i].max(o.0[i])))
-        }
-        #[inline]
-        pub fn floor(self) -> Self {
-            Self(std::array::from_fn(|i| self.0[i].floor()))
-        }
-        /// Lanewise `if mask { a } else { b }`.
-        #[inline]
-        pub fn select(mask: [bool; LANES], a: Self, b: Self) -> Self {
-            Self(std::array::from_fn(
-                |i| if mask[i] { a.0[i] } else { b.0[i] },
-            ))
-        }
-    }
-
-    impl std::ops::Add for F64s {
-        type Output = Self;
-        #[inline]
-        fn add(self, o: Self) -> Self {
-            Self(std::array::from_fn(|i| self.0[i] + o.0[i]))
-        }
-    }
-    impl std::ops::Sub for F64s {
-        type Output = Self;
-        #[inline]
-        fn sub(self, o: Self) -> Self {
-            Self(std::array::from_fn(|i| self.0[i] - o.0[i]))
-        }
-    }
-    impl std::ops::Mul for F64s {
-        type Output = Self;
-        #[inline]
-        fn mul(self, o: Self) -> Self {
-            Self(std::array::from_fn(|i| self.0[i] * o.0[i]))
-        }
-    }
-    impl std::ops::Div for F64s {
-        type Output = Self;
-        #[inline]
-        fn div(self, o: Self) -> Self {
-            Self(std::array::from_fn(|i| self.0[i] / o.0[i]))
-        }
-    }
-}
-
 /// Row-sweep kernel: one horizontal run of ring `k ≥ 2` (`y = cy ± k`,
 /// cells `rx0..=rx1`). The interior cells are y-dominant — both parents
 /// sit on the contiguous span of row `y ∓ 1` written by ring `k−1` — so
@@ -743,59 +672,7 @@ fn sweep_row<S: AltStore, R: Rec>(
         row.push(v);
     }
 
-    #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
-    let mut x = ix0;
-    #[cfg(feature = "simd")]
-    if !R::COUNTING && x <= ix1 {
-        use wide::{F64s, LANES};
-        let cx_s = F64s::splat(cx as f64);
-        let scale_s = F64s::splat(scale);
-        let h_s_s = F64s::splat(h_s);
-        let neg_inf = F64s::splat(f64::NEG_INFINITY);
-        while ix1 + 1 - x >= LANES {
-            let xs = F64s::from_fn(|l| (x + l) as f64);
-            let fx = cx_s + (xs - cx_s) * scale_s;
-            let x_lo = fx.floor();
-            let w = fx - x_lo;
-            let lo: [usize; LANES] = std::array::from_fn(|l| x_lo.0[l] as usize);
-            // When w == 0 the hi parent is never used (selected away
-            // below); clamp its index so the speculative gather stays in
-            // the parent span.
-            let hi: [usize; LANES] = std::array::from_fn(|l| (lo[l] + 1).min(px1));
-            let d_lo = F64s::from_fn(|l| par_d[lo[l].abs_diff(region.cx)]);
-            let d_hi = F64s::from_fn(|l| par_d[hi[l].abs_diff(region.cx)]);
-            let raw_lo = F64s::from_fn(|l| par_raw[lo[l] - px0]);
-            let raw_hi = F64s::from_fn(|l| par_raw[hi[l] - px0]);
-            let elev_lo = F64s::from_fn(|l| par_elev[lo[l] - px0]);
-            let elev_hi = F64s::from_fn(|l| par_elev[hi[l] - px0]);
-            // Branchless inherited slope: (-∞ − h_s)/d is -∞, exactly
-            // what the scalar -∞ branch selects.
-            let b_lo = (raw_lo - h_s_s) / d_lo;
-            let b_lo = F64s::select(
-                std::array::from_fn(|l| raw_lo.0[l] == f64::NEG_INFINITY),
-                neg_inf,
-                b_lo,
-            );
-            let b_hi = (raw_hi - h_s_s) / d_hi;
-            let b_hi = F64s::select(
-                std::array::from_fn(|l| raw_hi.0[l] == f64::NEG_INFINITY),
-                neg_inf,
-                b_hi,
-            );
-            let v_lo = b_lo.max((elev_lo - h_s_s) / d_lo);
-            let v_hi = b_hi.max((elev_hi - h_s_s) / d_hi);
-            let one = F64s::splat(1.0);
-            let blend = v_lo * (one - w) + v_hi * w;
-            // w == 0 must select v_lo outright: the blend would evaluate
-            // v_hi · 0, which is NaN when v_hi is ±∞.
-            let v = F64s::select(std::array::from_fn(|l| w.0[l] == 0.0), v_lo, blend);
-            let d = F64s::from_fn(|l| cell_d[(x + l).abs_diff(region.cx)]);
-            let out = h_s_s + v * d;
-            row.extend_from_slice(&out.0);
-            x += LANES;
-        }
-    }
-    for x in x..=ix1 {
+    for x in ix0..=ix1 {
         let dx = x as isize - cx;
         r.int(6);
         r.fp(2);

@@ -54,6 +54,8 @@
 //! assert!(result.utilization() < 0.06);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod asm_text;
 pub mod interp;
@@ -66,7 +68,7 @@ pub mod processor;
 pub use asm::Assembler;
 pub use ir::{Instr, Program, Reg};
 pub use machine::{
-    ClockError, InstrMix, Machine, MtaConfig, RunResult, SimStats, StreamStats, SyncStats,
-    ThreadStats,
+    ClockError, InstrMix, Machine, MachineError, MtaConfig, RunResult, SimStats, StreamStats,
+    SyncStats, ThreadStats,
 };
 pub use memory::{MemStats, Memory};

@@ -19,12 +19,10 @@
 //!   contexts are free, then falls back to queued software threads at
 //!   `soft_spawn_cost` (the paper's 50–100 cycle software threads).
 
-use crate::ir::{Instr, Program};
+use crate::ir::{Instr, Program, Reg};
 use crate::memory::Memory;
 use crate::processor::{Processor, Stream};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
-use sthreads::{scope_threads, SpinBarrier};
 
 /// Machine configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -269,10 +267,65 @@ impl std::fmt::Display for ClockError {
 
 impl std::error::Error for ClockError {}
 
-#[derive(Debug, Default)]
-struct WaitLists {
-    on_full: VecDeque<(usize, usize)>,
-    on_empty: VecDeque<(usize, usize)>,
+/// Why [`Machine::new`] or [`Machine::spawn`] refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MachineError {
+    /// The program failed [`Program::validate`]; the message names the
+    /// instruction.
+    InvalidProgram(String),
+    /// A configuration field holds a value no machine can be built from
+    /// (a zero count or a zero service time).
+    InvalidConfig {
+        /// Name of the offending [`MtaConfig`] field.
+        field: &'static str,
+    },
+    /// The spawn entry point lies past the end of the program.
+    SpawnOutOfRange {
+        /// The requested entry pc.
+        entry: usize,
+        /// Number of instructions in the program.
+        program_len: usize,
+    },
+    /// Every stream context on every processor is occupied.
+    NoFreeContext,
+}
+
+impl std::fmt::Display for MachineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::InvalidProgram(msg) => write!(f, "invalid program: {msg}"),
+            Self::InvalidConfig { field } => {
+                write!(f, "invalid configuration: {field} must be positive")
+            }
+            Self::SpawnOutOfRange { entry, program_len } => write!(
+                f,
+                "spawn entry {entry} out of range (program has {program_len} instructions)"
+            ),
+            Self::NoFreeContext => write!(f, "no free stream context for initial spawn"),
+        }
+    }
+}
+
+impl std::error::Error for MachineError {}
+
+/// The full/empty state a parked stream is waiting for its word to reach.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Wait {
+    Full,
+    Empty,
+}
+
+/// A memory or full/empty instruction with its address operands taken
+/// off: what [`Machine::access`] does to the resolved word.
+#[derive(Clone, Copy)]
+enum MemOp {
+    Load { rd: Reg },
+    Store { rs: Reg },
+    LoadSync { rd: Reg },
+    StoreSync { rs: Reg },
+    ReadFF { rd: Reg },
+    Put { rs: Reg },
+    FetchAdd { rd: Reg, rs: Reg },
 }
 
 /// The simulated machine.
@@ -281,37 +334,32 @@ pub struct Machine {
     program: Program,
     memory: Memory,
     processors: Vec<Processor>,
-    waiters: HashMap<usize, WaitLists>,
+    /// Parked `(processor, slot)` streams, FIFO per word and awaited state.
+    waiters: HashMap<(usize, Wait), VecDeque<(usize, usize)>>,
     pending_threads: VecDeque<(usize, u64)>,
     next_place: usize,
     cycle: u64,
     faults: Vec<String>,
-    forks: u64,
-    soft_spawns: u64,
-    sync_blocks: u64,
-    wakes: u64,
-    reparks: u64,
+    threads: ThreadStats,
+    sync: SyncStats,
     mix: InstrMix,
-    /// Live, unparked streams whose *next* instruction is a `Fork`.
-    /// Maintained at every pc transition (install, issue, park, wake,
-    /// removal) in both run modes; [`Machine::run_parallel`] sizes its
-    /// event windows from these counts in O(1) — a fork can install a
-    /// stream `fork_cost` cycles after issuing, so windows shrink to
-    /// `fork_cost` exactly while some stream is about to fork.
-    armed_forks: usize,
-    /// Live, unparked streams whose next instruction is a full/empty
-    /// operation (`LoadSync`, `StoreSync`, `ReadFF`, `Put`, `FetchAdd`) —
-    /// a commit can wake waiters `wake_latency` cycles later, so windows
-    /// shrink to `wake_latency` while one is armed. See
-    /// [`Machine::armed_forks`].
-    armed_syncs: usize,
 }
 
 impl Machine {
-    /// Build a machine for `program` under `config`. The program is
-    /// validated.
-    pub fn new(config: MtaConfig, program: Program) -> Result<Self, String> {
-        program.validate()?;
+    /// Build a machine for `program` under `config`. Both are validated up
+    /// front, so nothing past this point panics on a bad count.
+    pub fn new(config: MtaConfig, program: Program) -> Result<Self, MachineError> {
+        program.validate().map_err(MachineError::InvalidProgram)?;
+        for (field, positive) in [
+            ("n_processors", config.n_processors > 0),
+            ("streams_per_processor", config.streams_per_processor > 0),
+            ("n_banks", config.n_banks > 0),
+            ("bank_service", config.bank_service > 0),
+        ] {
+            if !positive {
+                return Err(MachineError::InvalidConfig { field });
+            }
+        }
         let memory = Memory::new(config.mem_words, config.n_banks, config.bank_service);
         let processors = (0..config.n_processors)
             .map(|_| Processor::new(config.streams_per_processor))
@@ -326,37 +374,10 @@ impl Machine {
             next_place: 0,
             cycle: 0,
             faults: Vec::new(),
-            forks: 0,
-            soft_spawns: 0,
-            sync_blocks: 0,
-            wakes: 0,
-            reparks: 0,
+            threads: ThreadStats::default(),
+            sync: SyncStats::default(),
             mix: InstrMix::default(),
-            armed_forks: 0,
-            armed_syncs: 0,
         })
-    }
-
-    /// Count the stream now sitting (live and unparked) at `pc` into the
-    /// armed-instruction counters.
-    fn arm(&mut self, pc: usize) {
-        match self.program.code.get(pc).copied() {
-            Some(Instr::Fork { .. }) => self.armed_forks += 1,
-            Some(i) if is_full_empty(i) => self.armed_syncs += 1,
-            _ => {}
-        }
-    }
-
-    /// Remove a stream previously counted at `pc` (it issued past the
-    /// instruction, parked, or was removed) from the armed counters. In
-    /// release builds an unbalanced call wraps the count huge, which only
-    /// narrows parallel-tick windows — conservative, never unsound.
-    fn disarm(&mut self, pc: usize) {
-        match self.program.code.get(pc).copied() {
-            Some(Instr::Fork { .. }) => self.armed_forks = self.armed_forks.wrapping_sub(1),
-            Some(i) if is_full_empty(i) => self.armed_syncs = self.armed_syncs.wrapping_sub(1),
-            _ => {}
-        }
     }
 
     /// The machine's configuration.
@@ -377,21 +398,33 @@ impl Machine {
     /// Start a stream at instruction `entry` with `r1 = arg`, placed
     /// round-robin. Returns an error if every context on every processor
     /// is busy (initial spawns should never queue).
-    pub fn spawn(&mut self, entry: usize, arg: u64) -> Result<(), String> {
+    pub fn spawn(&mut self, entry: usize, arg: u64) -> Result<(), MachineError> {
         if entry >= self.program.len() {
-            return Err(format!("spawn entry {entry} out of range"));
+            return Err(MachineError::SpawnOutOfRange {
+                entry,
+                program_len: self.program.len(),
+            });
         }
+        if self.place(entry, arg, self.cycle) {
+            Ok(())
+        } else {
+            Err(MachineError::NoFreeContext)
+        }
+    }
+
+    /// Install a new stream on the next processor, round-robin, that has a
+    /// free context, issueable at `ready_at`. `false` if none has.
+    fn place(&mut self, entry: usize, arg: u64, ready_at: u64) -> bool {
         let n = self.processors.len();
         for i in 0..n {
             let p = (self.next_place + i) % n;
             if self.processors[p].has_free_slot() {
-                self.processors[p].install(Stream::new(entry, arg), self.cycle);
-                self.arm(entry);
+                self.processors[p].install(Stream::new(entry, arg), ready_at);
                 self.next_place = (p + 1) % n;
-                return Ok(());
+                return true;
             }
         }
-        Err("no free stream context for initial spawn".to_string())
+        false
     }
 
     fn live_total(&self) -> usize {
@@ -401,7 +434,6 @@ impl Machine {
     /// Run until every stream halts, a deadlock is detected, or
     /// `max_cycles` elapses.
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
-        let mut completed = false;
         let mut deadlocked = false;
         while self.live_total() > 0 || !self.pending_threads.is_empty() {
             if self.cycle >= max_cycles {
@@ -443,14 +475,7 @@ impl Machine {
                 }
             }
         }
-        if self.live_total() == 0 && self.pending_threads.is_empty() {
-            completed = true;
-        }
-        self.result(completed, deadlocked)
-    }
-
-    /// Assemble the [`RunResult`] for the machine's current state.
-    fn result(&self, completed: bool, deadlocked: bool) -> RunResult {
+        let completed = self.live_total() == 0 && self.pending_threads.is_empty();
         RunResult {
             cycles: self.cycle,
             completed,
@@ -466,257 +491,41 @@ impl Machine {
                         .collect(),
                     peak_live_per_processor: self.processors.iter().map(|p| p.peak_live).collect(),
                 },
-                threads: ThreadStats {
-                    forks: self.forks,
-                    soft_spawns: self.soft_spawns,
-                },
-                sync: SyncStats {
-                    blocked: self.sync_blocks,
-                    wakes: self.wakes,
-                    reparks: self.reparks,
-                },
+                threads: self.threads,
+                sync: self.sync,
                 memory: self.memory.stats(),
                 mix: self.mix,
             },
         }
     }
 
-    /// Run the machine with the barriered two-phase parallel tick,
-    /// producing output **bit-identical** to [`Machine::run`] — the same
-    /// final memory, `SimStats`, fault list, and cycle count — for every
-    /// `n_workers`.
-    ///
-    /// The tick advances all processors through a dynamically sized
-    /// *event window* per barrier round:
-    ///
-    /// * **Phase A** (parallel): each worker owns a disjoint chunk of
-    ///   processors and advances each one cycle-by-cycle through the
-    ///   window, fully executing stream-local instructions
-    ///   (`exec_local`) and recording a `(cycle, processor, slot)`
-    ///   *proposal* for every shared-effect issue (memory, full/empty,
-    ///   fork/halt, faults). Issue selection, the lookahead gate, and
-    ///   local execution read only the processor's own state.
-    /// * **Phase B** (serial): the coordinator commits the proposals in
-    ///   `(cycle, processor)` order through the sequential
-    ///   `Machine::execute` — the identical order the sequential loop
-    ///   visits them in, so bank scheduling, full/empty transitions,
-    ///   waiter wakes, thread placement, and fault ordering are
-    ///   reproduced exactly.
-    ///
-    /// Determinism rests on one invariant: every cross-stream effect a
-    /// commit at cycle `c` produces lands at or after the window's end —
-    /// so no phase-A work is ever invalidated and no rollback is needed.
-    /// The window is sized to make that true:
-    ///
-    /// * a window never exceeds `issue_latency`, so every stream issues
-    ///   at most once per window, and the instruction it issues is the
-    ///   one at its pc when the window began;
-    /// * each instruction therefore has a known *effect class* — the
-    ///   earliest relative cycle at which its commit can touch another
-    ///   stream: `fork_cost` for `Fork` (the installed stream becomes
-    ///   runnable), `wake_latency` for the full/empty operations (a
-    ///   transition can wake waiters), unbounded for everything else
-    ///   (plain memory operations reschedule only their own stream, at
-    ///   `≥ c + issue_latency`, and bank state is phase-B-serial);
-    /// * the machine tracks, incrementally at every pc transition, how
-    ///   many runnable streams currently sit at a `Fork`
-    ///   (`Machine::arm`, `armed_forks`) or at a full/empty
-    ///   instruction (`armed_syncs`). Phase A contributes its half of
-    ///   the updates through per-worker deltas (local execution can only
-    ///   move a stream *onto* an armed instruction), and phase B's
-    ///   commits, wakes, parks, and installs maintain the counters
-    ///   directly — so sizing the next window is O(1) and exact.
-    ///
-    /// The next window is `issue_latency`, capped by `fork_cost` while
-    /// any stream is about to fork, by `wake_latency` while any is about
-    /// to touch a full/empty bit, and by `soft_spawn_cost` while
-    /// software-pending threads exist (any commit may fault, freeing a
-    /// slot and spawning one). A sync- and fork-free steady state runs
-    /// `issue_latency`-cycle windows. Configurations where any of these
-    /// latencies is zero (or a single processor) fall back to the
-    /// sequential loop.
-    ///
-    /// Between windows the coordinator *event-horizon batches*: when a
-    /// window ends with no stream ready before some future cycle `t`, all
-    /// processors jump straight to `t` (the sequential loop's
-    /// fast-forward, applied globally), so fully idle stretches cost one
-    /// barrier round instead of one round per window.
-    pub fn run_parallel(&mut self, max_cycles: u64, n_workers: usize) -> RunResult {
-        let min_window = self
-            .config
-            .wake_latency
-            .min(self.config.fork_cost)
-            .min(self.config.soft_spawn_cost)
-            .min(self.config.issue_latency);
-        let n_procs = self.processors.len();
-        if min_window == 0 || n_procs <= 1 {
-            // No safe window (some cross-stream effect could land in the
-            // cycle it issues) or nothing to split: the sequential loop
-            // is the semantics.
-            return self.run(max_cycles);
-        }
-        let n_workers = n_workers.clamp(1, n_procs);
-        // Read-only copies for phase A, so workers never reach through
-        // the machine for the program or timing parameters.
-        let program = self.program.clone();
-        let config = self.config.clone();
-        if n_workers == 1 {
-            // A single worker needs none of the scaffolding below: drive
-            // the same windowed two-phase tick inline — phase A over
-            // every processor, then the serial commit — with no barrier,
-            // control block, or locks. Besides being faster, this keeps
-            // the `mta_par` determinism gate honest on single-core
-            // hosts, where the measured cost is the windowing itself.
-            let mut out = WindowOut::default();
-            let mut drv = WindowDriver::default();
-            while let Some((start, end)) = drv.next_window(self, max_cycles) {
-                for p in 0..n_procs {
-                    phase_a(
-                        &mut self.processors[p],
-                        p,
-                        &program,
-                        &config,
-                        start..end,
-                        &mut out,
-                    );
-                }
-                drv.absorb(self, &mut out);
-                if !drv.commit(self, start, end, max_cycles) {
-                    break;
-                }
-            }
-            drv.report_stats();
-            return self.result(drv.completed, drv.deadlocked);
-        }
-        let ctl = Mutex::new(WindowCtl {
-            start: 0,
-            end: 0,
-            stop: false,
-        });
-        let barrier = SpinBarrier::new(n_workers);
-        let outs: Vec<Mutex<WindowOut>> = (0..n_workers)
-            .map(|_| Mutex::new(WindowOut::default()))
-            .collect();
-        let outcome = Mutex::new((false, false));
-        let procs = ProcsPtr(self.processors.as_mut_ptr());
-        let me = MachinePtr(self as *mut Machine);
-
-        let phase_a_chunk = |w: usize, start: u64, end: u64| {
-            let out = &mut *outs[w].lock().unwrap();
-            for p in sthreads::chunk_range(w, n_procs, n_workers) {
-                // SAFETY: barrier protocol. Phase A runs strictly between
-                // two barrier crossings, during which worker `w` is the
-                // only thread touching processors in its (disjoint) chunk
-                // and the coordinator does not touch the machine at all.
-                let proc = unsafe { &mut *procs.at(p) };
-                phase_a(proc, p, &program, &config, start..end, out);
-            }
-        };
-
-        scope_threads(n_workers, |w| {
-            if w == 0 {
-                // Logical thread 0 is the coordinator: it sequences
-                // windows, participates in phase A on its own chunk, and
-                // runs phase B alone.
-                let mut drv = WindowDriver::default();
-                loop {
-                    let next = {
-                        // SAFETY: outside phase A the workers are parked
-                        // at the window barrier and hold no references
-                        // into the machine; the coordinator has exclusive
-                        // access.
-                        let m = unsafe { &mut *me.get() };
-                        drv.next_window(m, max_cycles)
-                    };
-                    let Some((start, end)) = next else { break };
-                    {
-                        let mut c = ctl.lock().unwrap();
-                        c.start = start;
-                        c.end = end;
-                    }
-                    barrier.wait(); // workers read ctl and enter phase A
-                    phase_a_chunk(0, start, end);
-                    barrier.wait(); // phase A quiesced on every worker
-                                    // SAFETY: as above — workers are parked again.
-                    let m = unsafe { &mut *me.get() };
-                    for o in &outs {
-                        drv.absorb(m, &mut o.lock().unwrap());
-                    }
-                    if !drv.commit(m, start, end, max_cycles) {
-                        break;
-                    }
-                }
-                drv.report_stats();
-                ctl.lock().unwrap().stop = true;
-                barrier.wait(); // release workers into the stop check
-                *outcome.lock().unwrap() = (drv.completed, drv.deadlocked);
-            } else {
-                loop {
-                    barrier.wait();
-                    let (start, end, stop) = {
-                        let c = ctl.lock().unwrap();
-                        (c.start, c.end, c.stop)
-                    };
-                    if stop {
-                        break;
-                    }
-                    phase_a_chunk(w, start, end);
-                    barrier.wait();
-                }
-            }
-        });
-        let (completed, deadlocked) = *outcome.lock().unwrap();
-        self.result(completed, deadlocked)
-    }
-
     /// Kill the stream with a fault message.
     fn fault(&mut self, p: usize, slot: usize, msg: String) {
         self.faults.push(format!("proc {p} slot {slot}: {msg}"));
-        let pc = self.processors[p].stream(slot).pc;
-        self.disarm(pc);
-        self.processors[p].remove(slot);
-        self.start_pending_if_any(p);
+        self.retire(p, slot);
     }
 
-    fn start_pending_if_any(&mut self, p: usize) {
+    /// Free the context of a halted or faulted stream and hand it to the
+    /// oldest queued software thread, if any.
+    fn retire(&mut self, p: usize, slot: usize) {
+        self.processors[p].remove(slot);
         if let Some((entry, arg)) = self.pending_threads.pop_front() {
             let at = self.cycle + self.config.soft_spawn_cost;
             self.processors[p].install(Stream::new(entry, arg), at);
-            self.arm(entry);
         }
     }
 
-    fn wake_on_full(&mut self, addr: usize) {
-        if let Some(w) = self.waiters.get_mut(&addr) {
+    /// The word at `addr` just became `reached`: re-ready every stream
+    /// parked waiting for that, `wake_latency` cycles from now.
+    fn wake(&mut self, addr: usize, reached: Wait) {
+        if let Some(list) = self.waiters.get_mut(&(addr, reached)) {
             let at = self.cycle + self.config.wake_latency;
-            while let Some((wp, wslot)) = w.on_full.pop_front() {
+            while let Some((wp, wslot)) = list.pop_front() {
                 self.processors[wp].stream_mut(wslot).was_woken = true;
                 self.processors[wp].make_ready_at(wslot, at);
-                // A parked stream sits at the full/empty instruction it
-                // blocked on; waking re-arms it.
-                self.armed_syncs += 1;
-                self.wakes += 1;
+                self.sync.wakes += 1;
             }
         }
-    }
-
-    fn wake_on_empty(&mut self, addr: usize) {
-        if let Some(w) = self.waiters.get_mut(&addr) {
-            let at = self.cycle + self.config.wake_latency;
-            while let Some((wp, wslot)) = w.on_empty.pop_front() {
-                self.processors[wp].stream_mut(wslot).was_woken = true;
-                self.processors[wp].make_ready_at(wslot, at);
-                // See `wake_on_full`: waking re-arms the sync retry.
-                self.armed_syncs += 1;
-                self.wakes += 1;
-            }
-        }
-    }
-
-    /// Memory-op completion time: bank queueing + service + network.
-    fn mem_ready_at(&mut self, addr: usize) -> u64 {
-        let t = self.memory.schedule_access(addr, self.cycle);
-        (t.done + self.config.mem_extra_latency).max(self.cycle + self.config.issue_latency)
     }
 
     /// Check lookahead dependences for the stream's next instruction and
@@ -724,12 +533,26 @@ impl Machine {
     /// dependence-ready time (false).
     fn try_issue(&mut self, p: usize, slot: usize) -> bool {
         if self.config.lookahead > 1 {
-            let pc = self.processors[p].stream(slot).pc;
-            if let Some(&instr) = self.program.code.get(pc) {
-                let now = self.cycle;
-                let lookahead = self.config.lookahead as usize;
-                let wait =
-                    gate_ready_at(self.processors[p].stream_mut(slot), instr, now, lookahead);
+            let now = self.cycle;
+            let s = self.processors[p].stream_mut(slot);
+            if let Some(&instr) = self.program.code.get(s.pc) {
+                // The scoreboard: source and destination registers must
+                // have arrived; a synchronized operation is a memory
+                // fence; a plain one needs a free lookahead slot.
+                s.prune_outstanding(now);
+                let mut wait = now;
+                for r in instr.src_regs().into_iter().flatten() {
+                    wait = wait.max(s.reg_ready_at[r as usize]);
+                }
+                if let Some(rd) = instr.dst_reg() {
+                    wait = wait.max(s.reg_ready_at[rd as usize]);
+                }
+                if instr.is_sync() {
+                    wait = wait.max(s.latest_outstanding(now));
+                } else if instr.is_memory() && s.outstanding.len() >= self.config.lookahead as usize
+                {
+                    wait = wait.max(s.earliest_outstanding(now));
+                }
                 if wait > now {
                     self.processors[p].make_ready_at(slot, wait);
                     return false;
@@ -759,665 +582,199 @@ impl Machine {
             self.mix.alu += 1;
         }
 
-        // Address computation for memory ops, with bounds checking.
-        let addr_of = |m: &Machine, base: crate::ir::Reg, offset: i64| -> Result<usize, String> {
-            let a = m.processors[p].stream(slot).reg(base) as i64 + offset;
-            if a < 0 {
-                return Err(format!("negative address {a}"));
-            }
-            let a = a as usize;
-            m.memory.check(a)?;
-            Ok(a)
-        };
-
         let issue_done = self.cycle + self.config.issue_latency;
         let mut ready_at = issue_done;
         let mut next_pc = pc + 1;
-        let mut halted = false;
-        let mut parked = false;
-
+        // Set by the seven memory and full/empty arms, which share
+        // `access`: address operands and what to do to the word.
+        let mut mem = None;
+        // ALU, float, move and branch instructions touch only the issuing
+        // stream; the arms after them reach into the rest of the machine.
+        let s = self.processors[p].stream_mut(slot);
         match instr {
-            // Divide-by-zero faults (a shared effect on the machine-wide
-            // fault list); every other division is stream-local and is
-            // handled by `exec_local` in the catch-all arm below.
-            Instr::Div { rb, .. } if self.processors[p].stream(slot).reg(rb) == 0 => {
-                self.fault(p, slot, "divide by zero".into());
-                return;
+            Instr::Li { rd, imm } => s.set_reg(rd, imm as u64),
+            Instr::Mov { rd, rs } => s.set_reg(rd, s.reg(rs)),
+            Instr::Add { rd, ra, rb } => s.set_reg(rd, s.reg(ra).wrapping_add(s.reg(rb))),
+            Instr::Sub { rd, ra, rb } => s.set_reg(rd, s.reg(ra).wrapping_sub(s.reg(rb))),
+            Instr::Mul { rd, ra, rb } => s.set_reg(rd, s.reg(ra).wrapping_mul(s.reg(rb))),
+            Instr::Div { rd, ra, rb } => {
+                let (a, b) = (s.reg(ra) as i64, s.reg(rb) as i64);
+                if b == 0 {
+                    self.fault(p, slot, "divide by zero".into());
+                    return;
+                }
+                s.set_reg(rd, a.wrapping_div(b) as u64);
             }
-            Instr::Load { rd, base, offset } => match addr_of(self, base, offset) {
-                Ok(addr) => {
-                    let v = self.memory.load(addr);
-                    let completion = self.mem_ready_at(addr);
-                    let s = self.processors[p].stream_mut(slot);
-                    s.set_reg(rd, v);
-                    if self.config.lookahead > 1 {
-                        // Pipelined: the stream keeps issuing; the result
-                        // register is scoreboarded until the data returns.
-                        if rd != 0 {
-                            s.reg_ready_at[rd as usize] = completion;
-                        }
-                        s.outstanding.push(completion);
-                    } else {
-                        ready_at = completion;
-                    }
+            Instr::Addi { rd, ra, imm } => s.set_reg(rd, s.reg(ra).wrapping_add(imm as u64)),
+            Instr::Slt { rd, ra, rb } => {
+                s.set_reg(rd, ((s.reg(ra) as i64) < (s.reg(rb) as i64)) as u64)
+            }
+            Instr::FAdd { rd, ra, rb } => s.set_reg_f(rd, s.reg_f(ra) + s.reg_f(rb)),
+            Instr::FSub { rd, ra, rb } => s.set_reg_f(rd, s.reg_f(ra) - s.reg_f(rb)),
+            Instr::FMul { rd, ra, rb } => s.set_reg_f(rd, s.reg_f(ra) * s.reg_f(rb)),
+            Instr::FDiv { rd, ra, rb } => s.set_reg_f(rd, s.reg_f(ra) / s.reg_f(rb)),
+            Instr::FMax { rd, ra, rb } => s.set_reg_f(rd, s.reg_f(ra).max(s.reg_f(rb))),
+            Instr::FMin { rd, ra, rb } => s.set_reg_f(rd, s.reg_f(ra).min(s.reg_f(rb))),
+            Instr::FLt { rd, ra, rb } => s.set_reg(rd, (s.reg_f(ra) < s.reg_f(rb)) as u64),
+            Instr::IToF { rd, rs } => s.set_reg_f(rd, s.reg(rs) as i64 as f64),
+            Instr::FToI { rd, rs } => s.set_reg(rd, s.reg_f(rs) as i64 as u64),
+            Instr::Jmp { target } => next_pc = target,
+            Instr::Beq { ra, rb, target } => {
+                if s.reg(ra) == s.reg(rb) {
+                    next_pc = target;
                 }
-                Err(e) => {
-                    self.fault(p, slot, e);
-                    return;
+            }
+            Instr::Bne { ra, rb, target } => {
+                if s.reg(ra) != s.reg(rb) {
+                    next_pc = target;
                 }
-            },
-            Instr::Store { rs, base, offset } => match addr_of(self, base, offset) {
-                Ok(addr) => {
-                    let v = self.processors[p].stream(slot).reg(rs);
-                    self.memory.store(addr, v);
-                    let completion = self.mem_ready_at(addr);
-                    if self.config.lookahead > 1 {
-                        self.processors[p]
-                            .stream_mut(slot)
-                            .outstanding
-                            .push(completion);
-                    } else {
-                        ready_at = completion;
-                    }
+            }
+            Instr::Blt { ra, rb, target } => {
+                if (s.reg(ra) as i64) < (s.reg(rb) as i64) {
+                    next_pc = target;
                 }
-                Err(e) => {
-                    self.fault(p, slot, e);
-                    return;
+            }
+            Instr::Bge { ra, rb, target } => {
+                if (s.reg(ra) as i64) >= (s.reg(rb) as i64) {
+                    next_pc = target;
                 }
-            },
-            Instr::LoadSync { rd, base, offset } => match addr_of(self, base, offset) {
-                Ok(addr) => {
-                    ready_at = self.mem_ready_at(addr);
-                    match self.memory.try_take(addr) {
-                        Some(v) => {
-                            self.processors[p].stream_mut(slot).set_reg(rd, v);
-                            self.wake_on_empty(addr);
-                        }
-                        None => {
-                            self.waiters
-                                .entry(addr)
-                                .or_default()
-                                .on_full
-                                .push_back((p, slot));
-                            parked = true;
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.fault(p, slot, e);
-                    return;
-                }
-            },
-            Instr::StoreSync { rs, base, offset } => match addr_of(self, base, offset) {
-                Ok(addr) => {
-                    ready_at = self.mem_ready_at(addr);
-                    let v = self.processors[p].stream(slot).reg(rs);
-                    if self.memory.try_put_sync(addr, v) {
-                        self.wake_on_full(addr);
-                    } else {
-                        self.waiters
-                            .entry(addr)
-                            .or_default()
-                            .on_empty
-                            .push_back((p, slot));
-                        parked = true;
-                    }
-                }
-                Err(e) => {
-                    self.fault(p, slot, e);
-                    return;
-                }
-            },
-            Instr::ReadFF { rd, base, offset } => match addr_of(self, base, offset) {
-                Ok(addr) => {
-                    ready_at = self.mem_ready_at(addr);
-                    match self.memory.try_read_ff(addr) {
-                        Some(v) => self.processors[p].stream_mut(slot).set_reg(rd, v),
-                        None => {
-                            self.waiters
-                                .entry(addr)
-                                .or_default()
-                                .on_full
-                                .push_back((p, slot));
-                            parked = true;
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.fault(p, slot, e);
-                    return;
-                }
-            },
-            Instr::Put { rs, base, offset } => match addr_of(self, base, offset) {
-                Ok(addr) => {
-                    ready_at = self.mem_ready_at(addr);
-                    let v = self.processors[p].stream(slot).reg(rs);
-                    self.memory.put(addr, v);
-                    self.wake_on_full(addr);
-                }
-                Err(e) => {
-                    self.fault(p, slot, e);
-                    return;
-                }
-            },
+            }
+            Instr::Load { rd, base, offset } => mem = Some((base, offset, MemOp::Load { rd })),
+            Instr::Store { rs, base, offset } => mem = Some((base, offset, MemOp::Store { rs })),
+            Instr::LoadSync { rd, base, offset } => {
+                mem = Some((base, offset, MemOp::LoadSync { rd }))
+            }
+            Instr::StoreSync { rs, base, offset } => {
+                mem = Some((base, offset, MemOp::StoreSync { rs }))
+            }
+            Instr::ReadFF { rd, base, offset } => mem = Some((base, offset, MemOp::ReadFF { rd })),
+            Instr::Put { rs, base, offset } => mem = Some((base, offset, MemOp::Put { rs })),
             Instr::FetchAdd {
                 rd,
                 base,
                 offset,
                 rs,
-            } => match addr_of(self, base, offset) {
-                Ok(addr) => {
-                    ready_at = self.mem_ready_at(addr);
-                    let delta = self.processors[p].stream(slot).reg(rs);
-                    match self.memory.try_fetch_add(addr, delta) {
-                        Some(old) => self.processors[p].stream_mut(slot).set_reg(rd, old),
-                        None => {
-                            self.waiters
-                                .entry(addr)
-                                .or_default()
-                                .on_full
-                                .push_back((p, slot));
-                            parked = true;
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.fault(p, slot, e);
-                    return;
-                }
-            },
+            } => mem = Some((base, offset, MemOp::FetchAdd { rd, rs })),
             Instr::Fork { entry, arg } => {
-                let argv = self.processors[p].stream(slot).reg(arg);
-                let n = self.processors.len();
-                let mut placed = false;
-                for i in 0..n {
-                    let tp = (self.next_place + i) % n;
-                    if self.processors[tp].has_free_slot() {
-                        let at = self.cycle + self.config.fork_cost;
-                        self.processors[tp].install(Stream::new(entry, argv), at);
-                        self.arm(entry);
-                        self.next_place = (tp + 1) % n;
-                        self.forks += 1;
-                        placed = true;
-                        break;
-                    }
-                }
-                if !placed {
+                let argv = s.reg(arg);
+                if self.place(entry, argv, self.cycle + self.config.fork_cost) {
+                    self.threads.forks += 1;
+                } else {
                     self.pending_threads.push_back((entry, argv));
-                    self.soft_spawns += 1;
+                    self.threads.soft_spawns += 1;
                 }
                 ready_at = issue_done + self.config.fork_cost;
             }
-            Instr::Halt => halted = true,
-            // Everything else (ALU, float, move, branch, nonzero-divisor
-            // Div) touches only the issuing stream's registers and pc —
-            // the same helper phase A of the parallel tick runs
-            // concurrently per processor.
-            _ => next_pc = exec_local(self.processors[p].stream_mut(slot), instr, pc),
-        }
-
-        if halted {
-            // `Halt` itself is never armed; no disarm needed.
-            self.processors[p].remove(slot);
-            self.start_pending_if_any(p);
-            return;
-        }
-        if parked {
-            // pc unchanged: the instruction re-executes on wake. Every
-            // park is one full/empty retry; a park of a just-woken stream
-            // additionally counts as a repark (it lost the word to
-            // another consumer between wake and retry).
-            self.sync_blocks += 1;
-            let s = self.processors[p].stream_mut(slot);
-            if s.was_woken {
-                s.was_woken = false;
-                self.reparks += 1;
+            Instr::Halt => {
+                self.retire(p, slot);
+                return;
             }
-            self.processors[p].park(slot);
-            // Parked streams cannot issue until woken; the wake re-arms.
-            self.disarm(pc);
-            return;
+        }
+        if let Some((base, offset, op)) = mem {
+            match self.access(p, slot, base, offset, op) {
+                Some(t) => ready_at = t,
+                None => return,
+            }
         }
         let s = self.processors[p].stream_mut(slot);
         s.was_woken = false;
         s.pc = next_pc;
         self.processors[p].make_ready_at(slot, ready_at);
-        self.disarm(pc);
-        self.arm(next_pc);
-    }
-}
-
-/// Execute a purely stream-local instruction — one that reads and writes
-/// only the issuing stream's registers — and return the next pc. These
-/// are the ALU, floating-point, move, and branch instructions, plus `Div`
-/// with a nonzero divisor; everything else (memory, full/empty bits,
-/// thread creation, faults) has shared effects and must go through
-/// [`Machine::execute`] so those effects land in deterministic order.
-///
-/// Callers must have excluded divide-by-zero first (it faults, which
-/// appends to the machine-wide fault list).
-fn exec_local(s: &mut Stream, instr: Instr, pc: usize) -> usize {
-    let mut next_pc = pc + 1;
-    match instr {
-        Instr::Li { rd, imm } => s.set_reg(rd, imm as u64),
-        Instr::Mov { rd, rs } => {
-            let v = s.reg(rs);
-            s.set_reg(rd, v);
-        }
-        Instr::Add { rd, ra, rb } => {
-            let v = s.reg(ra).wrapping_add(s.reg(rb));
-            s.set_reg(rd, v);
-        }
-        Instr::Sub { rd, ra, rb } => {
-            let v = s.reg(ra).wrapping_sub(s.reg(rb));
-            s.set_reg(rd, v);
-        }
-        Instr::Mul { rd, ra, rb } => {
-            let v = s.reg(ra).wrapping_mul(s.reg(rb));
-            s.set_reg(rd, v);
-        }
-        Instr::Div { rd, ra, rb } => {
-            let (a, b) = (s.reg(ra) as i64, s.reg(rb) as i64);
-            debug_assert!(b != 0, "divide-by-zero must fault in execute()");
-            s.set_reg(rd, a.wrapping_div(b) as u64);
-        }
-        Instr::Addi { rd, ra, imm } => {
-            let v = s.reg(ra).wrapping_add(imm as u64);
-            s.set_reg(rd, v);
-        }
-        Instr::Slt { rd, ra, rb } => {
-            let v = ((s.reg(ra) as i64) < (s.reg(rb) as i64)) as u64;
-            s.set_reg(rd, v);
-        }
-        Instr::FAdd { rd, ra, rb } => {
-            let v = s.reg_f(ra) + s.reg_f(rb);
-            s.set_reg_f(rd, v);
-        }
-        Instr::FSub { rd, ra, rb } => {
-            let v = s.reg_f(ra) - s.reg_f(rb);
-            s.set_reg_f(rd, v);
-        }
-        Instr::FMul { rd, ra, rb } => {
-            let v = s.reg_f(ra) * s.reg_f(rb);
-            s.set_reg_f(rd, v);
-        }
-        Instr::FDiv { rd, ra, rb } => {
-            let v = s.reg_f(ra) / s.reg_f(rb);
-            s.set_reg_f(rd, v);
-        }
-        Instr::FMax { rd, ra, rb } => {
-            let v = s.reg_f(ra).max(s.reg_f(rb));
-            s.set_reg_f(rd, v);
-        }
-        Instr::FMin { rd, ra, rb } => {
-            let v = s.reg_f(ra).min(s.reg_f(rb));
-            s.set_reg_f(rd, v);
-        }
-        Instr::FLt { rd, ra, rb } => {
-            let v = (s.reg_f(ra) < s.reg_f(rb)) as u64;
-            s.set_reg(rd, v);
-        }
-        Instr::IToF { rd, rs } => {
-            let v = s.reg(rs) as i64 as f64;
-            s.set_reg_f(rd, v);
-        }
-        Instr::FToI { rd, rs } => {
-            let v = s.reg_f(rs) as i64 as u64;
-            s.set_reg(rd, v);
-        }
-        Instr::Jmp { target } => next_pc = target,
-        Instr::Beq { ra, rb, target } => {
-            if s.reg(ra) == s.reg(rb) {
-                next_pc = target;
-            }
-        }
-        Instr::Bne { ra, rb, target } => {
-            if s.reg(ra) != s.reg(rb) {
-                next_pc = target;
-            }
-        }
-        Instr::Blt { ra, rb, target } => {
-            if (s.reg(ra) as i64) < (s.reg(rb) as i64) {
-                next_pc = target;
-            }
-        }
-        Instr::Bge { ra, rb, target } => {
-            if (s.reg(ra) as i64) >= (s.reg(rb) as i64) {
-                next_pc = target;
-            }
-        }
-        Instr::Load { .. }
-        | Instr::Store { .. }
-        | Instr::LoadSync { .. }
-        | Instr::StoreSync { .. }
-        | Instr::ReadFF { .. }
-        | Instr::Put { .. }
-        | Instr::FetchAdd { .. }
-        | Instr::Fork { .. }
-        | Instr::Halt => unreachable!("exec_local called on a shared-effect instruction"),
-    }
-    next_pc
-}
-
-/// Coordinator→worker window publication for the parallel tick. Reads
-/// and writes are ordered by the window barrier; the mutex makes the
-/// handoff safe Rust.
-struct WindowCtl {
-    start: u64,
-    end: u64,
-    stop: bool,
-}
-
-/// The window-sequencing half of the two-phase tick, shared by the
-/// multi-worker coordinator and the scaffolding-free single-worker path
-/// of [`Machine::run_parallel`]: sizing each window from the armed
-/// counters, merging phase-A outputs, committing proposals in
-/// `(cycle, processor)` order, and the between-window fast-forward /
-/// deadlock / completion bookkeeping.
-#[derive(Default)]
-struct WindowDriver {
-    merged: Vec<(u64, usize, usize)>,
-    last_issue: Option<u64>,
-    completed: bool,
-    deadlocked: bool,
-    n_windows: u64,
-    covered: u64,
-}
-
-impl WindowDriver {
-    /// Size the next event window from the machine's armed counters, or
-    /// `None` when the run is over (completion sets `self.completed`;
-    /// hitting `max_cycles` leaves both flags clear — a timeout).
-    ///
-    /// Every stream issues at most once per window (window ≤
-    /// `issue_latency`), and the instruction it issues is the one at its
-    /// current pc — so unless some runnable stream sits at a fork or
-    /// full/empty instruction, no commit can touch another stream sooner
-    /// than `issue_latency` cycles out. While software-pending threads
-    /// exist, any commit may fault, freeing a slot and spawning one at
-    /// `c + soft_spawn_cost`.
-    fn next_window(&mut self, m: &mut Machine, max_cycles: u64) -> Option<(u64, u64)> {
-        if m.live_total() == 0 && m.pending_threads.is_empty() {
-            self.completed = true;
-            return None;
-        }
-        if m.cycle >= max_cycles {
-            return None;
-        }
-        let mut window = m.config.issue_latency;
-        if m.armed_forks > 0 {
-            window = window.min(m.config.fork_cost);
-        }
-        if m.armed_syncs > 0 {
-            window = window.min(m.config.wake_latency);
-        }
-        if !m.pending_threads.is_empty() {
-            window = window.min(m.config.soft_spawn_cost);
-        }
-        let (start, end) = (m.cycle, (m.cycle + window).min(max_cycles));
-        self.n_windows += 1;
-        self.covered += end - start;
-        self.merged.clear();
-        self.last_issue = None;
-        Some((start, end))
     }
 
-    /// Fold one worker's phase-A output into the machine and the pending
-    /// commit list, leaving `out` empty for the next window.
-    fn absorb(&mut self, m: &mut Machine, out: &mut WindowOut) {
-        self.merged.append(&mut out.proposals);
-        m.mix.alu += out.local_issues;
-        m.armed_forks += out.new_forks;
-        m.armed_syncs += out.new_syncs;
-        out.local_issues = 0;
-        out.new_forks = 0;
-        out.new_syncs = 0;
-        self.last_issue = self.last_issue.max(out.last_issue.take());
-    }
-
-    /// Phase B plus the between-window bookkeeping, matching the
-    /// sequential loop's cycle accounting exactly. Returns `false` when
-    /// the run must stop (deadlock).
-    fn commit(&mut self, m: &mut Machine, start: u64, end: u64, max_cycles: u64) -> bool {
-        // Commit shared effects in (cycle, processor) order — the exact
-        // order the sequential loop visits them in.
-        self.merged.sort_unstable();
-        for &(cycle, p, slot) in &self.merged {
-            m.cycle = cycle;
-            // `execute` maintains the armed counters itself, so the next
-            // window sizing sees the post-commit pcs, wakes, and
-            // installs.
-            m.execute(p, slot);
-        }
-        if m.live_total() == 0 && m.pending_threads.is_empty() {
-            // The final halt issued at `last_issue`; the sequential loop
-            // advances one cycle past it before noticing completion.
-            m.cycle = self.last_issue.expect("completion requires an issue") + 1;
-            return true;
-        }
-        let resume = match self.last_issue {
-            Some(t) => t + 1,
-            None => start,
+    /// Perform memory operation `op` on the word at `base + offset`,
+    /// resolved and bounds-checked here for all seven kinds. Returns the
+    /// cycle at which the stream may issue again, or `None` if it must not
+    /// advance: the address faulted, or the word was in the wrong
+    /// full/empty state and the stream parked on it (pc unchanged: the
+    /// instruction re-executes on wake).
+    fn access(&mut self, p: usize, slot: usize, base: Reg, offset: i64, op: MemOp) -> Option<u64> {
+        let a = (self.processors[p].stream(slot).reg(base) as i64).wrapping_add(offset);
+        let checked = if a < 0 {
+            Err(format!("negative address {a}"))
+        } else {
+            self.memory.check(a as usize)
         };
-        if resume >= max_cycles {
-            m.cycle = max_cycles;
-            return true;
+        if let Err(e) = checked {
+            self.fault(p, slot, e);
+            return None;
         }
-        if self.last_issue == Some(end - 1) {
-            // Dense window: a stream issued at the window's final cycle,
-            // so the machine is almost certainly still busy. Open the
-            // next window at `resume` without scanning every processor's
-            // event heap (the cost the sequential loop only pays on idle
-            // cycles). If nothing turns out to be ready, that window
-            // issues nothing and its commit falls through to the scan
-            // below — the final state is identical either way.
-            m.cycle = resume;
-            return true;
+        let addr = a as usize;
+        // Completion time: bank queueing + service + network.
+        let t = self.memory.schedule_access(addr, self.cycle);
+        let completion =
+            (t.done + self.config.mem_extra_latency).max(self.cycle + self.config.issue_latency);
+        let s = self.processors[p].stream_mut(slot);
+        // Plain accesses under lookahead are pipelined: the stream keeps
+        // issuing at the pipeline rate and the access joins its in-flight
+        // list (a load's result register is scoreboarded until the data
+        // returns). Everything else waits for completion.
+        let pipelined =
+            self.config.lookahead > 1 && matches!(op, MemOp::Load { .. } | MemOp::Store { .. });
+        let mut ready_at = completion;
+        if pipelined {
+            ready_at = self.cycle + self.config.issue_latency;
+            s.outstanding.push(completion);
         }
-        // Event horizon: after `resume` no stream is ready before the
-        // earliest pending event, so jump all processors straight to it
-        // — or declare deadlock if only parked streams remain. Clamped
-        // to the budget like the sequential fast-forward.
-        let next = m
-            .processors
-            .iter_mut()
-            .filter_map(|p| p.next_event(resume))
-            .min();
-        match next {
-            Some(t) => {
-                m.cycle = t.min(max_cycles);
-                true
-            }
-            None => {
-                self.deadlocked = true;
-                m.cycle = resume;
-                false
-            }
-        }
-    }
-
-    /// Env-gated window-size telemetry (`MTA_WINDOW_STATS=1`).
-    fn report_stats(&self) {
-        if std::env::var_os("MTA_WINDOW_STATS").is_some() {
-            eprintln!(
-                "windows {} covering {} cycles (avg {:.2})",
-                self.n_windows,
-                self.covered,
-                self.covered as f64 / self.n_windows.max(1) as f64
-            );
-        }
-    }
-}
-
-/// Per-worker phase-A output for one window of the parallel tick.
-#[derive(Default)]
-struct WindowOut {
-    /// Proposed shared-effect issues as `(cycle, processor, slot)`;
-    /// sorting the merged proposals therefore yields the sequential
-    /// loop's (cycle, processor) commit order.
-    proposals: Vec<(u64, usize, usize)>,
-    /// Stream-local instructions issued this window (all ALU-class).
-    local_issues: u64,
-    /// Latest cycle at which any of this worker's processors issued.
-    last_issue: Option<u64>,
-    /// Streams that local execution advanced *onto* a `Fork` instruction
-    /// this window. Local instructions are never armed themselves, so
-    /// phase A only ever increments the machine's armed counters; the
-    /// coordinator merges these deltas before sizing the next window.
-    new_forks: usize,
-    /// As [`WindowOut::new_forks`], for full/empty instructions.
-    new_syncs: usize,
-}
-
-/// The machine, sharable with pool workers under the barrier protocol
-/// documented in [`Machine::run_parallel`].
-struct MachinePtr(*mut Machine);
-// SAFETY: access is mediated by the window barrier — the coordinator
-// touches the machine only while workers are parked, and workers touch
-// only disjoint processors during phase A.
-unsafe impl Send for MachinePtr {}
-unsafe impl Sync for MachinePtr {}
-
-impl MachinePtr {
-    /// The raw machine pointer (closures capture the Sync wrapper, not
-    /// the bare pointer field).
-    fn get(&self) -> *mut Machine {
-        self.0
-    }
-}
-
-/// The machine's processor array, sharable under the same protocol.
-struct ProcsPtr(*mut Processor);
-// SAFETY: see `MachinePtr` — each worker dereferences only the disjoint
-// elements of its own chunk, and only during phase A.
-unsafe impl Send for ProcsPtr {}
-unsafe impl Sync for ProcsPtr {}
-
-impl ProcsPtr {
-    /// Pointer to processor `p` (see the Sync note on [`MachinePtr`]).
-    fn at(&self, p: usize) -> *mut Processor {
-        // Chunk indices come from `chunk_range` over the processor count,
-        // so `p` is always in bounds.
-        unsafe { self.0.add(p) }
-    }
-}
-
-/// Phase A of the parallel tick: advance one processor cycle-by-cycle
-/// through `window`, fully executing stream-local instructions and
-/// recording a proposal for every shared-effect issue. Touches only
-/// `proc` (plus the read-only program/config), so disjoint processors
-/// may run phase A concurrently.
-fn phase_a(
-    proc: &mut Processor,
-    p: usize,
-    program: &Program,
-    config: &MtaConfig,
-    window: std::ops::Range<u64>,
-    out: &mut WindowOut,
-) {
-    let lookahead = config.lookahead as usize;
-    for c in window {
-        // Mirror the sequential issue loop: pop ready streams until one
-        // issues; gate-blocked streams reschedule at their dependence
-        // time without consuming the cycle's issue slot.
-        while let Some(slot) = proc.next_to_issue(c) {
-            let instr = program.code.get(proc.stream(slot).pc).copied();
-            if config.lookahead > 1 {
-                if let Some(instr) = instr {
-                    let wait = gate_ready_at(proc.stream_mut(slot), instr, c, lookahead);
-                    if wait > c {
-                        proc.make_ready_at(slot, wait);
-                        continue;
-                    }
+        // What the word's full/empty state machine did: the state it
+        // reached (waking the streams parked for that), or the state this
+        // stream must wait for.
+        let mut reached = None;
+        let mut blocked_on = None;
+        match op {
+            MemOp::Load { rd } => {
+                s.set_reg(rd, self.memory.load(addr));
+                if pipelined && rd != 0 {
+                    s.reg_ready_at[rd as usize] = completion;
                 }
             }
-            match instr {
-                Some(instr) if is_local_effect(instr, proc.stream(slot)) => {
-                    let pc = proc.stream(slot).pc;
-                    proc.record_issue(slot);
-                    out.local_issues += 1;
-                    let next_pc = exec_local(proc.stream_mut(slot), instr, pc);
-                    let s = proc.stream_mut(slot);
-                    s.was_woken = false;
-                    s.pc = next_pc;
-                    proc.make_ready_at(slot, c + config.issue_latency);
-                    // Arm-counter delta: the stream may have advanced
-                    // onto a fork or full/empty instruction (a local
-                    // instruction is never armed, so no decrement).
-                    match program.code.get(next_pc).copied() {
-                        Some(Instr::Fork { .. }) => out.new_forks += 1,
-                        Some(i) if is_full_empty(i) => out.new_syncs += 1,
-                        _ => {}
-                    }
+            MemOp::Store { rs } => self.memory.store(addr, s.reg(rs)),
+            MemOp::LoadSync { rd } => match self.memory.try_take(addr) {
+                Some(v) => {
+                    s.set_reg(rd, v);
+                    reached = Some(Wait::Empty);
                 }
-                // A shared-effect instruction, or the pc ran off the end
-                // of the program (a fault): propose. The slot stays
-                // popped from the queues until phase B commits it
-                // through `Machine::execute` at exactly this cycle.
-                _ => out.proposals.push((c, p, slot)),
+                None => blocked_on = Some(Wait::Full),
+            },
+            MemOp::StoreSync { rs } => {
+                if self.memory.try_put_sync(addr, s.reg(rs)) {
+                    reached = Some(Wait::Full);
+                } else {
+                    blocked_on = Some(Wait::Empty);
+                }
             }
-            // Max, not assignment: one `WindowOut` accumulates over every
-            // processor in the worker's chunk, and a later processor's
-            // last issue may fall earlier in the window.
-            out.last_issue = out.last_issue.max(Some(c));
-            break;
+            MemOp::ReadFF { rd } => match self.memory.try_read_ff(addr) {
+                Some(v) => s.set_reg(rd, v),
+                None => blocked_on = Some(Wait::Full),
+            },
+            MemOp::Put { rs } => {
+                self.memory.put(addr, s.reg(rs));
+                reached = Some(Wait::Full);
+            }
+            MemOp::FetchAdd { rd, rs } => match self.memory.try_fetch_add(addr, s.reg(rs)) {
+                Some(old) => s.set_reg(rd, old),
+                None => blocked_on = Some(Wait::Full),
+            },
         }
-    }
-}
-
-/// Lookahead-dependence gate: the earliest cycle at which the stream's
-/// next instruction may issue given its scoreboard (`now` if it may issue
-/// immediately). Purely stream-local, so it is shared between
-/// [`Machine::try_issue`] and phase A of the parallel tick. Prunes
-/// completed in-flight operations as a side effect.
-fn gate_ready_at(s: &mut Stream, instr: Instr, now: u64, lookahead: usize) -> u64 {
-    s.prune_outstanding(now);
-    let mut wait = 0u64;
-    for r in instr.src_regs().into_iter().flatten() {
-        wait = wait.max(s.reg_ready_at[r as usize]);
-    }
-    if let Some(rd) = instr.dst_reg() {
-        wait = wait.max(s.reg_ready_at[rd as usize]);
-    }
-    if instr.is_sync() {
-        // Synchronized operations act as a memory fence.
-        wait = wait.max(s.latest_outstanding(now));
-    } else if instr.is_memory() && s.outstanding.len() >= lookahead {
-        wait = wait.max(s.earliest_outstanding(now));
-    }
-    wait.max(now)
-}
-
-/// Whether `instr`, issued by stream `s`, is purely stream-local (see
-/// [`exec_local`]). `Div` is local only while its divisor is nonzero — a
-/// zero divisor faults, which is a shared effect.
-/// Whether `instr` touches a word's full/empty bit when it commits — and
-/// can therefore wake waiters `wake_latency` cycles later. Broader than
-/// [`Instr::is_sync`]: `Put` never blocks but does wake.
-fn is_full_empty(instr: Instr) -> bool {
-    matches!(
-        instr,
-        Instr::LoadSync { .. }
-            | Instr::StoreSync { .. }
-            | Instr::ReadFF { .. }
-            | Instr::Put { .. }
-            | Instr::FetchAdd { .. }
-    )
-}
-
-fn is_local_effect(instr: Instr, s: &Stream) -> bool {
-    match instr {
-        Instr::Div { rb, .. } => s.reg(rb) != 0,
-        Instr::Load { .. }
-        | Instr::Store { .. }
-        | Instr::LoadSync { .. }
-        | Instr::StoreSync { .. }
-        | Instr::ReadFF { .. }
-        | Instr::Put { .. }
-        | Instr::FetchAdd { .. }
-        | Instr::Fork { .. }
-        | Instr::Halt => false,
-        _ => true,
+        if let Some(state) = blocked_on {
+            // Every park is one full/empty retry; a park of a just-woken
+            // stream additionally counts as a repark (it lost the word to
+            // another consumer between wake and retry).
+            self.sync.blocked += 1;
+            if std::mem::take(&mut s.was_woken) {
+                self.sync.reparks += 1;
+            }
+            self.processors[p].park(slot);
+            self.waiters
+                .entry((addr, state))
+                .or_default()
+                .push_back((p, slot));
+            return None;
+        }
+        if let Some(state) = reached {
+            self.wake(addr, state);
+        }
+        Some(ready_at)
     }
 }
 
@@ -1653,24 +1010,99 @@ mod tests {
     #[test]
     fn deadlock_is_detected() {
         // A single stream takes from an empty word that nobody fills.
-        let mut a = Assembler::new();
-        a.li(2, 100);
-        a.load_sync(3, 2, 0);
-        a.halt();
-        let program = a.assemble().unwrap();
-        let mut m = Machine::new(
-            MtaConfig {
-                mem_words: 1 << 12,
-                ..MtaConfig::tera(1)
-            },
-            program,
-        )
-        .unwrap();
-        m.memory_mut().set_empty(100);
-        m.spawn(0, 0).unwrap();
-        let r = m.run(1_000_000);
-        assert!(r.deadlocked);
-        assert!(!r.completed);
+        let single = "li r2, 100\n loadsync r3, 0(r2)\n halt";
+        // Four forked workers, placed round-robin over the processors,
+        // each take from their own word (1000 + id) that stays empty: every
+        // live stream ends up parked, on more than one processor.
+        let spread = "
+                    li r2, 0
+                    li r3, 4
+            spawn:  bge r2, r3, spawned
+                    fork work, r2
+                    addi r2, r2, 1
+                    jmp spawn
+            spawned:
+                    halt
+            work:   li r4, 1000
+                    add r4, r4, r1
+                    loadsync r5, 0(r4)
+                    halt";
+        let single = crate::asm_text::assemble_text(single).unwrap();
+        let spread = crate::asm_text::assemble_text(spread).unwrap();
+        for (program, procs, empties) in [
+            (single, 1, 100..101),
+            (spread.clone(), 2, 1000..1004),
+            (spread, 4, 1000..1004),
+        ] {
+            let mut m = Machine::new(
+                MtaConfig {
+                    mem_words: 1 << 12,
+                    ..MtaConfig::tera(procs)
+                },
+                program,
+            )
+            .unwrap();
+            for addr in empties {
+                m.memory_mut().set_empty(addr);
+            }
+            m.spawn(0, 0).unwrap();
+            let r = m.run(1_000_000);
+            assert!(r.deadlocked && !r.completed, "{procs} processors: {r:?}");
+            let used = r.stats.streams.peak_live_per_processor;
+            assert!(
+                used.iter().all(|&n| n > 0),
+                "parked streams must span all {procs} processors: {used:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_program_is_a_typed_error() {
+        let jump_past_end = Program::new(vec![Instr::Jmp { target: 7 }]);
+        let err = Machine::new(MtaConfig::tera(1), jump_past_end)
+            .err()
+            .unwrap();
+        assert!(matches!(err, MachineError::InvalidProgram(_)), "{err}");
+        assert!(err.to_string().contains("branch target 7"), "{err}");
+    }
+
+    #[test]
+    fn degenerate_config_is_a_typed_error_not_a_panic() {
+        type Zero = fn(&mut MtaConfig);
+        let zeros: [(&str, Zero); 4] = [
+            ("n_processors", |c| c.n_processors = 0),
+            ("streams_per_processor", |c| c.streams_per_processor = 0),
+            ("n_banks", |c| c.n_banks = 0),
+            ("bank_service", |c| c.bank_service = 0),
+        ];
+        for (field, zero) in zeros {
+            let mut cfg = MtaConfig::tera(1);
+            zero(&mut cfg);
+            let err = Machine::new(cfg, Program::new(vec![Instr::Halt]))
+                .err()
+                .unwrap();
+            assert_eq!(err, MachineError::InvalidConfig { field });
+            assert!(err.to_string().contains(field), "{err}");
+        }
+    }
+
+    #[test]
+    fn spawn_failures_are_typed_errors() {
+        let cfg = MtaConfig {
+            streams_per_processor: 2,
+            mem_words: 16,
+            ..MtaConfig::tera(2)
+        };
+        let mut m = Machine::new(cfg, Program::new(vec![Instr::Halt])).unwrap();
+        let past_end = MachineError::SpawnOutOfRange {
+            entry: 1,
+            program_len: 1,
+        };
+        assert_eq!(m.spawn(1, 0), Err(past_end));
+        for _ in 0..4 {
+            m.spawn(0, 0).unwrap();
+        }
+        assert_eq!(m.spawn(0, 0), Err(MachineError::NoFreeContext));
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl Processor {
         self.slots[slot].as_ref().expect("empty slot")
     }
 
-    /// Borrow the stream in `slot` if the context is occupied.
-    pub fn stream_opt(&self, slot: usize) -> Option<&Stream> {
-        self.slots[slot].as_ref()
-    }
-
     /// Mutably borrow the stream in `slot`.
     pub fn stream_mut(&mut self, slot: usize) -> &mut Stream {
         self.slots[slot].as_mut().expect("empty slot")

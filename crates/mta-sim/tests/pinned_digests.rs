@@ -4,10 +4,10 @@
 //! deadlock, or faults) and hashes everything observable about the run —
 //! the whole `RunResult` (cycles, flags, fault list, full `SimStats`) and
 //! the final memory image (every word and its full/empty bit) — with
-//! FNV-1a. The crate still has a second, windowed multi-worker driver,
-//! `Machine::run_parallel`, about to be deleted: the second test below
-//! shows it reproducing every digest at 1, 2 and 8 workers, and goes with
-//! it. The digests are what any rebuild of `machine.rs` is gated against. A digest changes only when simulated
+//! FNV-1a. The digests were recorded while the crate still had a second,
+//! windowed multi-worker driver, which reproduced every one of them at 1,
+//! 2 and 8 workers before it was deleted; they are what any rebuild of
+//! `machine.rs` is gated against. A digest changes only when simulated
 //! behaviour or timing changes: if that is intended, say why in the
 //! commit and re-pin from the listing the failing assertion prints.
 
@@ -107,10 +107,9 @@ fn digest(m: &Machine, r: &RunResult) -> u64 {
     h.0
 }
 
-/// The runs of the matrix so far (label, result, digest), and the worker
-/// count for `Machine::run_parallel` if that driver is to run them in
-/// place of `Machine::run`.
-struct Runs(Vec<(String, RunResult, u64)>, Option<usize>);
+/// The runs of the matrix so far: label, result, digest.
+#[derive(Default)]
+struct Runs(Vec<(String, RunResult, u64)>);
 
 impl Runs {
     /// Run `program` from pc 0 under `cfg` after `setup` has initialized
@@ -126,10 +125,7 @@ impl Runs {
         let mut m = Machine::new(cfg, program).expect("machine must validate");
         setup(&mut m);
         m.spawn(0, 0).expect("spawn main stream");
-        let r = match self.1 {
-            None => m.run(max_cycles),
-            Some(workers) => m.run_parallel(max_cycles, workers),
-        };
+        let r = m.run(max_cycles);
         let d = digest(&m, &r);
         self.0.push((label.to_string(), r, d));
     }
@@ -304,8 +300,8 @@ const MAX: u64 = 50_000_000;
 /// The pinned matrix: the eight kernels (with the input data their own
 /// tests use), the timing corner cases, the deadlock/fault/wake programs,
 /// and 25 fixed-seed random programs.
-fn run_matrix(workers: Option<usize>) -> Runs {
-    let mut runs = Runs(Vec::new(), workers);
+fn run_matrix() -> Runs {
+    let mut runs = Runs::default();
     runs.run("alu", cfg(2), alu_kernel(8, 40), MAX, |_| {});
     // Stride 1 spreads banks; stride == n_banks aims at one of them (six
     // workers are too few to collide, so the two runs agree).
@@ -467,7 +463,7 @@ const PINNED: &[(&str, u64)] = &[
 
 #[test]
 fn machine_run_reproduces_every_pinned_digest() {
-    let runs = run_matrix(None).0;
+    let runs = run_matrix().0;
     let listing: String = runs
         .iter()
         .map(|(label, _, d)| format!("    (\"{label}\", {d:#018x}),\n"))
@@ -500,19 +496,4 @@ fn machine_run_reproduces_every_pinned_digest() {
         .queue_wait_hist
         .iter()
         .all(|&n| n > 0)));
-}
-
-/// Temporary, deleted together with `Machine::run_parallel`: the second
-/// driver reproduces every pinned digest at 1, 2 and 8 workers, so the
-/// digests carry everything the differential test against it checked.
-#[test]
-fn run_parallel_reproduces_every_pinned_digest() {
-    for workers in [1, 2, 8] {
-        let runs = run_matrix(Some(workers)).0;
-        assert_eq!(runs.len(), PINNED.len());
-        for ((label, _, d), (_, pinned)) in runs.iter().zip(PINNED) {
-            println!("{workers} workers, {label}: {d:#018x}");
-            assert_eq!(d, pinned, "{label} at {workers} workers");
-        }
-    }
 }

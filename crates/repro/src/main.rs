@@ -273,23 +273,15 @@ fn run_gate(path: &str) -> ! {
                 .iter()
                 .find(|p| p.phase == "fine_grain")
                 .expect("validate() guarantees the phase exists");
-            let mp = report
-                .phases
-                .iter()
-                .find(|p| p.phase == "mta_par")
-                .expect("validate() guarantees the phase exists");
             println!(
                 "gate: {path} OK — {} phases identical, table generation {:.2}x (gate {}), \
                  fine_grain stealing vs shared queue {:.2}x (gate {}), \
-                 mta_par parallel tick vs sequential {:.2}x (gate {}), \
                  kernels vs scalar baseline {:.2}x (gate {})",
                 report.phases.len(),
                 tg.speedup,
                 experiments::TABLE_GEN_SPEEDUP_GATE,
                 fg.speedup,
                 experiments::FINE_GRAIN_SPEEDUP_GATE,
-                mp.speedup,
-                experiments::MTA_PAR_SPEEDUP_GATE,
                 report.kernels.speedup,
                 experiments::KERNELS_SPEEDUP_GATE,
             );

@@ -8,7 +8,6 @@
 //! tree-free reduction built on [`crate::multithreaded_for`].
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct BarrierState {
     /// Threads still to arrive in the current phase.
@@ -73,84 +72,6 @@ impl Barrier {
         }
         while st.phase == phase {
             self.cv.wait(&mut st);
-        }
-        false
-    }
-}
-
-/// A reusable N-party barrier that spins (then yields) instead of parking.
-///
-/// [`Barrier`] costs a mutex acquisition plus a condvar round-trip per
-/// phase — fine when phases are milliseconds, ruinous when they are
-/// microseconds. The parallel tick of the `mta-sim` machine crosses a
-/// barrier every simulated event window (often only a couple of simulated
-/// cycles of work per processor), so it needs arrival/release in the
-/// ~100 ns range. `SpinBarrier` is the standard sense-reversing
-/// counter/generation barrier: arrivals `fetch_add` a counter; the last
-/// arrival resets the counter and bumps the generation, releasing the
-/// spinners. Waiters spin briefly on the generation word and fall back to
-/// `yield_now` so an oversubscribed host (more parties than cores) still
-/// makes progress.
-///
-/// ```
-/// use sthreads::{scope_threads, SpinBarrier};
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// let barrier = SpinBarrier::new(4);
-/// let before = AtomicUsize::new(0);
-/// scope_threads(4, |_| {
-///     before.fetch_add(1, Ordering::SeqCst);
-///     barrier.wait();
-///     // Every thread sees all four arrivals after the barrier.
-///     assert_eq!(before.load(Ordering::SeqCst), 4);
-/// });
-/// ```
-pub struct SpinBarrier {
-    parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    /// Spins on the generation word before each `yield_now` call.
-    const SPINS_BEFORE_YIELD: u32 = 64;
-
-    /// A barrier for `parties` threads. Panics if `parties == 0`.
-    pub fn new(parties: usize) -> Self {
-        assert!(parties > 0, "SpinBarrier: need at least one party");
-        Self {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of participating threads.
-    pub fn parties(&self) -> usize {
-        self.parties
-    }
-
-    /// Block (spinning) until all parties have called `wait` for this
-    /// phase. Returns `true` for exactly one caller per phase — the last
-    /// arrival, which released the others.
-    pub fn wait(&self) -> bool {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            // Last arrival: reset the counter for the next phase *before*
-            // publishing the new generation — a released thread may call
-            // `wait` again immediately, and must find the counter at 0.
-            self.arrived.store(0, Ordering::Release);
-            self.generation.store(generation + 1, Ordering::Release);
-            return true;
-        }
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == generation {
-            spins += 1;
-            if spins < Self::SPINS_BEFORE_YIELD {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
         }
         false
     }
@@ -229,48 +150,6 @@ mod tests {
     #[test]
     fn single_party_barrier_never_blocks() {
         let b = Barrier::new(1);
-        for _ in 0..3 {
-            assert!(b.wait());
-        }
-    }
-
-    #[test]
-    fn spin_barrier_separates_phases() {
-        let parties = 4;
-        let barrier = SpinBarrier::new(parties);
-        let count = AtomicUsize::new(0);
-        scope_threads(parties, |_| {
-            for phase in 1..=50usize {
-                count.fetch_add(1, Ordering::SeqCst);
-                barrier.wait();
-                assert_eq!(
-                    count.load(Ordering::SeqCst),
-                    phase * parties,
-                    "phase {phase}"
-                );
-                barrier.wait(); // second barrier so nobody races ahead
-            }
-        });
-    }
-
-    #[test]
-    fn spin_barrier_elects_one_leader_per_phase() {
-        let parties = 6;
-        let barrier = SpinBarrier::new(parties);
-        let leaders = AtomicUsize::new(0);
-        scope_threads(parties, |_| {
-            for _ in 0..25 {
-                if barrier.wait() {
-                    leaders.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        });
-        assert_eq!(leaders.load(Ordering::SeqCst), 25);
-    }
-
-    #[test]
-    fn single_party_spin_barrier_never_blocks() {
-        let b = SpinBarrier::new(1);
         for _ in 0..3 {
             assert!(b.wait());
         }

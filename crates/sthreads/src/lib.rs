@@ -89,7 +89,7 @@ pub mod queue;
 pub mod stats;
 pub mod syncvar;
 
-pub use barrier::{reduce, Barrier, SpinBarrier};
+pub use barrier::{reduce, Barrier};
 pub use counting::{OpCounts, OpRecorder, ThreadCounts};
 pub use deque::{Steal, StealDeque};
 pub use future::Future;
