@@ -31,7 +31,7 @@ use sthreads::{multithreaded_for, OpRecorder, Schedule};
 /// grid as Programs 3 and 4 bit-for-bit. `n_threads` is the worker count
 /// used for every inner parallel loop.
 pub fn terrain_masking_fine_host(scenario: &TerrainScenario, n_threads: usize) -> Grid<f64> {
-    terrain_masking_fine_host_sched(scenario, n_threads, Schedule::Stealing)
+    terrain_masking_fine_host_sched(scenario, n_threads, Schedule::Dynamic)
 }
 
 /// [`terrain_masking_fine_host`] with an explicit schedule for the ring

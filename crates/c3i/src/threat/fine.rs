@@ -34,7 +34,7 @@ pub const FINE_SLOTS_PER_PAIR: usize = 4;
 /// threat, dynamically scheduled; output slots allocated with an atomic
 /// fetch-add (the host stand-in for the MTA's one-cycle `int_fetch_add`).
 pub fn threat_analysis_fine_host(scenario: &ThreatScenario, n_threads: usize) -> FineResult {
-    threat_analysis_fine_host_sched(scenario, n_threads, Schedule::Stealing)
+    threat_analysis_fine_host_sched(scenario, n_threads, Schedule::Dynamic)
 }
 
 /// [`threat_analysis_fine_host`] with an explicit schedule for the outer
