@@ -373,7 +373,7 @@ pub fn solve_union_dataflow(
         // returns its nodes' new sets; the merge after the barrier is the
         // only writer of the shared vectors.
         let solved: Vec<Vec<(usize, BitSet, BitSet)>> =
-            sthreads::par_map(level.len(), n_workers, sthreads::Schedule::Dynamic, |k| {
+            sthreads::par_map(level.len(), n_workers, |k| {
                 let nodes = &dag.comps[level[k]];
                 let mut local_in: Vec<BitSet> = nodes.iter().map(|&v| in_sets[v].clone()).collect();
                 let mut local_out: Vec<BitSet> =

@@ -8,11 +8,9 @@
 //!
 //! * loops whose iterations have *data-dependent* cost — a compaction
 //!   store (output size varies per iteration) or cleared calls (work
-//!   depends on the data) — self-schedule ([`Schedule::Dynamic`]), like
-//!   Program 4's next-unprocessed-threat counter;
-//! * otherwise, loops with opaque subscripts (irregular access, uniform
-//!   cost) use [`Schedule::Stealing`] to keep contiguous per-worker runs
-//!   while rebalancing;
+//!   depends on the data) — or irregular access (opaque subscripts)
+//!   self-schedule ([`Schedule::Dynamic`]), like Program 4's
+//!   next-unprocessed-threat counter;
 //! * dense affine loops block statically ([`Schedule::Static`]), the
 //!   paper's `(chunk*n)/num_chunks` expression.
 
@@ -76,10 +74,8 @@ pub fn emit_plan(l: &LoopNest, v: &DataflowVerdict) -> Option<ParallelPlan> {
         return None;
     }
     let data_dependent_cost = !v.compactions.is_empty() || !v.cleared_calls.is_empty();
-    let schedule = if data_dependent_cost {
+    let schedule = if data_dependent_cost || any_opaque_subscript(l) {
         Schedule::Dynamic
-    } else if any_opaque_subscript(l) {
-        Schedule::Stealing
     } else {
         Schedule::Static
     };
@@ -136,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn irregular_but_uniform_loops_steal() {
+    fn irregular_but_uniform_loops_self_schedule() {
         // Opaque read subscript, no calls, no compaction.
         let l = LoopNest::new("for i", "i").stmt(
             Stmt::new("a[i] = b[idx]")
@@ -144,7 +140,7 @@ mod tests {
                 .array("b", vec![Expr::Opaque("idx".into())], false),
         );
         let p = plan(&l, &DataflowOptions::new(1)).expect("parallel");
-        assert_eq!(p.schedule, Schedule::Stealing);
+        assert_eq!(p.schedule, Schedule::Dynamic);
     }
 
     #[test]

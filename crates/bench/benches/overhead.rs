@@ -14,13 +14,8 @@
 //!   pool dispatch path on the record, and the `timing_on` variant bounds
 //!   the cost of the `sthreads::stats` nano-timing tier (the always-on
 //!   counter tier is exercised by every other entry here — its budget is
-//!   the ≤2% drift acceptance on this group).
-//! * `fine_grain` — the 10k×~1µs task storm dispatched through the shared
-//!   claim counter (`Schedule::Dynamic`) vs per-worker deques with
-//!   stealing (`Schedule::Stealing`), cutoff pinned off so the dispatch
-//!   mechanisms themselves are on the record. This is the contention wall
-//!   the stealing schedule exists to remove; the same comparison is
-//!   recorded as the `fine_grain` phase of `BENCH_harness.json`.
+//!   the ≤2% drift acceptance on this group). The `raw_dispatch` pair is
+//!   also the Static-vs-Dynamic comparison `docs/LAYERS.md` quotes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -79,16 +74,17 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("dispatch_overhead");
     g.sample_size(10);
     ThreadPool::global().warm(REGION_WIDTH);
+    g.bench_function("par_map_trivial_256_tasks", |b| {
+        b.iter(|| par_map(256, REGION_WIDTH, |i| black_box(i as u64 * 3 + 1)))
+    });
+    g.bench_function("par_map_100us_16_tasks", |b| {
+        b.iter(|| par_map(16, REGION_WIDTH, busy_task))
+    });
+    // The pool's dispatch path with the cutoff pinned off: what a
+    // trivial-task region costs when it really goes parallel, under each
+    // schedule. This is the number the cutoff's measured floor protects
+    // callers from.
     for schedule in [Schedule::Static, Schedule::Dynamic] {
-        g.bench_function(format!("par_map_trivial_256_tasks_{schedule:?}"), |b| {
-            b.iter(|| par_map(256, REGION_WIDTH, schedule, |i| black_box(i as u64 * 3 + 1)))
-        });
-        g.bench_function(format!("par_map_100us_16_tasks_{schedule:?}"), |b| {
-            b.iter(|| par_map(16, REGION_WIDTH, schedule, busy_task))
-        });
-        // The pool's dispatch path with the cutoff pinned off: what a
-        // trivial-task region costs when it really goes parallel. This is
-        // the number the cutoff's measured floor protects callers from.
         g.bench_function(
             format!("raw_dispatch_trivial_256_tasks_{schedule:?}"),
             |b| {
@@ -106,60 +102,14 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
     }
     // The nano-timing tier (clock reads around every job + region
     // aggregation) on the substantial-task shape; compare against
-    // par_map_100us_16_tasks_Static to see its cost.
-    g.bench_function("par_map_100us_16_tasks_Static_timing_on", |b| {
+    // par_map_100us_16_tasks to see its cost.
+    g.bench_function("par_map_100us_16_tasks_timing_on", |b| {
         stats::set_timing(true);
-        b.iter(|| par_map(16, REGION_WIDTH, Schedule::Static, busy_task));
+        b.iter(|| par_map(16, REGION_WIDTH, busy_task));
         stats::set_timing(false);
     });
     g.finish();
 }
 
-/// Deterministic busy work sized around ~1 µs of host compute: the §6
-/// fine-grained regime, far below the per-claim cost a shared counter can
-/// amortize.
-fn micro_task(seed: usize) -> u64 {
-    let mut x = seed as u64 | 1;
-    for _ in 0..500 {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-    }
-    x
-}
-
-fn bench_fine_grain(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fine_grain");
-    g.sample_size(10);
-    ThreadPool::global().warm(REGION_WIDTH);
-    for (name, schedule) in [
-        ("shared_queue", Schedule::Dynamic),
-        ("work_stealing", Schedule::Stealing),
-    ] {
-        g.bench_function(format!("storm_10k_1us_tasks_{name}"), |b| {
-            b.iter(|| {
-                let acc = std::sync::atomic::AtomicU64::new(0);
-                ParFor::new(0..10_000)
-                    .threads(REGION_WIDTH)
-                    .schedule(schedule)
-                    .serial_cutoff(false)
-                    .run(|i| {
-                        acc.fetch_add(
-                            black_box(micro_task(i)),
-                            std::sync::atomic::Ordering::Relaxed,
-                        );
-                    });
-                acc.into_inner()
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_spawn_overhead,
-    bench_dispatch_overhead,
-    bench_fine_grain
-);
+criterion_group!(benches, bench_spawn_overhead, bench_dispatch_overhead);
 criterion_main!(benches);

@@ -10,8 +10,8 @@ use crate::shrink::shrink_case;
 pub struct CampaignConfig {
     /// Number of scenarios to generate and check.
     pub n_cases: usize,
-    /// Campaign seed: drives both scenario generation and the `sthreads`
-    /// steal-seed replay knob, so a campaign reproduces end to end.
+    /// Campaign seed: drives scenario generation, so a campaign's cases
+    /// reproduce end to end.
     pub seed: u64,
     /// Use reduced scenario sizes (CI smoke runs).
     pub reduced: bool,
@@ -51,16 +51,14 @@ impl CampaignReport {
     }
 }
 
-/// Run a full campaign: seeds the `sthreads` steal-replay knob, generates
-/// `n_cases` scenarios, runs each through the matrix, and ddmin-minimizes
-/// every failure before reporting it. `progress` is called after each
-/// case with (index, outcome) — the CLI uses it for live reporting; pass
-/// a no-op closure otherwise.
+/// Run a full campaign: generates `n_cases` scenarios, runs each through
+/// the matrix, and ddmin-minimizes every failure before reporting it.
+/// `progress` is called after each case with (index, outcome) — the CLI
+/// uses it for live reporting; pass a no-op closure otherwise.
 pub fn run_campaign(
     cfg: &CampaignConfig,
     mut progress: impl FnMut(usize, &CaseOutcome),
 ) -> CampaignReport {
-    sthreads::set_steal_seed(cfg.seed);
     let gen_cfg = GenConfig {
         reduced: cfg.reduced,
     };
@@ -91,7 +89,6 @@ pub fn run_campaign(
             }
         }
     }
-    sthreads::set_steal_seed(0);
     report
 }
 
@@ -112,18 +109,5 @@ mod tests {
         assert!(report.ok(), "failures: {:?}", report.failures);
         assert_eq!(report.n_passed, 8);
         assert_eq!(report.n_rejected, 0);
-    }
-
-    #[test]
-    fn campaign_restores_the_steal_seed() {
-        run_campaign(
-            &CampaignConfig {
-                n_cases: 1,
-                seed: 77,
-                reduced: true,
-            },
-            |_, _| {},
-        );
-        assert_eq!(sthreads::steal_seed(), 0);
     }
 }

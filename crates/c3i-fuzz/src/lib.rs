@@ -9,8 +9,7 @@
 //! engagement timelines), and every scenario runs through the full
 //! differential matrix:
 //!
-//! > sequential oracle × {coarse, fine, chunked} × {Static, Dynamic,
-//! > Stealing} × {1, 2, 8} workers
+//! > sequential oracle × {coarse, fine, chunked} × {1, 2, 8} workers
 //!
 //! asserting bit-identical outputs (set-identical for the fine-grained
 //! Threat Analysis variant, whose slot order is inherently racy). A

@@ -3,24 +3,20 @@
 //! For a Terrain Masking case the sequential Program 3 is the oracle and
 //! is itself re-verified with the independent min-recomposition verifier;
 //! the coarse (Program 4) and fine (ring recurrence) variants must then
-//! reproduce the oracle's grid bit-for-bit under every schedule × worker
-//! combination. For a Threat Analysis case Program 1 is the oracle
-//! (re-verified for feasibility/maximality/completeness); the chunked
-//! Program 2 must flatten to the identical interval list, and the
-//! fine-grained fetch-add program must match as a canonical-sorted set
-//! (its slot order is inherently racy — the paper's §5 point).
+//! reproduce the oracle's grid bit-for-bit at every worker count. For a
+//! Threat Analysis case Program 1 is the oracle (re-verified for
+//! feasibility/maximality/completeness); the chunked Program 2 must
+//! flatten to the identical interval list, and the fine-grained fetch-add
+//! program must match as a canonical-sorted set (its slot order is
+//! inherently racy — the paper's §5 point).
 
 use crate::gen::FuzzCase;
 use c3i::terrain;
 use c3i::threat;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use sthreads::Schedule;
 
-/// Worker counts exercised for every variant × schedule combination.
+/// Worker counts exercised for every variant.
 pub const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// All three `sthreads` schedules.
-pub const SCHEDULES: [Schedule; 3] = [Schedule::Static, Schedule::Dynamic, Schedule::Stealing];
 
 /// Chunk count used for the chunked Threat Analysis variant (Program 2
 /// runs more chunks than workers on the Tera; 8 chunks over 1/2/8 workers
@@ -34,7 +30,7 @@ pub const N_BLOCKS: usize = 10;
 /// failure), attributed to the variant configuration that produced it.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Failure {
-    /// Which run diverged, e.g. `"terrain coarse Dynamic x8"`.
+    /// Which run diverged, e.g. `"terrain coarse x8"`.
     pub config: String,
     /// First observed mismatch or the captured panic message.
     pub detail: String,
@@ -151,29 +147,25 @@ fn run_terrain_case(s: &terrain::TerrainScenario) -> CaseOutcome {
         }
     }
 
-    for schedule in SCHEDULES {
-        for workers in WORKER_COUNTS {
-            let config = format!("terrain coarse {schedule:?} x{workers}");
-            match guarded(&config, || {
-                terrain::terrain_masking_coarse_host_sched(s, workers, N_BLOCKS, schedule)
-            }) {
-                Err(f) => return CaseOutcome::Failed(f),
-                Ok(got) => {
-                    if let Some(d) = first_grid_diff(&seq, &got) {
-                        return CaseOutcome::Failed(Failure { config, detail: d });
-                    }
+    for workers in WORKER_COUNTS {
+        let config = format!("terrain coarse x{workers}");
+        match guarded(&config, || {
+            terrain::terrain_masking_coarse_host(s, workers, N_BLOCKS)
+        }) {
+            Err(f) => return CaseOutcome::Failed(f),
+            Ok(got) => {
+                if let Some(d) = first_grid_diff(&seq, &got) {
+                    return CaseOutcome::Failed(Failure { config, detail: d });
                 }
             }
+        }
 
-            let config = format!("terrain fine {schedule:?} x{workers}");
-            match guarded(&config, || {
-                terrain::terrain_masking_fine_host_sched(s, workers, schedule)
-            }) {
-                Err(f) => return CaseOutcome::Failed(f),
-                Ok(got) => {
-                    if let Some(d) = first_grid_diff(&seq, &got) {
-                        return CaseOutcome::Failed(Failure { config, detail: d });
-                    }
+        let config = format!("terrain fine x{workers}");
+        match guarded(&config, || terrain::terrain_masking_fine_host(s, workers)) {
+            Err(f) => return CaseOutcome::Failed(f),
+            Ok(got) => {
+                if let Some(d) = first_grid_diff(&seq, &got) {
+                    return CaseOutcome::Failed(Failure { config, detail: d });
                 }
             }
         }
@@ -202,46 +194,42 @@ fn run_threat_case(s: &threat::ThreatScenario) -> CaseOutcome {
     }
     let seq_canonical = threat::canonical(seq.clone());
 
-    for schedule in SCHEDULES {
-        for workers in WORKER_COUNTS {
-            let config = format!("threat chunked {schedule:?} x{workers}");
-            match guarded(&config, || {
-                threat::threat_analysis_chunked_host_sched(s, N_CHUNKS, workers, schedule)
-            }) {
-                Err(f) => return CaseOutcome::Failed(f),
-                Ok(got) => {
-                    let flat = got.flatten();
-                    if flat != seq {
-                        return CaseOutcome::Failed(Failure {
-                            config,
-                            detail: format!(
-                                "flattened chunks ({} intervals) != oracle ({} intervals) \
-                                 or differ in order/content",
-                                flat.len(),
-                                seq.len()
-                            ),
-                        });
-                    }
+    for workers in WORKER_COUNTS {
+        let config = format!("threat chunked x{workers}");
+        match guarded(&config, || {
+            threat::threat_analysis_chunked_host(s, N_CHUNKS, workers)
+        }) {
+            Err(f) => return CaseOutcome::Failed(f),
+            Ok(got) => {
+                let flat = got.flatten();
+                if flat != seq {
+                    return CaseOutcome::Failed(Failure {
+                        config,
+                        detail: format!(
+                            "flattened chunks ({} intervals) != oracle ({} intervals) \
+                             or differ in order/content",
+                            flat.len(),
+                            seq.len()
+                        ),
+                    });
                 }
             }
+        }
 
-            let config = format!("threat fine {schedule:?} x{workers}");
-            match guarded(&config, || {
-                threat::threat_analysis_fine_host_sched(s, workers, schedule)
-            }) {
-                Err(f) => return CaseOutcome::Failed(f),
-                Ok(got) => {
-                    let got = threat::canonical(got.intervals);
-                    if got != seq_canonical {
-                        return CaseOutcome::Failed(Failure {
-                            config,
-                            detail: format!(
-                                "canonical interval set ({}) != oracle set ({})",
-                                got.len(),
-                                seq_canonical.len()
-                            ),
-                        });
-                    }
+        let config = format!("threat fine x{workers}");
+        match guarded(&config, || threat::threat_analysis_fine_host(s, workers)) {
+            Err(f) => return CaseOutcome::Failed(f),
+            Ok(got) => {
+                let got = threat::canonical(got.intervals);
+                if got != seq_canonical {
+                    return CaseOutcome::Failed(Failure {
+                        config,
+                        detail: format!(
+                            "canonical interval set ({}) != oracle set ({})",
+                            got.len(),
+                            seq_canonical.len()
+                        ),
+                    });
                 }
             }
         }

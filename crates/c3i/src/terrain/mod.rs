@@ -44,11 +44,10 @@ pub mod sequential;
 pub mod verify;
 
 pub use coarse::{
-    greedy_bins, per_threat_counts, terrain_masking_coarse, terrain_masking_coarse_host,
-    terrain_masking_coarse_host_sched, Blocking,
+    greedy_bins, per_threat_counts, terrain_masking_coarse, terrain_masking_coarse_host, Blocking,
 };
 pub use exact::{compare_with_recurrence, exact_blocking_slope, exact_per_threat_masking};
-pub use fine::{terrain_masking_fine, terrain_masking_fine_host, terrain_masking_fine_host_sched};
+pub use fine::{terrain_masking_fine, terrain_masking_fine_host};
 pub use los::{
     per_threat_masking, KernelArena, KernelScratch, OffGridThreat, Region, RingRun, RingRuns,
 };

@@ -12,7 +12,7 @@ use super::model::{intervals_for_pair, Interval};
 use super::scenario::ThreatScenario;
 use crate::counts::{NoRec, Profile, Rec};
 use parking_lot::Mutex;
-use sthreads::{chunk_range, multithreaded_for, OpRecorder, ParFor, Schedule, ThreadCounts};
+use sthreads::{chunk_range, OpRecorder, ParFor, ThreadCounts};
 
 /// How generously each chunk's output section is oversized: capacity =
 /// `OVERSIZE_INTERVALS_PER_PAIR × pairs in the chunk`. The verifier checks
@@ -105,45 +105,6 @@ pub fn threat_analysis_chunked_host(
     }
 }
 
-/// [`threat_analysis_chunked_host`] with an explicit schedule assigning
-/// chunks to workers. Chunks are completely independent (own counter, own
-/// oversized section), so the flattened output is identical under every
-/// schedule — the property the differential fuzzer asserts. The paper's
-/// Program 2 corresponds to [`Schedule::Static`]; the production host
-/// variant keeps contiguous chunk blocks via [`ParFor::run_chunked`].
-pub fn threat_analysis_chunked_host_sched(
-    scenario: &ThreatScenario,
-    n_chunks: usize,
-    n_threads: usize,
-    schedule: Schedule,
-) -> ChunkedResult {
-    let n_threats = scenario.threats.len();
-    let cap_per_pair = OVERSIZE_INTERVALS_PER_PAIR * scenario.weapons.len();
-    let slots: Vec<Mutex<Vec<Interval>>> = (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect();
-    let mut reserved_words = 0usize;
-    for c in 0..n_chunks {
-        reserved_words += chunk_range(c, n_threats, n_chunks).len() * cap_per_pair * 4;
-    }
-
-    multithreaded_for(0..n_chunks, n_threads, schedule, |c| {
-        let range = chunk_range(c, n_threats, n_chunks);
-        let section = run_chunk(
-            scenario,
-            range.start,
-            range.end,
-            range.len() * cap_per_pair,
-            &mut NoRec,
-        );
-        *slots[c].lock() = section;
-    });
-
-    let per_chunk = slots.into_iter().map(Mutex::into_inner).collect();
-    ChunkedResult {
-        per_chunk,
-        reserved_words,
-    }
-}
-
 /// Program 2 under the counting backend: logical chunks execute
 /// sequentially, each recording its own operation counts. Returns the
 /// result and the [`Profile`] whose parallel region has `n_chunks` logical
@@ -204,14 +165,12 @@ mod tests {
     }
 
     #[test]
-    fn every_schedule_flattens_to_the_sequential_output() {
+    fn every_worker_count_flattens_to_the_sequential_output() {
         let s = small_scenario(1);
         let seq = threat_analysis_host(&s);
-        for schedule in [Schedule::Static, Schedule::Dynamic, Schedule::Stealing] {
-            for threads in [1, 2, 8] {
-                let res = threat_analysis_chunked_host_sched(&s, 8, threads, schedule);
-                assert_eq!(res.flatten(), seq, "{schedule:?} threads={threads}");
-            }
+        for threads in [1, 2, 8] {
+            let res = threat_analysis_chunked_host(&s, 8, threads);
+            assert_eq!(res.flatten(), seq, "threads={threads}");
         }
     }
 

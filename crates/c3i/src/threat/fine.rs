@@ -33,27 +33,20 @@ pub const FINE_SLOTS_PER_PAIR: usize = 4;
 /// Fine-grained Threat Analysis on real host threads: one logical task per
 /// threat, dynamically scheduled; output slots allocated with an atomic
 /// fetch-add (the host stand-in for the MTA's one-cycle `int_fetch_add`).
+///
+/// Output order is nondeterministic (the fetch-add race), so results
+/// compare equal to the sequential program's as a *set* — the comparison
+/// the differential fuzzer applies after `canonical` sorting.
 pub fn threat_analysis_fine_host(scenario: &ThreatScenario, n_threads: usize) -> FineResult {
-    threat_analysis_fine_host_sched(scenario, n_threads, Schedule::Dynamic)
-}
-
-/// [`threat_analysis_fine_host`] with an explicit schedule for the outer
-/// threat loop. Output order is nondeterministic regardless (the fetch-add
-/// race), so results compare equal as a *set* under every schedule — the
-/// comparison the differential fuzzer applies after `canonical` sorting.
-pub fn threat_analysis_fine_host_sched(
-    scenario: &ThreatScenario,
-    n_threads: usize,
-    schedule: Schedule,
-) -> FineResult {
     let n_slots = scenario.n_pairs() * FINE_SLOTS_PER_PAIR;
     let slots: Vec<OnceLock<Interval>> = (0..n_slots).map(|_| OnceLock::new()).collect();
     let num_intervals = SyncCounter::new(0);
 
-    // Per-threat tasks are short and irregular; the default stealing
-    // schedule rebalances them without the shared claim counter (output
-    // order is already nondeterministic, so the schedule is unobservable).
-    multithreaded_for(0..scenario.threats.len(), n_threads, schedule, |ti| {
+    // Per-threat tasks are short and irregular, so workers self-schedule
+    // (output order is already nondeterministic, so the claim order is
+    // unobservable).
+    let n_threats = scenario.threats.len();
+    multithreaded_for(0..n_threats, n_threads, Schedule::Dynamic, |ti| {
         let threat = &scenario.threats[ti];
         for (wi, weapon) in scenario.weapons.iter().enumerate() {
             intervals_for_pair(ti as u32, wi as u32, threat, weapon, &mut NoRec, |iv| {
@@ -121,19 +114,6 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let fine = canonical(threat_analysis_fine_host(&s, threads).intervals);
             assert_eq!(fine, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn every_schedule_matches_sequential_as_a_set() {
-        let s = small_scenario(1);
-        let seq = canonical(threat_analysis_host(&s));
-        for schedule in [Schedule::Static, Schedule::Dynamic, Schedule::Stealing] {
-            for threads in [1, 2, 8] {
-                let fine =
-                    canonical(threat_analysis_fine_host_sched(&s, threads, schedule).intervals);
-                assert_eq!(fine, seq, "{schedule:?} threads={threads}");
-            }
         }
     }
 

@@ -42,12 +42,9 @@ pub mod scenario;
 pub mod sequential;
 pub mod verify;
 
-pub use chunked::{
-    threat_analysis_chunked, threat_analysis_chunked_host, threat_analysis_chunked_host_sched,
-    ChunkedResult,
-};
+pub use chunked::{threat_analysis_chunked, threat_analysis_chunked_host, ChunkedResult};
 pub use engagement::{coverage, schedule_exhaustive, schedule_greedy, Engagement, Plan};
-pub use fine::{threat_analysis_fine, threat_analysis_fine_host, threat_analysis_fine_host_sched};
+pub use fine::{threat_analysis_fine, threat_analysis_fine_host};
 pub use model::{
     can_intercept, intervals_for_pair, intervals_for_pair_stepwise, Interval, Threat, Weapon,
     TIME_STEP,

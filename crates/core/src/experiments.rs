@@ -11,7 +11,7 @@ use crate::models::ConventionalModel;
 use crate::tables::{ascii_speedup_figure, Cell, Table};
 use crate::workload::Workload;
 use c3i::Profile;
-use sthreads::{par_map, Schedule, ThreadPool};
+use sthreads::{par_map, ThreadPool};
 
 /// The paper's published numbers, verbatim from the tables.
 pub mod paper {
@@ -628,11 +628,11 @@ impl Experiments {
 
     /// [`Experiments::all_tables`] with an explicit worker count.
     ///
-    /// Each table is a pure function of `&self`, so the generators run as a
-    /// static `multithreaded_for` over the fixed row of 12 (Program 2's
-    /// schedule: table costs are uniform enough that self-scheduling buys
-    /// nothing). [`par_map`] preserves paper order regardless of thread
-    /// interleaving.
+    /// Each table is a pure function of `&self`, so the generators run as
+    /// one [`par_map`] over the fixed row of 12, which preserves paper
+    /// order regardless of thread interleaving. (The 12 total ~0.7 ms,
+    /// so the measured cutoff keeps them inline on every host seen so
+    /// far.)
     pub fn all_tables_with_threads(&self, n_threads: usize) -> Vec<Table> {
         const GENERATORS: [fn(&Experiments) -> Table; 12] = [
             Experiments::table1,
@@ -648,9 +648,7 @@ impl Experiments {
             Experiments::table11,
             Experiments::table12,
         ];
-        par_map(GENERATORS.len(), n_threads, Schedule::Static, |i| {
-            GENERATORS[i](self)
-        })
+        par_map(GENERATORS.len(), n_threads, |i| GENERATORS[i](self))
     }
 
     // ── figures ──────────────────────────────────────────────────────────
@@ -777,15 +775,15 @@ impl Experiments {
                     // compaction: one output section per threat,
                     // concatenated in iteration order == the sequential
                     // interval list, element for element.
-                    let schedule = plan.as_ref().expect("P1 parallel").schedule;
-                    exec_check_threat(schedule, true, n_threads);
+                    assert!(plan.is_some(), "P1 parallel");
+                    exec_check_threat(true, n_threads);
                     "bit-identical to sequential (2 scenarios; per-threat sections)"
                 }
                 1 => {
                     // Program 2 is the manual transformation minus the
                     // pragma: 8 chunks, exactly the paper's structure.
-                    let schedule = plan.as_ref().expect("P2 parallel").schedule;
-                    exec_check_threat(schedule, false, n_threads);
+                    assert!(plan.is_some(), "P2 parallel");
+                    exec_check_threat(false, n_threads);
                     "bit-identical to sequential and manual (2 scenarios; 8 chunks)"
                 }
                 2 | 3 => "not executed (loop rejected)",
@@ -1076,18 +1074,18 @@ fn residual_summary(v: &autopar::LoopVerdict) -> String {
 }
 
 /// Execution check behind the "Table Auto" rows: run the auto-parallelized
-/// Threat Analysis structure through the real `c3i` chunked kernel under
-/// the emitted schedule and assert the flattened output is bit-identical
-/// to the sequential kernel, on two small scenarios. `per_threat` chooses
+/// Threat Analysis structure through the real `c3i` chunked kernel and
+/// assert the flattened output is bit-identical to the sequential
+/// kernel, on two small scenarios (chunks are independent, so the output
+/// cannot depend on the order the emitted schedule would run them in). `per_threat` chooses
 /// Program 1's shape (one chunk per threat — per-iteration compaction
 /// sections) versus Program 2's (the paper's 8 chunks).
-fn exec_check_threat(schedule: Schedule, per_threat: bool, n_threads: usize) {
+fn exec_check_threat(per_threat: bool, n_threads: usize) {
     for seed in [1u64, 7] {
         let sc = c3i::threat::small_scenario(seed);
         let seq = c3i::threat::threat_analysis_host(&sc);
         let n_chunks = if per_threat { sc.threats.len() } else { 8 };
-        let run =
-            c3i::threat::threat_analysis_chunked_host_sched(&sc, n_chunks, n_threads, schedule);
+        let run = c3i::threat::threat_analysis_chunked_host(&sc, n_chunks, n_threads);
         let flat: Vec<_> = run.per_chunk.into_iter().flatten().collect();
         assert_eq!(
             flat, seq,
@@ -1117,15 +1115,9 @@ pub fn util_cfg() -> mta_sim::MtaConfig {
 /// prevent.
 pub const TABLE_GEN_SPEEDUP_GATE: f64 = 0.95;
 
-/// Minimum acceptable ratio of shared-queue time to work-stealing time on
-/// the `fine_grain` task storm. The phase compares the two *dispatch
-/// mechanisms* at the same thread count, so the gate asserts stealing is
-/// never slower than the central queue it replaced; on multi-core hosts
-/// the storm additionally reports the real contention gap between them.
-pub const FINE_GRAIN_SPEEDUP_GATE: f64 = 0.95;
-
-/// Number of tasks in the `fine_grain` storm.
-pub const FINE_GRAIN_TASKS: usize = 10_000;
+/// Paired seq/par repeats behind the gated table-generation median. Odd,
+/// so the median is one measured ratio.
+const TABLE_GEN_REPEATS: usize = 31;
 
 /// Minimum acceptable speedup of the run-based arena kernels over the
 /// pinned scalar baseline on the terrain pipeline. The data-layout pass
@@ -1133,27 +1125,6 @@ pub const FINE_GRAIN_TASKS: usize = 10_000;
 /// tables, arena-backed scratch) must pay for its complexity; anything
 /// below this on the LOS recurrence means the kernels regressed.
 pub const KERNELS_SPEEDUP_GATE: f64 = 1.5;
-
-/// One ~1µs task of the fine-grain storm: a short LCG spin returning a
-/// checksum both dispatch arms must reproduce exactly.
-fn storm_task(i: usize) -> u64 {
-    let mut x = i as u64 | 1;
-    for _ in 0..500 {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-    }
-    x
-}
-
-/// The `fine_grain` storm: [`FINE_GRAIN_TASKS`] × ~1µs tasks through
-/// [`par_map`] under the given schedule. This is the regime the paper's §6
-/// inner-loop parallelism lives in — tasks far too short for per-claim
-/// synchronization on a shared structure — and the workload where the
-/// stealing scheduler must beat (or at least match) the shared queue.
-pub fn fine_grain_storm(n_threads: usize, schedule: Schedule) -> Vec<u64> {
-    par_map(FINE_GRAIN_TASKS, n_threads, schedule, storm_task)
-}
 
 /// Where a phase's parallel wall-clock went, from `sthreads::stats`
 /// snapshot deltas taken around the phase with nano-timing enabled.
@@ -1185,10 +1156,7 @@ impl PhaseBreakdown {
 }
 
 /// One row of the harness self-timing report: the same phase run two
-/// ways, producing identical output. For most phases the two arms are one
-/// host thread vs all of them; for `fine_grain` both arms use all host
-/// threads and the comparison is shared-queue dispatch (`seq_seconds`)
-/// vs work-stealing dispatch (`par_seconds`).
+/// ways — one host thread vs all of them — producing identical output.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PhaseTiming {
     /// Phase name (stable — `ci.sh` gates on "table generation").
@@ -1298,16 +1266,6 @@ impl HarnessReport {
             )),
             Some(_) => {}
             None => errs.push("missing 'table generation' phase".to_string()),
-        }
-        match self.phases.iter().find(|p| p.phase == "fine_grain") {
-            Some(fg) if fg.speedup < FINE_GRAIN_SPEEDUP_GATE => errs.push(format!(
-                "fine_grain speedup {:.2}x is below the {FINE_GRAIN_SPEEDUP_GATE} gate \
-                 (shared queue {:.6} s, stealing {:.6} s) — the stealing scheduler is \
-                 slower than the shared queue it replaced",
-                fg.speedup, fg.seq_seconds, fg.par_seconds
-            )),
-            Some(_) => {}
-            None => errs.push("missing 'fine_grain' phase".to_string()),
         }
         let k = &self.kernels;
         if !k.identical_output {
@@ -1508,12 +1466,12 @@ pub fn harness_timing(scale: crate::workload::WorkloadScale, n_threads: usize) -
     phases.push(measure_phase(
         "workload measurement",
         1,
-        || Workload::build_with(scale, 1, Schedule::Dynamic),
-        || Workload::build_with(scale, n_threads, Schedule::Dynamic),
+        || Workload::build_with(scale, 1),
+        || Workload::build_with(scale, n_threads),
         |a, b| a == b,
     ));
 
-    let exps = Experiments::new(Workload::build_with(scale, n_threads, Schedule::Dynamic));
+    let exps = Experiments::new(Workload::build_with(scale, n_threads));
     let csv = |tables: &[Table]| -> String {
         tables
             .iter()
@@ -1521,11 +1479,12 @@ pub fn harness_timing(scale: crate::workload::WorkloadScale, n_threads: usize) -
             .collect::<Vec<_>>()
             .join("\n")
     };
-    // Table generation takes ~1 ms; best-of-3 keeps one preempted run
-    // from deciding the ci gate.
+    // Table generation takes ~0.7 ms, so three repeats let one
+    // preempted run decide the ci gate; TABLE_GEN_REPEATS paired ratios
+    // (~45 ms in all) put the gated median on dozens of samples.
     phases.push(measure_phase(
         "table generation",
-        3,
+        TABLE_GEN_REPEATS,
         || exps.all_tables_with_threads(1),
         || exps.all_tables_with_threads(n_threads),
         |a, b| csv(a) == csv(b),
@@ -1544,17 +1503,6 @@ pub fn harness_timing(scale: crate::workload::WorkloadScale, n_threads: usize) -
                 n_threads,
             )
         },
-        |a, b| a == b,
-    ));
-
-    // Both arms run at n_threads; the row compares the shared-queue and
-    // work-stealing dispatchers on the 10k×1µs storm. Best-of-5 because
-    // the whole phase is ~10 ms and one preemption would flap the gate.
-    phases.push(measure_phase(
-        "fine_grain",
-        5,
-        || fine_grain_storm(n_threads, Schedule::Dynamic),
-        || fine_grain_storm(n_threads, Schedule::Stealing),
         |a, b| a == b,
     ));
 
@@ -1902,7 +1850,6 @@ mod tests {
                 phase("workload measurement", 2.0, 0.6),
                 phase("table generation", 0.001, 0.001),
                 phase("utilization sweep", 1.0, 0.3),
-                phase("fine_grain", 0.012, 0.010),
             ],
             kernels: KernelsPhase {
                 baseline_scalar_s: 0.9,
@@ -1959,37 +1906,6 @@ mod tests {
     }
 
     #[test]
-    fn fine_grain_slowdown_fails_the_gate() {
-        // Stealing slower than the shared queue it replaced is exactly the
-        // regression the fine_grain phase exists to catch.
-        let mut r = good_report();
-        let fg = r
-            .phases
-            .iter_mut()
-            .find(|p| p.phase == "fine_grain")
-            .unwrap();
-        fg.par_seconds = fg.seq_seconds / 0.7;
-        fg.speedup = 0.7;
-        let errs = r.validate().unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("slower than the shared queue")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn missing_fine_grain_phase_is_an_error() {
-        let mut r = good_report();
-        r.phases.retain(|p| p.phase != "fine_grain");
-        let errs = r.validate().unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("missing 'fine_grain'")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
     fn legacy_report_with_an_mta_par_phase_still_passes() {
         // Reports written before the parallel tick was deleted list an
         // `mta_par` phase. Phase names are data, not schema: the report
@@ -2008,18 +1924,41 @@ mod tests {
     }
 
     #[test]
-    fn fine_grain_storm_is_identical_across_schedules_and_thread_counts() {
-        let expected = fine_grain_storm(1, Schedule::Static);
-        assert_eq!(expected.len(), FINE_GRAIN_TASKS);
-        for schedule in [Schedule::Dynamic, Schedule::Stealing] {
-            for threads in [1, 2, 8] {
-                assert_eq!(
-                    fine_grain_storm(threads, schedule),
-                    expected,
-                    "{schedule:?} with {threads} threads"
-                );
-            }
-        }
+    fn legacy_report_with_a_fine_grain_phase_still_passes() {
+        // `BENCH_harness.json` as committed before the stealing schedule
+        // and its `fine_grain` phase were deleted. The phase is data like
+        // any other unknown name; its absence is no longer an error
+        // (`valid_harness_report_passes_validation` has none).
+        let committed = r#"{
+          "scale": "Reduced", "host_threads": 4, "dispatch_floor_ns": 33380,
+          "phases": [
+            {"phase": "workload measurement", "seq_seconds": 0.178540488,
+             "par_seconds": 0.111792971, "speedup": 1.5970636293403455,
+             "identical_output": true,
+             "breakdown": {"dispatch_overhead_s": 0.008284447,
+                           "imbalance_s": 0.005394273, "useful_work_s": 0.287818498}},
+            {"phase": "table generation", "seq_seconds": 0.000722152,
+             "par_seconds": 0.000738082, "speedup": 0.9784170322538688,
+             "identical_output": true,
+             "breakdown": {"dispatch_overhead_s": 0.0, "imbalance_s": 0.0,
+                           "useful_work_s": 0.000732375}},
+            {"phase": "utilization sweep", "seq_seconds": 0.050911559,
+             "par_seconds": 0.031304062, "speedup": 1.6263563175922664,
+             "identical_output": true,
+             "breakdown": {"dispatch_overhead_s": 0.008740062,
+                           "imbalance_s": 0.011825423, "useful_work_s": 0.075744809}},
+            {"phase": "fine_grain", "seq_seconds": 0.000432411,
+             "par_seconds": 0.0004453, "speedup": 1.0087401751628116,
+             "identical_output": true,
+             "breakdown": {"dispatch_overhead_s": 0.000871095,
+                           "imbalance_s": 0.000210255, "useful_work_s": 0.000825083}}
+          ],
+          "kernels": {"baseline_scalar_s": 0.008332913, "optimized_s": 0.003599791,
+                      "speedup": 2.3148324444391357, "identical_output": true}
+        }"#;
+        let parsed: HarnessReport = serde_json::from_str(committed).expect("legacy report parses");
+        assert!(parsed.phases.iter().any(|p| p.phase == "fine_grain"));
+        parsed.validate().expect("an unknown phase is not an error");
     }
 
     #[test]

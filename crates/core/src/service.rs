@@ -43,7 +43,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
-use sthreads::{par_map, Schedule, ThreadPool};
+use sthreads::{par_map, ThreadPool};
 
 /// Platforms a modeled-benchmark request can target. Mirrors Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -541,17 +541,12 @@ fn worker_loop(inner: &ServiceInner) {
         // evaluation is panic-contained: an escaped panic would kill
         // this worker thread and leave every queued request waiting on
         // a reply that can never come.
-        let results = par_map(
-            batch.len(),
-            inner.config.n_threads,
-            Schedule::Dynamic,
-            |i| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    inner.evaluator.evaluate(&batch[i].req)
-                }))
-                .unwrap_or_else(|payload| Err(EvalError::Internal(panic_message(&payload))))
-            },
-        );
+        let results = par_map(batch.len(), inner.config.n_threads, |i| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                inner.evaluator.evaluate(&batch[i].req)
+            }))
+            .unwrap_or_else(|payload| Err(EvalError::Internal(panic_message(&payload))))
+        });
         for (job, result) in batch.into_iter().zip(results) {
             sthreads::stats::record_service_latency_ns(job.admitted.elapsed().as_nanos() as u64);
             // A receiver that hung up (client disconnected mid-request)

@@ -19,7 +19,7 @@
 use c3i::terrain::{self, TerrainScenario, TerrainScenarioParams};
 use c3i::threat::{self, ThreatScenario, ThreatScenarioParams};
 use c3i::{PhasedProfile, Profile};
-use sthreads::{chunk_range, par_map, OpCounts, OpRecorder, Schedule, ThreadCounts, ThreadPool};
+use sthreads::{chunk_range, par_map, OpCounts, OpRecorder, ThreadCounts, ThreadPool};
 
 /// Workload size selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -115,27 +115,27 @@ impl Workload {
     /// wakeups rather than thread spawns — with dynamic self-scheduling;
     /// results are identical to the sequential path.
     pub fn build(scale: WorkloadScale) -> Self {
-        Self::build_with(scale, ThreadPool::global().n_threads(), Schedule::Dynamic)
+        Self::build_with(scale, ThreadPool::global().n_threads())
     }
 
-    /// [`Workload::build`] with an explicit worker count and schedule.
+    /// [`Workload::build`] with an explicit worker count.
     ///
     /// The counting backend is deterministic and every measurement task
     /// writes into its own slot ([`par_map`]), so the result is
-    /// **bit-identical** for every `(n_threads, schedule)` — the paper's
-    /// own requirement that parallelization must not change program
+    /// **bit-identical** for every `n_threads` — the paper's own
+    /// requirement that parallelization must not change program
     /// output, applied to our harness. `n_threads == 1` is the sequential
     /// oracle the regression tests compare against.
-    pub fn build_with(scale: WorkloadScale, n_threads: usize, schedule: Schedule) -> Self {
+    pub fn build_with(scale: WorkloadScale, n_threads: usize) -> Self {
         let ta = ta_scenarios(scale);
         let tm = tm_scenarios(scale);
         let (n_ta, n_tm) = (ta.len(), tm.len());
 
         // One task per (measurement kind, scenario). Scenario sizes vary
-        // (irregular work — the paper's case for self-scheduling), so the
-        // default schedule is Dynamic.
+        // (irregular work — the paper's case for self-scheduling, which
+        // is what `par_map` does).
         let tasks = 2 * n_ta + 3 * n_tm;
-        let mut results = par_map(tasks, n_threads, schedule, |t| {
+        let mut results = par_map(tasks, n_threads, |t| {
             if t < n_ta {
                 Measured::TaPerThreat(threat::per_threat_counts(&ta[t]))
             } else if t < 2 * n_ta {

@@ -470,7 +470,7 @@ pub fn measure_utilization_sweep(
     alu_per_iter: i64,
     n_threads: usize,
 ) -> Vec<f64> {
-    sthreads::par_map(streams.len(), n_threads, sthreads::Schedule::Dynamic, |i| {
+    sthreads::par_map(streams.len(), n_threads, |i| {
         measure_utilization(cfg.clone(), streams[i], iters, alu_per_iter)
     })
 }

@@ -25,11 +25,10 @@
 //!
 //! `--profile` turns on the `sthreads::stats` nano-timing tier for the
 //! whole run and appends an observability report: where the pool's time
-//! went (dispatch, imbalance, useful work), the work-stealing counters
-//! (steals, stolen items, failed steals, victim misses) with the last
-//! timed region's per-worker busy breakdown, plus a sample `mta-sim`
-//! run's machine counters (issue slots, bank-queue histogram, full/empty
-//! retry traffic).
+//! went (dispatch, imbalance, useful work) with the last timed region's
+//! per-worker busy breakdown, plus a sample `mta-sim` run's machine
+//! counters (issue slots, bank-queue histogram, full/empty retry
+//! traffic).
 //!
 //! `--serve ADDR` loads the workload once and serves scenario-evaluation
 //! requests over a socket (Unix path if ADDR contains `/`, else TCP)
@@ -268,20 +267,12 @@ fn run_gate(path: &str) -> ! {
                 .iter()
                 .find(|p| p.phase == "table generation")
                 .expect("validate() guarantees the phase exists");
-            let fg = report
-                .phases
-                .iter()
-                .find(|p| p.phase == "fine_grain")
-                .expect("validate() guarantees the phase exists");
             println!(
                 "gate: {path} OK — {} phases identical, table generation {:.2}x (gate {}), \
-                 fine_grain stealing vs shared queue {:.2}x (gate {}), \
                  kernels vs scalar baseline {:.2}x (gate {})",
                 report.phases.len(),
                 tg.speedup,
                 experiments::TABLE_GEN_SPEEDUP_GATE,
-                fg.speedup,
-                experiments::FINE_GRAIN_SPEEDUP_GATE,
                 report.kernels.speedup,
                 experiments::KERNELS_SPEEDUP_GATE,
             );
@@ -539,10 +530,7 @@ fn profile_report() -> String {
         s.batches,
         s.mean_batch_items()
     ));
-    out.push_str(&format!(
-        "  worker parks / wakes  {:>10} / {}\n",
-        s.parks, s.wakes
-    ));
+    out.push_str(&format!("  worker parks          {:>10}\n", s.parks));
     out.push_str(&format!(
         "  dispatch / imbalance  {:>10.3} ms / {:.3} ms  (floor {} ns/region)\n",
         s.dispatch_ns as f64 / 1e6,
@@ -553,18 +541,6 @@ fn profile_report() -> String {
         "  busy / idle           {:>10.3} ms / {:.3} ms\n",
         s.busy_ns as f64 / 1e6,
         s.idle_ns as f64 / 1e6
-    ));
-    out.push_str(&format!(
-        "  steals / items        {:>10} / {} (mean {:.1} items/steal)\n",
-        s.steals,
-        s.stolen_items,
-        s.mean_stolen_items()
-    ));
-    out.push_str(&format!(
-        "  steal fails / misses  {:>10} / {} (contention {:.1}%)\n",
-        s.steal_fails,
-        s.victim_misses,
-        100.0 * s.steal_contention()
     ));
     let lat = stats::service_latency();
     if lat.count() > 0 {
@@ -636,14 +612,13 @@ fn profile_report() -> String {
 
 /// `--fuzz N [--fuzz-seed S]`: run the differential fuzzing campaign and
 /// exit. Every generated scenario runs through sequential oracle ×
-/// {coarse, fine, chunked} × {Static, Dynamic, Stealing} × {1, 2, 8}
-/// workers; any failure is ddmin-minimized, written under
+/// {coarse, fine, chunked} × {1, 2, 8} workers; any failure is ddmin-minimized, written under
 /// `target/c3i-fuzz/`, and the process exits 1.
 fn run_fuzz(n_cases: usize, seed: u64, reduced: bool) -> ! {
     use c3i_fuzz::CaseOutcome;
     eprintln!(
         "fuzz: {n_cases} cases, seed {seed}{} — oracle x {{coarse, fine, chunked}} x \
-         {{Static, Dynamic, Stealing}} x {{1, 2, 8}} workers",
+         {{1, 2, 8}} workers",
         if reduced { ", reduced sizes" } else { "" }
     );
     let report = c3i_fuzz::run_campaign(

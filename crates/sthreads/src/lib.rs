@@ -13,9 +13,8 @@
 //! that the paper's manual parallelizations are built from:
 //!
 //! * [`multithreaded_for`] / [`ParFor`] — the `#pragma multithreaded` loop,
-//!   with static chunking (Program 2), dynamic self-scheduling (Program 4),
-//!   or per-worker work stealing ([`Schedule::Stealing`]) for fine-grained
-//!   loops whose tasks are too short for a shared claim counter,
+//!   with static chunking (Program 2) or dynamic self-scheduling
+//!   (Program 4),
 //! * [`Future`] — Tera-style futures (spawn a computation, `force` its
 //!   value),
 //! * [`SyncVar`] — a full/empty synchronization variable modelling the Tera
@@ -52,13 +51,13 @@
 //! ```
 //!
 //! A parallel map whose output is bit-identical to the sequential map for
-//! every schedule and thread count — the property the experiment
-//! harness's oracles rely on:
+//! every thread count — the property the experiment harness's oracles
+//! rely on:
 //!
 //! ```
-//! use sthreads::{par_map, Schedule};
+//! use sthreads::par_map;
 //!
-//! let squares = par_map(8, 4, Schedule::Stealing, |i| (i * i) as u64);
+//! let squares = par_map(8, 4, |i| (i * i) as u64);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 //!
@@ -81,7 +80,6 @@
 
 pub mod barrier;
 pub mod counting;
-pub mod deque;
 pub mod future;
 pub mod par_for;
 pub mod pool;
@@ -91,11 +89,8 @@ pub mod syncvar;
 
 pub use barrier::{reduce, Barrier};
 pub use counting::{OpCounts, OpRecorder, ThreadCounts};
-pub use deque::{Steal, StealDeque};
 pub use future::Future;
-pub use par_for::{
-    multithreaded_for, par_map, set_steal_seed, steal_seed, ChunkBounds, ParFor, Schedule,
-};
+pub use par_for::{multithreaded_for, par_map, ChunkBounds, ParFor, Schedule};
 pub use pool::{scope_threads, ThreadPool};
 pub use queue::WorkQueue;
 pub use stats::{LatencySnapshot, StatsSnapshot};

@@ -9,43 +9,19 @@
 //!   *dynamically* claim iterations ("`threat = next unprocessed threat`")
 //!   until the work runs out.
 //!
-//! [`multithreaded_for`] provides these schedules over a half-open index
+//! [`multithreaded_for`] provides both schedules over a half-open index
 //! range. The body receives the iteration index; with [`Schedule::Static`]
 //! each worker walks its own contiguous chunk (good cache behaviour, the
-//! conventional-SMP choice), with [`Schedule::Dynamic`] workers pull indices
-//! from a shared atomic counter (good load balance for irregular work such
-//! as variable-size threat regions), and with [`Schedule::Stealing`] each
-//! worker owns a per-worker deque of iterations and raids its neighbours
-//! when dry — static locality *and* dynamic balance, without the shared
-//! counter that serializes sub-microsecond tasks.
+//! conventional-SMP choice), and with [`Schedule::Dynamic`] workers pull
+//! batches of indices from a shared atomic counter (good load balance for
+//! irregular work such as variable-size threat regions). Dynamic is the
+//! one production dispatcher: [`par_map`] and every host kernel that does
+//! not need Program 2's chunk shape run on it.
 
-use crate::deque::{Steal, StealDeque, MAX_INDEX};
 use crate::pool::scope_threads;
 use crate::queue::WorkQueue;
 use crate::stats;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Process-global perturbation mixed into every stealing worker's victim
-/// RNG. Zero (the default) reproduces the historical victim order.
-static STEAL_SEED: AtomicU64 = AtomicU64::new(0);
-
-/// Set the seed perturbing victim selection in [`Schedule::Stealing`]
-/// regions — the deterministic-replay knob for differential fuzzing.
-///
-/// Victim order never affects *which* iterations run (each index is
-/// dispensed exactly once), only the interleaving; re-running a failing
-/// fuzz case under the seed it was found with reproduces the same victim
-/// sweeps, and varying the seed exercises fresh interleavings of the same
-/// scenario. Affects regions started after the call; process-global.
-pub fn set_steal_seed(seed: u64) {
-    STEAL_SEED.store(seed, Ordering::Relaxed);
-}
-
-/// The current steal-seed perturbation (see [`set_steal_seed`]).
-pub fn steal_seed() -> u64 {
-    STEAL_SEED.load(Ordering::Relaxed)
-}
 
 /// Iteration-to-thread assignment policy for [`multithreaded_for`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,24 +32,15 @@ pub enum Schedule {
     /// Workers repeatedly claim the next unprocessed index from a shared
     /// counter (self-scheduling), as in Program 4.
     Dynamic,
-    /// Work stealing: the range is seeded as one contiguous block per
-    /// worker ([`StealDeque`]); workers claim batches from their own
-    /// block lock-free and steal half a victim's remainder when dry.
-    /// This is the schedule for *fine-grained* loops (the paper's §6
-    /// inner-loop parallelism): it keeps static scheduling's contiguous
-    /// per-worker index runs while rebalancing irregular work, and no
-    /// shared cache line is touched on the claim fast path.
-    Stealing,
 }
 
 impl std::fmt::Display for Schedule {
-    /// Lowercase schedule name (`static` / `dynamic` / `stealing`), the
+    /// Lowercase schedule name (`static` / `dynamic`), the
     /// spelling used in pragma-style annotations and report tables.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Schedule::Static => "static",
             Schedule::Dynamic => "dynamic",
-            Schedule::Stealing => "stealing",
         })
     }
 }
@@ -251,7 +218,6 @@ impl ParFor {
         match self.schedule {
             Schedule::Static => self.run_static(body),
             Schedule::Dynamic => self.run_dynamic(body),
-            Schedule::Stealing => self.run_stealing(body),
         }
     }
 
@@ -291,90 +257,14 @@ impl ParFor {
         F: Fn(usize) + Sync,
     {
         let queue = WorkQueue::new(self.range.clone());
-        let n_threads = self.n_threads;
+        // Never wider than the range: a worker woken for an already
+        // exhausted queue is pure dispatch cost.
+        let n_threads = self.n_threads.min(self.range.len().max(1));
         scope_threads(n_threads, |_| {
             while let Some(batch) = queue.next_batch(dynamic_grain(queue.remaining(), n_threads)) {
                 for i in batch {
                     body(i);
                 }
-            }
-        });
-    }
-
-    fn run_stealing<F>(&self, body: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        // The packed deque holds 32-bit indices; astronomically long loops
-        // (> 4G iterations) fall back to the shared queue rather than
-        // truncate. Real workloads never get near this.
-        if self.range.end > MAX_INDEX {
-            return self.run_dynamic(body);
-        }
-        let n_items = self.range.len();
-        let n_threads = self.n_threads.min(n_items.max(1));
-        let start = self.range.start;
-        // Seed one deque per worker with a contiguous block, exactly the
-        // static decomposition — stealing only redistributes the imbalance.
-        let deques: Vec<StealDeque> = (0..n_threads)
-            .map(|t| {
-                let r = crate::chunk_range(t, n_items, n_threads);
-                StealDeque::new(start + r.start..start + r.end)
-            })
-            .collect();
-        let seed = steal_seed();
-        scope_threads(n_threads, |t| {
-            let own = &deques[t];
-            // Cheap xorshift PRNG for victim order; seeded per worker so
-            // sweeps are decorrelated without any shared RNG state, and
-            // perturbed by the process-global replay seed.
-            let mut rng = ((t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed) | 1;
-            loop {
-                // Fast path: drain the local deque in owner batches.
-                while let Some(batch) = own.pop(local_grain(own.remaining())) {
-                    stats::record_batch(batch.len());
-                    for i in batch {
-                        body(i);
-                    }
-                }
-                // Dry: one randomized sweep over every other worker. A
-                // successful steal re-publishes the run locally (so it is
-                // itself stealable) and restarts the fast path.
-                let mut contended = false;
-                let mut stole = false;
-                for k in 1..n_threads {
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    let victim = (t + 1 + (rng as usize + k) % (n_threads - 1)) % n_threads;
-                    match deques[victim].steal() {
-                        Steal::Stolen(run) => {
-                            stats::record_steal(run.len());
-                            own.publish(run);
-                            stole = true;
-                            break;
-                        }
-                        Steal::Retry => {
-                            stats::record_steal_fail();
-                            contended = true;
-                        }
-                        Steal::Empty => stats::record_victim_miss(),
-                    }
-                }
-                if stole {
-                    continue;
-                }
-                if !contended {
-                    // Every victim reported Empty with no lost race: all
-                    // remaining work is owned by whoever claimed it, so
-                    // this worker is done. It returns into the pool's
-                    // normal region exit and parks on the epoch condvar —
-                    // the "bounded steal-spin, then park" fallback.
-                    return;
-                }
-                // A lost CAS race means a victim may still hold work;
-                // breathe and sweep again.
-                std::hint::spin_loop();
             }
         });
     }
@@ -388,15 +278,6 @@ impl ParFor {
 /// zero-size batch would assert in `WorkQueue::next_batch`.
 pub(crate) fn dynamic_grain(remaining: usize, n_threads: usize) -> usize {
     (remaining / (8 * n_threads)).max(1)
-}
-
-/// Owner batch size for the stealing schedule: claim ~1/8 of the *local*
-/// deque per pop. Unlike [`dynamic_grain`] there is no thread-count
-/// divisor — the deque is already this worker's fair share — so batches
-/// start large (few CASes) and decay geometrically, leaving a stealable
-/// tail until the very end.
-pub(crate) fn local_grain(remaining: usize) -> usize {
-    (remaining / 8).max(1)
 }
 
 /// A vector of write-once result slots shared across a parallel region.
@@ -448,16 +329,16 @@ impl<T> ResultSlots<T> {
 /// results **in index order**, exactly as a sequential `map` would.
 ///
 /// Each task writes into its own pre-allocated slot, so the output is
-/// bit-identical to the sequential path for every schedule and thread
-/// count — the property the experiment harness's oracle cross-checks
-/// rely on. [`Schedule::Dynamic`] suits variable-size tasks (benchmark
-/// scenarios, simulator sweeps); [`Schedule::Static`] suits uniform ones
-/// (table rows).
+/// bit-identical to the sequential path for every thread count — the
+/// property the experiment harness's oracle cross-checks rely on. Tasks
+/// are self-scheduled ([`Schedule::Dynamic`]): variable-size ones
+/// (benchmark scenarios, simulator sweeps) balance across workers, and
+/// short uniform ones (table rows) are kept inline by the cutoff below.
 ///
 /// `par_map` enables [`ParFor::serial_cutoff`]: a region whose measured
 /// per-task work cannot amortize the pool's measured dispatch floor runs
 /// inline on the caller instead, with identical output.
-pub fn par_map<T, F>(n_tasks: usize, n_threads: usize, schedule: Schedule, f: F) -> Vec<T>
+pub fn par_map<T, F>(n_tasks: usize, n_threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -468,9 +349,9 @@ where
     let slots = ResultSlots::new(n_tasks);
     ParFor::new(0..n_tasks)
         .threads(n_threads)
-        .schedule(schedule)
+        .schedule(Schedule::Dynamic)
         .serial_cutoff(true)
-        // SAFETY: both schedules (and the cutoff's inline path) dispense
+        // SAFETY: the schedule (and the cutoff's inline path) dispenses
         // each index exactly once, so slot `i` has exactly one writer and
         // no reader until the region completes.
         .run(|i| unsafe { slots.write(i, f(i)) });
@@ -504,71 +385,15 @@ mod tests {
     }
 
     #[test]
-    fn stealing_schedule_visits_each_index_once() {
-        check_each_index_once(Schedule::Stealing, 1000, 7);
-    }
-
-    #[test]
     fn empty_range_is_a_noop() {
         check_each_index_once(Schedule::Static, 0, 4);
         check_each_index_once(Schedule::Dynamic, 0, 4);
-        check_each_index_once(Schedule::Stealing, 0, 4);
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
         check_each_index_once(Schedule::Static, 3, 16);
         check_each_index_once(Schedule::Dynamic, 3, 16);
-        check_each_index_once(Schedule::Stealing, 3, 16);
-    }
-
-    #[test]
-    fn stealing_terminates_under_repeated_skew() {
-        // Skewed per-index work concentrates the remaining span in one
-        // victim; thieves must drain it and the all-Empty sweep must
-        // terminate every worker. Repeated because the failure mode is a
-        // race between the last pop and the terminal sweep.
-        for _ in 0..50 {
-            check_each_index_once(Schedule::Stealing, 64, 8);
-        }
-    }
-
-    #[test]
-    fn steal_seed_perturbs_victim_order_without_changing_coverage() {
-        let old = steal_seed();
-        for seed in [0u64, 1, 0xDEAD_BEEF] {
-            set_steal_seed(seed);
-            assert_eq!(steal_seed(), seed);
-            check_each_index_once(Schedule::Stealing, 512, 8);
-        }
-        set_steal_seed(old);
-    }
-
-    #[test]
-    fn stealing_records_steal_activity_into_stats() {
-        // With enough skew some steal attempt must land (or at least a
-        // victim miss must be recorded by the terminal sweep). Counters
-        // are process-global, so assert on the delta.
-        let before = crate::stats::snapshot();
-        multithreaded_for(0..512, 4, Schedule::Stealing, |i| {
-            if i < 8 {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-        });
-        let delta = crate::stats::snapshot() - before;
-        assert!(
-            delta.steals + delta.victim_misses > 0,
-            "a stealing region must record sweep activity"
-        );
-    }
-
-    #[test]
-    fn local_grain_is_at_least_one_and_scales_with_the_deque() {
-        assert_eq!(local_grain(0), 1);
-        assert_eq!(local_grain(1), 1);
-        assert_eq!(local_grain(7), 1);
-        assert_eq!(local_grain(80), 10);
-        assert_eq!(local_grain(10_000), 1250);
     }
 
     #[test]
@@ -637,19 +462,17 @@ mod tests {
     }
 
     #[test]
-    fn par_map_matches_sequential_map_for_every_schedule_and_thread_count() {
+    fn par_map_matches_sequential_map_for_every_thread_count() {
         let expected: Vec<u64> = (0..97).map(|i| (i as u64) * 3 + 1).collect();
-        for schedule in [Schedule::Static, Schedule::Dynamic, Schedule::Stealing] {
-            for threads in [1, 2, 8] {
-                let got = par_map(97, threads, schedule, |i| (i as u64) * 3 + 1);
-                assert_eq!(got, expected, "{schedule:?} with {threads} threads");
-            }
+        for threads in [1, 2, 8] {
+            let got = par_map(97, threads, |i| (i as u64) * 3 + 1);
+            assert_eq!(got, expected, "{threads} threads");
         }
     }
 
     #[test]
     fn par_map_of_empty_task_list_is_empty() {
-        assert!(par_map(0, 4, Schedule::Dynamic, |i| i).is_empty());
+        assert!(par_map(0, 4, |i| i).is_empty());
     }
 
     #[test]
@@ -657,7 +480,7 @@ mod tests {
         // Whichever way the measured cutoff decides (probe-then-inline or
         // probe-then-parallel-remainder), every index runs exactly once —
         // the invariant par_map's write-once slots depend on.
-        for schedule in [Schedule::Static, Schedule::Dynamic, Schedule::Stealing] {
+        for schedule in [Schedule::Static, Schedule::Dynamic] {
             let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
             ParFor::new(0..64)
                 .threads(4)
@@ -677,7 +500,7 @@ mod tests {
         // are process-global and tests run concurrently, so assert on the
         // delta being at least our own contribution.
         let before = crate::stats::snapshot();
-        let got = par_map(64, 4, Schedule::Static, |i| i as u64 * 3 + 1);
+        let got = par_map(64, 4, |i| i as u64 * 3 + 1);
         let delta = crate::stats::snapshot() - before;
         assert_eq!(got, (0..64).map(|i| i * 3 + 1).collect::<Vec<u64>>());
         assert!(

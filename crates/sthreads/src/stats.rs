@@ -8,47 +8,38 @@
 //! [`snapshot`]s around a phase to attribute its wall-clock between
 //! dispatch overhead, load imbalance, and useful work.
 //!
-//! # The full stats schema
+//! # The stats schema
 //!
-//! [`StatsSnapshot`] carries three tiers, from cheapest to most detailed:
+//! Three tiers, from cheapest to most detailed:
 //!
-//! 1. **Counter tier** (always on) — relaxed `fetch_add`s, a handful per
-//!    *region* or per *scheduling event*, never per iteration:
+//! 1. **Counter tier** ([`StatsSnapshot`], always on) — relaxed
+//!    `fetch_add`s, a handful per *region* or per *batch claim*, never
+//!    per iteration:
 //!    * `regions`, `nested_regions`, `serial_cutoff_regions` — how often
 //!      the pool ran a region, fell back to scoped threads, or kept a
 //!      region inline because the work could not pay the dispatch floor;
 //!    * `tasks`, `batches`, `batch_items` — loop iterations entering
-//!      `ParFor`, and how coarsely the dynamic/stealing schedules claimed
-//!      them ([`StatsSnapshot::mean_batch_items`]);
-//!    * `parks`, `wakes` — worker condvar traffic between regions.
-//! 2. **Steal tier** (always on; only moves when
-//!    [`Schedule::Stealing`](crate::Schedule::Stealing) runs) — one
-//!    relaxed add per steal *attempt*, which is orders of magnitude rarer
-//!    than claims:
-//!    * `steals` / `stolen_items` — successful steals and the iterations
-//!      they moved between workers;
-//!    * `steal_fails` — CAS races lost to the owner or another thief
-//!      (contention signal);
-//!    * `victim_misses` — sweep visits that found a victim's deque empty
-//!      (termination/imbalance signal: a storm of misses means workers
-//!      are starving, not racing).
-//! 3. **Nano-timing tier** (opt-in via [`set_timing`]) — reads the clock
-//!    several times per worker per region:
+//!      `ParFor`, and how coarsely the dynamic schedule claimed them
+//!      ([`StatsSnapshot::mean_batch_items`]);
+//!    * `parks` — workers a pooled region woke and parked again,
+//!      inferred as `width − 1` per region.
+//! 2. **Nano-timing tier** ([`StatsSnapshot`], opt-in via [`set_timing`])
+//!    — reads the clock several times per worker per region:
 //!    * `dispatch_ns` — Σ publish-to-pickup latency across workers;
 //!    * `busy_ns` / `idle_ns` — body execution vs parked time;
 //!    * `imbalance_ns` — Σ over regions of (slowest thread − mean), the
 //!      critical-path cost of load imbalance; the *per-worker* busy split
 //!      of the most recent region is kept in
 //!      [`last_region_worker_busy`].
-//! 4. **Service-latency percentile tier** (always on; only moves when a
-//!    caller records into it) — a log₂-bucketed histogram of per-request
-//!    wall-clock latency for request-serving layers built on the pool
-//!    (the `eval-core` evaluation service records one sample per served
-//!    request). One relaxed add per *request*, so the cost is invisible
-//!    next to the work a request represents. Read it with
-//!    [`service_latency`]; diff two [`LatencySnapshot`]s to scope a
-//!    phase, and ask the snapshot for [`LatencySnapshot::quantile_ns`]
-//!    (p50/p90/p99) or [`LatencySnapshot::count`].
+//! 3. **Service-latency tier** ([`LatencySnapshot`], always on; only
+//!    moves when a caller records into it) — a log₂-bucketed histogram of
+//!    per-request wall-clock latency for request-serving layers built on
+//!    the pool (the `eval-core` evaluation service records one sample per
+//!    served request). One relaxed add per *request*, so the cost is
+//!    invisible next to the work a request represents. Read it with
+//!    [`service_latency`]; diff two snapshots to scope a phase, and ask
+//!    for [`LatencySnapshot::quantile_ns`] (p50/p90/p99) or
+//!    [`LatencySnapshot::count`].
 //!
 //! The module also owns the *measured dispatch floor* ([`dispatch_floor_ns`])
 //! that [`ParFor`](crate::ParFor)'s small-region sequential cutoff compares
@@ -96,11 +87,6 @@ static TASKS: AtomicU64 = AtomicU64::new(0);
 static BATCHES: AtomicU64 = AtomicU64::new(0);
 static BATCH_ITEMS: AtomicU64 = AtomicU64::new(0);
 static PARKS: AtomicU64 = AtomicU64::new(0);
-static WAKES: AtomicU64 = AtomicU64::new(0);
-static STEALS: AtomicU64 = AtomicU64::new(0);
-static STOLEN_ITEMS: AtomicU64 = AtomicU64::new(0);
-static STEAL_FAILS: AtomicU64 = AtomicU64::new(0);
-static VICTIM_MISSES: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_NS: AtomicU64 = AtomicU64::new(0);
 static BUSY_NS: AtomicU64 = AtomicU64::new(0);
 static IDLE_NS: AtomicU64 = AtomicU64::new(0);
@@ -123,21 +109,15 @@ pub struct StatsSnapshot {
     pub batches: u64,
     /// Iterations claimed across those batches.
     pub batch_items: u64,
-    /// Worker park events (condvar waits between regions), inferred at
-    /// region exit as `width - 1` per pooled region.
+    /// Workers woken for a region and parked again after it: inferred,
+    /// `width − 1` per pooled region — nothing counts a real condvar wait.
     pub parks: u64,
-    /// Worker wake events (a parked worker picked up a region body).
-    pub wakes: u64,
-    /// Successful steals under [`Schedule::Stealing`](crate::Schedule::Stealing):
-    /// one worker split off half of another's unclaimed span.
+    /// Always 0: `benchmark/src/layers.rs` still reads it; the next
+    /// `benchmark` PR may drop it.
     pub steals: u64,
-    /// Iterations moved between workers by those steals.
-    pub stolen_items: u64,
-    /// Steal attempts that lost the CAS race to the owner or another
-    /// thief (the victim may still hold work).
+    /// Always 0: `benchmark/src/layers.rs` still reads it; the next
+    /// `benchmark` PR may drop it.
     pub steal_fails: u64,
-    /// Steal-sweep visits that found the victim's deque empty.
-    pub victim_misses: u64,
     /// Σ over workers of (body start − region publish). Timing tier only.
     pub dispatch_ns: u64,
     /// Σ body execution nanos across all logical threads. Timing tier only.
@@ -163,11 +143,8 @@ impl std::ops::Sub for StatsSnapshot {
             batches: self.batches.saturating_sub(rhs.batches),
             batch_items: self.batch_items.saturating_sub(rhs.batch_items),
             parks: self.parks.saturating_sub(rhs.parks),
-            wakes: self.wakes.saturating_sub(rhs.wakes),
-            steals: self.steals.saturating_sub(rhs.steals),
-            stolen_items: self.stolen_items.saturating_sub(rhs.stolen_items),
-            steal_fails: self.steal_fails.saturating_sub(rhs.steal_fails),
-            victim_misses: self.victim_misses.saturating_sub(rhs.victim_misses),
+            steals: 0,
+            steal_fails: 0,
             dispatch_ns: self.dispatch_ns.saturating_sub(rhs.dispatch_ns),
             busy_ns: self.busy_ns.saturating_sub(rhs.busy_ns),
             idle_ns: self.idle_ns.saturating_sub(rhs.idle_ns),
@@ -185,26 +162,6 @@ impl StatsSnapshot {
             self.batch_items as f64 / self.batches as f64
         }
     }
-
-    /// Mean iterations moved per successful steal (0 when none occurred).
-    pub fn mean_stolen_items(&self) -> f64 {
-        if self.steals == 0 {
-            0.0
-        } else {
-            self.stolen_items as f64 / self.steals as f64
-        }
-    }
-
-    /// Fraction of steal attempts that lost a CAS race — the stealing
-    /// schedule's contention signal (0 when no attempts were made).
-    pub fn steal_contention(&self) -> f64 {
-        let attempts = self.steals + self.steal_fails + self.victim_misses;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.steal_fails as f64 / attempts as f64
-        }
-    }
 }
 
 /// Read every accumulator. Cheap (a dozen relaxed loads); values from
@@ -219,11 +176,8 @@ pub fn snapshot() -> StatsSnapshot {
         batches: BATCHES.load(Relaxed),
         batch_items: BATCH_ITEMS.load(Relaxed),
         parks: PARKS.load(Relaxed),
-        wakes: WAKES.load(Relaxed),
-        steals: STEALS.load(Relaxed),
-        stolen_items: STOLEN_ITEMS.load(Relaxed),
-        steal_fails: STEAL_FAILS.load(Relaxed),
-        victim_misses: VICTIM_MISSES.load(Relaxed),
+        steals: 0,
+        steal_fails: 0,
         dispatch_ns: DISPATCH_NS.load(Relaxed),
         busy_ns: BUSY_NS.load(Relaxed),
         idle_ns: IDLE_NS.load(Relaxed),
@@ -232,11 +186,10 @@ pub fn snapshot() -> StatsSnapshot {
 }
 
 /// One pooled region of `width` logical threads ran to completion. The
-/// caller flushes the whole region in one call (three relaxed adds) so
+/// caller flushes the whole region in one call (two relaxed adds) so
 /// workers pay nothing on the always-on tier.
 pub(crate) fn record_pooled_region(width: usize) {
     REGIONS.fetch_add(1, Relaxed);
-    WAKES.fetch_add(width as u64 - 1, Relaxed);
     PARKS.fetch_add(width as u64 - 1, Relaxed);
 }
 
@@ -261,22 +214,6 @@ pub(crate) fn record_tasks(n: usize) {
 pub(crate) fn record_batch(items: usize) {
     BATCHES.fetch_add(1, Relaxed);
     BATCH_ITEMS.fetch_add(items as u64, Relaxed);
-}
-
-/// A worker stole `items` iterations from a victim's deque.
-pub(crate) fn record_steal(items: usize) {
-    STEALS.fetch_add(1, Relaxed);
-    STOLEN_ITEMS.fetch_add(items as u64, Relaxed);
-}
-
-/// A steal attempt lost its CAS race.
-pub(crate) fn record_steal_fail() {
-    STEAL_FAILS.fetch_add(1, Relaxed);
-}
-
-/// A steal sweep visited an empty victim deque.
-pub(crate) fn record_victim_miss() {
-    VICTIM_MISSES.fetch_add(1, Relaxed);
 }
 
 // ── service-latency percentile tier ──────────────────────────────────────
@@ -493,7 +430,7 @@ mod tests {
         let after = snapshot();
         let d = after - before;
         assert!(d.regions >= 1, "a region must be counted");
-        assert!(d.wakes >= 1, "a width-2 pooled region wakes one worker");
+        assert!(d.parks >= 1, "a width-2 pooled region wakes one worker");
     }
 
     #[test]

@@ -32,14 +32,14 @@ proptest! {
     }
 
     /// multithreaded_for computes the same reduction as a sequential loop,
-    /// for all three schedules and arbitrary thread counts.
+    /// for both schedules and arbitrary thread counts.
     #[test]
     fn par_for_matches_sequential_sum(
         n in 0usize..2000,
         threads in 1usize..9,
-        which in 0usize..3,
+        which in 0usize..2,
     ) {
-        let schedule = [Schedule::Static, Schedule::Dynamic, Schedule::Stealing][which];
+        let schedule = [Schedule::Static, Schedule::Dynamic][which];
         let expected: u64 = (0..n as u64).map(|i| i.wrapping_mul(2654435761)).sum();
         let sum = AtomicU64::new(0);
         multithreaded_for(0..n, threads, schedule, |i| {
@@ -130,18 +130,18 @@ proptest! {
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
-    /// par_map under the stealing schedule is bit-identical to the
-    /// sequential map at 1, 2 and 8 workers, for arbitrary task counts —
-    /// stealing may reorder execution, never results.
+    /// par_map is bit-identical to the sequential map at 1, 2 and 8
+    /// workers, for arbitrary task counts — self-scheduling may reorder
+    /// execution, never results.
     #[test]
-    fn stealing_par_map_is_bit_identical_to_sequential(n in 0usize..3000) {
+    fn par_map_is_bit_identical_to_sequential(n in 0usize..3000) {
         let expected: Vec<u64> =
             (0..n as u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect();
         for threads in [1usize, 2, 8] {
-            let got = sthreads::par_map(n, threads, Schedule::Stealing, |i| {
+            let got = sthreads::par_map(n, threads, |i| {
                 (i as u64).wrapping_mul(0x9E3779B97F4A7C15)
             });
-            prop_assert_eq!(&got, &expected, "stealing diverged at {} threads", threads);
+            prop_assert_eq!(&got, &expected, "par_map diverged at {} threads", threads);
         }
     }
 
@@ -172,17 +172,17 @@ proptest! {
     }
 }
 
-/// A worker panicking mid-storm in a stealing region must propagate the
-/// panic to the caller, and — the regression this test pins — must leave
-/// the pool in a state where subsequent stealing regions run to
-/// completion: a thief raiding a dead worker's deque, or a parked peer
-/// waiting on it, must never deadlock. Repeated because the panic lands
-/// at a different point of the steal/pop interleaving each time.
+/// A worker panicking mid-storm in a self-scheduled region must propagate
+/// the panic to the caller, and — the regression this test pins — must
+/// leave the pool in a state where subsequent regions run to completion:
+/// a peer still claiming from the shared queue, or parked waiting for the
+/// region to close, must never deadlock. Repeated because the panic lands
+/// at a different point of the claim interleaving each time.
 #[test]
-fn steal_under_panic_propagates_and_does_not_deadlock() {
+fn panicked_region_propagates_and_leaves_the_pool_usable() {
     for round in 0..20 {
         let result = std::panic::catch_unwind(|| {
-            multithreaded_for(0..2000, 4, Schedule::Stealing, |i| {
+            multithreaded_for(0..2000, 4, Schedule::Dynamic, |i| {
                 if i == 997 {
                     panic!("intentional mid-storm panic (round {round})");
                 }
@@ -192,12 +192,12 @@ fn steal_under_panic_propagates_and_does_not_deadlock() {
 
         // The pool must still dispense every index of a fresh region.
         let hits: Vec<AtomicU64> = (0..512).map(|_| AtomicU64::new(0)).collect();
-        multithreaded_for(0..512, 4, Schedule::Stealing, |i| {
+        multithreaded_for(0..512, 4, Schedule::Dynamic, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(
             hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-            "pool unusable after a panicked stealing region (round {round})"
+            "pool unusable after a panicked region (round {round})"
         );
     }
 }

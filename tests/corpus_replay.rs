@@ -29,8 +29,6 @@ fn corpus_entries_replay_clean() {
         entries.len()
     );
 
-    // Pin the steal-victim RNG so Stealing-schedule replays are stable.
-    sthreads::set_steal_seed(1);
     let mut failures = Vec::new();
     for path in &entries {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -40,7 +38,6 @@ fn corpus_entries_replay_clean() {
             CaseOutcome::Failed(f) => failures.push(format!("{name}: {f}")),
         }
     }
-    sthreads::set_steal_seed(0);
     assert!(
         failures.is_empty(),
         "corpus regressions:\n{}",
