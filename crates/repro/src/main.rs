@@ -612,8 +612,9 @@ fn profile_report() -> String {
 
 /// `--fuzz N [--fuzz-seed S]`: run the differential fuzzing campaign and
 /// exit. Every generated scenario runs through sequential oracle ×
-/// {coarse, fine, chunked} × {1, 2, 8} workers; any failure is ddmin-minimized, written under
-/// `target/c3i-fuzz/`, and the process exits 1.
+/// {coarse, fine, chunked} × {1, 2, 8} workers; any failure is
+/// ddmin-minimized, written under `target/c3i-fuzz/`, and the process
+/// exits 1.
 fn run_fuzz(n_cases: usize, seed: u64, reduced: bool) -> ! {
     use c3i_fuzz::CaseOutcome;
     eprintln!(
