@@ -29,8 +29,8 @@
 //!    the submitting connection thread. A dedicated worker drains up to
 //!    `batch_max` requests at a time and evaluates the batch with
 //!    [`sthreads::par_map`], one shard per pool worker. Per-request
-//!    latency (admission to response) feeds the percentile tier in
-//!    [`sthreads::stats`].
+//!    latency (admission to response) feeds the service's own log₂
+//!    histogram ([`Service::latency`]), which also sets the retry hint.
 //! 4. [`ServiceReport`] — the `BENCH_service.json` schema written by the
 //!    `repro --load` generator and enforced by `repro --gate`.
 //!
@@ -40,6 +40,7 @@
 use crate::experiments::{Experiments, Figure};
 use crate::workload::WorkloadScale;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -128,7 +129,7 @@ pub enum EvalError {
     /// retry after roughly the hinted delay.
     Overloaded {
         /// Suggested client back-off before retrying, in milliseconds
-        /// (derived from the live p50 of the latency percentile tier).
+        /// (derived from the live p50 of [`Service::latency`]).
         retry_after_ms: u64,
     },
     /// The service is shutting down and no longer admits requests.
@@ -348,6 +349,7 @@ struct ServiceInner {
     config: ServiceConfig,
     queue: Mutex<QueueState>,
     not_empty: Condvar,
+    latency: LatencyHistogram,
 }
 
 struct QueueState {
@@ -389,6 +391,7 @@ impl Service {
                 shutdown: false,
             }),
             not_empty: Condvar::new(),
+            latency: LatencyHistogram::new(),
         });
         let worker_inner = Arc::clone(&inner);
         let worker = std::thread::Builder::new()
@@ -419,7 +422,7 @@ impl Service {
             }
             if q.jobs.len() >= self.inner.config.capacity {
                 return Err(EvalError::Overloaded {
-                    retry_after_ms: retry_hint_ms(),
+                    retry_after_ms: retry_hint_ms(&self.inner.latency.snapshot()),
                 });
             }
             q.jobs.push_back(Job {
@@ -447,6 +450,12 @@ impl Service {
     /// in tests and the load generator).
     pub fn evaluator(&self) -> &Evaluator {
         &self.inner.evaluator
+    }
+
+    /// Admission-to-response latency of every request this service has
+    /// answered, one sample each.
+    pub fn latency(&self) -> LatencySnapshot {
+        self.inner.latency.snapshot()
     }
 
     /// Stop admitting requests, let the worker drain what was already
@@ -504,11 +513,11 @@ fn validate_request(req: &EvalRequest) -> Option<EvalError> {
     }
 }
 
-/// Client back-off hint when the queue rejects: the live p50 of served
+/// Client back-off hint when the queue rejects: this service's p50
 /// request latency (rounded up to ms), clamped to [1, 1000]. Before any
 /// request has completed there is no signal; suggest 10 ms.
-fn retry_hint_ms() -> u64 {
-    let p50_ns = sthreads::stats::service_latency().quantile_ns(0.5);
+fn retry_hint_ms(latency: &LatencySnapshot) -> u64 {
+    let p50_ns = latency.quantile_ns(0.5);
     if p50_ns == 0 {
         10
     } else {
@@ -548,7 +557,9 @@ fn worker_loop(inner: &ServiceInner) {
             .unwrap_or_else(|payload| Err(EvalError::Internal(panic_message(&payload))))
         });
         for (job, result) in batch.into_iter().zip(results) {
-            sthreads::stats::record_service_latency_ns(job.admitted.elapsed().as_nanos() as u64);
+            inner
+                .latency
+                .record_ns(job.admitted.elapsed().as_nanos() as u64);
             // A receiver that hung up (client disconnected mid-request)
             // is not an error; drop the response.
             let _ = job.reply.send(result);
@@ -564,6 +575,71 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "evaluation panicked".to_string()
+    }
+}
+
+// ── request latency ──────────────────────────────────────────────────────
+
+/// Number of log₂ latency buckets: bucket `b` counts requests whose
+/// latency landed in `[2^b, 2^(b+1))` nanoseconds (bucket 0 also absorbs
+/// sub-nanosecond samples, the last bucket is open-ended). 40 buckets
+/// cover 1 ns up to ~18 minutes — far beyond any sane request.
+pub const LATENCY_BUCKETS: usize = 40;
+
+/// One service's request-latency histogram: one relaxed add per answered
+/// request, next to the queue whose waiting time it describes.
+struct LatencyHistogram([AtomicU64; LATENCY_BUCKETS]);
+
+impl LatencyHistogram {
+    fn new() -> Self {
+        Self([const { AtomicU64::new(0) }; LATENCY_BUCKETS])
+    }
+
+    fn record_ns(&self, ns: u64) {
+        let bucket = (ns.max(1).ilog2() as usize).min(LATENCY_BUCKETS - 1);
+        self.0[bucket].fetch_add(1, Relaxed);
+    }
+
+    fn snapshot(&self) -> LatencySnapshot {
+        LatencySnapshot {
+            buckets: std::array::from_fn(|b| self.0[b].load(Relaxed)),
+        }
+    }
+}
+
+/// A point-in-time copy of a service's latency histogram
+/// ([`Service::latency`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencySnapshot {
+    /// Request counts per log₂ bucket (see [`LATENCY_BUCKETS`]).
+    pub buckets: [u64; LATENCY_BUCKETS],
+}
+
+impl LatencySnapshot {
+    /// Total requests recorded in this snapshot.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
+
+    /// Upper-bound estimate of the `q`-quantile latency in nanoseconds
+    /// (`q` in `[0, 1]`; e.g. `0.5` for p50, `0.99` for p99): the upper
+    /// edge of the histogram bucket containing the `⌈q·count⌉`-th sample.
+    /// Conservative by construction — the true quantile is never above
+    /// the returned value's bucket. Returns 0 when no samples exist.
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        let count = self.count();
+        if count == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
+        let mut seen = 0u64;
+        for (b, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return 1u64 << (b + 1);
+            }
+        }
+        1u64 << LATENCY_BUCKETS // unreachable: seen == count >= rank
     }
 }
 
@@ -751,6 +827,38 @@ mod tests {
         let mut r = report();
         r.throughput_rps = f64::NAN;
         assert!(r.validate().is_err());
+    }
+
+    #[test]
+    fn latency_histogram_reports_bucket_edge_quantiles() {
+        let h = LatencyHistogram::new();
+        assert_eq!(h.snapshot().count(), 0);
+        assert_eq!(h.snapshot().quantile_ns(0.5), 0);
+        assert_eq!(retry_hint_ms(&h.snapshot()), 10, "no signal yet");
+
+        for _ in 0..98 {
+            h.record_ns(1_000); // bucket 9: [512, 1024)
+        }
+        h.record_ns(1 << 20); // ~1 ms
+        h.record_ns(1 << 30); // ~1 s
+        let s = h.snapshot();
+        assert_eq!(s.count(), 100);
+        // p50 lands in the 1 µs bucket; its upper edge is 1024 ns.
+        assert_eq!(s.quantile_ns(0.5), 1024);
+        // p99 must reach the ~1 ms sample's bucket but not the ~1 s one.
+        assert_eq!(s.quantile_ns(0.99), 1 << 21);
+        assert_eq!(s.quantile_ns(1.0), 1 << 31);
+        assert_eq!(retry_hint_ms(&s), 1, "a sub-ms p50 rounds up to 1 ms");
+    }
+
+    #[test]
+    fn latency_extremes_clamp_into_the_first_and_last_buckets() {
+        let h = LatencyHistogram::new();
+        h.record_ns(0);
+        h.record_ns(u64::MAX);
+        let s = h.snapshot();
+        assert_eq!(s.buckets[0], 1);
+        assert_eq!(s.buckets[LATENCY_BUCKETS - 1], 1);
     }
 
     #[test]

@@ -294,7 +294,7 @@ pub struct Server {
     listener: Listener,
     local_addr: String,
     unix_path: Option<std::path::PathBuf>,
-    service: Service,
+    service: Arc<Service>,
 }
 
 impl Server {
@@ -302,6 +302,7 @@ impl Server {
     /// port 0 for an OS-assigned port) and attach `service`. A stale
     /// Unix socket file at the path is removed first.
     pub fn bind(addr: &str, service: Service) -> std::io::Result<Self> {
+        let service = Arc::new(service);
         if addr.contains('/') {
             let path = std::path::PathBuf::from(addr);
             let _ = std::fs::remove_file(&path);
@@ -329,10 +330,16 @@ impl Server {
         &self.local_addr
     }
 
+    /// The service behind the socket, shared with the connection threads
+    /// (so a caller can read [`Service::latency`] while the server runs).
+    pub fn service(&self) -> Arc<Service> {
+        Arc::clone(&self.service)
+    }
+
     /// Accept and serve connections until a `Shutdown` request arrives,
     /// then drain and return. Blocks the calling thread.
     pub fn run(self) -> std::io::Result<()> {
-        let service = Arc::new(self.service);
+        let service = self.service;
         let stop = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         loop {

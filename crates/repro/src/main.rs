@@ -542,15 +542,6 @@ fn profile_report() -> String {
         s.busy_ns as f64 / 1e6,
         s.idle_ns as f64 / 1e6
     ));
-    let lat = stats::service_latency();
-    if lat.count() > 0 {
-        out.push_str(&format!(
-            "  service latency       {:>10} requests, p50 <= {:.3} ms, p99 <= {:.3} ms\n",
-            lat.count(),
-            lat.quantile_ns(0.50) as f64 / 1e6,
-            lat.quantile_ns(0.99) as f64 / 1e6,
-        ));
-    }
     let busy = stats::last_region_worker_busy();
     if !busy.is_empty() {
         let max = busy.iter().copied().max().unwrap_or(0).max(1) as f64;

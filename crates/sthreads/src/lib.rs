@@ -93,7 +93,7 @@ pub use future::Future;
 pub use par_for::{multithreaded_for, par_map, ChunkBounds, ParFor, Schedule};
 pub use pool::{scope_threads, ThreadPool};
 pub use queue::WorkQueue;
-pub use stats::{LatencySnapshot, StatsSnapshot};
+pub use stats::StatsSnapshot;
 pub use syncvar::{SyncCounter, SyncVar};
 
 /// Compute the half-open index range owned by `chunk` when `n_items` items

@@ -10,7 +10,7 @@
 //!
 //! # The stats schema
 //!
-//! Three tiers, from cheapest to most detailed:
+//! Two tiers, from cheapest to most detailed:
 //!
 //! 1. **Counter tier** ([`StatsSnapshot`], always on) — relaxed
 //!    `fetch_add`s, a handful per *region* or per *batch claim*, never
@@ -31,15 +31,6 @@
 //!      critical-path cost of load imbalance; the *per-worker* busy split
 //!      of the most recent region is kept in
 //!      [`last_region_worker_busy`].
-//! 3. **Service-latency tier** ([`LatencySnapshot`], always on; only
-//!    moves when a caller records into it) — a log₂-bucketed histogram of
-//!    per-request wall-clock latency for request-serving layers built on
-//!    the pool (the `eval-core` evaluation service records one sample per
-//!    served request). One relaxed add per *request*, so the cost is
-//!    invisible next to the work a request represents. Read it with
-//!    [`service_latency`]; diff two snapshots to scope a phase, and ask
-//!    for [`LatencySnapshot::quantile_ns`] (p50/p90/p99) or
-//!    [`LatencySnapshot::count`].
 //!
 //! The module also owns the *measured dispatch floor* ([`dispatch_floor_ns`])
 //! that [`ParFor`](crate::ParFor)'s small-region sequential cutoff compares
@@ -216,94 +207,6 @@ pub(crate) fn record_batch(items: usize) {
     BATCH_ITEMS.fetch_add(items as u64, Relaxed);
 }
 
-// ── service-latency percentile tier ──────────────────────────────────────
-
-/// Number of log₂ latency buckets: bucket `b` counts requests whose
-/// latency landed in `[2^b, 2^(b+1))` nanoseconds (bucket 0 also absorbs
-/// sub-nanosecond samples, the last bucket is open-ended). 40 buckets
-/// cover 1 ns up to ~18 minutes — far beyond any sane request.
-pub const LATENCY_BUCKETS: usize = 40;
-
-static SERVICE_LATENCY: [AtomicU64; LATENCY_BUCKETS] =
-    [const { AtomicU64::new(0) }; LATENCY_BUCKETS];
-
-/// Record one served request's wall-clock latency (submission to
-/// response) into the percentile tier. One relaxed add; always on.
-pub fn record_service_latency_ns(ns: u64) {
-    let bucket = (ns.max(1).ilog2() as usize).min(LATENCY_BUCKETS - 1);
-    SERVICE_LATENCY[bucket].fetch_add(1, Relaxed);
-}
-
-/// A point-in-time copy of the service-latency histogram. Subtract two
-/// snapshots (`after - before`) to scope the requests served between
-/// them, exactly like [`StatsSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencySnapshot {
-    /// Request counts per log₂ bucket (see [`LATENCY_BUCKETS`]).
-    pub buckets: [u64; LATENCY_BUCKETS],
-}
-
-impl Default for LatencySnapshot {
-    fn default() -> Self {
-        Self {
-            buckets: [0; LATENCY_BUCKETS],
-        }
-    }
-}
-
-impl std::ops::Sub for LatencySnapshot {
-    type Output = LatencySnapshot;
-    /// Saturating per-bucket difference: `after - before` across a phase.
-    fn sub(self, rhs: LatencySnapshot) -> LatencySnapshot {
-        let mut out = LatencySnapshot::default();
-        for (o, (a, b)) in out
-            .buckets
-            .iter_mut()
-            .zip(self.buckets.iter().zip(rhs.buckets.iter()))
-        {
-            *o = a.saturating_sub(*b);
-        }
-        out
-    }
-}
-
-impl LatencySnapshot {
-    /// Total requests recorded in this snapshot.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Upper-bound estimate of the `q`-quantile latency in nanoseconds
-    /// (`q` in `[0, 1]`; e.g. `0.5` for p50, `0.99` for p99): the upper
-    /// edge of the histogram bucket containing the `⌈q·count⌉`-th sample.
-    /// Conservative by construction — the true quantile is never above
-    /// the returned value's bucket. Returns 0 when no samples exist.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return 1u64 << (b + 1);
-            }
-        }
-        1u64 << LATENCY_BUCKETS // unreachable: seen == count >= rank
-    }
-}
-
-/// Read the service-latency histogram (one relaxed load per bucket).
-pub fn service_latency() -> LatencySnapshot {
-    let mut snap = LatencySnapshot::default();
-    for (out, bucket) in snap.buckets.iter_mut().zip(SERVICE_LATENCY.iter()) {
-        *out = bucket.load(Relaxed);
-    }
-    snap
-}
-
 /// Per-worker busy nanos of the most recent timed region (see
 /// [`last_region_worker_busy`]).
 fn last_region_busy_slot() -> &'static parking_lot::Mutex<Vec<u64>> {
@@ -471,41 +374,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.mean_batch_items(), 2.5);
-    }
-
-    /// One test (not three) because the histogram is process-global:
-    /// concurrent test threads recording samples would pollute each
-    /// other's snapshot deltas.
-    #[test]
-    fn latency_tier_records_quantiles_and_extremes() {
-        // Empty delta first.
-        let d = service_latency() - service_latency();
-        assert_eq!(d.count(), 0);
-        assert_eq!(d.quantile_ns(0.5), 0);
-
-        // Quantiles over a known distribution, scoped via deltas like a
-        // real caller would.
-        let before = service_latency();
-        for _ in 0..98 {
-            record_service_latency_ns(1_000); // bucket 9: [512, 1024)
-        }
-        record_service_latency_ns(1 << 20); // ~1 ms
-        record_service_latency_ns(1 << 30); // ~1 s
-        let d = service_latency() - before;
-        assert_eq!(d.count(), 100);
-        // p50 lands in the 1 µs bucket; its upper edge is 1024 ns.
-        assert_eq!(d.quantile_ns(0.5), 1024);
-        // p99 must reach the ~1 ms sample's bucket but not the ~1 s one.
-        assert_eq!(d.quantile_ns(0.99), 1 << 21);
-        assert_eq!(d.quantile_ns(1.0), 1 << 31);
-
-        // Extremes clamp into the first and last buckets.
-        let before = service_latency();
-        record_service_latency_ns(0);
-        record_service_latency_ns(u64::MAX);
-        let d = service_latency() - before;
-        assert_eq!(d.buckets[0], 1);
-        assert_eq!(d.buckets[LATENCY_BUCKETS - 1], 1);
     }
 
     #[test]
