@@ -245,7 +245,14 @@ impl ParFor {
     where
         F: Fn(usize) + Sync,
     {
-        self.run_chunked(|c| {
+        // Never wider than the range, as in `run_dynamic`. The body sees
+        // indices, not chunks, so the clamp is invisible to it; a caller
+        // of `run_chunked` keeps the chunk count it asked for.
+        let clamped = Self {
+            n_threads: self.n_threads.min(self.range.len().max(1)),
+            ..self.clone()
+        };
+        clamped.run_chunked(|c| {
             for i in c.first..c.end {
                 body(i);
             }
