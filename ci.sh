@@ -32,17 +32,21 @@ cargo test -q --workspace
 echo "== kernels bench smoke (quick scale) =="
 # One pass over the per-kernel Criterion group at reduced sizes: proves
 # the bench target builds and runs; the paper-scale numbers live in
-# EXPERIMENTS.md and the BENCH_harness.json kernels phase.
+# EXPERIMENTS.md.
 KERNELS_BENCH_QUICK=1 cargo bench -p bench --bench kernels > /dev/null
 
-echo "== harness self-timing (4 threads) =="
+echo "== kernels data-layout ratio (release-only assertion) =="
+# The run-based arena kernels vs the pinned scalar baseline on the
+# terrain pipeline, one thread each, so core count cannot flip it: bit
+# identity in every profile, and >= 1.5x only with optimizations on —
+# which is why this one test also runs here under --release. Every
+# other timing is produced and bounded by benchmark/ (see its README).
+cargo test -q --release -p eval-core measured_kernels_phase_clears_the_gate
+
 # The tier-1 release build above only covers the root package (the
 # workspace root is itself a package), so build the harness CLI
 # explicitly before invoking it.
 cargo build --release -p repro
-# Regenerates BENCH_harness.json at reduced scale with the per-phase
-# dispatch/imbalance/useful-work breakdown.
-./target/release/repro --reduced --timing --threads 4 timing > /dev/null
 
 echo "== differential fuzz smoke (fixed seed) =="
 # A short fixed-seed campaign: 25 reduced-size generated scenarios, each
@@ -104,6 +108,16 @@ if grep -rn 'Stealing\|StealDeque\|set_steal_seed\|_host_sched' \
   echo "the deleted work-stealing schedule is referenced again" >&2
   exit 1
 fi
+# So is repro's own timing pipeline: the two reports, their schemas and
+# the flags that wrote and gated them (benchmark/ is the one place a
+# timing is produced). docs/LAYERS.md and the crate-map history name the
+# deleted files on purpose.
+if grep -rn 'HarnessReport\|ServiceReport\|harness_timing\|BENCH_harness\|BENCH_service\|SERVICE_SCHEMA' \
+  crates src tests examples docs README.md EXPERIMENTS.md .claude |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "the deleted repro timing pipeline is referenced again" >&2
+  exit 1
+fi
 
 echo "== pinned regression corpus replay =="
 # Every minimized failure ever pinned under tests/corpus/ replays through
@@ -111,28 +125,12 @@ echo "== pinned regression corpus replay =="
 # here so a corpus regression is named in CI output).
 cargo test -q --test corpus_replay
 
-echo "== harness regression gate (schema + identity + speedups) =="
-# `repro --gate` parses the report against the extended schema (every
-# phase must carry a breakdown, and the report must carry the kernels
-# phase), fails if any phase's parallel output diverged from sequential,
-# fails if the table-generation phase fell below the 0.95x speedup gate
-# (the median of 31 paired seq/par repeats, so one preempted ~0.7 ms run
-# cannot flap it), and fails if the run-based arena kernels fell below 1.5x over the
-# pinned scalar baseline on the terrain pipeline. The table-gen check is
-# robust on throttled or single-core CI hosts *because* of par_map's
-# measured sequential cutoff: when parallelism cannot pay for its own
-# dispatch, the phase runs sequentially and the ratio sits at ~1.0
-# instead of regressing. The kernels check compares two sequential runs,
-# so core count does not affect it.
-./target/release/repro --gate BENCH_harness.json
-
-echo "== service smoke (serve + load replay + gate) =="
+echo "== service smoke (serve + load replay) =="
 # Starts the scenario-evaluation server on a unix socket, replays a
 # fixed-seed fuzzer-generated request mix through it over 4 concurrent
 # connections, and verifies every served response is bit-identical to a
-# direct sequential evaluation. The replay writes BENCH_service.json
-# (p50/p99 latency, throughput, identity flag) which the gate then
-# parses against the service schema.
+# direct sequential evaluation. `repro --load` exits non-zero on any
+# mismatch or incomplete request, and `set -e` fails the step on it.
 SERVICE_SOCK=target/c3i-serve.sock
 rm -f "$SERVICE_SOCK"
 ./target/release/repro --serve "$SERVICE_SOCK" --reduced &
@@ -150,6 +148,5 @@ fi
   --requests 40 --mix-seed 1 --conns 4 --stop-server
 wait "$SERVICE_PID"
 trap - EXIT
-./target/release/repro --gate BENCH_service.json
 
 echo "CI OK"

@@ -1,6 +1,7 @@
 //! Per-kernel benchmarks of the c3i hot paths, each paired with its
-//! pinned baseline so the `kernels` harness phase's speedup claim can be
-//! reproduced (and bisected) kernel by kernel:
+//! pinned baseline so the 1.5x ratio `eval-core`'s
+//! `measured_kernels_phase_clears_the_gate` asserts can be reproduced (and
+//! bisected) kernel by kernel:
 //!
 //! * `los_recurrence` — the XDraw ring recurrence over one paper-scale
 //!   region: historical cell-at-a-time `reference` kernel vs the
@@ -24,7 +25,7 @@ fn quick() -> bool {
 }
 
 /// One paper-scale terrain scenario (1024² grid; regions up to 5% of the
-/// terrain) — the geometry the harness's `kernels` phase times.
+/// terrain) — the paper-scale twin of the scenario that test times.
 fn terrain_scenario() -> terrain::TerrainScenario {
     terrain::generate(TerrainScenarioParams {
         grid_size: if quick() { 192 } else { 1024 },

@@ -91,7 +91,7 @@ pub fn terrain_masking_into<R: Rec>(
 
 /// The pinned scalar baseline of Program 3: fresh per-threat allocations
 /// and the historical cell-at-a-time recurrence ([`mod@reference`]). This is
-/// the comparison side of the `kernels` harness phase, the bench baseline,
+/// the comparison side of `eval-core`'s kernels-ratio test, the bench baseline,
 /// and the fuzzer's kernel-differential config; it must keep the exact
 /// pre-optimization behavior.
 pub fn terrain_masking_reference(scenario: &TerrainScenario) -> Grid<f64> {

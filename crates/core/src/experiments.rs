@@ -1093,10 +1093,8 @@ fn exec_check_threat(per_threat: bool, n_threads: usize) {
     }
 }
 
-// ── harness self-timing (the BENCH_harness.json report) ──────────────────
-
-/// Stream counts exercised by the utilization sweep phase (and by
-/// `repro`'s utilization section).
+/// Stream counts exercised by `repro`'s utilization section (and by the
+/// benchmark's simulator workloads).
 pub const UTIL_STREAMS: [usize; 11] = [1, 2, 4, 8, 16, 32, 48, 64, 80, 100, 128];
 
 /// The simulator configuration used for utilization measurements.
@@ -1104,415 +1102,6 @@ pub fn util_cfg() -> mta_sim::MtaConfig {
     mta_sim::MtaConfig {
         mem_words: 1 << 20,
         ..mta_sim::MtaConfig::tera(1)
-    }
-}
-
-/// Minimum acceptable parallel speedup for the table-generation phase.
-/// The phase's work is tiny (~1 ms), so the only way to fail this gate is
-/// to pay dispatch overhead for parallelism that cannot help — exactly the
-/// regression the overhead-aware sequential cutoff in `par_map` exists to
-/// prevent.
-pub const TABLE_GEN_SPEEDUP_GATE: f64 = 0.95;
-
-/// Paired seq/par repeats behind the gated table-generation median. Odd,
-/// so the median is one measured ratio.
-const TABLE_GEN_REPEATS: usize = 31;
-
-/// Minimum acceptable speedup of the run-based arena kernels over the
-/// pinned scalar baseline on the terrain pipeline. The data-layout pass
-/// (edge-run ring iteration, row-sweep recurrence, hoisted distance
-/// tables, arena-backed scratch) must pay for its complexity; anything
-/// below this on the LOS recurrence means the kernels regressed.
-pub const KERNELS_SPEEDUP_GATE: f64 = 1.5;
-
-/// Where a phase's parallel wall-clock went, from `sthreads::stats`
-/// snapshot deltas taken around the phase with nano-timing enabled.
-///
-/// The three components are *worker-side* accounting, not a partition of
-/// wall-clock: `useful_work_s` sums body execution across all workers, so
-/// with perfect N-way scaling it is ≈ N × the phase's wall-clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PhaseBreakdown {
-    /// Seconds between a region's publication and each worker's pickup,
-    /// summed over workers — the price of waking the pool.
-    pub dispatch_overhead_s: f64,
-    /// Seconds separating the busiest worker from the mean — time the
-    /// region's barrier spent waiting on stragglers.
-    pub imbalance_s: f64,
-    /// Seconds of loop-body execution summed across workers (including
-    /// work kept inline by the sequential cutoff).
-    pub useful_work_s: f64,
-}
-
-impl PhaseBreakdown {
-    fn from_delta(d: &sthreads::StatsSnapshot) -> Self {
-        Self {
-            dispatch_overhead_s: d.dispatch_ns as f64 / 1e9,
-            imbalance_s: d.imbalance_ns as f64 / 1e9,
-            useful_work_s: d.busy_ns as f64 / 1e9,
-        }
-    }
-}
-
-/// One row of the harness self-timing report: the same phase run two
-/// ways — one host thread vs all of them — producing identical output.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PhaseTiming {
-    /// Phase name (stable — `ci.sh` gates on "table generation").
-    pub phase: String,
-    /// Wall-clock seconds on one host thread.
-    pub seq_seconds: f64,
-    /// Wall-clock seconds on `host_threads` threads.
-    pub par_seconds: f64,
-    /// Robust speedup estimate: the median of per-repeat paired
-    /// `seq/par` ratios (each repeat times the two arms back-to-back).
-    /// For single-repeat phases this equals
-    /// `seq_seconds / par_seconds`; with repeats the paired median
-    /// resists host-load spikes that the ratio of minima would not.
-    pub speedup: f64,
-    /// Whether the parallel run's output was bit-identical to the
-    /// sequential run's.
-    pub identical_output: bool,
-    /// Where the parallel run's time went.
-    pub breakdown: PhaseBreakdown,
-}
-
-/// The `kernels` phase: the full terrain pipeline (Program 3) run through
-/// the pinned scalar baseline (`terrain_masking_reference`: fresh
-/// per-threat allocations, cell-at-a-time recurrence) and through the
-/// run-based arena kernels, on one thread each. Unlike [`PhaseTiming`],
-/// both arms are sequential — the comparison is data layout, not
-/// scheduling.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct KernelsPhase {
-    /// Wall-clock seconds of the pinned scalar baseline.
-    pub baseline_scalar_s: f64,
-    /// Wall-clock seconds of the optimized kernels.
-    pub optimized_s: f64,
-    /// `baseline_scalar_s / optimized_s`.
-    pub speedup: f64,
-    /// Whether the optimized masking grid was bit-identical to the
-    /// baseline's.
-    pub identical_output: bool,
-}
-
-/// The `BENCH_harness.json` document.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct HarnessReport {
-    /// Workload scale the phases ran at (`"Paper"` or `"Reduced"`).
-    pub scale: String,
-    /// Host threads used for the parallel runs.
-    pub host_threads: usize,
-    /// Measured cost of waking the pool for an empty region, used by the
-    /// sequential cutoff (see `sthreads::stats::dispatch_floor_ns`).
-    pub dispatch_floor_ns: u64,
-    /// One entry per parallelized harness phase.
-    pub phases: Vec<PhaseTiming>,
-    /// The kernel data-layout comparison (deliberately not optional: a
-    /// report without it predates the extended schema and must not pass
-    /// the gate).
-    pub kernels: KernelsPhase,
-}
-
-impl HarnessReport {
-    /// Check the report against the harness's invariants: every phase
-    /// present and bit-identical, every number finite and positive, and
-    /// the table-generation phase at or above
-    /// [`TABLE_GEN_SPEEDUP_GATE`]. Returns every violation, not just the
-    /// first — this is the `ci.sh` regression gate.
-    pub fn validate(&self) -> Result<(), Vec<String>> {
-        let mut errs = Vec::new();
-        if self.host_threads == 0 {
-            errs.push("host_threads is zero".to_string());
-        }
-        if self.phases.is_empty() {
-            errs.push("report has no phases".to_string());
-        }
-        for p in &self.phases {
-            if !p.identical_output {
-                errs.push(format!(
-                    "phase '{}': parallel output differs from sequential",
-                    p.phase
-                ));
-            }
-            for (name, v) in [
-                ("seq_seconds", p.seq_seconds),
-                ("par_seconds", p.par_seconds),
-                ("speedup", p.speedup),
-            ] {
-                if !(v.is_finite() && v > 0.0) {
-                    errs.push(format!("phase '{}': {name} = {v} is not positive", p.phase));
-                }
-            }
-            for (name, v) in [
-                ("dispatch_overhead_s", p.breakdown.dispatch_overhead_s),
-                ("imbalance_s", p.breakdown.imbalance_s),
-                ("useful_work_s", p.breakdown.useful_work_s),
-            ] {
-                if !(v.is_finite() && v >= 0.0) {
-                    errs.push(format!(
-                        "phase '{}': breakdown.{name} = {v} is invalid",
-                        p.phase
-                    ));
-                }
-            }
-        }
-        match self.phases.iter().find(|p| p.phase == "table generation") {
-            Some(tg) if tg.speedup < TABLE_GEN_SPEEDUP_GATE => errs.push(format!(
-                "table generation speedup {:.2}x is below the {TABLE_GEN_SPEEDUP_GATE} gate \
-                 (seq {:.6} s, par {:.6} s) — parallel dispatch is costing more than it saves",
-                tg.speedup, tg.seq_seconds, tg.par_seconds
-            )),
-            Some(_) => {}
-            None => errs.push("missing 'table generation' phase".to_string()),
-        }
-        let k = &self.kernels;
-        if !k.identical_output {
-            errs.push(
-                "kernels: optimized masking grid differs bitwise from the scalar baseline"
-                    .to_string(),
-            );
-        }
-        for (name, v) in [
-            ("baseline_scalar_s", k.baseline_scalar_s),
-            ("optimized_s", k.optimized_s),
-            ("speedup", k.speedup),
-        ] {
-            if !(v.is_finite() && v > 0.0) {
-                errs.push(format!("kernels: {name} = {v} is not positive"));
-            }
-        }
-        if k.speedup.is_finite() && k.speedup < KERNELS_SPEEDUP_GATE {
-            errs.push(format!(
-                "kernels speedup {:.2}x is below the {KERNELS_SPEEDUP_GATE} gate \
-                 (scalar baseline {:.6} s, optimized {:.6} s) — the run-based arena \
-                 kernels are not paying for themselves",
-                k.speedup, k.baseline_scalar_s, k.optimized_s
-            ));
-        }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
-    }
-
-    /// Human-readable rendition of the report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Harness self-timing ({} scale, {} host threads; pool dispatch floor {} ns)\n",
-            self.scale, self.host_threads, self.dispatch_floor_ns
-        ));
-        out.push_str(
-            "  phase                  1 thread      parallel   speedup  identical   \
-             dispatch  imbalance     useful\n",
-        );
-        for p in &self.phases {
-            out.push_str(&format!(
-                "  {:<20} {:>8.3} s   {:>8.3} s   {:>6.2}x  {:<9} {:>8.1} ms {:>7.1} ms {:>7.1} ms\n",
-                p.phase,
-                p.seq_seconds,
-                p.par_seconds,
-                p.speedup,
-                p.identical_output,
-                p.breakdown.dispatch_overhead_s * 1e3,
-                p.breakdown.imbalance_s * 1e3,
-                p.breakdown.useful_work_s * 1e3,
-            ));
-        }
-        let k = &self.kernels;
-        out.push_str(&format!(
-            "  kernels (data layout): scalar baseline {:.3} s, optimized {:.3} s, \
-             {:.2}x, identical {}\n",
-            k.baseline_scalar_s, k.optimized_s, k.speedup, k.identical_output,
-        ));
-        out
-    }
-}
-
-/// Run `f` `repeats` times; return the fastest run's seconds, value, and
-/// stats delta. Repeats exist for sub-millisecond phases, where a single
-/// scheduler hiccup would dominate the measurement and flap the ci gate.
-fn best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T, sthreads::StatsSnapshot) {
-    assert!(repeats > 0);
-    let mut best: Option<(f64, T, sthreads::StatsSnapshot)> = None;
-    for _ in 0..repeats {
-        let before = sthreads::stats::snapshot();
-        let start = std::time::Instant::now();
-        let v = f();
-        let secs = start.elapsed().as_secs_f64();
-        let delta = sthreads::stats::snapshot() - before;
-        if best.as_ref().is_none_or(|(b, _, _)| secs < *b) {
-            best = Some((secs, v, delta));
-        }
-    }
-    best.unwrap()
-}
-
-fn measure_phase<T>(
-    name: &str,
-    repeats: usize,
-    mut seq: impl FnMut() -> T,
-    mut par: impl FnMut() -> T,
-    same: impl Fn(&T, &T) -> bool,
-) -> PhaseTiming {
-    assert!(repeats > 0);
-    // The arms alternate rather than running as back-to-back blocks, and
-    // the gated `speedup` is the *median of per-repeat paired ratios*
-    // rather than the ratio of the per-arm minima. Pairing means a
-    // sustained host-load spike inflates both halves of the repeat it
-    // lands on (the ratio survives); the median then discards the
-    // repeats a short spike hit asymmetrically. On a noisy shared CI
-    // host this is the difference between a gate that measures the code
-    // and one that measures the neighbours. `seq_seconds`/`par_seconds`
-    // still report the per-arm minima (noise only ever inflates a run,
-    // so the minimum estimates the true cost).
-    let mut best_seq: Option<(f64, T)> = None;
-    let mut best_par: Option<(f64, T, sthreads::StatsSnapshot)> = None;
-    let mut ratios = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let start = std::time::Instant::now();
-        let v = seq();
-        let secs_seq = start.elapsed().as_secs_f64();
-        if best_seq.as_ref().is_none_or(|(b, _)| secs_seq < *b) {
-            best_seq = Some((secs_seq, v));
-        }
-        let before = sthreads::stats::snapshot();
-        let start = std::time::Instant::now();
-        let v = par();
-        let secs_par = start.elapsed().as_secs_f64();
-        let delta = sthreads::stats::snapshot() - before;
-        if best_par.as_ref().is_none_or(|(b, _, _)| secs_par < *b) {
-            best_par = Some((secs_par, v, delta));
-        }
-        ratios.push(secs_seq / secs_par);
-    }
-    ratios.sort_unstable_by(f64::total_cmp);
-    let speedup = ratios[ratios.len() / 2];
-    let (t_seq, v_seq) = best_seq.unwrap();
-    let (t_par, v_par, delta) = best_par.unwrap();
-    PhaseTiming {
-        phase: name.to_string(),
-        seq_seconds: t_seq,
-        par_seconds: t_par,
-        speedup,
-        identical_output: same(&v_seq, &v_par),
-        breakdown: PhaseBreakdown::from_delta(&delta),
-    }
-}
-
-/// Measure the `kernels` phase: the terrain pipeline through the pinned
-/// scalar baseline vs the run-based arena kernels, one thread each,
-/// best-of-3, with a bitwise output comparison. The scenario matches the
-/// workload scale's terrain configuration so the numbers describe the
-/// pipeline the tables actually time.
-pub fn measure_kernels(scale: crate::workload::WorkloadScale) -> KernelsPhase {
-    use c3i::terrain::{
-        generate, terrain_masking_into, terrain_masking_reference, TerrainScenarioParams,
-    };
-    let params = match scale {
-        crate::workload::WorkloadScale::Paper => TerrainScenarioParams {
-            seed: 1,
-            ..TerrainScenarioParams::default()
-        },
-        crate::workload::WorkloadScale::Reduced => TerrainScenarioParams {
-            grid_size: 512,
-            n_threats: 30,
-            seed: 1,
-            ..TerrainScenarioParams::default()
-        },
-    };
-    let scenario = generate(params);
-    let (t_base, baseline, _) = best_of(3, || terrain_masking_reference(&scenario));
-    let mut optimized = c3i::Grid::new(0, 0, f64::INFINITY);
-    // One warm-up sizes the thread's arena; the timed runs then measure
-    // the allocation-free steady state the pipeline actually runs in.
-    terrain_masking_into(&scenario, &mut optimized, &mut c3i::NoRec);
-    let (t_opt, _, _) = best_of(3, || {
-        terrain_masking_into(&scenario, &mut optimized, &mut c3i::NoRec)
-    });
-    let identical = baseline.x_size() == optimized.x_size()
-        && baseline.y_size() == optimized.y_size()
-        && baseline
-            .as_slice()
-            .iter()
-            .zip(optimized.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    KernelsPhase {
-        baseline_scalar_s: t_base,
-        optimized_s: t_opt,
-        speedup: t_base / t_opt,
-        identical_output: identical,
-    }
-}
-
-/// Time every parallelized harness phase sequentially and on `n_threads`
-/// host threads, verify the outputs are bit-identical, and attribute the
-/// parallel time via `sthreads::stats`. This is `repro --timing`'s
-/// engine; the caller serializes the result to `BENCH_harness.json`.
-///
-/// The pool is pre-warmed so parallel timings measure steady-state
-/// dispatch (condvar wakeups), not one-time thread creation — the paper's
-/// own distinction between stream creation and `CreateThread` (§7).
-pub fn harness_timing(scale: crate::workload::WorkloadScale, n_threads: usize) -> HarnessReport {
-    ThreadPool::global().warm(n_threads);
-    let floor = sthreads::stats::dispatch_floor_ns();
-    let was_timing = sthreads::stats::timing_enabled();
-    sthreads::stats::set_timing(true);
-
-    let mut phases = Vec::new();
-    phases.push(measure_phase(
-        "workload measurement",
-        1,
-        || Workload::build_with(scale, 1),
-        || Workload::build_with(scale, n_threads),
-        |a, b| a == b,
-    ));
-
-    let exps = Experiments::new(Workload::build_with(scale, n_threads));
-    let csv = |tables: &[Table]| -> String {
-        tables
-            .iter()
-            .map(|t| t.to_csv())
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    // Table generation takes ~0.7 ms — short enough for one preempted
-    // run to swing a ratio — so the gated median rests on
-    // TABLE_GEN_REPEATS paired ratios (~45 ms in all).
-    phases.push(measure_phase(
-        "table generation",
-        TABLE_GEN_REPEATS,
-        || exps.all_tables_with_threads(1),
-        || exps.all_tables_with_threads(n_threads),
-        |a, b| csv(a) == csv(b),
-    ));
-
-    phases.push(measure_phase(
-        "utilization sweep",
-        1,
-        || mta_sim::kernels::measure_utilization_sweep(&util_cfg(), &UTIL_STREAMS, 400, 3, 1),
-        || {
-            mta_sim::kernels::measure_utilization_sweep(
-                &util_cfg(),
-                &UTIL_STREAMS,
-                400,
-                3,
-                n_threads,
-            )
-        },
-        |a, b| a == b,
-    ));
-
-    sthreads::stats::set_timing(was_timing);
-    let kernels = measure_kernels(scale);
-    HarnessReport {
-        scale: format!("{scale:?}"),
-        host_threads: n_threads,
-        dispatch_floor_ns: floor,
-        phases,
-        kernels,
     }
 }
 
@@ -1828,214 +1417,74 @@ mod tests {
         }
     }
 
-    fn good_report() -> HarnessReport {
-        let phase = |name: &str, seq: f64, par: f64| PhaseTiming {
-            phase: name.to_string(),
-            seq_seconds: seq,
-            par_seconds: par,
-            speedup: seq / par,
-            identical_output: true,
-            breakdown: PhaseBreakdown {
-                dispatch_overhead_s: 1e-5,
-                imbalance_s: 2e-5,
-                useful_work_s: seq,
-            },
-        };
-        HarnessReport {
-            scale: "Reduced".to_string(),
-            host_threads: 4,
-            dispatch_floor_ns: 4000,
-            phases: vec![
-                phase("workload measurement", 2.0, 0.6),
-                phase("table generation", 0.001, 0.001),
-                phase("utilization sweep", 1.0, 0.3),
-            ],
-            kernels: KernelsPhase {
-                baseline_scalar_s: 0.9,
-                optimized_s: 0.4,
-                speedup: 0.9 / 0.4,
-                identical_output: true,
-            },
+    /// Minimum speedup of the run-based arena kernels over the pinned
+    /// scalar baseline on the terrain pipeline. The data-layout pass
+    /// (edge-run ring iteration, row-sweep recurrence, hoisted distance
+    /// tables, arena-backed scratch) must pay for its complexity; anything
+    /// below this on the LOS recurrence means the kernels regressed.
+    const KERNELS_SPEEDUP_GATE: f64 = 1.5;
+
+    /// Fastest of `repeats` runs of `f`, in seconds, with its value:
+    /// noise only ever inflates a run, so the minimum estimates the cost.
+    fn best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+        let mut best: Option<(f64, T)> = None;
+        for _ in 0..repeats {
+            let start = std::time::Instant::now();
+            let v = f();
+            let secs = start.elapsed().as_secs_f64();
+            if best.as_ref().is_none_or(|(b, _)| secs < *b) {
+                best = Some((secs, v));
+            }
         }
+        best.expect("repeats > 0")
     }
 
-    #[test]
-    fn valid_harness_report_passes_validation() {
-        good_report().validate().expect("valid report must pass");
-    }
-
-    #[test]
-    fn table_generation_slowdown_fails_the_gate() {
-        let mut r = good_report();
-        let tg = r
-            .phases
-            .iter_mut()
-            .find(|p| p.phase == "table generation")
-            .unwrap();
-        tg.par_seconds = tg.seq_seconds / 0.63; // the regression this PR fixes
-        tg.speedup = 0.63;
-        let errs = r.validate().unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("below the 0.95 gate")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn nonidentical_output_and_bad_numbers_are_reported_together() {
-        let mut r = good_report();
-        r.phases[0].identical_output = false;
-        r.phases[2].breakdown.useful_work_s = f64::NAN;
-        let errs = r.validate().unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("differs from sequential")));
-        assert!(errs.iter().any(|e| e.contains("useful_work_s")));
-        assert_eq!(errs.len(), 2, "{errs:?}");
-    }
-
-    #[test]
-    fn missing_table_generation_phase_is_an_error() {
-        let mut r = good_report();
-        r.phases.retain(|p| p.phase != "table generation");
-        let errs = r.validate().unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("missing 'table generation'")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn legacy_report_with_a_deleted_phase_still_passes() {
-        // Reports written before the parallel tick was deleted list an
-        // `mta_par` phase, and those written before the work-stealing
-        // schedule was deleted a `fine_grain` phase. Phase names are
-        // data, not schema: the report must parse, and the extra phase is
-        // held only to the checks every phase gets (identity, positive
-        // numbers) — not to a gate of its own, even at a ratio the old
-        // 0.95 gates would have failed. Nor is either phase required:
-        // `good_report` has neither.
-        for name in ["mta_par", "fine_grain"] {
-            let mut r = good_report();
-            let mut legacy = r.phases[0].clone();
-            legacy.phase = name.to_string();
-            legacy.speedup = 0.5;
-            r.phases.push(legacy);
-            let json = serde_json::to_string(&r).unwrap();
-            let parsed: HarnessReport = serde_json::from_str(&json).expect("legacy report parses");
-            assert_eq!(parsed.phases.last().unwrap().phase, name);
-            parsed.validate().expect("an unknown phase is not an error");
-        }
-    }
-
-    #[test]
-    fn kernels_slowdown_fails_the_gate() {
-        let mut r = good_report();
-        r.kernels.optimized_s = r.kernels.baseline_scalar_s / 1.2;
-        r.kernels.speedup = 1.2;
-        let errs = r.validate().unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("below the 1.5 gate")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn kernels_nonidentical_output_fails_validation() {
-        let mut r = good_report();
-        r.kernels.identical_output = false;
-        let errs = r.validate().unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("differs bitwise from the scalar baseline")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
-    fn harness_report_rejects_json_missing_kernels() {
-        // A pre-extension report without the kernels phase must not parse:
-        // the ≥1.5x data-layout gate cannot be skipped by feeding the ci
-        // gate a stale file.
-        let legacy = r#"{
-            "scale": "Reduced",
-            "host_threads": 4,
-            "dispatch_floor_ns": 4000,
-            "phases": [{
-                "phase": "table generation",
-                "seq_seconds": 0.001,
-                "par_seconds": 0.001,
-                "speedup": 1.0,
-                "identical_output": true,
-                "breakdown": {
-                    "dispatch_overhead_s": 0.0,
-                    "imbalance_s": 0.0,
-                    "useful_work_s": 0.001
-                }
-            }]
-        }"#;
-        assert!(serde_json::from_str::<HarnessReport>(legacy).is_err());
-    }
-
+    /// The terrain pipeline (Program 3) through the pinned scalar baseline
+    /// (`terrain_masking_reference`: fresh per-threat allocations,
+    /// cell-at-a-time recurrence) and through the run-based arena
+    /// kernels, one thread each: the comparison is data layout, not
+    /// scheduling, so core count cannot flip it. Identity always; the
+    /// ratio only with optimizations on — debug builds pay bounds checks
+    /// and no inlining, which flattens the data-layout win to ~1.1x
+    /// (`ci.sh` runs this test under `--release`).
     #[test]
     fn measured_kernels_phase_clears_the_gate() {
-        // The real measurement on the reduced scenario: bit-identical
-        // output in every profile, and a speedup at or above the ci gate
-        // when optimizations are on. Debug builds pay bounds checks and
-        // no inlining, which flattens the data-layout win to ~1.1x, so
-        // the perf half of the assertion is release-only — `repro --gate`
-        // (always release in ci.sh) enforces it on every CI run anyway.
-        let k = measure_kernels(WorkloadScale::Reduced);
-        assert!(k.identical_output, "{k:?}");
-        assert!(k.speedup.is_finite() && k.speedup > 0.0, "{k:?}");
-        #[cfg(not(debug_assertions))]
-        assert!(
-            k.speedup >= KERNELS_SPEEDUP_GATE,
-            "kernels speedup below gate: {k:?}"
-        );
-    }
-
-    #[test]
-    fn empty_report_fails_validation() {
-        let r = HarnessReport {
-            scale: "Reduced".to_string(),
-            host_threads: 0,
-            dispatch_floor_ns: 0,
-            phases: Vec::new(),
-            kernels: good_report().kernels,
+        use c3i::terrain::{
+            generate, terrain_masking_into, terrain_masking_reference, TerrainScenarioParams,
         };
-        let errs = r.validate().unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("no phases")));
-        assert!(errs.iter().any(|e| e.contains("host_threads")));
-    }
-
-    #[test]
-    fn harness_report_round_trips_through_json() {
-        let r = good_report();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: HarnessReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-        // The extended schema's keys must actually be present in the JSON.
-        assert!(json.contains("\"breakdown\""));
-        assert!(json.contains("\"dispatch_overhead_s\""));
-        assert!(json.contains("\"kernels\""));
-        assert!(json.contains("\"baseline_scalar_s\""));
-    }
-
-    #[test]
-    fn harness_report_rejects_json_missing_breakdown() {
-        // A pre-extension BENCH_harness.json (no breakdown key) must not
-        // silently parse — the ci gate relies on the schema being current.
-        let legacy = r#"{
-            "scale": "Reduced",
-            "host_threads": 4,
-            "phases": [{
-                "phase": "table generation",
-                "seq_seconds": 0.001,
-                "par_seconds": 0.001,
-                "speedup": 1.0,
-                "identical_output": true
-            }]
-        }"#;
-        assert!(serde_json::from_str::<HarnessReport>(legacy).is_err());
+        // The reduced workload scale's terrain configuration.
+        let scenario = generate(TerrainScenarioParams {
+            grid_size: 512,
+            n_threats: 30,
+            seed: 1,
+            ..TerrainScenarioParams::default()
+        });
+        let (t_base, baseline) = best_of(3, || terrain_masking_reference(&scenario));
+        let mut optimized = c3i::Grid::new(0, 0, f64::INFINITY);
+        // One warm-up sizes the thread's arena; the timed runs then measure
+        // the allocation-free steady state the pipeline actually runs in.
+        terrain_masking_into(&scenario, &mut optimized, &mut c3i::NoRec);
+        let (t_opt, ()) = best_of(3, || {
+            terrain_masking_into(&scenario, &mut optimized, &mut c3i::NoRec)
+        });
+        assert_eq!(
+            (baseline.x_size(), baseline.y_size()),
+            (optimized.x_size(), optimized.y_size())
+        );
+        assert!(
+            baseline
+                .as_slice()
+                .iter()
+                .zip(optimized.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "optimized masking grid differs bitwise from the scalar baseline"
+        );
+        let speedup = t_base / t_opt;
+        assert!(speedup.is_finite() && speedup > 0.0, "{t_base} / {t_opt}");
+        assert!(
+            cfg!(debug_assertions) || speedup >= KERNELS_SPEEDUP_GATE,
+            "kernels speedup {speedup:.2}x is below the {KERNELS_SPEEDUP_GATE} gate \
+             (scalar baseline {t_base:.6} s, optimized {t_opt:.6} s)"
+        );
     }
 }

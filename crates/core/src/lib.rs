@@ -40,11 +40,9 @@ pub mod workload;
 
 pub use cache::{load_or_measure, CacheStatus, Snapshot};
 pub use calibrate::{calibrate, Calibration, PaperAnchors};
-pub use experiments::{Experiments, Figure, HarnessReport, PhaseBreakdown, PhaseTiming};
+pub use experiments::{Experiments, Figure};
 pub use models::{ConventionalModel, TeraModel};
-pub use service::{
-    EvalError, EvalRequest, Evaluator, Platform, Service, ServiceConfig, ServiceReport,
-};
+pub use service::{EvalError, EvalRequest, Evaluator, Platform, Service, ServiceConfig};
 pub use tables::Table;
 pub use wire::{Client, Server};
 pub use workload::{Workload, WorkloadScale};

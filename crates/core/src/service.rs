@@ -31,8 +31,6 @@
 //!    [`sthreads::par_map`], one shard per pool worker. Per-request
 //!    latency (admission to response) feeds the service's own log₂
 //!    histogram ([`Service::latency`]), which also sets the retry hint.
-//! 4. [`ServiceReport`] — the `BENCH_service.json` schema written by the
-//!    `repro --load` generator and enforced by `repro --gate`.
 //!
 //! The socket layer (length-prefixed JSON frames, the `repro --serve`
 //! server and `--load` client) lives in [`crate::wire`].
@@ -643,191 +641,9 @@ impl LatencySnapshot {
     }
 }
 
-// ── the BENCH_service.json report ────────────────────────────────────────
-
-/// Schema tag identifying a [`ServiceReport`] document; `repro --gate`
-/// dispatches on it.
-pub const SERVICE_SCHEMA: &str = "c3i.service-bench.v1";
-
-/// Minimum requests a gateable load run must have completed. A report
-/// over a handful of requests says nothing about percentiles.
-pub const SERVICE_MIN_REQUESTS: usize = 20;
-
-/// The `BENCH_service.json` document: one `repro --load` run's measured
-/// service-level objectives, gated in CI by `repro --gate`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ServiceReport {
-    /// Must be [`SERVICE_SCHEMA`]; identifies the document type.
-    pub schema: String,
-    /// Workload scale the server evaluated at (`"Paper"`/`"Reduced"`).
-    pub scale: String,
-    /// Requests in the replayed mix.
-    pub requests: usize,
-    /// Requests that completed with a response (must equal `requests`).
-    pub completed: usize,
-    /// Overload rejections observed (each was retried until admitted).
-    pub rejected: usize,
-    /// Concurrent client connections used by the generator.
-    pub connections: usize,
-    /// Seed of the fuzzer-generated request mix.
-    pub mix_seed: u64,
-    /// Median request latency, milliseconds (client-measured).
-    pub p50_ms: f64,
-    /// 90th-percentile request latency, milliseconds.
-    pub p90_ms: f64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
-    /// Worst observed request latency, milliseconds.
-    pub max_ms: f64,
-    /// Completed requests per second of load-run wall-clock.
-    pub throughput_rps: f64,
-    /// Whether **every** served response was byte-identical to the
-    /// direct sequential [`Evaluator::evaluate`] reference.
-    pub identical_output: bool,
-}
-
-impl ServiceReport {
-    /// Check the report against the service gate: schema tag, full
-    /// completion, bit-identical responses, sane ordered percentiles,
-    /// positive throughput. Returns every violation, not just the first.
-    pub fn validate(&self) -> Result<(), Vec<String>> {
-        let mut errs = Vec::new();
-        if self.schema != SERVICE_SCHEMA {
-            errs.push(format!(
-                "schema '{}' is not '{SERVICE_SCHEMA}'",
-                self.schema
-            ));
-        }
-        if self.requests < SERVICE_MIN_REQUESTS {
-            errs.push(format!(
-                "only {} requests; the gate needs >= {SERVICE_MIN_REQUESTS} for meaningful percentiles",
-                self.requests
-            ));
-        }
-        if self.completed != self.requests {
-            errs.push(format!(
-                "{} of {} requests completed — the service dropped requests",
-                self.completed, self.requests
-            ));
-        }
-        if !self.identical_output {
-            errs.push(
-                "identical_output is false: a served response differed from the direct \
-                 sequential evaluation"
-                    .to_string(),
-            );
-        }
-        if self.connections == 0 {
-            errs.push("connections is zero".to_string());
-        }
-        for (name, v) in [
-            ("p50_ms", self.p50_ms),
-            ("p90_ms", self.p90_ms),
-            ("p99_ms", self.p99_ms),
-            ("max_ms", self.max_ms),
-            ("throughput_rps", self.throughput_rps),
-        ] {
-            if !(v.is_finite() && v > 0.0) {
-                errs.push(format!("{name} = {v} is not positive"));
-            }
-        }
-        if !(self.p50_ms <= self.p90_ms && self.p90_ms <= self.p99_ms && self.p99_ms <= self.max_ms)
-        {
-            errs.push(format!(
-                "percentiles are not ordered: p50 {} <= p90 {} <= p99 {} <= max {}",
-                self.p50_ms, self.p90_ms, self.p99_ms, self.max_ms
-            ));
-        }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
-    }
-
-    /// Human-readable rendition of the report.
-    pub fn render(&self) -> String {
-        format!(
-            "Service load report ({} scale, {} connections, mix seed {})\n\
-             \x20 requests             {:>8}  ({} completed, {} overload rejections retried)\n\
-             \x20 latency p50/p90/p99  {:>8.3} / {:.3} / {:.3} ms  (max {:.3} ms)\n\
-             \x20 throughput           {:>8.1} requests/s\n\
-             \x20 identical to direct  {:>8}\n",
-            self.scale,
-            self.connections,
-            self.mix_seed,
-            self.requests,
-            self.completed,
-            self.rejected,
-            self.p50_ms,
-            self.p90_ms,
-            self.p99_ms,
-            self.max_ms,
-            self.throughput_rps,
-            self.identical_output,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn report() -> ServiceReport {
-        ServiceReport {
-            schema: SERVICE_SCHEMA.to_string(),
-            scale: "Reduced".to_string(),
-            requests: 64,
-            completed: 64,
-            rejected: 3,
-            connections: 4,
-            mix_seed: 1,
-            p50_ms: 1.5,
-            p90_ms: 3.0,
-            p99_ms: 9.0,
-            max_ms: 12.0,
-            throughput_rps: 800.0,
-            identical_output: true,
-        }
-    }
-
-    #[test]
-    fn valid_report_passes_and_round_trips() {
-        let r = report();
-        r.validate().expect("valid report");
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back: ServiceReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn gate_rejects_each_violation() {
-        let mut r = report();
-        r.schema = "bogus".into();
-        assert!(r.validate().is_err());
-
-        let mut r = report();
-        r.completed = 63;
-        assert!(r.validate().is_err());
-
-        let mut r = report();
-        r.identical_output = false;
-        let errs = r.validate().unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("identical_output")));
-
-        let mut r = report();
-        r.p99_ms = 0.5; // below p90: unordered
-        assert!(r.validate().is_err());
-
-        let mut r = report();
-        r.requests = 5;
-        r.completed = 5;
-        assert!(r.validate().is_err());
-
-        let mut r = report();
-        r.throughput_rps = f64::NAN;
-        assert!(r.validate().is_err());
-    }
 
     #[test]
     fn latency_histogram_reports_bucket_edge_quantiles() {

@@ -1,8 +1,8 @@
 //! `repro` — regenerate every table and figure of the SC'98 paper.
 //!
 //! ```text
-//! repro [--reduced] [--no-cache] [--timing] [--profile] [--gate FILE]
-//!       [--csv DIR] [--out FILE] [SECTION...]
+//! repro [--reduced] [--no-cache] [--profile] [--csv DIR] [--out FILE]
+//!       [SECTION...]
 //! repro --serve ADDR [--reduced] [--threads N]
 //! repro --load ADDR [--requests N] [--conns N] [--mix-seed S] [--stop-server]
 //!
@@ -19,9 +19,8 @@
 //!
 //! The expensive workload measurement is memoized on disk (see
 //! `eval_core::cache`); `--no-cache` forces a fresh measurement without
-//! reading or writing snapshots. `--timing` times the harness's own
-//! parallelization (1 host thread vs all of them), verifies the outputs
-//! are byte-identical, and writes the report to `BENCH_harness.json`.
+//! reading or writing snapshots. `repro` produces and gates no timing of
+//! its own: every timing comes from `benchmark/` (see its README).
 //!
 //! `--profile` turns on the `sthreads::stats` nano-timing tier for the
 //! whole run and appends an observability report: where the pool's time
@@ -34,31 +33,22 @@
 //! requests over a socket (Unix path if ADDR contains `/`, else TCP)
 //! through `eval_core::service`'s bounded batching queue; `--load ADDR`
 //! replays a fuzzer-generated request mix against such a server, checks
-//! every response against a direct sequential evaluation, and writes
-//! `BENCH_service.json` (p50/p90/p99 latency, throughput, and the
-//! bit-identity verdict).
-//!
-//! `--gate FILE` parses FILE as either a `BENCH_harness.json` or a
-//! `BENCH_service.json` (dispatching on shape), checks it against that
-//! report's invariants (every phase bit-identical and speedups at their
-//! gates; or full completion, ordered positive percentiles and
-//! `identical_output: true`), and exits non-zero on any violation — this
-//! is what `ci.sh` runs.
+//! every response against a direct sequential evaluation, and exits
+//! non-zero unless every request completed bit-identical — an identity
+//! and completion smoke that writes no file.
 //!
 //! Every flag that takes an operand (`--csv`, `--json`, `--out`,
-//! `--gate`, `--fuzz`, `--fuzz-seed`, `--threads`, `--serve`, `--load`,
+//! `--fuzz`, `--fuzz-seed`, `--threads`, `--serve`, `--load`,
 //! `--requests`, `--conns`, `--mix-seed`) exits with the usage message
 //! when the operand is missing or flag-like — a bare `repro --json` is a
 //! mistake, not a request to skip JSON output.
 
 use eval_core::cache;
-use eval_core::experiments::{self, Figure, HarnessReport};
-use eval_core::service::SERVICE_SCHEMA;
+use eval_core::experiments::{self, Figure};
 use eval_core::workload::WorkloadScale;
-use eval_core::{Client, Evaluator, Server, Service, ServiceConfig, ServiceReport};
+use eval_core::{Client, Evaluator, Server, Service, ServiceConfig};
 use mta_sim::kernels::measure_utilization_sweep;
 use std::io::Write;
-use std::time::Instant;
 use sthreads::ThreadPool;
 
 #[derive(Debug)]
@@ -68,9 +58,7 @@ struct Options {
     json_file: Option<String>,
     out_file: Option<String>,
     use_cache: bool,
-    timing: bool,
     profile: bool,
-    gate: Option<String>,
     n_threads: Option<usize>,
     fuzz: Option<usize>,
     fuzz_seed: u64,
@@ -83,8 +71,8 @@ struct Options {
     sections: Vec<String>,
 }
 
-const USAGE: &str = "usage: repro [--reduced] [--no-cache] [--timing] [--profile] \
-     [--gate FILE] [--fuzz N] [--fuzz-seed S] [--threads N] [--csv DIR] \
+const USAGE: &str = "usage: repro [--reduced] [--no-cache] [--profile] \
+     [--fuzz N] [--fuzz-seed S] [--threads N] [--csv DIR] \
      [--json FILE] [--out FILE] [--serve ADDR] \
      [--load ADDR [--requests N] [--conns N] [--mix-seed S] [--stop-server]] \
      [tables|figures|utilization|autopar|table-auto|scalability|sensitivity|all]...";
@@ -122,9 +110,7 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Options, St
         json_file: None,
         out_file: None,
         use_cache: true,
-        timing: false,
         profile: false,
-        gate: None,
         n_threads: None,
         fuzz: None,
         fuzz_seed: 1,
@@ -144,15 +130,7 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Options, St
             "--json" => opts.json_file = Some(operand("--json", "a file path", &mut args)?),
             "--out" => opts.out_file = Some(operand("--out", "a file path", &mut args)?),
             "--no-cache" => opts.use_cache = false,
-            "--timing" => opts.timing = true,
             "--profile" => opts.profile = true,
-            "--gate" => {
-                opts.gate = Some(operand(
-                    "--gate",
-                    "a BENCH_harness.json or BENCH_service.json path",
-                    &mut args,
-                )?)
-            }
             "--fuzz" => opts.fuzz = Some(parsed_operand("--fuzz", "a case count", &mut args)?),
             "--fuzz-seed" => {
                 opts.fuzz_seed = parsed_operand("--fuzz-seed", "a u64 seed", &mut args)?
@@ -213,80 +191,6 @@ fn want(opts: &Options, section: &str) -> bool {
     opts.sections.iter().any(|s| s == section || s == "all")
 }
 
-/// `--gate FILE`: validate a benchmark report and exit. The file's shape
-/// picks the schema: a parseable `BENCH_service.json` is checked against
-/// the service gate, anything else against the harness invariants. Any
-/// problem — unreadable file, schema mismatch, invariant violation —
-/// exits 1 with every violation listed, so CI output shows the whole
-/// picture at once.
-fn run_gate(path: &str) -> ! {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("gate: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Ok(report) = serde_json::from_str::<ServiceReport>(&text) {
-        match report.validate() {
-            Ok(()) => {
-                println!(
-                    "gate: {path} OK — service bench: {} requests over {} connections, \
-                     p50 {:.3} ms / p99 {:.3} ms, {:.1} req/s, every response bit-identical \
-                     to direct evaluation",
-                    report.requests,
-                    report.connections,
-                    report.p50_ms,
-                    report.p99_ms,
-                    report.throughput_rps,
-                );
-                std::process::exit(0);
-            }
-            Err(errs) => {
-                for e in &errs {
-                    eprintln!("gate: FAIL: {e}");
-                }
-                std::process::exit(1);
-            }
-        }
-    }
-    let report: HarnessReport = match serde_json::from_str(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!(
-                "gate: {path} matches neither the BENCH_harness.json nor the \
-                 BENCH_service.json ({SERVICE_SCHEMA}) schema: {e}"
-            );
-            std::process::exit(1);
-        }
-    };
-    match report.validate() {
-        Ok(()) => {
-            let tg = report
-                .phases
-                .iter()
-                .find(|p| p.phase == "table generation")
-                .expect("validate() guarantees the phase exists");
-            println!(
-                "gate: {path} OK — {} phases identical, table generation {:.2}x (gate {}), \
-                 kernels vs scalar baseline {:.2}x (gate {})",
-                report.phases.len(),
-                tg.speedup,
-                experiments::TABLE_GEN_SPEEDUP_GATE,
-                report.kernels.speedup,
-                experiments::KERNELS_SPEEDUP_GATE,
-            );
-            std::process::exit(0);
-        }
-        Err(errs) => {
-            for e in &errs {
-                eprintln!("gate: FAIL: {e}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `--serve ADDR`: load the workload **once** into a long-lived
 /// [`Evaluator`], put the bounded batching [`Service`] in front of it,
 /// and serve the framed-JSON protocol until a client sends `Shutdown`.
@@ -326,7 +230,6 @@ fn run_serve(addr: &str, scale: WorkloadScale, use_cache: bool, n_threads: usize
 /// Per-connection tally from one load-generator thread.
 #[derive(Default)]
 struct ConnStats {
-    latencies_ns: Vec<u64>,
     rejected: usize,
     completed: usize,
     mismatches: Vec<String>,
@@ -351,7 +254,6 @@ fn replay_connection(
     while i < mix.len() {
         let req = &mix[i];
         loop {
-            let t = Instant::now();
             let resp = client
                 .call(req.clone())
                 .unwrap_or_else(|e| panic!("load: connection {conn} request {i} failed: {e}"));
@@ -369,7 +271,6 @@ fn replay_connection(
                     break;
                 }
                 None => {
-                    stats.latencies_ns.push(t.elapsed().as_nanos() as u64);
                     stats.completed += 1;
                     let served = resp.ok.unwrap_or_default();
                     match evaluator.evaluate(req) {
@@ -393,19 +294,11 @@ fn replay_connection(
     stats
 }
 
-/// Exact percentile over a sorted latency list (nearest-rank), in ms.
-fn percentile_ms(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted_ns.len() as f64).ceil() as usize).clamp(1, sorted_ns.len());
-    sorted_ns[rank - 1] as f64 / 1e6
-}
-
-/// `--load ADDR`: replay a seeded request mix against a running server,
-/// verify bit-identity against direct sequential evaluation, and write
-/// `BENCH_service.json`. Exits non-zero if any response differed or any
-/// request was dropped.
+/// `--load ADDR`: replay a seeded request mix against a running server
+/// and verify bit-identity against direct sequential evaluation. Exits
+/// non-zero if any response differed or any request was dropped. A
+/// smoke, not a measurement: service timings come from the benchmark's
+/// `serve-mix` workload.
 fn run_load(addr: &str, opts: &Options) -> ! {
     let requests = opts.requests;
     let conns = opts.conns.clamp(1, requests.max(1));
@@ -421,7 +314,6 @@ fn run_load(addr: &str, opts: &Options) -> ! {
     eprintln!("load: reference workload {status:?}");
     let mix = c3i_fuzz::generate_mix(opts.mix_seed, requests);
 
-    let t0 = Instant::now();
     let per_conn: Vec<ConnStats> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..conns)
             .map(|c| {
@@ -435,7 +327,6 @@ fn run_load(addr: &str, opts: &Options) -> ! {
             .map(|h| h.join().expect("load connection thread panicked"))
             .collect()
     });
-    let wall = t0.elapsed();
 
     if opts.stop_server {
         match Client::connect(addr).map(|mut c| c.shutdown_server()) {
@@ -445,44 +336,23 @@ fn run_load(addr: &str, opts: &Options) -> ! {
         }
     }
 
-    let mut latencies: Vec<u64> = per_conn
-        .iter()
-        .flat_map(|c| c.latencies_ns.clone())
-        .collect();
-    latencies.sort_unstable();
     let completed: usize = per_conn.iter().map(|c| c.completed).sum();
     let rejected: usize = per_conn.iter().map(|c| c.rejected).sum();
     let mismatches: Vec<&String> = per_conn.iter().flat_map(|c| &c.mismatches).collect();
-
-    let report = ServiceReport {
-        schema: SERVICE_SCHEMA.to_string(),
-        scale: format!("{:?}", opts.scale),
-        requests,
-        completed,
-        rejected,
-        connections: conns,
-        mix_seed: opts.mix_seed,
-        p50_ms: percentile_ms(&latencies, 0.50),
-        p90_ms: percentile_ms(&latencies, 0.90),
-        p99_ms: percentile_ms(&latencies, 0.99),
-        max_ms: latencies.last().map_or(0.0, |&ns| ns as f64 / 1e6),
-        throughput_rps: completed as f64 / wall.as_secs_f64().max(1e-9),
-        identical_output: mismatches.is_empty(),
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize service report");
-    std::fs::write("BENCH_service.json", &json).expect("write BENCH_service.json");
-    eprintln!("wrote BENCH_service.json");
-    print!("{}", report.render());
+    println!(
+        "Service load smoke ({:?} scale, {conns} connections, mix seed {})\n\
+         \x20 requests             {requests:>8}  ({completed} completed, {rejected} overload \
+         rejections retried)\n\
+         \x20 identical to direct  {:>8}",
+        opts.scale,
+        opts.mix_seed,
+        mismatches.is_empty(),
+    );
     for m in mismatches.iter().take(10) {
         eprintln!("load: MISMATCH: {m}");
     }
     if mismatches.len() > 10 {
         eprintln!("load: ... and {} more mismatches", mismatches.len() - 10);
-    }
-    if let Err(errs) = report.validate() {
-        for e in &errs {
-            eprintln!("load: note (would fail --gate): {e}");
-        }
     }
     if mismatches.is_empty() && completed == requests {
         std::process::exit(0);
@@ -661,9 +531,6 @@ fn run_fuzz(n_cases: usize, seed: u64, reduced: bool) -> ! {
 
 fn main() {
     let opts = parse_args();
-    if let Some(path) = &opts.gate {
-        run_gate(path);
-    }
     if let Some(n_cases) = opts.fuzz {
         run_fuzz(
             n_cases,
@@ -673,7 +540,7 @@ fn main() {
     }
     if opts.profile {
         // Enable the clock-reading tier up front so every phase below is
-        // attributed, not just the --timing section.
+        // attributed.
         sthreads::stats::set_timing(true);
     }
     let n_threads = opts
@@ -794,15 +661,6 @@ fn main() {
         out.push('\n');
     }
 
-    if opts.timing {
-        let report = experiments::harness_timing(opts.scale, n_threads);
-        let json = serde_json::to_string_pretty(&report).expect("serialize timing report");
-        std::fs::write("BENCH_harness.json", &json).expect("write BENCH_harness.json");
-        eprintln!("wrote BENCH_harness.json");
-        out.push_str(&report.render());
-        out.push('\n');
-    }
-
     if opts.profile {
         out.push_str(&profile_report());
         out.push('\n');
@@ -833,7 +691,6 @@ mod tests {
             "--csv",
             "--json",
             "--out",
-            "--gate",
             "--fuzz",
             "--fuzz-seed",
             "--threads",
@@ -873,7 +730,10 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
+        // `--timing` and `--gate` were flags once; `benchmark/` replaced them.
+        for args in [&["--bogus"][..], &["--timing"], &["--gate", "x"]] {
+            assert!(parse(args).unwrap_err().contains(args[0]), "{args:?}");
+        }
     }
 
     #[test]
