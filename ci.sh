@@ -110,8 +110,8 @@ if grep -rn 'Stealing\|StealDeque\|set_steal_seed\|_host_sched' \
 fi
 # So is repro's own timing pipeline: the two reports, their schemas and
 # the flags that wrote and gated them (benchmark/ is the one place a
-# timing is produced). docs/LAYERS.md and the crate-map history name the
-# deleted files on purpose.
+# timing is produced). docs/LAYERS.md names the deleted files on purpose,
+# in its history rows.
 if grep -rn 'HarnessReport\|ServiceReport\|harness_timing\|BENCH_harness\|BENCH_service\|SERVICE_SCHEMA' \
   crates src tests examples docs README.md EXPERIMENTS.md .claude |
   grep -v '^docs/LAYERS.md:'; then

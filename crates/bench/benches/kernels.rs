@@ -1,7 +1,6 @@
 //! Per-kernel benchmarks of the c3i hot paths, each paired with its
-//! pinned baseline so the 1.5x ratio `eval-core`'s
-//! `measured_kernels_phase_clears_the_gate` asserts can be reproduced (and
-//! bisected) kernel by kernel:
+//! pinned baseline so the 1.5x ratio of `eval-core`'s kernels test can be
+//! reproduced (and bisected) kernel by kernel:
 //!
 //! * `los_recurrence` — the XDraw ring recurrence over one paper-scale
 //!   region: historical cell-at-a-time `reference` kernel vs the
