@@ -48,10 +48,28 @@ cargo test -q --release -p eval-core measured_kernels_phase_clears_the_gate
 # explicitly before invoking it.
 cargo build --release -p repro
 
+echo "== paper tables (13 CSVs byte-identical to results/) =="
+# The whole pipeline at paper scale, cold: every CSV `repro all` writes
+# must equal its pinned copy. Nothing else in the workspace compares the
+# twelve paper tables byte for byte (benchmark/ does, as a side effect of
+# its paper-cold workload); this makes it a gate.
+TABLES_DIR=$(mktemp -d)
+./target/release/repro --no-cache all --csv "$TABLES_DIR" > /dev/null
+diff -r results "$TABLES_DIR"
+rm -rf "$TABLES_DIR"
+
+echo "== paper-scale workload: counted == recorded (release-only) =="
+# `Workload::build` counts its op profiles; the recorded programs under
+# an OpRecorder are the oracle. tier-1 holds the identity at Reduced;
+# the paper-scale arm is ignored unoptimized, so it runs here (1/2/8
+# workers against one recorded assembly).
+cargo test -q --release --test parallel_oracle built_workload_equals_recorded_workload
+
 echo "== differential fuzz smoke (fixed seed) =="
 # A short fixed-seed campaign: 25 reduced-size generated scenarios, each
 # run sequential-oracle × {coarse,fine,chunked} × {1,2,8} workers with
-# bit-identical comparison. The fixed
+# bit-identical comparison, plus the op counters against the recorded
+# programs. The fixed
 # seed makes this a deterministic regression check, not a flaky lottery;
 # broaden locally with `repro --fuzz 200 --fuzz-seed $RANDOM`.
 ./target/release/repro --reduced --fuzz 25 --fuzz-seed 1

@@ -9,6 +9,10 @@
 //! flatten to the identical interval list, and the fine-grained fetch-add
 //! program must match as a canonical-sorted set (its slot order is
 //! inherently racy — the paper's §5 point).
+//!
+//! Both kinds also run the op-count differential: the recorder-free
+//! counters the harness builds its workload from (`terrain::op_profile`,
+//! `threat::op_profile`) must equal the recorded programs, field by field.
 
 use crate::gen::FuzzCase;
 use c3i::terrain;
@@ -101,6 +105,18 @@ fn first_grid_diff(seq: &c3i::Grid<f64>, got: &c3i::Grid<f64>) -> Option<String>
     None
 }
 
+/// Outcome of a counter differential as a [`Failure`], if it is one.
+fn counter_failure(config: &str, diff: Result<Option<&'static str>, Failure>) -> Option<Failure> {
+    match diff {
+        Err(f) => Some(f),
+        Ok(None) => None,
+        Ok(Some(what)) => Some(Failure {
+            config: config.to_string(),
+            detail: format!("counted {what} != recorded {what}"),
+        }),
+    }
+}
+
 /// Run one fuzz case through the full differential matrix.
 pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     match case {
@@ -144,6 +160,28 @@ fn run_terrain_case(s: &terrain::TerrainScenario) -> CaseOutcome {
                     });
                 }
             }
+        }
+    }
+
+    // Counter differential: ring geometry alone must reproduce what the
+    // three recorded programs charge on this grid and threat list.
+    {
+        let config = "terrain op counter";
+        let diff = guarded(config, || {
+            let (xs, ys) = (s.terrain.x_size(), s.terrain.y_size());
+            let counted = terrain::op_profile(xs, ys, &s.threats, N_BLOCKS);
+            if counted.seq != terrain::terrain_masking_profile(s).1 {
+                Some("sequential profile")
+            } else if counted.coarse_per_threat != terrain::per_threat_counts(s, N_BLOCKS) {
+                Some("coarse per-threat counts")
+            } else if counted.fine != terrain::terrain_masking_fine(s).1 {
+                Some("fine phase list")
+            } else {
+                None
+            }
+        });
+        if let Some(f) = counter_failure(config, diff) {
+            return CaseOutcome::Failed(f);
         }
     }
 
@@ -193,6 +231,25 @@ fn run_threat_case(s: &threat::ThreatScenario) -> CaseOutcome {
         });
     }
     let seq_canonical = threat::canonical(seq.clone());
+
+    // Counter differential: the exit-class histogram must reproduce what
+    // the stepwise scan records, per threat and for Program 1 as a whole.
+    {
+        let config = "threat op counter";
+        let diff = guarded(config, || {
+            let counted = threat::op_profile(s);
+            if counted.per_threat != threat::per_threat_counts(s) {
+                Some("per-threat counts")
+            } else if counted.seq != threat::threat_analysis_profile(s).1 {
+                Some("sequential profile")
+            } else {
+                None
+            }
+        });
+        if let Some(f) = counter_failure(config, diff) {
+            return CaseOutcome::Failed(f);
+        }
+    }
 
     for workers in WORKER_COUNTS {
         let config = format!("threat chunked x{workers}");

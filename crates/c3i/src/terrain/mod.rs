@@ -34,6 +34,7 @@
 //!   whole regions. One temp array total, hundreds of fine-grained threads.
 
 pub mod coarse;
+pub mod count;
 pub mod exact;
 pub mod fine;
 pub mod los;
@@ -46,6 +47,7 @@ pub mod verify;
 pub use coarse::{
     greedy_bins, per_threat_counts, terrain_masking_coarse, terrain_masking_coarse_host, Blocking,
 };
+pub use count::{op_profile, ring_ops, TerrainOps};
 pub use exact::{compare_with_recurrence, exact_blocking_slope, exact_per_threat_masking};
 pub use fine::{terrain_masking_fine, terrain_masking_fine_host};
 pub use los::{
@@ -54,8 +56,8 @@ pub use los::{
 pub use render::{render_grid, render_masking, render_terrain};
 pub use route::{altitude_sweep, exposed_fraction, is_exposed, plan_route, Route};
 pub use scenario::{
-    benchmark_suite, generate, small_scenario, GroundThreat, TerrainScenario, TerrainScenarioError,
-    TerrainScenarioParams,
+    benchmark_params, benchmark_suite, generate, small_scenario, GroundThreat, TerrainScenario,
+    TerrainScenarioError, TerrainScenarioParams,
 };
 pub use sequential::{
     terrain_masking, terrain_masking_host, terrain_masking_into, terrain_masking_profile,

@@ -296,16 +296,18 @@ pub fn generate(params: TerrainScenarioParams) -> TerrainScenario {
     }
 }
 
-/// The five benchmark input scenarios (seeds 1–5, benchmark scale).
+/// Parameters of the five benchmark input scenarios (seeds 1–5, benchmark
+/// scale), for callers that generate them one at a time.
+pub fn benchmark_params() -> impl Iterator<Item = TerrainScenarioParams> {
+    (1..=5).map(|seed| TerrainScenarioParams {
+        seed,
+        ..TerrainScenarioParams::default()
+    })
+}
+
+/// The five benchmark input scenarios ([`benchmark_params`], generated).
 pub fn benchmark_suite() -> Vec<TerrainScenario> {
-    (1..=5)
-        .map(|seed| {
-            generate(TerrainScenarioParams {
-                seed,
-                ..TerrainScenarioParams::default()
-            })
-        })
-        .collect()
+    benchmark_params().map(generate).collect()
 }
 
 /// A reduced scenario for tests and quick examples: 128×128 cells, 12

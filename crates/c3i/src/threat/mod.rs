@@ -46,14 +46,15 @@ pub use chunked::{threat_analysis_chunked, threat_analysis_chunked_host, Chunked
 pub use engagement::{coverage, schedule_exhaustive, schedule_greedy, Engagement, Plan};
 pub use fine::{threat_analysis_fine, threat_analysis_fine_host};
 pub use model::{
-    can_intercept, intervals_for_pair, intervals_for_pair_stepwise, Interval, Threat, Weapon,
-    TIME_STEP,
+    can_intercept, exit_class, intervals_for_pair, intervals_for_pair_stepwise, pair_counts, Exit,
+    ExitCost, Interval, Threat, Weapon, TIME_STEP,
 };
 pub use scenario::{
-    benchmark_suite, generate, small_scenario, ThreatScenario, ThreatScenarioError,
-    ThreatScenarioParams,
+    benchmark_params, benchmark_suite, generate, small_scenario, ThreatScenario,
+    ThreatScenarioError, ThreatScenarioParams,
 };
 pub use sequential::{
-    per_threat_counts, threat_analysis, threat_analysis_host, threat_analysis_profile,
+    op_profile, per_threat_counts, threat_analysis, threat_analysis_host, threat_analysis_profile,
+    ThreatOps,
 };
 pub use verify::{canonical, verify_intervals, VerifyError};

@@ -10,6 +10,7 @@
 //! zero, one, or more maximal interception intervals per pair.
 
 use crate::counts::Rec;
+use sthreads::{OpCounts, OpRecorder};
 
 /// Simulation time step in seconds. The benchmark scans interception
 /// feasibility at integer multiples of this step.
@@ -59,11 +60,7 @@ impl Threat {
     /// is not in flight. Horizontal motion is uniform from launch to
     /// impact; vertical motion is the parabola `z(τ) = 4·H·τ·(1−τ)` with
     /// `τ` the flight fraction — the standard drag-free ballistic shape.
-    pub fn position<R: Rec>(&self, t: f64, r: &mut R) -> Option<(f64, f64, f64)> {
-        // The trajectory record is register-resident across the scan loop;
-        // only the time-window test touches it here.
-        r.load(2);
-        r.fp(2);
+    pub fn position(&self, t: f64) -> Option<(f64, f64, f64)> {
         if t < self.launch_time || t > self.impact_time() {
             return None;
         }
@@ -71,8 +68,6 @@ impl Threat {
         let x = self.launch.0 + (self.impact.0 - self.launch.0) * tau;
         let y = self.launch.1 + (self.impact.1 - self.launch.1) * tau;
         let z = 4.0 * self.apex_height * tau * (1.0 - tau);
-        r.load(2); // endpoints + apex (mostly register-resident)
-        r.fp(10); // interpolation + parabola
         Some((x, y, z))
     }
 }
@@ -111,8 +106,75 @@ pub struct Interval {
     pub t_end: u32,
 }
 
-/// The interception predicate: can `weapon` intercept `threat` at time step
-/// `step`? True when, at `t = step·TIME_STEP`:
+/// Which of the interception predicate's five exits a time step takes.
+/// The predicate is a chain of early-outs, so the exit fixes exactly what
+/// one evaluation costs ([`Exit::cost`]): that is what lets
+/// [`pair_counts`] count a scan from a histogram of exits instead of
+/// recording it call by call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exit {
+    /// Before detection plus reaction delay, or after impact.
+    Timing,
+    /// Past the timing test but the threat is not in flight.
+    NotInFlight,
+    /// Altitude outside the weapon's `[min_alt, max_alt]` envelope.
+    Envelope,
+    /// Slant range beyond `max_range`.
+    Range,
+    /// Every envelope conjunct held and the fly-out time was compared —
+    /// the only exit that can report an intercept.
+    FlyOut,
+}
+
+/// Operations one predicate evaluation performs, by class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExitCost {
+    /// Integer ALU operations.
+    pub int: u64,
+    /// Floating-point operations.
+    pub fp: u64,
+    /// Loads of the (cache-resident) threat and weapon records.
+    pub load: u64,
+}
+
+impl Exit {
+    /// Every exit, in the order the predicate tests them.
+    pub const ALL: [Exit; 5] = [
+        Exit::Timing,
+        Exit::NotInFlight,
+        Exit::Envelope,
+        Exit::Range,
+        Exit::FlyOut,
+    ];
+
+    /// What an evaluation leaving through this exit costs, as
+    /// `(int, fp, load)`; each stage adds to the one before it. The
+    /// trajectory record is mostly register-resident across the scan loop,
+    /// which is why the loads stay this small.
+    pub const fn cost(self) -> ExitCost {
+        let (int, fp, load) = match self {
+            // step -> time and loop bookkeeping (int 2); the detection +
+            // reaction / impact window test (fp 2, load 2).
+            Exit::Timing => (2, 2, 2),
+            // + the trajectory's in-flight window test (fp 2, load 2).
+            Exit::NotInFlight => (2, 4, 4),
+            // + interpolation and parabola (fp 10, load 2: endpoints +
+            // apex), then the envelope bounds test (fp 2, load 2).
+            Exit::Envelope => (2, 16, 8),
+            // + slant range (fp 7, load 2) and squaring `max_range` on the
+            // way out (fp 1).
+            Exit::Range => (2, 24, 10),
+            // + slant range (fp 7, load 2), then sqrt, divide and the
+            // fly-out compare (fp 3) against the interceptor speed (load 1).
+            Exit::FlyOut => (2, 26, 11),
+        };
+        ExitCost { int, fp, load }
+    }
+}
+
+/// The interception predicate without a recorder: which exit `step` takes,
+/// and whether `weapon` can intercept `threat` there (only ever true at
+/// [`Exit::FlyOut`]). True when, at `t = step·TIME_STEP`:
 ///
 /// 1. the threat is in flight and already detected (plus the weapon's
 ///    reaction delay),
@@ -126,41 +188,43 @@ pub struct Interval {
 /// Each evaluation performs a fixed small amount of floating-point work —
 /// the time-stepped inner simulation the paper calls "not amenable to
 /// parallelization".
-pub fn can_intercept<R: Rec>(weapon: &Weapon, threat: &Threat, step: u32, r: &mut R) -> bool {
+pub fn exit_class(weapon: &Weapon, threat: &Threat, step: u32) -> (Exit, bool) {
     let t = step as f64 * TIME_STEP;
-    r.int(2); // step -> time, loop bookkeeping
 
     let earliest = threat.detect_time() + weapon.reaction_time;
-    r.load(2);
-    r.fp(2);
     if t < earliest || t > threat.impact_time() {
-        return false;
+        return (Exit::Timing, false);
     }
 
-    let Some((x, y, z)) = threat.position(t, r) else {
-        return false;
+    let Some((x, y, z)) = threat.position(t) else {
+        return (Exit::NotInFlight, false);
     };
 
-    r.load(2); // envelope bounds
-    r.fp(2);
     if z < weapon.min_alt || z > weapon.max_alt {
-        return false;
+        return (Exit::Envelope, false);
     }
 
     let dx = x - weapon.pos.0;
     let dy = y - weapon.pos.1;
     let slant2 = dx * dx + dy * dy + z * z;
-    r.load(2);
-    r.fp(7);
     if slant2 > weapon.max_range * weapon.max_range {
-        r.fp(1);
-        return false;
+        return (Exit::Range, false);
     }
 
     let flyout = slant2.sqrt() / weapon.interceptor_speed;
-    r.load(1);
-    r.fp(3);
-    flyout <= t - earliest
+    (Exit::FlyOut, flyout <= t - earliest)
+}
+
+/// The interception predicate: can `weapon` intercept `threat` at time step
+/// `step`? [`exit_class`] decides; `r` is charged that exit's
+/// [`Exit::cost`].
+pub fn can_intercept<R: Rec>(weapon: &Weapon, threat: &Threat, step: u32, r: &mut R) -> bool {
+    let (exit, feasible) = exit_class(weapon, threat, step);
+    let cost = exit.cost();
+    r.int(cost.int);
+    r.fp(cost.fp);
+    r.load(cost.load);
+    feasible
 }
 
 /// Scan the time-stepped simulation for one (threat, weapon) pair and emit
@@ -232,6 +296,55 @@ pub fn intervals_for_pair_stepwise<R: Rec>(
         r.int(2); // counter increment + t0 update
         t0 = t2 + 1;
     }
+}
+
+/// What [`intervals_for_pair_stepwise`] records for one pair under an
+/// [`OpRecorder`], counted instead of recorded: one recorder-free pass over
+/// the scan window builds a histogram of predicate exits, and the loop's
+/// own bookkeeping follows from how the feasible steps group into runs.
+///
+/// The stepwise loop evaluates every step of the window once, and the step
+/// after each interval that ends before the window does once more (the
+/// extension loop stops on it, then the search loop restarts on it). It
+/// charges `int 2` per infeasible step and per step that extends an
+/// interval, and `sstore 4, int 2` per interval emitted. Like the stepwise
+/// loop — and unlike the batch scan — nothing is pruned: a pair that can
+/// never come within range still pays for every step.
+pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
+    let mut r = OpRecorder::new();
+    let first = threat.first_step();
+    let last = threat.last_step();
+    r.load(2);
+    r.int(2);
+    if first > last {
+        return r.counts();
+    }
+
+    let mut evaluations = [0u64; Exit::ALL.len()];
+    let (mut infeasible, mut extending, mut intervals) = (0u64, 0u64, 0u64);
+    let mut in_run = false;
+    for step in first..=last {
+        let (exit, feasible) = exit_class(weapon, threat, step);
+        evaluations[exit as usize] += if in_run && !feasible { 2 } else { 1 };
+        if !feasible {
+            infeasible += 1;
+        } else if in_run {
+            extending += 1;
+        } else {
+            intervals += 1;
+        }
+        in_run = feasible;
+    }
+
+    for exit in Exit::ALL {
+        let (n, cost) = (evaluations[exit as usize], exit.cost());
+        r.int(n * cost.int);
+        r.fp(n * cost.fp);
+        r.load(n * cost.load);
+    }
+    r.int(2 * (infeasible + extending + intervals));
+    r.sstore(4 * intervals);
+    r.counts()
 }
 
 /// Number of time steps evaluated per structure-of-arrays block in the
@@ -415,10 +528,10 @@ mod tests {
     #[test]
     fn trajectory_endpoints_are_on_the_ground() {
         let th = test_threat();
-        let (x0, y0, z0) = th.position(th.launch_time, &mut NoRec).unwrap();
+        let (x0, y0, z0) = th.position(th.launch_time).unwrap();
         assert_eq!((x0, y0), th.launch);
         assert!(z0.abs() < 1e-9);
-        let (x1, y1, z1) = th.position(th.impact_time(), &mut NoRec).unwrap();
+        let (x1, y1, z1) = th.position(th.impact_time()).unwrap();
         assert_eq!((x1, y1), th.impact);
         assert!(z1.abs() < 1e-9);
     }
@@ -427,19 +540,19 @@ mod tests {
     fn trajectory_apex_is_at_midcourse() {
         let th = test_threat();
         let tm = th.launch_time + th.flight_time / 2.0;
-        let (_, _, z) = th.position(tm, &mut NoRec).unwrap();
+        let (_, _, z) = th.position(tm).unwrap();
         assert!((z - th.apex_height).abs() < 1e-6);
         // Slightly before/after midcourse must be lower.
-        let (_, _, zb) = th.position(tm - 5.0, &mut NoRec).unwrap();
-        let (_, _, za) = th.position(tm + 5.0, &mut NoRec).unwrap();
+        let (_, _, zb) = th.position(tm - 5.0).unwrap();
+        let (_, _, za) = th.position(tm + 5.0).unwrap();
         assert!(zb < z && za < z);
     }
 
     #[test]
     fn position_is_none_outside_flight_window() {
         let th = test_threat();
-        assert!(th.position(th.launch_time - 1.0, &mut NoRec).is_none());
-        assert!(th.position(th.impact_time() + 1.0, &mut NoRec).is_none());
+        assert!(th.position(th.launch_time - 1.0).is_none());
+        assert!(th.position(th.impact_time() + 1.0).is_none());
     }
 
     #[test]
@@ -655,6 +768,50 @@ mod tests {
         intervals_for_pair(7, 9, &th, &w, &mut r, |iv| counted.push(iv));
         assert_eq!(counted, batch_intervals(&th, &w));
         assert!(r.counts().fp_ops > 0, "counting path must record work");
+    }
+
+    #[test]
+    fn exit_costs_are_the_recorded_per_step_charges() {
+        // Every op-count table is a multiple of these five rows.
+        let table: Vec<(u64, u64, u64)> = Exit::ALL
+            .iter()
+            .map(|e| {
+                let c = e.cost();
+                (c.int, c.fp, c.load)
+            })
+            .collect();
+        assert_eq!(
+            table,
+            [(2, 2, 2), (2, 4, 4), (2, 16, 8), (2, 24, 10), (2, 26, 11)]
+        );
+    }
+
+    #[test]
+    fn predicate_charges_the_cost_of_the_exit_it_takes() {
+        let th = test_threat();
+        let w = test_weapon();
+        let mut far = w;
+        far.pos = (1.0e7, 1.0e7);
+        far.max_alt = 1.0e6;
+        // (weapon, step, exit): before reaction, at the apex, out of
+        // range, and a step late in the descent that reaches the fly-out.
+        for (weapon, step, exit) in [
+            (&w, 15, Exit::Timing),
+            (&w, 110, Exit::Envelope),
+            (&far, 110, Exit::Range),
+            (&w, 205, Exit::FlyOut),
+        ] {
+            assert_eq!(exit_class(weapon, &th, step).0, exit, "step {step}");
+            let mut r = sthreads::OpRecorder::new();
+            let feasible = can_intercept(weapon, &th, step, &mut r);
+            assert_eq!(feasible, exit_class(weapon, &th, step).1);
+            let (c, cost) = (r.counts(), exit.cost());
+            assert_eq!(
+                (c.int_ops, c.fp_ops, c.loads),
+                (cost.int, cost.fp, cost.load)
+            );
+            assert_eq!(c.instructions(), cost.int + cost.fp + cost.load);
+        }
     }
 
     #[test]

@@ -239,17 +239,19 @@ pub fn generate(params: ThreatScenarioParams) -> ThreatScenario {
     ThreatScenario { threats, weapons }
 }
 
+/// Parameters of the five benchmark input scenarios: seeds 1–5, every
+/// other parameter at benchmark scale.
+pub fn benchmark_params() -> impl Iterator<Item = ThreatScenarioParams> {
+    (1..=5).map(|seed| ThreatScenarioParams {
+        seed,
+        ..ThreatScenarioParams::default()
+    })
+}
+
 /// The five benchmark input scenarios (paper: "total time for all five
-/// input scenarios"). Seeds 1–5; every other parameter at benchmark scale.
+/// input scenarios"): [`benchmark_params`], generated.
 pub fn benchmark_suite() -> Vec<ThreatScenario> {
-    (1..=5)
-        .map(|seed| {
-            generate(ThreatScenarioParams {
-                seed,
-                ..ThreatScenarioParams::default()
-            })
-        })
-        .collect()
+    benchmark_params().map(generate).collect()
 }
 
 /// A reduced scenario for tests and quick examples: 40 threats, 6 weapons.

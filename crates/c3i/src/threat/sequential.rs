@@ -6,10 +6,10 @@
 //! prior iteration, which is exactly why the automatic parallelizing
 //! compilers of both the Exemplar and the Tera could not parallelize it.
 
-use super::model::{intervals_for_pair, Interval};
+use super::model::{intervals_for_pair, pair_counts, Interval};
 use super::scenario::ThreatScenario;
 use crate::counts::{NoRec, Profile, Rec};
-use sthreads::OpRecorder;
+use sthreads::{OpCounts, OpRecorder};
 
 /// Sequential Threat Analysis (Program 1). Returns the interval list in
 /// the canonical (threat-major, weapon-minor, time-increasing) order the
@@ -36,6 +36,8 @@ pub fn threat_analysis_host(scenario: &ThreatScenario) -> Vec<Interval> {
 
 /// Run Program 1 under the counting backend, returning the intervals and
 /// the operation [`Profile`] (one logical thread; no parallel region).
+/// This is the oracle for [`op_profile`]'s `seq`, which is how the harness
+/// obtains the same profile without recording.
 pub fn threat_analysis_profile(scenario: &ThreatScenario) -> (Vec<Interval>, Profile) {
     let mut r = OpRecorder::new();
     let intervals = threat_analysis(scenario, &mut r);
@@ -46,7 +48,8 @@ pub fn threat_analysis_profile(scenario: &ThreatScenario) -> (Vec<Interval>, Pro
 /// Per-threat operation counts (threat `i`'s work against every weapon).
 /// Chunk profiles for *any* chunking are cheap aggregations of this
 /// vector, which is how the experiment harness sweeps Tables 3–6 without
-/// re-running the benchmark per configuration.
+/// re-running the benchmark per configuration. Recorded under an
+/// [`OpRecorder`]: the oracle for [`op_profile`]'s `per_threat`.
 pub fn per_threat_counts(scenario: &ThreatScenario) -> Vec<sthreads::OpCounts> {
     scenario
         .threats
@@ -69,6 +72,46 @@ pub fn per_threat_counts(scenario: &ThreatScenario) -> Vec<sthreads::OpCounts> {
             r.counts()
         })
         .collect()
+}
+
+/// Both Threat Analysis measurements of one scenario, as [`op_profile`]
+/// counts them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThreatOps {
+    /// What [`per_threat_counts`] records.
+    pub per_threat: Vec<OpCounts>,
+    /// What [`threat_analysis_profile`] records.
+    pub seq: Profile,
+}
+
+/// The scenario's operation counts without a recorder in the scan: every
+/// pair is counted once by [`pair_counts`], and Program 1 is exactly its
+/// `num_intervals = 0` plus the per-threat loop bodies, so the sequential
+/// profile is a sum rather than a second scan. Equal, field by field, to
+/// the two recorded entry points (the differential tests and the fuzz
+/// runner hold it to that).
+pub fn op_profile(scenario: &ThreatScenario) -> ThreatOps {
+    let per_threat: Vec<OpCounts> = scenario
+        .threats
+        .iter()
+        .map(|threat| {
+            let mut r = OpRecorder::new();
+            r.int(2 * scenario.weapons.len() as u64); // loop bookkeeping
+            r.load(2 * scenario.weapons.len() as u64); // threat/weapon descriptors
+            scenario.weapons.iter().fold(r.counts(), |acc, weapon| {
+                acc.merged(&pair_counts(threat, weapon))
+            })
+        })
+        .collect();
+    let mut main = OpRecorder::new();
+    main.int(1); // num_intervals = 0
+    let main = per_threat
+        .iter()
+        .fold(main.counts(), |acc, c| acc.merged(c));
+    ThreatOps {
+        per_threat,
+        seq: Profile::sequential(Default::default(), main),
+    }
 }
 
 #[cfg(test)]

@@ -106,6 +106,10 @@ const MEASUREMENT_SOURCES: &[(&str, &str)] = &[
         include_str!("../../c3i/src/terrain/los.rs"),
     ),
     (
+        "c3i/src/terrain/count.rs",
+        include_str!("../../c3i/src/terrain/count.rs"),
+    ),
+    (
         "c3i/src/terrain/exact.rs",
         include_str!("../../c3i/src/terrain/exact.rs"),
     ),

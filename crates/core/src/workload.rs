@@ -56,42 +56,42 @@ pub struct Workload {
     pub tm_serial: Vec<OpCounts>,
 }
 
-fn ta_scenarios(scale: WorkloadScale) -> Vec<ThreatScenario> {
+/// Generation parameters of the Threat Analysis suite at `scale`, in
+/// scenario order.
+pub fn ta_params(scale: WorkloadScale) -> Vec<ThreatScenarioParams> {
     match scale {
-        WorkloadScale::Paper => threat::benchmark_suite(),
+        WorkloadScale::Paper => threat::benchmark_params().collect(),
         // Reduced keeps the paper's 1000 threats per scenario (the
         // chunk-balance statistics of Tables 3-6 depend on it) and saves
         // time on the weapon count instead.
         WorkloadScale::Reduced => (1..=5)
-            .map(|seed| {
-                threat::generate(ThreatScenarioParams {
-                    n_threats: 1000,
-                    n_weapons: 3,
-                    seed,
-                    theater_m: 400_000.0,
-                    launch_window_s: 900.0,
-                })
+            .map(|seed| ThreatScenarioParams {
+                n_threats: 1000,
+                n_weapons: 3,
+                seed,
+                theater_m: 400_000.0,
+                launch_window_s: 900.0,
             })
             .collect(),
     }
 }
 
-fn tm_scenarios(scale: WorkloadScale) -> Vec<TerrainScenario> {
+/// Generation parameters of the Terrain Masking suite at `scale`, in
+/// scenario order.
+pub fn tm_params(scale: WorkloadScale) -> Vec<TerrainScenarioParams> {
     match scale {
-        WorkloadScale::Paper => terrain::benchmark_suite(),
+        WorkloadScale::Paper => terrain::benchmark_params().collect(),
         // Reduced keeps the paper's *shape*: threat density relative to
         // grid area stays at the paper's level (so the serial-init share
         // of the traffic is representative), and regions of influence
         // still span hundreds of cells (so the fine-grained ring widths
         // remain wide relative to the MTA's latency).
         WorkloadScale::Reduced => (1..=5)
-            .map(|seed| {
-                terrain::generate(TerrainScenarioParams {
-                    grid_size: 512,
-                    n_threats: 30,
-                    seed,
-                    ..Default::default()
-                })
+            .map(|seed| TerrainScenarioParams {
+                grid_size: 512,
+                n_threats: 30,
+                seed,
+                ..Default::default()
             })
             .collect(),
     }
@@ -127,8 +127,11 @@ impl Workload {
     /// output, applied to our harness. `n_threads == 1` is the sequential
     /// oracle the regression tests compare against.
     pub fn build_with(scale: WorkloadScale, n_threads: usize) -> Self {
-        let ta = ta_scenarios(scale);
-        let tm = tm_scenarios(scale);
+        let ta: Vec<ThreatScenario> = ta_params(scale).into_iter().map(threat::generate).collect();
+        let tm: Vec<TerrainScenario> = tm_params(scale)
+            .into_iter()
+            .map(terrain::generate)
+            .collect();
         let (n_ta, n_tm) = (ta.len(), tm.len());
 
         // One task per (measurement kind, scenario). Scenario sizes vary
@@ -304,15 +307,23 @@ mod tests {
     }
 
     #[test]
-    fn per_threat_counts_sum_close_to_sequential_profile() {
-        // Program 1 and the per-threat decomposition differ only in loop
-        // bookkeeping.
+    fn sequential_profile_is_the_sum_of_the_per_threat_counts() {
+        // Program 1 is `num_intervals = 0` plus the per-threat loop
+        // bodies, exactly: the workload counts each pair once and relies
+        // on this to give both measurements.
         let w = reduced();
         for s in 0..w.n_scenarios() {
-            let per: u64 = w.ta_per_threat[s].iter().map(|c| c.instructions()).sum();
-            let seq = w.ta_seq[s].total().instructions();
-            let rel = (per as f64 - seq as f64).abs() / seq as f64;
-            assert!(rel < 0.01, "scenario {s}: per-threat {per} vs seq {seq}");
+            let mut expected = OpRecorder::new();
+            expected.int(1);
+            let expected = w.ta_per_threat[s]
+                .iter()
+                .fold(expected.counts(), |acc, c| acc.merged(c));
+            assert_eq!(w.ta_seq[s].serial, OpCounts::default(), "scenario {s}");
+            assert_eq!(
+                w.ta_seq[s].parallel.per_thread(),
+                [expected],
+                "scenario {s}"
+            );
         }
     }
 
