@@ -20,7 +20,10 @@ pub trait Rec {
     /// time: when `true` they take the historical stepwise path so
     /// recorded totals stay exactly those of the reference code; when
     /// `false` (the [`NoRec`] timing path) they are free to batch, since
-    /// outputs are bit-identical either way.
+    /// outputs are bit-identical either way. The harness reads neither
+    /// instantiation for its op counts — it counts them
+    /// (`terrain::op_profile`, `threat::op_profile`) — so the counting
+    /// instantiation is the oracle those counters are tested against.
     const COUNTING: bool = true;
     /// Record `n` integer ALU operations.
     fn int(&mut self, n: u64);

@@ -1,11 +1,13 @@
 //! Serde-backed snapshot cache for the measured workload + calibration.
 //!
-//! Measuring the workload (running every benchmark variant under the
-//! op-counting backend) dominates harness start-up — seconds at Paper
-//! scale — and its result is a pure function of the measurement code and
-//! the [`WorkloadScale`]. This module memoizes that function on disk:
-//! `repro`, the integration tests, and the criterion benches all call
-//! [`load_or_measure`] and only the first of them pays for measurement.
+//! Obtaining the workload (generating every scenario and counting what
+//! the benchmark programs record on it) and calibrating against it is
+//! most of a cold harness start — tenths of a second at Paper scale,
+//! against milliseconds to load a snapshot — and the result is a pure
+//! function of the measurement code and the [`WorkloadScale`]. This
+//! module memoizes that function on disk: `repro`, the integration tests,
+//! and the criterion benches all call [`load_or_measure`] and only the
+//! first of them pays for measurement.
 //!
 //! Correctness comes from the *code fingerprint*: a snapshot stores a hash
 //! of every source file the measured numbers depend on (benchmark

@@ -7,9 +7,10 @@
 //! parallelization. None of those machines exist for us, so this crate
 //! implements the evaluation as a *modeling pipeline*:
 //!
-//! 1. [`workload`] runs the benchmarks from the `c3i` crate under the
-//!    op-counting backend, producing per-logical-thread operation
-//!    profiles for every program variant;
+//! 1. [`workload`] obtains, for every program variant of the `c3i`
+//!    benchmarks, the per-logical-thread operation profile the variant
+//!    records under the op-counting backend — counted from scenario
+//!    geometry rather than by running the variant, and tested equal to it;
 //! 2. [`models`] turns profiles into predicted wall-clock seconds via
 //!    per-platform analytic machine models (cache-based conventional
 //!    machines; the latency-per-stream Tera MTA model), whose mechanisms

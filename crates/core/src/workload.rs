@@ -1,12 +1,19 @@
-//! Benchmark operation profiles, measured once per workload and reused by
+//! Benchmark operation profiles, obtained once per workload and reused by
 //! every experiment configuration.
 //!
-//! The expensive part of the pipeline is running the benchmarks under the
-//! counting backend. Everything the tables sweep — chunk counts (Table 6),
-//! processor counts (Tables 3, 4, 9, 10), scheduling — is an *aggregation*
-//! of per-threat operation counts, so the workload measures per-threat
-//! counts once per scenario and the sweep configurations are assembled in
-//! microseconds.
+//! Everything the tables sweep — chunk counts (Table 6), processor counts
+//! (Tables 3, 4, 9, 10), scheduling — is an *aggregation* of per-threat
+//! operation counts, so the workload holds per-threat counts once per
+//! scenario and the sweep configurations are assembled in microseconds.
+//!
+//! The counts are what the benchmark programs record under `c3i`'s
+//! counting backend, but the workload does not run the programs to learn
+//! them: Terrain Masking's annotations depend on ring geometry only and a
+//! Threat Analysis step's cost on which exit of the interception
+//! predicate it takes, so `c3i` counts both directly (one task per
+//! scenario, dominated by synthesizing the terrain the threats are drawn
+//! after). The recorded programs are the oracle the counters are tested
+//! against, not a second way to build.
 //!
 //! Two scales exist: [`WorkloadScale::Paper`] is the benchmark scale the
 //! paper states (5 scenarios, 1000 threats for Threat Analysis, 60 threats
@@ -16,8 +23,8 @@
 //! rows (see `calibrate`), both scales reproduce the same tables — the
 //! Paper scale is the honest default for the `repro` binary.
 
-use c3i::terrain::{self, TerrainScenario, TerrainScenarioParams};
-use c3i::threat::{self, ThreatScenario, ThreatScenarioParams};
+use c3i::terrain::{self, TerrainOps, TerrainScenarioParams};
+use c3i::threat::{self, ThreatOps, ThreatScenarioParams};
 use c3i::{PhasedProfile, Profile};
 use sthreads::{chunk_range, par_map, OpCounts, OpRecorder, ThreadCounts, ThreadPool};
 
@@ -97,122 +104,91 @@ pub fn tm_params(scale: WorkloadScale) -> Vec<TerrainScenarioParams> {
     }
 }
 
-/// One measurement task's output in [`Workload::build_with`]: the five
-/// expensive per-scenario measurements, tagged by kind.
+/// One task's output in [`Workload::build_with`]: every measurement of
+/// one scenario.
 enum Measured {
-    TaPerThreat(Vec<OpCounts>),
-    TaSeq(Profile),
-    TmPerThreat(Vec<OpCounts>),
-    TmSeq(Profile),
-    TmFine(PhasedProfile),
+    Ta(ThreatOps),
+    Tm { grid_cells: u64, ops: TerrainOps },
 }
 
 impl Workload {
-    /// Measure the workload at `scale` (runs every benchmark variant under
-    /// the counting backend; seconds of host time at Paper scale).
-    /// Measurement tasks run across all host processors — on the
-    /// process-wide persistent pool, so back-to-back builds pay condvar
-    /// wakeups rather than thread spawns — with dynamic self-scheduling;
-    /// results are identical to the sequential path.
+    /// Obtain the workload at `scale`: generate each scenario and count
+    /// what the benchmark programs would record on it (tenths of a second
+    /// at Paper scale, most of it terrain synthesis). One task per
+    /// scenario, run across all host processors — on the process-wide
+    /// persistent pool, so back-to-back builds pay condvar wakeups rather
+    /// than thread spawns — with dynamic self-scheduling; results are
+    /// identical to the sequential path.
     pub fn build(scale: WorkloadScale) -> Self {
         Self::build_with(scale, ThreadPool::global().n_threads())
     }
 
     /// [`Workload::build`] with an explicit worker count.
     ///
-    /// The counting backend is deterministic and every measurement task
-    /// writes into its own slot ([`par_map`]), so the result is
-    /// **bit-identical** for every `n_threads` — the paper's own
-    /// requirement that parallelization must not change program
-    /// output, applied to our harness. `n_threads == 1` is the sequential
-    /// oracle the regression tests compare against.
+    /// Nothing here runs a benchmark under a recorder. The counts come
+    /// from `c3i`'s two counters — [`terrain::op_profile`] (ring geometry;
+    /// it never reads the terrain) and [`threat::op_profile`] (a histogram
+    /// of predicate exits per pair) — which are held equal, field by
+    /// field, to the recorded programs by `c3i`'s differential tests, the
+    /// fuzz runner and `tests/parallel_oracle.rs`.
+    ///
+    /// Counting is deterministic and every task writes into its own slot
+    /// ([`par_map`]), so the result is **bit-identical** for every
+    /// `n_threads` — the paper's own requirement that parallelization
+    /// must not change program output, applied to our harness.
+    /// `n_threads == 1` is the sequential oracle the regression tests
+    /// compare against.
     pub fn build_with(scale: WorkloadScale, n_threads: usize) -> Self {
-        let ta: Vec<ThreatScenario> = ta_params(scale).into_iter().map(threat::generate).collect();
-        let tm: Vec<TerrainScenario> = tm_params(scale)
-            .into_iter()
-            .map(terrain::generate)
-            .collect();
-        let (n_ta, n_tm) = (ta.len(), tm.len());
+        let (ta, tm) = (ta_params(scale), tm_params(scale));
 
-        // One task per (measurement kind, scenario). Scenario sizes vary
-        // (irregular work — the paper's case for self-scheduling, which
-        // is what `par_map` does).
-        let tasks = 2 * n_ta + 3 * n_tm;
-        let mut results = par_map(tasks, n_threads, |t| {
-            if t < n_ta {
-                Measured::TaPerThreat(threat::per_threat_counts(&ta[t]))
-            } else if t < 2 * n_ta {
-                Measured::TaSeq(threat::threat_analysis_profile(&ta[t - n_ta]).1)
-            } else if t < 2 * n_ta + n_tm {
-                Measured::TmPerThreat(terrain::per_threat_counts(&tm[t - 2 * n_ta], TM_BLOCKS))
-            } else if t < 2 * n_ta + 2 * n_tm {
-                Measured::TmSeq(terrain::terrain_masking_profile(&tm[t - 2 * n_ta - n_tm]).1)
-            } else {
-                Measured::TmFine(terrain::terrain_masking_fine(&tm[t - 2 * n_ta - 2 * n_tm]).1)
+        // One task per scenario, generation included: a terrain lives only
+        // as long as its task (its threats are drawn from the same random
+        // stream after the elevations, so it has to be synthesized).
+        // Scenario sizes vary (irregular work — the paper's case for
+        // self-scheduling, which is what `par_map` does).
+        let results = par_map(ta.len() + tm.len(), n_threads, |t| {
+            match t.checked_sub(ta.len()) {
+                None => Measured::Ta(threat::op_profile(&threat::generate(ta[t]))),
+                Some(t) => {
+                    let s = terrain::generate(tm[t]);
+                    let (xs, ys) = (s.terrain.x_size(), s.terrain.y_size());
+                    Measured::Tm {
+                        grid_cells: s.terrain.len() as u64,
+                        ops: terrain::op_profile(xs, ys, &s.threats, TM_BLOCKS),
+                    }
+                }
             }
-        })
-        .into_iter();
+        });
 
         // `par_map` returns task outputs in task order, so each vector
-        // assembles in scenario order exactly as the sequential maps did.
-        let ta_per_threat: Vec<Vec<OpCounts>> = results
-            .by_ref()
-            .take(n_ta)
-            .map(|m| match m {
-                Measured::TaPerThreat(v) => v,
-                _ => unreachable!("task layout: TA per-threat block"),
-            })
-            .collect();
-        let ta_seq: Vec<Profile> = results
-            .by_ref()
-            .take(n_ta)
-            .map(|m| match m {
-                Measured::TaSeq(p) => p,
-                _ => unreachable!("task layout: TA sequential block"),
-            })
-            .collect();
-        let tm_per_threat: Vec<Vec<OpCounts>> = results
-            .by_ref()
-            .take(n_tm)
-            .map(|m| match m {
-                Measured::TmPerThreat(v) => v,
-                _ => unreachable!("task layout: TM per-threat block"),
-            })
-            .collect();
-        let tm_seq: Vec<Profile> = results
-            .by_ref()
-            .take(n_tm)
-            .map(|m| match m {
-                Measured::TmSeq(p) => p,
-                _ => unreachable!("task layout: TM sequential block"),
-            })
-            .collect();
-        let tm_fine: Vec<PhasedProfile> = results
-            .map(|m| match m {
-                Measured::TmFine(p) => p,
-                _ => unreachable!("task layout: TM fine block"),
-            })
-            .collect();
-
-        let tm_serial: Vec<OpCounts> = tm
-            .iter()
-            .map(|s| {
-                let mut r = OpRecorder::new();
-                r.sstore(s.terrain.len() as u64);
-                r.int(2 * (TM_BLOCKS * TM_BLOCKS) as u64);
-                r.counts()
-            })
-            .collect();
-
-        Self {
+        // assembles in scenario order.
+        let mut w = Self {
             scale,
-            ta_per_threat,
-            ta_seq,
-            tm_per_threat,
-            tm_seq,
-            tm_fine,
-            tm_serial,
+            ta_per_threat: Vec::with_capacity(ta.len()),
+            ta_seq: Vec::with_capacity(ta.len()),
+            tm_per_threat: Vec::with_capacity(tm.len()),
+            tm_seq: Vec::with_capacity(tm.len()),
+            tm_fine: Vec::with_capacity(tm.len()),
+            tm_serial: Vec::with_capacity(tm.len()),
+        };
+        for measured in results {
+            match measured {
+                Measured::Ta(ops) => {
+                    w.ta_per_threat.push(ops.per_threat);
+                    w.ta_seq.push(ops.seq);
+                }
+                Measured::Tm { grid_cells, ops } => {
+                    w.tm_per_threat.push(ops.coarse_per_threat);
+                    w.tm_seq.push(ops.seq);
+                    w.tm_fine.push(ops.fine);
+                    let mut init = OpRecorder::new();
+                    init.sstore(grid_cells);
+                    init.int(2 * (TM_BLOCKS * TM_BLOCKS) as u64);
+                    w.tm_serial.push(init.counts());
+                }
+            }
         }
+        w
     }
 
     /// Number of scenarios in the suite.
