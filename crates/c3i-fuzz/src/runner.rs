@@ -105,9 +105,10 @@ fn first_grid_diff(seq: &c3i::Grid<f64>, got: &c3i::Grid<f64>) -> Option<String>
     None
 }
 
-/// Outcome of a counter differential as a [`Failure`], if it is one.
-fn counter_failure(config: &str, diff: Result<Option<&'static str>, Failure>) -> Option<Failure> {
-    match diff {
+/// Run one op-counter differential: `diff` names the first measurement on
+/// which the counted and the recorded profiles disagree, if any.
+fn counter_arm(config: &str, diff: impl FnOnce() -> Option<&'static str>) -> Option<Failure> {
+    match guarded(config, diff) {
         Err(f) => Some(f),
         Ok(None) => None,
         Ok(Some(what)) => Some(Failure {
@@ -165,24 +166,21 @@ fn run_terrain_case(s: &terrain::TerrainScenario) -> CaseOutcome {
 
     // Counter differential: ring geometry alone must reproduce what the
     // three recorded programs charge on this grid and threat list.
-    {
-        let config = "terrain op counter";
-        let diff = guarded(config, || {
-            let (xs, ys) = (s.terrain.x_size(), s.terrain.y_size());
-            let counted = terrain::op_profile(xs, ys, &s.threats, N_BLOCKS);
-            if counted.seq != terrain::terrain_masking_profile(s).1 {
-                Some("sequential profile")
-            } else if counted.coarse_per_threat != terrain::per_threat_counts(s, N_BLOCKS) {
-                Some("coarse per-threat counts")
-            } else if counted.fine != terrain::terrain_masking_fine(s).1 {
-                Some("fine phase list")
-            } else {
-                None
-            }
-        });
-        if let Some(f) = counter_failure(config, diff) {
-            return CaseOutcome::Failed(f);
+    let diff = counter_arm("terrain op counter", || {
+        let (xs, ys) = (s.terrain.x_size(), s.terrain.y_size());
+        let counted = terrain::op_profile(xs, ys, &s.threats, N_BLOCKS);
+        if counted.seq != terrain::terrain_masking_profile(s).1 {
+            Some("sequential profile")
+        } else if counted.coarse_per_threat != terrain::per_threat_counts(s, N_BLOCKS) {
+            Some("coarse per-threat counts")
+        } else if counted.fine != terrain::terrain_masking_fine(s).1 {
+            Some("fine phase list")
+        } else {
+            None
         }
+    });
+    if let Some(f) = diff {
+        return CaseOutcome::Failed(f);
     }
 
     for workers in WORKER_COUNTS {
@@ -234,21 +232,18 @@ fn run_threat_case(s: &threat::ThreatScenario) -> CaseOutcome {
 
     // Counter differential: the exit-class histogram must reproduce what
     // the stepwise scan records, per threat and for Program 1 as a whole.
-    {
-        let config = "threat op counter";
-        let diff = guarded(config, || {
-            let counted = threat::op_profile(s);
-            if counted.per_threat != threat::per_threat_counts(s) {
-                Some("per-threat counts")
-            } else if counted.seq != threat::threat_analysis_profile(s).1 {
-                Some("sequential profile")
-            } else {
-                None
-            }
-        });
-        if let Some(f) = counter_failure(config, diff) {
-            return CaseOutcome::Failed(f);
+    let diff = counter_arm("threat op counter", || {
+        let counted = threat::op_profile(s);
+        if counted.per_threat != threat::per_threat_counts(s) {
+            Some("per-threat counts")
+        } else if counted.seq != threat::threat_analysis_profile(s).1 {
+            Some("sequential profile")
+        } else {
+            None
         }
+    });
+    if let Some(f) = diff {
+        return CaseOutcome::Failed(f);
     }
 
     for workers in WORKER_COUNTS {

@@ -164,8 +164,8 @@ pub fn op_profile(
             ops: merge,
         });
 
-        for part in [&threat_record, &copy, &reset, &recurrence, &merge] {
-            seq.add(part);
+        for part in [threat_record, copy, reset, recurrence, merge] {
+            seq.add(&part);
         }
 
         let locks = blocking.blocks_overlapping(&region).len() as u64;
@@ -174,9 +174,9 @@ pub fn op_profile(
             r.sync(2 * locks); // lock + unlock per overlapped block
         });
         coarse_per_threat.push(
-            [&claim, &threat_record, &reset, &recurrence, &merge]
+            [claim, threat_record, reset, recurrence, merge]
                 .into_iter()
-                .fold(OpCounts::default(), |acc, part| acc.merged(part)),
+                .sum(),
         );
     }
 

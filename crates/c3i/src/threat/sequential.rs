@@ -91,23 +91,25 @@ pub struct ThreatOps {
 /// the two recorded entry points (the differential tests and the fuzz
 /// runner hold it to that).
 pub fn op_profile(scenario: &ThreatScenario) -> ThreatOps {
+    let n_weapons = scenario.weapons.len() as u64;
     let per_threat: Vec<OpCounts> = scenario
         .threats
         .iter()
         .map(|threat| {
-            let mut r = OpRecorder::new();
-            r.int(2 * scenario.weapons.len() as u64); // loop bookkeeping
-            r.load(2 * scenario.weapons.len() as u64); // threat/weapon descriptors
-            scenario.weapons.iter().fold(r.counts(), |acc, weapon| {
-                acc.merged(&pair_counts(threat, weapon))
-            })
+            let mut pair_loop = OpRecorder::new();
+            pair_loop.int(2 * n_weapons); // loop bookkeeping
+            pair_loop.load(2 * n_weapons); // threat/weapon descriptors
+            let pairs = scenario.weapons.iter().map(|w| pair_counts(threat, w));
+            pairs.sum::<OpCounts>().merged(&pair_loop.counts())
         })
         .collect();
     let mut main = OpRecorder::new();
     main.int(1); // num_intervals = 0
     let main = per_threat
         .iter()
-        .fold(main.counts(), |acc, c| acc.merged(c));
+        .copied()
+        .sum::<OpCounts>()
+        .merged(&main.counts());
     ThreatOps {
         per_threat,
         seq: Profile::sequential(Default::default(), main),

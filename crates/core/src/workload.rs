@@ -289,11 +289,8 @@ mod tests {
         // on this to give both measurements.
         let w = reduced();
         for s in 0..w.n_scenarios() {
-            let mut expected = OpRecorder::new();
-            expected.int(1);
-            let expected = w.ta_per_threat[s]
-                .iter()
-                .fold(expected.counts(), |acc, c| acc.merged(c));
+            let mut expected: OpCounts = w.ta_per_threat[s].iter().copied().sum();
+            expected.int_ops += 1;
             assert_eq!(w.ta_seq[s].serial, OpCounts::default(), "scenario {s}");
             assert_eq!(
                 w.ta_seq[s].parallel.per_thread(),

@@ -69,9 +69,9 @@ fn built_workload_equals_recorded_workload() {
 }
 
 /// The same identity at the scale the tables are generated at, at every
-/// worker count. Minutes unoptimized (the recorded side is five full
-/// passes over five 1024² scenarios), so it runs under `--release` only;
-/// `ci.sh` does.
+/// worker count. The recorded side is five full passes over five 1024²
+/// scenarios — seconds optimized, far longer not — so it runs under
+/// `--release` only; `ci.sh` does.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "paper scale: run with --release")]
 fn built_workload_equals_recorded_workload_at_paper_scale() {
