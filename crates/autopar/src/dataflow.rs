@@ -1,40 +1,22 @@
-//! The bitset dataflow engine: reaching definitions and liveness over the
-//! loop-nest IR, solved by a worklist algorithm — sequentially, or in
-//! parallel over the SCC DAG of the control-flow graph.
+//! The bitset dataflow engine: liveness over the loop-nest IR, solved by
+//! one sequential worklist.
 //!
 //! # The lattice
 //!
-//! Both analyses run over a powerset lattice: reaching definitions over
-//! the set of *definitions* (one per `(statement, written scalar)` pair),
-//! liveness over the set of *scalars*. Sets are [`BitSet`]s, the join is
-//! union, and the per-node transfer function is the classic
-//! `out = gen ∪ (in − kill)`. Transfer functions are monotone and the
-//! lattice has finite height (one bit per definition or scalar), so the
-//! worklist iteration terminates at the unique **least fixpoint**.
-//! Because the least fixpoint is unique and bitsets are canonical
-//! (trailing bits always zero), *any* sound evaluation order produces
-//! bit-identical results — the property the SCC-parallel solver's oracle
-//! tests pin down.
+//! Liveness runs over the powerset lattice of the loop's *scalars*. Sets
+//! are [`BitSet`]s, the join is union, and the per-node transfer function
+//! is the classic `live_in = use ∪ (live_out − def)` with
+//! `live_out = ∪ successors' live_in`. The transfer functions are
+//! monotone and the lattice has finite height (one bit per scalar), so
+//! the worklist terminates at the unique **least fixpoint** — whatever
+//! order nodes are visited in. `tests/liveness_oracle.rs` checks it
+//! against a naive round-robin fixpoint that shares no code with this
+//! module.
 //!
-//! # SCC scheduling invariants
-//!
-//! The parallel solver decomposes the CFG with [`crate::scc::tarjan`] and
-//! schedules the condensation by topological level
-//! ([`crate::scc::SccDag::levels`]):
-//!
-//! 1. every cycle is inside one SCC, so the condensation is acyclic;
-//! 2. levels are processed in ascending order with a barrier between
-//!    levels, so when an SCC solves, every predecessor SCC's `out` sets
-//!    are final;
-//! 3. within a level, SCCs are mutually unreachable, so solving them
-//!    concurrently (via [`sthreads::par_map`]) is race-free: each task
-//!    reads only frozen predecessor state and writes only its own nodes;
-//! 4. an SCC iterated to its local fixpoint with final predecessor inputs
-//!    equals the restriction of the global least fixpoint to its nodes.
-//!
-//! Together these make the parallel solve **deterministic and
-//! bit-identical** to the sequential worklist at any worker count — the
-//! sequential solver is kept as the oracle (`tests/dataflow_oracle.rs`).
+//! Liveness is the only analysis here because it is the only fact the
+//! recognizers in [`crate::reduction`] read ([`Facts::live_at_entry`]).
+//! The benchmark loops flatten to one or two nodes over one to three
+//! scalars; there is nothing to schedule.
 //!
 //! # The control-flow graph
 //!
@@ -48,7 +30,7 @@
 //! the back edge carries nothing.
 
 use crate::ir::{LoopNest, Node, Stmt};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A fixed-width bitset over `u64` words. Canonical representation:
 /// word count fixed at construction, unused high bits always zero, so
@@ -133,17 +115,8 @@ impl BitSet {
     }
 }
 
-/// One definition: statement `node` writes scalar `scalar`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Def {
-    /// CFG node (flattened statement index) of the write.
-    pub node: usize,
-    /// Scalar id (index into [`Cfg::scalars`]).
-    pub scalar: usize,
-}
-
-/// The flattened control-flow graph of one loop nest, with the gen/kill
-/// sets both analyses consume.
+/// The flattened control-flow graph of one loop nest, with the use/def
+/// sets liveness consumes.
 #[derive(Debug, Clone)]
 pub struct Cfg {
     /// Flattened statements, program order.
@@ -155,17 +128,11 @@ pub struct Cfg {
     /// Scalar universe: every name read, written, or used as an
     /// identifier-shaped opaque subscript, sorted.
     pub scalars: Vec<String>,
-    /// Definition universe, in (node, scalar) order.
-    pub defs: Vec<Def>,
-    /// Per-node reaching-defs gen sets (over defs).
-    pub gen_rd: Vec<BitSet>,
-    /// Per-node reaching-defs kill sets (over defs).
-    pub kill_rd: Vec<BitSet>,
-    /// Per-node liveness use sets (over scalars). Reads are taken to
-    /// happen before writes within a statement, so `x = x + 1` uses `x`.
-    pub use_lv: Vec<BitSet>,
-    /// Per-node liveness def sets (over scalars).
-    pub def_lv: Vec<BitSet>,
+    /// Per-node use sets (over scalars). Reads are taken to happen
+    /// before writes within a statement, so `x = x + 1` uses `x`.
+    pub uses: Vec<BitSet>,
+    /// Per-node def sets (over scalars).
+    pub defs: Vec<BitSet>,
 }
 
 impl Cfg {
@@ -237,47 +204,23 @@ impl Cfg {
             .map(|(i, s)| (s.as_str(), i))
             .collect();
 
-        // Definition universe.
-        let mut defs: Vec<Def> = Vec::new();
-        for (node, s) in stmts.iter().enumerate() {
-            for w in &s.writes {
-                defs.push(Def {
-                    node,
-                    scalar: scalar_id[w.as_str()],
-                });
-            }
-        }
-
-        // Gen/kill.
-        let nd = defs.len();
+        // Use/def.
         let ns = scalars.len();
-        let mut gen_rd = vec![BitSet::new(nd); n];
-        let mut kill_rd = vec![BitSet::new(nd); n];
-        let mut use_lv = vec![BitSet::new(ns); n];
-        let mut def_lv = vec![BitSet::new(ns); n];
+        let mut uses = vec![BitSet::new(ns); n];
+        let mut defs = vec![BitSet::new(ns); n];
         for (node, s) in stmts.iter().enumerate() {
-            for (d, def) in defs.iter().enumerate() {
-                let here = def.node == node;
-                if here {
-                    gen_rd[node].insert(d);
-                }
-                // A write to the same scalar elsewhere is killed here.
-                if !here && s.writes.iter().any(|w| scalar_id[w.as_str()] == def.scalar) {
-                    kill_rd[node].insert(d);
-                }
-            }
             for r in &s.reads {
-                use_lv[node].insert(scalar_id[r.as_str()]);
+                uses[node].insert(scalar_id[r.as_str()]);
             }
             for a in &s.arrays {
                 for e in &a.indices {
                     if let Some(name) = e.opaque_scalar() {
-                        use_lv[node].insert(scalar_id[name]);
+                        uses[node].insert(scalar_id[name]);
                     }
                 }
             }
             for w in &s.writes {
-                def_lv[node].insert(scalar_id[w.as_str()]);
+                defs[node].insert(scalar_id[w.as_str()]);
             }
         }
 
@@ -286,11 +229,8 @@ impl Cfg {
             succs,
             preds,
             scalars,
+            uses,
             defs,
-            gen_rd,
-            kill_rd,
-            use_lv,
-            def_lv,
         }
     }
 
@@ -298,133 +238,13 @@ impl Cfg {
     pub fn scalar_id(&self, name: &str) -> Option<usize> {
         self.scalars.binary_search_by(|s| s.as_str().cmp(name)).ok()
     }
-
-    /// Definition indices writing `scalar`.
-    pub fn defs_of(&self, scalar: usize) -> impl Iterator<Item = usize> + '_ {
-        self.defs
-            .iter()
-            .enumerate()
-            .filter(move |(_, d)| d.scalar == scalar)
-            .map(|(i, _)| i)
-    }
 }
 
-/// Solve a union/monotone dataflow problem `out = gen ∪ (in − kill)` with
-/// `in = ∪ preds' out` over an arbitrary graph. Returns `(in, out)` per
-/// node. With `n_workers <= 1` this is the sequential worklist oracle;
-/// otherwise the SCC-DAG schedule described in the module docs runs the
-/// solve level-parallel over [`sthreads::par_map`]. Both paths compute
-/// the same unique least fixpoint, bit for bit.
-pub fn solve_union_dataflow(
-    succs: &[Vec<usize>],
-    gen: &[BitSet],
-    kill: &[BitSet],
-    nbits: usize,
-    n_workers: usize,
-) -> (Vec<BitSet>, Vec<BitSet>) {
-    let n = succs.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (v, outs) in succs.iter().enumerate() {
-        for &w in outs {
-            preds[w].push(v);
-        }
-    }
-    let mut in_sets = vec![BitSet::new(nbits); n];
-    let mut out_sets = vec![BitSet::new(nbits); n];
-
-    // Local fixpoint over `nodes`, reading frozen `out` values for
-    // predecessors outside the set. `nodes` must be closed under cycles
-    // (an SCC, or the whole graph).
-    let solve_nodes = |nodes: &[usize], in_sets: &mut [BitSet], out_sets: &mut [BitSet]| {
-        let mut queue: std::collections::VecDeque<usize> = nodes.iter().copied().collect();
-        let mut queued = vec![false; n];
-        for &v in nodes {
-            queued[v] = true;
-        }
-        while let Some(v) = queue.pop_front() {
-            queued[v] = false;
-            let mut new_in = std::mem::replace(&mut in_sets[v], BitSet::new(0));
-            for &p in &preds[v] {
-                new_in.union_with(&out_sets[p]);
-            }
-            in_sets[v] = new_in;
-            if BitSet::transfer_into(&mut out_sets[v], &in_sets[v], &gen[v], &kill[v]) {
-                for &s in &succs[v] {
-                    // Only re-queue nodes we own; out-of-set successors
-                    // belong to later levels and have not started.
-                    if nodes.contains(&s) && !queued[s] {
-                        queued[s] = true;
-                        queue.push_back(s);
-                    }
-                }
-            }
-        }
-    };
-
-    if n_workers <= 1 {
-        let all: Vec<usize> = (0..n).collect();
-        solve_nodes(&all, &mut in_sets, &mut out_sets);
-        return (in_sets, out_sets);
-    }
-
-    let dag = crate::scc::SccDag::build(succs);
-    for level in dag.levels() {
-        // Each task solves one SCC against the frozen global state and
-        // returns its nodes' new sets; the merge after the barrier is the
-        // only writer of the shared vectors.
-        let solved: Vec<Vec<(usize, BitSet, BitSet)>> =
-            sthreads::par_map(level.len(), n_workers, |k| {
-                let nodes = &dag.comps[level[k]];
-                let mut local_in: Vec<BitSet> = nodes.iter().map(|&v| in_sets[v].clone()).collect();
-                let mut local_out: Vec<BitSet> =
-                    nodes.iter().map(|&v| out_sets[v].clone()).collect();
-                // Local fixpoint restricted to the SCC's nodes.
-                let index_of = |v: usize| nodes.iter().position(|&x| x == v);
-                let mut changed = true;
-                while changed {
-                    changed = false;
-                    for (li, &v) in nodes.iter().enumerate() {
-                        let mut new_in = BitSet::new(nbits);
-                        for &p in &preds[v] {
-                            match index_of(p) {
-                                Some(lp) => new_in.union_with(&local_out[lp]),
-                                None => new_in.union_with(&out_sets[p]),
-                            };
-                        }
-                        local_in[li] = new_in;
-                        changed |= BitSet::transfer_into(
-                            &mut local_out[li],
-                            &local_in[li],
-                            &gen[v],
-                            &kill[v],
-                        );
-                    }
-                }
-                nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(li, &v)| (v, local_in[li].clone(), local_out[li].clone()))
-                    .collect()
-            });
-        for comp in solved {
-            for (v, i, o) in comp {
-                in_sets[v] = i;
-                out_sets[v] = o;
-            }
-        }
-    }
-    (in_sets, out_sets)
-}
-
-/// The solved dataflow facts for one loop nest.
-#[derive(Debug, Clone, PartialEq)]
+/// The solved liveness facts for one loop nest.
+#[derive(Debug, Clone)]
 pub struct Facts {
     /// The flattened CFG the facts are over.
     pub cfg: Cfg,
-    /// Reaching definitions at node entry (over [`Cfg::defs`]).
-    pub reach_in: Vec<BitSet>,
-    /// Reaching definitions at node exit.
-    pub reach_out: Vec<BitSet>,
     /// Live scalars at node entry (over [`Cfg::scalars`]).
     pub live_in: Vec<BitSet>,
     /// Live scalars at node exit.
@@ -444,45 +264,37 @@ impl Facts {
     }
 }
 
-impl PartialEq for Cfg {
-    fn eq(&self, other: &Self) -> bool {
-        // Facts comparison only needs the graphs and universes to agree;
-        // statements are compared structurally.
-        self.stmts == other.stmts
-            && self.succs == other.succs
-            && self.scalars == other.scalars
-            && self.defs == other.defs
-    }
-}
-
-/// Solve both analyses for a loop nest. `n_workers <= 1` runs the
-/// sequential worklist; more workers run the SCC-DAG parallel schedule.
-/// The results are bit-identical either way (see the module docs).
-pub fn solve(l: &LoopNest, n_workers: usize) -> Facts {
+/// Solve liveness for a loop nest: a backward worklist, seeded in reverse
+/// program order, that re-queues a node's predecessors whenever its
+/// `live_in` grows.
+pub fn solve(l: &LoopNest) -> Facts {
     let cfg = Cfg::from_loop(l);
-    let nd = cfg.defs.len();
+    let n = cfg.stmts.len();
     let ns = cfg.scalars.len();
-    let (reach_in, reach_out) =
-        solve_union_dataflow(&cfg.succs, &cfg.gen_rd, &cfg.kill_rd, nd, n_workers);
-    // Liveness is the same union problem on the reversed graph with
-    // use/def as gen/kill: live_out[v] = ∪ succ live_in, and
-    // live_in = use ∪ (live_out − def). On the reversed graph the
-    // engine's `in` is live_out and its `out` is live_in.
-    let (live_out, live_in) =
-        solve_union_dataflow(&cfg.preds, &cfg.use_lv, &cfg.def_lv, ns, n_workers);
+    let mut live_in = vec![BitSet::new(ns); n];
+    let mut live_out = vec![BitSet::new(ns); n];
+
+    let mut queue: VecDeque<usize> = (0..n).rev().collect();
+    let mut queued = vec![true; n];
+    while let Some(v) = queue.pop_front() {
+        queued[v] = false;
+        for &s in &cfg.succs[v] {
+            live_out[v].union_with(&live_in[s]);
+        }
+        if BitSet::transfer_into(&mut live_in[v], &live_out[v], &cfg.uses[v], &cfg.defs[v]) {
+            for &p in &cfg.preds[v] {
+                if !queued[p] {
+                    queued[p] = true;
+                    queue.push_back(p);
+                }
+            }
+        }
+    }
     Facts {
         cfg,
-        reach_in,
-        reach_out,
         live_in,
         live_out,
     }
-}
-
-/// [`solve`] with the sequential worklist only — the oracle the parallel
-/// schedule is tested against.
-pub fn solve_sequential(l: &LoopNest) -> Facts {
-    solve(l, 1)
 }
 
 #[cfg(test)]
@@ -521,16 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn back_edge_carries_defs_and_liveness() {
-        let facts = solve_sequential(&carried_loop());
+    fn back_edge_carries_liveness() {
+        let facts = solve(&carried_loop());
         // x is live at entry (read in node 0, written only in node 1).
         assert!(facts.live_at_entry("x"));
         assert!(facts.live_at_entry("y"));
-        // The def of x in node 1 reaches node 0 around the back edge.
-        let x = facts.cfg.scalar_id("x").unwrap();
-        let def_x: Vec<usize> = facts.cfg.defs_of(x).collect();
-        assert_eq!(def_x.len(), 1);
-        assert!(facts.reach_in[0].contains(def_x[0]));
     }
 
     #[test]
@@ -547,7 +354,7 @@ mod tests {
                     .reads(&["t"])
                     .array("b", vec![Expr::var("i")], true),
             );
-        let facts = solve_sequential(&l);
+        let facts = solve(&l);
         assert!(!facts.live_at_entry("t"));
     }
 
@@ -559,7 +366,7 @@ mod tests {
             vec![Expr::Opaque("k".into())],
             true,
         ));
-        let facts = solve_sequential(&l);
+        let facts = solve(&l);
         assert!(facts.cfg.scalar_id("k").is_some());
         assert!(facts.live_at_entry("k"));
     }
@@ -571,33 +378,13 @@ mod tests {
             vec![Expr::Opaque("x in region".into())],
             true,
         ));
-        let facts = solve_sequential(&l);
+        let facts = solve(&l);
         assert!(facts.cfg.scalar_id("x in region").is_none());
     }
 
     #[test]
-    fn parallel_solve_matches_sequential_on_nested_loops() {
-        let l = LoopNest::new("outer", "i")
-            .stmt(Stmt::new("s0").writes(&["a"]).reads(&["c"]))
-            .nest(
-                LoopNest::new("mid", "j")
-                    .stmt(Stmt::new("s1").writes(&["b"]).reads(&["a"]))
-                    .nest(
-                        LoopNest::new("inner", "k")
-                            .stmt(Stmt::new("s2").writes(&["c"]).reads(&["b", "c"])),
-                    ),
-            )
-            .stmt(Stmt::new("s3").writes(&["d"]).reads(&["c", "d"]));
-        let seq = solve_sequential(&l);
-        for workers in [2, 4, 8] {
-            let par = solve(&l, workers);
-            assert_eq!(seq, par, "{workers} workers");
-        }
-    }
-
-    #[test]
     fn empty_loop_solves() {
-        let facts = solve_sequential(&LoopNest::new("empty", "i"));
+        let facts = solve(&LoopNest::new("empty", "i"));
         assert!(facts.cfg.stmts.is_empty());
         assert!(!facts.live_at_entry("anything"));
     }

@@ -103,37 +103,6 @@ pub(crate) fn refs_may_conflict(a: &ArrayRef, b: &ArrayRef, loop_var: &str) -> b
 /// This is the 1998-compiler behaviour the paper measured: reductions are
 /// NOT recognized.
 pub fn analyze_loop(l: &LoopNest) -> LoopVerdict {
-    analyze_loop_with(l, &AnalysisOptions::era1998())
-}
-
-/// Analyzer capabilities. The paper's compilers are [`AnalysisOptions::era1998`];
-/// [`AnalysisOptions::modern`] adds reduction recognition (the kind of
-/// improvement the paper's Section 7 hints at for "more specialized
-/// domains").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AnalysisOptions {
-    /// Recognize `x = x op expr` associative updates and privatize them.
-    pub recognize_reductions: bool,
-}
-
-impl AnalysisOptions {
-    /// The capabilities of the compilers the paper evaluated.
-    pub fn era1998() -> Self {
-        Self {
-            recognize_reductions: false,
-        }
-    }
-
-    /// A present-day auto-parallelizer.
-    pub fn modern() -> Self {
-        Self {
-            recognize_reductions: true,
-        }
-    }
-}
-
-/// [`analyze_loop`] with explicit analyzer capabilities.
-pub fn analyze_loop_with(l: &LoopNest, opts: &AnalysisOptions) -> LoopVerdict {
     let mut reasons: Vec<Reason> = Vec::new();
 
     if l.pragma_parallel {
@@ -149,13 +118,11 @@ pub fn analyze_loop_with(l: &LoopNest, opts: &AnalysisOptions) -> LoopVerdict {
     let stmts = l.all_stmts();
 
     // Scalar dependences: a written scalar that is not private and not the
-    // loop variable is carried (ordering matters across iterations) —
-    // unless it is a recognized reduction and the analyzer is modern.
+    // loop variable is carried (ordering matters across iterations).
     let mut flagged: BTreeSet<&str> = BTreeSet::new();
     for s in &stmts {
         for w in &s.writes {
-            let reducible = opts.recognize_reductions && s.reductions.iter().any(|r| r.name == *w);
-            if w != &l.var && !private.contains(w) && !reducible && flagged.insert(w) {
+            if w != &l.var && !private.contains(w) && flagged.insert(w) {
                 reasons.push(Reason::at(
                     ReasonKind::ScalarDependence { name: w.clone() },
                     s,
@@ -381,46 +348,6 @@ mod tests {
                 ),
         );
         assert!(v(&l).parallel, "{:?}", v(&l));
-    }
-
-    #[test]
-    fn reductions_block_the_1998_analyzer_but_not_the_modern_one() {
-        // for i: sum += a[i], with sum marked as an associative reduction.
-        let l = LoopNest::new("for i", "i").stmt(
-            Stmt::new("sum+=a[i]")
-                .reads(&["sum"])
-                .writes(&["sum"])
-                .reduces(&["sum"])
-                .array("a", vec![Expr::var("i")], false),
-        );
-        let era = analyze_loop_with(&l, &AnalysisOptions::era1998());
-        assert!(!era.parallel, "{era:?}");
-        let modern = analyze_loop_with(&l, &AnalysisOptions::modern());
-        assert!(modern.parallel, "{modern:?}");
-    }
-
-    #[test]
-    fn modern_analyzer_still_rejects_non_reduction_scalars() {
-        // A scalar written but NOT marked associative stays a dependence.
-        let l = LoopNest::new("for i", "i").stmt(Stmt::new("last=a[i]").writes(&["last"]).array(
-            "a",
-            vec![Expr::var("i")],
-            false,
-        ));
-        assert!(!analyze_loop_with(&l, &AnalysisOptions::modern()).parallel);
-    }
-
-    #[test]
-    fn modern_analyzer_does_not_rescue_the_benchmarks() {
-        // Even with reduction recognition, the benchmark loops stay
-        // rejected: their obstacles are calls and data-dependent stores.
-        use crate::programs;
-        for l in [
-            programs::program1_threat_sequential(),
-            programs::program3_terrain_sequential(),
-        ] {
-            assert!(!analyze_loop_with(&l, &AnalysisOptions::modern()).parallel);
-        }
     }
 
     #[test]

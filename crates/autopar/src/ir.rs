@@ -126,8 +126,8 @@ pub struct Stmt {
     /// Scalars written.
     pub writes: Vec<String>,
     /// Scalars updated by an associative reduction (`x = x op expr`).
-    /// A *modern* parallelizer can privatize these; the 1998 compilers the
-    /// paper tested could not (see `deps::analyze_loop_with`).
+    /// The dataflow pass privatizes these (`reduction`); the 1998
+    /// compilers the paper tested could not (`deps::analyze_loop`).
     pub reductions: Vec<Reduction>,
     /// Array accesses.
     pub arrays: Vec<ArrayRef>,

@@ -23,11 +23,9 @@
 //!   scalar/affine (GCD) subscript tests — the 1998 stance, on which the
 //!   paper's Programs 1–4 ([`programs`]) reach exactly the published
 //!   verdicts;
-//! * a worklist bitset dataflow engine ([`dataflow`]: reaching
-//!   definitions + liveness) scheduled over the Tarjan condensation of
-//!   the CFG ([`scc`]), with the parallel SCC-DAG solve dogfooding
-//!   [`sthreads::par_map`] and the sequential worklist kept as its
-//!   bit-identical oracle;
+//! * a bitset liveness solver ([`dataflow`]): one sequential worklist
+//!   over the flattened CFG, checked against an independent naive
+//!   fixpoint (`tests/liveness_oracle.rs`);
 //! * recognition on top of the solved facts ([`reduction`]): associative
 //!   reductions, scalar/array privatization, the `out[count++]`
 //!   compaction idiom, and interprocedural purity summaries — each
@@ -51,9 +49,8 @@ pub mod ir;
 pub mod programs;
 pub mod reduction;
 pub mod report;
-pub mod scc;
 
-pub use deps::{analyze_loop, analyze_loop_with, AnalysisOptions};
+pub use deps::analyze_loop;
 pub use emit::{emit_plan, ParallelPlan};
 pub use ir::{ArrayRef, Expr, LoopNest, Node, ReduceOp, Reduction, Stmt};
 pub use reduction::{

@@ -229,11 +229,9 @@ pub fn benchmark_report() -> Report {
 }
 
 /// Run the dataflow pass (with benchmark purity summaries) over the same
-/// five loops, solving with `n_workers` workers. The verdict set is
-/// independent of `n_workers` (the parallel solve is bit-identical to the
-/// sequential oracle); only the solve itself fans out.
-pub fn dataflow_report(n_workers: usize) -> DataflowReport {
-    let opts = DataflowOptions::benchmark(n_workers);
+/// five loops.
+pub fn dataflow_report() -> DataflowReport {
+    let opts = DataflowOptions::benchmark();
     DataflowReport {
         verdicts: benchmark_loops()
             .iter()
@@ -317,7 +315,7 @@ mod tests {
 
     #[test]
     fn dataflow_pass_clears_program1() {
-        let report = dataflow_report(1);
+        let report = dataflow_report();
         let v = &report.verdicts[0];
         assert!(v.verdict.parallel, "{v}");
         assert!(v
@@ -336,14 +334,14 @@ mod tests {
 
     #[test]
     fn dataflow_pass_clears_program2_without_pragma() {
-        let report = dataflow_report(1);
+        let report = dataflow_report();
         let v = &report.verdicts[1];
         assert!(v.verdict.parallel && !v.verdict.by_pragma, "{v}");
     }
 
     #[test]
     fn dataflow_pass_stays_honest_on_programs_3_and_4() {
-        let report = dataflow_report(1);
+        let report = dataflow_report();
         let p3 = &report.verdicts[2];
         assert!(!p3.verdict.parallel);
         // temp is privatized — but the masking region overlap remains.
@@ -360,7 +358,7 @@ mod tests {
 
     #[test]
     fn dataflow_pass_strictly_improves_on_the_conservative_pass() {
-        let report = dataflow_report(1);
+        let report = dataflow_report();
         assert!(report.strictly_improves(&benchmark_report()));
         assert_eq!(report.auto_parallel_count(), 3, "P1, P2, control loop");
     }

@@ -6,14 +6,12 @@
 //! nothing changes. The least fixpoint of a monotone union problem is
 //! unique, so the bitset worklist must land on exactly the same names at
 //! every node — checked on random three-level loop nests and on the five
-//! benchmark loops, at 1 / 2 / 8 solver workers.
+//! benchmark loops.
 
 use autopar::dataflow::{solve, Facts};
 use autopar::{LoopNest, Node, Stmt};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 type Names = BTreeSet<String>;
 
@@ -154,10 +152,8 @@ proptest! {
 
     #[test]
     fn solved_liveness_equals_the_naive_fixpoint(l in arb_loop()) {
-        for &w in &WORKER_COUNTS {
-            let checked = check_against_oracle(&l, &solve(&l, w));
-            prop_assert!(checked.is_ok(), "{} workers: {:?}", w, checked);
-        }
+        let checked = check_against_oracle(&l, &solve(&l));
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 }
 
@@ -166,8 +162,6 @@ proptest! {
 #[test]
 fn benchmark_loops_match_the_naive_fixpoint() {
     for l in autopar::programs::benchmark_loops() {
-        for &w in &WORKER_COUNTS {
-            check_against_oracle(&l, &solve(&l, w)).unwrap_or_else(|e| panic!("{w} workers: {e}"));
-        }
+        check_against_oracle(&l, &solve(&l)).unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -29,7 +29,7 @@ fn program2_conservative_report_text_is_pinned() {
 fn program2_dataflow_report_text_is_pinned() {
     let v = analyze_loop_dataflow(
         &programs::program2_threat_chunked(false),
-        &DataflowOptions::benchmark(1),
+        &DataflowOptions::benchmark(),
     );
     let text = v.to_string();
     assert!(
@@ -55,7 +55,7 @@ fn program2_dataflow_report_text_is_pinned() {
 fn program4_residual_reason_carries_provenance() {
     let v = analyze_loop_dataflow(
         &programs::program4_terrain_coarse(false),
-        &DataflowOptions::benchmark(1),
+        &DataflowOptions::benchmark(),
     );
     let text = v.verdict.to_string();
     assert!(

@@ -718,7 +718,7 @@ impl Experiments {
     pub fn autopar_report(&self) -> AutoparSummary {
         AutoparSummary {
             report: autopar::programs::benchmark_report(),
-            dataflow: autopar::programs::dataflow_report(1),
+            dataflow: autopar::programs::dataflow_report(),
         }
     }
 
@@ -734,14 +734,13 @@ impl Experiments {
     ///
     /// Every cell is deterministic text — no timings — so the CSV is
     /// scale-independent and diffable against the pinned
-    /// `results/table_auto.csv` in CI. `n_threads` drives the SCC-DAG
-    /// dataflow solve and the execution checks, never the verdicts
-    /// (which are bit-identical at any worker count).
+    /// `results/table_auto.csv` in CI. `n_threads` sets the width of
+    /// the execution checks, never the verdicts.
     pub fn table_auto(n_threads: usize) -> Table {
         let n_threads = n_threads.max(1);
         let loops = autopar::programs::benchmark_loops();
         let conservative = autopar::programs::benchmark_report();
-        let dataflow = autopar::programs::dataflow_report(n_threads);
+        let dataflow = autopar::programs::dataflow_report();
         assert!(
             dataflow.strictly_improves(&conservative),
             "the dataflow pass must parallelize strictly more loops"

@@ -95,7 +95,7 @@ fn main() {
     print!("{}", analyze_loop(&private_tmp));
 
     println!("\n== the dataflow pass: what a stronger compiler clears ==\n");
-    let df = programs::dataflow_report(1);
+    let df = programs::dataflow_report();
     print!("{df}");
     println!("\n-> emitted sthreads annotations for the loops it proved parallel:\n");
     for (l, v) in programs::benchmark_loops().iter().zip(&df.verdicts) {
