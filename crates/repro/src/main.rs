@@ -1,14 +1,18 @@
 //! `repro` — regenerate every table and figure of the SC'98 paper.
 //!
 //! ```text
-//! repro [--reduced] [--no-cache] [--profile] [--csv DIR] [--out FILE]
+//! repro [--reduced] [--no-cache] [--profile] [--threads N]
+//!       [--fuzz N] [--fuzz-seed S] [--csv DIR] [--json FILE] [--out FILE]
 //!       [SECTION...]
 //! repro --serve ADDR [--reduced] [--threads N]
 //! repro --load ADDR [--requests N] [--conns N] [--mix-seed S] [--stop-server]
 //!
-//! SECTIONs: tables (default), figures, utilization, autopar, table-auto,
-//!           scalability, sensitivity, all
+//! SECTIONs: tables, figures, utilization, autopar, table-auto,
+//!           scalability, sensitivity, all (default)
 //! ```
+//!
+//! A positional that is not one of the SECTIONs is rejected with the
+//! usage message and exit status 2, exactly like an unknown flag.
 //!
 //! With no arguments the binary measures the paper-scale workload,
 //! calibrates the machine models, and prints Tables 1–12 with the paper's
@@ -76,6 +80,18 @@ const USAGE: &str = "usage: repro [--reduced] [--no-cache] [--profile] \
      [--json FILE] [--out FILE] [--serve ADDR] \
      [--load ADDR [--requests N] [--conns N] [--mix-seed S] [--stop-server]] \
      [tables|figures|utilization|autopar|table-auto|scalability|sensitivity|all]...";
+
+/// Every positional `repro` accepts; anything else is a usage error.
+const SECTIONS: &[&str] = &[
+    "tables",
+    "figures",
+    "utilization",
+    "autopar",
+    "table-auto",
+    "scalability",
+    "sensitivity",
+    "all",
+];
 
 /// The operand of a value-taking flag. Missing operands and operands
 /// that look like the next flag are both hard errors: `repro --json`
@@ -167,7 +183,8 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Options, St
                 std::process::exit(0);
             }
             s if s.starts_with('-') => return Err(format!("unknown flag '{s}'")),
-            s => opts.sections.push(s.to_string()),
+            s if SECTIONS.contains(&s) => opts.sections.push(s.to_string()),
+            s => return Err(format!("unknown section '{s}'")),
         }
     }
     if opts.sections.is_empty() {
@@ -733,6 +750,20 @@ mod tests {
         // `--timing` and `--gate` were flags once; `benchmark/` replaced them.
         for args in [&["--bogus"][..], &["--timing"], &["--gate", "x"]] {
             assert!(parse(args).unwrap_err().contains(args[0]), "{args:?}");
+        }
+    }
+
+    /// `repro --reduced tabels` used to load the workload, print the
+    /// header and exit 0 with no section rendered.
+    #[test]
+    fn unknown_sections_are_rejected() {
+        for args in [&["tabels"][..], &["--reduced", "tables", "figure"], &[""]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("unknown section"), "{args:?}: {err}");
+        }
+        for &section in SECTIONS {
+            assert_eq!(parse(&[section]).unwrap().sections, [section]);
+            assert!(USAGE.contains(section), "usage must list {section}");
         }
     }
 
