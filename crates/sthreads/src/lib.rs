@@ -77,6 +77,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// One exception, allowed where it is: the pool erases the lifetime of a
+// region's body for the duration of the region (`pool.rs`).
+#![deny(unsafe_code)]
 
 pub mod barrier;
 pub mod counting;

@@ -21,6 +21,7 @@
 use crate::pool::scope_threads;
 use crate::queue::WorkQueue;
 use crate::stats;
+use parking_lot::Mutex;
 use std::time::Instant;
 
 /// Iteration-to-thread assignment policy for [`multithreaded_for`].
@@ -287,55 +288,10 @@ pub(crate) fn dynamic_grain(remaining: usize, n_threads: usize) -> usize {
     (remaining / (8 * n_threads)).max(1)
 }
 
-/// A vector of write-once result slots shared across a parallel region.
-///
-/// Each slot is written exactly once (by whichever worker claims that
-/// index) and read only after the region has completed, so no per-slot
-/// lock is needed; the pool's region-exit handshake provides the
-/// release/acquire ordering that makes the writes visible to the caller.
-struct ResultSlots<T> {
-    slots: Vec<std::cell::UnsafeCell<std::mem::MaybeUninit<T>>>,
-}
-
-// SAFETY: distinct indices are written by distinct workers with no
-// aliasing (the loop schedules dispense each index exactly once), and the
-// caller only reads after the region's completion handshake.
-unsafe impl<T: Send> Sync for ResultSlots<T> {}
-
-impl<T> ResultSlots<T> {
-    fn new(n: usize) -> Self {
-        Self {
-            slots: (0..n)
-                .map(|_| std::cell::UnsafeCell::new(std::mem::MaybeUninit::uninit()))
-                .collect(),
-        }
-    }
-
-    /// Write slot `i`.
-    ///
-    /// SAFETY (caller): index `i` must be written at most once across the
-    /// whole region, with no concurrent access to the same slot.
-    unsafe fn write(&self, i: usize, value: T) {
-        (*self.slots[i].get()).write(value);
-    }
-
-    /// Consume the slots into a plain vector.
-    ///
-    /// SAFETY (caller): every slot must have been initialized. If a region
-    /// panics mid-flight the slots are instead dropped as `MaybeUninit`,
-    /// which leaks any written values but is never undefined behaviour.
-    unsafe fn into_vec(self) -> Vec<T> {
-        self.slots
-            .into_iter()
-            .map(|c| c.into_inner().assume_init())
-            .collect()
-    }
-}
-
 /// Map `f` over `0..n_tasks` with `n_threads` workers and collect the
 /// results **in index order**, exactly as a sequential `map` would.
 ///
-/// Each task writes into its own pre-allocated slot, so the output is
+/// Each task writes into its own write-once slot, so the output is
 /// bit-identical to the sequential path for every thread count — the
 /// property the experiment harness's oracle cross-checks rely on. Tasks
 /// are self-scheduled ([`Schedule::Dynamic`]): variable-size ones
@@ -353,19 +309,23 @@ where
     if n_threads <= 1 || n_tasks <= 1 {
         return (0..n_tasks).map(f).collect();
     }
-    let slots = ResultSlots::new(n_tasks);
+    // One write-once slot per task. The lock is uncontended (the schedule
+    // dispenses each index exactly once) and is what lets the slots be
+    // shared with only `T: Send`; a region that panics drops them, and
+    // with them every value already written.
+    let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
     ParFor::new(0..n_tasks)
         .threads(n_threads)
         .schedule(Schedule::Dynamic)
         .serial_cutoff(true)
-        // SAFETY: the schedule (and the cutoff's inline path) dispenses
-        // each index exactly once, so slot `i` has exactly one writer and
-        // no reader until the region completes.
-        .run(|i| unsafe { slots.write(i, f(i)) });
-    // SAFETY: the loop above visited every index in 0..n_tasks exactly
-    // once (the invariant the schedule tests and the parallel oracle
-    // enforce), so every slot is initialized.
-    unsafe { slots.into_vec() }
+        .run(|i| {
+            let value = f(i);
+            *slots[i].lock() = Some(value);
+        });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("par_map: every index runs once"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -475,6 +435,41 @@ mod tests {
             let got = par_map(97, threads, |i| (i as u64) * 3 + 1);
             assert_eq!(got, expected, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn panicking_par_map_drops_the_values_already_written() {
+        use std::sync::atomic::AtomicUsize;
+        static CREATED: AtomicUsize = AtomicUsize::new(0);
+        static DROPPED: AtomicUsize = AtomicUsize::new(0);
+        struct Counted;
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPPED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        const N: usize = 64;
+        let result = std::panic::catch_unwind(|| {
+            par_map(N, 4, |i| {
+                if i == N - 1 {
+                    // The last index is claimed last: every other task
+                    // has been claimed, so each finishes and is written.
+                    while CREATED.load(Ordering::SeqCst) < N - 1 {
+                        std::thread::yield_now();
+                    }
+                    panic!("task {i} panicked");
+                }
+                CREATED.fetch_add(1, Ordering::SeqCst);
+                Counted
+            })
+        });
+        assert!(result.is_err(), "the panic must reach the caller");
+        assert_eq!(CREATED.load(Ordering::SeqCst), N - 1);
+        assert_eq!(
+            DROPPED.load(Ordering::SeqCst),
+            N - 1,
+            "written values leaked"
+        );
     }
 
     #[test]

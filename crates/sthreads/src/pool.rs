@@ -255,6 +255,7 @@ impl ThreadPool {
         // the decrementing workers have released the state lock. The
         // region lock guarantees no other caller overwrites the job while
         // this region runs.
+        #[allow(unsafe_code)]
         let erased: &'static (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(&body)
         };
