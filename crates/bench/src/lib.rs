@@ -1,26 +1,8 @@
-//! Shared helpers for the Criterion benchmark harness.
+//! The two Criterion groups the docs cite as sources. Every other timing
+//! is produced, checked and bounded by the repo benchmark (`benchmark/`).
 //!
-//! Each bench target covers part of the paper's evaluation:
-//!
-//! * `tables` — one group per table (2–12): regenerates the paper row set
-//!   from measured profiles through the calibrated models and reports how
-//!   long the full experiment takes.
-//! * `figures` — the four speedup figures, plus *host* executions of the
-//!   benchmark programs themselves (workload generation, sequential
-//!   baseline, every parallel variant).
-//! * `mta_micro` — cycle-level simulator benchmarks (utilization curve,
-//!   kernels, bank behaviour).
-//! * `ablations` — design-choice studies the paper discusses: block-lock
-//!   granularity, static vs dynamic scheduling, chunk count, and MTA
-//!   latency-parameter sensitivity.
-
-use eval_core::{Experiments, WorkloadScale};
-use std::sync::OnceLock;
-
-/// The shared reduced-scale experiment harness. Loaded from the on-disk
-/// snapshot cache when one is fresh (`eval_core::cache`), so repeated
-/// bench runs skip workload measurement and calibration entirely.
-pub fn experiments() -> &'static Experiments {
-    static E: OnceLock<Experiments> = OnceLock::new();
-    E.get_or_init(|| Experiments::load_or_measure(WorkloadScale::Reduced).0)
-}
+//! * `overhead` — parallel-region dispatch: fresh scoped threads vs the
+//!   parked pool, and `par_map` of trivial vs substantial tasks
+//!   (EXPERIMENTS.md, `docs/LAYERS.md`).
+//! * `kernels` — each c3i hot kernel beside its pinned baseline
+//!   (EXPERIMENTS.md; `ci.sh` runs it at quick scale as a smoke).
