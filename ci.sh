@@ -76,17 +76,17 @@ echo "== differential fuzz smoke (fixed seed) =="
 
 echo "== autopar oracle + soundness suites =="
 # The dataflow pass's contract, by name (see docs/AUTOPAR.md): the
-# parallel SCC-DAG solve is bit-identical to the sequential worklist
-# solver on random graphs and random loop nests at 1/2/8 workers
-# (dataflow_oracle); every PARALLEL verdict also *executes*
-# bit-identically — random loop bodies interpreted sequentially vs
-# uneven workers under adversarial iteration orders, privatized temps
-# poisoned (exec_soundness); brute-force soundness plus
-# dataflow-subsumes-conservative on random affine loops (soundness);
-# and the pinned provenance-carrying report text (report_snapshot).
-# All also part of `cargo test`; explicit so a verdict regression is
-# named in CI output.
-cargo test -q -p autopar --test soundness --test dataflow_oracle \
+# liveness the bitset worklist solves equals a naive round-robin
+# fixpoint over BTreeSet<String> that shares no code with it, on random
+# three-level loop nests and the five benchmark loops (liveness_oracle);
+# every PARALLEL verdict also *executes* bit-identically — random loop
+# bodies interpreted sequentially vs uneven workers under adversarial
+# iteration orders, privatized temps poisoned (exec_soundness);
+# brute-force soundness plus dataflow-subsumes-conservative on random
+# affine loops (soundness); and the pinned provenance-carrying report
+# text (report_snapshot). All also part of `cargo test`; explicit so a
+# verdict regression is named in CI output.
+cargo test -q -p autopar --test soundness --test liveness_oracle \
   --test exec_soundness --test report_snapshot
 
 echo "== table-auto smoke (auto-vs-manual comparison, pinned CSV) =="
@@ -134,6 +134,19 @@ if grep -rn 'HarnessReport\|ServiceReport\|harness_timing\|BENCH_harness\|BENCH_
   crates src tests examples docs README.md EXPERIMENTS.md .claude |
   grep -v '^docs/LAYERS.md:'; then
   echo "the deleted repro timing pipeline is referenced again" >&2
+  exit 1
+fi
+# So is the second dataflow schedule with its worker knob, reaching
+# definitions, and the conservative pass's stance switch.
+if grep -rni 'scc\|n_workers\|reach_in\|gen_rd\|AnalysisOptions' \
+  crates/autopar crates/core/src; then
+  echo "the deleted autopar dataflow paths are referenced again" >&2
+  exit 1
+fi
+# sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
+# the crate denies unsafe_code everywhere else.
+if [ "$(grep -rhw 'unsafe' crates/sthreads/src | grep -vc '^ *//')" -ne 1 ]; then
+  echo "crates/sthreads/src must hold exactly one line of unsafe code" >&2
   exit 1
 fi
 
