@@ -8,7 +8,7 @@
 //! every node — checked on random three-level loop nests and on the five
 //! benchmark loops.
 
-use autopar::dataflow::{solve, Facts};
+use autopar::dataflow::{solve, BitSet, Facts};
 use autopar::{LoopNest, Node, Stmt};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -54,8 +54,9 @@ impl NaiveCfg {
                 }
             }
         }
-        if let Some(last) = self.uses.len().checked_sub(1).filter(|&last| last >= first) {
-            self.succs[last].insert(first);
+        let end = self.uses.len();
+        if end > first {
+            self.succs[end - 1].insert(first);
         }
     }
 
@@ -85,7 +86,7 @@ impl NaiveCfg {
 }
 
 /// The solver's bitsets, decoded to names through its scalar universe.
-fn names(facts: &Facts, sets: &[autopar::dataflow::BitSet]) -> Vec<Names> {
+fn names(facts: &Facts, sets: &[BitSet]) -> Vec<Names> {
     sets.iter()
         .map(|s| s.iter().map(|i| facts.cfg.scalars[i].clone()).collect())
         .collect()
