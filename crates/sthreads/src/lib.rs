@@ -9,17 +9,18 @@
 //! * the **Tera parallelization pragmas, futures and synchronization
 //!   variables** (used for the Tera MTA runs).
 //!
-//! The crate provides the three parallel structures those systems share and
-//! that the paper's manual parallelizations are built from:
+//! Futures and general full/empty synchronization variables are not here:
+//! Programs 1–4 as built use the multithreaded loop and `int_fetch_add`
+//! only, so those are the two structures this crate provides:
 //!
-//! * [`multithreaded_for`] / [`ParFor`] — the `#pragma multithreaded` loop,
-//!   with static chunking (Program 2) or dynamic self-scheduling
-//!   (Program 4),
-//! * [`Future`] — Tera-style futures (spawn a computation, `force` its
-//!   value),
-//! * [`SyncVar`] — a full/empty synchronization variable modelling the Tera
-//!   MTA's per-word full/empty bits (`write` waits for empty and sets full,
-//!   `take` waits for full and sets empty).
+//! * [`multithreaded_for`] / [`ParFor`] / [`par_map`] — the
+//!   `#pragma multithreaded` loop, with static chunking (Program 2) or
+//!   dynamic self-scheduling (Program 4),
+//! * [`SyncCounter`] — `int_fetch_add` on a synchronization variable, the
+//!   shared output-slot counter of the fine-grained Threat Analysis.
+//!
+//! (Full/empty words themselves are simulated, with their timing, by
+//! `mta-sim`.)
 //!
 //! Two "backends" exist:
 //!
@@ -81,23 +82,19 @@
 // region's body for the duration of the region (`pool.rs`).
 #![deny(unsafe_code)]
 
-pub mod barrier;
 pub mod counting;
-pub mod future;
 pub mod par_for;
 pub mod pool;
 pub mod queue;
 pub mod stats;
 pub mod syncvar;
 
-pub use barrier::{reduce, Barrier};
 pub use counting::{OpCounts, OpRecorder, ThreadCounts};
-pub use future::Future;
 pub use par_for::{multithreaded_for, par_map, ChunkBounds, ParFor, Schedule};
 pub use pool::{scope_threads, ThreadPool};
 pub use queue::WorkQueue;
 pub use stats::StatsSnapshot;
-pub use syncvar::{SyncCounter, SyncVar};
+pub use syncvar::SyncCounter;
 
 /// Compute the half-open index range owned by `chunk` when `n_items` items
 /// are divided as evenly as possible among `n_chunks` chunks.

@@ -1,168 +1,16 @@
-//! Full/empty synchronization variables.
+//! The synchronization-variable operation Programs 1–4 use:
+//! `int_fetch_add`.
 //!
-//! Every word of Tera MTA memory carries a full/empty bit; a synchronized
-//! load waits until the word is full and (optionally) sets it empty, a
-//! synchronized store waits until the word is empty and sets it full. The
-//! paper uses these for the fine-grained Threat Analysis variant (a shared
-//! interval counter updated with `int_fetch_add`) and notes that
-//! "synchronization on every element of a large data structure is
-//! practical" on the MTA.
-//!
-//! [`SyncVar<T>`] reproduces those semantics on the host with a mutex and
-//! condition variables. The *cost* difference (1 cycle on the MTA versus
+//! Every word of Tera MTA memory carries a full/empty bit, and the paper
+//! notes that "synchronization on every element of a large data structure
+//! is practical" on the MTA. The one use the benchmark programs as built
+//! make of it is the fine-grained Threat Analysis variant's shared
+//! interval counter, updated with `int_fetch_add` to allocate output
+//! slots. The *cost* difference (1 cycle on the MTA versus
 //! hundreds–thousands of cycles on conventional machines) is modelled in
-//! `eval-core`, not here; this type provides the behaviour so the
-//! fine-grained algorithm variants can be executed and verified.
-
-use parking_lot::{Condvar, Mutex};
-
-struct State<T> {
-    /// `Some` when the variable is full.
-    value: Option<T>,
-}
-
-/// A variable with Tera-style full/empty semantics.
-///
-/// ```
-/// use sthreads::SyncVar;
-/// let v = SyncVar::new_full(41);
-/// assert_eq!(v.take(), 41);       // leaves it empty
-/// v.write(7);                     // fills it
-/// assert_eq!(v.read(), 7);        // non-consuming read
-/// assert_eq!(v.take(), 7);
-/// ```
-pub struct SyncVar<T> {
-    state: Mutex<State<T>>,
-    /// Signalled when the variable becomes full.
-    filled: Condvar,
-    /// Signalled when the variable becomes empty.
-    emptied: Condvar,
-}
-
-impl<T> SyncVar<T> {
-    /// Create an empty variable (full/empty bit = empty).
-    pub fn new_empty() -> Self {
-        Self {
-            state: Mutex::new(State { value: None }),
-            filled: Condvar::new(),
-            emptied: Condvar::new(),
-        }
-    }
-
-    /// Create a full variable holding `value`.
-    pub fn new_full(value: T) -> Self {
-        Self {
-            state: Mutex::new(State { value: Some(value) }),
-            filled: Condvar::new(),
-            emptied: Condvar::new(),
-        }
-    }
-
-    /// Synchronized store: wait until empty, store `value`, set full.
-    pub fn write(&self, value: T) {
-        let mut st = self.state.lock();
-        while st.value.is_some() {
-            self.emptied.wait(&mut st);
-        }
-        st.value = Some(value);
-        self.filled.notify_one();
-    }
-
-    /// Synchronized consuming load: wait until full, set empty, return the
-    /// value (the MTA's ordinary synchronized read).
-    pub fn take(&self) -> T {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(v) = st.value.take() {
-                self.emptied.notify_one();
-                return v;
-            }
-            self.filled.wait(&mut st);
-        }
-    }
-
-    /// Unsynchronized store: overwrite regardless of state and set full
-    /// (the MTA's `$` "store and set full" without waiting).
-    pub fn put(&self, value: T) {
-        let mut st = self.state.lock();
-        st.value = Some(value);
-        self.filled.notify_one();
-    }
-
-    /// Try a synchronized store without blocking. Returns `Err(value)` if
-    /// the variable was full.
-    pub fn try_write(&self, value: T) -> Result<(), T> {
-        let mut st = self.state.lock();
-        if st.value.is_some() {
-            return Err(value);
-        }
-        st.value = Some(value);
-        self.filled.notify_one();
-        Ok(())
-    }
-
-    /// Try a synchronized consuming load without blocking.
-    pub fn try_take(&self) -> Option<T> {
-        let mut st = self.state.lock();
-        let v = st.value.take();
-        if v.is_some() {
-            self.emptied.notify_one();
-        }
-        v
-    }
-
-    /// Whether the variable is currently full. Momentary — useful only for
-    /// tests and diagnostics.
-    pub fn is_full(&self) -> bool {
-        self.state.lock().value.is_some()
-    }
-
-    /// Wait until full, then apply `f` to the value in place, leaving the
-    /// variable full. This is the "lock a word, mutate, unlock" idiom the
-    /// fine-grained Threat Analysis variant uses on `num_intervals`.
-    pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(v) = st.value.as_mut() {
-                let r = f(v);
-                // Still full; wake a reader in case it raced us.
-                self.filled.notify_one();
-                return r;
-            }
-            self.filled.wait(&mut st);
-        }
-    }
-}
-
-impl<T: Clone> SyncVar<T> {
-    /// Synchronized non-consuming load: wait until full, return a clone,
-    /// leave the variable full (the MTA's "read and leave full" mode).
-    pub fn read(&self) -> T {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(v) = st.value.as_ref() {
-                return v.clone();
-            }
-            self.filled.wait(&mut st);
-        }
-    }
-}
-
-impl<T> Default for SyncVar<T> {
-    fn default() -> Self {
-        Self::new_empty()
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for SyncVar<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
-        match st.value.as_ref() {
-            Some(v) => write!(f, "SyncVar(full: {v:?})"),
-            None => write!(f, "SyncVar(empty)"),
-        }
-    }
-}
+//! `eval-core`, and full/empty words themselves are simulated by
+//! `mta-sim`; this module provides the host behaviour so the fine-grained
+//! variant can be executed and verified.
 
 /// An always-full integer cell supporting the MTA's one-cycle
 /// `int_fetch_add`, used to allocate slots in a shared output array.
@@ -197,84 +45,6 @@ impl SyncCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn new_empty_then_write_then_take() {
-        let v = SyncVar::new_empty();
-        assert!(!v.is_full());
-        v.write(5);
-        assert!(v.is_full());
-        assert_eq!(v.take(), 5);
-        assert!(!v.is_full());
-    }
-
-    #[test]
-    fn try_write_fails_when_full_and_try_take_when_empty() {
-        let v = SyncVar::new_full(1);
-        assert_eq!(v.try_write(2), Err(2));
-        assert_eq!(v.try_take(), Some(1));
-        assert_eq!(v.try_take(), None);
-        assert_eq!(v.try_write(3), Ok(()));
-        assert_eq!(v.read(), 3);
-        assert!(v.is_full(), "read must leave the variable full");
-    }
-
-    #[test]
-    fn put_overwrites_without_waiting() {
-        let v = SyncVar::new_full(1);
-        v.put(9);
-        assert_eq!(v.take(), 9);
-    }
-
-    #[test]
-    fn producer_consumer_handoff() {
-        let v = Arc::new(SyncVar::new_empty());
-        let p = Arc::clone(&v);
-        let producer = std::thread::spawn(move || {
-            for i in 0..100 {
-                p.write(i); // blocks until consumer empties it
-            }
-        });
-        let mut got = Vec::new();
-        for _ in 0..100 {
-            got.push(v.take());
-        }
-        producer.join().unwrap();
-        assert_eq!(
-            got,
-            (0..100).collect::<Vec<_>>(),
-            "handoff must preserve order and lose nothing"
-        );
-    }
-
-    #[test]
-    fn update_mutates_in_place_and_leaves_full() {
-        let v = SyncVar::new_full(10);
-        let old = v.update(|x| {
-            let o = *x;
-            *x += 5;
-            o
-        });
-        assert_eq!(old, 10);
-        assert_eq!(v.read(), 15);
-    }
-
-    #[test]
-    fn concurrent_updates_are_atomic() {
-        let v = Arc::new(SyncVar::new_full(0u64));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let v = Arc::clone(&v);
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        v.update(|x| *x += 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(v.read(), 8000);
-    }
 
     #[test]
     fn sync_counter_fetch_add_returns_previous() {
@@ -301,13 +71,5 @@ mod tests {
             }
         });
         assert!(slots.lock().unwrap().iter().all(|&b| b));
-    }
-
-    #[test]
-    fn debug_formats_show_state() {
-        let v: SyncVar<i32> = SyncVar::new_empty();
-        assert_eq!(format!("{v:?}"), "SyncVar(empty)");
-        v.put(3);
-        assert_eq!(format!("{v:?}"), "SyncVar(full: 3)");
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use sthreads::{
-    chunk_range, multithreaded_for, OpCounts, ParFor, Schedule, SyncVar, ThreadCounts, WorkQueue,
+    chunk_range, multithreaded_for, OpCounts, ParFor, Schedule, ThreadCounts, WorkQueue,
 };
 
 proptest! {
@@ -143,17 +143,6 @@ proptest! {
             });
             prop_assert_eq!(&got, &expected, "par_map diverged at {} threads", threads);
         }
-    }
-
-    /// SyncVar sequential write/take round-trips any sequence of values.
-    #[test]
-    fn syncvar_round_trips(values in proptest::collection::vec(any::<i64>(), 0..50)) {
-        let v = SyncVar::new_empty();
-        for &x in &values {
-            v.write(x);
-            prop_assert_eq!(v.take(), x);
-        }
-        prop_assert!(!v.is_full());
     }
 
     /// ThreadCounts invariants: total >= max thread, imbalance >= 1.

@@ -8,7 +8,6 @@
 
 use tera_c3i::c3i::{terrain, threat};
 use tera_c3i::eval_core::{Experiments, Workload, WorkloadScale};
-use tera_c3i::sthreads;
 
 fn main() {
     // ── 1. Threat Analysis ──────────────────────────────────────────────
@@ -75,20 +74,7 @@ fn main() {
         100 * covered / masking.len()
     );
 
-    // ── 3. Full/empty synchronization (the Tera's signature feature) ───
-    let channel = sthreads::SyncVar::new_empty();
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for i in 0..5 {
-                channel.write(i); // waits for the consumer each round
-            }
-        });
-        let got: Vec<i32> = (0..5).map(|_| channel.take()).collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-    });
-    println!("\nfull/empty SyncVar handoff: ok");
-
-    // ── 4. What would this cost on the paper's machines? ───────────────
+    // ── 3. What would this cost on the paper's machines? ───────────────
     println!("\nCalibrating machine models on the reduced workload...");
     let exps = Experiments::new(Workload::build(WorkloadScale::Reduced));
     let ta = exps.ta_seq_secs();
