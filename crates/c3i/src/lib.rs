@@ -37,7 +37,6 @@
 
 pub mod counts;
 pub mod grid;
-pub mod io;
 pub mod terrain;
 pub mod threat;
 

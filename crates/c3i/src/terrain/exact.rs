@@ -8,8 +8,9 @@
 //! along the actual radar→cell segment and taking the true maximum
 //! blocking slope.
 //!
-//! Two facts are verified by the tests here and used by the validation
-//! suite:
+//! Test-only: nothing outside this module's tests calls it. They hold
+//! the production recurrence ([`super::los::per_threat_masking`]) against
+//! it:
 //!
 //! 1. on axis-aligned and exact-diagonal rays the recurrence's parent
 //!    chain follows the ray exactly, so recurrence == oracle;
@@ -22,7 +23,7 @@ use crate::grid::Grid;
 
 /// Bilinearly interpolated terrain elevation at fractional grid
 /// coordinates (clamped to the grid).
-pub fn elevation_at(terrain: &Grid<f64>, fx: f64, fy: f64) -> f64 {
+fn elevation_at(terrain: &Grid<f64>, fx: f64, fy: f64) -> f64 {
     let max_x = (terrain.x_size() - 1) as f64;
     let max_y = (terrain.y_size() - 1) as f64;
     let fx = fx.clamp(0.0, max_x);
@@ -43,7 +44,7 @@ pub fn elevation_at(terrain: &Grid<f64>, fx: f64, fy: f64) -> f64 {
 /// every `step` cells. Terrain strictly between radar and cell counts;
 /// the endpoints do not.
 #[allow(clippy::too_many_arguments)] // same geometry signature as the recurrence it validates
-pub fn exact_blocking_slope(
+fn exact_blocking_slope(
     terrain: &Grid<f64>,
     cell_size: f64,
     h_s: f64,
@@ -77,7 +78,7 @@ pub fn exact_blocking_slope(
 
 /// The exact per-threat masking field over the threat's region (clamped
 /// like the benchmark's), computed entirely by ray marching.
-pub fn exact_per_threat_masking(
+fn exact_per_threat_masking(
     terrain: &Grid<f64>,
     cell_size: f64,
     threat: &GroundThreat,
@@ -106,7 +107,7 @@ pub fn exact_per_threat_masking(
 /// Aggregate comparison between the benchmark recurrence and the exact
 /// oracle over one threat's region: (mean absolute error, max absolute
 /// error, both in meters over cells where either field is finite).
-pub fn compare_with_recurrence(
+fn compare_with_recurrence(
     terrain: &Grid<f64>,
     cell_size: f64,
     threat: &GroundThreat,

@@ -35,11 +35,10 @@
 
 pub mod coarse;
 pub mod count;
-pub mod exact;
+#[cfg(test)]
+mod exact;
 pub mod fine;
 pub mod los;
-pub mod render;
-pub mod route;
 pub mod scenario;
 pub mod sequential;
 pub mod verify;
@@ -48,13 +47,10 @@ pub use coarse::{
     greedy_bins, per_threat_counts, terrain_masking_coarse, terrain_masking_coarse_host, Blocking,
 };
 pub use count::{op_profile, ring_ops, TerrainOps};
-pub use exact::{compare_with_recurrence, exact_blocking_slope, exact_per_threat_masking};
 pub use fine::{terrain_masking_fine, terrain_masking_fine_host};
 pub use los::{
     per_threat_masking, KernelArena, KernelScratch, OffGridThreat, Region, RingRun, RingRuns,
 };
-pub use render::{render_grid, render_masking, render_terrain};
-pub use route::{altitude_sweep, exposed_fraction, is_exposed, plan_route, Route};
 pub use scenario::{
     benchmark_params, benchmark_suite, generate, small_scenario, GroundThreat, TerrainScenario,
     TerrainScenarioError, TerrainScenarioParams,

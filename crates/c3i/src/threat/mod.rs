@@ -35,7 +35,6 @@
 //!   order is nondeterministic (results must be compared as a set).
 
 pub mod chunked;
-pub mod engagement;
 pub mod fine;
 pub mod model;
 pub mod scenario;
@@ -43,7 +42,6 @@ pub mod sequential;
 pub mod verify;
 
 pub use chunked::{threat_analysis_chunked, threat_analysis_chunked_host, ChunkedResult};
-pub use engagement::{coverage, schedule_exhaustive, schedule_greedy, Engagement, Plan};
 pub use fine::{threat_analysis_fine, threat_analysis_fine_host};
 pub use model::{
     can_intercept, exit_class, intervals_for_pair, intervals_for_pair_stepwise, pair_counts, Exit,

@@ -100,41 +100,6 @@ proptest! {
         }
     }
 
-    /// Engagement plans built from any benchmark output validate, and the
-    /// exhaustive scheduler never does worse than the greedy one.
-    #[test]
-    fn engagement_plans_validate_and_exhaustive_dominates(
-        s in arb_threat_scenario(),
-    ) {
-        let intervals = threat::threat_analysis(&s, &mut c3i::NoRec);
-        prop_assume!(intervals.len() <= 40); // keep branch and bound fast
-        let greedy = threat::schedule_greedy(&intervals);
-        prop_assert!(greedy.validate(&intervals).is_ok(), "{:?}", greedy.validate(&intervals));
-        let best = threat::schedule_exhaustive(&intervals);
-        prop_assert!(best.validate(&intervals).is_ok());
-        prop_assert!(best.threats_engaged() >= greedy.threats_engaged());
-        // EDF's classic 1/2 approximation bound.
-        prop_assert!(2 * greedy.threats_engaged() >= best.threats_engaged());
-    }
-
-    /// Route planning: the best route's exposure is monotone in altitude
-    /// and never exceeds the route's length.
-    #[test]
-    fn route_exposure_is_monotone_in_altitude(s in arb_terrain_scenario()) {
-        let masking = terrain::terrain_masking(&s, &mut c3i::NoRec);
-        let xs = masking.x_size();
-        let ys = masking.y_size();
-        let start = (0usize, ys / 2);
-        let goal = (xs - 1, ys / 2);
-        let mut last = 0usize;
-        for alt in [100.0, 500.0, 2000.0, 8000.0] {
-            let r = terrain::plan_route(&masking, alt, start, goal).expect("route exists");
-            prop_assert!(r.exposed_cells >= last, "exposure decreased with altitude");
-            prop_assert!(r.exposed_cells <= r.cells.len());
-            last = r.exposed_cells;
-        }
-    }
-
     /// Interval outputs are invariant under weapon-list rotation modulo
     /// reindexing — the per-pair computation must not depend on global
     /// state (the property the paper's parallelization relies on).

@@ -60,7 +60,6 @@ const MEASUREMENT_SOURCES: &[(&str, &str)] = &[
     ("core/src/calibrate.rs", include_str!("calibrate.rs")),
     ("core/src/models.rs", include_str!("models.rs")),
     ("c3i/src/lib.rs", include_str!("../../c3i/src/lib.rs")),
-    ("c3i/src/io.rs", include_str!("../../c3i/src/io.rs")),
     ("c3i/src/grid.rs", include_str!("../../c3i/src/grid.rs")),
     ("c3i/src/counts.rs", include_str!("../../c3i/src/counts.rs")),
     (
@@ -74,10 +73,6 @@ const MEASUREMENT_SOURCES: &[(&str, &str)] = &[
     (
         "c3i/src/threat/scenario.rs",
         include_str!("../../c3i/src/threat/scenario.rs"),
-    ),
-    (
-        "c3i/src/threat/engagement.rs",
-        include_str!("../../c3i/src/threat/engagement.rs"),
     ),
     (
         "c3i/src/threat/sequential.rs",
@@ -126,14 +121,6 @@ const MEASUREMENT_SOURCES: &[(&str, &str)] = &[
     (
         "c3i/src/terrain/fine.rs",
         include_str!("../../c3i/src/terrain/fine.rs"),
-    ),
-    (
-        "c3i/src/terrain/route.rs",
-        include_str!("../../c3i/src/terrain/route.rs"),
-    ),
-    (
-        "c3i/src/terrain/render.rs",
-        include_str!("../../c3i/src/terrain/render.rs"),
     ),
     (
         "c3i/src/terrain/verify.rs",

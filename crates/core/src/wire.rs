@@ -6,8 +6,7 @@
 //! at [`MAX_FRAME_BYTES`]; a peer announcing more is answered with a
 //! typed `frame_too_large` error and the connection is closed (the
 //! stream is desynchronized past that point). Malformed input is never
-//! zero-filled or guessed at — the same precedent as the `load_masking`
-//! truncated-file fix:
+//! zero-filled or guessed at:
 //!
 //! * clean EOF between frames → normal connection close,
 //! * truncated length prefix or truncated body → connection close

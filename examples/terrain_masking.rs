@@ -1,6 +1,6 @@
 //! Terrain Masking, end to end: synthesize terrain, place radar threats,
-//! compute the maximum-safe-altitude map with all three program variants,
-//! and render an ASCII picture of the masking field.
+//! compute the maximum-safe-altitude map with all three program variants
+//! and check they agree.
 //!
 //! ```text
 //! cargo run --release --example terrain_masking
@@ -42,17 +42,6 @@ fn main() {
     assert_eq!(fine, masking);
     terrain::verify_masking(&scenario, &masking).expect("correctness test");
     println!("sequential {t_seq:?}; coarse (4 threads, 10x10 block locks) {t_coarse:?}; all bit-identical");
-
-    // ASCII rendering: how high can you safely fly, relative to ground?
-    // '.' = uncovered (fly at any altitude), digits = safe ceiling above
-    // ground in units of 200 m (9 = 1800 m+), '#' = hugging the ground.
-    println!("\nterrain relief:");
-    print!("{}", terrain::render_terrain(&scenario.terrain, 72, 36));
-    println!("\nmasking field ('.'=no threat, '#'=ground level only, 1-9=ceiling/200m):");
-    print!(
-        "{}",
-        terrain::render_masking(&masking, &scenario.terrain, 200.0, 72, 36)
-    );
 
     // The paper's Section 6 punchline: the memory-per-thread problem.
     let region_cells: usize = scenario
