@@ -1,18 +1,18 @@
 //! `repro` — regenerate every table and figure of the SC'98 paper.
 //!
 //! ```text
-//! repro [--reduced] [--no-cache] [--profile] [--threads N]
-//!       [--fuzz N] [--fuzz-seed S] [--csv DIR] [--json FILE] [--out FILE]
-//!       [SECTION...]
-//! repro --serve ADDR [--reduced] [--threads N]
-//! repro --load ADDR [--requests N] [--conns N] [--mix-seed S] [--stop-server]
-//!
-//! SECTIONs: tables, figures, utilization, autopar, table-auto,
-//!           scalability, sensitivity, all (default)
+//! repro [FLAG...] [SECTION...]    print the requested sections (default: all)
+//! repro --serve ADDR [FLAG...]    serve scenario-evaluation requests
+//! repro --load ADDR [FLAG...]     replay a request mix against a server
 //! ```
 //!
-//! A positional that is not one of the SECTIONs is rejected with the
-//! usage message and exit status 2, exactly like an unknown flag.
+//! [`FLAGS`] and [`SECTIONS`] are the one statement of what the command
+//! line accepts: the parser loops over them and `repro --help` prints
+//! the usage rendered from them. Anything else — an unknown flag, a
+//! positional that is not a section, a value-taking flag whose operand
+//! is missing or flag-like (a bare `repro --json` is a mistake, not a
+//! request to skip JSON output), `--json` without the `tables` section
+//! that would write it — gets the usage message and exit status 2.
 //!
 //! With no arguments the binary measures the paper-scale workload,
 //! calibrates the machine models, and prints Tables 1–12 with the paper's
@@ -40,12 +40,6 @@
 //! every response against a direct sequential evaluation, and exits
 //! non-zero unless every request completed bit-identical — an identity
 //! and completion smoke that writes no file.
-//!
-//! Every flag that takes an operand (`--csv`, `--json`, `--out`,
-//! `--fuzz`, `--fuzz-seed`, `--threads`, `--serve`, `--load`,
-//! `--requests`, `--conns`, `--mix-seed`) exits with the usage message
-//! when the operand is missing or flag-like — a bare `repro --json` is a
-//! mistake, not a request to skip JSON output.
 
 use eval_core::cache;
 use eval_core::experiments::{self, Figure};
@@ -75,12 +69,6 @@ struct Options {
     sections: Vec<String>,
 }
 
-const USAGE: &str = "usage: repro [--reduced] [--no-cache] [--profile] \
-     [--fuzz N] [--fuzz-seed S] [--threads N] [--csv DIR] \
-     [--json FILE] [--out FILE] [--serve ADDR] \
-     [--load ADDR [--requests N] [--conns N] [--mix-seed S] [--stop-server]] \
-     [tables|figures|utilization|autopar|table-auto|scalability|sensitivity|all]...";
-
 /// Every positional `repro` accepts; anything else is a usage error.
 const SECTIONS: &[&str] = &[
     "tables",
@@ -93,33 +81,82 @@ const SECTIONS: &[&str] = &[
     "all",
 ];
 
-/// The operand of a value-taking flag. Missing operands and operands
-/// that look like the next flag are both hard errors: `repro --json`
-/// must not silently behave like `repro`.
-fn operand(
-    flag: &str,
-    what: &str,
-    args: &mut impl Iterator<Item = String>,
-) -> Result<String, String> {
-    match args.next() {
-        Some(v) if !v.starts_with("--") => Ok(v),
-        Some(v) => Err(format!("{flag} requires {what}, got flag '{v}'")),
-        None => Err(format!("{flag} requires {what}")),
+/// One flag: its spelling, its operand as `(metavar, what)` — the usage
+/// shows the metavar, the errors say `what` — and its effect on the
+/// options. The effect gets the operand iff the flag takes one, and
+/// hands an operand it cannot parse back as the error.
+struct Flag(
+    &'static str,
+    Option<(&'static str, &'static str)>,
+    fn(&mut Options, Option<String>) -> Result<(), String>,
+);
+
+const ADDR: &str = "a socket address (host:port or unix path)";
+
+/// Every flag `repro` accepts besides `--help` / `-h`, in usage order.
+const FLAGS: &[Flag] = &[
+    Flag("--reduced", None, |o, _| {
+        set(&mut o.scale, WorkloadScale::Reduced)
+    }),
+    Flag("--no-cache", None, |o, _| set(&mut o.use_cache, false)),
+    Flag("--profile", None, |o, _| set(&mut o.profile, true)),
+    Flag("--fuzz", Some(("N", "a case count")), |o, v| {
+        set(&mut o.fuzz, Some(num(v)?))
+    }),
+    Flag("--fuzz-seed", Some(("S", "a u64 seed")), |o, v| {
+        set(&mut o.fuzz_seed, num(v)?)
+    }),
+    Flag("--threads", Some(("N", "a positive integer")), |o, v| {
+        set(&mut o.n_threads, Some(num(v)?))
+    }),
+    Flag("--csv", Some(("DIR", "a directory")), |o, v| {
+        set(&mut o.csv_dir, v)
+    }),
+    Flag("--json", Some(("FILE", "a file path")), |o, v| {
+        set(&mut o.json_file, v)
+    }),
+    Flag("--out", Some(("FILE", "a file path")), |o, v| {
+        set(&mut o.out_file, v)
+    }),
+    Flag("--serve", Some(("ADDR", ADDR)), |o, v| set(&mut o.serve, v)),
+    Flag("--load", Some(("ADDR", ADDR)), |o, v| set(&mut o.load, v)),
+    Flag("--requests", Some(("N", "a request count")), |o, v| {
+        set(&mut o.requests, num(v)?)
+    }),
+    Flag("--conns", Some(("N", "a connection count")), |o, v| {
+        set(&mut o.conns, num(v)?)
+    }),
+    Flag("--mix-seed", Some(("S", "a u64 seed")), |o, v| {
+        set(&mut o.mix_seed, num(v)?)
+    }),
+    Flag("--stop-server", None, |o, _| set(&mut o.stop_server, true)),
+];
+
+fn set<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+/// A numeric operand, parsed; the operand itself when it does not parse.
+fn num<T: std::str::FromStr>(v: Option<String>) -> Result<T, String> {
+    let v = v.expect("a value-taking flag is applied to its operand");
+    v.parse().map_err(|_| v)
+}
+
+fn usage() -> String {
+    let mut u = String::from("usage: repro");
+    for Flag(name, operand, _) in FLAGS {
+        match operand {
+            Some((metavar, _)) => u.push_str(&format!(" [{name} {metavar}]")),
+            None => u.push_str(&format!(" [{name}]")),
+        }
     }
+    format!("{u} [{}]...", SECTIONS.join("|"))
 }
 
-/// [`operand`], parsed into a numeric type.
-fn parsed_operand<T: std::str::FromStr>(
-    flag: &str,
-    what: &str,
-    args: &mut impl Iterator<Item = String>,
-) -> Result<T, String> {
-    let v = operand(flag, what, args)?;
-    v.parse()
-        .map_err(|_| format!("{flag}: cannot parse '{v}' as {what}"))
-}
-
-fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+/// The options a command line asks for; `Ok(None)` when it asks for the
+/// usage (`--help` / `-h`) instead of a run.
+fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Option<Options>, String> {
     let mut opts = Options {
         scale: WorkloadScale::Paper,
         csv_dir: None,
@@ -140,65 +177,51 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Options, St
     };
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--reduced" => opts.scale = WorkloadScale::Reduced,
-            "--csv" => opts.csv_dir = Some(operand("--csv", "a directory", &mut args)?),
-            "--json" => opts.json_file = Some(operand("--json", "a file path", &mut args)?),
-            "--out" => opts.out_file = Some(operand("--out", "a file path", &mut args)?),
-            "--no-cache" => opts.use_cache = false,
-            "--profile" => opts.profile = true,
-            "--fuzz" => opts.fuzz = Some(parsed_operand("--fuzz", "a case count", &mut args)?),
-            "--fuzz-seed" => {
-                opts.fuzz_seed = parsed_operand("--fuzz-seed", "a u64 seed", &mut args)?
-            }
-            "--threads" => {
-                opts.n_threads = Some(parsed_operand(
-                    "--threads",
-                    "a positive integer",
-                    &mut args,
-                )?)
-            }
-            "--serve" => {
-                opts.serve = Some(operand(
-                    "--serve",
-                    "a socket address (host:port or unix path)",
-                    &mut args,
-                )?)
-            }
-            "--load" => {
-                opts.load = Some(operand(
-                    "--load",
-                    "a socket address (host:port or unix path)",
-                    &mut args,
-                )?)
-            }
-            "--requests" => {
-                opts.requests = parsed_operand("--requests", "a request count", &mut args)?
-            }
-            "--conns" => opts.conns = parsed_operand("--conns", "a connection count", &mut args)?,
-            "--mix-seed" => opts.mix_seed = parsed_operand("--mix-seed", "a u64 seed", &mut args)?,
-            "--stop-server" => opts.stop_server = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            s if s.starts_with('-') => return Err(format!("unknown flag '{s}'")),
-            s if SECTIONS.contains(&s) => opts.sections.push(s.to_string()),
-            s => return Err(format!("unknown section '{s}'")),
+        if a == "--help" || a == "-h" {
+            return Ok(None);
         }
+        let Some(Flag(_, operand, apply)) = FLAGS.iter().find(|f| f.0 == a) else {
+            if a.starts_with('-') {
+                return Err(format!("unknown flag '{a}'"));
+            }
+            if !SECTIONS.contains(&a.as_str()) {
+                return Err(format!("unknown section '{a}'"));
+            }
+            opts.sections.push(a);
+            continue;
+        };
+        let Some((_, what)) = operand else {
+            apply(&mut opts, None)?;
+            continue;
+        };
+        // A missing operand and one that looks like the next flag are
+        // both hard errors: `repro --json` must not behave like `repro`.
+        let v = match args.next() {
+            Some(v) if !v.starts_with("--") => v,
+            Some(v) => return Err(format!("{a} requires {what}, got flag '{v}'")),
+            None => return Err(format!("{a} requires {what}")),
+        };
+        apply(&mut opts, Some(v)).map_err(|bad| format!("{a}: cannot parse '{bad}' as {what}"))?;
     }
     if opts.sections.is_empty() {
         opts.sections.push("all".to_string());
     }
-    Ok(opts)
+    if opts.json_file.is_some() && !want(&opts, "tables") {
+        return Err("--json writes the tables: name the 'tables' section (or 'all')".to_string());
+    }
+    Ok(Some(opts))
 }
 
 fn parse_args() -> Options {
     match parse_args_from(std::env::args().skip(1)) {
-        Ok(opts) => opts,
+        Ok(Some(opts)) => opts,
+        Ok(None) => {
+            println!("{}", usage());
+            std::process::exit(0);
+        }
         Err(msg) => {
             eprintln!("repro: {msg}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     }
@@ -250,30 +273,34 @@ struct ConnStats {
     rejected: usize,
     completed: usize,
     mismatches: Vec<String>,
+    /// Why the connection stopped before the end of its slice.
+    failure: Option<String>,
 }
 
 /// Replay the slice of `mix` owned by connection `conn` (indices
 /// congruent to `conn` mod `stride`) over one connection. Overload
 /// rejections back off by the server's hint and retry the same request;
 /// every completed response is compared byte-for-byte against the local
-/// direct evaluation.
+/// direct evaluation into `stats`. An unreachable or dropped server is
+/// the `Err`: the connection stops and its remaining requests are never
+/// completed.
 fn replay_connection(
     addr: &str,
     mix: &[eval_core::EvalRequest],
     evaluator: &Evaluator,
     conn: usize,
     stride: usize,
-) -> ConnStats {
-    let mut client = Client::connect(addr)
-        .unwrap_or_else(|e| panic!("load: connection {conn} cannot reach {addr}: {e}"));
-    let mut stats = ConnStats::default();
+    stats: &mut ConnStats,
+) -> Result<(), String> {
+    let mut client =
+        Client::connect(addr).map_err(|e| format!("connection {conn} cannot reach {addr}: {e}"))?;
     let mut i = conn;
     while i < mix.len() {
         let req = &mix[i];
         loop {
             let resp = client
                 .call(req.clone())
-                .unwrap_or_else(|e| panic!("load: connection {conn} request {i} failed: {e}"));
+                .map_err(|e| format!("connection {conn} request {i} failed: {e}"))?;
             match resp.error {
                 Some(err) if err.kind == "overloaded" => {
                     stats.rejected += 1;
@@ -308,7 +335,7 @@ fn replay_connection(
         }
         i += stride;
     }
-    stats
+    Ok(())
 }
 
 /// `--load ADDR`: replay a seeded request mix against a running server
@@ -336,7 +363,12 @@ fn run_load(addr: &str, opts: &Options) -> ! {
             .map(|c| {
                 let mix = &mix;
                 let evaluator = &evaluator;
-                s.spawn(move || replay_connection(addr, mix, evaluator, c, conns))
+                s.spawn(move || {
+                    let mut stats = ConnStats::default();
+                    stats.failure =
+                        replay_connection(addr, mix, evaluator, c, conns, &mut stats).err();
+                    stats
+                })
             })
             .collect();
         handles
@@ -370,6 +402,10 @@ fn run_load(addr: &str, opts: &Options) -> ! {
     }
     if mismatches.len() > 10 {
         eprintln!("load: ... and {} more mismatches", mismatches.len() - 10);
+    }
+    if let Some(first) = per_conn.iter().find_map(|c| c.failure.as_ref()) {
+        let dropped = requests - completed;
+        eprintln!("load: {dropped} of {requests} requests not completed; first failure: {first}");
     }
     if mismatches.is_empty() && completed == requests {
         std::process::exit(0);
@@ -546,6 +582,14 @@ fn run_fuzz(n_cases: usize, seed: u64, reduced: bool) -> ! {
     std::process::exit(1);
 }
 
+/// Write `t` as `DIR/<table id>.csv`, creating `DIR`; returns the path.
+fn write_csv(dir: &str, t: &eval_core::Table) -> String {
+    std::fs::create_dir_all(dir).expect("create csv dir");
+    let path = format!("{dir}/{}.csv", t.id.to_lowercase().replace(' ', "_"));
+    std::fs::write(&path, t.to_csv()).expect("write csv");
+    path
+}
+
 fn main() {
     let opts = parse_args();
     if let Some(n_cases) = opts.fuzz {
@@ -582,10 +626,7 @@ fn main() {
         out.push_str(&t.render());
         out.push('\n');
         if let Some(dir) = &opts.csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
-            let path = format!("{dir}/{}.csv", t.id.to_lowercase().replace(' ', "_"));
-            std::fs::write(&path, t.to_csv()).expect("write csv");
-            eprintln!("wrote {path}");
+            eprintln!("wrote {}", write_csv(dir, &t));
         }
         if opts.sections.iter().all(|s| s == "table-auto") {
             print!("{out}");
@@ -629,9 +670,7 @@ fn main() {
             out.push_str(&t.render());
             out.push('\n');
             if let Some(dir) = &opts.csv_dir {
-                std::fs::create_dir_all(dir).expect("create csv dir");
-                let path = format!("{dir}/{}.csv", t.id.to_lowercase().replace(' ', "_"));
-                std::fs::write(&path, t.to_csv()).expect("write csv");
+                write_csv(dir, t);
             }
         }
     }
@@ -697,6 +736,7 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<Options, String> {
         parse_args_from(args.iter().map(|s| s.to_string()))
+            .map(|opts| opts.unwrap_or_else(|| panic!("{args:?} asked for --help")))
     }
 
     /// The PR-8 satellite bug: `repro --json` (missing operand) silently
@@ -704,20 +744,7 @@ mod tests {
     /// missing or flag-like operand, naming the flag in the error.
     #[test]
     fn value_flags_reject_missing_or_flaglike_operands() {
-        const VALUE_FLAGS: &[&str] = &[
-            "--csv",
-            "--json",
-            "--out",
-            "--fuzz",
-            "--fuzz-seed",
-            "--threads",
-            "--serve",
-            "--load",
-            "--requests",
-            "--conns",
-            "--mix-seed",
-        ];
-        for flag in VALUE_FLAGS {
+        for flag in FLAGS.iter().filter(|f| f.1.is_some()).map(|f| f.0) {
             let err = parse(&[flag]).expect_err(flag);
             assert!(
                 err.contains(flag),
@@ -763,7 +790,32 @@ mod tests {
         }
         for &section in SECTIONS {
             assert_eq!(parse(&[section]).unwrap().sections, [section]);
-            assert!(USAGE.contains(section), "usage must list {section}");
+            assert!(usage().contains(section), "usage must list {section}");
+        }
+    }
+
+    /// `--help` used to `exit(0)` from inside the parser.
+    #[test]
+    fn help_is_a_parser_outcome_and_the_usage_names_every_flag() {
+        for h in ["--help", "-h"] {
+            let parsed = parse_args_from(["--reduced", h].map(String::from));
+            assert!(matches!(parsed, Ok(None)), "{h}");
+        }
+        for Flag(name, ..) in FLAGS {
+            assert!(usage().contains(&format!("[{name}")), "{name}");
+        }
+    }
+
+    /// `repro --json x.json table-auto` used to exit 0 and write nothing.
+    #[test]
+    fn json_needs_the_section_that_writes_it() {
+        let err = parse(&["--json", "t.json", "table-auto", "figures"]).unwrap_err();
+        assert!(err.contains("--json"), "{err}");
+        for ok in [
+            &["--json", "t.json"][..],
+            &["--json", "t.json", "figures", "tables"],
+        ] {
+            assert!(parse(ok).is_ok(), "{ok:?}");
         }
     }
 
