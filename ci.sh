@@ -143,6 +143,15 @@ if grep -rni 'scc\|n_workers\|reach_in\|gen_rd\|AnalysisOptions' \
   echo "the deleted autopar dataflow paths are referenced again" >&2
   exit 1
 fi
+# So is the surface no root reached (docs/LAYERS.md, the reachability
+# table): the host futures and full/empty variables, the route planner,
+# the engagement scheduler, the ASCII renderer and the JSON file format.
+if grep -rn 'SyncVar\|sthreads::Future\|fork_join\|plan_route\|schedule_greedy\|render_masking\|load_masking' \
+  crates src tests examples docs README.md |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "a deleted unreachable module is referenced again" >&2
+  exit 1
+fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
 # the crate denies unsafe_code everywhere else.
 if [ "$(grep -rhw 'unsafe' crates/sthreads/src | grep -vc '^ *//')" -ne 1 ]; then

@@ -744,7 +744,7 @@ mod tests {
     /// missing or flag-like operand, naming the flag in the error.
     #[test]
     fn value_flags_reject_missing_or_flaglike_operands() {
-        for flag in FLAGS.iter().filter(|f| f.1.is_some()).map(|f| f.0) {
+        for Flag(flag, ..) in FLAGS.iter().filter(|Flag(_, operand, _)| operand.is_some()) {
             let err = parse(&[flag]).expect_err(flag);
             assert!(
                 err.contains(flag),

@@ -7,8 +7,9 @@
 //! This crate re-exports the public API of every workspace member so
 //! examples and downstream users need a single dependency:
 //!
-//! * [`sthreads`] — structured multithreading runtime (multithreaded
-//!   for-loops, futures, full/empty sync variables, op-counting backend),
+//! * [`sthreads`] — structured multithreading runtime: what Programs
+//!   1–4 as built use of the paper's programming systems (multithreaded
+//!   for-loops, an `int_fetch_add` counter) plus the op-counting backend,
 //! * [`c3i`] — the Threat Analysis and Terrain Masking benchmarks with
 //!   sequential, coarse-grained and fine-grained implementations,
 //! * [`mta_sim`] — cycle-level Tera MTA simulator,
