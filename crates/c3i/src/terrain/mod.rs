@@ -52,8 +52,8 @@ pub use los::{
     per_threat_masking, KernelArena, KernelScratch, OffGridThreat, Region, RingRun, RingRuns,
 };
 pub use scenario::{
-    benchmark_params, benchmark_suite, generate, small_scenario, GroundThreat, TerrainScenario,
-    TerrainScenarioError, TerrainScenarioParams,
+    benchmark_params, benchmark_suite, generate, generate_threats, small_scenario, GroundThreat,
+    TerrainScenario, TerrainScenarioError, TerrainScenarioParams,
 };
 pub use sequential::{
     terrain_masking, terrain_masking_host, terrain_masking_into, terrain_masking_profile,

@@ -241,16 +241,30 @@ pub fn diamond_square(levels: u32, roughness: f64, rng: &mut impl Rng) -> Grid<f
     g
 }
 
-/// Generate a scenario from `params`, deterministically in the seed.
-pub fn generate(params: TerrainScenarioParams) -> TerrainScenario {
-    let mut rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0x7e44_a1ee_0000_0000);
+/// Keystream words [`diamond_square`] consumes, whatever elevations come
+/// out: one `Range<f64>` sample (one `next_u64`, two words, no rejection
+/// — `vendor/rand`) per cell of the `(2^levels + 1)²` square.
+fn elevation_words(levels: u32) -> u64 {
+    let size = (1u64 << levels) + 1;
+    2 * size * size
+}
 
+/// What [`generate`] and [`generate_threats`] must agree on: the
+/// scenario's random stream and the fractal's level count.
+fn stream(params: &TerrainScenarioParams) -> (ChaCha8Rng, u32) {
     // Build fractal terrain at the next power-of-two-plus-one size and crop.
     // Integer arithmetic: `2^levels + 1 >= grid_size` must hold *exactly*,
-    // or the crop below would index past the fractal grid. The previous
+    // or `generate`'s crop would index past the fractal grid. The previous
     // float form (`log2().ceil()`) could round an exact or near power of
     // two down a level for large sizes.
     let levels = params.grid_size.max(2).next_power_of_two().ilog2();
+    let rng = ChaCha8Rng::seed_from_u64(params.seed ^ 0x7e44_a1ee_0000_0000);
+    (rng, levels)
+}
+
+/// Generate a scenario from `params`, deterministically in the seed.
+pub fn generate(params: TerrainScenarioParams) -> TerrainScenario {
+    let (mut rng, levels) = stream(&params);
     let raw = diamond_square(levels, 0.55, &mut rng);
     // Normalize to [0, relief_m].
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -262,7 +276,25 @@ pub fn generate(params: TerrainScenarioParams) -> TerrainScenario {
     let terrain = Grid::from_fn(params.grid_size, params.grid_size, |x, y| {
         (raw[(x, y)] - lo) / span * params.relief_m
     });
+    TerrainScenario {
+        terrain,
+        threats: draw_threats(&params, &mut rng),
+        cell_size_m: params.cell_size_m,
+    }
+}
 
+/// The dimensions and threats of [`generate`]`(params)` without the
+/// terrain: the threats are drawn after the elevations from one stream,
+/// so seek past the elevation draws instead of making them.
+pub fn generate_threats(params: TerrainScenarioParams) -> (usize, usize, Vec<GroundThreat>) {
+    let (mut rng, levels) = stream(&params);
+    rng.set_word_pos(elevation_words(levels) as u128);
+    let threats = draw_threats(&params, &mut rng);
+    (params.grid_size, params.grid_size, threats)
+}
+
+/// The threat loop: `rng` stands just past the elevation draws.
+fn draw_threats(params: &TerrainScenarioParams, rng: &mut ChaCha8Rng) -> Vec<GroundThreat> {
     // Threat radii: up to the 5% cap. A Chebyshev-radius-R region covers
     // (2R+1)^2 cells, so the cap radius is the largest R with
     // (2R+1)^2 <= max_region_fraction * area. The radius is additionally
@@ -280,20 +312,14 @@ pub fn generate(params: TerrainScenarioParams) -> TerrainScenario {
     let r_max = r_cap.min(params.grid_size.saturating_sub(1));
     let r_min = (r_max / 3).max(2).min(r_max);
 
-    let threats = (0..params.n_threats)
+    (0..params.n_threats)
         .map(|_| GroundThreat {
             x: rng.random_range(0..params.grid_size),
             y: rng.random_range(0..params.grid_size),
             radius: rng.random_range(r_min..=r_max),
             mast_height: rng.random_range(5.0..30.0),
         })
-        .collect();
-
-    TerrainScenario {
-        terrain,
-        threats,
-        cell_size_m: params.cell_size_m,
-    }
+        .collect()
 }
 
 /// Parameters of the five benchmark input scenarios (seeds 1–5, benchmark
@@ -340,6 +366,42 @@ mod tests {
         assert_eq!(a, b);
         let c = diamond_square(5, 0.5, &mut ChaCha8Rng::seed_from_u64(10));
         assert_ne!(a, c);
+    }
+
+    /// Counts the keystream words drawn through it.
+    struct CountingRng(ChaCha8Rng, u64);
+    impl rand::RngCore for CountingRng {
+        fn next_u32(&mut self) -> u32 {
+            self.1 += 1;
+            self.0.next_u32()
+        }
+    }
+
+    #[test]
+    fn diamond_square_draws_exactly_elevation_words() {
+        // The data-independence claim `generate_threats` rests on: the
+        // draw count is a function of `levels` alone.
+        for levels in 0..=7 {
+            for (seed, roughness) in [(1, 0.55), (2, 0.1), (3, 0.95)] {
+                let mut rng = CountingRng(ChaCha8Rng::seed_from_u64(seed), 0);
+                diamond_square(levels, roughness, &mut rng);
+                assert_eq!(rng.1, elevation_words(levels), "levels {levels}");
+                assert_eq!(rng.0.get_word_pos(), rng.1 as u128);
+            }
+        }
+    }
+
+    #[test]
+    fn generate_threats_equals_generate_at_the_paper_parameter_sets() {
+        for params in benchmark_params() {
+            let s = generate(params);
+            assert_eq!(
+                generate_threats(params),
+                (s.terrain.x_size(), s.terrain.y_size(), s.threats),
+                "seed {}",
+                params.seed
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! integer-only), field by field, phase by phase.
 
 use c3i::terrain::los::{self, raw_alt_for_cell, sensor_height, AltStore, Region, ScratchAlt};
-use c3i::terrain::{self, GroundThreat, TerrainScenario};
+use c3i::terrain::{self, GroundThreat, TerrainScenario, TerrainScenarioParams};
 use c3i::threat::{self, Threat, ThreatScenario, Weapon};
 use c3i::Grid;
 use proptest::prelude::*;
@@ -49,6 +49,22 @@ fn arb_region() -> impl Strategy<Value = (usize, usize, GroundThreat)> {
             (xs, ys, threat)
         })
     })
+}
+
+/// Generation parameters across every power-of-two off-by-one up to 129,
+/// with region caps from "no room for radius 1" (`r_cap = 0`) to the
+/// paper's 5 % and beyond.
+fn arb_terrain_params() -> impl Strategy<Value = TerrainScenarioParams> {
+    let fraction = prop_oneof![Just(0.0), 1e-6..1e-3, Just(0.05), 0.05..1.0];
+    (1usize..=129, 0usize..=60, any::<u64>(), fraction).prop_map(
+        |(grid_size, n_threats, seed, max_region_fraction)| TerrainScenarioParams {
+            grid_size,
+            n_threats,
+            seed,
+            max_region_fraction,
+            ..TerrainScenarioParams::default()
+        },
+    )
 }
 
 fn arb_terrain_scenario() -> impl Strategy<Value = TerrainScenario> {
@@ -218,6 +234,17 @@ proptest! {
     #[test]
     fn terrain_counter_matches_the_three_recorded_programs(s in arb_terrain_scenario()) {
         assert_terrain_counter_matches(&s);
+    }
+
+    /// (d) Seeking past the elevation draws gives the threats that
+    /// synthesizing the terrain first gives, exactly.
+    #[test]
+    fn seeked_threats_equal_generated_threats(params in arb_terrain_params()) {
+        let s = terrain::generate(params);
+        prop_assert_eq!(
+            terrain::generate_threats(params),
+            (s.terrain.x_size(), s.terrain.y_size(), s.threats)
+        );
     }
 }
 

@@ -266,6 +266,19 @@ mod tests {
     }
 
     #[test]
+    fn seeked_threats_equal_the_generated_scenarios_threats() {
+        for p in tm_params(WorkloadScale::Reduced) {
+            let s = terrain::generate(p);
+            assert_eq!(
+                terrain::generate_threats(p),
+                (s.terrain.x_size(), s.terrain.y_size(), s.threats),
+                "seed {}",
+                p.seed
+            );
+        }
+    }
+
+    #[test]
     fn chunked_profiles_conserve_work() {
         let w = reduced();
         for n_chunks in [1usize, 4, 16, 256] {
