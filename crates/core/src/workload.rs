@@ -150,11 +150,10 @@ impl Workload {
             match t.checked_sub(ta.len()) {
                 None => Measured::Ta(threat::op_profile(&threat::generate(ta[t]))),
                 Some(t) => {
-                    let s = terrain::generate(tm[t]);
-                    let (xs, ys) = (s.terrain.x_size(), s.terrain.y_size());
+                    let (xs, ys, threats) = terrain::generate_threats(tm[t]);
                     Measured::Tm {
-                        grid_cells: s.terrain.len() as u64,
-                        ops: terrain::op_profile(xs, ys, &s.threats, TM_BLOCKS),
+                        grid_cells: (xs * ys) as u64,
+                        ops: terrain::op_profile(xs, ys, &threats, TM_BLOCKS),
                     }
                 }
             }
