@@ -142,18 +142,16 @@ impl Experiments {
     }
 
     // ── shared helpers ───────────────────────────────────────────────────
+    //
+    // The model sums are functions of a workload and a calibration; the
+    // `&self` methods pass the harness's own, `sensitivity` a perturbed
+    // calibration over the same borrowed workload.
 
-    fn sum_seq(&self, model: &ConventionalModel, profiles: &[Profile], scale: f64) -> f64 {
+    fn sum_seq(model: &ConventionalModel, profiles: &[Profile], scale: f64) -> f64 {
         profiles.iter().map(|p| model.seq_seconds(p, scale)).sum()
     }
 
-    fn sum_par(
-        &self,
-        model: &ConventionalModel,
-        profiles: &[Profile],
-        n: usize,
-        scale: f64,
-    ) -> f64 {
+    fn sum_par(model: &ConventionalModel, profiles: &[Profile], n: usize, scale: f64) -> f64 {
         profiles
             .iter()
             .map(|p| model.parallel_seconds(p, n, scale))
@@ -165,9 +163,9 @@ impl Experiments {
         let w = &self.workload;
         let c = &self.cal;
         [
-            self.sum_seq(&c.alpha, &w.ta_seq, c.s_ta),
-            self.sum_seq(&c.ppro, &w.ta_seq, c.s_ta),
-            self.sum_seq(&c.exemplar, &w.ta_seq, c.s_ta),
+            Self::sum_seq(&c.alpha, &w.ta_seq, c.s_ta),
+            Self::sum_seq(&c.ppro, &w.ta_seq, c.s_ta),
+            Self::sum_seq(&c.exemplar, &w.ta_seq, c.s_ta),
             w.ta_seq.iter().map(|p| c.tera.seq_seconds(p, c.s_ta)).sum(),
         ]
     }
@@ -177,9 +175,9 @@ impl Experiments {
         let w = &self.workload;
         let c = &self.cal;
         [
-            self.sum_seq(&c.alpha, &w.tm_seq, c.s_tm),
-            self.sum_seq(&c.ppro, &w.tm_seq, c.s_tm),
-            self.sum_seq(&c.exemplar, &w.tm_seq, c.s_tm),
+            Self::sum_seq(&c.alpha, &w.tm_seq, c.s_tm),
+            Self::sum_seq(&c.ppro, &w.tm_seq, c.s_tm),
+            Self::sum_seq(&c.exemplar, &w.tm_seq, c.s_tm),
             w.tm_seq.iter().map(|p| c.tera.seq_seconds(p, c.s_tm)).sum(),
         ]
     }
@@ -187,26 +185,33 @@ impl Experiments {
     /// Modeled chunked Threat Analysis seconds on a conventional SMP with
     /// one chunk/thread per processor (the paper's configuration).
     pub fn ta_conv_parallel(&self, model: &ConventionalModel, n_procs: usize) -> f64 {
-        self.sum_par(
-            model,
-            &self.workload.ta_chunked(n_procs),
-            n_procs,
-            self.cal.s_ta,
-        )
+        Self::ta_conv_parallel_of(&self.workload, &self.cal, model, n_procs)
+    }
+
+    fn ta_conv_parallel_of(
+        w: &Workload,
+        cal: &Calibration,
+        model: &ConventionalModel,
+        n_procs: usize,
+    ) -> f64 {
+        Self::sum_par(model, &w.ta_chunked(n_procs), n_procs, cal.s_ta)
     }
 
     /// Modeled chunked Threat Analysis seconds on the Tera.
     pub fn ta_tera(&self, n_chunks: usize, n_procs: usize) -> f64 {
-        self.workload
-            .ta_chunked(n_chunks)
+        Self::ta_tera_of(&self.workload, &self.cal, n_chunks, n_procs)
+    }
+
+    fn ta_tera_of(w: &Workload, cal: &Calibration, n_chunks: usize, n_procs: usize) -> f64 {
+        w.ta_chunked(n_chunks)
             .iter()
-            .map(|p| self.cal.tera.chunked_seconds(p, n_procs, self.cal.s_ta))
+            .map(|p| cal.tera.chunked_seconds(p, n_procs, cal.s_ta))
             .sum()
     }
 
     /// Modeled coarse Terrain Masking seconds on a conventional SMP.
     pub fn tm_conv_parallel(&self, model: &ConventionalModel, n_procs: usize) -> f64 {
-        self.sum_par(
+        Self::sum_par(
             model,
             &self.workload.tm_coarse(n_procs),
             n_procs,
@@ -216,10 +221,13 @@ impl Experiments {
 
     /// Modeled fine-grained Terrain Masking seconds on the Tera.
     pub fn tm_tera(&self, n_procs: usize) -> f64 {
-        self.workload
-            .tm_fine
+        Self::tm_tera_of(&self.workload, &self.cal, n_procs)
+    }
+
+    fn tm_tera_of(w: &Workload, cal: &Calibration, n_procs: usize) -> f64 {
+        w.tm_fine
             .iter()
-            .map(|p| self.cal.tera.phased_seconds(p, n_procs, self.cal.s_tm))
+            .map(|p| cal.tera.phased_seconds(p, n_procs, cal.s_tm))
             .sum()
     }
 
@@ -835,21 +843,18 @@ impl Experiments {
     pub fn sensitivity(&self) -> Table {
         // Headline metrics, computed against a given calibration.
         let metrics = |cal: &Calibration| -> [f64; 3] {
-            let with = Experiments {
-                workload: self.workload.clone(),
-                cal: cal.clone(),
-            };
-            let tera_seq_ta: f64 = with
-                .workload
+            let w = &self.workload;
+            let tera_seq_ta: f64 = w
                 .ta_seq
                 .iter()
                 .map(|p| cal.tera.seq_seconds(p, cal.s_ta))
                 .sum();
-            let alpha_ta = with.sum_seq(&cal.alpha, &with.workload.ta_seq, cal.s_ta);
+            let alpha_ta = Self::sum_seq(&cal.alpha, &w.ta_seq, cal.s_ta);
             [
                 tera_seq_ta / alpha_ta, // Tera-vs-Alpha sequential slowdown
-                with.ta_tera(256, 1) / with.ta_conv_parallel(&cal.exemplar, 4), // Tera(1)/Exemplar(4)
-                with.tm_tera(1) / with.tm_tera(2),                              // TM 2-proc speedup
+                Self::ta_tera_of(w, cal, 256, 1)
+                    / Self::ta_conv_parallel_of(w, cal, &cal.exemplar, 4), // Tera(1)/Exemplar(4)
+                Self::tm_tera_of(w, cal, 1) / Self::tm_tera_of(w, cal, 2), // TM 2-proc speedup
             ]
         };
         let base = metrics(&self.cal);
