@@ -101,6 +101,14 @@ TABLE_AUTO_DIR=$(mktemp -d)
 diff -u results/table_auto.csv "$TABLE_AUTO_DIR/table_auto.csv"
 rm -rf "$TABLE_AUTO_DIR"
 
+echo "== vendored RNG stand-ins (every fixture hangs off these) =="
+# `rand` and `rand_chacha` under vendor/ are this repo's own code, and
+# every scenario, digest and pinned table is drawn from their streams;
+# `ChaCha8Rng::set_word_pos` (what `terrain::generate_threats` seeks
+# with) is held equal to discarded draws here. Also part of
+# `cargo test --workspace`; named so a stream change is named in CI output.
+cargo test -q -p rand_chacha -p rand
+
 echo "== simulator pinned digests (single driver) =="
 # The mta-sim regression gate: Machine::run must reproduce the pinned
 # FNV-1a digest of every run in the matrix (RunResult, SimStats, fault
