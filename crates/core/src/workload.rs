@@ -11,9 +11,10 @@
 //! them: Terrain Masking's annotations depend on ring geometry only and a
 //! Threat Analysis step's cost on which exit of the interception
 //! predicate it takes, so `c3i` counts both directly (one task per
-//! scenario, dominated by synthesizing the terrain the threats are drawn
-//! after). The recorded programs are the oracle the counters are tested
-//! against, not a second way to build.
+//! scenario; no terrain is synthesized — the Terrain Masking threats are
+//! drawn by seeking the scenario's random stream past the elevations).
+//! The recorded programs are the oracle the counters are tested against,
+//! not a second way to build.
 //!
 //! Two scales exist: [`WorkloadScale::Paper`] is the benchmark scale the
 //! paper states (5 scenarios, 1000 threats for Threat Analysis, 60 threats
@@ -112,13 +113,14 @@ enum Measured {
 }
 
 impl Workload {
-    /// Obtain the workload at `scale`: generate each scenario and count
-    /// what the benchmark programs would record on it (tenths of a second
-    /// at Paper scale, most of it terrain synthesis). One task per
-    /// scenario, run across all host processors — on the process-wide
-    /// persistent pool, so back-to-back builds pay condvar wakeups rather
-    /// than thread spawns — with dynamic self-scheduling; results are
-    /// identical to the sequential path.
+    /// Obtain the workload at `scale`: generate what each scenario's counts
+    /// depend on and count what the benchmark programs would record on it
+    /// (under a tenth of a second at Paper scale on two cores, most of it
+    /// the Threat Analysis exit histogram). One task per scenario, run
+    /// across all host processors — on the process-wide persistent pool,
+    /// so back-to-back builds pay condvar wakeups rather than thread
+    /// spawns — with dynamic self-scheduling; results are identical to
+    /// the sequential path.
     pub fn build(scale: WorkloadScale) -> Self {
         Self::build_with(scale, ThreadPool::global().n_threads())
     }
@@ -141,9 +143,9 @@ impl Workload {
     pub fn build_with(scale: WorkloadScale, n_threads: usize) -> Self {
         let (ta, tm) = (ta_params(scale), tm_params(scale));
 
-        // One task per scenario, generation included: a terrain lives only
-        // as long as its task (its threats are drawn from the same random
-        // stream after the elevations, so it has to be synthesized).
+        // One task per scenario, generation included. A terrain's threats
+        // are drawn from the same random stream after its elevations;
+        // `generate_threats` seeks there, so no elevation is computed.
         // Scenario sizes vary (irregular work — the paper's case for
         // self-scheduling, which is what `par_map` does).
         let results = par_map(ta.len() + tm.len(), n_threads, |t| {
