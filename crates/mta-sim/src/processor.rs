@@ -100,6 +100,11 @@ enum SlotState {
 }
 
 /// A processor with a fixed number of hardware stream contexts.
+///
+/// A `Scheduled` slot has exactly one entry, in `pending` or in `ready`
+/// (none while it is the one [`Processor::next_to_issue`] just handed out,
+/// until the machine reschedules, parks or removes it); `Parked` and
+/// `Free` slots have none. `promote` asserts it in debug builds.
 #[derive(Debug)]
 pub struct Processor {
     slots: Vec<Option<Stream>>,
@@ -202,12 +207,11 @@ impl Processor {
                 break;
             }
             self.pending.pop();
-            // A parked slot may still have a stale pending entry if it was
-            // parked after being scheduled; skip entries for non-scheduled
-            // slots defensively (current machine logic never creates them).
-            if self.state[slot] == SlotState::Scheduled && self.slots[slot].is_some() {
-                self.ready.push_back(slot);
-            }
+            debug_assert!(
+                self.state[slot] == SlotState::Scheduled && self.slots[slot].is_some(),
+                "a pending entry for slot {slot}, which is not scheduled"
+            );
+            self.ready.push_back(slot);
         }
     }
 
