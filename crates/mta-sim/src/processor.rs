@@ -89,6 +89,146 @@ impl Stream {
     }
 }
 
+/// Cycles the calendar's wheel spans. Not a knob: `tera()`'s latencies are
+/// 21 / 23 / 70 / 75 cycles, so only hot-bank queues and software spawns
+/// ever complete further out.
+const WHEEL: u64 = 256;
+/// Ends a bucket's chain; above every slot index.
+const NIL: usize = usize::MAX;
+
+/// When each scheduled slot becomes issueable: a timing wheel with one
+/// bucket per cycle of `cursor + 1 ..= cursor + WHEEL`. Slots come out in
+/// `(cycle, slot)` order — a bucket holds one cycle, and its chain through
+/// `next` is kept in ascending slot order — at O(1) a push and a drain.
+#[allow(dead_code)]
+#[derive(Debug)]
+struct Calendar {
+    /// The last cycle drained.
+    cursor: u64,
+    /// Earliest cycle anything is pending for; `u64::MAX` when nothing is.
+    earliest: u64,
+    /// First slot of the bucket for `cycle % WHEEL`, or `NIL`.
+    head: [usize; WHEEL as usize],
+    /// The slot after this one in its bucket. A slot has at most one entry.
+    next: Vec<usize>,
+    /// One bit per non-empty bucket.
+    occupied: [u64; 4],
+    /// Pushed for a cycle outside the wheel: already due (a zero latency,
+    /// a spawn between runs), or beyond it and linked in as it nears.
+    outside: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+#[allow(dead_code)]
+impl Calendar {
+    fn new(n_slots: usize) -> Self {
+        Self {
+            cursor: 0,
+            earliest: u64::MAX,
+            head: [NIL; WHEEL as usize],
+            next: vec![NIL; n_slots],
+            occupied: [0; 4],
+            outside: BinaryHeap::new(),
+        }
+    }
+
+    /// Schedule `slot`, which has no entry, for cycle `t`.
+    fn push(&mut self, t: u64, slot: usize) {
+        self.earliest = self.earliest.min(t);
+        if t > self.cursor && t - self.cursor <= WHEEL {
+            self.link(t, slot);
+        } else {
+            self.outside.push(Reverse((t, slot)));
+        }
+    }
+
+    /// Chain `slot` into the bucket of `t`, a cycle the wheel spans.
+    fn link(&mut self, t: u64, slot: usize) {
+        let b = (t % WHEEL) as usize;
+        let (mut prev, mut cur) = (NIL, self.head[b]);
+        while cur < slot {
+            (prev, cur) = (cur, self.next[cur]);
+        }
+        self.next[slot] = cur;
+        match prev {
+            NIL => self.head[b] = slot,
+            p => self.next[p] = slot,
+        }
+        self.occupied[b / 64] |= 1 << (b % 64);
+    }
+
+    /// The cycle of the first non-empty bucket after `cursor`.
+    fn wheel_head(&self) -> Option<u64> {
+        let start = (self.cursor + 1) % WHEEL;
+        // From `start`'s bit round the four words, back to the bits below it.
+        (0..=4).find_map(|i| {
+            let mask = match i {
+                0 => !0 << (start % 64),
+                4 => !(!0 << (start % 64)),
+                _ => !0,
+            };
+            let word = (start / 64 + i) % 4;
+            let bits = self.occupied[word as usize] & mask;
+            let b = word * 64 + u64::from(bits.trailing_zeros());
+            (bits != 0).then(|| self.cursor + 1 + (b + WHEEL - start) % WHEEL)
+        })
+    }
+
+    /// The earliest cycle a slot is pending for.
+    fn next_time(&self) -> Option<u64> {
+        (self.earliest != u64::MAX).then_some(self.earliest)
+    }
+
+    /// Move every slot due at or before `now` to the back of `ready`, in
+    /// `(cycle, slot)` order. Time runs forward: a `now` before the last
+    /// call's is taken as that.
+    #[inline]
+    fn drain_due(&mut self, now: u64, ready: &mut VecDeque<usize>) {
+        let now = now.max(self.cursor);
+        if now < self.earliest {
+            self.cursor = now;
+            return;
+        }
+        loop {
+            // What lies outside the wheel comes off its heap in order: first
+            // whatever was pushed already due, then what the wheel now spans.
+            let mut far = u64::MAX;
+            while let Some(&Reverse((t, slot))) = self.outside.peek() {
+                if t > self.cursor + WHEEL {
+                    far = t;
+                    break;
+                }
+                self.outside.pop();
+                if t <= self.cursor {
+                    ready.push_back(slot);
+                } else {
+                    self.link(t, slot);
+                }
+            }
+            let end = now.min(self.cursor + WHEEL);
+            match self.wheel_head() {
+                Some(t) if t <= end => {
+                    let b = (t % WHEEL) as usize;
+                    self.occupied[b / 64] &= !(1 << (b % 64));
+                    let mut slot = std::mem::replace(&mut self.head[b], NIL);
+                    while slot != NIL {
+                        ready.push_back(slot);
+                        slot = self.next[slot];
+                    }
+                }
+                // Nothing more is due within this wheel-length, and with the
+                // wheel empty nothing before the heap's first entry.
+                head => {
+                    self.cursor = head.map_or(now.min(far - 1), |_| end);
+                    if self.cursor == now {
+                        self.earliest = head.unwrap_or(far).min(far);
+                        return;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Scheduling state of a stream slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
@@ -238,6 +378,7 @@ impl Processor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn r0_is_hardwired_to_zero() {
@@ -318,6 +459,155 @@ mod tests {
         p.install(Stream::new(0, 0), 30);
         p.install(Stream::new(0, 0), 10);
         assert_eq!(p.next_event(0), Some(10));
+    }
+
+    /// The scheduler the calendar replaced, kept as its oracle: a min-heap
+    /// of `(cycle, slot)`.
+    #[derive(Default)]
+    struct HeapModel(BinaryHeap<Reverse<(u64, usize)>>);
+
+    impl HeapModel {
+        fn push(&mut self, t: u64, slot: usize) {
+            self.0.push(Reverse((t, slot)));
+        }
+
+        fn next_time(&self) -> Option<u64> {
+            self.0.peek().map(|&Reverse((t, _))| t)
+        }
+
+        fn drain_due(&mut self, now: u64) -> Vec<usize> {
+            let mut out = Vec::new();
+            while let Some(&Reverse((t, slot))) = self.0.peek() {
+                if t > now {
+                    break;
+                }
+                self.0.pop();
+                out.push(slot);
+            }
+            out
+        }
+    }
+
+    fn drained(c: &mut Calendar, now: u64) -> Vec<usize> {
+        let mut out = VecDeque::new();
+        c.drain_due(now, &mut out);
+        out.into()
+    }
+
+    /// How far from `now` a push lands: already due, the machine's own
+    /// latencies, and both sides of the wheel's edge.
+    const DELTAS: [i64; 13] = {
+        let w = WHEEL as i64;
+        [-5, -4, -3, -2, -1, 0, 1, 21, 70, w - 1, w, w + 1, 10 * w]
+    };
+    /// How far `now` moves between drains.
+    const STEPS: [u64; 5] = [0, 1, 21, WHEEL, 3 * WHEEL + 7];
+
+    /// Run one script against both schedulers. A step is `(kind, a, b)`:
+    /// kinds 0–5 push the first free slot at or after `b` (one entry per
+    /// slot, as `Processor` keeps it) for `now + DELTAS[a]`, 6–8 move `now`
+    /// on by `STEPS[a]` and drain, 9 only compares the next pending cycle.
+    fn differential(n_slots: usize, script: &[(u8, usize, usize)]) -> Result<(), TestCaseError> {
+        let (mut calendar, mut heap) = (Calendar::new(n_slots), HeapModel::default());
+        let mut pending = vec![false; n_slots];
+        let mut now = 0u64;
+        for &(kind, a, b) in script {
+            match kind {
+                0..=5 => {
+                    let free = (0..n_slots)
+                        .map(|i| (b + i) % n_slots)
+                        .find(|&s| !pending[s]);
+                    if let Some(slot) = free {
+                        let t = now.saturating_add_signed(DELTAS[a % DELTAS.len()]);
+                        pending[slot] = true;
+                        calendar.push(t, slot);
+                        heap.push(t, slot);
+                    }
+                }
+                6..=8 => {
+                    now += STEPS[a % STEPS.len()];
+                    let handed = drained(&mut calendar, now);
+                    prop_assert_eq!(&handed, &heap.drain_due(now), "drain at {}", now);
+                    for slot in handed {
+                        pending[slot] = false;
+                    }
+                }
+                _ => {}
+            }
+            prop_assert_eq!(calendar.next_time(), heap.next_time(), "at {}", now);
+        }
+        // Whatever is left comes out, in order, once every push is due.
+        let end = now + 11 * WHEEL;
+        prop_assert_eq!(drained(&mut calendar, end), heap.drain_due(end));
+        prop_assert_eq!(calendar.next_time(), None);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn calendar_hands_out_what_the_heap_would(
+            n_slots in prop_oneof![Just(1usize), Just(2), Just(128), Just(200)],
+            script in proptest::collection::vec((0u8..10, 0usize..64, 0usize..200), 0..600),
+        ) {
+            differential(n_slots, &script)?;
+        }
+    }
+
+    #[test]
+    fn slots_due_at_one_cycle_come_out_ascending_whatever_the_push_order() {
+        // 128 slots in a scrambled order (77 is coprime to 128), in the
+        // wheel, beyond it and already due.
+        for t in [0, 21, WHEEL, WHEEL + 1, 5 * WHEEL] {
+            let mut c = Calendar::new(128);
+            for i in 0..128 {
+                c.push(t, (i * 77 + 5) % 128);
+            }
+            assert_eq!(c.next_time(), Some(t));
+            if t > 0 {
+                assert_eq!(drained(&mut c, t - 1), [] as [usize; 0]);
+            }
+            assert_eq!(drained(&mut c, t), (0..128).collect::<Vec<_>>(), "t = {t}");
+            assert_eq!(c.next_time(), None);
+        }
+    }
+
+    #[test]
+    fn the_wheel_ends_exactly_wheel_cycles_out() {
+        let mut c = Calendar::new(4);
+        drained(&mut c, 1000);
+        c.push(1000 + WHEEL, 0);
+        c.push(1000 + WHEEL + 1, 1);
+        assert_eq!(c.outside.clone().into_vec(), [Reverse((1001 + WHEEL, 1))]);
+        assert_eq!(c.next_time(), Some(1000 + WHEEL));
+        // The entry past the wheel round-trips through the heap: it is linked in
+        // once the cursor is within `WHEEL` of it, and comes out on time.
+        assert_eq!(drained(&mut c, 999 + WHEEL), [] as [usize; 0]);
+        assert_eq!(drained(&mut c, 1000 + WHEEL), [0]);
+        assert_eq!(c.next_time(), Some(1001 + WHEEL));
+        assert_eq!(drained(&mut c, 1001 + WHEEL), [1]);
+        assert!(c.outside.is_empty() && c.occupied == [0; 4]);
+    }
+
+    #[test]
+    fn a_jump_of_several_wheel_lengths_keeps_both_sides_in_order() {
+        let mut c = Calendar::new(8);
+        drained(&mut c, 40);
+        let at = |d: u64| 40 + d;
+        // Before the landing point, in push order that is not time order…
+        c.push(at(3 * WHEEL + 5), 0);
+        c.push(at(2), 1);
+        c.push(at(WHEEL), 2);
+        c.push(at(WHEEL + 1), 3);
+        c.push(at(2), 4);
+        c.push(at(0), 5);
+        // …and after it.
+        c.push(at(4 * WHEEL + 1), 6);
+        c.push(at(9 * WHEEL), 7);
+        assert_eq!(drained(&mut c, at(4 * WHEEL)), [5, 1, 4, 2, 3, 0]);
+        assert_eq!(c.next_time(), Some(at(4 * WHEEL + 1)));
+        assert_eq!(drained(&mut c, at(10 * WHEEL)), [6, 7]);
+        assert_eq!(c.next_time(), None);
     }
 
     #[test]
