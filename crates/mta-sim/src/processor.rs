@@ -100,7 +100,6 @@ const NIL: usize = usize::MAX;
 /// bucket per cycle of `cursor + 1 ..= cursor + WHEEL`. Slots come out in
 /// `(cycle, slot)` order — a bucket holds one cycle, and its chain through
 /// `next` is kept in ascending slot order — at O(1) a push and a drain.
-#[allow(dead_code)]
 #[derive(Debug)]
 struct Calendar {
     /// The last cycle drained.
@@ -118,7 +117,6 @@ struct Calendar {
     outside: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
-#[allow(dead_code)]
 impl Calendar {
     fn new(n_slots: usize) -> Self {
         Self {
@@ -250,7 +248,7 @@ pub struct Processor {
     slots: Vec<Option<Stream>>,
     state: Vec<SlotState>,
     ready: VecDeque<usize>,
-    pending: BinaryHeap<Reverse<(u64, usize)>>,
+    pending: Calendar,
     /// Instructions issued so far.
     pub issued: u64,
     /// Instructions issued per hardware stream slot.
@@ -269,7 +267,7 @@ impl Processor {
             slots: (0..n_streams).map(|_| None).collect(),
             state: vec![SlotState::Free; n_streams],
             ready: VecDeque::new(),
-            pending: BinaryHeap::new(),
+            pending: Calendar::new(n_streams),
             issued: 0,
             issued_per_slot: vec![0; n_streams],
             live: 0,
@@ -303,7 +301,7 @@ impl Processor {
             .expect("install: no free stream context");
         self.slots[slot] = Some(stream);
         self.state[slot] = SlotState::Scheduled;
-        self.pending.push(Reverse((ready_at, slot)));
+        self.pending.push(ready_at, slot);
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
         slot
@@ -337,22 +335,18 @@ impl Processor {
     /// `at`.
     pub fn make_ready_at(&mut self, slot: usize, at: u64) {
         self.state[slot] = SlotState::Scheduled;
-        self.pending.push(Reverse((at, slot)));
+        self.pending.push(at, slot);
     }
 
     /// Move every pending stream whose time has come into the ready queue.
     fn promote(&mut self, now: u64) {
-        while let Some(&Reverse((t, slot))) = self.pending.peek() {
-            if t > now {
-                break;
-            }
-            self.pending.pop();
-            debug_assert!(
-                self.state[slot] == SlotState::Scheduled && self.slots[slot].is_some(),
-                "a pending entry for slot {slot}, which is not scheduled"
-            );
-            self.ready.push_back(slot);
-        }
+        let was = self.ready.len();
+        self.pending.drain_due(now, &mut self.ready);
+        debug_assert!(
+            (self.ready.range(was..))
+                .all(|&s| self.state[s] == SlotState::Scheduled && self.slots[s].is_some()),
+            "a pending entry for a slot that is not scheduled"
+        );
     }
 
     /// Pick the stream to issue this cycle, if any (round-robin FIFO over
@@ -371,7 +365,7 @@ impl Processor {
         if !self.ready.is_empty() {
             return Some(now);
         }
-        self.pending.peek().map(|&Reverse((t, _))| t)
+        self.pending.next_time()
     }
 }
 
