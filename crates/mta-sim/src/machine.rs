@@ -435,10 +435,9 @@ impl Machine {
     /// `max_cycles` elapses.
     pub fn run(&mut self, max_cycles: u64) -> RunResult {
         let mut deadlocked = false;
-        while self.live_total() > 0 || !self.pending_threads.is_empty() {
-            if self.cycle >= max_cycles {
-                break;
-            }
+        let mut done = self.live_total() == 0 && self.pending_threads.is_empty();
+        while !done && self.cycle < max_cycles {
+            let next_cycle = self.cycle + 1;
             let mut any = false;
             for p in 0..self.processors.len() {
                 // Try ready streams until one actually issues; streams
@@ -452,10 +451,13 @@ impl Machine {
                 }
             }
             if any {
-                self.cycle += 1;
-                continue;
+                self.cycle = next_cycle;
+                done = self.live_total() == 0 && self.pending_threads.is_empty();
+                if done || next_cycle >= max_cycles {
+                    break;
+                }
             }
-            // Nothing issued: fast-forward to the next event, or detect
+            // Fast-forward to the next event, straight after an issue too, or detect
             // deadlock (only parked streams remain).
             let now = self.cycle;
             let next = self
@@ -468,7 +470,7 @@ impl Machine {
                 // `max_cycles` would make a timed-out run report more
                 // cycles than it was allowed to spend, skewing
                 // `seconds()`/`utilization()` in sweep tables.
-                Some(t) => self.cycle = t.max(now + 1).min(max_cycles),
+                Some(t) => self.cycle = t.max(next_cycle).min(max_cycles),
                 None => {
                     deadlocked = true;
                     break;

@@ -356,16 +356,18 @@ impl Processor {
         self.ready.pop_front()
     }
 
-    /// The earliest future cycle at which this processor could issue, given
-    /// nothing external changes: `now` if a stream is ready, else the head
-    /// of the pending heap. `None` if the processor is fully idle (no
-    /// ready, no pending — only parked or free slots).
+    /// The earliest cycle from `now` on at which this processor could
+    /// issue, given nothing external changes: `now` if a stream is ready
+    /// or due, else the calendar's earliest. `None` if the processor is
+    /// fully idle (no ready, no pending — only parked or free slots).
+    /// Promotes nothing: only [`Processor::next_to_issue`] moves streams
+    /// to the ready queue, so what is due at a cycle is sorted into it
+    /// once, after every push the cycle's earlier processors made for it.
     pub fn next_event(&mut self, now: u64) -> Option<u64> {
-        self.promote(now);
         if !self.ready.is_empty() {
             return Some(now);
         }
-        self.pending.next_time()
+        self.pending.next_time().map(|t| t.max(now))
     }
 }
 
@@ -602,6 +604,23 @@ mod tests {
         assert_eq!(c.next_time(), Some(at(4 * WHEEL + 1)));
         assert_eq!(drained(&mut c, at(10 * WHEEL)), [6, 7]);
         assert_eq!(c.next_time(), None);
+    }
+
+    #[test]
+    fn next_event_promotes_nothing() {
+        let mut p = Processor::new(2);
+        let a = p.install(Stream::new(0, 0), 0);
+        let b = p.install(Stream::new(0, 0), 9);
+        assert_eq!(p.next_to_issue(0), Some(a));
+        p.remove(a);
+        // `b` is due at 9, so 9 is the next event — but asking does not move
+        // it to the ready queue: a stream installed for 9 afterwards, in
+        // the lower slot, still issues first.
+        assert_eq!(p.next_event(9), Some(9));
+        let x = p.install(Stream::new(0, 0), 9);
+        assert!(x < b);
+        assert_eq!(p.next_to_issue(9), Some(x));
+        assert_eq!(p.next_to_issue(9), Some(b));
     }
 
     #[test]
