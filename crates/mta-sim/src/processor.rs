@@ -2,12 +2,14 @@
 //! issued per cycle from whichever stream is ready.
 //!
 //! The processor keeps a FIFO ready queue (streams that may issue now) and
-//! a pending heap (streams whose current instruction completes at a known
-//! future cycle). Switching between ready streams costs nothing — that is
-//! the one-cycle context switch of the architecture. A stream that issues
-//! re-enters the pending heap with its completion time; a stream whose
-//! synchronized memory operation blocks is *parked* by the machine on the
-//! word's waiter list and re-enters through [`Processor::make_ready_at`].
+//! a calendar (streams whose current instruction completes at a known
+//! future cycle): a timing wheel that hands them to the ready queue in
+//! `(cycle, slot)` order at a constant cost per issue. Switching between
+//! ready streams costs nothing — that is the one-cycle context switch of
+//! the architecture. A stream that issues re-enters the calendar with its
+//! completion time; a stream whose synchronized memory operation blocks is
+//! *parked* by the machine on the word's waiter list and re-enters through
+//! [`Processor::make_ready_at`].
 
 use crate::ir::{Reg, NUM_REGS};
 use std::cmp::Reverse;
@@ -176,9 +178,8 @@ impl Calendar {
         (self.earliest != u64::MAX).then_some(self.earliest)
     }
 
-    /// Move every slot due at or before `now` to the back of `ready`, in
-    /// `(cycle, slot)` order. Time runs forward: a `now` before the last
-    /// call's is taken as that.
+    /// Append every slot due at or before `now` to `ready`, in `(cycle,
+    /// slot)` order. A `now` before the last call's is taken as that.
     #[inline]
     fn drain_due(&mut self, now: u64, ready: &mut VecDeque<usize>) {
         let now = now.max(self.cursor);
@@ -187,8 +188,8 @@ impl Calendar {
             return;
         }
         loop {
-            // What lies outside the wheel comes off its heap in order: first
-            // whatever was pushed already due, then what the wheel now spans.
+            // Off the heap, in order: what was pushed already due, then
+            // what the wheel now spans.
             let mut far = u64::MAX;
             while let Some(&Reverse((t, slot))) = self.outside.peek() {
                 if t > self.cursor + WHEEL {
@@ -231,7 +232,7 @@ impl Calendar {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
     Free,
-    /// In the ready queue or pending heap.
+    /// In the ready queue or the calendar.
     Scheduled,
     /// Parked on a full/empty waiter list; the machine will re-ready it.
     Parked,
@@ -240,9 +241,8 @@ enum SlotState {
 /// A processor with a fixed number of hardware stream contexts.
 ///
 /// A `Scheduled` slot has exactly one entry, in `pending` or in `ready`
-/// (none while it is the one [`Processor::next_to_issue`] just handed out,
-/// until the machine reschedules, parks or removes it); `Parked` and
-/// `Free` slots have none. `promote` asserts it in debug builds.
+/// (none from [`Processor::next_to_issue`] handing it out until the machine
+/// reschedules, parks or removes it); `Parked` and `Free` slots have none.
 #[derive(Debug)]
 pub struct Processor {
     slots: Vec<Option<Stream>>,
@@ -358,11 +358,9 @@ impl Processor {
 
     /// The earliest cycle from `now` on at which this processor could
     /// issue, given nothing external changes: `now` if a stream is ready
-    /// or due, else the calendar's earliest. `None` if the processor is
-    /// fully idle (no ready, no pending — only parked or free slots).
-    /// Promotes nothing: only [`Processor::next_to_issue`] moves streams
-    /// to the ready queue, so what is due at a cycle is sorted into it
-    /// once, after every push the cycle's earlier processors made for it.
+    /// or due, else the calendar's earliest; `None` if it is fully idle
+    /// (only parked or free slots). Promotes nothing, so what is due at a
+    /// cycle is sorted into the ready queue once, by `next_to_issue`.
     pub fn next_event(&mut self, now: u64) -> Option<u64> {
         if !self.ready.is_empty() {
             return Some(now);
