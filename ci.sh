@@ -115,8 +115,14 @@ echo "== simulator pinned digests (single driver) =="
 # order, final memory words and full/empty bits) — the kernel corpus,
 # lookahead, timeout, soft-spawn, deadlock and fault programs, and the
 # fixed-seed random programs. Also part of `cargo test`; kept explicit so
-# a simulator behaviour change is named in CI output.
-cargo test -q -p mta-sim --test pinned_digests
+# a simulator behaviour change is named in CI output. With it, what the
+# digests leave free — the cycle a timeout, a completion or a deadlock is
+# reported at, split runs, the order of streams due in the cycle under
+# way (run_boundaries) — and the scheduler's own proof: the calendar
+# hands slots out as the binary heap it replaced would. All three in a
+# debug build, so `promote`'s one-entry-per-slot `debug_assert!` is live.
+cargo test -q -p mta-sim --test pinned_digests --test run_boundaries
+cargo test -q -p mta-sim --lib calendar_hands_out_what_the_heap_would
 
 echo "== deleted paths stay deleted =="
 # The parallel tick, its barrier, and its env knob are gone; the only
