@@ -219,7 +219,7 @@ impl Calendar {
                 head => {
                     self.cursor = head.map_or(now.min(far - 1), |_| end);
                     if self.cursor == now {
-                        self.earliest = head.unwrap_or(far).min(far);
+                        self.earliest = head.map_or(far, |t| t.min(far));
                         return;
                     }
                 }

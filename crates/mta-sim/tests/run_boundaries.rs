@@ -240,15 +240,9 @@ fn already_due_and_far_future_entries_keep_their_order() {
         assert!(r.stats.threads.soft_spawns > 0, "{label}");
         seen.push((format!("{label}, queued"), fingerprint(&r)));
     }
-    let listing: Vec<String> = seen
-        .iter()
-        .map(|(label, f)| format!("    (\"{label}\", {f:?}),"))
-        .collect();
-    let pinned: Vec<(String, (u64, u64, u64))> = DUE_NOW
-        .iter()
-        .map(|&(label, f)| (label.to_string(), f))
-        .collect();
-    assert_eq!(seen, pinned, "recorded:\n{}", listing.join("\n"));
+    // On a mismatch the left side is the listing to re-pin from.
+    let seen: Vec<(&str, _)> = seen.iter().map(|(l, f)| (l.as_str(), *f)).collect();
+    assert_eq!(seen, DUE_NOW);
 }
 
 const DUE_NOW: [(&str, (u64, u64, u64)); 15] = [
