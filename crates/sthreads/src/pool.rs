@@ -4,12 +4,15 @@
 //! on Windows NT, at a cost of "tens of thousands of cycles" per
 //! `CreateThread` (§7) — the overhead that erased most of the Pentium Pro
 //! speedups. This module deliberately does **not** re-teach that lesson on
-//! the host: workers are spawned once, parked on a condition variable
-//! between parallel regions, and woken with a single epoch-bump handshake,
-//! so opening a region costs wakeups instead of thread spawns. The
-//! OS-thread cost model of the paper (per-spawn cycle charges on NT and
-//! the Exemplar) now lives only in the machine simulators and calibrated
-//! models (`eval-core::models`, `smp-sim`), not in the host runtime.
+//! the host: workers are spawned once and handed each region by an epoch
+//! bump. A worker that has just finished a region *watches* the epoch for
+//! `HANDOFF_WINDOW` (a few pauses, a yield, repeat) before it parks on a
+//! condition variable, and the caller watches for its last worker the same
+//! way: regions back to back (one per ring in the fine-grained Terrain
+//! Masking) cost a cache-line handoff, and only one that arrives after the
+//! window pays a wake. The OS-thread cost model of the paper (per-spawn
+//! cycle charges on NT and the Exemplar) lives only in the machine
+//! simulators and calibrated models (`eval-core::models`, `smp-sim`).
 //!
 //! Semantics are unchanged from the scoped-thread implementation this
 //! replaces: a region of width `n` runs `body(0)` on the caller and
@@ -28,7 +31,9 @@ use std::any::Any;
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -75,6 +80,32 @@ struct Job {
     width: usize,
 }
 
+/// How long a worker watches for the next region, and a caller for its
+/// last worker, before parking. 5 to 200 µs read the same on the
+/// fine-grained kernel (docs/LAYERS.md); the small end spares an
+/// oversubscribed host.
+pub(crate) const HANDOFF_WINDOW: Duration = Duration::from_micros(20);
+
+/// Watch `ready` for up to [`HANDOFF_WINDOW`]: a few dozen pauses, then a
+/// yield, until it holds or the window closes. The yield lets the thread
+/// being waited for run when both share a CPU; a pause-only wait starves
+/// it for a scheduler quantum per region.
+fn watch(ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        for _ in 0..32 {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= HANDOFF_WINDOW {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+}
+
 struct PoolState {
     /// Region counter; bumped once per published region. Workers compare
     /// it against the last epoch they observed to detect new work.
@@ -103,7 +134,12 @@ struct PoolState {
 
 struct PoolShared {
     state: Mutex<PoolState>,
-    /// Workers park here between regions.
+    /// Copies of `state.epoch` and `state.active` for [`watch`], written
+    /// inside the critical sections that change the originals and only
+    /// ever a reason to go and take the lock, whose state stays the truth.
+    epoch_hint: AtomicU64,
+    active_hint: AtomicUsize,
+    /// Workers park here once the window has closed on them.
     work_cv: Condvar,
     /// The region caller parks here until `active == 0`.
     done_cv: Condvar,
@@ -136,12 +172,12 @@ impl Drop for Inner {
 /// A persistent, reusable worker pool.
 ///
 /// Workers are spawned lazily on first use (a pool that is only asked for
-/// its [`n_threads`](ThreadPool::n_threads) costs nothing) and parked
-/// between regions; back-to-back regions pay a condvar wakeup, not an OS
-/// thread spawn. [`ThreadPool::global`] is the process-wide pool every
-/// [`scope_threads`] region runs on; explicit pools (`ThreadPool::new`)
-/// own their workers and shut them down on drop, which keeps tests
-/// hermetic.
+/// its [`n_threads`](ThreadPool::n_threads) costs nothing) and kept
+/// between regions; back-to-back regions pay a cache-line handoff, spaced
+/// ones a condvar wakeup, never an OS thread spawn. [`ThreadPool::global`]
+/// is the process-wide pool every [`scope_threads`] region runs on;
+/// explicit pools (`ThreadPool::new`) own their workers and shut them down
+/// on drop, which keeps tests hermetic.
 #[derive(Clone)]
 pub struct ThreadPool {
     n_threads: NonZeroUsize,
@@ -175,6 +211,8 @@ impl ThreadPool {
                         region_dispatch_ns: 0,
                         region_busy: Vec::new(),
                     }),
+                    epoch_hint: AtomicU64::new(0),
+                    active_hint: AtomicUsize::new(0),
                     work_cv: Condvar::new(),
                     done_cv: Condvar::new(),
                 }),
@@ -272,6 +310,8 @@ impl ThreadPool {
             st.publish_ns = if timing { stats::now_ns() } else { 0 };
             st.region_dispatch_ns = 0;
             st.region_busy.clear();
+            shared.active_hint.store(st.active, Ordering::Relaxed);
+            shared.epoch_hint.store(st.epoch, Ordering::Release);
         }
         shared.work_cv.notify_all();
 
@@ -289,6 +329,7 @@ impl ThreadPool {
             0
         };
 
+        watch(|| shared.active_hint.load(Ordering::Acquire) == 0);
         let worker_panic = {
             let mut st = shared.state.lock();
             while st.active > 0 {
@@ -315,7 +356,7 @@ impl ThreadPool {
             st.job = None;
             st.panic.take()
         };
-        stats::record_pooled_region(width);
+        stats::record_pooled_region();
 
         if let Err(payload) = caller_result {
             resume_unwind(payload);
@@ -348,8 +389,9 @@ impl ThreadPool {
     }
 }
 
-/// The parked-worker loop: wait for a new epoch, run our logical thread of
-/// the region if the width covers us, signal completion, park again.
+/// The worker loop: run our logical thread of a new epoch's region if the
+/// width covers us, signal completion, then watch for the next epoch and
+/// park if the window closes without one.
 fn worker_loop(shared: &PoolShared, index: usize, mut seen_epoch: u64) {
     // Worker threads only ever execute region bodies, so a nested
     // scope_threads from one must always take the scoped fallback.
@@ -385,6 +427,7 @@ fn worker_loop(shared: &PoolShared, index: usize, mut seen_epoch: u64) {
                     }
                 }
                 st.active -= 1;
+                shared.active_hint.store(st.active, Ordering::Release);
                 if st.active == 0 {
                     shared.done_cv.notify_all();
                 }
@@ -392,10 +435,18 @@ fn worker_loop(shared: &PoolShared, index: usize, mut seen_epoch: u64) {
             continue;
         }
         let timing = stats::timing_enabled();
-        let parked_at = if timing { stats::now_ns() } else { 0 };
-        shared.work_cv.wait(&mut st);
+        let idle_at = if timing { stats::now_ns() } else { 0 };
+        drop(st);
+        let handed = watch(|| shared.epoch_hint.load(Ordering::Acquire) != seen_epoch);
+        st = shared.state.lock();
+        // Re-checked under the lock: a publish or a shutdown may have
+        // landed between the last look and the lock.
+        if !handed && st.epoch == seen_epoch && !st.shutdown {
+            stats::record_park();
+            shared.work_cv.wait(&mut st);
+        }
         if timing {
-            stats::record_idle_ns(stats::now_ns() - parked_at);
+            stats::record_idle_ns(stats::now_ns() - idle_at);
         }
     }
 }
