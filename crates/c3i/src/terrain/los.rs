@@ -521,7 +521,7 @@ pub struct KernelScratch {
     /// `par_d[a]`: distance of a ring-`k−1` parent with off-axis offset
     /// `a`. Valid indices `0..k`.
     par_d: Vec<f64>,
-    /// Staging buffer for one run, written back as one contiguous copy.
+    /// Staging buffer for one ring, written back run by run.
     row: Vec<f64>,
 }
 
@@ -532,7 +532,7 @@ impl KernelScratch {
     }
 
     /// Fill the distance tables for ring `k ≥ 1`, reusing capacity.
-    fn fill(&mut self, k: usize, cell_size: f64) {
+    pub fn fill(&mut self, k: usize, cell_size: f64) {
         let ki = k as isize;
         self.cell_d.clear();
         self.cell_d
@@ -596,138 +596,164 @@ impl Default for KernelArena {
     }
 }
 
-/// Row-sweep kernel: one horizontal run of ring `k ≥ 2` (`y = cy ± k`,
-/// cells `rx0..=rx1`). The interior cells are y-dominant — both parents
-/// sit on the contiguous span of row `y ∓ 1` written by ring `k−1` — so
-/// the kernel streams two parent slices (`store` raw altitudes, terrain
-/// elevations), with `k`, `scale`, and both distance tables hoisted out of
-/// the straight-line inner loop. Corner (diagonal) cells are peeled off
-/// the run ends. Per-cell operation order matches [`raw_alt_for_cell`]
-/// exactly, so the results are bit-identical to the reference recurrence.
-#[allow(clippy::too_many_arguments)]
-fn sweep_row<S: AltStore, R: Rec>(
-    terrain: &Grid<f64>,
-    h_s: f64,
-    region: &Region,
-    k: usize,
-    y: usize,
-    rx0: usize,
-    rx1: usize,
-    store: &mut S,
-    kern: &mut KernelScratch,
-    r: &mut R,
-) {
-    let KernelScratch { cell_d, par_d, row } = kern;
-    let (cx, cy) = (region.cx as isize, region.cy as isize);
-    let ki = k as isize;
-    let scale = (ki - 1) as f64 / ki as f64;
-    // Parent row: one step back toward the radar.
-    let py = if (y as isize) < cy { y + 1 } else { y - 1 };
-    // Clipped span of ring k−1's row py (always covers every parent this
-    // run interpolates between — the scaled offset never reaches past the
-    // clipped parent row).
-    let px0 = (cx - (ki - 1)).max(region.x0 as isize) as usize;
-    let px1 = (cx + (ki - 1)).min(region.x1 as isize) as usize;
-    let par_raw = store.row(py, px0, px1);
-    let par_elev = &terrain.row(py)[px0..=px1];
-
-    // Blocking value of the parent at (px, py): the steeper of its
-    // inherited blocking slope and its own terrain slope — the body of
-    // `raw_alt_for_cell`'s `parent_v`, with the distance table lookup
-    // replacing the per-call sqrt.
-    let pv = |px: usize, r: &mut R| -> f64 {
-        debug_assert!((px0..=px1).contains(&px));
-        let d = par_d[px.abs_diff(region.cx)];
-        let raw = par_raw[px - px0];
-        let elev = par_elev[px - px0];
-        r.sload(2);
-        r.fp(7);
-        let b = if raw == f64::NEG_INFINITY {
-            f64::NEG_INFINITY
-        } else {
-            (raw - h_s) / d
-        };
-        let slope = (elev - h_s) / d;
-        b.max(slope)
-    };
-
-    row.clear();
-    let has_l = rx0 as isize == cx - ki;
-    let has_r = rx1 as isize == cx + ki;
-    let ix0 = if has_l { rx0 + 1 } else { rx0 };
-    let ix1 = if has_r { rx1 - 1 } else { rx1 };
-
-    // Diagonal corner: single parent one step in on both axes, at the end
-    // of the parent span.
-    let corner = |px: usize, r: &mut R| -> f64 {
-        r.int(6);
-        r.fp(2);
-        let v = pv(px, r);
-        r.fp(5);
-        h_s + v * cell_d[k]
-    };
-
-    if has_l {
-        let v = corner(px0, r);
-        row.push(v);
-    }
-
-    for x in ix0..=ix1 {
-        let dx = x as isize - cx;
-        r.int(6);
-        r.fp(2);
-        let fx = cx as f64 + dx as f64 * scale;
-        let x_lo = fx.floor();
-        let w = fx - x_lo;
-        r.fp(4);
-        let v_lo = pv(x_lo as usize, r);
-        let v = if w == 0.0 {
-            v_lo
-        } else {
-            let v_hi = pv(x_lo as usize + 1, r);
-            v_lo * (1.0 - w) + v_hi * w
-        };
-        r.fp(5);
-        row.push(h_s + v * cell_d[dx.unsigned_abs()]);
-    }
-
-    if has_r {
-        let v = corner(px1, r);
-        row.push(v);
-    }
-
-    // One contiguous write-back for the whole run.
-    store.row_mut(y, rx0, rx1).copy_from_slice(row);
-    r.sstore((rx1 - rx0 + 1) as u64);
+/// What the sweep kernels hoist out of one ring `k ≥ 2`: the threat's
+/// geometry, the store holding ring `k − 1`, and ring `k`'s distance tables
+/// ([`KernelScratch::fill`]). Shared borrows only, so the fine-grained
+/// variant hands one to every thread of a ring.
+#[derive(Debug, Clone, Copy)]
+pub struct RingSweep<'a, S> {
+    /// Terrain elevations.
+    pub terrain: &'a Grid<f64>,
+    /// Sensor height ([`sensor_height`]).
+    pub h_s: f64,
+    /// The threat's clipped region.
+    pub region: &'a Region,
+    /// Ring index.
+    pub k: usize,
+    /// Raw altitudes; ring `k − 1` is read, nothing is written.
+    pub store: &'a S,
+    /// Distance tables filled for ring `k`.
+    pub kern: &'a KernelScratch,
 }
 
-/// Column-sweep kernel: one vertical run of ring `k ≥ 2` (`x = cx ± k`,
-/// cells `ry0..=ry1`; corners belong to the row runs, so every cell here
-/// is x-dominant). Parents live in column `x ∓ 1`, a strided walk of the
-/// store; distances and the dominant-axis branch are hoisted like the row
-/// sweep's. Per-cell operation order again matches [`raw_alt_for_cell`].
-#[allow(clippy::too_many_arguments)]
-fn sweep_col<S: AltStore, R: Rec>(
-    terrain: &Grid<f64>,
-    h_s: f64,
-    region: &Region,
-    k: usize,
-    x: usize,
-    ry0: usize,
-    ry1: usize,
-    store: &mut S,
-    kern: &mut KernelScratch,
-    r: &mut R,
-) {
-    let KernelScratch { cell_d, par_d, row } = kern;
-    let (cx, cy) = (region.cx as isize, region.cy as isize);
-    let ki = k as isize;
-    let scale = (ki - 1) as f64 / ki as f64;
-    // Parent column: one step back toward the radar.
-    let px = if (x as isize) < cx { x + 1 } else { x - 1 };
+impl<S: AltStore> RingSweep<'_, S> {
+    /// Compute cells `range` (indices into `run`, non-empty) of one edge
+    /// run of the ring and hand them to `sink` in run order. A whole run is
+    /// `0..run.len()`; wherever a run is cut, its cells get the same bits.
+    pub fn run<R: Rec>(
+        &self,
+        run: RingRun,
+        range: std::ops::Range<usize>,
+        sink: impl FnMut(f64),
+        r: &mut R,
+    ) {
+        debug_assert!(range.start < range.end && range.end <= run.len());
+        match run {
+            RingRun::Row { y, x0, x1 } => self.sweep_row(y, x0, x1, range, sink, r),
+            RingRun::Col { x, y0, .. } => self.sweep_col(x, y0, range, sink, r),
+        }
+    }
 
-    row.clear();
-    {
+    /// Row-sweep kernel: one horizontal run (`y = cy ± k`, cells
+    /// `rx0..=rx1`). The interior cells are y-dominant — both parents sit on
+    /// the contiguous span of row `y ∓ 1` written by ring `k−1` — so the
+    /// kernel streams two parent slices (`store` raw altitudes, terrain
+    /// elevations), with `k`, `scale`, and both distance tables hoisted out
+    /// of the straight-line inner loop. Corner (diagonal) cells are peeled
+    /// off the run ends when `range` reaches them. Per-cell operation order
+    /// matches [`raw_alt_for_cell`] exactly, so the results are
+    /// bit-identical to the reference recurrence.
+    fn sweep_row<R: Rec>(
+        &self,
+        y: usize,
+        rx0: usize,
+        rx1: usize,
+        range: std::ops::Range<usize>,
+        mut sink: impl FnMut(f64),
+        r: &mut R,
+    ) {
+        let (terrain, h_s, region, k, store) =
+            (self.terrain, self.h_s, self.region, self.k, self.store);
+        let KernelScratch { cell_d, par_d, .. } = self.kern;
+        let (cx, cy) = (region.cx as isize, region.cy as isize);
+        let ki = k as isize;
+        let scale = (ki - 1) as f64 / ki as f64;
+        // Parent row: one step back toward the radar.
+        let py = if (y as isize) < cy { y + 1 } else { y - 1 };
+        // Clipped span of ring k−1's row py (always covers every parent this
+        // run interpolates between — the scaled offset never reaches past the
+        // clipped parent row).
+        let px0 = (cx - (ki - 1)).max(region.x0 as isize) as usize;
+        let px1 = (cx + (ki - 1)).min(region.x1 as isize) as usize;
+        let par_raw = store.row(py, px0, px1);
+        let par_elev = &terrain.row(py)[px0..=px1];
+
+        // Blocking value of the parent at (px, py): the steeper of its
+        // inherited blocking slope and its own terrain slope — the body of
+        // `raw_alt_for_cell`'s `parent_v`, with the distance table lookup
+        // replacing the per-call sqrt.
+        let pv = |px: usize, r: &mut R| -> f64 {
+            debug_assert!((px0..=px1).contains(&px));
+            let d = par_d[px.abs_diff(region.cx)];
+            let raw = par_raw[px - px0];
+            let elev = par_elev[px - px0];
+            r.sload(2);
+            r.fp(7);
+            let b = if raw == f64::NEG_INFINITY {
+                f64::NEG_INFINITY
+            } else {
+                (raw - h_s) / d
+            };
+            let slope = (elev - h_s) / d;
+            b.max(slope)
+        };
+
+        let has_l = range.start == 0 && rx0 as isize == cx - ki;
+        let has_r = range.end == rx1 - rx0 + 1 && rx1 as isize == cx + ki;
+        let ix0 = rx0 + range.start + usize::from(has_l);
+        let ix1 = rx0 + range.end - usize::from(has_r);
+
+        // Diagonal corner: single parent one step in on both axes, at the
+        // end of the parent span.
+        let corner = |px: usize, r: &mut R| -> f64 {
+            r.int(6);
+            r.fp(2);
+            let v = pv(px, r);
+            r.fp(5);
+            h_s + v * cell_d[k]
+        };
+
+        if has_l {
+            sink(corner(px0, r));
+        }
+
+        for x in ix0..ix1 {
+            let dx = x as isize - cx;
+            r.int(6);
+            r.fp(2);
+            let fx = cx as f64 + dx as f64 * scale;
+            let x_lo = fx.floor();
+            let w = fx - x_lo;
+            r.fp(4);
+            let v_lo = pv(x_lo as usize, r);
+            let v = if w == 0.0 {
+                v_lo
+            } else {
+                let v_hi = pv(x_lo as usize + 1, r);
+                v_lo * (1.0 - w) + v_hi * w
+            };
+            r.fp(5);
+            sink(h_s + v * cell_d[dx.unsigned_abs()]);
+        }
+
+        if has_r {
+            sink(corner(px1, r));
+        }
+    }
+
+    /// Column-sweep kernel: one vertical run (`x = cx ± k`, cells from
+    /// `ry0` down; corners belong to the row runs, so every cell here is
+    /// x-dominant). Parents live in column `x ∓ 1`, a strided walk of the
+    /// store; distances and the dominant-axis branch are hoisted like the
+    /// row sweep's. Per-cell operation order again matches
+    /// [`raw_alt_for_cell`].
+    fn sweep_col<R: Rec>(
+        &self,
+        x: usize,
+        ry0: usize,
+        range: std::ops::Range<usize>,
+        mut sink: impl FnMut(f64),
+        r: &mut R,
+    ) {
+        let (terrain, h_s, region, k, store) =
+            (self.terrain, self.h_s, self.region, self.k, self.store);
+        let KernelScratch { cell_d, par_d, .. } = self.kern;
+        let (cx, cy) = (region.cx as isize, region.cy as isize);
+        let ki = k as isize;
+        let scale = (ki - 1) as f64 / ki as f64;
+        // Parent column: one step back toward the radar.
+        let px = if (x as isize) < cx { x + 1 } else { x - 1 };
+
         let pv = |py: usize, r: &mut R| -> f64 {
             let d = par_d[py.abs_diff(region.cy)];
             let raw = store.get(px, py);
@@ -742,7 +768,7 @@ fn sweep_col<S: AltStore, R: Rec>(
             let slope = (elev - h_s) / d;
             b.max(slope)
         };
-        for y in ry0..=ry1 {
+        for y in ry0 + range.start..ry0 + range.end {
             let dy = y as isize - cy;
             r.int(6);
             r.fp(2);
@@ -758,13 +784,26 @@ fn sweep_col<S: AltStore, R: Rec>(
                 v_lo * (1.0 - w) + v_hi * w
             };
             r.fp(5);
-            row.push(h_s + v * cell_d[dy.unsigned_abs()]);
+            sink(h_s + v * cell_d[dy.unsigned_abs()]);
         }
     }
-    for (i, y) in (ry0..=ry1).enumerate() {
-        store.set(x, y, row[i]);
+}
+
+/// Write one run's values back: a row run is one contiguous copy, a column
+/// run a strided walk.
+pub fn write_run<S: AltStore>(store: &mut S, run: RingRun, values: impl Iterator<Item = f64>) {
+    match run {
+        RingRun::Row { y, x0, x1 } => {
+            for (cell, v) in store.row_mut(y, x0, x1).iter_mut().zip(values) {
+                *cell = v;
+            }
+        }
+        RingRun::Col { x, y0, y1 } => {
+            for (y, v) in (y0..=y1).zip(values) {
+                store.set(x, y, v);
+            }
+        }
     }
-    r.sstore((ry1 - ry0 + 1) as u64);
 }
 
 /// Run the full ring recurrence for `threat` into `store` using caller-
@@ -795,16 +834,28 @@ pub fn compute_raw_alts_in<S: AltStore, R: Rec>(
     }
     for k in 2..=region.radius {
         kern.fill(k, cell_size);
-        for run in region.ring_runs(k).iter() {
-            match run {
-                RingRun::Row { y, x0, x1 } => {
-                    sweep_row(terrain, h_s, region, k, y, x0, x1, store, kern, r)
-                }
-                RingRun::Col { x, y0, y1 } => {
-                    sweep_col(terrain, h_s, region, k, x, y0, y1, store, kern, r)
-                }
-            }
+        let runs = region.ring_runs(k);
+        // The ring is staged and then written back: its cells read ring
+        // k − 1 out of the store they are written to.
+        let mut ring = std::mem::take(&mut kern.row);
+        ring.clear();
+        let sweep = RingSweep {
+            terrain,
+            h_s,
+            region,
+            k,
+            store: &*store,
+            kern,
+        };
+        for run in runs.iter() {
+            sweep.run(run, 0..run.len(), |v| ring.push(v), r);
         }
+        let mut values = ring.iter().copied();
+        for run in runs.iter() {
+            write_run(store, run, values.by_ref().take(run.len()));
+        }
+        r.sstore(runs.len() as u64);
+        kern.row = ring;
     }
 }
 

@@ -7,7 +7,10 @@
 //! bounding-box scratch array must be indistinguishable from a
 //! full-grid store for any line-of-sight computation.
 
-use c3i::terrain::los::{compute_raw_alts, AltStore, Region, ScratchAlt};
+use c3i::terrain::los::{
+    compute_raw_alts, raw_alt_for_cell, sensor_height, AltStore, KernelScratch, Region, RingSweep,
+    ScratchAlt,
+};
 use c3i::terrain::GroundThreat;
 use c3i::Grid;
 use c3i::NoRec;
@@ -71,6 +74,16 @@ fn arb_degenerate_terrain() -> impl Strategy<Value = Grid<f64>> {
                 }
             })),
         ]
+    })
+}
+
+/// Terrain with no two equal slopes to speak of, so an interpolation
+/// weight or a parent picked wrongly shows in the bits.
+fn arb_bumpy_terrain() -> impl Strategy<Value = Grid<f64>> {
+    (8usize..48, 8usize..48, 1usize..1000).prop_map(|(xs, ys, salt)| {
+        Grid::from_fn(xs, ys, |x, y| {
+            (((x * 31 + y * 17 + salt) * 2654435761) % 997) as f64
+        })
     })
 }
 
@@ -188,6 +201,75 @@ proptest! {
                 a.to_bits(), b.to_bits(),
                 "cell ({}, {}): scratch {:?} != grid {:?}", x, y, a, b
             );
+        }
+    }
+
+    /// The sweep kernels compute any sub-range of a run to the same bits:
+    /// for every ring, every run and **every cut point** `c`, cells
+    /// `[0, c)` followed by `[c, len)` equal the whole run, and both equal
+    /// `raw_alt_for_cell` cell by cell — corners at the run ends included,
+    /// whichever side of a cut they fall on. This is what lets the
+    /// fine-grained variant hand a ring to its threads as arcs.
+    #[test]
+    fn a_run_cut_anywhere_equals_the_whole_run_and_the_per_cell_recurrence(
+        terrain in arb_bumpy_terrain(),
+        (fx, fy) in (0.0..1.0f64, 0.0..1.0f64),
+        corner in 0usize..5,
+        radius in 2usize..=40,
+        cell_size in prop_oneof![Just(30.0f64), Just(100.0)],
+    ) {
+        let (xs, ys) = (terrain.x_size(), terrain.y_size());
+        // Four grid corners (rings clipped to one quadrant, row runs that
+        // end in a corner cell on one side only) or anywhere.
+        let (x, y) = match corner {
+            0 => (0, 0),
+            1 => (xs - 1, 0),
+            2 => (0, ys - 1),
+            3 => (xs - 1, ys - 1),
+            _ => ((fx * xs as f64) as usize, (fy * ys as f64) as usize),
+        };
+        let threat = GroundThreat { x, y, radius, mast_height: 12.0 };
+        let region = Region::of(&threat, xs, ys).expect("threat is on the grid");
+        let h_s = sensor_height(&terrain, &threat);
+
+        // The finished recurrence: ring k − 1 is in place for every k.
+        let mut store = ScratchAlt::new(&region, f64::INFINITY);
+        compute_raw_alts(&terrain, cell_size, &threat, &region, &mut store, &mut NoRec);
+
+        let mut kern = KernelScratch::new();
+        for k in 2..=region.radius {
+            kern.fill(k, cell_size);
+            let sweep = RingSweep {
+                terrain: &terrain, h_s, region: &region, k, store: &store, kern: &kern,
+            };
+            for run in region.ring_runs(k).iter() {
+                let bits = |range: std::ops::Range<usize>| {
+                    let mut out = Vec::with_capacity(range.len());
+                    sweep.run(run, range, |v| out.push(v.to_bits()), &mut NoRec);
+                    out
+                };
+                let whole = bits(0..run.len());
+                let per_cell: Vec<u64> = run
+                    .cells()
+                    .map(|(x, y)| {
+                        raw_alt_for_cell(
+                            &terrain, cell_size, h_s, region.cx, region.cy, x, y, &store,
+                            &mut NoRec,
+                        )
+                        .to_bits()
+                    })
+                    .collect();
+                prop_assert_eq!(&whole, &per_cell, "ring {} run {:?}", k, run);
+                // What the recurrence itself stored for these cells.
+                let stored: Vec<u64> =
+                    run.cells().map(|(x, y)| store.get(x, y).to_bits()).collect();
+                prop_assert_eq!(&whole, &stored, "ring {} run {:?}", k, run);
+                for c in 1..run.len() {
+                    let mut cut = bits(0..c);
+                    cut.extend(bits(c..run.len()));
+                    prop_assert_eq!(&cut, &whole, "ring {} run {:?} cut at {}", k, run, c);
+                }
+            }
         }
     }
 }
