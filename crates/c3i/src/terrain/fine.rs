@@ -19,25 +19,26 @@
 //! synchronization.
 
 use super::los::{
-    clamp_alt, raw_alt_for_cell, sensor_height, AltStore, KernelArena, Region, ScratchAlt,
+    clamp_alt, raw_alt_for_cell, sensor_height, write_run, AltStore, KernelArena, Region,
+    RingSweep, ScratchAlt,
 };
 use super::scenario::TerrainScenario;
 use crate::counts::{NoRec, ParallelPhase, PhasedProfile};
 use crate::grid::Grid;
 use std::sync::atomic::{AtomicU64, Ordering};
-use sthreads::{multithreaded_for, OpRecorder, Schedule};
+use sthreads::{chunk_range, multithreaded_for, OpRecorder, Schedule};
 
 /// Fine-grained Terrain Masking on real host threads. Produces the same
 /// grid as Programs 3 and 4 bit-for-bit. `n_threads` is the worker count
-/// used for every inner parallel loop. Each ring cell writes its own
-/// result slot, so the grid cannot depend on which worker claimed it.
+/// used for every ring. Each ring cell has its own result slot, so the
+/// grid cannot depend on which worker claimed which arc.
 pub fn terrain_masking_fine_host(scenario: &TerrainScenario, n_threads: usize) -> Grid<f64> {
     let terrain = &scenario.terrain;
     let mut masking = Grid::new(terrain.x_size(), terrain.y_size(), f64::INFINITY);
 
-    // The one temp array plus the ring result slots live in this thread's
-    // arena, reused across threats; ring cell lists are never
-    // materialized — each ring is indexed through its edge runs.
+    // The one temp array, the ring tables and the ring result slots live
+    // in this thread's arena, reused across threats; ring cell lists are
+    // never materialized — each ring is cut into arcs of its edge runs.
     KernelArena::with(|arena| {
         for threat in &scenario.threats {
             let region = Region::of_checked(threat, terrain.x_size(), terrain.y_size());
@@ -74,35 +75,41 @@ pub fn terrain_masking_fine_host(scenario: &TerrainScenario, n_threads: usize) -
                     arena.ring_slots.resize_with(n, || AtomicU64::new(0));
                 }
                 let results = &arena.ring_slots[..n];
-                {
-                    let masking_ref = &masking;
-                    // Rings are the sub-microsecond case (a few hundred
-                    // cells, ~100ns each); the shared queue's adaptive
-                    // grain hands each worker arcs of cells, not cells.
-                    multithreaded_for(0..n, n_threads, Schedule::Dynamic, |i| {
-                        let (x, y) = runs.cell(i);
-                        let v = raw_alt_for_cell(
-                            terrain,
-                            scenario.cell_size_m,
-                            h_s,
-                            region.cx,
-                            region.cy,
-                            x,
-                            y,
-                            masking_ref,
-                            &mut NoRec,
-                        );
-                        results[i].store(v.to_bits(), Ordering::Relaxed);
-                    });
-                }
-                for (i, slot) in results.iter().enumerate() {
-                    let (x, y) = runs.cell(i);
-                    AltStore::set(
-                        &mut masking,
-                        x,
-                        y,
-                        f64::from_bits(slot.load(Ordering::Relaxed)),
-                    );
+                arena.kernel.fill(k, scenario.cell_size_m);
+                let sweep = RingSweep {
+                    terrain,
+                    h_s,
+                    region: &region,
+                    k,
+                    store: &masking,
+                    kern: &arena.kernel,
+                };
+                // Rings are the sub-microsecond case (a few hundred cells,
+                // ~25 ns each): a task is an arc of the ring's canonical
+                // order, two per worker, swept through the same kernels
+                // the sequential program runs over whole runs.
+                let n_arcs = n.min(2 * n_threads);
+                multithreaded_for(0..n_arcs, n_threads, Schedule::Dynamic, |a| {
+                    let arc = chunk_range(a, n, n_arcs);
+                    let mut first = 0;
+                    for run in runs.iter() {
+                        let (lo, hi) = (arc.start.max(first), arc.end.min(first + run.len()));
+                        if lo < hi {
+                            let mut slots = results[lo..hi].iter();
+                            let sink = |v: f64| {
+                                let slot = slots.next().expect("one slot per cell");
+                                slot.store(v.to_bits(), Ordering::Relaxed);
+                            };
+                            sweep.run(run, lo - first..hi - first, sink, &mut NoRec);
+                        }
+                        first += run.len();
+                    }
+                });
+                let mut values = results
+                    .iter()
+                    .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)));
+                for run in runs.iter() {
+                    write_run(&mut masking, run, values.by_ref().take(run.len()));
                 }
             }
 
@@ -240,12 +247,28 @@ mod tests {
 
     #[test]
     fn fine_host_matches_sequential_bitwise() {
-        for seed in [1, 6] {
-            let s = small_scenario(seed);
+        // Seeds 1 and 6 as generated, and seed 1 with a threat moved into
+        // each grid corner: rings clipped to a quadrant, row runs that end
+        // in a corner cell on one side only.
+        let mut cornered = small_scenario(1);
+        let far = cornered.terrain.x_size() - 1;
+        for (t, (x, y)) in [(0, 0), (far, 0), (0, far), (far, far)]
+            .into_iter()
+            .enumerate()
+        {
+            (cornered.threats[t].x, cornered.threats[t].y) = (x, y);
+        }
+        for (name, s) in [
+            ("seed 1", small_scenario(1)),
+            ("seed 6", small_scenario(6)),
+            ("corner threats", cornered),
+        ] {
             let seq = terrain_masking_host(&s);
-            for threads in [1, 2, 4, 8] {
+            // 32: more workers than ring 2 has cells (16, fewer once it is
+            // clipped), so arcs of one cell on a region as wide as the ring.
+            for threads in [1, 2, 4, 8, 32] {
                 let fine = terrain_masking_fine_host(&s, threads);
-                assert_eq!(fine, seq, "seed={seed} threads={threads}");
+                assert_eq!(fine, seq, "{name} threads={threads}");
             }
         }
     }

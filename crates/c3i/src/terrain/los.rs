@@ -22,6 +22,7 @@
 use super::scenario::GroundThreat;
 use crate::counts::Rec;
 use crate::grid::Grid;
+use std::ops::Range;
 
 /// The clipped region of influence of one threat: the intersection of the
 /// Chebyshev disc of radius `radius` around `(cx, cy)` with the grid.
@@ -286,20 +287,6 @@ impl RingRuns {
     /// Iterate all cells run by run — the canonical ring order.
     pub fn cells(self) -> impl Iterator<Item = (usize, usize)> {
         self.iter().flat_map(RingRun::cells)
-    }
-
-    /// The `i`-th cell in canonical order: an O(n_runs) lookup the
-    /// fine-grained variant uses to index into a ring without
-    /// materializing it.
-    pub fn cell(&self, i: usize) -> (usize, usize) {
-        let mut i = i;
-        for run in &self.runs[..self.n] {
-            if i < run.len() {
-                return run.cell(i);
-            }
-            i -= run.len();
-        }
-        panic!("ring cell index {i} past the end of the ring");
     }
 }
 
@@ -620,17 +607,11 @@ impl<S: AltStore> RingSweep<'_, S> {
     /// Compute cells `range` (indices into `run`, non-empty) of one edge
     /// run of the ring and hand them to `sink` in run order. A whole run is
     /// `0..run.len()`; wherever a run is cut, its cells get the same bits.
-    pub fn run<R: Rec>(
-        &self,
-        run: RingRun,
-        range: std::ops::Range<usize>,
-        sink: impl FnMut(f64),
-        r: &mut R,
-    ) {
+    pub fn run<R: Rec>(&self, run: RingRun, range: Range<usize>, sink: impl FnMut(f64), r: &mut R) {
         debug_assert!(range.start < range.end && range.end <= run.len());
         match run {
-            RingRun::Row { y, x0, x1 } => self.sweep_row(y, x0, x1, range, sink, r),
-            RingRun::Col { x, y0, .. } => self.sweep_col(x, y0, range, sink, r),
+            RingRun::Row { y, x0, x1 } => self.sweep_row((y, x0, x1), range, sink, r),
+            RingRun::Col { x, y0, .. } => self.sweep_col((x, y0), range, sink, r),
         }
     }
 
@@ -645,10 +626,8 @@ impl<S: AltStore> RingSweep<'_, S> {
     /// bit-identical to the reference recurrence.
     fn sweep_row<R: Rec>(
         &self,
-        y: usize,
-        rx0: usize,
-        rx1: usize,
-        range: std::ops::Range<usize>,
+        (y, rx0, rx1): (usize, usize, usize),
+        range: Range<usize>,
         mut sink: impl FnMut(f64),
         r: &mut R,
     ) {
@@ -739,9 +718,8 @@ impl<S: AltStore> RingSweep<'_, S> {
     /// [`raw_alt_for_cell`].
     fn sweep_col<R: Rec>(
         &self,
-        x: usize,
-        ry0: usize,
-        range: std::ops::Range<usize>,
+        (x, ry0): (usize, usize),
+        range: Range<usize>,
         mut sink: impl FnMut(f64),
         r: &mut R,
     ) {
@@ -1281,10 +1259,6 @@ mod tests {
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "threat {t:?} ring {k}");
-                // Indexed lookup agrees with iteration.
-                for (i, cell) in flat.iter().enumerate() {
-                    assert_eq!(runs.cell(i), *cell);
-                }
             }
         }
     }

@@ -137,11 +137,7 @@ proptest! {
                 c3i::terrain::los::reference::ring(&region, k).into_iter().collect();
             prop_assert_eq!(as_set, historical, "ring {} cell set diverged", k);
             prop_assert_eq!(runs.len(), flat.len());
-            // Random access agrees with iteration, and each run really is
-            // contiguous along its axis.
-            for (i, cell) in flat.iter().enumerate() {
-                prop_assert_eq!(runs.cell(i), *cell, "cell({}) diverged", i);
-            }
+            // Each run really is contiguous along its axis.
             for run in runs.iter() {
                 let cells: Vec<_> = run.cells().collect();
                 for w in cells.windows(2) {
