@@ -14,7 +14,7 @@
 //! this approach drowns in memory for the hundreds of threads the Tera MTA
 //! wants.
 
-use super::los::{clamp_alt, compute_raw_alts_in, KernelArena, Region};
+use super::los::{clamp_alt, compute_raw_alts_in, AltStore, KernelArena, Region};
 use super::scenario::TerrainScenario;
 use crate::counts::{NoRec, Profile, Rec};
 use crate::grid::Grid;
@@ -99,14 +99,9 @@ impl SharedMaskGrid {
         }
     }
 
-    #[inline]
-    fn get(&self, x: usize, y: usize) -> f64 {
-        f64::from_bits(self.data[y * self.x_size + x].load(Ordering::Relaxed))
-    }
-
-    #[inline]
-    fn set(&self, x: usize, y: usize, v: f64) {
-        self.data[y * self.x_size + x].store(v.to_bits(), Ordering::Relaxed);
+    /// Cells `x0..=x1` of row `y`.
+    fn row(&self, y: usize, x0: usize, x1: usize) -> &[AtomicU64] {
+        &self.data[y * self.x_size + x0..=y * self.x_size + x1]
     }
 
     fn into_grid(self, y_size: usize) -> Grid<f64> {
@@ -165,17 +160,21 @@ fn process_threat<R: Rec>(
             let x1 = bx1.min(region.x1);
             let y0 = by0.max(region.y0);
             let y1 = by1.min(region.y1);
+            // One zipped pass per row of the overlap.
             for y in y0..=y1 {
-                for x in x0..=x1 {
-                    use super::los::AltStore;
-                    let per_threat = clamp_alt(temp.get(x, y), terrain[(x, y)]);
-                    let prior = masking.get(x, y);
-                    masking.set(x, y, per_threat.min(prior));
-                    r.sload(3);
-                    r.fp(2);
-                    r.sstore(1);
+                let shared = masking.row(y, x0, x1).iter();
+                for ((m, &elev), &raw) in shared
+                    .zip(&terrain.row(y)[x0..=x1])
+                    .zip(temp.row(y, x0, x1))
+                {
+                    let prior = f64::from_bits(m.load(Ordering::Relaxed));
+                    m.store(clamp_alt(raw, elev).min(prior).to_bits(), Ordering::Relaxed);
                 }
             }
+            let n = ((x1 - x0 + 1) * (y1 - y0 + 1)) as u64;
+            r.sload(3 * n);
+            r.fp(2 * n);
+            r.sstore(n);
         }
     });
 }

@@ -19,8 +19,8 @@
 //! synchronization.
 
 use super::los::{
-    clamp_alt, raw_alt_for_cell, sensor_height, write_run, AltStore, KernelArena, Region,
-    RingSweep, ScratchAlt,
+    clamp_alt, merge_min, raw_alt_for_cell, save_and_reset, sensor_height, write_run, AltStore,
+    KernelArena, Region, RingSweep, ScratchAlt,
 };
 use super::scenario::TerrainScenario;
 use crate::counts::{NoRec, ParallelPhase, PhasedProfile};
@@ -44,19 +44,10 @@ pub fn terrain_masking_fine_host(scenario: &TerrainScenario, n_threads: usize) -
             let region = Region::of_checked(threat, terrain.x_size(), terrain.y_size());
             let h_s = sensor_height(terrain, threat);
 
-            // temp[x][y] = masking[x][y] over the region (parallel copy).
-            let temp = &mut arena.scratch;
-            temp.reset(&region, f64::INFINITY);
-            for (x, y) in region.cells() {
-                temp.set(x, y, AltStore::get(&masking, x, y));
-            }
-
-            // Reset the region of masking (parallel in spirit; the write
-            // is cheap enough that the host variant keeps it serial per
-            // cell and the machine models charge it as a parallel phase).
-            for (x, y) in region.cells() {
-                AltStore::set(&mut masking, x, y, f64::INFINITY);
-            }
+            // temp = masking over the region, then masking = +inf there:
+            // flat parallel loops on the Tera (the machine models charge
+            // them as parallel phases), row copies and fills here.
+            save_and_reset(&mut masking, &mut arena.scratch, &region);
 
             // Ring recurrence: each ring is a parallel loop over its
             // cells, reading only the previous ring; a barrier separates
@@ -105,22 +96,18 @@ pub fn terrain_masking_fine_host(scenario: &TerrainScenario, n_threads: usize) -
                         first += run.len();
                     }
                 });
-                let mut values = results
-                    .iter()
-                    .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)));
+                let mut first = 0;
                 for run in runs.iter() {
-                    write_run(&mut masking, run, values.by_ref().take(run.len()));
+                    let slots = results[first..first + run.len()].iter();
+                    let values = slots.map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)));
+                    write_run(&mut masking, run, values);
+                    first += run.len();
                 }
             }
 
-            // masking = Min(clamped per-threat altitude, temp) (parallel
-            // merge in spirit; serial on the host for the same reason as
-            // the reset).
-            for (x, y) in region.cells() {
-                let per_threat = clamp_alt(AltStore::get(&masking, x, y), terrain[(x, y)]);
-                let prior = arena.scratch.get(x, y);
-                AltStore::set(&mut masking, x, y, per_threat.min(prior));
-            }
+            // masking = Min(clamped per-threat altitude, temp): the third
+            // flat loop, one zipped pass per row here.
+            merge_min(&mut masking, terrain, &arena.scratch, &region);
         }
     });
     masking

@@ -828,9 +828,10 @@ pub fn compute_raw_alts_in<S: AltStore, R: Rec>(
         for run in runs.iter() {
             sweep.run(run, 0..run.len(), |v| ring.push(v), r);
         }
-        let mut values = ring.iter().copied();
+        let mut first = 0;
         for run in runs.iter() {
-            write_run(store, run, values.by_ref().take(run.len()));
+            write_run(store, run, ring[first..first + run.len()].iter().copied());
+            first += run.len();
         }
         r.sstore(runs.len() as u64);
         kern.row = ring;
@@ -933,6 +934,35 @@ pub mod reference {
 #[inline]
 pub fn clamp_alt(raw: f64, elev: f64) -> f64 {
     raw.max(elev)
+}
+
+/// The copy-out and reset that open a threat in the sequential and the
+/// fine-grained programs, a row of the region at a time: `temp = masking`,
+/// then `masking = +∞`.
+pub(super) fn save_and_reset(masking: &mut Grid<f64>, temp: &mut ScratchAlt, region: &Region) {
+    temp.reset(region, f64::INFINITY);
+    for y in region.y0..=region.y1 {
+        let row = &mut masking.row_mut(y)[region.x0..=region.x1];
+        temp.row_mut(y, region.x0, region.x1).copy_from_slice(row);
+        row.fill(f64::INFINITY);
+    }
+}
+
+/// The min-merge that closes a threat in the same two programs, one zipped
+/// pass per row: `masking = min(clamp(masking, terrain), temp)`.
+pub(super) fn merge_min(
+    masking: &mut Grid<f64>,
+    terrain: &Grid<f64>,
+    temp: &ScratchAlt,
+    region: &Region,
+) {
+    let (x0, x1) = (region.x0, region.x1);
+    for y in region.y0..=region.y1 {
+        let raw = masking.row_mut(y)[x0..=x1].iter_mut();
+        for ((m, &elev), &prior) in raw.zip(&terrain.row(y)[x0..=x1]).zip(temp.row(y, x0, x1)) {
+            *m = clamp_alt(*m, elev).min(prior);
+        }
+    }
 }
 
 /// Convenience: the complete per-threat masking field over the threat's

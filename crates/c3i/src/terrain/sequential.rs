@@ -12,7 +12,8 @@
 //! paper finds this program memory-bound.
 
 use super::los::{
-    clamp_alt, compute_raw_alts_in, reference, AltStore, KernelArena, Region, ScratchAlt,
+    clamp_alt, compute_raw_alts_in, merge_min, reference, save_and_reset, AltStore, KernelArena,
+    Region, ScratchAlt,
 };
 use super::scenario::TerrainScenario;
 use crate::counts::{NoRec, Profile, Rec};
@@ -49,20 +50,13 @@ pub fn terrain_masking_into<R: Rec>(
             r.int(8); // region bounds
             let (temp, kern) = arena.split();
 
-            // temp[x][y] = masking[x][y] over the region of influence.
-            temp.reset(&region, f64::INFINITY);
-            for (x, y) in region.cells() {
-                temp.set(x, y, AltStore::get(masking, x, y));
-                r.sload(1);
-                r.sstore(1);
-            }
-
-            // masking[x][y] = INFINITY over the region (reset for the
-            // in-place recurrence; raw values overwrite these).
-            for (x, y) in region.cells() {
-                AltStore::set(masking, x, y, f64::INFINITY);
-                r.sstore(1);
-            }
+            // temp[x][y] = masking[x][y] over the region of influence, then
+            // masking[x][y] = INFINITY there (reset for the in-place
+            // recurrence; raw values overwrite these).
+            let n = region.n_cells() as u64;
+            save_and_reset(masking, temp, &region);
+            r.sload(n);
+            r.sstore(2 * n);
 
             // masking[x][y] = maximum safe altitude due to this threat.
             compute_raw_alts_in(
@@ -77,14 +71,10 @@ pub fn terrain_masking_into<R: Rec>(
 
             // masking[x][y] = Min(masking[x][y], temp[x][y]), clamping the
             // raw recurrence value to the terrain floor as it is folded in.
-            for (x, y) in region.cells() {
-                let per_threat = clamp_alt(AltStore::get(masking, x, y), terrain[(x, y)]);
-                let prior = temp.get(x, y);
-                AltStore::set(masking, x, y, per_threat.min(prior));
-                r.sload(3); // masking, temp, terrain
-                r.fp(2); // clamp + min
-                r.sstore(1);
-            }
+            merge_min(masking, terrain, temp, &region);
+            r.sload(3 * n); // masking, temp, terrain
+            r.fp(2 * n); // clamp + min
+            r.sstore(n);
         }
     });
 }
