@@ -29,6 +29,21 @@ cargo test -q
 echo "== full workspace tests =="
 cargo test -q --workspace
 
+echo "== one-CPU behaviour of the pool handoff (taskset -c 0) =="
+# The pool's workers and its region caller *watch* for each other before
+# they park (crates/sthreads/src/pool.rs). On one CPU a wait that only
+# pauses starves the thread it is waiting for until the scheduler's
+# quantum runs out — a tenfold slowdown of every region, not a hang — so
+# the ceiling is generous on purpose: these take a few seconds once built
+# (the build runs unpinned, outside the ceiling).
+if command -v taskset > /dev/null; then
+  cargo test -q --release --no-run -p sthreads -p c3i
+  timeout 120 taskset -c 0 cargo test -q --release -p sthreads
+  timeout 120 taskset -c 0 cargo test -q --release -p c3i fine
+else
+  echo "taskset not found: skipping the pinned run"
+fi
+
 echo "== kernels bench smoke (quick scale) =="
 # One pass over the per-kernel Criterion group at reduced sizes: proves
 # the bench target builds and runs; the paper-scale numbers live in

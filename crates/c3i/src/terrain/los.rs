@@ -402,8 +402,9 @@ fn dist_cells(dx: isize, dy: isize, cell_size: f64) -> f64 {
 }
 
 /// Compute the raw altitude of one cell on ring `k ≥ 2` from its parents on
-/// ring `k − 1` (already present in `store`). Exposed for the fine-grained
-/// variant, which processes a ring's cells in parallel.
+/// ring `k − 1` (already present in `store`): the cell-at-a-time form the
+/// recorded `terrain_masking_fine` and [`mod@reference`] run, and what the
+/// sweep kernels are held equal to. No host program calls it.
 ///
 /// Parent selection is the XDraw scheme: scale the offset by `(k−1)/k`; on
 /// an edge-dominant cell the two parents straddle the scaled coordinate on

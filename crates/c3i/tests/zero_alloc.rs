@@ -5,12 +5,17 @@
 //! store, distance tables, run staging) and the output grid, repeated
 //! `terrain_masking_into` pipelines must perform **zero** heap
 //! allocations — the property the ring-run + arena data layout exists to
-//! provide. This file deliberately contains exactly one test: the global
-//! allocator counter would otherwise see other tests' allocations from
-//! concurrently running test threads.
+//! provide. The fine-grained host variant rides on the same arena and
+//! opens one pool region per ring: after warm-up a call may allocate the
+//! grid it returns and nothing else — nothing per region, nothing per arc.
+//! This file deliberately contains exactly one test: the global allocator
+//! counter would otherwise see other tests' allocations from concurrently
+//! running test threads (it does see the pool workers', which is the
+//! point).
 
 use c3i::terrain::{
-    generate, terrain_masking_into, terrain_masking_reference, TerrainScenarioParams,
+    generate, terrain_masking_fine_host, terrain_masking_into, terrain_masking_reference,
+    TerrainScenarioParams,
 };
 use c3i::{Grid, NoRec};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,4 +72,20 @@ fn masking_pipeline_is_allocation_free_after_warmup() {
         after - before
     );
     assert_eq!(masking, expected, "warm runs must keep the exact output");
+
+    // The fine-grained variant, two wide: the warm-up call spawns the pool
+    // worker and sizes the ring slots; after it, each call allocates the
+    // grid it returns and nothing else (a schedule that collected its
+    // chunks into a `Vec` per region would read thousands here).
+    assert_eq!(terrain_masking_fine_host(&scenario, 2), expected);
+    for _ in 0..3 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let fine = terrain_masking_fine_host(&scenario, 2);
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert!(
+            allocs <= 1,
+            "a warm fine-grained call allocated {allocs} times, not just its grid"
+        );
+        assert_eq!(fine, expected);
+    }
 }
