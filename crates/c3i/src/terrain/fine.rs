@@ -19,7 +19,7 @@
 //! synchronization.
 
 use super::los::{
-    clamp_alt, merge_min, raw_alt_for_cell, save_and_reset, sensor_height, write_run, AltStore,
+    clamp_alt, merge_min, raw_alt_for_cell, save_and_reset, sensor_height, write_ring, AltStore,
     KernelArena, Region, RingSweep, ScratchAlt,
 };
 use super::scenario::TerrainScenario;
@@ -96,13 +96,9 @@ pub fn terrain_masking_fine_host(scenario: &TerrainScenario, n_threads: usize) -
                         first += run.len();
                     }
                 });
-                let mut first = 0;
-                for run in runs.iter() {
-                    let slots = results[first..first + run.len()].iter();
-                    let values = slots.map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)));
-                    write_run(&mut masking, run, values);
-                    first += run.len();
-                }
+                write_ring(&mut masking, runs, |i| {
+                    f64::from_bits(results[i].load(Ordering::Relaxed))
+                });
             }
 
             // masking = Min(clamped per-threat altitude, temp): the third

@@ -768,20 +768,25 @@ impl<S: AltStore> RingSweep<'_, S> {
     }
 }
 
-/// Write one run's values back: a row run is one contiguous copy, a column
-/// run a strided walk.
-pub fn write_run<S: AltStore>(store: &mut S, run: RingRun, values: impl Iterator<Item = f64>) {
-    match run {
-        RingRun::Row { y, x0, x1 } => {
-            for (cell, v) in store.row_mut(y, x0, x1).iter_mut().zip(values) {
-                *cell = v;
+/// Write a ring back from its values in canonical order (`value(i)` is the
+/// `i`-th cell's): a row run is one contiguous pass, a column run a strided
+/// walk.
+pub fn write_ring<S: AltStore>(store: &mut S, runs: RingRuns, value: impl Fn(usize) -> f64) {
+    let mut first = 0;
+    for run in runs.iter() {
+        match run {
+            RingRun::Row { y, x0, x1 } => {
+                for (i, cell) in store.row_mut(y, x0, x1).iter_mut().enumerate() {
+                    *cell = value(first + i);
+                }
+            }
+            RingRun::Col { x, y0, y1 } => {
+                for (i, y) in (y0..=y1).enumerate() {
+                    store.set(x, y, value(first + i));
+                }
             }
         }
-        RingRun::Col { x, y0, y1 } => {
-            for (y, v) in (y0..=y1).zip(values) {
-                store.set(x, y, v);
-            }
-        }
+        first += run.len();
     }
 }
 
@@ -829,11 +834,7 @@ pub fn compute_raw_alts_in<S: AltStore, R: Rec>(
         for run in runs.iter() {
             sweep.run(run, 0..run.len(), |v| ring.push(v), r);
         }
-        let mut first = 0;
-        for run in runs.iter() {
-            write_run(store, run, ring[first..first + run.len()].iter().copied());
-            first += run.len();
-        }
+        write_ring(store, runs, |i| ring[i]);
         r.sstore(runs.len() as u64);
         kern.row = ring;
     }
