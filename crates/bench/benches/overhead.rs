@@ -4,8 +4,8 @@
 //!
 //! * `spawn_overhead` — an empty-body region opened on fresh scoped OS
 //!   threads (the pre-pool implementation, and what Sthreads did on NT)
-//!   vs the persistent pool's parked workers. Any regression in the
-//!   pool's wakeup handshake shows up here first.
+//!   vs the persistent pool's workers (back to back, so what it times is
+//!   the pool's handoff; a regression in it shows up here first).
 //! * `dispatch_overhead` — `par_map` of trivial (~ns) vs substantial
 //!   (~100 µs) tasks, so both the per-task cost floor and the amortized
 //!   steady state stay visible in the perf trajectory. `par_map` now
@@ -49,7 +49,8 @@ fn bench_spawn_overhead(c: &mut Criterion) {
         })
     });
     g.bench_function("persistent_pool_empty_region_4", |b| {
-        // The new execution layer: parked workers, condvar handshake.
+        // The pool: workers kept between regions, handed each one by an
+        // epoch bump (a handoff back to back, a condvar wake otherwise).
         let pool = ThreadPool::new(REGION_WIDTH);
         pool.warm(REGION_WIDTH);
         b.iter(|| {

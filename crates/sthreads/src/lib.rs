@@ -27,8 +27,8 @@
 //! * the **host backend** (this module's default entry points) runs the
 //!   structures on real OS threads — parallel regions execute on a
 //!   persistent, process-wide worker pool ([`ThreadPool::global`]) whose
-//!   workers are parked between regions, so a region costs condvar
-//!   wakeups rather than thread spawns — letting benchmark
+//!   workers are kept between regions, so a region costs a handoff or a
+//!   condvar wakeup rather than thread spawns — letting benchmark
 //!   parallelizations be checked for correctness and measured with
 //!   Criterion on the host, and
 //! * the **counting backend** ([`counting`]) runs the same logical thread
