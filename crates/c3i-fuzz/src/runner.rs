@@ -5,8 +5,9 @@
 //! the coarse (Program 4) and fine (ring recurrence) variants must then
 //! reproduce the oracle's grid bit-for-bit at every worker count. For a
 //! Threat Analysis case Program 1 is the oracle (re-verified for
-//! feasibility/maximality/completeness); the chunked Program 2 must
-//! flatten to the identical interval list, and the fine-grained fetch-add
+//! feasibility/maximality/completeness); Program 1 under a recorder, which
+//! prunes no pair, and the chunked Program 2 must both produce the
+//! identical interval list, and the fine-grained fetch-add
 //! program must match as a canonical-sorted set (its slot order is
 //! inherently racy — the paper's §5 point).
 //!
@@ -230,13 +231,32 @@ fn run_threat_case(s: &threat::ThreatScenario) -> CaseOutcome {
     }
     let seq_canonical = threat::canonical(seq.clone());
 
+    // Prune differential: the oracle skips the pairs the range prune rules
+    // out; Program 1 under a recorder evaluates every step of every pair
+    // and must emit the identical list.
+    let config = "threat recorded program";
+    let (recorded, profile) = match guarded(config, || threat::threat_analysis_profile(s)) {
+        Ok(v) => v,
+        Err(f) => return CaseOutcome::Failed(f),
+    };
+    if recorded != seq {
+        return CaseOutcome::Failed(Failure {
+            config: config.to_string(),
+            detail: format!(
+                "recorded intervals ({}) != oracle ({}) or differ in order/content",
+                recorded.len(),
+                seq.len()
+            ),
+        });
+    }
+
     // Counter differential: the exit-class histogram must reproduce what
     // the stepwise scan records, per threat and for Program 1 as a whole.
     let diff = counter_arm("threat op counter", || {
         let counted = threat::op_profile(s);
         if counted.per_threat != threat::per_threat_counts(s) {
             Some("per-threat counts")
-        } else if counted.seq != threat::threat_analysis_profile(s).1 {
+        } else if counted.seq != profile {
             Some("sequential profile")
         } else {
             None

@@ -502,6 +502,7 @@ fn intervals_for_pair_batch(
 mod tests {
     use super::*;
     use crate::counts::NoRec;
+    use proptest::prelude::*;
 
     fn test_threat() -> Threat {
         Threat {
@@ -581,20 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn descending_threat_is_interceptable_near_the_battery() {
-        let th = test_threat();
-        let w = test_weapon();
-        // Late in the descent the threat is near (90 km, 0) and low.
-        let feasible = (15..=210)
-            .filter(|&s| can_intercept(&w, &th, s, &mut NoRec))
-            .count();
-        assert!(
-            feasible > 0,
-            "the canonical test geometry must admit an intercept"
-        );
-    }
-
-    #[test]
     fn pair_scan_emits_maximal_disjoint_intervals() {
         let th = test_threat();
         let w = test_weapon();
@@ -626,29 +613,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn out_of_range_weapon_yields_no_intervals() {
-        let th = test_threat();
-        let mut w = test_weapon();
-        w.pos = (1.0e7, 1.0e7); // far away
-        let mut got = Vec::new();
-        intervals_for_pair(0, 0, &th, &w, &mut NoRec, |iv| got.push(iv));
-        assert!(got.is_empty());
+    /// The pair scan under `NoRec`, which may skip a pair the range prune
+    /// rules out, and under an `OpRecorder`, which evaluates every step.
+    fn pruned_and_unpruned(th: &Threat, w: &Weapon) -> (Vec<Interval>, Vec<Interval>) {
+        let (mut pruned, mut unpruned) = (Vec::new(), Vec::new());
+        intervals_for_pair(7, 9, th, w, &mut NoRec, |iv| pruned.push(iv));
+        let mut r = OpRecorder::new();
+        intervals_for_pair(7, 9, th, w, &mut r, |iv| unpruned.push(iv));
+        assert!(r.counts().int_ops > 0, "nothing recorded");
+        (pruned, unpruned)
     }
 
     #[test]
-    fn altitude_window_on_ascent_and_descent_gives_two_intervals() {
-        // A weapon directly under the trajectory midpoint with a narrow
-        // altitude band sees the threat pass through the band twice.
-        let th = Threat {
-            launch: (0.0, 0.0),
-            impact: (100_000.0, 0.0),
+    fn pruned_scan_matches_the_unpruned_scan_on_edge_pairs() {
+        let (base_t, base_w) = (test_threat(), test_weapon());
+        // Ascent and descent through a narrow altitude band.
+        let crossing_t = Threat {
             launch_time: 0.0,
             flight_time: 400.0,
             apex_height: 50_000.0,
             detect_delay: 0.0,
+            ..base_t
         };
-        let w = Weapon {
+        let crossing_w = Weapon {
             pos: (50_000.0, 0.0),
             interceptor_speed: 10_000.0,
             max_range: 100_000.0,
@@ -656,118 +643,120 @@ mod tests {
             max_alt: 40_000.0,
             reaction_time: 0.0,
         };
-        let mut got = Vec::new();
-        intervals_for_pair(0, 0, &th, &w, &mut NoRec, |iv| got.push(iv));
-        assert_eq!(got.len(), 2, "ascent and descent crossings: {got:?}");
-    }
-
-    fn stepwise_intervals(th: &Threat, w: &Weapon) -> Vec<Interval> {
-        let mut got = Vec::new();
-        intervals_for_pair_stepwise(7, 9, th, w, &mut NoRec, |iv| got.push(iv));
-        got
-    }
-
-    fn batch_intervals(th: &Threat, w: &Weapon) -> Vec<Interval> {
-        let mut got = Vec::new();
-        // NoRec has COUNTING = false, so the public entry dispatches to the
-        // structure-of-arrays batch scan.
-        intervals_for_pair(7, 9, th, w, &mut NoRec, |iv| got.push(iv));
-        got
-    }
-
-    #[test]
-    fn batch_scan_matches_stepwise_on_edge_pairs() {
-        let base_t = test_threat();
-        let base_w = test_weapon();
-        let mut cases: Vec<(Threat, Weapon)> = vec![(base_t, base_w)];
-        // Narrow altitude band: two intervals (ascent + descent).
-        cases.push((
-            Threat {
-                launch: (0.0, 0.0),
-                impact: (100_000.0, 0.0),
-                launch_time: 0.0,
-                flight_time: 400.0,
-                apex_height: 50_000.0,
-                detect_delay: 0.0,
-            },
-            Weapon {
-                pos: (50_000.0, 0.0),
-                interceptor_speed: 10_000.0,
-                max_range: 100_000.0,
-                min_alt: 20_000.0,
-                max_alt: 40_000.0,
-                reaction_time: 0.0,
-            },
-        ));
-        // Out of range: no intervals.
         let mut far = base_w;
         far.pos = (1.0e7, 1.0e7);
-        cases.push((base_t, far));
-        // Detection after impact: first_step > last_step, empty window.
         let mut late = base_t;
         late.detect_delay = late.flight_time + 50.0;
-        cases.push((late, base_w));
-        // Degenerate zero-length flight: tau is 0/0 = NaN; both scans must
-        // agree (no intercepts, no panic).
+        // Zero flight time, detected and reacted to at launch: step 10 is
+        // the whole window and its flight fraction is 0/0.
         let mut point = base_t;
-        point.flight_time = 0.0;
-        cases.push((point, base_w));
-        // Feasible exactly at the last step: interval closed by the
-        // end-of-timeline flush rather than an infeasible successor.
+        (point.flight_time, point.detect_delay) = (0.0, 0.0);
+        let mut instant_w = base_w;
+        instant_w.reaction_time = 0.0;
         let mut tail = base_w;
         tail.min_alt = 0.0;
-        cases.push((base_t, tail));
-        for (i, (th, w)) in cases.iter().enumerate() {
-            assert_eq!(
-                batch_intervals(th, w),
-                stepwise_intervals(th, w),
-                "case {i} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_scan_carries_runs_across_block_boundaries() {
-        // A ~990-step feasible run spanning three SCAN_BLOCK boundaries.
-        let th = Threat {
-            launch: (0.0, 0.0),
-            impact: (100_000.0, 0.0),
+        // One feasible run of ~990 steps.
+        let long_t = Threat {
             launch_time: 0.0,
             flight_time: 1000.0,
             apex_height: 25_000.0,
             detect_delay: 0.0,
+            ..base_t
         };
-        let w = Weapon {
-            pos: (50_000.0, 0.0),
-            interceptor_speed: 10_000.0,
+        let long_w = Weapon {
             max_range: 200_000.0,
             min_alt: 0.0,
-            max_alt: 30_000.0,
-            reaction_time: 0.0,
+            ..crossing_w
         };
-        let step = stepwise_intervals(&th, &w);
-        let batch = batch_intervals(&th, &w);
-        assert_eq!(batch, step);
-        let longest = step
-            .iter()
-            .map(|iv| iv.t_end - iv.t_start + 1)
-            .max()
-            .unwrap_or(0);
-        assert!(
-            longest as usize > super::SCAN_BLOCK,
-            "test must exercise the cross-block carry: longest run {longest}"
+
+        let cases = [
+            ("base", base_t, base_w),
+            ("two crossings", crossing_t, crossing_w),
+            ("out of range", base_t, far),
+            ("detected after impact", late, base_w),
+            ("zero flight time", point, instant_w),
+            ("feasible at the last step", base_t, tail),
+            ("a run over 256 steps", long_t, long_w),
+        ];
+        let mut scans = Vec::new();
+        for (name, th, w) in cases {
+            let (pruned, unpruned) = pruned_and_unpruned(&th, &w);
+            assert_eq!(pruned, unpruned, "{name}");
+            scans.push(unpruned);
+        }
+
+        // The cases reach what they are named for.
+        assert_eq!(scans[1].len(), 2, "two crossings: {:?}", scans[1]);
+        assert!(min_ground_dist2(&base_t, &far) > far.max_range * far.max_range * 1.01);
+        assert!(scans[2].is_empty() && scans[3].is_empty());
+        assert!(late.first_step() > late.last_step());
+        assert_eq!(
+            exit_class(&instant_w, &point, 10),
+            (Exit::FlyOut, false),
+            "the NaN fraction reaches the fly-out compare"
         );
+        assert_eq!(scans[5].last().map(|iv| iv.t_end), Some(base_t.last_step()));
+        let longest = scans[6].iter().map(|iv| iv.t_end - iv.t_start + 1).max();
+        assert!(longest > Some(256), "longest run {longest:?}");
     }
 
-    #[test]
-    fn counting_path_emits_the_same_intervals_as_the_batch_path() {
-        let th = test_threat();
-        let w = test_weapon();
-        let mut counted = Vec::new();
-        let mut r = sthreads::OpRecorder::new();
-        intervals_for_pair(7, 9, &th, &w, &mut r, |iv| counted.push(iv));
-        assert_eq!(counted, batch_intervals(&th, &w));
-        assert!(r.counts().fp_ops > 0, "counting path must record work");
+    /// Pairs whose weapon range lies within 3 % of the threat's closest
+    /// ground approach, so both sides of the prune's 1 % margin come up.
+    /// The battery sits near the impact point, where the threat is low,
+    /// so an unpruned pair often has feasible steps.
+    fn arb_pair_at_the_prune_margin() -> impl Strategy<Value = (Threat, Weapon)> {
+        let threat = (
+            (0.0..300_000.0f64, 0.0..300_000.0f64),
+            (0.0..300_000.0f64, 0.0..300_000.0f64),
+            0.0..600.0f64,
+            prop_oneof![1 => Just(0.0), 1 => 1.0..40.0f64, 6 => 100.0..1200.0f64],
+            5_000.0..150_000.0f64,
+            prop_oneof![1 => Just(0.0), 6 => 0.0..0.8f64, 1 => 1.0..1.5f64],
+        )
+            .prop_map(
+                |(launch, impact, launch_time, flight_time, apex_height, detect_frac)| Threat {
+                    launch,
+                    impact,
+                    launch_time,
+                    flight_time,
+                    apex_height,
+                    detect_delay: detect_frac * flight_time,
+                },
+            );
+        let weapon = (
+            (-60_000.0..60_000.0f64, -60_000.0..60_000.0f64),
+            500.0..10_000.0f64,
+            prop_oneof![3 => Just(0.0), 1 => 100.0..3_000.0f64],
+            5_000.0..100_000.0f64,
+            0.0..15.0f64,
+            0.97..1.03f64,
+        );
+        (threat, weapon).prop_map(
+            |(th, (offset, interceptor_speed, min_alt, max_alt, reaction_time, margin))| {
+                let mut w = Weapon {
+                    pos: (th.impact.0 + offset.0, th.impact.1 + offset.1),
+                    interceptor_speed,
+                    max_range: 0.0,
+                    min_alt,
+                    max_alt,
+                    reaction_time,
+                };
+                w.max_range = margin * min_ground_dist2(&th, &w).sqrt();
+                (th, w)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pruned_scan_matches_the_unpruned_scan_at_the_margin(
+            (th, w) in arb_pair_at_the_prune_margin()
+        ) {
+            let (pruned, unpruned) = pruned_and_unpruned(&th, &w);
+            prop_assert_eq!(pruned, unpruned);
+        }
     }
 
     #[test]
@@ -812,16 +801,5 @@ mod tests {
             );
             assert_eq!(c.instructions(), cost.int + cost.fp + cost.load);
         }
-    }
-
-    #[test]
-    fn recorder_sees_fp_work_per_predicate_call() {
-        let th = test_threat();
-        let w = test_weapon();
-        let mut r = sthreads::OpRecorder::new();
-        can_intercept(&w, &th, 150, &mut r);
-        let c = r.counts();
-        assert!(c.fp_ops > 0, "predicate must record floating-point work");
-        assert!(c.loads > 0);
     }
 }
