@@ -1,17 +1,17 @@
-//! Per-kernel benchmarks of the c3i hot paths, each paired with its
-//! pinned baseline so the 1.5x ratio of `eval-core`'s kernels test can be
-//! reproduced (and bisected) kernel by kernel:
+//! Per-kernel benchmarks of the c3i Terrain Masking hot paths, each
+//! paired with its pinned baseline so the 1.5x ratio of `eval-core`'s
+//! kernels test can be reproduced (and bisected) kernel by kernel:
 //!
 //! * `los_recurrence` — the XDraw ring recurrence over one paper-scale
 //!   region: historical cell-at-a-time `reference` kernel vs the
 //!   run-based row-sweep kernels.
 //! * `ring_iteration` — `Region::ring` (a fresh `Vec` of cells per ring)
 //!   vs `Region::ring_runs` (≤4 clipped edge runs, no allocation).
-//! * `engagement_scan` — the stepwise pair scan of Programs 1/2 vs the
-//!   structure-of-arrays batch scan.
+//!
+//! Threat Analysis has one pair scan and so no pair to compare here; the
+//! `kernels-host` workload of `benchmark/` times its three programs.
 
 use c3i::terrain::{self, KernelArena, Region, TerrainScenarioParams};
-use c3i::threat::{self, intervals_for_pair, intervals_for_pair_stepwise, ThreatScenarioParams};
 use c3i::NoRec;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -85,42 +85,6 @@ fn bench_ring_iteration(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_engagement_scan(c: &mut Criterion) {
-    // Paper-scale pair population: 1000 threats scanned against weapons.
-    let scenario = threat::generate(ThreatScenarioParams {
-        n_threats: if quick() { 100 } else { 1000 },
-        seed: 1,
-        ..ThreatScenarioParams::default()
-    });
-    fn stepwise(s: &threat::ThreatScenario) -> usize {
-        let mut n = 0usize;
-        for (ti, th) in s.threats.iter().enumerate() {
-            for (wi, w) in s.weapons.iter().enumerate() {
-                intervals_for_pair_stepwise(ti as u32, wi as u32, th, w, &mut NoRec, |_| n += 1);
-            }
-        }
-        n
-    }
-    fn soa_batch(s: &threat::ThreatScenario) -> usize {
-        let mut n = 0usize;
-        for (ti, th) in s.threats.iter().enumerate() {
-            for (wi, w) in s.weapons.iter().enumerate() {
-                // NoRec dispatches the public entry to the batch scan.
-                intervals_for_pair(ti as u32, wi as u32, th, w, &mut NoRec, |_| n += 1);
-            }
-        }
-        n
-    }
-    let mut g = c.benchmark_group("kernels_engagement_scan");
-    g.bench_function("stepwise", |b| {
-        b.iter(|| black_box(stepwise(black_box(&scenario))))
-    });
-    g.bench_function("soa_batch", |b| {
-        b.iter(|| black_box(soa_batch(black_box(&scenario))))
-    });
-    g.finish();
-}
-
 /// Keep the arena referenced so the benches exercise the same per-thread
 /// reuse path the pipeline uses (and the symbol is not dead-stripped).
 fn warm_arena() {
@@ -133,7 +97,6 @@ fn benches(c: &mut Criterion) {
     warm_arena();
     bench_los_recurrence(c);
     bench_ring_iteration(c);
-    bench_engagement_scan(c);
 }
 
 criterion_group!(kernels, benches);

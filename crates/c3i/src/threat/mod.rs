@@ -44,8 +44,8 @@ pub mod verify;
 pub use chunked::{threat_analysis_chunked, threat_analysis_chunked_host, ChunkedResult};
 pub use fine::{threat_analysis_fine, threat_analysis_fine_host};
 pub use model::{
-    can_intercept, exit_class, intervals_for_pair, intervals_for_pair_stepwise, pair_counts, Exit,
-    ExitCost, Interval, Threat, Weapon, TIME_STEP,
+    can_intercept, exit_class, intervals_for_pair, pair_counts, Exit, ExitCost, Interval, Threat,
+    Weapon, TIME_STEP,
 };
 pub use scenario::{
     benchmark_params, benchmark_suite, generate, small_scenario, ThreatScenario,

@@ -228,32 +228,19 @@ pub fn can_intercept<R: Rec>(weapon: &Weapon, threat: &Threat, step: u32, r: &mu
 }
 
 /// Scan the time-stepped simulation for one (threat, weapon) pair and emit
-/// every maximal interception interval, in increasing time order.
+/// every maximal interception interval, in increasing time order — the
+/// `while` loop body of Programs 1 and 2: find the first feasible step
+/// `t1 ≥ t0`, extend it to the last consecutive feasible step `t2`, emit
+/// `[t1, t2]`, continue from `t2 + 1`.
 ///
-/// Counting recorders (`R::COUNTING`) take the historical stepwise scan so
-/// recorded operation totals stay pinned; the no-op recorder takes the
-/// structure-of-arrays batch scan, which emits bit-identical intervals.
+/// A recorder that does not count (`!R::COUNTING`: the host-timed
+/// programs) first skips a pair whose ground track never comes within
+/// range. Every step's slant² is at least `min_ground_dist2` up to
+/// rounding, and the 1 % margin dwarfs any accumulated float error
+/// (relative ~1e-15), so a skipped pair has no feasible step; NaN geometry
+/// fails the `>` and is scanned. A counting recorder sees every step,
+/// which is what [`pair_counts`] counts.
 pub fn intervals_for_pair<R: Rec>(
-    threat_idx: u32,
-    weapon_idx: u32,
-    threat: &Threat,
-    weapon: &Weapon,
-    r: &mut R,
-    emit: impl FnMut(Interval),
-) {
-    if R::COUNTING {
-        intervals_for_pair_stepwise(threat_idx, weapon_idx, threat, weapon, r, emit);
-    } else {
-        intervals_for_pair_batch(threat_idx, weapon_idx, threat, weapon, emit);
-    }
-}
-
-/// The pinned stepwise scan — the `while` loop body of Programs 1 and 2:
-/// find the first feasible step `t1 ≥ t0`, extend it to the last
-/// consecutive feasible step `t2`, emit `[t1, t2]`, continue from `t2 + 1`.
-/// This is the baseline side of the `engagement_scan` kernel bench and the
-/// path every counting recorder observes.
-pub fn intervals_for_pair_stepwise<R: Rec>(
     threat_idx: u32,
     weapon_idx: u32,
     threat: &Threat,
@@ -265,7 +252,8 @@ pub fn intervals_for_pair_stepwise<R: Rec>(
     let last = threat.last_step();
     r.load(2);
     r.int(2);
-    if first > last {
+    let mr2 = weapon.max_range * weapon.max_range;
+    if first > last || (!R::COUNTING && min_ground_dist2(threat, weapon) > mr2 * 1.01) {
         return;
     }
 
@@ -298,18 +286,18 @@ pub fn intervals_for_pair_stepwise<R: Rec>(
     }
 }
 
-/// What [`intervals_for_pair_stepwise`] records for one pair under an
+/// What [`intervals_for_pair`] records for one pair under an
 /// [`OpRecorder`], counted instead of recorded: one recorder-free pass over
 /// the scan window builds a histogram of predicate exits, and the loop's
 /// own bookkeeping follows from how the feasible steps group into runs.
 ///
-/// The stepwise loop evaluates every step of the window once, and the step
-/// after each interval that ends before the window does once more (the
+/// The loop evaluates every step of the window once, and the step after
+/// each interval that ends before the window does once more (the
 /// extension loop stops on it, then the search loop restarts on it). It
 /// charges `int 2` per infeasible step and per step that extends an
-/// interval, and `sstore 4, int 2` per interval emitted. Like the stepwise
-/// loop — and unlike the batch scan — nothing is pruned: a pair that can
-/// never come within range still pays for every step.
+/// interval, and `sstore 4, int 2` per interval emitted. A counting
+/// recorder takes no range prune, so a pair that can never come within
+/// range still pays for every step.
 pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
     let mut r = OpRecorder::new();
     let first = threat.first_step();
@@ -347,19 +335,6 @@ pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
     r.counts()
 }
 
-/// Number of time steps evaluated per structure-of-arrays block in the
-/// batch scan. Three parallel `f64`/`bool` arrays of this length live on
-/// the stack (~5 KiB), small enough to stay cache- and allocation-free.
-const SCAN_BLOCK: usize = 256;
-
-/// Batch form of the pair scan: evaluate the interception predicate over a
-/// structure-of-arrays timeline block — kinematics in one straight-line
-/// pass over parallel arrays, the envelope conjunction in a second — then
-/// extract maximal feasible runs, carrying an open interval across block
-/// boundaries. Every comparison keeps `can_intercept`'s polarity and
-/// operand expressions, so the emitted intervals are identical (a NaN
-/// flight fraction fails the fly-out comparison exactly as it does in the
-/// stepwise scan).
 /// Squared minimum ground distance from `weapon` to the threat's ground
 /// track (point-to-segment). A lower bound on every step's slant range,
 /// used to skip pairs that can never come within weapon range.
@@ -378,124 +353,6 @@ fn min_ground_dist2(threat: &Threat, weapon: &Weapon) -> f64 {
     let dx = ax + t * abx - px;
     let dy = ay + t * aby - py;
     dx * dx + dy * dy
-}
-
-fn intervals_for_pair_batch(
-    threat_idx: u32,
-    weapon_idx: u32,
-    threat: &Threat,
-    weapon: &Weapon,
-    mut emit: impl FnMut(Interval),
-) {
-    let first = threat.first_step();
-    let last = threat.last_step();
-    if first > last {
-        return;
-    }
-
-    // Pair-invariant quantities, hoisted out of the timeline: the same
-    // expressions `can_intercept` rebuilds per step.
-    let launch = threat.launch_time;
-    let impact = threat.impact_time();
-    let earliest = threat.detect_time() + weapon.reaction_time;
-    let mr2 = weapon.max_range * weapon.max_range;
-
-    // Pair-level range prune: every step's slant² is at least the squared
-    // ground distance to the track, which is at least `min_ground_dist2`
-    // up to rounding. The 1% margin dwarfs any accumulated float error
-    // (relative ~1e-15), so a pair is only skipped when every step's
-    // `in_range` conjunct is certainly false; NaN geometry fails the `>`
-    // and falls through to the full scan.
-    if min_ground_dist2(threat, weapon) > mr2 * 1.01 {
-        return;
-    }
-
-    let mut zs = [0.0_f64; SCAN_BLOCK];
-    let mut slant2 = [0.0_f64; SCAN_BLOCK];
-    let mut feasible = [false; SCAN_BLOCK];
-
-    let mut open: Option<u32> = None;
-    // Steps with `t < earliest` fail the timing conjunct; they form a
-    // prefix of the scan window (t is increasing), so skipping them moves
-    // no interval boundary.
-    let mut base = first;
-    while base <= last && (base as f64) * TIME_STEP < earliest {
-        base += 1;
-    }
-    if base > last {
-        return;
-    }
-    loop {
-        let n = ((last - base) as usize + 1).min(SCAN_BLOCK);
-
-        // Pass 1: trajectory kinematics and slant geometry for the block.
-        for i in 0..n {
-            let t = (base + i as u32) as f64 * TIME_STEP;
-            let tau = (t - launch) / threat.flight_time;
-            let x = threat.launch.0 + (threat.impact.0 - threat.launch.0) * tau;
-            let y = threat.launch.1 + (threat.impact.1 - threat.launch.1) * tau;
-            let z = 4.0 * threat.apex_height * tau * (1.0 - tau);
-            let dx = x - weapon.pos.0;
-            let dy = y - weapon.pos.1;
-            zs[i] = z;
-            slant2[i] = dx * dx + dy * dy + z * z;
-        }
-
-        // Pass 2: the cheap envelope conjuncts over the parallel arrays.
-        for i in 0..n {
-            let t = (base + i as u32) as f64 * TIME_STEP;
-            let timed = !(t < earliest || t > impact);
-            let in_flight = !(t < launch || t > impact);
-            let envelope = !(zs[i] < weapon.min_alt || zs[i] > weapon.max_alt);
-            // Written as `!(x > mr2)`, not `x <= mr2`: a NaN slant (the
-            // degenerate flight_time case) must pass this conjunct with
-            // exactly the stepwise predicate's polarity.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let in_range = !(slant2[i] > mr2);
-            feasible[i] = timed && in_flight && envelope && in_range;
-        }
-
-        // Pass 3: the fly-out test, only where the cheap conjuncts hold —
-        // the same steps the stepwise predicate pays the sqrt on. Where
-        // `feasible` is already false the conjunction's value is fixed, so
-        // skipping the comparison cannot change the result.
-        for i in 0..n {
-            if feasible[i] {
-                let t = (base + i as u32) as f64 * TIME_STEP;
-                feasible[i] = slant2[i].sqrt() / weapon.interceptor_speed <= t - earliest;
-            }
-        }
-
-        // Maximal-run extraction, carrying any open run into the next block.
-        for (i, &f) in feasible.iter().take(n).enumerate() {
-            let s = base + i as u32;
-            if f {
-                if open.is_none() {
-                    open = Some(s);
-                }
-            } else if let Some(t1) = open.take() {
-                emit(Interval {
-                    threat: threat_idx,
-                    weapon: weapon_idx,
-                    t_start: t1,
-                    t_end: s - 1,
-                });
-            }
-        }
-
-        match base.checked_add(n as u32) {
-            Some(next) if next <= last => base = next,
-            _ => break,
-        }
-    }
-    if let Some(t1) = open {
-        emit(Interval {
-            threat: threat_idx,
-            weapon: weapon_idx,
-            t_start: t1,
-            t_end: last,
-        });
-    }
 }
 
 #[cfg(test)]

@@ -159,7 +159,7 @@ fn arb_pair() -> impl Strategy<Value = (Threat, Weapon)> {
 
 fn recorded_pair(threat: &Threat, weapon: &Weapon) -> OpCounts {
     let mut r = OpRecorder::new();
-    threat::intervals_for_pair_stepwise(0, 0, threat, weapon, &mut r, |_| {});
+    threat::intervals_for_pair(0, 0, threat, weapon, &mut r, |_| {});
     r.counts()
 }
 
