@@ -215,11 +215,11 @@ impl Evaluator {
     /// worker shards across the pool — served results are bit-identical
     /// to direct calls because they *are* the same call.
     pub fn evaluate(&self, req: &EvalRequest) -> Result<String, EvalError> {
-        let bad = |msg: String| Err(EvalError::BadRequest(msg));
+        validate_request(req)?;
+        let e = &self.exps;
         match req {
             EvalRequest::Ping => Ok("pong".to_string()),
             EvalRequest::Table { n } => {
-                let e = &self.exps;
                 let table = match n {
                     1 => e.table1(),
                     2 => e.table2(),
@@ -233,7 +233,7 @@ impl Evaluator {
                     10 => e.table10(),
                     11 => e.table11(),
                     12 => e.table12(),
-                    _ => return bad(format!("table number {n} not in 1..=12")),
+                    _ => unreachable!("validate_request holds n to 1..=12"),
                 };
                 Ok(table.render())
             }
@@ -243,57 +243,37 @@ impl Evaluator {
                     2 => Figure::ThreatExemplar,
                     3 => Figure::TerrainPPro,
                     4 => Figure::TerrainExemplar,
-                    _ => return bad(format!("figure number {n} not in 1..=4")),
+                    _ => unreachable!("validate_request holds n to 1..=4"),
                 };
-                Ok(self.exps.figure(fig))
+                Ok(e.figure(fig))
             }
             EvalRequest::ThreatModel {
                 platform,
                 n_procs,
                 n_chunks,
             } => {
-                if !(1..=1024).contains(n_procs) {
-                    return bad(format!("n_procs {n_procs} not in 1..=1024"));
-                }
-                if !(1..=100_000).contains(n_chunks) {
-                    return bad(format!("n_chunks {n_chunks} not in 1..=100000"));
-                }
                 let secs = match platform {
-                    Platform::Tera => self.exps.ta_tera(*n_chunks, *n_procs),
+                    Platform::Tera => e.ta_tera(*n_chunks, *n_procs),
                     _ => {
                         let model = self.checked_model(*platform, *n_procs)?;
-                        self.exps.ta_conv_parallel(model, *n_procs)
+                        e.ta_conv_parallel(model, *n_procs)
                     }
                 };
                 Ok(seconds_body(secs))
             }
             EvalRequest::TerrainModel { platform, n_procs } => {
-                if !(1..=1024).contains(n_procs) {
-                    return bad(format!("n_procs {n_procs} not in 1..=1024"));
-                }
                 let secs = match platform {
-                    Platform::Tera => self.exps.tm_tera(*n_procs),
+                    Platform::Tera => e.tm_tera(*n_procs),
                     _ => {
                         let model = self.checked_model(*platform, *n_procs)?;
-                        self.exps.tm_conv_parallel(model, *n_procs)
+                        e.tm_conv_parallel(model, *n_procs)
                     }
                 };
                 Ok(seconds_body(secs))
             }
-            EvalRequest::Scalability { procs } => {
-                if procs.is_empty() || procs.len() > 64 {
-                    return bad(format!("procs list length {} not in 1..=64", procs.len()));
-                }
-                if let Some(&p) = procs.iter().find(|&&p| !(1..=65_536).contains(&p)) {
-                    return bad(format!("processor count {p} not in 1..=65536"));
-                }
-                Ok(self.exps.scalability_projection(procs).render())
-            }
-            EvalRequest::Sensitivity => Ok(self.exps.sensitivity().render()),
+            EvalRequest::Scalability { procs } => Ok(e.scalability_projection(procs).render()),
+            EvalRequest::Sensitivity => Ok(e.sensitivity().render()),
             EvalRequest::Sleep { ms } => {
-                if *ms > 10_000 {
-                    return bad(format!("sleep {ms} ms exceeds the 10000 ms cap"));
-                }
                 std::thread::sleep(std::time::Duration::from_millis(*ms));
                 Ok(format!("slept {ms} ms"))
             }
@@ -409,9 +389,7 @@ impl Service {
     pub fn submit(&self, req: EvalRequest) -> Result<Pending, EvalError> {
         // Reject malformed requests before they occupy queue space; the
         // evaluation itself would fail identically (same validation).
-        if let Some(err) = validate_request(&req) {
-            return Err(err);
-        }
+        validate_request(&req)?;
         let (tx, rx) = mpsc::channel();
         {
             let mut q = self.inner.queue.lock().expect("service queue poisoned");
@@ -476,38 +454,41 @@ impl Drop for Service {
     }
 }
 
-/// Pre-admission request validation: the same bounds `evaluate` enforces,
-/// checked before the request can occupy a queue slot. Returns the error
-/// a doomed request would produce, or `None` for admissible ones.
-fn validate_request(req: &EvalRequest) -> Option<EvalError> {
+/// The bounds every request is held to, checked by [`Service::submit`]
+/// before the request can occupy a queue slot and by
+/// [`Evaluator::evaluate`] before it evaluates: the error a doomed request
+/// produces. (A conventional platform's processor count is checked
+/// against its calibrated model, in `evaluate`.)
+fn validate_request(req: &EvalRequest) -> Result<(), EvalError> {
+    let bad = |msg: String| Err(EvalError::BadRequest(msg));
     match req {
-        EvalRequest::Table { n } if !(1..=12).contains(n) => Some(EvalError::BadRequest(format!(
-            "table number {n} not in 1..=12"
-        ))),
-        EvalRequest::FigurePlot { n } if !(1..=4).contains(n) => Some(EvalError::BadRequest(
-            format!("figure number {n} not in 1..=4"),
-        )),
-        EvalRequest::ThreatModel {
-            n_procs, n_chunks, ..
-        } if !(1..=1024).contains(n_procs) || !(1..=100_000).contains(n_chunks) => {
-            Some(EvalError::BadRequest(format!(
-                "threat model bounds: n_procs {n_procs}, n_chunks {n_chunks}"
-            )))
+        EvalRequest::Table { n } if !(1..=12).contains(n) => {
+            bad(format!("table number {n} not in 1..=12"))
         }
-        EvalRequest::TerrainModel { n_procs, .. } if !(1..=1024).contains(n_procs) => Some(
-            EvalError::BadRequest(format!("n_procs {n_procs} not in 1..=1024")),
-        ),
-        EvalRequest::Scalability { procs }
-            if procs.is_empty()
-                || procs.len() > 64
-                || procs.iter().any(|p| !(1..=65_536).contains(p)) =>
+        EvalRequest::FigurePlot { n } if !(1..=4).contains(n) => {
+            bad(format!("figure number {n} not in 1..=4"))
+        }
+        EvalRequest::ThreatModel { n_procs, .. } | EvalRequest::TerrainModel { n_procs, .. }
+            if !(1..=1024).contains(n_procs) =>
         {
-            Some(EvalError::BadRequest("scalability bounds violated".into()))
+            bad(format!("n_procs {n_procs} not in 1..=1024"))
         }
-        EvalRequest::Sleep { ms } if *ms > 10_000 => Some(EvalError::BadRequest(format!(
-            "sleep {ms} ms exceeds the 10000 ms cap"
-        ))),
-        _ => None,
+        EvalRequest::ThreatModel { n_chunks, .. } if !(1..=100_000).contains(n_chunks) => {
+            bad(format!("n_chunks {n_chunks} not in 1..=100000"))
+        }
+        EvalRequest::Scalability { procs } if procs.is_empty() || procs.len() > 64 => {
+            bad(format!("procs list length {} not in 1..=64", procs.len()))
+        }
+        EvalRequest::Scalability { procs } => {
+            match procs.iter().find(|&&p| !(1..=65_536).contains(&p)) {
+                Some(p) => bad(format!("processor count {p} not in 1..=65536")),
+                None => Ok(()),
+            }
+        }
+        EvalRequest::Sleep { ms } if *ms > 10_000 => {
+            bad(format!("sleep {ms} ms exceeds the 10000 ms cap"))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -706,30 +687,47 @@ mod tests {
     }
 
     #[test]
-    fn validate_request_matches_evaluate_bounds() {
+    fn evaluate_rejects_exactly_what_validate_request_rejects() {
+        let evaluator = Evaluator::new(
+            Experiments::new(crate::Workload::build(WorkloadScale::Reduced)),
+            WorkloadScale::Reduced,
+        );
         for bad in [
             EvalRequest::Table { n: 0 },
             EvalRequest::Table { n: 13 },
+            EvalRequest::FigurePlot { n: 0 },
             EvalRequest::FigurePlot { n: 5 },
             EvalRequest::ThreatModel {
                 platform: Platform::Tera,
                 n_procs: 0,
                 n_chunks: 1,
             },
+            EvalRequest::ThreatModel {
+                platform: Platform::Alpha,
+                n_procs: 1,
+                n_chunks: 100_001,
+            },
             EvalRequest::TerrainModel {
                 platform: Platform::Alpha,
                 n_procs: 2000,
             },
             EvalRequest::Scalability { procs: vec![] },
-            EvalRequest::Scalability { procs: vec![0] },
+            EvalRequest::Scalability { procs: vec![1; 65] },
+            EvalRequest::Scalability { procs: vec![4, 0] },
+            EvalRequest::Scalability {
+                procs: vec![65_537],
+            },
             EvalRequest::Sleep { ms: 60_000 },
         ] {
-            assert!(
-                matches!(validate_request(&bad), Some(EvalError::BadRequest(_))),
-                "{bad:?} must be rejected at admission"
-            );
+            let err = validate_request(&bad).expect_err("rejected at admission");
+            assert!(matches!(err, EvalError::BadRequest(_)), "{bad:?}");
+            assert_eq!(evaluator.evaluate(&bad), Err(err), "{bad:?}");
         }
-        assert!(validate_request(&EvalRequest::Ping).is_none());
-        assert!(validate_request(&EvalRequest::Table { n: 12 }).is_none());
+        assert_eq!(validate_request(&EvalRequest::Ping), Ok(()));
+        assert_eq!(validate_request(&EvalRequest::Table { n: 12 }), Ok(()));
+        assert!(evaluator.evaluate(&EvalRequest::Table { n: 12 }).is_ok());
+        assert!(evaluator
+            .evaluate(&EvalRequest::FigurePlot { n: 4 })
+            .is_ok());
     }
 }
