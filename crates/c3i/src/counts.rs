@@ -15,15 +15,16 @@ use sthreads::{OpCounts, OpRecorder, ThreadCounts};
 /// operation (full/empty access, fetch-add, or lock transition), one
 /// `spawn` is one logical thread creation.
 pub trait Rec {
-    /// Whether this recorder actually accumulates counts. Kernels with a
-    /// batched fast path (the SoA engagement scan) check this at compile
-    /// time: when `true` they take the historical stepwise path so
-    /// recorded totals stay exactly those of the reference code; when
-    /// `false` (the [`NoRec`] timing path) they are free to batch, since
-    /// outputs are bit-identical either way. The harness reads neither
-    /// instantiation for its op counts — it counts them
-    /// (`terrain::op_profile`, `threat::op_profile`) — so the counting
-    /// instantiation is the oracle those counters are tested against.
+    /// Whether this recorder actually accumulates counts. One thing reads
+    /// it: Threat Analysis's pair scan (`threat::intervals_for_pair`),
+    /// which skips a pair whose track never comes within weapon range
+    /// only when this is `false` (the [`NoRec`] timing path). A counting
+    /// recorder sees every step, so recorded totals stay exactly those of
+    /// the reference loop; the intervals are identical either way. The
+    /// harness reads neither instantiation for its op counts — it counts
+    /// them (`terrain::op_profile`, `threat::op_profile`) — so the
+    /// counting instantiation is the oracle those counters are tested
+    /// against.
     const COUNTING: bool = true;
     /// Record `n` integer ALU operations.
     fn int(&mut self, n: u64);

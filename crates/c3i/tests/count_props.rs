@@ -111,10 +111,9 @@ fn recorded_ring(
 
 /// Threat / weapon pairs around one base geometry, perturbed into every
 /// shape the stepwise loop branches on: windows that are empty, start
-/// late, run for thousands of steps (past the batch scan's block size),
-/// stay feasible through the last step; a zero flight time (NaN flight
-/// fraction); weapons far out of range, which the batch scan prunes and
-/// the stepwise loop does not.
+/// late, run for thousands of steps, stay feasible through the last step;
+/// a zero flight time (NaN flight fraction); weapons far out of range,
+/// which the uninstrumented scan prunes and a counting recorder does not.
 fn arb_pair() -> impl Strategy<Value = (Threat, Weapon)> {
     let threat = (
         0.0..2000.0f64,
@@ -280,7 +279,7 @@ fn pair_counter_matches_on_the_shapes_the_loop_branches_on() {
     let mut tail = base_w;
     tail.min_alt = 0.0;
     cases.push((base_t, tail));
-    // Out of range everywhere: pruned by the batch scan, paid for step by
+    // Out of range everywhere: pruned under `NoRec`, paid for step by
     // step here.
     let mut far = base_w;
     far.pos = (1.0e7, 1.0e7);
@@ -303,7 +302,7 @@ fn pair_counter_matches_on_the_shapes_the_loop_branches_on() {
             reaction_time: 0.0,
         },
     ));
-    // One feasible run of ~990 steps, longer than the batch scan's block.
+    // One feasible run of ~990 steps.
     cases.push((
         Threat {
             launch_time: 0.0,
