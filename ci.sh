@@ -181,6 +181,15 @@ if grep -rn 'SyncVar\|sthreads::Future\|fork_join\|plan_route\|schedule_greedy\|
   echo "a deleted unreachable module is referenced again" >&2
   exit 1
 fi
+# So is the second Threat Analysis pair scan (the structure-of-arrays
+# batch, its block size, the stepwise twin it was dispatched against) and
+# the Criterion group that compared the two.
+if grep -rn 'intervals_for_pair_batch\|intervals_for_pair_stepwise\|SCAN_BLOCK\|soa_batch\|engagement_scan' \
+  crates src tests examples docs README.md EXPERIMENTS.md |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "the deleted batch pair scan is referenced again" >&2
+  exit 1
+fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
 # the crate denies unsafe_code everywhere else.
 if [ "$(grep -rhw 'unsafe' crates/sthreads/src | grep -vc '^ *//')" -ne 1 ]; then
