@@ -557,10 +557,63 @@ mod tests {
         assert!(longest > Some(256), "longest run {longest:?}");
     }
 
+    /// Where one end of a weapon's altitude band goes.
+    #[derive(Debug, Clone, Copy)]
+    enum BandEdge {
+        /// `z` at the step `at` of the way through the pair's window,
+        /// moved by `k · ε` with `ε = rise · 2^-j` (never under one ulp of
+        /// `z`), `rise` being the altitude the threat gains or loses over
+        /// that step.
+        Step { at: f64, k: i32, j: i32 },
+        /// Exactly the apex height.
+        Apex,
+        /// Exactly the ground.
+        Ground,
+        /// Half again the apex height: no step reaches it.
+        AboveApex,
+        /// Where the weapon strategy drew it.
+        Drawn,
+    }
+
+    fn arb_band_edge() -> impl Strategy<Value = BandEdge> {
+        prop_oneof![
+            6 => (0.0..1.0f64, -3i32..=3, 0i32..=60)
+                .prop_map(|(at, k, j)| BandEdge::Step { at, k, j }),
+            1 => Just(BandEdge::Apex),
+            1 => Just(BandEdge::Ground),
+            1 => Just(BandEdge::AboveApex),
+            3 => Just(BandEdge::Drawn),
+        ]
+    }
+
+    fn place_band_edge(th: &Threat, edge: BandEdge, drawn: f64) -> f64 {
+        let z_at = |step: u32| th.position(step as f64 * TIME_STEP).map(|p| p.2);
+        match edge {
+            BandEdge::Step { at, k, j } => {
+                let (first, last) = (th.first_step(), th.last_step());
+                let step = first + (at * last.saturating_sub(first) as f64).round() as u32;
+                let z = z_at(step).unwrap_or(0.0);
+                let rise = z_at(step + 1)
+                    .or(step.checked_sub(1).and_then(z_at))
+                    .map_or(4.0 * th.apex_height / th.flight_time, |n| (n - z).abs());
+                let eps = (rise * 2f64.powi(-j)).max(z.next_up() - z);
+                z + f64::from(k) * eps
+            }
+            BandEdge::Apex => th.apex_height,
+            BandEdge::Ground => 0.0,
+            BandEdge::AboveApex => 1.5 * th.apex_height,
+            BandEdge::Drawn => drawn,
+        }
+    }
+
     /// Pairs whose weapon range lies within 3 % of the threat's closest
     /// ground approach, so both sides of the prune's 1 % margin come up.
     /// The battery sits near the impact point, where the threat is low,
-    /// so an unpruned pair often has feasible steps.
+    /// so an unpruned pair often has feasible steps. Each end of the
+    /// altitude band is either as drawn or placed on the threat's own
+    /// altitudes ([`place_band_edge`]): at a step's `z` give or take a
+    /// fraction of its rise down to one ulp, the apex, the ground, or
+    /// above the apex.
     fn arb_pair_at_the_prune_margin() -> impl Strategy<Value = (Threat, Weapon)> {
         let threat = (
             (0.0..300_000.0f64, 0.0..300_000.0f64),
@@ -588,16 +641,19 @@ mod tests {
             0.0..15.0f64,
             0.97..1.03f64,
         );
-        (threat, weapon).prop_map(
-            |(th, (offset, interceptor_speed, min_alt, max_alt, reaction_time, margin))| {
+        (threat, weapon, (arb_band_edge(), arb_band_edge())).prop_map(
+            |(th, (offset, interceptor_speed, min_alt, max_alt, reaction_time, margin), band)| {
                 let mut w = Weapon {
                     pos: (th.impact.0 + offset.0, th.impact.1 + offset.1),
                     interceptor_speed,
                     max_range: 0.0,
-                    min_alt,
-                    max_alt,
+                    min_alt: place_band_edge(&th, band.0, min_alt),
+                    max_alt: place_band_edge(&th, band.1, max_alt),
                     reaction_time,
                 };
+                if w.min_alt > w.max_alt {
+                    (w.min_alt, w.max_alt) = (w.max_alt, w.min_alt);
+                }
                 w.max_range = margin * min_ground_dist2(&th, &w).sqrt();
                 (th, w)
             },
@@ -605,7 +661,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
         fn pruned_scan_matches_the_unpruned_scan_at_the_margin(

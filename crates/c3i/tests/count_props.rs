@@ -156,6 +156,68 @@ fn arb_pair() -> impl Strategy<Value = (Threat, Weapon)> {
     (threat, weapon)
 }
 
+/// Where one end of a weapon's altitude band goes.
+#[derive(Debug, Clone, Copy)]
+enum BandEdge {
+    /// `z` at the step `at` of the way through the pair's window, moved by
+    /// `k · ε` with `ε = rise · 2^-j` (never under one ulp of `z`), `rise`
+    /// being the altitude the threat gains or loses over that step.
+    Step { at: f64, k: i32, j: i32 },
+    /// Exactly the apex height.
+    Apex,
+    /// Exactly the ground.
+    Ground,
+    /// Half again the apex height: no step reaches it.
+    AboveApex,
+    /// Where the weapon strategy drew it.
+    Drawn,
+}
+
+fn arb_band_edge() -> impl Strategy<Value = BandEdge> {
+    prop_oneof![
+        6 => (0.0..1.0f64, -3i32..=3, 0i32..=60)
+            .prop_map(|(at, k, j)| BandEdge::Step { at, k, j }),
+        1 => Just(BandEdge::Apex),
+        1 => Just(BandEdge::Ground),
+        1 => Just(BandEdge::AboveApex),
+        3 => Just(BandEdge::Drawn),
+    ]
+}
+
+fn place_band_edge(th: &Threat, edge: BandEdge, drawn: f64) -> f64 {
+    let z_at = |step: u32| th.position(step as f64 * threat::TIME_STEP).map(|p| p.2);
+    match edge {
+        BandEdge::Step { at, k, j } => {
+            let (first, last) = (th.first_step(), th.last_step());
+            let step = first + (at * last.saturating_sub(first) as f64).round() as u32;
+            let z = z_at(step).unwrap_or(0.0);
+            let rise = z_at(step + 1)
+                .or(step.checked_sub(1).and_then(z_at))
+                .map_or(4.0 * th.apex_height / th.flight_time, |n| (n - z).abs());
+            let eps = (rise * 2f64.powi(-j)).max(z.next_up() - z);
+            z + f64::from(k) * eps
+        }
+        BandEdge::Apex => th.apex_height,
+        BandEdge::Ground => 0.0,
+        BandEdge::AboveApex => 1.5 * th.apex_height,
+        BandEdge::Drawn => drawn,
+    }
+}
+
+/// [`arb_pair`] with each end of the altitude band either as drawn or
+/// placed by [`place_band_edge`], so the envelope test decides the steps
+/// next to a crossing by less than a step's rise, down to one ulp.
+fn arb_pair_at_the_band_edges() -> impl Strategy<Value = (Threat, Weapon)> {
+    (arb_pair(), arb_band_edge(), arb_band_edge()).prop_map(|((th, mut w), lo, hi)| {
+        w.min_alt = place_band_edge(&th, lo, w.min_alt);
+        w.max_alt = place_band_edge(&th, hi, w.max_alt);
+        if w.min_alt > w.max_alt {
+            (w.min_alt, w.max_alt) = (w.max_alt, w.min_alt);
+        }
+        (th, w)
+    })
+}
+
 fn recorded_pair(threat: &Threat, weapon: &Weapon) -> OpCounts {
     let mut r = OpRecorder::new();
     threat::intervals_for_pair(0, 0, threat, weapon, &mut r, |_| {});
@@ -243,6 +305,23 @@ proptest! {
         prop_assert_eq!(
             terrain::generate_threats(params),
             (s.terrain.x_size(), s.terrain.y_size(), s.threats)
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// (e) (b) with the altitude band's ends placed on the threat's own
+    /// altitudes: at a step's `z` give or take a fraction of its rise down
+    /// to one ulp, exactly at the apex, on the ground and above the apex.
+    #[test]
+    fn pair_counter_matches_at_the_altitude_band_edges(
+        (threat, weapon) in arb_pair_at_the_band_edges()
+    ) {
+        prop_assert_eq!(
+            threat::pair_counts(&threat, &weapon),
+            recorded_pair(&threat, &weapon)
         );
     }
 }
