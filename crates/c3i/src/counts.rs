@@ -17,10 +17,11 @@ use sthreads::{OpCounts, OpRecorder, ThreadCounts};
 pub trait Rec {
     /// Whether this recorder actually accumulates counts. One thing reads
     /// it: Threat Analysis's pair scan (`threat::intervals_for_pair`),
-    /// which skips a pair whose track never comes within weapon range
-    /// only when this is `false` (the [`NoRec`] timing path). A counting
-    /// recorder sees every step, so recorded totals stay exactly those of
-    /// the reference loop; the intervals are identical either way. The
+    /// which skips a pair whose track never comes within weapon range, and
+    /// the steps outside the pair's altitude window, only when this is
+    /// `false` (the [`NoRec`] timing path). A counting recorder sees every
+    /// step, so recorded totals stay exactly those of the reference loop;
+    /// the intervals are identical either way. The
     /// harness reads neither instantiation for its op counts — it counts
     /// them (`terrain::op_profile`, `threat::op_profile`) — so the
     /// counting instantiation is the oracle those counters are tested

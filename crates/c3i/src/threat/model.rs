@@ -110,7 +110,10 @@ pub struct Interval {
 /// The predicate is a chain of early-outs, so the exit fixes exactly what
 /// one evaluation costs ([`Exit::cost`]): that is what lets
 /// [`pair_counts`] count a scan from a histogram of exits instead of
-/// recording it call by call.
+/// recording it call by call. Most steps of a pair leave at
+/// [`Exit::Timing`] or [`Exit::Envelope`]; [`pair_counts`] counts those in
+/// bulk wherever the altitude parabola shows which exit they take, and
+/// classifies only the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exit {
     /// Before detection plus reaction delay, or after impact.
@@ -234,12 +237,14 @@ pub fn can_intercept<R: Rec>(weapon: &Weapon, threat: &Threat, step: u32, r: &mu
 /// `[t1, t2]`, continue from `t2 + 1`.
 ///
 /// A recorder that does not count (`!R::COUNTING`: the host-timed
-/// programs) first skips a pair whose ground track never comes within
-/// range. Every step's slant² is at least `min_ground_dist2` up to
-/// rounding, and the 1 % margin dwarfs any accumulated float error
-/// (relative ~1e-15), so a skipped pair has no feasible step; NaN geometry
-/// fails the `>` and is scanned. A counting recorder sees every step,
-/// which is what [`pair_counts`] counts.
+/// programs) skips what it can show has no feasible step. First a pair
+/// whose ground track never comes within range: every step's slant² is at
+/// least `min_ground_dist2` up to rounding, and the 1 % margin dwarfs any
+/// accumulated float error (relative ~1e-15), so a skipped pair has no
+/// feasible step; NaN geometry fails the `>` and is scanned. Then it scans
+/// only the runs of [`altitude_window`], whose edges are infeasible, so no
+/// interval crosses one. A counting recorder sees every step, which is
+/// what [`pair_counts`] counts.
 pub fn intervals_for_pair<R: Rec>(
     threat_idx: u32,
     weapon_idx: u32,
@@ -257,39 +262,46 @@ pub fn intervals_for_pair<R: Rec>(
         return;
     }
 
-    let mut t0 = first;
-    while t0 <= last {
-        // t1 = first time after t0 that weapon can intercept threat.
-        let mut t1 = t0;
-        while t1 <= last && !can_intercept(weapon, threat, t1, r) {
-            t1 += 1;
-            r.int(2);
+    let window = if R::COUNTING {
+        None
+    } else {
+        altitude_window(threat, weapon, first, last)
+    };
+    for (lo, hi) in window.unwrap_or([(first, last), NO_RUN]) {
+        let mut t0 = lo;
+        while t0 <= hi {
+            // t1 = first time after t0 that weapon can intercept threat.
+            let mut t1 = t0;
+            while t1 <= hi && !can_intercept(weapon, threat, t1, r) {
+                t1 += 1;
+                r.int(2);
+            }
+            if t1 > hi {
+                break;
+            }
+            // t2 = last consecutive time after t1 that weapon can intercept.
+            let mut t2 = t1;
+            while t2 < hi && can_intercept(weapon, threat, t2 + 1, r) {
+                t2 += 1;
+                r.int(2);
+            }
+            emit(Interval {
+                threat: threat_idx,
+                weapon: weapon_idx,
+                t_start: t1,
+                t_end: t2,
+            });
+            r.sstore(4); // interval tuple written to the output array
+            r.int(2); // counter increment + t0 update
+            t0 = t2 + 1;
         }
-        if t1 > last {
-            return;
-        }
-        // t2 = last consecutive time after t1 that weapon can intercept.
-        let mut t2 = t1;
-        while t2 < last && can_intercept(weapon, threat, t2 + 1, r) {
-            t2 += 1;
-            r.int(2);
-        }
-        emit(Interval {
-            threat: threat_idx,
-            weapon: weapon_idx,
-            t_start: t1,
-            t_end: t2,
-        });
-        r.sstore(4); // interval tuple written to the output array
-        r.int(2); // counter increment + t0 update
-        t0 = t2 + 1;
     }
 }
 
 /// What [`intervals_for_pair`] records for one pair under an
-/// [`OpRecorder`], counted instead of recorded: one recorder-free pass over
-/// the scan window builds a histogram of predicate exits, and the loop's
-/// own bookkeeping follows from how the feasible steps group into runs.
+/// [`OpRecorder`], counted instead of recorded: a histogram of predicate
+/// exits over the scan window, and the loop's own bookkeeping, which
+/// follows from how the feasible steps group into runs.
 ///
 /// The loop evaluates every step of the window once, and the step after
 /// each interval that ends before the window does once more (the
@@ -298,6 +310,13 @@ pub fn intervals_for_pair<R: Rec>(
 /// interval, and `sstore 4, int 2` per interval emitted. A counting
 /// recorder takes no range prune, so a pair that can never come within
 /// range still pays for every step.
+///
+/// Only the steps inside [`altitude_window`]'s runs go through
+/// [`exit_class`], in one recorder-free pass. Every other step is one
+/// infeasible evaluation, counted in bulk: [`Exit::Timing`] before the
+/// reaction step, [`Exit::Envelope`] after it. A run's edges are
+/// infeasible, so no step outside a run follows a feasible one and none is
+/// evaluated twice. Without a window the pass covers the whole window.
 pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
     let mut r = OpRecorder::new();
     let first = threat.first_step();
@@ -310,18 +329,28 @@ pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
 
     let mut evaluations = [0u64; Exit::ALL.len()];
     let (mut infeasible, mut extending, mut intervals) = (0u64, 0u64, 0u64);
+    let window = altitude_window(threat, weapon, first, last);
     let mut in_run = false;
-    for step in first..=last {
-        let (exit, feasible) = exit_class(weapon, threat, step);
-        evaluations[exit as usize] += if in_run && !feasible { 2 } else { 1 };
-        if !feasible {
-            infeasible += 1;
-        } else if in_run {
-            extending += 1;
-        } else {
-            intervals += 1;
+    for (lo, hi) in window.unwrap_or([(first, last), NO_RUN]) {
+        for step in lo..=hi {
+            let (exit, feasible) = exit_class(weapon, threat, step);
+            evaluations[exit as usize] += if in_run && !feasible { 2 } else { 1 };
+            if !feasible {
+                infeasible += 1;
+            } else if in_run {
+                extending += 1;
+            } else {
+                intervals += 1;
+            }
+            in_run = feasible;
         }
-        in_run = feasible;
+    }
+    if window.is_some() {
+        let outside = u64::from(last - first) + 1 - (infeasible + extending + intervals);
+        let timing = u64::from(reaction_step(threat, weapon).clamp(first, last + 1) - first);
+        evaluations[Exit::Timing as usize] += timing;
+        evaluations[Exit::Envelope as usize] += outside - timing;
+        infeasible += outside;
     }
 
     for exit in Exit::ALL {
@@ -333,6 +362,147 @@ pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
     r.int(2 * (infeasible + extending + intervals));
     r.sstore(4 * intervals);
     r.counts()
+}
+
+/// Up to two inclusive runs of time steps, in increasing order; a run with
+/// `lo > hi` ([`NO_RUN`]) is empty.
+type Runs = [(u32, u32); 2];
+
+/// The empty run.
+const NO_RUN: (u32, u32) = (1, 0);
+
+/// How far a run edge's altitude must clear the band, as a fraction of the
+/// apex height. `z` is `4·H·τ·(1−τ)` after a handful of roundings, each
+/// within 2⁻⁵³ relative, so it is off by a few ulps of `H` (~1e-15 of it)
+/// at most; this bound dwarfs that.
+const ALT_MARGIN: f64 = 1e-9;
+
+/// The first step at which `t ≥ detect_time + reaction_time`: every step
+/// before it exits at [`Exit::Timing`]. (`TIME_STEP` is 1 s, so a step is
+/// its own time.)
+fn reaction_step(threat: &Threat, weapon: &Weapon) -> u32 {
+    ((threat.detect_time() + weapon.reaction_time) / TIME_STEP).ceil() as u32
+}
+
+/// The steps of `first..=last` where `threat`'s altitude can lie inside
+/// `weapon`'s band `[min_alt, max_alt]`, as at most two runs. Every step
+/// outside them exits at [`Exit::Timing`] (before [`reaction_step`]) or
+/// [`Exit::Envelope`], and so does a run's first or last step unless it is
+/// the reaction step or `last`. No run reaches before the reaction step.
+/// `None` when that is not shown; the caller then scans the whole window.
+///
+/// The runs come from the parabola's roots ([`band_runs`]), and
+/// [`clears_the_band`] checks them with the arithmetic [`exit_class`] uses,
+/// so the roots' rounding does not matter. Also `None` for non-finite
+/// inputs, a flight without time or height, a reaction before launch
+/// (`detect_delay + reaction_time < 0`, where [`Exit::NotInFlight`] can
+/// occur), a timeline past `u32::MAX` s, an inverted band, `min_alt`
+/// within the margin of the ground or at or above the apex, and `max_alt`
+/// within the margin of the apex.
+fn altitude_window(threat: &Threat, weapon: &Weapon, first: u32, last: u32) -> Option<Runs> {
+    let (launch, flight, apex) = (threat.launch_time, threat.flight_time, threat.apex_height);
+    let (min_alt, max_alt) = (weapon.min_alt, weapon.max_alt);
+    let margin = ALT_MARGIN * apex;
+    let earliest = threat.detect_time() + weapon.reaction_time;
+    let shown = [launch, flight, apex, earliest, min_alt, max_alt]
+        .iter()
+        .all(|v| v.is_finite())
+        && flight > 0.0
+        && apex > 0.0
+        && 0.0 <= launch
+        && launch <= earliest
+        && threat.impact_time() < u32::MAX as f64
+        && margin < min_alt
+        && min_alt <= max_alt
+        && min_alt < apex - margin
+        && (max_alt - apex).abs() > margin;
+    if !shown {
+        return None;
+    }
+    let (lo, hi) = (
+        i64::from(first.max(reaction_step(threat, weapon))),
+        i64::from(last),
+    );
+    if lo > hi {
+        return Some([NO_RUN; 2]);
+    }
+    let runs = band_runs(threat, weapon);
+    clears_the_band(threat, weapon, runs, lo, hi).then(|| {
+        runs.map(|(a, b)| {
+            let (a, b) = (a.max(lo), b.min(hi));
+            if a <= b {
+                (a as u32, b as u32)
+            } else {
+                NO_RUN
+            }
+        })
+    })
+}
+
+/// [`altitude_window`]'s runs before clamping. `z(τ) = 4Hτ(1−τ)` is a
+/// parabola in `t`, so the band's steps lie between the roots of
+/// `z = min_alt` and `z = max_alt`: one run on the ascent and one on the
+/// descent, or one over the apex when `max_alt` is above it. Each run is
+/// widened to the step past each root, so its edges lie outside the band,
+/// and the two are merged when they touch (the second is then `(1, 0)`).
+/// Needs `0 < min_alt < apex_height` and `max_alt ≠ apex_height`.
+fn band_runs(threat: &Threat, weapon: &Weapon) -> [(i64, i64); 2] {
+    let (launch, flight, apex) = (threat.launch_time, threat.flight_time, threat.apex_height);
+    // The time at which z = alt on the ascent (-1) or descent (+1).
+    let root =
+        |alt: f64, side: f64| launch + flight * (1.0 + side * (1.0 - alt / apex).sqrt()) / 2.0;
+    // The ascent enters the band after `up_lo` and the descent leaves it
+    // before `down_hi`; with `max_alt` under the apex, the ascent leaves it
+    // before `up_hi` and the descent re-enters after `down_lo`.
+    let up_lo = root(weapon.min_alt, -1.0).floor() as i64 - 1;
+    let down_hi = root(weapon.min_alt, 1.0).ceil() as i64 + 1;
+    if weapon.max_alt < apex {
+        let up_hi = root(weapon.max_alt, -1.0).ceil() as i64 + 1;
+        let down_lo = root(weapon.max_alt, 1.0).floor() as i64 - 1;
+        if up_hi + 1 < down_lo {
+            return [(up_lo, up_hi), (down_lo, down_hi)];
+        }
+    }
+    [(up_lo, down_hi), (1, 0)]
+}
+
+/// The margin check: whether every step of `lo..=hi` outside `runs` (from
+/// [`band_runs`]) exits at [`Exit::Envelope`], and so does each run's edge
+/// step where steps lie beyond it. It looks at `z` only at the step on
+/// each side of each gap nearest the band, computed by
+/// [`Threat::position`] as [`exit_class`] computes it, and asks that it
+/// clear the band by `ALT_MARGIN · H`. That covers every step beyond it.
+/// The true `z` rises until the apex and falls after it, and the ascent's
+/// root is no later than the computed apex time, so an edge a step before
+/// it lies before the true apex (and symmetrically on the descent).
+/// Between the runs, `z` is at least its smaller value at the two ends,
+/// the parabola being concave.
+fn clears_the_band(
+    threat: &Threat,
+    weapon: &Weapon,
+    runs: [(i64, i64); 2],
+    lo: i64,
+    hi: i64,
+) -> bool {
+    let margin = ALT_MARGIN * threat.apex_height;
+    let z = |step: i64| {
+        let t = step as f64 * TIME_STEP;
+        threat.position(t).map_or(f64::NAN, |p| p.2)
+    };
+    let below = |step: i64| z(step) < weapon.min_alt - margin;
+    let above = |step: i64| z(step) > weapon.max_alt + margin;
+    let [(up_lo, up_hi), (down_lo, down_hi)] = runs;
+    let split = down_lo <= down_hi;
+    let end = if split { down_hi } else { up_hi };
+    // Before the first run, on the ascent, and after the last, on the
+    // descent: below the band.
+    let ascent = lo >= up_lo || below(up_lo.min(hi));
+    let descent = end >= hi || below(end.max(lo));
+    // Between the runs, over the apex: above the band.
+    let over = !split
+        || (up_hi + 1).max(lo) > (down_lo - 1).min(hi)
+        || (above(up_hi.max(lo)) && above(down_lo.min(hi)));
+    ascent && descent && over
 }
 
 /// Squared minimum ground distance from `weapon` to the threat's ground
@@ -670,6 +840,124 @@ mod tests {
             let (pruned, unpruned) = pruned_and_unpruned(&th, &w);
             prop_assert_eq!(pruned, unpruned);
         }
+    }
+
+    #[test]
+    fn altitude_window_brackets_the_band_and_falls_back_where_unshown() {
+        let (th, w) = (test_threat(), test_weapon());
+        let (first, last) = (th.first_step(), th.last_step());
+        // z = 30 km at t ≈ 30.9 and 189.1, z = 1 km at t ≈ 10.6 and 209.4;
+        // the reaction step is 18 and the last step 210.
+        assert_eq!(
+            altitude_window(&th, &w, first, last),
+            Some([(18, 32), (188, 210)])
+        );
+        // `max_alt` above the apex: one run over it.
+        let over = Weapon {
+            max_alt: 90_000.0,
+            ..w
+        };
+        assert_eq!(
+            altitude_window(&th, &over, first, last),
+            Some([(18, 210), NO_RUN])
+        );
+        // Detected after impact and reacted to before launch.
+        let mut late = w;
+        late.reaction_time = 300.0;
+        assert_eq!(altitude_window(&th, &late, first, last), Some([NO_RUN; 2]));
+        for (name, bad) in [
+            (
+                "max_alt at the apex",
+                Weapon {
+                    max_alt: th.apex_height,
+                    ..w
+                },
+            ),
+            ("min_alt on the ground", Weapon { min_alt: 0.0, ..w }),
+            (
+                "inverted band",
+                Weapon {
+                    min_alt: 40_000.0,
+                    ..w
+                },
+            ),
+            (
+                "reaction before launch",
+                Weapon {
+                    reaction_time: -6.0,
+                    ..w
+                },
+            ),
+            (
+                "non-finite band",
+                Weapon {
+                    max_alt: f64::INFINITY,
+                    ..w
+                },
+            ),
+        ] {
+            assert_eq!(altitude_window(&th, &bad, first, last), None, "{name}");
+        }
+    }
+
+    #[test]
+    fn the_margin_check_rejects_runs_that_leave_band_steps_outside() {
+        let (th, w) = (test_threat(), test_weapon());
+        let runs = band_runs(&th, &w);
+        assert_eq!(runs, [(9, 32), (188, 211)]);
+        let (lo, hi) = (18, 210);
+        assert!(clears_the_band(&th, &w, runs, lo, hi));
+        // An edge moved into the band leaves band steps outside the runs.
+        for moved in [
+            [(25, 32), (188, 211)],
+            [(9, 28), (188, 211)],
+            [(9, 32), (192, 211)],
+            [(9, 32), (188, 205)],
+        ] {
+            assert!(!clears_the_band(&th, &w, moved, lo, hi), "{moved:?}");
+        }
+        // Clearing the band is not enough: the edge must clear it by the
+        // margin, on both sides.
+        let margin = ALT_MARGIN * th.apex_height;
+        let z = |t: f64| th.position(t).unwrap().2;
+        let top = z(32.0).min(z(188.0));
+        for (max_alt, clears) in [(top - margin / 2.0, false), (top - 2.0 * margin, true)] {
+            let w = Weapon { max_alt, ..w };
+            assert_eq!(clears_the_band(&th, &w, runs, lo, hi), clears, "{max_alt}");
+        }
+        let short = [(9, 32), (188, 209)];
+        for (min_alt, clears) in [
+            (z(209.0) + margin / 2.0, false),
+            (z(209.0) + 2.0 * margin, true),
+        ] {
+            let w = Weapon { min_alt, ..w };
+            assert_eq!(clears_the_band(&th, &w, short, lo, hi), clears, "{min_alt}");
+        }
+    }
+
+    /// The window is what makes counting cheap: on the first paper
+    /// scenario every pair has one, and fewer than one step in five of the
+    /// pairs' windows goes through `exit_class`.
+    #[test]
+    fn altitude_window_covers_every_paper_pair_with_a_fifth_of_its_steps() {
+        let s = crate::threat::generate(crate::threat::benchmark_params().next().unwrap());
+        let (mut classified, mut steps) = (0u64, 0u64);
+        for (ti, th) in s.threats.iter().enumerate() {
+            for (wi, w) in s.weapons.iter().enumerate() {
+                let (first, last) = (th.first_step(), th.last_step());
+                let runs = altitude_window(th, w, first, last)
+                    .unwrap_or_else(|| panic!("threat {ti}, weapon {wi}: no window"));
+                steps += u64::from(last - first) + 1;
+                classified += runs
+                    .iter()
+                    .map(|&(lo, hi)| (u64::from(hi) + 1).saturating_sub(u64::from(lo)))
+                    .sum::<u64>();
+            }
+        }
+        assert!(
+            classified * 5 < steps,
+            "classified {classified} of {steps} steps"
+        );
     }
 
     #[test]
