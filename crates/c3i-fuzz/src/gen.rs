@@ -201,7 +201,7 @@ fn gen_threat(rng: &mut ChaCha8Rng, cfg: &GenConfig) -> ThreatScenario {
     });
 
     // Adversarial mutations on top of the realistic base distribution.
-    match rng.random_range(0..4) {
+    match rng.random_range(0..5) {
         // Coincident engagement timelines: every threat launches at the
         // same instant, so every (threat, weapon) scan covers the same
         // time steps.
@@ -235,11 +235,41 @@ fn gen_threat(rng: &mut ChaCha8Rng, cfg: &GenConfig) -> ThreatScenario {
         }
         // Boundary flight times: the shortest scans round to zero or one
         // time step.
-        _ => {
+        3 => {
             for (i, t) in s.threats.iter_mut().enumerate() {
                 if i % 2 == 0 {
                     t.flight_time = rng.random_range(0.5..3.0);
                     t.detect_delay = t.flight_time * 0.1;
+                }
+            }
+        }
+        // Band edges on the threats' own altitudes: each weapon's `min_alt`
+        // or `max_alt` is one threat's `z` at a random step of its scan
+        // (exactly, or nudged by less than a step), or its `max_alt` is
+        // that threat's apex. The altitude window's margin check decides
+        // the steps next to a crossing; the apex makes it fall back.
+        _ => {
+            if s.threats.is_empty() {
+                return s;
+            }
+            for w in &mut s.weapons {
+                let th = s.threats[rng.random_range(0..s.threats.len())];
+                let (first, last) = (th.first_step(), th.last_step());
+                let nudge = match rng.random_range(0..3) {
+                    0 => 0.0,
+                    1 => rng.random_range(-0.5..0.5),
+                    _ => rng.random_range(-1e-6..1e-6),
+                };
+                let t = rng.random_range(first..=last.max(first)) as f64 + nudge;
+                let t = t.clamp(th.launch_time, th.impact_time());
+                let z = th.position(t).map_or(0.0, |p| p.2);
+                match rng.random_range(0..3) {
+                    0 => w.min_alt = z,
+                    1 => w.max_alt = z,
+                    _ => w.max_alt = th.apex_height,
+                }
+                if w.min_alt > w.max_alt {
+                    (w.min_alt, w.max_alt) = (w.max_alt, w.min_alt);
                 }
             }
         }
@@ -314,5 +344,34 @@ mod tests {
         assert_eq!(kinds.len(), 2, "both benchmark kinds must be generated");
         assert!(tiny_grid, "tiny grids must appear");
         assert!(clipped_radius, "grid-exceeding radii must appear");
+    }
+
+    #[test]
+    fn the_ci_smoke_campaign_places_band_edges_on_the_trajectories() {
+        // ci.sh runs `repro --reduced --fuzz 25 --fuzz-seed 1`: among those
+        // cases a weapon's band edge sits on a threat's apex (the altitude
+        // window falls back) and another on a threat's altitude at a step,
+        // give or take a microsecond's climb (the margin check decides the
+        // crossing).
+        let cfg = GenConfig { reduced: true };
+        let (mut at_apex, mut at_step) = (false, false);
+        for i in 0..25 {
+            let FuzzCase::Threat(s) = generate_case(1, i, &cfg) else {
+                continue;
+            };
+            for w in &s.weapons {
+                for th in &s.threats {
+                    at_apex |= w.max_alt == th.apex_height;
+                    let climb = 1e-6 * 4.0 * th.apex_height / th.flight_time;
+                    at_step |= (th.first_step()..=th.last_step()).any(|step| {
+                        let z = th.position(f64::from(step)).map_or(f64::NAN, |p| p.2);
+                        [w.min_alt, w.max_alt]
+                            .iter()
+                            .any(|a| (a - z).abs() <= climb)
+                    });
+                }
+            }
+        }
+        assert!(at_apex && at_step, "apex {at_apex}, step {at_step}");
     }
 }
