@@ -53,8 +53,9 @@ pub enum CacheStatus {
 /// Sources the measured numbers depend on, embedded at compile time as
 /// `(crates-relative path, content)` pairs. The path is hashed with the
 /// content (so moves invalidate too) and lets the coverage test map each
-/// entry back to the file on disk. The whole `c3i` crate is included —
-/// over-inclusion only re-measures, under-inclusion trusts stale numbers.
+/// entry back to the file on disk. The whole `c3i` crate is included, and
+/// so is the vendored RNG it draws every scenario from — over-inclusion
+/// only re-measures, under-inclusion trusts stale numbers.
 const MEASUREMENT_SOURCES: &[(&str, &str)] = &[
     ("core/src/workload.rs", include_str!("workload.rs")),
     ("core/src/calibrate.rs", include_str!("calibrate.rs")),
@@ -129,6 +130,16 @@ const MEASUREMENT_SOURCES: &[(&str, &str)] = &[
     (
         "sthreads/src/counting.rs",
         include_str!("../../sthreads/src/counting.rs"),
+    ),
+    // The RNG every scenario is drawn from: the ChaCha8 stream and the
+    // range sampling that turns its words into threats and weapons.
+    (
+        "../vendor/rand_chacha/src/lib.rs",
+        include_str!("../../../vendor/rand_chacha/src/lib.rs"),
+    ),
+    (
+        "../vendor/rand/src/lib.rs",
+        include_str!("../../../vendor/rand/src/lib.rs"),
     ),
 ];
 
@@ -363,17 +374,23 @@ mod tests {
             }
         }
         assert!(checked >= 18, "walked only {checked} c3i sources");
-        // The measurement-side singletons outside c3i.
+        // The measurement-side singletons outside c3i, the RNG every
+        // scenario is drawn from among them.
         for must in [
             "core/src/workload.rs",
             "core/src/calibrate.rs",
             "core/src/models.rs",
             "sthreads/src/counting.rs",
+            "../vendor/rand_chacha/src/lib.rs",
+            "../vendor/rand/src/lib.rs",
         ] {
-            assert!(
-                MEASUREMENT_SOURCES.iter().any(|(p, _)| *p == must),
-                "{must} missing from MEASUREMENT_SOURCES"
-            );
+            let embedded = MEASUREMENT_SOURCES
+                .iter()
+                .find(|(p, _)| *p == must)
+                .unwrap_or_else(|| panic!("{must} missing from MEASUREMENT_SOURCES"))
+                .1;
+            let on_disk = std::fs::read_to_string(crates_root.join(must)).unwrap();
+            assert_eq!(embedded, on_disk, "{must}: embedded copy differs from disk");
         }
     }
 
