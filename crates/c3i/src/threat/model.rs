@@ -396,7 +396,8 @@ fn reaction_step(threat: &Threat, weapon: &Weapon) -> u32 {
 /// so the roots' rounding does not matter. Also `None` for non-finite
 /// inputs, a flight without time or height, a reaction before launch
 /// (`detect_delay + reaction_time < 0`, where [`Exit::NotInFlight`] can
-/// occur), a timeline past `u32::MAX` s, an inverted band, `min_alt`
+/// occur), a timeline outside `0..u32::MAX` s (where `last` can lie past
+/// impact and exit at the timing test), an inverted band, `min_alt`
 /// within the margin of the ground or at or above the apex, and `max_alt`
 /// within the margin of the apex.
 fn altitude_window(threat: &Threat, weapon: &Weapon, first: u32, last: u32) -> Option<Runs> {
