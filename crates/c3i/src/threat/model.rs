@@ -242,7 +242,8 @@ pub fn can_intercept<R: Rec>(weapon: &Weapon, threat: &Threat, step: u32, r: &mu
 /// least `min_ground_dist2` up to rounding, and the 1 % margin dwarfs any
 /// accumulated float error (relative ~1e-15), so a skipped pair has no
 /// feasible step; NaN geometry fails the `>` and is scanned. Then it scans
-/// only the runs of [`altitude_window`], whose edges are infeasible, so no
+/// only the runs of the pair's altitude window (`altitude_window`, a
+/// private function of this module), whose edges are infeasible, so no
 /// interval crosses one. A counting recorder sees every step, which is
 /// what [`pair_counts`] counts.
 pub fn intervals_for_pair<R: Rec>(
@@ -311,12 +312,13 @@ pub fn intervals_for_pair<R: Rec>(
 /// recorder takes no range prune, so a pair that can never come within
 /// range still pays for every step.
 ///
-/// Only the steps inside [`altitude_window`]'s runs go through
-/// [`exit_class`], in one recorder-free pass. Every other step is one
-/// infeasible evaluation, counted in bulk: [`Exit::Timing`] before the
-/// reaction step, [`Exit::Envelope`] after it. A run's edges are
-/// infeasible, so no step outside a run follows a feasible one and none is
-/// evaluated twice. Without a window the pass covers the whole window.
+/// Only the steps inside the runs of the pair's altitude window
+/// (`altitude_window`) go through [`exit_class`], in one recorder-free
+/// pass. Every other step is one infeasible evaluation, counted in bulk:
+/// [`Exit::Timing`] before the reaction step, [`Exit::Envelope`] after it.
+/// A run's edges are infeasible, so no step outside a run follows a
+/// feasible one and none is evaluated twice. Where no window is shown,
+/// the pass covers every step.
 pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
     let mut r = OpRecorder::new();
     let first = threat.first_step();
