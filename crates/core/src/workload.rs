@@ -115,8 +115,9 @@ enum Measured {
 impl Workload {
     /// Obtain the workload at `scale`: generate what each scenario's counts
     /// depend on and count what the benchmark programs would record on it
-    /// (under a tenth of a second at Paper scale on two cores, most of it
-    /// the Threat Analysis exit histogram). One task per scenario, run
+    /// (about 35 ms at Paper scale on two cores: on one thread the Threat
+    /// Analysis exit histogram is ≈ 29 ms and the Terrain Masking ring
+    /// counter with its threat draw ≈ 24 ms). One task per scenario, run
     /// across all host processors — on the process-wide persistent pool,
     /// so back-to-back builds pay condvar wakeups rather than thread
     /// spawns — with dynamic self-scheduling; results are identical to
@@ -130,9 +131,10 @@ impl Workload {
     /// Nothing here runs a benchmark under a recorder. The counts come
     /// from `c3i`'s two counters — [`terrain::op_profile`] (ring geometry;
     /// it never reads the terrain) and [`threat::op_profile`] (a histogram
-    /// of predicate exits per pair) — which are held equal, field by
-    /// field, to the recorded programs by `c3i`'s differential tests, the
-    /// fuzz runner and `tests/parallel_oracle.rs`.
+    /// of predicate exits per pair, over the steps of the pair's altitude
+    /// window; every other step is counted in bulk) — which are held
+    /// equal, field by field, to the recorded programs by `c3i`'s
+    /// differential tests, the fuzz runner and `tests/parallel_oracle.rs`.
     ///
     /// Counting is deterministic and every task writes into its own slot
     /// ([`par_map`]), so the result is **bit-identical** for every
