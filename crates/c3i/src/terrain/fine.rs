@@ -257,6 +257,37 @@ mod tests {
     }
 
     #[test]
+    fn fine_host_arcs_that_cut_long_runs_match_sequential_bitwise() {
+        // A 160-cell grid whose threats reach 70 to 200 cells, so a ring's
+        // runs are over a hundred cells: at 3 and 7 workers (6 and 14 arcs
+        // a ring) arcs start and end inside runs, cutting the sweeps'
+        // chunks of parents.
+        let mut s =
+            super::super::scenario::generate(super::super::scenario::TerrainScenarioParams {
+                grid_size: 160,
+                n_threats: 5,
+                seed: 11,
+                ..Default::default()
+            });
+        let placed = [
+            (80, 80, 79),
+            (0, 0, 159),
+            (159, 40, 120),
+            (30, 159, 200),
+            (100, 60, 70),
+        ];
+        assert_eq!(s.threats.len(), placed.len());
+        for (t, (x, y, radius)) in s.threats.iter_mut().zip(placed) {
+            (t.x, t.y, t.radius) = (x, y, radius);
+        }
+        let seq = terrain_masking_host(&s);
+        for threads in [3, 7] {
+            let fine = terrain_masking_fine_host(&s, threads);
+            assert_eq!(fine, seq, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn counting_backend_matches_sequential_bitwise() {
         let s = small_scenario(2);
         let seq = terrain_masking_host(&s);

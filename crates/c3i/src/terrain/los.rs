@@ -1295,11 +1295,21 @@ mod tests {
         }
     }
 
+    /// Each clipping threat on a 23-cell grid and on a 160-cell one, whose
+    /// runs are long enough to span several of the sweeps' chunks.
+    fn clipping_cases() -> impl Iterator<Item = (Grid<f64>, GroundThreat)> {
+        [23, 160].into_iter().flat_map(|size| {
+            let terrain = bumpy_terrain(size);
+            clipping_threats(size)
+                .into_iter()
+                .map(move |t| (terrain.clone(), t))
+        })
+    }
+
     #[test]
     fn run_kernels_match_reference_bitwise_under_clipping() {
-        let terrain = bumpy_terrain(23);
-        for t in clipping_threats(23) {
-            let region = Region::of_checked(&t, 23, 23);
+        for (terrain, t) in clipping_cases() {
+            let region = Region::of_checked(&t, terrain.x_size(), terrain.y_size());
             let mut opt = ScratchAlt::new(&region, f64::INFINITY);
             compute_raw_alts(&terrain, 100.0, &t, &region, &mut opt, &mut NoRec);
             let mut refr = ScratchAlt::new(&region, f64::INFINITY);
@@ -1320,9 +1330,8 @@ mod tests {
     fn run_kernels_record_identical_op_counts_to_reference() {
         // The calibrated machine models consume these totals; the sweep
         // kernels must charge exactly what the historical recurrence did.
-        let terrain = bumpy_terrain(23);
-        for t in clipping_threats(23) {
-            let region = Region::of_checked(&t, 23, 23);
+        for (terrain, t) in clipping_cases() {
+            let region = Region::of_checked(&t, terrain.x_size(), terrain.y_size());
             let mut opt = ScratchAlt::new(&region, f64::INFINITY);
             let mut r_opt = sthreads::OpRecorder::new();
             compute_raw_alts(&terrain, 100.0, &t, &region, &mut opt, &mut r_opt);

@@ -80,11 +80,40 @@ fn arb_degenerate_terrain() -> impl Strategy<Value = Grid<f64>> {
 /// Terrain with no two equal slopes to speak of, so an interpolation
 /// weight or a parent picked wrongly shows in the bits.
 fn arb_bumpy_terrain() -> impl Strategy<Value = Grid<f64>> {
-    (8usize..48, 8usize..48, 1usize..1000).prop_map(|(xs, ys, salt)| {
+    arb_bumpy_terrain_sized(8..48)
+}
+
+/// [`arb_bumpy_terrain`] with each side drawn from `sides`.
+fn arb_bumpy_terrain_sized(sides: std::ops::Range<usize>) -> impl Strategy<Value = Grid<f64>> {
+    (sides.clone(), sides, 1usize..1000).prop_map(|(xs, ys, salt)| {
         Grid::from_fn(xs, ys, |x, y| {
             (((x * 31 + y * 17 + salt) * 2654435761) % 997) as f64
         })
     })
+}
+
+/// A threat on `terrain` in one of its four corners (`corner` 0..4) or at
+/// the fractional position `(fx, fy)` (`corner` 4).
+fn placed_threat(
+    terrain: &Grid<f64>,
+    corner: usize,
+    (fx, fy): (f64, f64),
+    radius: usize,
+) -> GroundThreat {
+    let (xs, ys) = (terrain.x_size(), terrain.y_size());
+    let (x, y) = match corner {
+        0 => (0, 0),
+        1 => (xs - 1, 0),
+        2 => (0, ys - 1),
+        3 => (xs - 1, ys - 1),
+        _ => ((fx * xs as f64) as usize, (fy * ys as f64) as usize),
+    };
+    GroundThreat {
+        x,
+        y,
+        radius,
+        mast_height: 12.0,
+    }
 }
 
 proptest! {
@@ -214,58 +243,104 @@ proptest! {
         radius in 2usize..=40,
         cell_size in prop_oneof![Just(30.0f64), Just(100.0)],
     ) {
-        let (xs, ys) = (terrain.x_size(), terrain.y_size());
         // Four grid corners (rings clipped to one quadrant, row runs that
         // end in a corner cell on one side only) or anywhere.
-        let (x, y) = match corner {
-            0 => (0, 0),
-            1 => (xs - 1, 0),
-            2 => (0, ys - 1),
-            3 => (xs - 1, ys - 1),
-            _ => ((fx * xs as f64) as usize, (fy * ys as f64) as usize),
+        let threat = placed_threat(&terrain, corner, (fx, fy), radius);
+        every_sweep_equals_the_recurrence(&terrain, cell_size, &threat, |len| {
+            (1..len).map(|c| vec![c]).collect()
+        })?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The same on grids up to 200 cells a side and radii up to 190, so
+    /// runs are long enough to cross two or more of the sweeps' chunk
+    /// boundaries: each run is cut into three arcs at drawn points, which
+    /// land mid-chunk, and the middle arc touches neither run end.
+    #[test]
+    fn long_runs_cut_mid_chunk_equal_the_whole_run_and_the_per_cell_recurrence(
+        terrain in arb_bumpy_terrain_sized(130..201),
+        (fx, fy) in (0.0..1.0f64, 0.0..1.0f64),
+        corner in 0usize..5,
+        radius in 60usize..=190,
+        cell_size in prop_oneof![Just(30.0f64), Just(100.0)],
+        fractions in proptest::collection::vec((0.0..1.0f64, 0.0..1.0f64), 6),
+    ) {
+        let threat = placed_threat(&terrain, corner, (fx, fy), radius);
+        every_sweep_equals_the_recurrence(&terrain, cell_size, &threat, |len| {
+            let at = |f: f64| 1 + (f * (len - 1) as f64) as usize;
+            fractions
+                .iter()
+                .map(|&(a, b)| vec![at(a.min(b)), at(a.max(b))])
+                .collect()
+        })?;
+    }
+}
+
+/// Runs `threat`'s recurrence, then sweeps every run of every ring `k ≥ 2`
+/// three ways and holds each to the bits the recurrence stored: whole;
+/// cell by cell through `raw_alt_for_cell`; and cut at each list of points
+/// `cuts(len)` returns (ascending, inside `1..len`; repeats are skipped),
+/// the pieces swept one after another.
+fn every_sweep_equals_the_recurrence(
+    terrain: &Grid<f64>,
+    cell_size: f64,
+    threat: &GroundThreat,
+    cuts: impl Fn(usize) -> Vec<Vec<usize>>,
+) -> Result<(), TestCaseError> {
+    let region =
+        Region::of(threat, terrain.x_size(), terrain.y_size()).expect("threat is on the grid");
+    let h_s = sensor_height(terrain, threat);
+
+    // The finished recurrence: ring k − 1 is in place for every k.
+    let mut store = ScratchAlt::new(&region, f64::INFINITY);
+    compute_raw_alts(terrain, cell_size, threat, &region, &mut store, &mut NoRec);
+
+    let mut kern = KernelScratch::new();
+    for k in 2..=region.radius {
+        kern.fill(k, cell_size);
+        let sweep = RingSweep {
+            terrain,
+            h_s,
+            region: &region,
+            k,
+            store: &store,
+            kern: &kern,
         };
-        let threat = GroundThreat { x, y, radius, mast_height: 12.0 };
-        let region = Region::of(&threat, xs, ys).expect("threat is on the grid");
-        let h_s = sensor_height(&terrain, &threat);
-
-        // The finished recurrence: ring k − 1 is in place for every k.
-        let mut store = ScratchAlt::new(&region, f64::INFINITY);
-        compute_raw_alts(&terrain, cell_size, &threat, &region, &mut store, &mut NoRec);
-
-        let mut kern = KernelScratch::new();
-        for k in 2..=region.radius {
-            kern.fill(k, cell_size);
-            let sweep = RingSweep {
-                terrain: &terrain, h_s, region: &region, k, store: &store, kern: &kern,
+        for run in region.ring_runs(k).iter() {
+            let bits = |range: std::ops::Range<usize>| {
+                let mut out = Vec::with_capacity(range.len());
+                sweep.run(run, range, |v| out.push(v.to_bits()), &mut NoRec);
+                out
             };
-            for run in region.ring_runs(k).iter() {
-                let bits = |range: std::ops::Range<usize>| {
-                    let mut out = Vec::with_capacity(range.len());
-                    sweep.run(run, range, |v| out.push(v.to_bits()), &mut NoRec);
-                    out
-                };
-                let whole = bits(0..run.len());
-                let per_cell: Vec<u64> = run
-                    .cells()
-                    .map(|(x, y)| {
-                        raw_alt_for_cell(
-                            &terrain, cell_size, h_s, region.cx, region.cy, x, y, &store,
-                            &mut NoRec,
-                        )
-                        .to_bits()
-                    })
-                    .collect();
-                prop_assert_eq!(&whole, &per_cell, "ring {} run {:?}", k, run);
-                // What the recurrence itself stored for these cells.
-                let stored: Vec<u64> =
-                    run.cells().map(|(x, y)| store.get(x, y).to_bits()).collect();
-                prop_assert_eq!(&whole, &stored, "ring {} run {:?}", k, run);
-                for c in 1..run.len() {
-                    let mut cut = bits(0..c);
-                    cut.extend(bits(c..run.len()));
-                    prop_assert_eq!(&cut, &whole, "ring {} run {:?} cut at {}", k, run, c);
-                }
+            let whole = bits(0..run.len());
+            let per_cell: Vec<u64> = run
+                .cells()
+                .map(|(x, y)| {
+                    raw_alt_for_cell(
+                        terrain, cell_size, h_s, region.cx, region.cy, x, y, &store, &mut NoRec,
+                    )
+                    .to_bits()
+                })
+                .collect();
+            prop_assert_eq!(&whole, &per_cell, "ring {} run {:?}", k, run);
+            // What the recurrence itself stored for these cells.
+            let stored: Vec<u64> = run
+                .cells()
+                .map(|(x, y)| store.get(x, y).to_bits())
+                .collect();
+            prop_assert_eq!(&whole, &stored, "ring {} run {:?}", k, run);
+            for points in cuts(run.len()) {
+                let mut ends = vec![0];
+                ends.extend(points);
+                ends.push(run.len());
+                ends.dedup();
+                let cut: Vec<u64> = ends.windows(2).flat_map(|w| bits(w[0]..w[1])).collect();
+                prop_assert_eq!(&cut, &whole, "ring {} run {:?} cut at {:?}", k, run, ends);
             }
         }
     }
+    Ok(())
 }
