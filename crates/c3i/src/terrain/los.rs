@@ -604,167 +604,148 @@ pub struct RingSweep<'a, S> {
     pub kern: &'a KernelScratch,
 }
 
+/// Most cells a sweep interpolates from one stack array of parents' blocking
+/// values; a chunk of `n` cells has at most `n + 1` parents.
+const CHUNK: usize = 64;
+
 impl<S: AltStore> RingSweep<'_, S> {
     /// Compute cells `range` (indices into `run`, non-empty) of one edge
     /// run of the ring and hand them to `sink` in run order. A whole run is
     /// `0..run.len()`; wherever a run is cut, its cells get the same bits.
-    pub fn run<R: Rec>(&self, run: RingRun, range: Range<usize>, sink: impl FnMut(f64), r: &mut R) {
+    ///
+    /// A row run (`y = cy ± k`) is y-dominant between its corners: a cell's
+    /// parents sit on ring `k − 1`'s contiguous span of row `y ∓ 1`, read as
+    /// two slices (raw altitudes, elevations). A column run (`x = cx ± k`;
+    /// the corners belong to the rows) is x-dominant, and its parents are a
+    /// strided walk of column `x ∓ 1`. A diagonal corner has one parent, the
+    /// end of the parent row, and is peeled off where `range` reaches a row
+    /// end; every other cell goes through one interpolation loop, shared by
+    /// both run kinds, that works through the cells a chunk at a time.
+    ///
+    /// Each parent's blocking value is [`raw_alt_for_cell`]'s IEEE
+    /// expression, evaluated once per parent instead of once per child that
+    /// reads it, and the rest of a cell's arithmetic is that function's in
+    /// its order, so the results are bit-identical to the reference
+    /// recurrence. The op counts charged are also its: per parent *use*.
+    pub fn run<R: Rec>(
+        &self,
+        run: RingRun,
+        range: Range<usize>,
+        mut sink: impl FnMut(f64),
+        r: &mut R,
+    ) {
         debug_assert!(range.start < range.end && range.end <= run.len());
+        let (region, k, kern) = (self.region, self.k, self.kern);
+        let (cx, cy) = (region.cx, region.cy);
         match run {
-            RingRun::Row { y, x0, x1 } => self.sweep_row((y, x0, x1), range, sink, r),
-            RingRun::Col { x, y0, .. } => self.sweep_col((x, y0), range, sink, r),
+            RingRun::Row { y, x0, x1 } => {
+                // Parent row: one step back toward the radar, clipped to
+                // ring k−1's span of it (which holds every parent the run
+                // interpolates between).
+                let py = if y < cy { y + 1 } else { y - 1 };
+                let px0 = (cx + 1).saturating_sub(k).max(region.x0);
+                let px1 = (cx + k - 1).min(region.x1);
+                let raw = self.store.row(py, px0, px1);
+                let elev = &self.terrain.row(py)[px0..=px1];
+                let parent = |px: usize| (raw[px - px0], elev[px - px0]);
+                let corner = |px: usize, r: &mut R| {
+                    r.int(6);
+                    r.fp(2 + 7 + 5);
+                    r.sload(2);
+                    self.h_s + self.blocking(parent(px), kern.par_d[k - 1]) * kern.cell_d[k]
+                };
+                let has_l = range.start == 0 && x0 + k == cx;
+                let has_r = range.end == run.len() && x1 == cx + k;
+                if has_l {
+                    sink(corner(px0, r));
+                }
+                let cells =
+                    x0 + range.start + usize::from(has_l)..x0 + range.end - usize::from(has_r);
+                self.interpolate(cx, px1, cells, parent, &mut sink, r);
+                if has_r {
+                    sink(corner(px1, r));
+                }
+            }
+            RingRun::Col { x, y0, .. } => {
+                // Parent column: one step back toward the radar.
+                let px = if x < cx { x + 1 } else { x - 1 };
+                let parent = |py: usize| (self.store.get(px, py), self.terrain[(px, py)]);
+                let py1 = (cy + k - 1).min(region.y1);
+                let cells = y0 + range.start..y0 + range.end;
+                self.interpolate(cy, py1, cells, parent, &mut sink, r);
+            }
         }
     }
 
-    /// Row-sweep kernel: one horizontal run (`y = cy ± k`, cells
-    /// `rx0..=rx1`). The interior cells are y-dominant — both parents sit on
-    /// the contiguous span of row `y ∓ 1` written by ring `k−1` — so the
-    /// kernel streams two parent slices (`store` raw altitudes, terrain
-    /// elevations), with `k`, `scale`, and both distance tables hoisted out
-    /// of the straight-line inner loop. Corner (diagonal) cells are peeled
-    /// off the run ends when `range` reaches them. Per-cell operation order
-    /// matches [`raw_alt_for_cell`] exactly, so the results are
-    /// bit-identical to the reference recurrence.
-    fn sweep_row<R: Rec>(
+    /// The interpolation loop of both run kinds. `cells` are coordinates
+    /// along the run of edge-dominant cells, `c` is the radar's coordinate
+    /// on that axis, and `parent(p)` reads the ring-`k − 1` parent at `p`
+    /// (raw altitude, elevation) for `p ≤ p_end`. The cells go in chunks of
+    /// at most [`CHUNK`]: the blocking values of a chunk's parents are
+    /// evaluated once into a stack array, then each cell interpolates
+    /// between the two that straddle its scaled coordinate.
+    fn interpolate<R: Rec>(
         &self,
-        (y, rx0, rx1): (usize, usize, usize),
-        range: Range<usize>,
-        mut sink: impl FnMut(f64),
+        c: usize,
+        p_end: usize,
+        cells: Range<usize>,
+        parent: impl Fn(usize) -> (f64, f64),
+        sink: &mut impl FnMut(f64),
         r: &mut R,
     ) {
-        let (terrain, h_s, region, k, store) =
-            (self.terrain, self.h_s, self.region, self.k, self.store);
         let KernelScratch { cell_d, par_d, .. } = self.kern;
-        let (cx, cy) = (region.cx as isize, region.cy as isize);
-        let ki = k as isize;
-        let scale = (ki - 1) as f64 / ki as f64;
-        // Parent row: one step back toward the radar.
-        let py = if (y as isize) < cy { y + 1 } else { y - 1 };
-        // Clipped span of ring k−1's row py (always covers every parent this
-        // run interpolates between — the scaled offset never reaches past the
-        // clipped parent row).
-        let px0 = (cx - (ki - 1)).max(region.x0 as isize) as usize;
-        let px1 = (cx + (ki - 1)).min(region.x1 as isize) as usize;
-        let par_raw = store.row(py, px0, px1);
-        let par_elev = &terrain.row(py)[px0..=px1];
-
-        // Blocking value of the parent at (px, py): the steeper of its
-        // inherited blocking slope and its own terrain slope — the body of
-        // `raw_alt_for_cell`'s `parent_v`, with the distance table lookup
-        // replacing the per-call sqrt.
-        let pv = |px: usize, r: &mut R| -> f64 {
-            debug_assert!((px0..=px1).contains(&px));
-            let d = par_d[px.abs_diff(region.cx)];
-            let raw = par_raw[px - px0];
-            let elev = par_elev[px - px0];
-            r.sload(2);
-            r.fp(7);
-            let b = if raw == f64::NEG_INFINITY {
-                f64::NEG_INFINITY
-            } else {
-                (raw - h_s) / d
-            };
-            let slope = (elev - h_s) / d;
-            b.max(slope)
+        let scale = (self.k - 1) as f64 / self.k as f64;
+        // The lower parent and the weight of the upper one. The scaled
+        // coordinate `f` is ≥ 0: past the radar it is ≥ `c`, and short of it
+        // `c − |s − c|·scale` is computed no lower than `c − |s − c| = s`
+        // (`scale ≤ 1`, and rounding is monotone). So truncation is `floor`,
+        // exactly, without the libm call `f64::floor` is on baseline x86-64.
+        let straddle = |s: usize| {
+            let f = c as f64 + (s as isize - c as isize) as f64 * scale;
+            debug_assert!(f >= 0.0);
+            let lo = f as usize;
+            (lo, f - lo as f64)
         };
-
-        let has_l = range.start == 0 && rx0 as isize == cx - ki;
-        let has_r = range.end == rx1 - rx0 + 1 && rx1 as isize == cx + ki;
-        let ix0 = rx0 + range.start + usize::from(has_l);
-        let ix1 = rx0 + range.end - usize::from(has_r);
-
-        // Diagonal corner: single parent one step in on both axes, at the
-        // end of the parent span.
-        let corner = |px: usize, r: &mut R| -> f64 {
-            r.int(6);
-            r.fp(2);
-            let v = pv(px, r);
-            r.fp(5);
-            h_s + v * cell_d[k]
-        };
-
-        if has_l {
-            sink(corner(px0, r));
-        }
-
-        for x in ix0..ix1 {
-            let dx = x as isize - cx;
-            r.int(6);
-            r.fp(2);
-            let fx = cx as f64 + dx as f64 * scale;
-            let x_lo = fx.floor();
-            let w = fx - x_lo;
-            r.fp(4);
-            let v_lo = pv(x_lo as usize, r);
-            let v = if w == 0.0 {
-                v_lo
-            } else {
-                let v_hi = pv(x_lo as usize + 1, r);
-                v_lo * (1.0 - w) + v_hi * w
-            };
-            r.fp(5);
-            sink(h_s + v * cell_d[dx.unsigned_abs()]);
-        }
-
-        if has_r {
-            sink(corner(px1, r));
+        let mut v = [0.0; CHUNK + 1];
+        let mut first = cells.start;
+        while first < cells.end {
+            let end = (first + CHUNK).min(cells.end);
+            let p0 = straddle(first).0;
+            let p1 = (straddle(end - 1).0 + 1).min(p_end);
+            debug_assert!(p1 - p0 <= CHUNK);
+            for (v, p) in v.iter_mut().zip(p0..=p1) {
+                *v = self.blocking(parent(p), par_d[p.abs_diff(c)]);
+            }
+            for s in first..end {
+                let (lo, w) = straddle(s);
+                // `raw_alt_for_cell`'s charges: per cell, and per parent use.
+                let uses = if w == 0.0 { 1 } else { 2 };
+                r.int(6);
+                r.fp(2 + 4 + 7 * uses + 5);
+                r.sload(2 * uses);
+                let v_lo = v[lo - p0];
+                let b = if w == 0.0 {
+                    v_lo
+                } else {
+                    v_lo * (1.0 - w) + v[lo - p0 + 1] * w
+                };
+                sink(self.h_s + b * cell_d[s.abs_diff(c)]);
+            }
+            first = end;
         }
     }
 
-    /// Column-sweep kernel: one vertical run (`x = cx ± k`, cells from
-    /// `ry0` down; corners belong to the row runs, so every cell here is
-    /// x-dominant). Parents live in column `x ∓ 1`, a strided walk of the
-    /// store; distances and the dominant-axis branch are hoisted like the
-    /// row sweep's. Per-cell operation order again matches
-    /// [`raw_alt_for_cell`].
-    fn sweep_col<R: Rec>(
-        &self,
-        (x, ry0): (usize, usize),
-        range: Range<usize>,
-        mut sink: impl FnMut(f64),
-        r: &mut R,
-    ) {
-        let (terrain, h_s, region, k, store) =
-            (self.terrain, self.h_s, self.region, self.k, self.store);
-        let KernelScratch { cell_d, par_d, .. } = self.kern;
-        let (cx, cy) = (region.cx as isize, region.cy as isize);
-        let ki = k as isize;
-        let scale = (ki - 1) as f64 / ki as f64;
-        // Parent column: one step back toward the radar.
-        let px = if (x as isize) < cx { x + 1 } else { x - 1 };
-
-        let pv = |py: usize, r: &mut R| -> f64 {
-            let d = par_d[py.abs_diff(region.cy)];
-            let raw = store.get(px, py);
-            let elev = terrain[(px, py)];
-            r.sload(2);
-            r.fp(7);
-            let b = if raw == f64::NEG_INFINITY {
-                f64::NEG_INFINITY
-            } else {
-                (raw - h_s) / d
-            };
-            let slope = (elev - h_s) / d;
-            b.max(slope)
+    /// Blocking value of a parent `(raw, elev)` at distance `d`: the steeper
+    /// of its inherited blocking slope (recovered from its raw altitude)
+    /// and its own terrain slope — `raw_alt_for_cell`'s `parent_v`.
+    #[inline]
+    fn blocking(&self, (raw, elev): (f64, f64), d: f64) -> f64 {
+        let b = if raw == f64::NEG_INFINITY {
+            f64::NEG_INFINITY
+        } else {
+            (raw - self.h_s) / d
         };
-        for y in ry0 + range.start..ry0 + range.end {
-            let dy = y as isize - cy;
-            r.int(6);
-            r.fp(2);
-            let fy = cy as f64 + dy as f64 * scale;
-            let y_lo = fy.floor();
-            let w = fy - y_lo;
-            r.fp(4);
-            let v_lo = pv(y_lo as usize, r);
-            let v = if w == 0.0 {
-                v_lo
-            } else {
-                let v_hi = pv(y_lo as usize + 1, r);
-                v_lo * (1.0 - w) + v_hi * w
-            };
-            r.fp(5);
-            sink(h_s + v * cell_d[dy.unsigned_abs()]);
-        }
+        b.max((elev - self.h_s) / d)
     }
 }
 
