@@ -876,9 +876,9 @@ pub mod reference {
 
     /// The historical recurrence driver: allocate each ring's cell list
     /// and evaluate [`raw_alt_for_cell`] per cell. Bit-identical to
-    /// [`super::compute_raw_alts`] by construction (same per-cell
-    /// operations in a different — ring-internal, hence irrelevant —
-    /// order).
+    /// [`super::compute_raw_alts`] by construction (the same expressions
+    /// per cell, a parent's blocking value evaluated per child here and
+    /// once per ring there, in a ring-internal, hence irrelevant, order).
     pub fn compute_raw_alts<S: AltStore, R: Rec>(
         terrain: &Grid<f64>,
         cell_size: f64,

@@ -78,13 +78,9 @@ fn arb_degenerate_terrain() -> impl Strategy<Value = Grid<f64>> {
 }
 
 /// Terrain with no two equal slopes to speak of, so an interpolation
-/// weight or a parent picked wrongly shows in the bits.
-fn arb_bumpy_terrain() -> impl Strategy<Value = Grid<f64>> {
-    arb_bumpy_terrain_sized(8..48)
-}
-
-/// [`arb_bumpy_terrain`] with each side drawn from `sides`.
-fn arb_bumpy_terrain_sized(sides: std::ops::Range<usize>) -> impl Strategy<Value = Grid<f64>> {
+/// weight or a parent picked wrongly shows in the bits; each side is drawn
+/// from `sides`.
+fn arb_bumpy_terrain(sides: std::ops::Range<usize>) -> impl Strategy<Value = Grid<f64>> {
     (sides.clone(), sides, 1usize..1000).prop_map(|(xs, ys, salt)| {
         Grid::from_fn(xs, ys, |x, y| {
             (((x * 31 + y * 17 + salt) * 2654435761) % 997) as f64
@@ -237,7 +233,7 @@ proptest! {
     /// fine-grained variant hand a ring to its threads as arcs.
     #[test]
     fn a_run_cut_anywhere_equals_the_whole_run_and_the_per_cell_recurrence(
-        terrain in arb_bumpy_terrain(),
+        terrain in arb_bumpy_terrain(8..48),
         (fx, fy) in (0.0..1.0f64, 0.0..1.0f64),
         corner in 0usize..5,
         radius in 2usize..=40,
@@ -261,7 +257,7 @@ proptest! {
     /// land mid-chunk, and the middle arc touches neither run end.
     #[test]
     fn long_runs_cut_mid_chunk_equal_the_whole_run_and_the_per_cell_recurrence(
-        terrain in arb_bumpy_terrain_sized(130..201),
+        terrain in arb_bumpy_terrain(130..201),
         (fx, fy) in (0.0..1.0f64, 0.0..1.0f64),
         corner in 0usize..5,
         radius in 60usize..=190,
