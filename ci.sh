@@ -20,7 +20,7 @@ echo "== rustdoc (broken links and missing docs are errors) =="
 # workspace members too, and their upstream docs are not ours to fix.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p sthreads -p mta-sim -p smp-sim -p autopar -p c3i -p c3i-fuzz \
-  -p eval-core -p bench -p repro -p tera-c3i
+  -p eval-core -p repro -p tera-c3i
 
 echo "== tier-1: release build + tests =="
 cargo build --release
@@ -43,12 +43,6 @@ if command -v taskset > /dev/null; then
 else
   echo "taskset not found: skipping the pinned run"
 fi
-
-echo "== kernels bench smoke (quick scale) =="
-# One pass over the per-kernel Criterion group at reduced sizes: proves
-# the bench target builds and runs; the paper-scale numbers live in
-# EXPERIMENTS.md.
-KERNELS_BENCH_QUICK=1 cargo bench -p bench --bench kernels > /dev/null
 
 echo "== kernels data-layout ratio (release-only assertion) =="
 # The run-based arena kernels vs the pinned scalar baseline on the
