@@ -26,10 +26,9 @@
 //! reading or writing snapshots. `repro` produces and gates no timing of
 //! its own: every timing comes from `benchmark/` (see its README).
 //!
-//! `--profile` turns on the `sthreads::stats` nano-timing tier for the
-//! whole run and appends an observability report: where the pool's time
-//! went (dispatch, imbalance, useful work) with the last timed region's
-//! per-worker busy breakdown, plus a sample `mta-sim` run's machine
+//! `--profile` appends an observability report: the `sthreads::stats`
+//! counters of the whole run (regions, tasks, batches, parks) with the
+//! measured dispatch floor, plus a sample `mta-sim` run's machine
 //! counters (issue slots, bank-queue histogram, full/empty retry
 //! traffic).
 //!
@@ -435,9 +434,9 @@ fn utilization_report(n_threads: usize) -> String {
     out
 }
 
-/// The `--profile` report: process-lifetime pool counters (the always-on
-/// tier plus the nano-timing tier enabled at startup) and a sample
-/// simulator run's structured machine counters.
+/// The `--profile` report: process-lifetime pool counters with the
+/// measured dispatch floor, and a sample simulator run's structured
+/// machine counters.
 fn profile_report() -> String {
     use sthreads::stats;
     let s = stats::snapshot();
@@ -455,28 +454,9 @@ fn profile_report() -> String {
     ));
     out.push_str(&format!("  worker parks          {:>10}\n", s.parks));
     out.push_str(&format!(
-        "  dispatch / imbalance  {:>10.3} ms / {:.3} ms  (floor {} ns/region)\n",
-        s.dispatch_ns as f64 / 1e6,
-        s.imbalance_ns as f64 / 1e6,
+        "  dispatch floor        {:>10} ns/region (parked pool)\n",
         stats::dispatch_floor_ns()
     ));
-    out.push_str(&format!(
-        "  busy / idle           {:>10.3} ms / {:.3} ms\n",
-        s.busy_ns as f64 / 1e6,
-        s.idle_ns as f64 / 1e6
-    ));
-    let busy = stats::last_region_worker_busy();
-    if !busy.is_empty() {
-        let max = busy.iter().copied().max().unwrap_or(0).max(1) as f64;
-        out.push_str("  last timed region, per-worker busy (caller first):\n");
-        for (w, &ns) in busy.iter().enumerate() {
-            out.push_str(&format!(
-                "    worker {w:>2}  {:>10.3} ms  {:.0}%\n",
-                ns as f64 / 1e6,
-                100.0 * ns as f64 / max
-            ));
-        }
-    }
 
     // One deterministic simulator run, profiled through SimStats: 32
     // streams of the standard utilization mix plus a fetch-add hot word.
@@ -598,11 +578,6 @@ fn main() {
             opts.fuzz_seed,
             opts.scale == WorkloadScale::Reduced,
         );
-    }
-    if opts.profile {
-        // Enable the clock-reading tier up front so every phase below is
-        // attributed.
-        sthreads::stats::set_timing(true);
     }
     let n_threads = opts
         .n_threads

@@ -191,13 +191,8 @@ impl ParFor {
             let rest = self.range.start + 1..self.range.end;
             if stats::should_serialize(per_task_ns, rest.len(), self.n_threads) {
                 stats::record_serial_cutoff();
-                let timing = stats::timing_enabled();
-                let inline_start = if timing { stats::now_ns() } else { 0 };
                 for i in rest {
                     body(i);
-                }
-                if timing {
-                    stats::record_busy_ns(per_task_ns + (stats::now_ns() - inline_start));
                 }
                 return;
             }

@@ -120,16 +120,6 @@ struct PoolState {
     shutdown: bool,
     /// Number of worker threads spawned so far (workers are lazy).
     n_workers: usize,
-    /// Publish time of the current region (`stats::now_ns`), or 0 when the
-    /// timing tier is off. Workers diff against it for dispatch latency.
-    publish_ns: u64,
-    /// Σ over this region's workers of (body start − publish).
-    region_dispatch_ns: u64,
-    /// Per-worker body nanos for this region; the caller aggregates them
-    /// at region exit. Written only under the state lock the workers
-    /// already take to decrement `active`, so the timing tier adds no
-    /// synchronization — only clock reads.
-    region_busy: Vec<u64>,
 }
 
 struct PoolShared {
@@ -207,9 +197,6 @@ impl ThreadPool {
                         panic: None,
                         shutdown: false,
                         n_workers: 0,
-                        publish_ns: 0,
-                        region_dispatch_ns: 0,
-                        region_busy: Vec::new(),
                     }),
                     epoch_hint: AtomicU64::new(0),
                     active_hint: AtomicUsize::new(0),
@@ -285,7 +272,6 @@ impl ThreadPool {
         }
         let _region = self.inner.region.lock();
         let shared = &self.inner.shared;
-        let timing = stats::timing_enabled();
 
         // SAFETY: the job pointer is dereferenced only by workers between
         // the publish below and their `active` decrement, and this frame
@@ -307,9 +293,6 @@ impl ThreadPool {
             });
             st.active = width - 1;
             st.panic = None;
-            st.publish_ns = if timing { stats::now_ns() } else { 0 };
-            st.region_dispatch_ns = 0;
-            st.region_busy.clear();
             shared.active_hint.store(st.active, Ordering::Relaxed);
             shared.epoch_hint.store(st.epoch, Ordering::Release);
         }
@@ -318,40 +301,16 @@ impl ThreadPool {
         // Run our own share as logical thread 0. A panic here must not
         // skip the completion wait: workers still hold the job pointer
         // into this frame.
-        let caller_start = if timing { stats::now_ns() } else { 0 };
         let caller_result = catch_unwind(AssertUnwindSafe(|| {
             let _in_region = RegionGuard::enter();
             body(0);
         }));
-        let caller_busy = if timing {
-            stats::now_ns() - caller_start
-        } else {
-            0
-        };
 
         watch(|| shared.active_hint.load(Ordering::Acquire) == 0);
         let worker_panic = {
             let mut st = shared.state.lock();
             while st.active > 0 {
                 shared.done_cv.wait(&mut st);
-            }
-            if timing {
-                // Snapshot the region's timing into the process-wide
-                // accumulators: total busy, critical-path imbalance
-                // (slowest logical thread vs perfect balance), and the
-                // summed worker dispatch latencies.
-                let mut sum = caller_busy;
-                let mut max = caller_busy;
-                for &b in &st.region_busy {
-                    sum += b;
-                    max = max.max(b);
-                }
-                let mean = sum / width as u64;
-                stats::record_region_timing(st.region_dispatch_ns, sum, max - mean);
-                let mut per_worker = Vec::with_capacity(st.region_busy.len() + 1);
-                per_worker.push(caller_busy);
-                per_worker.extend_from_slice(&st.region_busy);
-                stats::record_region_worker_busy(per_worker);
             }
             st.job = None;
             st.panic.take()
@@ -407,20 +366,9 @@ fn worker_loop(shared: &PoolShared, index: usize, mut seen_epoch: u64) {
             // thread 0); a region narrower than that skips this worker.
             let job = st.job.filter(|j| index + 1 < j.width);
             if let Some(job) = job {
-                // Timing tier: publish_ns != 0 iff the caller sampled the
-                // clock for this region, so a mid-region toggle of the
-                // flag can only skip a region, never corrupt it.
-                let timing = st.publish_ns != 0;
-                let start = if timing { stats::now_ns() } else { 0 };
-                let dispatch = start.saturating_sub(st.publish_ns);
                 drop(st);
                 let result = catch_unwind(AssertUnwindSafe(|| (job.body)(index + 1)));
-                let busy = if timing { stats::now_ns() - start } else { 0 };
                 st = shared.state.lock();
-                if timing {
-                    st.region_dispatch_ns += dispatch;
-                    st.region_busy.push(busy);
-                }
                 if let Err(payload) = result {
                     if st.panic.is_none() {
                         st.panic = Some(payload);
@@ -434,8 +382,6 @@ fn worker_loop(shared: &PoolShared, index: usize, mut seen_epoch: u64) {
             }
             continue;
         }
-        let timing = stats::timing_enabled();
-        let idle_at = if timing { stats::now_ns() } else { 0 };
         drop(st);
         let handed = watch(|| shared.epoch_hint.load(Ordering::Acquire) != seen_epoch);
         st = shared.state.lock();
@@ -444,9 +390,6 @@ fn worker_loop(shared: &PoolShared, index: usize, mut seen_epoch: u64) {
         if !handed && st.epoch == seen_epoch && !st.shutdown {
             stats::record_park();
             shared.work_cv.wait(&mut st);
-        }
-        if timing {
-            stats::record_idle_ns(stats::now_ns() - idle_at);
         }
     }
 }

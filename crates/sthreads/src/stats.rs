@@ -5,34 +5,22 @@
 //! could *measure* where region time went. This module gives the host
 //! runtime the same visibility: every parallel region accumulates counters
 //! into a process-wide set of relaxed atomics, and callers diff
-//! [`snapshot`]s around a phase to attribute its wall-clock between
-//! dispatch overhead, load imbalance, and useful work.
+//! [`snapshot`]s around a phase to see what its regions did. Timings are
+//! not kept here: the repo benchmark (`benchmark/`) times each layer.
 //!
 //! # The stats schema
 //!
-//! Two tiers, from cheapest to most detailed:
-//!
-//! 1. **Counter tier** ([`StatsSnapshot`], always on) — relaxed
-//!    `fetch_add`s, a handful per *region* or per *batch claim*, never
-//!    per iteration:
-//!    * `regions`, `nested_regions`, `serial_cutoff_regions` — how often
-//!      the pool ran a region, fell back to scoped threads, or kept a
-//!      region inline because the work could not pay the dispatch floor;
-//!    * `tasks`, `batches`, `batch_items` — loop iterations entering
-//!      `ParFor`, and how coarsely the dynamic schedule claimed them
-//!      ([`StatsSnapshot::mean_batch_items`]);
-//!    * `parks` — waits on the pool's condition variable, counted where
-//!      they happen. A worker handed its next region inside the pool's
-//!      watch window never parks: back-to-back regions read few of them.
-//! 2. **Nano-timing tier** ([`StatsSnapshot`], opt-in via [`set_timing`])
-//!    — reads the clock several times per worker per region:
-//!    * `dispatch_ns` — Σ publish-to-pickup latency across workers;
-//!    * `busy_ns` / `idle_ns` — body execution vs time between regions
-//!      (watching for the next one, then parked);
-//!    * `imbalance_ns` — Σ over regions of (slowest thread − mean), the
-//!      critical-path cost of load imbalance; the *per-worker* busy split
-//!      of the most recent region is kept in
-//!      [`last_region_worker_busy`].
+//! [`StatsSnapshot`] is always on — relaxed `fetch_add`s, a handful per
+//! *region* or per *batch claim*, never per iteration:
+//! * `regions`, `nested_regions`, `serial_cutoff_regions` — how often the
+//!   pool ran a region, fell back to scoped threads, or kept a region
+//!   inline because the work could not pay the dispatch floor;
+//! * `tasks`, `batches`, `batch_items` — loop iterations entering
+//!   `ParFor`, and how coarsely the dynamic schedule claimed them
+//!   ([`StatsSnapshot::mean_batch_items`]);
+//! * `parks` — waits on the pool's condition variable, counted where they
+//!   happen. A worker handed its next region inside the pool's watch
+//!   window never parks: back-to-back regions read few of them.
 //!
 //! The module also owns the *measured dispatch floor* ([`dispatch_floor_ns`])
 //! that [`ParFor`](crate::ParFor)'s small-region sequential cutoff compares
@@ -40,36 +28,9 @@
 //! an arbitrary time meets — is measured on this host at first use, never
 //! hard-coded, so the cutoff adapts to the machine it runs on.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Monotonic process epoch; all `*_ns` values are nanoseconds since it.
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Nanoseconds since the process epoch (monotonic, wrap-free for ~584 y).
-pub(crate) fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
-}
-
-static TIMING: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable the nano-timing tier (dispatch latency, busy/idle
-/// nanos, imbalance). Counters are unaffected — they are always on.
-pub fn set_timing(on: bool) {
-    // Materialize the epoch before any worker reads the clock, so
-    // concurrent first uses cannot observe different epochs.
-    let _ = epoch();
-    TIMING.store(on, Relaxed);
-}
-
-/// Whether the nano-timing tier is currently enabled.
-pub fn timing_enabled() -> bool {
-    TIMING.load(Relaxed)
-}
 
 // Process-wide accumulators. Relaxed is sufficient everywhere: each value
 // is a statistic, and the region-exit handshake (a mutex) orders the
@@ -81,10 +42,6 @@ static TASKS: AtomicU64 = AtomicU64::new(0);
 static BATCHES: AtomicU64 = AtomicU64::new(0);
 static BATCH_ITEMS: AtomicU64 = AtomicU64::new(0);
 static PARKS: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_NS: AtomicU64 = AtomicU64::new(0);
-static BUSY_NS: AtomicU64 = AtomicU64::new(0);
-static IDLE_NS: AtomicU64 = AtomicU64::new(0);
-static IMBALANCE_NS: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time copy of every accumulator. Subtract two snapshots
 /// (`after - before`) to get the activity of the phase between them.
@@ -112,16 +69,6 @@ pub struct StatsSnapshot {
     /// Always 0: `benchmark/src/layers.rs` still reads it; the next
     /// `benchmark` PR may drop it.
     pub steal_fails: u64,
-    /// Σ over workers of (body start − region publish). Timing tier only.
-    pub dispatch_ns: u64,
-    /// Σ body execution nanos across all logical threads. Timing tier only.
-    pub busy_ns: u64,
-    /// Σ nanos workers spent between regions, watching then parked. Timing
-    /// tier only.
-    pub idle_ns: u64,
-    /// Σ over regions of (slowest logical thread − mean): the wall-clock
-    /// cost of load imbalance on the critical path. Timing tier only.
-    pub imbalance_ns: u64,
 }
 
 impl std::ops::Sub for StatsSnapshot {
@@ -140,10 +87,6 @@ impl std::ops::Sub for StatsSnapshot {
             parks: self.parks.saturating_sub(rhs.parks),
             steals: 0,
             steal_fails: 0,
-            dispatch_ns: self.dispatch_ns.saturating_sub(rhs.dispatch_ns),
-            busy_ns: self.busy_ns.saturating_sub(rhs.busy_ns),
-            idle_ns: self.idle_ns.saturating_sub(rhs.idle_ns),
-            imbalance_ns: self.imbalance_ns.saturating_sub(rhs.imbalance_ns),
         }
     }
 }
@@ -173,10 +116,6 @@ pub fn snapshot() -> StatsSnapshot {
         parks: PARKS.load(Relaxed),
         steals: 0,
         steal_fails: 0,
-        dispatch_ns: DISPATCH_NS.load(Relaxed),
-        busy_ns: BUSY_NS.load(Relaxed),
-        idle_ns: IDLE_NS.load(Relaxed),
-        imbalance_ns: IMBALANCE_NS.load(Relaxed),
     }
 }
 
@@ -212,46 +151,6 @@ pub(crate) fn record_tasks(n: usize) {
 pub(crate) fn record_batch(items: usize) {
     BATCHES.fetch_add(1, Relaxed);
     BATCH_ITEMS.fetch_add(items as u64, Relaxed);
-}
-
-/// Per-worker busy nanos of the most recent timed region (see
-/// [`last_region_worker_busy`]).
-fn last_region_busy_slot() -> &'static parking_lot::Mutex<Vec<u64>> {
-    static SLOT: OnceLock<parking_lot::Mutex<Vec<u64>>> = OnceLock::new();
-    SLOT.get_or_init(|| parking_lot::Mutex::new(Vec::new()))
-}
-
-/// The pool flushes one timed region's per-logical-thread busy nanos
-/// (caller first, then workers in completion order).
-pub(crate) fn record_region_worker_busy(busy: Vec<u64>) {
-    *last_region_busy_slot().lock() = busy;
-}
-
-/// Per-logical-thread busy nanoseconds of the most recent pooled region
-/// that ran with the nano-timing tier enabled: index 0 is the region
-/// caller, the rest are pool workers in completion order. Empty if no
-/// timed region has run. This is the per-worker imbalance breakdown
-/// behind the aggregate `imbalance_ns` — a wide min/max spread here names
-/// the straggler that `imbalance_ns` only sums.
-pub fn last_region_worker_busy() -> Vec<u64> {
-    last_region_busy_slot().lock().clone()
-}
-
-/// Flush one region's timing aggregate (timing tier).
-pub(crate) fn record_region_timing(dispatch_ns: u64, busy_ns: u64, imbalance_ns: u64) {
-    DISPATCH_NS.fetch_add(dispatch_ns, Relaxed);
-    BUSY_NS.fetch_add(busy_ns, Relaxed);
-    IMBALANCE_NS.fetch_add(imbalance_ns, Relaxed);
-}
-
-/// A worker spent `ns` nanoseconds between two regions (timing tier).
-pub(crate) fn record_idle_ns(ns: u64) {
-    IDLE_NS.fetch_add(ns, Relaxed);
-}
-
-/// Busy nanos recorded outside the pooled path (cutoff inline runs).
-pub(crate) fn record_busy_ns(ns: u64) {
-    BUSY_NS.fetch_add(ns, Relaxed);
 }
 
 /// Cached `available_parallelism` — the most threads that can make
@@ -345,13 +244,13 @@ mod tests {
         let b = StatsSnapshot {
             regions: 7,
             tasks: 90, // "before" larger than "after" must not wrap
-            busy_ns: 42,
+            parks: 42,
             ..Default::default()
         };
         let d = b - a;
         assert_eq!(d.regions, 2);
         assert_eq!(d.tasks, 0);
-        assert_eq!(d.busy_ns, 42);
+        assert_eq!(d.parks, 42);
     }
 
     #[test]
@@ -401,14 +300,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.mean_batch_items(), 2.5);
-    }
-
-    #[test]
-    fn timing_toggle_round_trips() {
-        let prev = timing_enabled();
-        set_timing(true);
-        assert!(timing_enabled());
-        set_timing(prev);
-        assert_eq!(timing_enabled(), prev);
     }
 }
