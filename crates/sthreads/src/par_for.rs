@@ -86,7 +86,6 @@ pub struct ParFor {
     n_threads: usize,
     n_chunks: Option<usize>,
     schedule: Schedule,
-    serial_cutoff: bool,
 }
 
 impl ParFor {
@@ -98,7 +97,6 @@ impl ParFor {
             n_threads: 1,
             n_chunks: None,
             schedule: Schedule::Static,
-            serial_cutoff: false,
         }
     }
 
@@ -125,25 +123,6 @@ impl ParFor {
     /// Set the schedule (default [`Schedule::Static`]).
     pub fn schedule(mut self, s: Schedule) -> Self {
         self.schedule = s;
-        self
-    }
-
-    /// Enable the measured small-region sequential cutoff (default off;
-    /// [`par_map`] turns it on).
-    ///
-    /// With the cutoff enabled, [`ParFor::run`] executes the first
-    /// iteration on the caller and times it. If the estimated wall-clock
-    /// saving from parallelizing the remainder — best case
-    /// `total × (1 − 1/w)`, with `w` capped by the host's real
-    /// parallelism — cannot amortize the *measured* cost of waking the
-    /// pool ([`stats::dispatch_floor_ns`]), the rest runs inline too.
-    /// This is the §7 `CreateThread` lesson applied to wakeups: a region
-    /// whose per-task work sits below the dispatch floor is pure
-    /// overhead, so the scheduler must refuse to open it. Iterations are
-    /// visited exactly once either way, in an order both schedules
-    /// already permit, so observable results are unchanged.
-    pub fn serial_cutoff(mut self, on: bool) -> Self {
-        self.serial_cutoff = on;
         self
     }
 
@@ -174,46 +153,9 @@ impl ParFor {
         F: Fn(usize) + Sync,
     {
         stats::record_tasks(self.range.len());
-        if self.serial_cutoff {
-            let n = self.range.len();
-            if self.n_threads <= 1 || n <= 1 {
-                for i in self.range.clone() {
-                    body(i);
-                }
-                return;
-            }
-            // Probe: run the first iteration inline and time it. The
-            // probe is work that had to happen anyway, so a wrong
-            // decision costs only the dispatch floor, never lost work.
-            let probe_start = Instant::now();
-            body(self.range.start);
-            let per_task_ns = probe_start.elapsed().as_nanos() as u64;
-            let rest = self.range.start + 1..self.range.end;
-            if stats::should_serialize(per_task_ns, rest.len(), self.n_threads) {
-                stats::record_serial_cutoff();
-                for i in rest {
-                    body(i);
-                }
-                return;
-            }
-            let remainder = Self {
-                range: rest,
-                serial_cutoff: false,
-                ..self.clone()
-            };
-            remainder.dispatch(&body);
-            return;
-        }
-        self.dispatch(&body);
-    }
-
-    fn dispatch<F>(&self, body: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
         match self.schedule {
-            Schedule::Static => self.run_static(body),
-            Schedule::Dynamic => self.run_dynamic(body),
+            Schedule::Static => self.run_static(&body),
+            Schedule::Dynamic => self.run_dynamic(&body),
         }
     }
 
@@ -293,9 +235,15 @@ pub(crate) fn dynamic_grain(remaining: usize, n_threads: usize) -> usize {
 /// (benchmark scenarios, simulator sweeps) balance across workers, and
 /// short uniform ones (table rows) are kept inline by the cutoff below.
 ///
-/// `par_map` enables [`ParFor::serial_cutoff`]: a region whose measured
-/// per-task work cannot amortize the pool's measured dispatch floor runs
-/// inline on the caller instead, with identical output.
+/// The cutoff: `par_map` runs task 0 on the caller and times it. If the
+/// estimated wall-clock saving from parallelizing the rest — best case
+/// `total × (1 − 1/w)`, with `w` capped by the host's real parallelism —
+/// cannot amortize the *measured* cost of waking the pool
+/// ([`stats::dispatch_floor_ns`]), the rest runs inline too. This is the
+/// §7 `CreateThread` lesson applied to wakeups: a region whose per-task
+/// work sits below the dispatch floor is pure overhead, so the scheduler
+/// refuses to open it. Each task runs exactly once either way, and the
+/// output is the same.
 pub fn par_map<T, F>(n_tasks: usize, n_threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -304,16 +252,25 @@ where
     if n_threads <= 1 || n_tasks <= 1 {
         return (0..n_tasks).map(f).collect();
     }
+    stats::record_tasks(n_tasks);
+    // The probe is work that had to happen anyway, so a wrong decision
+    // costs only the dispatch floor, never lost work.
+    let probe_start = Instant::now();
+    let first = f(0);
+    let per_task_ns = probe_start.elapsed().as_nanos() as u64;
+    if stats::should_serialize(per_task_ns, n_tasks - 1, n_threads) {
+        stats::record_serial_cutoff();
+        return std::iter::once(first).chain((1..n_tasks).map(f)).collect();
+    }
     // One write-once slot per task. The lock is uncontended (the schedule
     // dispenses each index exactly once) and is what lets the slots be
     // shared with only `T: Send`; a region that panics drops them, and
     // with them every value already written.
     let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-    ParFor::new(0..n_tasks)
+    *slots[0].lock() = Some(first);
+    ParFor::new(1..n_tasks)
         .threads(n_threads)
-        .schedule(Schedule::Dynamic)
-        .serial_cutoff(true)
-        .run(|i| {
+        .run_dynamic(&|i| {
             let value = f(i);
             *slots[i].lock() = Some(value);
         });
@@ -474,18 +431,21 @@ mod tests {
 
     #[test]
     fn serial_cutoff_visits_each_index_exactly_once() {
-        // Whichever way the measured cutoff decides (probe-then-inline or
-        // probe-then-parallel-remainder), every index runs exactly once —
-        // the invariant par_map's write-once slots depend on.
-        for schedule in [Schedule::Static, Schedule::Dynamic] {
+        // Whichever way par_map's measured cutoff decides (probe-then-inline
+        // for ns-scale tasks, probe-then-parallel-remainder for 100 µs ones
+        // on a multi-core host), every index runs exactly once — the
+        // invariant its write-once slots depend on.
+        for task in [
+            std::time::Duration::ZERO,
+            std::time::Duration::from_micros(100),
+        ] {
             let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
-            ParFor::new(0..64)
-                .threads(4)
-                .schedule(schedule)
-                .serial_cutoff(true)
-                .run(|i| {
-                    hits[i].fetch_add(1, Ordering::SeqCst);
-                });
+            let got = par_map(64, 4, |i| {
+                std::thread::sleep(task);
+                hits[i].fetch_add(1, Ordering::SeqCst);
+                i
+            });
+            assert_eq!(got, (0..64).collect::<Vec<_>>());
             assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
         }
     }
