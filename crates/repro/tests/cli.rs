@@ -86,6 +86,31 @@ fn load_against_a_dead_address_exits_one_without_panicking() {
     assert!(failed[0].starts_with("load: 8 of 8 requests not completed; first failure: "));
 }
 
+/// `--profile` appends the pool counters and a simulator run's machine
+/// counters, and no timing. The region count is not asserted: on a
+/// one-CPU host `par_map` runs every region inline.
+#[test]
+fn profile_reports_counters_and_no_timing() {
+    let out = repro(&["--reduced", "--no-cache", "--profile", "tables"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let report = &text[text.find("Observability profile").expect("profile header")..];
+    assert!(report.contains("\n  pool regions "), "{report}");
+    assert!(report.contains("\nSimulator machine counters"), "{report}");
+    let line = report
+        .lines()
+        .find(|l| l.trim_start().starts_with("cycles / instructions"))
+        .expect("cycles line");
+    let counts: Vec<u64> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .take(2)
+        .collect();
+    assert!(counts.len() == 2 && counts.iter().all(|&n| n > 0), "{line}");
+    assert!(!report.contains("dispatch / imbalance"), "{report}");
+    assert!(!report.contains("busy / idle"), "{report}");
+}
+
 /// `--json FILE` is written by the `tables` section only; asking for it
 /// without that section used to exit 0 having written nothing.
 #[test]
