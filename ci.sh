@@ -184,6 +184,16 @@ if grep -rn 'intervals_for_pair_batch\|intervals_for_pair_stepwise\|SCAN_BLOCK\|
   echo "the deleted batch pair scan is referenced again" >&2
   exit 1
 fi
+# So are the second and third timers — the Criterion suite with its
+# quick-scale knob, and the sthreads nano-timing tier — and ParFor's
+# cutoff switch (the cutoff is par_map's own): benchmark/ times every
+# layer. `\<` keeps `record_serial_cutoff(` out of the match.
+if grep -rn 'set_timing\|timing_enabled\|last_region_worker_busy\|KERNELS_BENCH_QUICK\|criterion\|\<serial_cutoff(' \
+  crates src tests examples docs README.md EXPERIMENTS.md DESIGN.md .claude |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "a deleted timer or the ParFor cutoff switch is referenced again" >&2
+  exit 1
+fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
 # the crate denies unsafe_code everywhere else.
 if [ "$(grep -rhw 'unsafe' crates/sthreads/src | grep -vc '^ *//')" -ne 1 ]; then

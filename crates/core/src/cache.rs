@@ -1,13 +1,13 @@
 //! Serde-backed snapshot cache for the measured workload + calibration.
 //!
 //! Obtaining the workload (generating every scenario and counting what
-//! the benchmark programs record on it) and calibrating against it is
-//! most of a cold harness start — tenths of a second at Paper scale,
-//! against milliseconds to load a snapshot — and the result is a pure
-//! function of the measurement code and the [`WorkloadScale`]. This
-//! module memoizes that function on disk: `repro`, the integration tests,
-//! and the criterion benches all call [`load_or_measure`] and only the
-//! first of them pays for measurement.
+//! the benchmark programs record on it) and calibrating against it is a
+//! pure function of the measurement code and the [`WorkloadScale`]. This
+//! module memoizes that function on disk: `repro` and the integration
+//! tests call [`load_or_measure`], and the repo benchmark calls
+//! [`load_or_measure_in`]. Whether a hit still beats measuring is an open
+//! question: the build counts instead of recording, and a paper-scale hit
+//! has read slower than `--no-cache` (ROADMAP, the snapshot cache item).
 //!
 //! Correctness comes from the *code fingerprint*: a snapshot stores a hash
 //! of every source file the measured numbers depend on (benchmark

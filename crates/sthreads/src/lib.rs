@@ -29,8 +29,8 @@
 //!   persistent, process-wide worker pool ([`ThreadPool::global`]) whose
 //!   workers are kept between regions, so a region costs a handoff or a
 //!   condvar wakeup rather than thread spawns — letting benchmark
-//!   parallelizations be checked for correctness and measured with
-//!   Criterion on the host, and
+//!   parallelizations be checked for correctness and timed on the host
+//!   (by the repo benchmark, `benchmark/`), and
 //! * the **counting backend** ([`counting`]) runs the same logical thread
 //!   structure while recording abstract operation counts per logical
 //!   thread; those counts feed the calibrated machine models in
