@@ -5,9 +5,9 @@
 //! pure function of the measurement code and the [`WorkloadScale`]. This
 //! module memoizes that function on disk: `repro` and the integration
 //! tests call [`load_or_measure`], and the repo benchmark calls
-//! [`load_or_measure_in`]. Whether a hit still beats measuring is an open
-//! question: the build counts instead of recording, and a paper-scale hit
-//! has read slower than `--no-cache` (ROADMAP, the snapshot cache item).
+//! [`load_or_measure_in`]. Whether a hit still beats measuring is open:
+//! the build counts instead of recording, and a paper-scale hit has read
+//! slower than `--no-cache`.
 //!
 //! Correctness comes from the *code fingerprint*: a snapshot stores a hash
 //! of every source file the measured numbers depend on (benchmark

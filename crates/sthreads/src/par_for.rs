@@ -268,6 +268,7 @@ where
     // with them every value already written.
     let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
     *slots[0].lock() = Some(first);
+    // `run_dynamic`, not `run`: these tasks were counted above.
     ParFor::new(1..n_tasks)
         .threads(n_threads)
         .run_dynamic(&|i| {
