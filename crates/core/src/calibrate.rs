@@ -212,7 +212,7 @@ pub fn calibrate(workload: &Workload) -> Calibration {
     // ── MTA network efficiency η₂ from Table 5's 2-processor row ───────
     // T = s_ta * (serial + issue₂/η) / clock  (memory term non-binding for
     // the compute-bound Threat Analysis; asserted in tests).
-    let chunked = workload.ta_chunked(256);
+    let chunked: Vec<_> = workload.ta_chunked(256).collect();
     let serial2: f64 = chunked
         .iter()
         .map(|p| tera.serial_cycles_of(&p.serial))
@@ -350,8 +350,7 @@ mod tests {
         // Table 5 P=2 (η₂ fit).
         let t5: f64 = w
             .ta_chunked(256)
-            .iter()
-            .map(|p| c.tera.chunked_seconds(p, 2, c.s_ta))
+            .map(|p| c.tera.chunked_seconds(&p, 2, c.s_ta))
             .sum();
         assert!((t5 - 46.0).abs() < 1.0, "Table5 P2: {t5}");
         // Table 11 P=1 (κ fit).
@@ -384,8 +383,8 @@ mod tests {
         // The η₂ fit assumed Threat Analysis is issue-bound at 2
         // processors; verify.
         let (w, c) = cal();
-        for p in &w.ta_chunked(256) {
-            let issue = c.tera.chunked_issue_cycles(p, 2) / c.tera.eta(2);
+        for p in w.ta_chunked(256) {
+            let issue = c.tera.chunked_issue_cycles(&p, 2) / c.tera.eta(2);
             let mem = c.tera.mem_cycles(&p.parallel.total());
             assert!(issue > mem, "memory term binding: issue={issue} mem={mem}");
         }

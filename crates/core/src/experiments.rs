@@ -151,10 +151,15 @@ impl Experiments {
         profiles.iter().map(|p| model.seq_seconds(p, scale)).sum()
     }
 
-    fn sum_par(model: &ConventionalModel, profiles: &[Profile], n: usize, scale: f64) -> f64 {
+    fn sum_par(
+        model: &ConventionalModel,
+        profiles: impl IntoIterator<Item = Profile>,
+        n: usize,
+        scale: f64,
+    ) -> f64 {
         profiles
-            .iter()
-            .map(|p| model.parallel_seconds(p, n, scale))
+            .into_iter()
+            .map(|p| model.parallel_seconds(&p, n, scale))
             .sum()
     }
 
@@ -194,7 +199,7 @@ impl Experiments {
         model: &ConventionalModel,
         n_procs: usize,
     ) -> f64 {
-        Self::sum_par(model, &w.ta_chunked(n_procs), n_procs, cal.s_ta)
+        Self::sum_par(model, w.ta_chunked(n_procs), n_procs, cal.s_ta)
     }
 
     /// Modeled chunked Threat Analysis seconds on the Tera.
@@ -204,8 +209,7 @@ impl Experiments {
 
     fn ta_tera_of(w: &Workload, cal: &Calibration, n_chunks: usize, n_procs: usize) -> f64 {
         w.ta_chunked(n_chunks)
-            .iter()
-            .map(|p| cal.tera.chunked_seconds(p, n_procs, cal.s_ta))
+            .map(|p| cal.tera.chunked_seconds(&p, n_procs, cal.s_ta))
             .sum()
     }
 
@@ -213,7 +217,7 @@ impl Experiments {
     pub fn tm_conv_parallel(&self, model: &ConventionalModel, n_procs: usize) -> f64 {
         Self::sum_par(
             model,
-            &self.workload.tm_coarse(n_procs),
+            self.workload.tm_coarse(n_procs),
             n_procs,
             self.cal.s_tm,
         )

@@ -201,27 +201,26 @@ impl Workload {
 
     /// Per-scenario chunked Threat Analysis profiles (Program 2) with
     /// `n_chunks` chunks: per-threat counts grouped by the paper's
-    /// blocking expression, plus the spawn prologue.
-    pub fn ta_chunked(&self, n_chunks: usize) -> Vec<Profile> {
-        self.ta_per_threat
-            .iter()
-            .map(|per_threat| {
-                let n = per_threat.len();
-                let chunks: Vec<OpCounts> = (0..n_chunks)
-                    .map(|c| {
-                        let r = chunk_range(c, n, n_chunks);
-                        per_threat[r].iter().copied().sum()
-                    })
-                    .collect();
-                let mut serial = OpRecorder::new();
-                serial.int(2 * n_chunks as u64);
-                serial.spawn(n_chunks as u64);
-                Profile {
-                    serial: serial.counts(),
-                    parallel: ThreadCounts::new(chunks),
-                }
-            })
-            .collect()
+    /// blocking expression, plus the spawn prologue. Yielded one scenario
+    /// at a time, in scenario order, so a caller folding them holds one
+    /// scenario's `n_chunks` counts at once, not the suite's.
+    pub fn ta_chunked(&self, n_chunks: usize) -> impl Iterator<Item = Profile> + '_ {
+        self.ta_per_threat.iter().map(move |per_threat| {
+            let n = per_threat.len();
+            let chunks: Vec<OpCounts> = (0..n_chunks)
+                .map(|c| {
+                    let r = chunk_range(c, n, n_chunks);
+                    per_threat[r].iter().copied().sum()
+                })
+                .collect();
+            let mut serial = OpRecorder::new();
+            serial.int(2 * n_chunks as u64);
+            serial.spawn(n_chunks as u64);
+            Profile {
+                serial: serial.counts(),
+                parallel: ThreadCounts::new(chunks),
+            }
+        })
     }
 
     /// Per-scenario coarse Terrain Masking profiles (Program 4) with
@@ -285,8 +284,7 @@ mod tests {
     fn chunked_profiles_conserve_work() {
         let w = reduced();
         for n_chunks in [1usize, 4, 16, 256] {
-            let chunked = w.ta_chunked(n_chunks);
-            for (s, profile) in chunked.iter().enumerate() {
+            for (s, profile) in w.ta_chunked(n_chunks).enumerate() {
                 let direct: OpCounts = w.ta_per_threat[s].iter().copied().sum();
                 assert_eq!(
                     profile.parallel.total().instructions(),
