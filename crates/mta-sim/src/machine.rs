@@ -131,20 +131,6 @@ impl StreamStats {
     pub fn instructions(&self) -> u64 {
         self.issued_per_processor.iter().sum()
     }
-
-    /// Per-processor fraction of issue slots used over `cycles`.
-    pub fn issue_slot_utilization(&self, cycles: u64) -> Vec<f64> {
-        self.issued_per_processor
-            .iter()
-            .map(|&n| {
-                if cycles == 0 {
-                    0.0
-                } else {
-                    n as f64 / cycles as f64
-                }
-            })
-            .collect()
-    }
 }
 
 /// Thread-creation counters.

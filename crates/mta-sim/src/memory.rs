@@ -154,11 +154,6 @@ impl Memory {
         self.full[addr] = false;
     }
 
-    /// Force the word full.
-    pub fn set_full(&mut self, addr: usize) {
-        self.full[addr] = true;
-    }
-
     /// Synchronized consuming load: if full, returns the value and sets the
     /// word empty; `None` if the word is empty.
     pub fn try_take(&mut self, addr: usize) -> Option<u64> {
