@@ -13,8 +13,8 @@
 //!
 //! The distribution is weighted toward cheap requests (pings, model
 //! evaluations) with a tail of heavy ones (tables, sensitivity), so a
-//! replay exercises the batching queue with realistically mixed service
-//! times rather than uniform work.
+//! replay exercises concurrent admission with realistically mixed
+//! service times rather than uniform work.
 
 use eval_core::{EvalRequest, Platform};
 use rand::Rng;

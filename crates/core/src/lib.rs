@@ -23,8 +23,9 @@
 //! 4. [`experiments`] regenerates every table and figure of the paper,
 //!    rendered by [`tables`];
 //! 5. [`service`] wraps the harness in a long-lived [`Evaluator`] behind
-//!    a bounded batching queue, and [`wire`] serves it over a socket
-//!    (`repro --serve`) with responses bit-identical to direct calls.
+//!    bounded admission, and [`wire`] serves it over a socket
+//!    (`repro --serve`), evaluating each request on its connection's
+//!    thread, with responses bit-identical to direct calls.
 //!
 //! See EXPERIMENTS.md at the repository root for paper-vs-model numbers
 //! for every row.

@@ -1,15 +1,15 @@
-//! The batched scenario-evaluation service: [`Experiments`] refactored
-//! into a long-lived [`Evaluator`] behind a bounded request queue.
+//! The scenario-evaluation service: [`Experiments`] refactored into a
+//! long-lived [`Evaluator`] behind bounded admission.
 //!
 //! The paper's core claim is that the Tera MTA hides latency by
 //! saturating the machine with *many independent threads* rather than
-//! making one thread fast. The serving analogue of that claim is this
-//! module: instead of one monolithic `repro` run, the harness accepts
-//! many independent scenario-evaluation requests, admits them through a
-//! queue with explicit backpressure, batches whatever is waiting, and
-//! shards each batch across the `sthreads` worker pool. Throughput comes
-//! from concurrency across requests — exactly the throughput-vs-latency
-//! trade the TLP literature frames for multithreaded machines.
+//! queueing work for a few. The serving analogue of that claim is this
+//! module: the harness accepts many independent scenario-evaluation
+//! requests and evaluates each one on the thread that submitted it — in
+//! the server, its connection's own thread — so a slow request holds
+//! only its own connection. Throughput comes from concurrency across
+//! requests — the throughput-vs-latency trade the TLP literature frames
+//! for multithreaded machines.
 //!
 //! The pieces, in request order:
 //!
@@ -22,27 +22,21 @@
 //! 2. [`Evaluator`] — the service object: workload measurement and model
 //!    calibration loaded **once** (through the fingerprint snapshot
 //!    cache), then shared immutably by every request.
-//! 3. [`Service`] — the admission queue and batch worker. The queue is
-//!    bounded: when `capacity` requests are already waiting, submission
-//!    fails *immediately* with [`EvalError::Overloaded`] carrying a
-//!    retry hint — the queue never grows without bound and never blocks
-//!    the submitting connection thread. A dedicated worker drains up to
-//!    `batch_max` requests at a time and evaluates the batch with
-//!    [`sthreads::par_map`], one shard per pool worker. Per-request
-//!    latency (admission to response) feeds the service's own log₂
-//!    histogram ([`Service::latency`]), which also sets the retry hint.
+//! 3. [`Service`] — admission. At most `capacity` requests are evaluated
+//!    at once; one more fails *immediately* with
+//!    [`EvalError::Overloaded`] carrying a retry hint, so admission never
+//!    blocks the submitting thread. An admitted request is evaluated on
+//!    the submitting thread, panic-contained. Its latency (admission to
+//!    response) feeds the service's own log₂ histogram
+//!    ([`Service::latency`]), which also sets the retry hint.
 //!
 //! The socket layer (length-prefixed JSON frames, the `repro --serve`
 //! server and `--load` client) lives in [`crate::wire`].
 
 use crate::experiments::{Experiments, Figure};
 use crate::workload::WorkloadScale;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::time::Instant;
-use sthreads::{par_map, ThreadPool};
 
 /// Platforms a modeled-benchmark request can target. Mirrors Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -59,8 +53,8 @@ pub enum Platform {
 
 /// One scenario-evaluation request. Every variant is a pure, sequential,
 /// deterministic function of the [`Evaluator`]'s loaded snapshot; the
-/// response body for a given request is therefore byte-stable across
-/// serving, batching, and sharding.
+/// response body for a given request is therefore the same served or
+/// called directly.
 ///
 /// Wire shape (vendored-serde externally tagged): unit variants are JSON
 /// strings (`"Ping"`), struct variants are one-key objects
@@ -106,9 +100,9 @@ pub enum EvalRequest {
     },
     /// The ±20% calibration-perturbation sensitivity table.
     Sensitivity,
-    /// Testing/load-shaping aid: hold a worker slot for `ms` milliseconds
-    /// (capped at 10 s). This is how the backpressure tests make the
-    /// batch worker provably busy without racing on real work.
+    /// Testing/load-shaping aid: hold an admission slot for `ms`
+    /// milliseconds (capped at 10 s). This is how the backpressure tests
+    /// make the service provably busy without racing on real work.
     Sleep {
         /// Milliseconds to sleep (0–10000).
         ms: u64,
@@ -123,8 +117,8 @@ pub enum EvalError {
     /// The request itself is invalid (out-of-range table number, empty
     /// processor list...). Retrying the same request cannot succeed.
     BadRequest(String),
-    /// The bounded queue is full. The request was **not** admitted;
-    /// retry after roughly the hinted delay.
+    /// `capacity` requests are already being evaluated. The request was
+    /// **not** admitted; retry after roughly the hinted delay.
     Overloaded {
         /// Suggested client back-off before retrying, in milliseconds
         /// (derived from the live p50 of [`Service::latency`]).
@@ -133,9 +127,8 @@ pub enum EvalError {
     /// The service is shutting down and no longer admits requests.
     ShuttingDown,
     /// The evaluation panicked. The panic is contained to the one
-    /// request — the batch worker and every other queued request keep
-    /// going (an uncontained panic would silently wedge the queue:
-    /// admitted requests would wait forever on a dead worker).
+    /// request: its connection and every other request keep going, and
+    /// its admission slot is released.
     Internal(String),
 }
 
@@ -144,7 +137,7 @@ impl std::fmt::Display for EvalError {
         match self {
             EvalError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             EvalError::Overloaded { retry_after_ms } => {
-                write!(f, "queue full; retry after ~{retry_after_ms} ms")
+                write!(f, "at capacity; retry after ~{retry_after_ms} ms")
             }
             EvalError::ShuttingDown => write!(f, "service is shutting down"),
             EvalError::Internal(msg) => write!(f, "internal error: {msg}"),
@@ -189,7 +182,7 @@ impl Evaluator {
     /// The calibrated conventional model for `platform`, with `n_procs`
     /// checked against the machine's actual processor count — the
     /// model's own out-of-range assertion must surface as a typed error,
-    /// not a panic inside the batch worker.
+    /// not a panic.
     fn checked_model(
         &self,
         platform: Platform,
@@ -211,9 +204,9 @@ impl Evaluator {
     }
 
     /// Evaluate one request **sequentially and deterministically**. This
-    /// is both the direct-call reference path and the body the batch
-    /// worker shards across the pool — served results are bit-identical
-    /// to direct calls because they *are* the same call.
+    /// is both the direct-call reference path and what [`Service::submit`]
+    /// runs — served results are bit-identical to direct calls because
+    /// they *are* the same call.
     pub fn evaluate(&self, req: &EvalRequest) -> Result<String, EvalError> {
         validate_request(req)?;
         let e = &self.exps;
@@ -295,167 +288,109 @@ fn seconds_body(secs: f64) -> String {
 /// Tuning knobs for [`Service::start`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Maximum requests waiting for the batch worker. A submission that
-    /// would exceed this is rejected with [`EvalError::Overloaded`] —
-    /// never buffered.
+    /// Maximum requests evaluated at once. A submission that would
+    /// exceed this is rejected with [`EvalError::Overloaded`] — never
+    /// buffered.
     pub capacity: usize,
-    /// Maximum requests the worker drains into one batch.
-    pub batch_max: usize,
-    /// Worker threads the batch is sharded across via [`par_map`].
-    pub n_threads: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self {
-            capacity: 256,
-            batch_max: 32,
-            n_threads: ThreadPool::global().n_threads(),
-        }
+        Self { capacity: 256 }
     }
 }
 
-/// One admitted request waiting for the batch worker.
-struct Job {
-    req: EvalRequest,
-    admitted: Instant,
-    reply: mpsc::Sender<Result<String, EvalError>>,
+/// The outcome of an admitted request. [`Service::submit`] evaluates
+/// before it returns, so [`Pending::wait`] never blocks.
+pub struct Pending(Result<String, EvalError>);
+
+impl Pending {
+    /// The response (or the evaluation's typed error).
+    pub fn wait(self) -> Result<String, EvalError> {
+        self.0
+    }
 }
 
-struct ServiceInner {
+/// The running service: an [`Evaluator`] behind bounded admission. It
+/// owns no thread; each request is evaluated on the thread that submits
+/// it.
+pub struct Service {
     evaluator: Evaluator,
-    config: ServiceConfig,
-    queue: Mutex<QueueState>,
-    not_empty: Condvar,
+    capacity: usize,
+    in_flight: AtomicUsize,
+    stopped: AtomicBool,
     latency: LatencyHistogram,
 }
 
-struct QueueState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-/// A ticket for a submitted request; [`Pending::wait`] blocks until the
-/// batch worker has evaluated it.
-pub struct Pending {
-    rx: mpsc::Receiver<Result<String, EvalError>>,
-}
-
-impl Pending {
-    /// Block until the response is ready. A worker that disappeared
-    /// (service dropped mid-request) reads as [`EvalError::ShuttingDown`].
-    pub fn wait(self) -> Result<String, EvalError> {
-        self.rx.recv().unwrap_or(Err(EvalError::ShuttingDown))
-    }
-}
-
-/// The running service: bounded admission queue + batch worker thread.
-/// Dropping the service drains the queue gracefully and joins the worker.
-pub struct Service {
-    inner: Arc<ServiceInner>,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
-
 impl Service {
-    /// Start the batch worker for `evaluator` under `config`.
+    /// Put bounded admission in front of `evaluator` under `config`.
     pub fn start(evaluator: Evaluator, config: ServiceConfig) -> Self {
         assert!(config.capacity >= 1, "service capacity must be >= 1");
-        assert!(config.batch_max >= 1, "service batch_max must be >= 1");
-        let inner = Arc::new(ServiceInner {
-            evaluator,
-            config,
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            not_empty: Condvar::new(),
-            latency: LatencyHistogram::new(),
-        });
-        let worker_inner = Arc::clone(&inner);
-        let worker = std::thread::Builder::new()
-            .name("c3i-evaluator".into())
-            .spawn(move || worker_loop(&worker_inner))
-            .expect("spawn evaluator worker");
         Self {
-            inner,
-            worker: Some(worker),
+            evaluator,
+            capacity: config.capacity,
+            in_flight: AtomicUsize::new(0),
+            stopped: AtomicBool::new(false),
+            latency: LatencyHistogram::new(),
         }
     }
 
-    /// Submit a request. Validation failures and a full queue reject
-    /// *immediately* — the queue depth provably never exceeds
-    /// `config.capacity` (`tests/service_protocol.rs` pins this at
-    /// capacity 1).
+    /// Admit a request and evaluate it on the calling thread. Validation
+    /// failures, a stopped service and a full one reject *immediately* —
+    /// at most `config.capacity` requests are ever in evaluation
+    /// (`tests/service_protocol.rs` pins this at capacity 1).
     pub fn submit(&self, req: EvalRequest) -> Result<Pending, EvalError> {
-        // Reject malformed requests before they occupy queue space; the
+        // Reject malformed requests before they take a slot; the
         // evaluation itself would fail identically (same validation).
         validate_request(&req)?;
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut q = self.inner.queue.lock().expect("service queue poisoned");
-            if q.shutdown {
-                return Err(EvalError::ShuttingDown);
-            }
-            if q.jobs.len() >= self.inner.config.capacity {
-                return Err(EvalError::Overloaded {
-                    retry_after_ms: retry_hint_ms(&self.inner.latency.snapshot()),
-                });
-            }
-            q.jobs.push_back(Job {
-                req,
-                admitted: Instant::now(),
-                reply: tx,
+        if self.stopped.load(SeqCst) {
+            return Err(EvalError::ShuttingDown);
+        }
+        let admit = |n: usize| (n < self.capacity).then_some(n + 1);
+        if self.in_flight.fetch_update(SeqCst, SeqCst, admit).is_err() {
+            return Err(EvalError::Overloaded {
+                retry_after_ms: retry_hint_ms(&self.latency.snapshot()),
             });
         }
-        self.inner.not_empty.notify_one();
-        Ok(Pending { rx })
+        let admitted = Instant::now();
+        // Panic-contained: an escaped panic would unwind through the
+        // connection thread and never release the slot.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.evaluator.evaluate(&req)
+        }))
+        .unwrap_or_else(|payload| Err(EvalError::Internal(panic_message(&payload))));
+        self.latency.record_ns(admitted.elapsed().as_nanos() as u64);
+        self.in_flight.fetch_sub(1, SeqCst);
+        Ok(Pending(result))
     }
 
-    /// Requests currently waiting for the batch worker (excludes the
-    /// batch being evaluated right now). For tests and observability.
-    pub fn queue_len(&self) -> usize {
-        self.inner
-            .queue
-            .lock()
-            .expect("service queue poisoned")
-            .jobs
-            .len()
+    /// Requests being evaluated right now. For tests and observability.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.load(SeqCst)
     }
 
-    /// The evaluator behind the queue (for direct reference evaluations
+    /// The evaluator behind admission (for direct reference evaluations
     /// in tests and the load generator).
     pub fn evaluator(&self) -> &Evaluator {
-        &self.inner.evaluator
+        &self.evaluator
     }
 
     /// Admission-to-response latency of every request this service has
     /// answered, one sample each.
     pub fn latency(&self) -> LatencySnapshot {
-        self.inner.latency.snapshot()
+        self.latency.snapshot()
     }
 
-    /// Stop admitting requests, let the worker drain what was already
-    /// admitted, and join it. Idempotent; also runs on drop.
-    pub fn stop(&mut self) {
-        {
-            let mut q = self.inner.queue.lock().expect("service queue poisoned");
-            q.shutdown = true;
-        }
-        self.inner.not_empty.notify_all();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        self.stop();
+    /// Stop admitting requests: later submissions are
+    /// [`EvalError::ShuttingDown`]. Requests already admitted finish on
+    /// their own threads. Idempotent.
+    pub fn stop(&self) {
+        self.stopped.store(true, SeqCst);
     }
 }
 
 /// The bounds every request is held to, checked by [`Service::submit`]
-/// before the request can occupy a queue slot and by
+/// before the request can take an admission slot and by
 /// [`Evaluator::evaluate`] before it evaluates: the error a doomed request
 /// produces. (A conventional platform's processor count is checked
 /// against its calibrated model, in `evaluate`.)
@@ -492,7 +427,7 @@ fn validate_request(req: &EvalRequest) -> Result<(), EvalError> {
     }
 }
 
-/// Client back-off hint when the queue rejects: this service's p50
+/// Client back-off hint when admission rejects: this service's p50
 /// request latency (rounded up to ms), clamped to [1, 1000]. Before any
 /// request has completed there is no signal; suggest 10 ms.
 fn retry_hint_ms(latency: &LatencySnapshot) -> u64 {
@@ -501,48 +436,6 @@ fn retry_hint_ms(latency: &LatencySnapshot) -> u64 {
         10
     } else {
         p50_ns.div_ceil(1_000_000).clamp(1, 1_000)
-    }
-}
-
-/// The batch worker: sleep until jobs exist, drain up to `batch_max`,
-/// shard the batch across the pool, reply, repeat. On shutdown the queue
-/// is drained to empty before exiting, so every admitted request is
-/// answered.
-fn worker_loop(inner: &ServiceInner) {
-    loop {
-        let batch: Vec<Job> = {
-            let mut q = inner.queue.lock().expect("service queue poisoned");
-            loop {
-                if !q.jobs.is_empty() {
-                    let take = q.jobs.len().min(inner.config.batch_max);
-                    break q.jobs.drain(..take).collect();
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = inner.not_empty.wait(q).expect("service queue poisoned");
-            }
-        };
-        // Shard the batch across the pool. `evaluate` is the sequential
-        // reference path, so ordering and sharding cannot change any
-        // response byte; `par_map` preserves index order. Each
-        // evaluation is panic-contained: an escaped panic would kill
-        // this worker thread and leave every queued request waiting on
-        // a reply that can never come.
-        let results = par_map(batch.len(), inner.config.n_threads, |i| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                inner.evaluator.evaluate(&batch[i].req)
-            }))
-            .unwrap_or_else(|payload| Err(EvalError::Internal(panic_message(&payload))))
-        });
-        for (job, result) in batch.into_iter().zip(results) {
-            inner
-                .latency
-                .record_ns(job.admitted.elapsed().as_nanos() as u64);
-            // A receiver that hung up (client disconnected mid-request)
-            // is not an error; drop the response.
-            let _ = job.reply.send(result);
-        }
     }
 }
 
@@ -566,7 +459,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub const LATENCY_BUCKETS: usize = 40;
 
 /// One service's request-latency histogram: one relaxed add per answered
-/// request, next to the queue whose waiting time it describes.
+/// request.
 struct LatencyHistogram([AtomicU64; LATENCY_BUCKETS]);
 
 impl LatencyHistogram {

@@ -26,10 +26,10 @@
 //!
 //! The server accepts either a TCP address (`127.0.0.1:9311`) or — when
 //! the address contains a `/` — a Unix socket path. One OS thread per
-//! connection; evaluation order and batching are owned by the bounded
-//! [`Service`] queue behind it.
+//! connection, and each request is evaluated on its connection's thread
+//! once the [`Service`] behind it has admitted it.
 
-use crate::service::{EvalError, EvalRequest, Service};
+use crate::service::{EvalError, EvalRequest, Pending, Service};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -214,7 +214,7 @@ impl WireResponse {
             EvalError::Overloaded { retry_after_ms } => Self::failure(
                 id,
                 "overloaded",
-                format!("queue full; retry after ~{retry_after_ms} ms"),
+                format!("at capacity; retry after ~{retry_after_ms} ms"),
                 Some(*retry_after_ms),
             ),
             EvalError::ShuttingDown => {
@@ -288,7 +288,7 @@ impl Listener {
 // ── server ───────────────────────────────────────────────────────────────
 
 /// The `repro --serve` socket server: accepts connections, one OS thread
-/// each, and forwards parsed requests into the bounded [`Service`] queue.
+/// each, and submits parsed requests to the [`Service`] on that thread.
 pub struct Server {
     listener: Listener,
     local_addr: String,
@@ -381,7 +381,7 @@ enum ConnOutcome {
 /// Serve one connection until it closes, errors, or requests shutdown.
 /// Framing errors follow the module-level policy; a client that vanishes
 /// mid-request (write failure) just closes this connection — the request
-/// itself still completes inside the service and is dropped.
+/// itself still completes and its response is dropped.
 fn serve_connection(mut stream: Stream, service: &Service) -> ConnOutcome {
     loop {
         let body = match read_frame(&mut stream) {
@@ -420,11 +420,7 @@ fn serve_connection(mut stream: Stream, service: &Service) -> ConnOutcome {
                 return ConnOutcome::ShutdownRequested;
             }
             WireRequest::Eval { id, request } => {
-                let result = match service.submit(request) {
-                    Ok(pending) => pending.wait(),
-                    Err(err) => Err(err),
-                };
-                let resp = match result {
+                let resp = match service.submit(request).and_then(Pending::wait) {
                     Ok(body) => WireResponse::success(id, body),
                     Err(err) => WireResponse::from_eval_error(id, &err),
                 };
@@ -566,7 +562,7 @@ mod tests {
             serde_json::from_str(&serde_json::to_string(&req).unwrap()).unwrap();
         assert_eq!(back, req);
 
-        let resp = WireResponse::failure(0, "overloaded", "queue full".into(), Some(12));
+        let resp = WireResponse::failure(0, "overloaded", "at capacity".into(), Some(12));
         let back: WireResponse =
             serde_json::from_str(&serde_json::to_string(&resp).unwrap()).unwrap();
         assert_eq!(back, resp);

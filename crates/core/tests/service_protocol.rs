@@ -1,9 +1,10 @@
 //! Integration tests for the scenario-evaluation service: the framed
 //! wire protocol's failure handling (truncated prefix, oversized frame,
 //! malformed JSON, mid-request disconnect — each a typed error or a
-//! clean close, with the server still serving afterwards), the bounded
-//! queue's reject-not-buffer contract at depth 1, and bit-identity of
-//! served responses against direct sequential evaluation.
+//! clean close, with the server still serving afterwards), bounded
+//! admission's reject-not-buffer contract at capacity 1, a slow request
+//! holding only its own connection, and bit-identity of served responses
+//! against direct sequential evaluation.
 
 use eval_core::service::{EvalError, EvalRequest, Evaluator, Platform, Service, ServiceConfig};
 use eval_core::wire::{
@@ -59,11 +60,7 @@ fn assert_ping_works(addr: &str) {
 
 #[test]
 fn protocol_errors_are_typed_and_the_server_keeps_serving() {
-    let (addr, handle, _service) = start_server(ServiceConfig {
-        capacity: 16,
-        batch_max: 4,
-        n_threads: 1,
-    });
+    let (addr, handle, _service) = start_server(ServiceConfig { capacity: 16 });
 
     // 1. Truncated length prefix: two bytes then EOF. No response frame
     //    is owed (there is no intact request); the connection closes.
@@ -125,8 +122,7 @@ fn protocol_errors_are_typed_and_the_server_keeps_serving() {
 
     // 4b. A processor count past the platform's machine size would trip
     //     an assertion inside the conventional model; it must come back
-    //     as a typed bad_request, never kill the batch worker (which
-    //     would leave every later request waiting forever).
+    //     as a typed bad_request, not a panic.
     {
         let mut s = TcpStream::connect(&addr).unwrap();
         send_eval_frame(
@@ -162,52 +158,79 @@ fn protocol_errors_are_typed_and_the_server_keeps_serving() {
 }
 
 #[test]
-fn queue_depth_one_rejects_rather_than_buffers() {
-    let service = Service::start(
-        reduced_evaluator(),
-        ServiceConfig {
-            capacity: 1,
-            batch_max: 1,
-            n_threads: 1,
-        },
-    );
+fn capacity_one_rejects_rather_than_buffers() {
+    let service = Service::start(reduced_evaluator(), ServiceConfig { capacity: 1 });
 
-    // Occupy the worker: wait until it has drained the queue and is
-    // sleeping inside the request.
-    let busy = service
-        .submit(EvalRequest::Sleep { ms: 400 })
-        .expect("first request admitted");
-    let t0 = Instant::now();
-    while service.queue_len() != 0 {
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "worker never started"
-        );
-        std::thread::yield_now();
-    }
-
-    // Fill the single queue slot.
-    let queued = service
-        .submit(EvalRequest::Sleep { ms: 0 })
-        .expect("second request fills the queue");
-    assert_eq!(service.queue_len(), 1);
-
-    // Oversubscribed: the third submission must be REJECTED, not
-    // buffered — the queue provably never grows past its capacity.
-    match service.submit(EvalRequest::Ping) {
-        Err(EvalError::Overloaded { retry_after_ms }) => {
-            assert!(retry_after_ms >= 1, "retry hint must be usable");
+    std::thread::scope(|s| {
+        // Take the single slot: a thread sleeps inside its request.
+        let sleeper = s.spawn(|| {
+            service
+                .submit(EvalRequest::Sleep { ms: 400 })
+                .expect("first request admitted")
+                .wait()
+        });
+        let t0 = Instant::now();
+        while service.in_flight() != 1 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "the sleeper was never admitted"
+            );
+            std::thread::yield_now();
         }
-        Err(other) => panic!("expected Overloaded, got {other:?}"),
-        Ok(_) => panic!("expected Overloaded, got an admitted request"),
-    }
-    assert_eq!(service.queue_len(), 1, "rejection must not enqueue");
 
-    // Both admitted requests still complete, and the queue drains.
-    assert_eq!(busy.wait().unwrap(), "slept 400 ms");
-    assert_eq!(queued.wait().unwrap(), "slept 0 ms");
-    let resp = service.submit(EvalRequest::Ping).expect("queue drained");
+        // Oversubscribed: a second concurrent submission must be
+        // REJECTED, not buffered — no more than `capacity` requests are
+        // ever admitted.
+        match service.submit(EvalRequest::Ping) {
+            Err(EvalError::Overloaded { retry_after_ms }) => {
+                assert!(retry_after_ms >= 1, "retry hint must be usable");
+            }
+            Err(other) => panic!("expected Overloaded, got {other:?}"),
+            Ok(_) => panic!("expected Overloaded, got an admitted request"),
+        }
+        assert_eq!(service.in_flight(), 1, "rejection must not admit");
+
+        // The admitted request still completes and frees its slot.
+        assert_eq!(sleeper.join().unwrap().unwrap(), "slept 400 ms");
+    });
+    assert_eq!(service.in_flight(), 0);
+    let resp = service
+        .submit(EvalRequest::Ping)
+        .expect("admitted once the sleeper returned");
     assert_eq!(resp.wait().unwrap(), "pong");
+}
+
+/// A slow request holds only its own connection: connection A's 1 s
+/// `Sleep` is admitted first, and connection B's `Ping`, sent 100 ms
+/// later, is answered while A is still sleeping.
+#[test]
+fn a_slow_request_does_not_hold_another_connections_reply() {
+    let (addr, handle, _service) = start_server(ServiceConfig::default());
+    let (slept_at, ponged_at) = std::thread::scope(|s| {
+        let slow = s.spawn(|| {
+            let mut client = Client::connect(&addr).expect("connect A");
+            let resp = client.call(EvalRequest::Sleep { ms: 1000 }).expect("sleep");
+            assert_eq!(
+                resp.ok.as_deref(),
+                Some("slept 1000 ms"),
+                "{:?}",
+                resp.error
+            );
+            Instant::now()
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let mut client = Client::connect(&addr).expect("connect B");
+        let resp = client.call(EvalRequest::Ping).expect("ping");
+        assert_eq!(resp.ok.as_deref(), Some("pong"), "{:?}", resp.error);
+        let ponged_at = Instant::now();
+        (slow.join().expect("connection A"), ponged_at)
+    });
+    assert!(
+        ponged_at < slept_at,
+        "B's ping was answered {:?} after A's sleep: it waited behind it",
+        ponged_at - slept_at
+    );
+    stop_server(&addr, handle);
 }
 
 #[test]
@@ -241,7 +264,7 @@ fn served_responses_are_bit_identical_to_direct_evaluation() {
     }
 
     // Two concurrent connections interleave their requests so responses
-    // really go through admission, batching, and pool sharding.
+    // really go through concurrent admission and evaluation.
     std::thread::scope(|s| {
         for conn in 0..2usize {
             let addr = &addr;

@@ -34,7 +34,8 @@
 //!
 //! `--serve ADDR` loads the workload once and serves scenario-evaluation
 //! requests over a socket (Unix path if ADDR contains `/`, else TCP)
-//! through `eval_core::service`'s bounded batching queue; `--load ADDR`
+//! behind `eval_core::service`'s bounded admission, each on its
+//! connection's thread (`--threads` does not affect it); `--load ADDR`
 //! replays a fuzzer-generated request mix against such a server, checks
 //! every response against a direct sequential evaluation, and exits
 //! non-zero unless every request completed bit-identical — an identity
@@ -231,20 +232,18 @@ fn want(opts: &Options, section: &str) -> bool {
 }
 
 /// `--serve ADDR`: load the workload **once** into a long-lived
-/// [`Evaluator`], put the bounded batching [`Service`] in front of it,
+/// [`Evaluator`], put the [`Service`]'s bounded admission in front of it,
 /// and serve the framed-JSON protocol until a client sends `Shutdown`.
-fn run_serve(addr: &str, scale: WorkloadScale, use_cache: bool, n_threads: usize) -> ! {
+/// Each request is evaluated on its connection's thread, so `--threads`
+/// does not affect `--serve`.
+fn run_serve(addr: &str, scale: WorkloadScale, use_cache: bool) -> ! {
     eprintln!("serve: loading workload ({scale:?} scale) and calibrating models...");
     let (evaluator, status) = Evaluator::load(scale, use_cache);
     eprintln!(
         "serve: workload {status:?} (snapshot dir {})",
         cache::cache_dir().display()
     );
-    let config = ServiceConfig {
-        n_threads,
-        ..ServiceConfig::default()
-    };
-    let service = Service::start(evaluator, config);
+    let service = Service::start(evaluator, ServiceConfig::default());
     let server = match Server::bind(addr, service) {
         Ok(s) => s,
         Err(e) => {
@@ -579,12 +578,12 @@ fn main() {
             opts.scale == WorkloadScale::Reduced,
         );
     }
+    if let Some(addr) = &opts.serve {
+        run_serve(addr, opts.scale, opts.use_cache);
+    }
     let n_threads = opts
         .n_threads
         .unwrap_or_else(|| ThreadPool::global().n_threads());
-    if let Some(addr) = &opts.serve {
-        run_serve(addr, opts.scale, opts.use_cache, n_threads);
-    }
     if let Some(addr) = &opts.load {
         run_load(addr, &opts);
     }
