@@ -198,6 +198,13 @@ fn capacity_one_rejects_rather_than_buffers() {
         .submit(EvalRequest::Ping)
         .expect("admitted once the sleeper returned");
     assert_eq!(resp.wait().unwrap(), "pong");
+
+    // A stopped service admits nothing more.
+    service.stop();
+    assert_eq!(
+        service.submit(EvalRequest::Ping).err(),
+        Some(EvalError::ShuttingDown)
+    );
 }
 
 /// A slow request holds only its own connection: connection A's 1 s
