@@ -194,6 +194,15 @@ if grep -rn 'set_timing\|timing_enabled\|last_region_worker_busy\|KERNELS_BENCH_
   echo "a deleted timer or the ParFor cutoff switch is referenced again" >&2
   exit 1
 fi
+# So is the service's batch worker with its thread, its queue and its two
+# knobs: each request is evaluated on its connection's thread. The
+# sthreads pool's own `worker_loop` is a different function.
+if grep -rn 'worker_loop\|batch_max\|c3i-evaluator\|queue_len' \
+  crates src tests examples docs README.md EXPERIMENTS.md |
+  grep -v '^docs/LAYERS.md:\|^crates/sthreads/src/pool.rs:'; then
+  echo "the deleted service batch worker is referenced again" >&2
+  exit 1
+fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
 # the crate denies unsafe_code everywhere else.
 if [ "$(grep -rhw 'unsafe' crates/sthreads/src | grep -vc '^ *//')" -ne 1 ]; then
