@@ -35,6 +35,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Hard cap on a frame body, in bytes. Every real response (a rendered
 /// table is a few KiB) fits with orders of magnitude to spare; anything
@@ -125,13 +126,19 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     }
 }
 
-/// Write one frame (4-byte big-endian length, then the body).
+/// Write one frame (4-byte big-endian length, then the body). A body over
+/// [`MAX_FRAME_BYTES`] is an `InvalidInput` error and nothing is written,
+/// so the stream stays in sync.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> std::io::Result<()> {
-    assert!(
-        body.len() <= MAX_FRAME_BYTES as usize,
-        "frame body of {} bytes exceeds MAX_FRAME_BYTES",
-        body.len()
-    );
+    if body.len() > MAX_FRAME_BYTES as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "frame body of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
+                body.len()
+            ),
+        ));
+    }
     w.write_all(&(body.len() as u32).to_be_bytes())?;
     w.write_all(body)?;
     w.flush()
@@ -340,27 +347,33 @@ impl Server {
     pub fn run(self) -> std::io::Result<()> {
         let service = self.service;
         let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
+        let mut handles: Vec<JoinHandle<()>> = Vec::new();
         loop {
             let stream = self.listener.accept()?;
             if stop.load(Ordering::SeqCst) {
                 break;
             }
+            // A finished thread keeps its stack mapped until it is joined.
+            for done in handles.extract_if(.., |h| h.is_finished()) {
+                let _ = done.join();
+            }
             let service = Arc::clone(&service);
             let stop = Arc::clone(&stop);
             let wake_addr = self.local_addr.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name("c3i-serve-conn".into())
-                    .spawn(move || {
-                        if serve_connection(stream, &service) == ConnOutcome::ShutdownRequested {
-                            stop.store(true, Ordering::SeqCst);
-                            // Unblock the accept loop so it observes the flag.
-                            let _ = Stream::connect(&wake_addr);
-                        }
-                    })
-                    .expect("spawn connection thread"),
-            );
+            let spawned = std::thread::Builder::new()
+                .name("c3i-serve-conn".into())
+                .spawn(move || {
+                    if serve_connection(stream, &service) == ConnOutcome::ShutdownRequested {
+                        stop.store(true, Ordering::SeqCst);
+                        // Unblock the accept loop so it observes the flag.
+                        let _ = Stream::connect(&wake_addr);
+                    }
+                });
+            // Out of threads: this connection is dropped (closed) unserved,
+            // and the server keeps accepting.
+            if let Ok(handle) = spawned {
+                handles.push(handle);
+            }
         }
         for h in handles {
             let _ = h.join();
@@ -550,6 +563,16 @@ mod tests {
             read_frame(&mut r),
             Err(FrameError::Oversized { announced: a }) if a == announced
         ));
+    }
+
+    #[test]
+    fn oversized_body_is_refused_before_writing() {
+        let mut buf = Vec::new();
+        let body = vec![b' '; MAX_FRAME_BYTES as usize + 1];
+        let err = write_frame(&mut buf, &body).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty(), "{} bytes written", buf.len());
+        write_frame(&mut buf, &body[1..]).expect("a body at the cap is written");
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Integration tests for the scenario-evaluation service: the framed
 //! wire protocol's failure handling (truncated prefix, oversized frame,
 //! malformed JSON, mid-request disconnect — each a typed error or a
-//! clean close, with the server still serving afterwards), bounded
+//! clean close, with the server still serving afterwards), a request too
+//! large to frame refused by the client before it sends a byte, bounded
 //! admission's reject-not-buffer contract at capacity 1, a slow request
 //! holding only its own connection, and bit-identity of served responses
 //! against direct sequential evaluation.
 
 use eval_core::service::{EvalError, EvalRequest, Evaluator, Platform, Service, ServiceConfig};
 use eval_core::wire::{
-    read_frame, write_frame, Client, Server, WireRequest, WireResponse, MAX_FRAME_BYTES,
+    read_frame, write_frame, Client, ClientError, FrameError, Server, WireRequest, WireResponse,
+    MAX_FRAME_BYTES,
 };
 use eval_core::workload::WorkloadScale;
 use std::io::Write;
@@ -154,6 +156,35 @@ fn protocol_errors_are_typed_and_the_server_keeps_serving() {
     }
     assert_ping_works(&addr);
 
+    stop_server(&addr, handle);
+}
+
+/// A request that serializes past the frame cap is the caller's error:
+/// `Client::call` returns it without sending a byte, so the connection
+/// stays in sync and keeps serving.
+#[test]
+fn an_oversized_request_is_an_error_and_the_connection_keeps_serving() {
+    let (addr, handle, service) = start_server(ServiceConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    let oversized = EvalRequest::Scalability {
+        procs: vec![4; 600_000],
+    };
+    match client.call(oversized) {
+        Err(ClientError::Frame(FrameError::Io(e))) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+        }
+        other => panic!("expected an InvalidInput frame error, got {other:?}"),
+    }
+    let resp = client
+        .call(EvalRequest::Ping)
+        .expect("ping on the same connection");
+    assert_eq!(resp.ok.as_deref(), Some("pong"), "{:?}", resp.error);
+    assert_eq!(
+        service.latency().count(),
+        1,
+        "only the ping reached the service"
+    );
+    drop(client);
     stop_server(&addr, handle);
 }
 
