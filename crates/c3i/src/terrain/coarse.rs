@@ -16,7 +16,7 @@
 
 use super::los::{clamp_alt, compute_raw_alts_in, AltStore, KernelArena, Region};
 use super::scenario::TerrainScenario;
-use crate::counts::{NoRec, Profile, Rec};
+use crate::counts::{NoRec, Rec};
 use crate::grid::Grid;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -237,44 +237,6 @@ pub fn greedy_bins(per_item: &[sthreads::OpCounts], n_threads: usize) -> ThreadC
     ThreadCounts::new(bins)
 }
 
-/// Program 4 under the counting backend. Per-threat operation counts are
-/// measured exactly, then threats are assigned to `n_threads` logical
-/// threads with the least-loaded-first greedy rule — the deterministic
-/// model of dynamic self-scheduling. Returns the masking grid and a
-/// [`Profile`] whose parallel region has `n_threads` logical threads.
-pub fn terrain_masking_coarse(
-    scenario: &TerrainScenario,
-    n_threads: usize,
-    n_blocks: usize,
-) -> (Grid<f64>, Profile) {
-    let terrain = &scenario.terrain;
-    let blocking = Blocking::new(terrain.x_size(), terrain.y_size(), n_blocks);
-    let masking = SharedMaskGrid::new_infinite(terrain.x_size(), terrain.y_size());
-
-    let mut serial = OpRecorder::new();
-    serial.sstore(terrain.len() as u64); // masking init
-    serial.int(2 * (n_blocks * n_blocks) as u64); // block bounds setup
-    serial.spawn(n_threads as u64);
-
-    // Exact per-threat counts (locks irrelevant to counting: sync ops are
-    // recorded either way).
-    let per_threat: Vec<sthreads::OpCounts> = (0..scenario.threats.len())
-        .map(|ti| {
-            let mut r = OpRecorder::new();
-            process_threat(scenario, ti, &blocking, &masking, None, &mut r);
-            r.counts()
-        })
-        .collect();
-
-    (
-        masking.into_grid(terrain.y_size()),
-        Profile {
-            serial: serial.counts(),
-            parallel: greedy_bins(&per_threat, n_threads),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,25 +310,11 @@ mod tests {
     }
 
     #[test]
-    fn counting_backend_matches_host_result() {
-        let s = small_scenario(3);
-        let host = terrain_masking_coarse_host(&s, 4, 10);
-        let (counted, profile) = terrain_masking_coarse(&s, 4, 10);
-        assert_eq!(counted, host);
-        assert_eq!(profile.n_logical_threads(), 4);
-        assert!(
-            profile.parallel.total().sync_ops > 0,
-            "lock traffic must be recorded"
-        );
-    }
-
-    #[test]
     fn greedy_assignment_is_reasonably_balanced() {
         let s = small_scenario(4);
-        let (_, profile) = terrain_masking_coarse(&s, 3, 10);
         // 12 irregular threats over 3 threads: greedy keeps imbalance well
         // under the worst case.
-        let imbalance = profile.parallel.imbalance();
+        let imbalance = greedy_bins(&per_threat_counts(&s, 10), 3).imbalance();
         assert!((1.0..3.0).contains(&imbalance), "imbalance={imbalance}");
     }
 
@@ -374,8 +322,10 @@ mod tests {
     fn sync_ops_scale_with_block_granularity() {
         // Finer blocking ⇒ more lock acquisitions recorded.
         let s = small_scenario(5);
-        let (_, p1) = terrain_masking_coarse(&s, 4, 2);
-        let (_, p2) = terrain_masking_coarse(&s, 4, 20);
-        assert!(p2.total().sync_ops > p1.total().sync_ops);
+        let sync_ops = |n_blocks| -> u64 {
+            let per_threat = per_threat_counts(&s, n_blocks);
+            per_threat.iter().map(|c| c.sync_ops).sum()
+        };
+        assert!(sync_ops(20) > sync_ops(2));
     }
 }

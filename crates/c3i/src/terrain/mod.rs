@@ -43,9 +43,7 @@ pub mod scenario;
 pub mod sequential;
 pub mod verify;
 
-pub use coarse::{
-    greedy_bins, per_threat_counts, terrain_masking_coarse, terrain_masking_coarse_host, Blocking,
-};
+pub use coarse::{greedy_bins, per_threat_counts, terrain_masking_coarse_host, Blocking};
 pub use count::{op_profile, ring_ops, TerrainOps};
 pub use fine::{terrain_masking_fine, terrain_masking_fine_host};
 pub use los::{

@@ -10,9 +10,9 @@
 
 use super::model::{intervals_for_pair, Interval};
 use super::scenario::ThreatScenario;
-use crate::counts::{NoRec, Profile, Rec};
+use crate::counts::NoRec;
 use parking_lot::Mutex;
-use sthreads::{chunk_range, OpRecorder, ParFor, ThreadCounts};
+use sthreads::{chunk_range, ParFor};
 
 /// How generously each chunk's output section is oversized: capacity =
 /// `OVERSIZE_INTERVALS_PER_PAIR × pairs in the chunk`. The verifier checks
@@ -51,22 +51,17 @@ impl ChunkedResult {
 
 /// Compute one chunk's section: threats `[first, end)` against every
 /// weapon. This is the body of Program 2's multithreaded loop.
-fn run_chunk<R: Rec>(
+fn run_chunk(
     scenario: &ThreatScenario,
     first: usize,
     end: usize,
     capacity: usize,
-    r: &mut R,
 ) -> Vec<Interval> {
     let mut section = Vec::with_capacity(capacity);
-    r.int(4); // chunk bounds arithmetic: (chunk*n)/num_chunks etc.
-    r.store(1); // num_intervals[chunk] = 0
     for ti in first..end {
         let threat = &scenario.threats[ti];
         for (wi, weapon) in scenario.weapons.iter().enumerate() {
-            r.int(2);
-            r.load(2);
-            intervals_for_pair(ti as u32, wi as u32, threat, weapon, r, |iv| {
+            intervals_for_pair(ti as u32, wi as u32, threat, weapon, &mut NoRec, |iv| {
                 section.push(iv);
             });
         }
@@ -94,7 +89,7 @@ pub fn threat_analysis_chunked_host(
         .chunk_count(n_chunks)
         .run_chunked(|cb| {
             let capacity = (cb.end - cb.first) * cap_per_pair;
-            let section = run_chunk(scenario, cb.first, cb.end, capacity, &mut NoRec);
+            let section = run_chunk(scenario, cb.first, cb.end, capacity);
             *slots[cb.chunk].lock() = section;
         });
 
@@ -105,54 +100,13 @@ pub fn threat_analysis_chunked_host(
     }
 }
 
-/// Program 2 under the counting backend: logical chunks execute
-/// sequentially, each recording its own operation counts. Returns the
-/// result and the [`Profile`] whose parallel region has `n_chunks` logical
-/// threads.
-pub fn threat_analysis_chunked(
-    scenario: &ThreatScenario,
-    n_chunks: usize,
-) -> (ChunkedResult, Profile) {
-    let n_threats = scenario.threats.len();
-    let cap_per_pair = OVERSIZE_INTERVALS_PER_PAIR * scenario.weapons.len();
-    let mut per_chunk = Vec::with_capacity(n_chunks);
-    let mut reserved_words = 0usize;
-
-    let mut serial = OpRecorder::new();
-    // Serial prologue: computing the chunk decomposition and spawning.
-    serial.int(2 * n_chunks as u64);
-    serial.spawn(n_chunks as u64);
-
-    let thread_counts = ThreadCounts::record(n_chunks, |c, r| {
-        let range = chunk_range(c, n_threats, n_chunks);
-        reserved_words += range.len() * cap_per_pair * 4;
-        let section = run_chunk(
-            scenario,
-            range.start,
-            range.end,
-            range.len() * cap_per_pair,
-            r,
-        );
-        per_chunk.push(section);
-    });
-
-    (
-        ChunkedResult {
-            per_chunk,
-            reserved_words,
-        },
-        Profile {
-            serial: serial.counts(),
-            parallel: thread_counts,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::threat::scenario::small_scenario;
-    use crate::threat::sequential::threat_analysis_host;
+    use crate::threat::sequential::{
+        per_threat_counts, threat_analysis_host, threat_analysis_profile,
+    };
 
     #[test]
     fn chunked_equals_sequential_when_flattened() {
@@ -172,16 +126,6 @@ mod tests {
             let res = threat_analysis_chunked_host(&s, 8, threads);
             assert_eq!(res.flatten(), seq, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn counting_backend_produces_identical_output() {
-        let s = small_scenario(2);
-        let host = threat_analysis_chunked_host(&s, 8, 4);
-        let (counted, profile) = threat_analysis_chunked(&s, 8);
-        assert_eq!(counted.flatten(), host.flatten());
-        assert_eq!(profile.n_logical_threads(), 8);
-        assert_eq!(profile.serial.spawns, 8);
     }
 
     #[test]
@@ -219,12 +163,12 @@ mod tests {
         // Threats are i.i.d., so per-chunk instruction counts should be
         // within a small factor of each other for modest chunk counts.
         let s = small_scenario(5);
-        let (_, profile) = threat_analysis_chunked(&s, 4);
-        let per: Vec<u64> = profile
-            .parallel
-            .per_thread()
-            .iter()
-            .map(|c| c.instructions())
+        let per_threat = per_threat_counts(&s);
+        let per: Vec<u64> = (0..4)
+            .map(|c| {
+                let chunk = &per_threat[chunk_range(c, per_threat.len(), 4)];
+                chunk.iter().map(|c| c.instructions()).sum()
+            })
             .collect();
         let max = *per.iter().max().unwrap() as f64;
         let min = *per.iter().min().unwrap() as f64;
@@ -232,14 +176,13 @@ mod tests {
     }
 
     #[test]
-    fn single_chunk_single_thread_matches_sequential_counts_closely() {
-        // Program 2 with one chunk does the same pair scans as Program 1;
-        // only the per-chunk bookkeeping differs.
+    fn one_chunk_holds_program_1s_pair_scans() {
+        // Program 2 with one chunk does the same pair scans as Program 1,
+        // whose only other operation is `num_intervals = 0`.
         let s = small_scenario(6);
-        let (_, p1) = crate::threat::sequential::threat_analysis_profile(&s);
-        let (_, p2) = threat_analysis_chunked(&s, 1);
-        let a = p1.total().instructions() as f64;
-        let b = p2.total().instructions() as f64;
-        assert!((a - b).abs() / a < 0.01, "seq={a} chunked(1)={b}");
+        let (_, p1) = threat_analysis_profile(&s);
+        let mut one_chunk: sthreads::OpCounts = per_threat_counts(&s).into_iter().sum();
+        one_chunk.int_ops += 1;
+        assert_eq!(p1.total(), one_chunk);
     }
 }

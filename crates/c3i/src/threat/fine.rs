@@ -13,9 +13,9 @@
 
 use super::model::{intervals_for_pair, Interval};
 use super::scenario::ThreatScenario;
-use crate::counts::{NoRec, Profile};
+use crate::counts::NoRec;
 use std::sync::OnceLock;
-use sthreads::{multithreaded_for, OpRecorder, Schedule, SyncCounter, ThreadCounts};
+use sthreads::{multithreaded_for, Schedule, SyncCounter};
 
 /// Result of the fine-grained program: the shared output array (dense
 /// prefix of the slot array) in nondeterministic order.
@@ -67,39 +67,6 @@ pub fn threat_analysis_fine_host(scenario: &ThreatScenario, n_threads: usize) ->
     FineResult { intervals }
 }
 
-/// Fine-grained Threat Analysis under the counting backend: one logical
-/// thread per threat; every slot allocation records one synchronization
-/// operation. Returns the result (here in deterministic threat order,
-/// since logical threads run sequentially) and the [`Profile`].
-pub fn threat_analysis_fine(scenario: &ThreatScenario) -> (FineResult, Profile) {
-    let mut intervals = Vec::new();
-    let mut serial = OpRecorder::new();
-    serial.int(1); // num_intervals = 0 (a sync variable initialization)
-    serial.spawn(scenario.threats.len() as u64);
-
-    let thread_counts = ThreadCounts::record(scenario.threats.len(), |ti, r| {
-        let threat = &scenario.threats[ti];
-        for (wi, weapon) in scenario.weapons.iter().enumerate() {
-            r.int(2);
-            r.load(2);
-            let before = intervals.len();
-            intervals_for_pair(ti as u32, wi as u32, threat, weapon, r, |iv| {
-                intervals.push(iv);
-            });
-            // One int_fetch_add on the shared counter per emitted interval.
-            r.sync((intervals.len() - before) as u64);
-        }
-    });
-
-    (
-        FineResult { intervals },
-        Profile {
-            serial: serial.counts(),
-            parallel: thread_counts,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,25 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_backend_matches_sequential_as_a_set() {
-        let s = small_scenario(2);
-        let seq = canonical(threat_analysis_host(&s));
-        let (fine, profile) = threat_analysis_fine(&s);
-        assert_eq!(canonical(fine.intervals), seq);
-        assert_eq!(profile.n_logical_threads(), s.threats.len());
-    }
-
-    #[test]
-    fn every_interval_costs_one_sync_op() {
-        let s = small_scenario(3);
-        let (fine, profile) = threat_analysis_fine(&s);
-        assert_eq!(
-            profile.parallel.total().sync_ops,
-            fine.intervals.len() as u64
-        );
-    }
-
-    #[test]
     fn fine_grained_needs_no_oversized_storage() {
         // Contrast with Program 2: used slots == intervals found; the slot
         // array bound is shared, not per-chunk.
@@ -144,15 +92,5 @@ mod tests {
         let fine = threat_analysis_fine_host(&s, 4);
         let chunked = crate::threat::chunked::threat_analysis_chunked_host(&s, 256, 4);
         assert_eq!(fine.intervals.len(), chunked.n_intervals());
-    }
-
-    #[test]
-    fn logical_thread_count_equals_threat_count() {
-        // §5: "each input scenario ... has 1000 threats, parallelization
-        // over threats ... easily supplies enough threads".
-        let s = small_scenario(5);
-        let (_, profile) = threat_analysis_fine(&s);
-        assert_eq!(profile.n_logical_threads(), 40);
-        assert_eq!(profile.serial.spawns, 40);
     }
 }

@@ -22,13 +22,13 @@
 //!   (the store index of one iteration depends on all prior iterations);
 //!   [`autopar`](https://docs.rs/autopar)'s dependence analyzer rejects it
 //!   for exactly that reason, as the Tera and Exemplar compilers did.
-//! * [`chunked::threat_analysis_chunked`] — Program 2: the outer loop over
+//! * [`chunked::threat_analysis_chunked_host`] — Program 2: the outer loop over
 //!   threats is split into `num_chunks` chunks, each with its own
 //!   `num_intervals[chunk]` counter and its own generously oversized
 //!   section of the output array. Chunks are completely independent. This
 //!   is the variant run on all multiprocessor platforms; on the Tera MTA
 //!   the paper sweeps 8–256 chunks (Table 6).
-//! * [`fine::threat_analysis_fine`] — the alternative §5 describes for the
+//! * [`fine::threat_analysis_fine_host`] — the alternative §5 describes for the
 //!   Tera only: parallelize over threats with *no* chunking and allocate
 //!   output slots from a shared counter with one-cycle fetch-add
 //!   (a synchronization variable). No oversized array, but the output
@@ -41,8 +41,8 @@ pub mod scenario;
 pub mod sequential;
 pub mod verify;
 
-pub use chunked::{threat_analysis_chunked, threat_analysis_chunked_host, ChunkedResult};
-pub use fine::{threat_analysis_fine, threat_analysis_fine_host};
+pub use chunked::{threat_analysis_chunked_host, ChunkedResult};
+pub use fine::threat_analysis_fine_host;
 pub use model::{
     can_intercept, exit_class, intervals_for_pair, pair_counts, Exit, ExitCost, Interval, Threat,
     Weapon, TIME_STEP,

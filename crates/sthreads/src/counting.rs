@@ -210,20 +210,6 @@ impl ThreadCounts {
         Self { threads }
     }
 
-    /// Run `body(thread_id, recorder)` for every logical thread id in
-    /// `0..n_threads`, sequentially, and collect the per-thread counts.
-    /// This is the counting backend's `multithreaded_for`-over-chunks.
-    pub fn record(n_threads: usize, mut body: impl FnMut(usize, &mut OpRecorder)) -> Self {
-        let threads = (0..n_threads)
-            .map(|t| {
-                let mut r = OpRecorder::new();
-                body(t, &mut r);
-                r.counts()
-            })
-            .collect();
-        Self { threads }
-    }
-
     /// Number of logical threads.
     pub fn n_threads(&self) -> usize {
         self.threads.len()
@@ -258,19 +244,6 @@ impl ThreadCounts {
             return 1.0;
         }
         self.n_threads() as f64 * self.max_thread_instructions() as f64 / total as f64
-    }
-
-    /// Group logical threads onto `n_workers` workers round-robin (the
-    /// host runtime's chunk-to-worker assignment) and return per-worker
-    /// instruction totals. Used to compute makespans when there are more
-    /// logical threads than processors (Tera chunk sweeps).
-    pub fn worker_instructions(&self, n_workers: usize) -> Vec<u64> {
-        assert!(n_workers > 0);
-        let mut w = vec![0u64; n_workers];
-        for (i, c) in self.threads.iter().enumerate() {
-            w[i % n_workers] += c.instructions();
-        }
-        w
     }
 }
 
@@ -344,8 +317,8 @@ mod tests {
     }
 
     #[test]
-    fn record_collects_per_thread() {
-        let tc = ThreadCounts::record(4, |t, r| r.int((t as u64 + 1) * 10));
+    fn per_thread_counts_total_and_max() {
+        let tc = ThreadCounts::new((1..=4).map(|t| c(t * 10, 0)).collect());
         assert_eq!(tc.n_threads(), 4);
         assert_eq!(tc.total().int_ops, 100);
         assert_eq!(tc.max_thread_instructions(), 40);
@@ -369,12 +342,5 @@ mod tests {
     fn empty_region_has_unit_imbalance() {
         assert_eq!(ThreadCounts::new(vec![]).imbalance(), 1.0);
         assert_eq!(ThreadCounts::new(vec![]).max_thread_instructions(), 0);
-    }
-
-    #[test]
-    fn worker_instructions_round_robin() {
-        let tc = ThreadCounts::new(vec![c(1, 0), c(2, 0), c(3, 0), c(4, 0), c(5, 0)]);
-        // workers: 0 gets threads 0,2,4 => 1+3+5 = 9; 1 gets 1,3 => 6
-        assert_eq!(tc.worker_instructions(2), vec![9, 6]);
     }
 }

@@ -153,11 +153,6 @@ proptest! {
         );
         prop_assert!(tc.total().instructions() >= tc.max_thread_instructions());
         prop_assert!(tc.imbalance() >= 1.0 - 1e-9);
-        // Round-robin worker totals conserve instructions.
-        for workers in [1usize, 2, 3, 7] {
-            let per_worker = tc.worker_instructions(workers);
-            prop_assert_eq!(per_worker.iter().sum::<u64>(), tc.total().instructions());
-        }
     }
 }
 

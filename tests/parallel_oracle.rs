@@ -82,49 +82,6 @@ fn built_workload_equals_recorded_workload_at_paper_scale() {
     }
 }
 
-/// What the recorded Programs 2 and 4 add over the workload's own
-/// assembly of them from per-threat counts: Program 4 nothing, and each
-/// Program 2 chunk exactly its bounds arithmetic (`int 4`) and its
-/// `num_intervals[chunk] = 0` (`store 1`), which the model leaves out.
-#[test]
-fn recorded_programs_2_and_4_equal_the_workload_assembly() {
-    let w = oracle();
-    let scale = WorkloadScale::Reduced;
-    for (s, p) in tm_params(scale).into_iter().enumerate() {
-        let scenario = terrain::generate(p);
-        for n_threads in [1usize, 4, 16] {
-            let (_, recorded) = terrain::terrain_masking_coarse(&scenario, n_threads, TM_BLOCKS);
-            assert_eq!(
-                recorded,
-                w.tm_coarse(n_threads)[s],
-                "Program 4, scenario {s}, {n_threads} threads"
-            );
-        }
-    }
-    let mut bookkeeping = OpRecorder::new();
-    bookkeeping.int(4);
-    bookkeeping.store(1);
-    for (s, p) in ta_params(scale).into_iter().enumerate() {
-        let scenario = threat::generate(p);
-        for n_chunks in [1usize, 8, 256] {
-            let (_, recorded) = threat::threat_analysis_chunked(&scenario, n_chunks);
-            let modelled = w.ta_chunked(n_chunks).nth(s).unwrap();
-            assert_eq!(recorded.serial, modelled.serial, "Program 2, scenario {s}");
-            let expected: Vec<_> = modelled
-                .parallel
-                .per_thread()
-                .iter()
-                .map(|c| c.merged(&bookkeeping.counts()))
-                .collect();
-            assert_eq!(
-                recorded.parallel.per_thread(),
-                expected,
-                "Program 2, scenario {s}, {n_chunks} chunks"
-            );
-        }
-    }
-}
-
 #[test]
 fn parallel_workload_measurement_equals_sequential_oracle() {
     // Full-struct equality covers every OpCounts of every scenario
