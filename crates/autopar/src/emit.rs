@@ -1,5 +1,5 @@
 //! The emission pass: turn a "parallelizable" verdict into an executable
-//! plan — an [`sthreads`] schedule choice plus the privatization /
+//! plan — a [`Schedule`] choice plus the privatization /
 //! reduction / compaction clauses the runtime must honor — rendered as a
 //! pragma-style annotation.
 //!
@@ -16,7 +16,29 @@
 
 use crate::ir::{Expr, LoopNest, Node, Reduction};
 use crate::reduction::DataflowVerdict;
-use sthreads::Schedule;
+
+/// How a plan hands iterations to workers: the two schedules of the
+/// paper's manual transformations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// Contiguous chunks, one per worker, computed with the paper's
+    /// `(chunk*n)/num_chunks` blocking expression, as in Program 2.
+    Static,
+    /// Workers repeatedly claim the next unprocessed iteration from a
+    /// shared counter (self-scheduling), as in Program 4.
+    Dynamic,
+}
+
+impl std::fmt::Display for Schedule {
+    /// Lowercase schedule name (`static` / `dynamic`), the spelling of the
+    /// pragma annotation and of `table_auto.csv`'s Schedule column.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Schedule::Static => "static",
+            Schedule::Dynamic => "dynamic",
+        })
+    }
+}
 
 /// An executable parallelization plan for one loop.
 #[derive(Debug, Clone, PartialEq, Eq)]

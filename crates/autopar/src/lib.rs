@@ -32,7 +32,7 @@
 //!   clearing (and each residual rejection) carrying statement-level
 //!   provenance in canal-style reports ([`report`]);
 //! * an emission pass ([`emit`]) turning parallel verdicts into
-//!   [`sthreads::Schedule`] annotations, executed by the `repro
+//!   [`Schedule`](emit::Schedule) annotations, executed by the `repro
 //!   table-auto` experiment against the manual transformations.
 //!
 //! The dataflow pass parallelizes Programs 1 and 2 *without* pragmas and

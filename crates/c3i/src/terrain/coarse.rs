@@ -20,7 +20,7 @@ use crate::counts::{NoRec, Rec};
 use crate::grid::Grid;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use sthreads::{multithreaded_for, OpRecorder, Schedule, ThreadCounts};
+use sthreads::{multithreaded_for, OpRecorder, ThreadCounts};
 
 /// The paper's block decomposition: `nb × nb` equal-ish blocks over the
 /// terrain, one lock per block ("ten-by-ten blocking").
@@ -195,7 +195,7 @@ pub fn terrain_masking_coarse_host(
     let locks: Vec<Mutex<()>> = (0..n_blocks * n_blocks).map(|_| Mutex::new(())).collect();
 
     let n_threats = scenario.threats.len();
-    multithreaded_for(0..n_threats, n_threads, Schedule::Dynamic, |ti| {
+    multithreaded_for(0..n_threats, n_threads, |ti| {
         process_threat(scenario, ti, &blocking, &masking, Some(&locks), &mut NoRec);
     });
 

@@ -26,7 +26,7 @@ use super::scenario::TerrainScenario;
 use crate::counts::{NoRec, ParallelPhase, PhasedProfile};
 use crate::grid::Grid;
 use std::sync::atomic::{AtomicU64, Ordering};
-use sthreads::{chunk_range, multithreaded_for, OpRecorder, Schedule};
+use sthreads::{chunk_range, multithreaded_for, OpRecorder};
 
 /// Fine-grained Terrain Masking on real host threads. Produces the same
 /// grid as Programs 3 and 4 bit-for-bit. `n_threads` is the worker count
@@ -80,7 +80,7 @@ pub fn terrain_masking_fine_host(scenario: &TerrainScenario, n_threads: usize) -
                 // order, two per worker, swept through the same kernels
                 // the sequential program runs over whole runs.
                 let n_arcs = n.min(2 * n_threads);
-                multithreaded_for(0..n_arcs, n_threads, Schedule::Dynamic, |a| {
+                multithreaded_for(0..n_arcs, n_threads, |a| {
                     let arc = chunk_range(a, n, n_arcs);
                     let mut first = 0;
                     for run in runs.iter() {

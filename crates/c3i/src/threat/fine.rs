@@ -15,7 +15,7 @@ use super::model::{intervals_for_pair, Interval};
 use super::scenario::ThreatScenario;
 use crate::counts::NoRec;
 use std::sync::OnceLock;
-use sthreads::{multithreaded_for, Schedule, SyncCounter};
+use sthreads::{multithreaded_for, SyncCounter};
 
 /// Result of the fine-grained program: the shared output array (dense
 /// prefix of the slot array) in nondeterministic order.
@@ -46,7 +46,7 @@ pub fn threat_analysis_fine_host(scenario: &ThreatScenario, n_threads: usize) ->
     // (output order is already nondeterministic, so the claim order is
     // unobservable).
     let n_threats = scenario.threats.len();
-    multithreaded_for(0..n_threats, n_threads, Schedule::Dynamic, |ti| {
+    multithreaded_for(0..n_threats, n_threads, |ti| {
         let threat = &scenario.threats[ti];
         for (wi, weapon) in scenario.weapons.iter().enumerate() {
             intervals_for_pair(ti as u32, wi as u32, threat, weapon, &mut NoRec, |iv| {

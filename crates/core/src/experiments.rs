@@ -738,7 +738,7 @@ impl Experiments {
     /// Programs 1–4 (plus the affine control loop) × {paper compilers,
     /// conservative pass, dataflow pass}, with the cleared obstacles,
     /// residual blockers (statement provenance included), the emitted
-    /// `sthreads` schedule, and an execution check: every loop the
+    /// schedule, and an execution check: every loop the
     /// dataflow pass newly parallelizes is run through the corresponding
     /// `c3i` kernel and its output asserted bit-identical to the
     /// sequential program (and hence to the paper's manual

@@ -14,8 +14,8 @@
 //! only, so those are the two structures this crate provides:
 //!
 //! * [`multithreaded_for`] / [`ParFor`] / [`par_map`] — the
-//!   `#pragma multithreaded` loop, with static chunking (Program 2) or
-//!   dynamic self-scheduling (Program 4),
+//!   `#pragma multithreaded` loop: index loops self-schedule (Program 4),
+//!   and [`ParFor::run_chunked`] hands out static chunks (Program 2),
 //! * [`SyncCounter`] — `int_fetch_add` on a synchronization variable, the
 //!   shared output-slot counter of the fine-grained Threat Analysis.
 //!
@@ -41,11 +41,11 @@
 //! A parallel loop over an index range:
 //!
 //! ```
-//! use sthreads::{multithreaded_for, Schedule};
+//! use sthreads::multithreaded_for;
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
 //! let sum = AtomicU64::new(0);
-//! multithreaded_for(0..1000, 4, Schedule::Static, |i| {
+//! multithreaded_for(0..1000, 4, |i| {
 //!     sum.fetch_add(i as u64, Ordering::Relaxed);
 //! });
 //! assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
@@ -66,13 +66,13 @@
 //! and the runtime counters:
 //!
 //! ```
-//! use sthreads::{multithreaded_for, Schedule, ThreadPool};
+//! use sthreads::{multithreaded_for, ThreadPool};
 //!
 //! let pool = ThreadPool::global();
 //! assert!(pool.n_threads() >= 1);
 //!
 //! let before = sthreads::stats::snapshot();
-//! multithreaded_for(0..100, 2, Schedule::Dynamic, |_| {});
+//! multithreaded_for(0..100, 2, |_| {});
 //! let delta = sthreads::stats::snapshot() - before;
 //! assert!(delta.tasks >= 100);
 //! ```
@@ -90,7 +90,7 @@ pub mod stats;
 pub mod syncvar;
 
 pub use counting::{OpCounts, OpRecorder, ThreadCounts};
-pub use par_for::{multithreaded_for, par_map, ChunkBounds, ParFor, Schedule};
+pub use par_for::{multithreaded_for, par_map, ChunkBounds, ParFor};
 pub use pool::{scope_threads, ThreadPool};
 pub use queue::WorkQueue;
 pub use stats::StatsSnapshot;

@@ -4,47 +4,24 @@
 //! multithreaded for-loop:
 //!
 //! * **Program 2** (Threat Analysis) statically splits the iteration space
-//!   into `num_chunks` contiguous chunks, one logical thread per chunk;
+//!   into `num_chunks` contiguous chunks, one logical thread per chunk —
+//!   [`ParFor::run_chunked`], whose body receives the chunk's bounds;
 //! * **Program 4** (Terrain Masking) runs `num_threads` threads that
 //!   *dynamically* claim iterations ("`threat = next unprocessed threat`")
-//!   until the work runs out.
+//!   until the work runs out — [`multithreaded_for`] and [`ParFor::run`],
+//!   whose body receives the iteration index.
 //!
-//! [`multithreaded_for`] provides both schedules over a half-open index
-//! range. The body receives the iteration index; with [`Schedule::Static`]
-//! each worker walks its own contiguous chunk (good cache behaviour, the
-//! conventional-SMP choice), and with [`Schedule::Dynamic`] workers pull
-//! batches of indices from a shared atomic counter (good load balance for
-//! irregular work such as variable-size threat regions). Dynamic is the
-//! one production dispatcher: [`par_map`] and every host kernel that does
-//! not need Program 2's chunk shape run on it.
+//! An index loop always self-schedules: workers pull batches of indices
+//! from a shared atomic counter (good load balance for irregular work such
+//! as variable-size threat regions). That is the one production
+//! dispatcher: [`par_map`] and every host kernel that does not need
+//! Program 2's chunk shape run on it.
 
 use crate::pool::scope_threads;
 use crate::queue::WorkQueue;
 use crate::stats;
 use parking_lot::Mutex;
 use std::time::Instant;
-
-/// Iteration-to-thread assignment policy for [`multithreaded_for`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// Contiguous chunks, one per worker, computed with the paper's
-    /// `(chunk*n)/num_chunks` blocking expression.
-    Static,
-    /// Workers repeatedly claim the next unprocessed index from a shared
-    /// counter (self-scheduling), as in Program 4.
-    Dynamic,
-}
-
-impl std::fmt::Display for Schedule {
-    /// Lowercase schedule name (`static` / `dynamic`), the
-    /// spelling used in pragma-style annotations and report tables.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Schedule::Static => "static",
-            Schedule::Dynamic => "dynamic",
-        })
-    }
-}
 
 /// Bounds of one static chunk, as produced by [`ParFor::chunks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,24 +35,17 @@ pub struct ChunkBounds {
 }
 
 /// Execute `body(i)` for every `i` in `range`, using `n_threads` workers
-/// under the given `schedule`. Blocks until every iteration has completed.
+/// that self-schedule. Blocks until every iteration has completed.
 ///
 /// The body must be safe to run concurrently for distinct indices; this is
 /// precisely the property the paper's manual transformations establish
 /// before inserting the pragma (privatized counters in Program 2, block
 /// locks in Program 4).
-pub fn multithreaded_for<F>(
-    range: std::ops::Range<usize>,
-    n_threads: usize,
-    schedule: Schedule,
-    body: F,
-) where
+pub fn multithreaded_for<F>(range: std::ops::Range<usize>, n_threads: usize, body: F)
+where
     F: Fn(usize) + Sync,
 {
-    ParFor::new(range)
-        .threads(n_threads)
-        .schedule(schedule)
-        .run(body);
+    ParFor::new(range).threads(n_threads).run(body);
 }
 
 /// Builder form of [`multithreaded_for`], for callers that also need the
@@ -85,18 +55,16 @@ pub struct ParFor {
     range: std::ops::Range<usize>,
     n_threads: usize,
     n_chunks: Option<usize>,
-    schedule: Schedule,
 }
 
 impl ParFor {
-    /// A parallel loop over `range` with one thread and static scheduling;
-    /// configure with the builder methods.
+    /// A parallel loop over `range` with one thread; configure with the
+    /// builder methods.
     pub fn new(range: std::ops::Range<usize>) -> Self {
         Self {
             range,
             n_threads: 1,
             n_chunks: None,
-            schedule: Schedule::Static,
         }
     }
 
@@ -117,12 +85,6 @@ impl ParFor {
     pub fn chunk_count(mut self, n: usize) -> Self {
         assert!(n > 0, "ParFor: need at least one chunk");
         self.n_chunks = Some(n);
-        self
-    }
-
-    /// Set the schedule (default [`Schedule::Static`]).
-    pub fn schedule(mut self, s: Schedule) -> Self {
-        self.schedule = s;
         self
     }
 
@@ -147,16 +109,14 @@ impl ParFor {
             .collect()
     }
 
-    /// Run `body(i)` for every index in the range.
+    /// Run `body(i)` for every index in the range, the workers claiming
+    /// indices from a shared counter.
     pub fn run<F>(&self, body: F)
     where
         F: Fn(usize) + Sync,
     {
         stats::record_tasks(self.range.len());
-        match self.schedule {
-            Schedule::Static => self.run_static(&body),
-            Schedule::Dynamic => self.run_dynamic(&body),
-        }
+        self.run_dynamic(&body);
     }
 
     /// Run `body(chunk_bounds)` once per static chunk, each worker owning
@@ -175,24 +135,6 @@ impl ParFor {
         scope_threads(n_threads, |t| {
             for c in &chunks[crate::chunk_range(t, chunks.len(), n_threads)] {
                 body(*c);
-            }
-        });
-    }
-
-    fn run_static<F>(&self, body: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        // Never wider than the range, as in `run_dynamic`. The body sees
-        // indices, not chunks, so the clamp is invisible to it; a caller
-        // of `run_chunked` keeps the chunk count it asked for.
-        let clamped = Self {
-            n_threads: self.n_threads.min(self.range.len().max(1)),
-            ..self.clone()
-        };
-        clamped.run_chunked(|c| {
-            for i in c.first..c.end {
-                body(i);
             }
         });
     }
@@ -231,7 +173,7 @@ pub(crate) fn dynamic_grain(remaining: usize, n_threads: usize) -> usize {
 /// Each task writes into its own write-once slot, so the output is
 /// bit-identical to the sequential path for every thread count — the
 /// property the experiment harness's oracle cross-checks rely on. Tasks
-/// are self-scheduled ([`Schedule::Dynamic`]): variable-size ones
+/// are self-scheduled: variable-size ones
 /// (benchmark scenarios, simulator sweeps) balance across workers, and
 /// short uniform ones (table rows) are kept inline by the cutoff below.
 ///
@@ -286,34 +228,27 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn check_each_index_once(schedule: Schedule, n: usize, threads: usize) {
+    fn check_each_index_once(n: usize, threads: usize) {
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        multithreaded_for(0..n, threads, schedule, |i| {
+        multithreaded_for(0..n, threads, |i| {
             hits[i].fetch_add(1, Ordering::SeqCst);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
     }
 
     #[test]
-    fn static_schedule_visits_each_index_once() {
-        check_each_index_once(Schedule::Static, 1000, 7);
-    }
-
-    #[test]
-    fn dynamic_schedule_visits_each_index_once() {
-        check_each_index_once(Schedule::Dynamic, 1000, 7);
+    fn every_index_runs_once() {
+        check_each_index_once(1000, 7);
     }
 
     #[test]
     fn empty_range_is_a_noop() {
-        check_each_index_once(Schedule::Static, 0, 4);
-        check_each_index_once(Schedule::Dynamic, 0, 4);
+        check_each_index_once(0, 4);
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
-        check_each_index_once(Schedule::Static, 3, 16);
-        check_each_index_once(Schedule::Dynamic, 3, 16);
+        check_each_index_once(3, 16);
     }
 
     #[test]
@@ -329,7 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_schedule_with_fewer_tasks_than_threads_terminates_cleanly() {
+    fn fewer_tasks_than_threads_terminates_cleanly() {
         // Regression shape for the n_tasks < n_threads regime: most
         // workers find the queue already exhausted and must fall out of
         // their claim loop on the first None — a worker spinning on an
@@ -338,7 +273,7 @@ mod tests {
         // mode is a race between the claiming minority and the idle
         // majority.
         for _ in 0..50 {
-            check_each_index_once(Schedule::Dynamic, 3, 16);
+            check_each_index_once(3, 16);
         }
         // The queue itself hands an exhausted range straight to None.
         let q = WorkQueue::new(0..3);
@@ -350,7 +285,7 @@ mod tests {
     #[test]
     fn nonzero_range_start_respected() {
         let sum = AtomicU32::new(0);
-        multithreaded_for(10..20, 3, Schedule::Static, |i| {
+        multithreaded_for(10..20, 3, |i| {
             assert!((10..20).contains(&i));
             sum.fetch_add(i as u32, Ordering::SeqCst);
         });

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use sthreads::{
-    chunk_range, multithreaded_for, OpCounts, ParFor, Schedule, ThreadCounts, WorkQueue,
-};
+use sthreads::{chunk_range, multithreaded_for, OpCounts, ParFor, ThreadCounts, WorkQueue};
 
 proptest! {
     /// Every index in 0..n belongs to exactly one chunk, for any (n, chunks).
@@ -32,17 +30,12 @@ proptest! {
     }
 
     /// multithreaded_for computes the same reduction as a sequential loop,
-    /// for both schedules and arbitrary thread counts.
+    /// for arbitrary thread counts.
     #[test]
-    fn par_for_matches_sequential_sum(
-        n in 0usize..2000,
-        threads in 1usize..9,
-        which in 0usize..2,
-    ) {
-        let schedule = [Schedule::Static, Schedule::Dynamic][which];
+    fn par_for_matches_sequential_sum(n in 0usize..2000, threads in 1usize..9) {
         let expected: u64 = (0..n as u64).map(|i| i.wrapping_mul(2654435761)).sum();
         let sum = AtomicU64::new(0);
-        multithreaded_for(0..n, threads, schedule, |i| {
+        multithreaded_for(0..n, threads, |i| {
             sum.fetch_add((i as u64).wrapping_mul(2654435761), Ordering::Relaxed);
         });
         prop_assert_eq!(sum.load(Ordering::Relaxed), expected);
@@ -124,7 +117,7 @@ proptest! {
     #[test]
     fn batched_dynamic_par_for_visits_each_index_once(n in 0usize..4000, threads in 1usize..9) {
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        multithreaded_for(0..n, threads, Schedule::Dynamic, |i| {
+        multithreaded_for(0..n, threads, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -166,7 +159,7 @@ proptest! {
 fn panicked_region_propagates_and_leaves_the_pool_usable() {
     for round in 0..20 {
         let result = std::panic::catch_unwind(|| {
-            multithreaded_for(0..2000, 4, Schedule::Dynamic, |i| {
+            multithreaded_for(0..2000, 4, |i| {
                 if i == 997 {
                     panic!("intentional mid-storm panic (round {round})");
                 }
@@ -176,7 +169,7 @@ fn panicked_region_propagates_and_leaves_the_pool_usable() {
 
         // The pool must still dispense every index of a fresh region.
         let hits: Vec<AtomicU64> = (0..512).map(|_| AtomicU64::new(0)).collect();
-        multithreaded_for(0..512, 4, Schedule::Dynamic, |i| {
+        multithreaded_for(0..512, 4, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(
