@@ -104,9 +104,7 @@ pub fn threat_analysis_chunked_host(
 mod tests {
     use super::*;
     use crate::threat::scenario::small_scenario;
-    use crate::threat::sequential::{
-        per_threat_counts, threat_analysis_host, threat_analysis_profile,
-    };
+    use crate::threat::sequential::{per_threat_counts, threat_analysis_host};
 
     #[test]
     fn chunked_equals_sequential_when_flattened() {
@@ -173,16 +171,5 @@ mod tests {
         let max = *per.iter().max().unwrap() as f64;
         let min = *per.iter().min().unwrap() as f64;
         assert!(max / min < 2.0, "unexpectedly imbalanced: {per:?}");
-    }
-
-    #[test]
-    fn one_chunk_holds_program_1s_pair_scans() {
-        // Program 2 with one chunk does the same pair scans as Program 1,
-        // whose only other operation is `num_intervals = 0`.
-        let s = small_scenario(6);
-        let (_, p1) = threat_analysis_profile(&s);
-        let mut one_chunk: sthreads::OpCounts = per_threat_counts(&s).into_iter().sum();
-        one_chunk.int_ops += 1;
-        assert_eq!(p1.total(), one_chunk);
     }
 }

@@ -247,11 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn more_threads_than_items_is_fine() {
-        check_each_index_once(3, 16);
-    }
-
-    #[test]
     fn dynamic_grain_is_at_least_one_in_every_regime() {
         // n_tasks < n_threads: the fair share rounds to zero and must be
         // clamped, or WorkQueue::next_batch would assert on k == 0.

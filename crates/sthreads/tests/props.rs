@@ -29,18 +29,6 @@ proptest! {
         prop_assert!(max - min <= 1);
     }
 
-    /// multithreaded_for computes the same reduction as a sequential loop,
-    /// for arbitrary thread counts.
-    #[test]
-    fn par_for_matches_sequential_sum(n in 0usize..2000, threads in 1usize..9) {
-        let expected: u64 = (0..n as u64).map(|i| i.wrapping_mul(2654435761)).sum();
-        let sum = AtomicU64::new(0);
-        multithreaded_for(0..n, threads, |i| {
-            sum.fetch_add((i as u64).wrapping_mul(2654435761), Ordering::Relaxed);
-        });
-        prop_assert_eq!(sum.load(Ordering::Relaxed), expected);
-    }
-
     /// A chunked ParFor with an arbitrary chunk count still covers the range.
     #[test]
     fn chunked_par_for_covers_range(
@@ -112,8 +100,8 @@ proptest! {
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
-    /// The dynamic schedule's batched claiming still visits each index
-    /// exactly once on the persistent pool, for arbitrary widths.
+    /// multithreaded_for's batched claiming visits each index exactly
+    /// once on the persistent pool, for arbitrary ranges and widths.
     #[test]
     fn batched_dynamic_par_for_visits_each_index_once(n in 0usize..4000, threads in 1usize..9) {
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
