@@ -203,6 +203,22 @@ if grep -rn 'worker_loop\|batch_max\|c3i-evaluator\|queue_len' \
   echo "the deleted service batch worker is referenced again" >&2
   exit 1
 fi
+# So are the recorded Programs 2 and 4 and the recorded fine Threat
+# Analysis (the workload assembles Programs 2 and 4 from per-threat
+# counts), the recorder helpers only they called, and the static index
+# schedule with `sthreads`' `Schedule` (the label lives in `autopar::emit`,
+# and autopar does not depend on sthreads). `\<…\>` keeps the `_host`
+# kernels out of the match.
+if grep -rn '\<threat_analysis_chunked\>\|\<threat_analysis_fine\>\|\<terrain_masking_coarse\>\|ThreadCounts::record\|worker_instructions\|run_static\|sthreads::Schedule' \
+  crates src tests examples docs README.md EXPERIMENTS.md DESIGN.md .claude |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "a deleted recorded program or the static index schedule is referenced again" >&2
+  exit 1
+fi
+if grep -n 'sthreads' crates/autopar/Cargo.toml; then
+  echo "autopar depends on sthreads again" >&2
+  exit 1
+fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
 # the crate denies unsafe_code everywhere else.
 if [ "$(grep -rhw 'unsafe' crates/sthreads/src | grep -vc '^ *//')" -ne 1 ]; then
