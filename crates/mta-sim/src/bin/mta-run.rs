@@ -2,7 +2,7 @@
 //! simulated Tera MTA.
 //!
 //! ```text
-//! mta-run PROG.asm [--procs N] [--streams N] [--lookahead N] [--arg V]
+//! mta-run PROG.asm [--procs N] [--streams N] [--arg V]
 //!                  [--empty ADDR]... [--dump ADDR..ADDR]
 //! ```
 //!
@@ -14,8 +14,8 @@ use mta_sim::asm_text::assemble_text;
 use mta_sim::{Machine, MtaConfig};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: mta-run PROG.asm [--procs N] [--streams N] [--lookahead N] \
-                     [--arg V] [--empty ADDR]... [--dump A..B]";
+const USAGE: &str = "usage: mta-run PROG.asm [--procs N] [--streams N] [--arg V] \
+                     [--empty ADDR]... [--dump A..B]";
 
 /// The parsed operand of `flag`, or a message saying what is wrong with it.
 fn operand<T: std::str::FromStr>(
@@ -37,7 +37,6 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         match a.as_str() {
             "--procs" => cfg.n_processors = operand(&mut args, &a)?,
             "--streams" => cfg.streams_per_processor = operand(&mut args, &a)?,
-            "--lookahead" => cfg.lookahead = operand(&mut args, &a)?,
             "--arg" => arg_val = operand(&mut args, &a)?,
             "--empty" => empties.push(operand(&mut args, &a)?),
             "--dump" => {

@@ -114,9 +114,7 @@ pub fn run_reference(
             Instr::FDiv { rd, ra, rb } => setf!(rd, getf(&regs, ra) / getf(&regs, rb)),
             Instr::FMax { rd, ra, rb } => setf!(rd, getf(&regs, ra).max(getf(&regs, rb))),
             Instr::FMin { rd, ra, rb } => setf!(rd, getf(&regs, ra).min(getf(&regs, rb))),
-            Instr::FLt { rd, ra, rb } => set!(rd, (getf(&regs, ra) < getf(&regs, rb)) as u64),
             Instr::IToF { rd, rs } => setf!(rd, get(&regs, rs) as i64 as f64),
-            Instr::FToI { rd, rs } => set!(rd, getf(&regs, rs) as i64 as u64),
             Instr::Jmp { target } => next = target,
             Instr::Beq { ra, rb, target } => {
                 if get(&regs, ra) == get(&regs, rb) {

@@ -55,12 +55,8 @@ pub enum Instr {
     FMax { rd: Reg, ra: Reg, rb: Reg },
     /// `rd = min(ra, rb)` as f64
     FMin { rd: Reg, ra: Reg, rb: Reg },
-    /// `rd = (ra < rb) ? 1 : 0` as f64 comparison
-    FLt { rd: Reg, ra: Reg, rb: Reg },
     /// `rd = (f64)(i64)ra`
     IToF { rd: Reg, rs: Reg },
-    /// `rd = (i64)(f64)ra` (truncating)
-    FToI { rd: Reg, rs: Reg },
 
     // ── control flow ─────────────────────────────────────────────────────
     /// Unconditional jump.
@@ -127,72 +123,6 @@ impl Instr {
         )
     }
 
-    /// Registers this instruction reads (for the lookahead scoreboard).
-    /// Up to three; unused slots are `None`. `r0` never creates a
-    /// dependence (it is constant).
-    pub fn src_regs(&self) -> [Option<Reg>; 3] {
-        let s = |r: Reg| if r == 0 { None } else { Some(r) };
-        match *self {
-            Instr::Li { .. } | Instr::Jmp { .. } | Instr::Halt => [None; 3],
-            Instr::Mov { rs, .. } | Instr::IToF { rs, .. } | Instr::FToI { rs, .. } => {
-                [s(rs), None, None]
-            }
-            Instr::Add { ra, rb, .. }
-            | Instr::Sub { ra, rb, .. }
-            | Instr::Mul { ra, rb, .. }
-            | Instr::Div { ra, rb, .. }
-            | Instr::Slt { ra, rb, .. }
-            | Instr::FAdd { ra, rb, .. }
-            | Instr::FSub { ra, rb, .. }
-            | Instr::FMul { ra, rb, .. }
-            | Instr::FDiv { ra, rb, .. }
-            | Instr::FMax { ra, rb, .. }
-            | Instr::FMin { ra, rb, .. }
-            | Instr::FLt { ra, rb, .. }
-            | Instr::Beq { ra, rb, .. }
-            | Instr::Bne { ra, rb, .. }
-            | Instr::Blt { ra, rb, .. }
-            | Instr::Bge { ra, rb, .. } => [s(ra), s(rb), None],
-            Instr::Addi { ra, .. } => [s(ra), None, None],
-            Instr::Load { base, .. }
-            | Instr::LoadSync { base, .. }
-            | Instr::ReadFF { base, .. } => [s(base), None, None],
-            Instr::Store { rs, base, .. }
-            | Instr::StoreSync { rs, base, .. }
-            | Instr::Put { rs, base, .. } => [s(rs), s(base), None],
-            Instr::FetchAdd { base, rs, .. } => [s(base), s(rs), None],
-            Instr::Fork { arg, .. } => [s(arg), None, None],
-        }
-    }
-
-    /// The register this instruction writes, if any.
-    pub fn dst_reg(&self) -> Option<Reg> {
-        match *self {
-            Instr::Li { rd, .. }
-            | Instr::Mov { rd, .. }
-            | Instr::Add { rd, .. }
-            | Instr::Sub { rd, .. }
-            | Instr::Mul { rd, .. }
-            | Instr::Div { rd, .. }
-            | Instr::Addi { rd, .. }
-            | Instr::Slt { rd, .. }
-            | Instr::FAdd { rd, .. }
-            | Instr::FSub { rd, .. }
-            | Instr::FMul { rd, .. }
-            | Instr::FDiv { rd, .. }
-            | Instr::FMax { rd, .. }
-            | Instr::FMin { rd, .. }
-            | Instr::FLt { rd, .. }
-            | Instr::IToF { rd, .. }
-            | Instr::FToI { rd, .. }
-            | Instr::Load { rd, .. }
-            | Instr::LoadSync { rd, .. }
-            | Instr::ReadFF { rd, .. }
-            | Instr::FetchAdd { rd, .. } => Some(rd),
-            _ => None,
-        }
-    }
-
     /// Whether this instruction synchronizes on full/empty bits.
     pub fn is_sync(&self) -> bool {
         matches!(
@@ -256,10 +186,9 @@ impl Program {
         };
         for (i, instr) in self.code.iter().enumerate() {
             match *instr {
-                Instr::Li { rd, .. }
-                | Instr::IToF { rd, .. }
-                | Instr::FToI { rd, .. }
-                | Instr::Mov { rd, .. } => check_rd(rd, i)?,
+                Instr::Li { rd, .. } | Instr::IToF { rd, .. } | Instr::Mov { rd, .. } => {
+                    check_rd(rd, i)?
+                }
                 Instr::Add { rd, ra, rb }
                 | Instr::Sub { rd, ra, rb }
                 | Instr::Mul { rd, ra, rb }
@@ -270,8 +199,7 @@ impl Program {
                 | Instr::FMul { rd, ra, rb }
                 | Instr::FDiv { rd, ra, rb }
                 | Instr::FMax { rd, ra, rb }
-                | Instr::FMin { rd, ra, rb }
-                | Instr::FLt { rd, ra, rb } => {
+                | Instr::FMin { rd, ra, rb } => {
                     check_rd(rd, i)?;
                     check_reg(ra, "source", i)?;
                     check_reg(rb, "source", i)?;

@@ -50,13 +50,6 @@ pub struct MtaConfig {
     pub wake_latency: u64,
     /// Memory size in words.
     pub mem_words: usize,
-    /// Explicit-dependence lookahead: how many memory operations one
-    /// stream may have outstanding while continuing to issue independent
-    /// instructions. `1` disables lookahead (every instruction waits for
-    /// the previous one — the behaviour the paper's measurements imply
-    /// for the compiled benchmark code); the MTA hardware supported up
-    /// to 8, encoded by the compiler in each instruction.
-    pub lookahead: u64,
 }
 
 impl MtaConfig {
@@ -74,7 +67,6 @@ impl MtaConfig {
             soft_spawn_cost: 75,
             wake_latency: 3,
             mem_words: 1 << 22,
-            lookahead: 1,
         }
     }
 
@@ -426,14 +418,9 @@ impl Machine {
             let next_cycle = self.cycle + 1;
             let mut any = false;
             for p in 0..self.processors.len() {
-                // Try ready streams until one actually issues; streams
-                // blocked on lookahead dependences are rescheduled at
-                // their dependence time and do not consume the issue slot.
-                while let Some(slot) = self.processors[p].next_to_issue(self.cycle) {
-                    if self.try_issue(p, slot) {
-                        any = true;
-                        break;
-                    }
+                if let Some(slot) = self.processors[p].next_to_issue(self.cycle) {
+                    self.execute(p, slot);
+                    any = true;
                 }
             }
             if any {
@@ -516,41 +503,6 @@ impl Machine {
         }
     }
 
-    /// Check lookahead dependences for the stream's next instruction and
-    /// either execute it (true) or reschedule the stream at its
-    /// dependence-ready time (false).
-    fn try_issue(&mut self, p: usize, slot: usize) -> bool {
-        if self.config.lookahead > 1 {
-            let now = self.cycle;
-            let s = self.processors[p].stream_mut(slot);
-            if let Some(&instr) = self.program.code.get(s.pc) {
-                // The scoreboard: source and destination registers must
-                // have arrived; a synchronized operation is a memory
-                // fence; a plain one needs a free lookahead slot.
-                s.prune_outstanding(now);
-                let mut wait = now;
-                for r in instr.src_regs().into_iter().flatten() {
-                    wait = wait.max(s.reg_ready_at[r as usize]);
-                }
-                if let Some(rd) = instr.dst_reg() {
-                    wait = wait.max(s.reg_ready_at[rd as usize]);
-                }
-                if instr.is_sync() {
-                    wait = wait.max(s.latest_outstanding(now));
-                } else if instr.is_memory() && s.outstanding.len() >= self.config.lookahead as usize
-                {
-                    wait = wait.max(s.earliest_outstanding(now));
-                }
-                if wait > now {
-                    self.processors[p].make_ready_at(slot, wait);
-                    return false;
-                }
-            }
-        }
-        self.execute(p, slot);
-        true
-    }
-
     /// Execute one instruction of the stream in `(p, slot)` at the current
     /// cycle.
     fn execute(&mut self, p: usize, slot: usize) {
@@ -603,9 +555,7 @@ impl Machine {
             Instr::FDiv { rd, ra, rb } => s.set_reg_f(rd, s.reg_f(ra) / s.reg_f(rb)),
             Instr::FMax { rd, ra, rb } => s.set_reg_f(rd, s.reg_f(ra).max(s.reg_f(rb))),
             Instr::FMin { rd, ra, rb } => s.set_reg_f(rd, s.reg_f(ra).min(s.reg_f(rb))),
-            Instr::FLt { rd, ra, rb } => s.set_reg(rd, (s.reg_f(ra) < s.reg_f(rb)) as u64),
             Instr::IToF { rd, rs } => s.set_reg_f(rd, s.reg(rs) as i64 as f64),
-            Instr::FToI { rd, rs } => s.set_reg(rd, s.reg_f(rs) as i64 as u64),
             Instr::Jmp { target } => next_pc = target,
             Instr::Beq { ra, rb, target } => {
                 if s.reg(ra) == s.reg(rb) {
@@ -688,34 +638,19 @@ impl Machine {
             return None;
         }
         let addr = a as usize;
-        // Completion time: bank queueing + service + network.
+        // The stream waits for completion: bank queueing + service +
+        // network.
         let t = self.memory.schedule_access(addr, self.cycle);
-        let completion =
+        let ready_at =
             (t.done + self.config.mem_extra_latency).max(self.cycle + self.config.issue_latency);
         let s = self.processors[p].stream_mut(slot);
-        // Plain accesses under lookahead are pipelined: the stream keeps
-        // issuing at the pipeline rate and the access joins its in-flight
-        // list (a load's result register is scoreboarded until the data
-        // returns). Everything else waits for completion.
-        let pipelined =
-            self.config.lookahead > 1 && matches!(op, MemOp::Load { .. } | MemOp::Store { .. });
-        let mut ready_at = completion;
-        if pipelined {
-            ready_at = self.cycle + self.config.issue_latency;
-            s.outstanding.push(completion);
-        }
         // What the word's full/empty state machine did: the state it
         // reached (waking the streams parked for that), or the state this
         // stream must wait for.
         let mut reached = None;
         let mut blocked_on = None;
         match op {
-            MemOp::Load { rd } => {
-                s.set_reg(rd, self.memory.load(addr));
-                if pipelined && rd != 0 {
-                    s.reg_ready_at[rd as usize] = completion;
-                }
-            }
+            MemOp::Load { rd } => s.set_reg(rd, self.memory.load(addr)),
             MemOp::Store { rs } => self.memory.store(addr, s.reg(rs)),
             MemOp::LoadSync { rd } => match self.memory.try_take(addr) {
                 Some(v) => {
@@ -856,26 +791,30 @@ mod tests {
 
     #[test]
     fn memory_latency_slows_a_single_stream_beyond_21_cycles() {
-        // A pointer-chasing loop: every iteration is a load. Cycles per
-        // instruction must be ≈ (21 + ~70)/2 > 21.
-        let (_, r) = run_program(
-            |a| {
-                a.li(1, 200); // counter
-                a.li(2, 500); // address
-                a.label("loop");
-                a.load(3, 2, 0);
-                a.addi(1, 1, -1);
-                a.bne_l(1, 0, "loop");
-                a.halt();
-            },
-            1,
-        );
-        assert!(r.completed);
-        let cpi = r.cycles as f64 / r.stats.instructions() as f64;
-        assert!(
-            cpi > 25.0,
-            "memory ops must stretch CPI past the pipeline depth: {cpi}"
-        );
+        // A load holds its stream for the ≈70-cycle memory latency, not the
+        // 21-cycle pipeline: one load an iteration stretches CPI to
+        // ≈ (70 + 2·21)/3 > 25, and four independent loads an iteration do
+        // not overlap either: ≈ (4·70 + 3·21)/7 ≈ 49 > 40.
+        let one_load = "li r1, 200\n li r2, 500\n loop: load r3, 0(r2)";
+        let four_loads = "li r1, 100\n li r2, 1000\n loop: load r3, 0(r2)\n load r4, 1(r2)
+                          load r5, 2(r2)\n load r6, 3(r2)\n addi r2, r2, 4";
+        for (body, min_cpi) in [(one_load, 25.0), (four_loads, 40.0)] {
+            let text = format!("{body}\n addi r1, r1, -1\n bne r1, r0, loop\n halt");
+            let program = crate::asm_text::assemble_text(&text).unwrap();
+            let cfg = MtaConfig {
+                mem_words: 1 << 16,
+                ..MtaConfig::tera(1)
+            };
+            let mut m = Machine::new(cfg, program).unwrap();
+            m.spawn(0, 0).unwrap();
+            let r = m.run(50_000_000);
+            assert!(r.completed);
+            let cpi = r.cycles as f64 / r.stats.instructions() as f64;
+            assert!(
+                cpi > min_cpi,
+                "memory ops must stretch CPI past the pipeline depth: {cpi}"
+            );
+        }
     }
 
     #[test]
@@ -1384,161 +1323,6 @@ mod tests {
             "one producer + one consumer never race: {:?}",
             r.stats.sync
         );
-    }
-
-    #[test]
-    fn lookahead_hides_latency_of_independent_loads() {
-        // A single stream issuing back-to-back independent loads: with
-        // lookahead 1 each load blocks (~91 cycles/instr on the load);
-        // with lookahead 8 the stream keeps issuing at the pipeline rate.
-        let build = || {
-            let mut a = Assembler::new();
-            a.li(1, 100); // counter
-            a.li(2, 1000); // address
-            a.label("loop");
-            a.load(3, 2, 0);
-            a.load(4, 2, 1);
-            a.load(5, 2, 2);
-            a.load(6, 2, 3);
-            a.addi(2, 2, 4);
-            a.addi(1, 1, -1);
-            a.bne_l(1, 0, "loop");
-            a.halt();
-            a.assemble().unwrap()
-        };
-        let run = |lookahead: u64| {
-            let cfg = MtaConfig {
-                mem_words: 1 << 16,
-                lookahead,
-                ..MtaConfig::tera(1)
-            };
-            let mut m = Machine::new(cfg, build()).unwrap();
-            m.spawn(0, 0).unwrap();
-            let r = m.run(50_000_000);
-            assert!(r.completed, "{r:?}");
-            r.cycles as f64 / r.stats.instructions() as f64
-        };
-        let cpi_blocking = run(1);
-        let cpi_lookahead = run(8);
-        // Blocking: ~(4*70 + 3*21)/7 = 49 cycles/instr.
-        assert!(cpi_blocking > 40.0, "blocking CPI {cpi_blocking}");
-        assert!(
-            cpi_lookahead < 25.0,
-            "lookahead must hide independent-load latency: {cpi_lookahead}"
-        );
-    }
-
-    #[test]
-    fn dependent_load_chain_defeats_lookahead() {
-        // Pointer chase: each load's address comes from the previous load,
-        // so lookahead cannot overlap anything.
-        let build = || {
-            let mut a = Assembler::new();
-            a.li(1, 150);
-            a.li(2, 1000);
-            a.label("loop");
-            a.load(2, 2, 0); // r2 = mem[r2] (RAW chain)
-            a.addi(1, 1, -1);
-            a.bne_l(1, 0, "loop");
-            a.halt();
-            a.assemble().unwrap()
-        };
-        let run = |lookahead: u64| {
-            let cfg = MtaConfig {
-                mem_words: 1 << 16,
-                lookahead,
-                ..MtaConfig::tera(1)
-            };
-            let mut m = Machine::new(cfg, build()).unwrap();
-            // Make the chase walk in place: mem[1000] = 1000.
-            m.memory_mut().store(1000, 1000);
-            m.spawn(0, 0).unwrap();
-            let r = m.run(50_000_000);
-            assert!(r.completed);
-            r.cycles
-        };
-        let blocking = run(1);
-        let lookahead = run(8);
-        // Lookahead may hide the loop overhead (addi/bne) behind the
-        // load, but never the load-to-load dependence itself: the
-        // per-iteration time stays pinned at the ~70-cycle memory
-        // latency instead of dropping to the ~21-cycle pipeline rate.
-        let per_iter = lookahead as f64 / 150.0;
-        assert!(
-            (60.0..100.0).contains(&per_iter),
-            "chased loads must stay latency-bound: {per_iter} cycles/iter"
-        );
-        assert!(blocking > lookahead, "hiding loop overhead is still a win");
-    }
-
-    #[test]
-    fn lookahead_respects_the_outstanding_budget() {
-        // 16 independent loads in a burst: lookahead 2 must be slower
-        // than lookahead 8 (budget exhaustion stalls the stream).
-        let build = || {
-            let mut a = Assembler::new();
-            a.li(2, 1000);
-            for i in 0..16 {
-                a.load((3 + (i % 8)) as u8, 2, i);
-            }
-            a.halt();
-            a.assemble().unwrap()
-        };
-        let run = |lookahead: u64| {
-            let cfg = MtaConfig {
-                mem_words: 1 << 16,
-                lookahead,
-                ..MtaConfig::tera(1)
-            };
-            let mut m = Machine::new(cfg, build()).unwrap();
-            m.spawn(0, 0).unwrap();
-            let r = m.run(10_000_000);
-            assert!(r.completed);
-            r.cycles
-        };
-        let la2 = run(2);
-        let la8 = run(8);
-        assert!(
-            la2 > la8,
-            "narrow lookahead must stall more: la2={la2} la8={la8}"
-        );
-    }
-
-    #[test]
-    fn lookahead_preserves_results_and_sync_fencing() {
-        // Store then LoadSync on the same channel under lookahead: the
-        // sync op fences, so the rendezvous still works and the computed
-        // values are identical to the blocking configuration.
-        let build = || {
-            let mut a = Assembler::new();
-            a.li(1, 50);
-            a.li(2, 2000); // output base
-            a.li(4, 0); // accumulator
-            a.label("loop");
-            a.load(5, 2, -1000); // independent input load
-            a.add(4, 4, 5);
-            a.store(4, 2, 0);
-            a.addi(2, 2, 1);
-            a.addi(1, 1, -1);
-            a.bne_l(1, 0, "loop");
-            a.halt();
-            a.assemble().unwrap()
-        };
-        let run = |lookahead: u64| {
-            let cfg = MtaConfig {
-                mem_words: 1 << 16,
-                lookahead,
-                ..MtaConfig::tera(1)
-            };
-            let mut m = Machine::new(cfg, build()).unwrap();
-            m.memory_mut().store(1000, 3);
-            m.spawn(0, 0).unwrap();
-            let r = m.run(10_000_000);
-            assert!(r.completed);
-            let out: Vec<u64> = (0..50).map(|i| m.memory().load(2000 + i)).collect();
-            out
-        };
-        assert_eq!(run(1), run(8), "lookahead must not change program results");
     }
 
     #[test]

@@ -15,19 +15,13 @@ use crate::ir::{Reg, NUM_REGS};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// One hardware stream: a register set, a program counter, and the
-/// lookahead scoreboard (when a register's value arrives; which memory
-/// operations are still in flight).
+/// One hardware stream: a register set and a program counter.
 #[derive(Debug, Clone)]
 pub struct Stream {
     /// General-purpose registers; `regs[0]` is always zero.
     pub regs: [u64; NUM_REGS],
     /// Index of the next instruction to issue.
     pub pc: usize,
-    /// Cycle at which each register's pending result arrives (0 = ready).
-    pub reg_ready_at: [u64; NUM_REGS],
-    /// Completion cycles of in-flight memory operations (lookahead mode).
-    pub outstanding: Vec<u64>,
     /// Set when a full/empty transition wakes this stream; cleared when
     /// its retried instruction executes. A park with the flag still set is
     /// a *repark*: the stream lost the race for the word to another
@@ -43,25 +37,8 @@ impl Stream {
         Self {
             regs,
             pc,
-            reg_ready_at: [0; NUM_REGS],
-            outstanding: Vec::new(),
             was_woken: false,
         }
-    }
-
-    /// Drop completed in-flight operations.
-    pub fn prune_outstanding(&mut self, now: u64) {
-        self.outstanding.retain(|&t| t > now);
-    }
-
-    /// Earliest completion among in-flight operations (`now` if none).
-    pub fn earliest_outstanding(&self, now: u64) -> u64 {
-        self.outstanding.iter().copied().min().unwrap_or(now)
-    }
-
-    /// Latest completion among in-flight operations (`now` if none).
-    pub fn latest_outstanding(&self, now: u64) -> u64 {
-        self.outstanding.iter().copied().max().unwrap_or(now)
     }
 
     /// Read a register (`r0` reads zero).

@@ -354,10 +354,6 @@ fn run_matrix() -> Runs {
         }
     });
 
-    // Lookahead > 1 exercises the scoreboard gate and its reschedules.
-    let mut c = cfg(2);
-    c.lookahead = 4;
-    runs.run("lookahead", c, mem_kernel(6, 20, 1, 2048), MAX, |_| {});
     // A budget that expires mid-run: clamped cycle count, partial stats.
     for max in [100, 1_000, 5_000] {
         let label = format!("timeout {max}");
@@ -425,7 +421,6 @@ const PINNED: &[(&str, u64)] = &[
     ("pipeline", 0x666dc36b17c7a2a8),
     ("chunked_scan", 0x73d1536520b5fae7),
     ("ray_sweep", 0xfe3ce52c97486e56),
-    ("lookahead", 0xfe26cefef299a70a),
     ("timeout 100", 0xa9ce5364519ddfa2),
     ("timeout 1000", 0x023ce5fe6dae8f02),
     ("timeout 5000", 0x1b7183f580f022fb),

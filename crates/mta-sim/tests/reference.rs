@@ -1,7 +1,7 @@
 //! Differential testing: the cycle-level machine and the timing-free
 //! reference interpreter must compute identical results on randomly
-//! generated programs — under every timing configuration (lookahead on or
-//! off, few or many banks), since timing must never change semantics.
+//! generated programs — under every timing configuration (few or many
+//! banks), since timing must never change semantics.
 
 use mta_sim::interp::{run_reference, RefOutcome};
 use mta_sim::ir::{Instr, Program};
@@ -117,10 +117,6 @@ proptest! {
 
         for (label, cfg) in [
             ("blocking", MtaConfig { mem_words: MEM_WORDS, ..MtaConfig::tera(1) }),
-            (
-                "lookahead8",
-                MtaConfig { mem_words: MEM_WORDS, lookahead: 8, ..MtaConfig::tera(1) },
-            ),
             (
                 "two_banks",
                 MtaConfig { mem_words: MEM_WORDS, n_banks: 2, ..MtaConfig::tera(1) },
