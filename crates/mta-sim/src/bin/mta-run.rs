@@ -7,8 +7,9 @@
 //! ```
 //!
 //! Exit status: 0 when the program completed or deadlocked, 1 when it
-//! failed to assemble, 2 on a usage or configuration error or when the
-//! cycle budget ran out.
+//! failed to assemble, 2 on a usage or configuration error (an unknown
+//! flag, a second program, an empty `--dump` range among them) or when
+//! the cycle budget ran out.
 
 use mta_sim::asm_text::assemble_text;
 use mta_sim::{Machine, MtaConfig};
@@ -45,11 +46,16 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
                     Some(from.parse::<usize>().ok()?..to.parse::<usize>().ok()?)
                 });
                 dump = bounds.ok_or_else(|| format!("--dump: '{spec}' is not A..B"))?;
+                if dump.is_empty() {
+                    return Err(format!("--dump: '{spec}' is empty (B must exceed A)").into());
+                }
             }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 return Ok(ExitCode::SUCCESS);
             }
+            f if f.starts_with('-') => return Err(format!("unknown flag '{f}'").into()),
+            p if path.is_some() => return Err(format!("a second program '{p}'").into()),
             p => path = Some(p.to_string()),
         }
     }
