@@ -122,8 +122,8 @@ echo "== simulator pinned digests (single driver) =="
 # The mta-sim regression gate: Machine::run must reproduce the pinned
 # FNV-1a digest of every run in the matrix (RunResult, SimStats, fault
 # order, final memory words and full/empty bits) — the kernel corpus,
-# lookahead, timeout, soft-spawn, deadlock and fault programs, and the
-# fixed-seed random programs. Also part of `cargo test`; kept explicit so
+# timeout, soft-spawn, deadlock and fault programs, and the fixed-seed
+# random programs. Also part of `cargo test`; kept explicit so
 # a simulator behaviour change is named in CI output. With it, what the
 # digests leave free — the cycle a timeout, a completion or a deadlock is
 # reported at, split runs, the order of streams due in the cycle under
@@ -217,6 +217,15 @@ if grep -rn '\<threat_analysis_chunked\>\|\<threat_analysis_fine\>\|\<terrain_ma
 fi
 if grep -n 'sthreads' crates/autopar/Cargo.toml; then
   echo "autopar depends on sthreads again" >&2
+  exit 1
+fi
+# So is mta-sim's second issue rule — the lookahead mode with its
+# register scoreboard — and the two instructions no assembler emitted.
+# mta-run's exit-code test keeps one row that the deleted flag is refused.
+if grep -rn 'lookahead\|src_regs\|dst_reg\|reg_ready_at\|\<FLt\>\|\<FToI\>' \
+  crates src tests examples docs README.md EXPERIMENTS.md DESIGN.md .claude |
+  grep -v '^docs/LAYERS.md:\|^crates/mta-sim/tests/mta_run_cli.rs:'; then
+  echo "the deleted lookahead mode or FLt / FToI is referenced again" >&2
   exit 1
 fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
