@@ -78,7 +78,7 @@ pub fn run_reference(
         executed += 1;
         let mut next = pc + 1;
         let addr_of = |regs: &[u64; NUM_REGS], base: u8, off: i64| -> Result<usize, String> {
-            let a = get(regs, base) as i64 + off;
+            let a = (get(regs, base) as i64).wrapping_add(off);
             if a < 0 {
                 return Err(format!("negative address {a}"));
             }

@@ -152,3 +152,26 @@ proptest! {
         prop_assert!(r.deadlocked);
     }
 }
+
+/// A base plus offset past `i64::MAX` wraps to a negative address, which
+/// both sides report as a fault; neither panics.
+#[test]
+fn an_overflowing_address_faults_on_both_sides() {
+    let program =
+        mta_sim::asm_text::assemble_text("li r2, 9223372036854775807\nload r3, 1(r2)\nhalt\n")
+            .unwrap();
+    let msg = "negative address -9223372036854775808";
+    let mut ref_mem = mta_sim::Memory::new(MEM_WORDS, 16, 1);
+    let ref_out = run_reference(&program, &mut ref_mem, 0, 10);
+    assert_eq!(ref_out, RefOutcome::Fault { msg: msg.into() });
+
+    let cfg = MtaConfig {
+        mem_words: MEM_WORDS,
+        ..MtaConfig::tera(1)
+    };
+    let mut m = Machine::new(cfg, program).unwrap();
+    m.spawn(0, 0).unwrap();
+    let r = m.run(10_000);
+    assert_eq!(r.faults.len(), 1);
+    assert!(r.faults[0].ends_with(msg), "{:?}", r.faults);
+}
