@@ -127,11 +127,13 @@ echo "== simulator pinned digests (single driver) =="
 # a simulator behaviour change is named in CI output. With it, what the
 # digests leave free — the cycle a timeout, a completion or a deadlock is
 # reported at, split runs, the order of streams due in the cycle under
-# way (run_boundaries) — and the scheduler's own proof: the calendar
-# hands slots out as the binary heap it replaced would. All three in a
-# debug build, so `promote`'s one-entry-per-slot `debug_assert!` is live.
+# way (run_boundaries) — and the scheduler's own proof, every
+# `processor::tests` case: the calendar hands slots out as the binary heap
+# it replaced would, across the wheel's edge and through its lazy link of
+# far entries. All in a debug build, so `promote`'s one-entry-per-slot
+# `debug_assert!` is live.
 cargo test -q -p mta-sim --test pinned_digests --test run_boundaries
-cargo test -q -p mta-sim --lib calendar_hands_out_what_the_heap_would
+cargo test -q -p mta-sim --lib processor::tests
 
 echo "== deleted paths stay deleted =="
 # The parallel tick, its barrier, and its env knob are gone; the only

@@ -471,8 +471,9 @@ mod tests {
         let w = WHEEL as i64;
         [-5, -4, -3, -2, -1, 0, 1, 21, 70, w - 1, w, w + 1, 10 * w]
     };
-    /// How far `now` moves between drains.
-    const STEPS: [u64; 5] = [0, 1, 21, WHEEL, 3 * WHEEL + 7];
+    /// How far `now` moves between drains: within a bucket or two, and to
+    /// either side of a wheel-length, so a drain crosses the wheel's edge.
+    const STEPS: [u64; 7] = [0, 1, 21, WHEEL - 1, WHEEL, WHEEL + 1, 3 * WHEEL + 7];
 
     /// Run one script against both schedulers. A step is `(kind, a, b)`:
     /// kinds 0–5 push the first free slot at or after `b` (one entry per
@@ -557,6 +558,26 @@ mod tests {
         assert_eq!(drained(&mut c, 1000 + WHEEL), [0]);
         assert_eq!(c.next_time(), Some(1001 + WHEEL));
         assert_eq!(drained(&mut c, 1001 + WHEEL), [1]);
+        assert!(c.outside.is_empty() && c.occupied == [0; 4]);
+    }
+
+    #[test]
+    fn an_entry_the_wheel_comes_to_span_is_linked_when_its_cycle_drains() {
+        let mut c = Calendar::new(4);
+        c.push(WHEEL + 10, 1);
+        c.push(3, 3);
+        // The drain to 20 brings `WHEEL + 10` within the wheel's span, but
+        // the entry stays on the heap: nothing before it is due yet.
+        assert_eq!(drained(&mut c, 20), [3]);
+        assert_eq!(c.outside.clone().into_vec(), [Reverse((WHEEL + 10, 1))]);
+        assert_eq!(c.next_time(), Some(WHEEL + 10));
+        // Pushed now, the same cycle is linked straight into the wheel.
+        c.push(WHEEL + 10, 2);
+        c.push(WHEEL + 10, 0);
+        assert_eq!(c.outside.len(), 1);
+        assert_eq!(drained(&mut c, WHEEL + 9), [] as [usize; 0]);
+        assert_eq!(drained(&mut c, WHEEL + 10), [0, 1, 2]);
+        assert_eq!(c.next_time(), None);
         assert!(c.outside.is_empty() && c.occupied == [0; 4]);
     }
 
