@@ -78,12 +78,13 @@ const NIL: usize = usize::MAX;
 /// When each scheduled slot becomes issueable: a timing wheel with one
 /// bucket per cycle of `cursor + 1 ..= cursor + WHEEL`. Slots come out in
 /// `(cycle, slot)` order — a bucket holds one cycle, and its chain through
-/// `next` is kept in ascending slot order — at O(1) a push and a drain.
+/// `next` is kept in ascending slot order — at O(1) a push and a drain,
+/// which takes the exact `earliest` cycle's bucket, then finds the next.
 #[derive(Debug)]
 struct Calendar {
     /// The last cycle drained.
     cursor: u64,
-    /// Earliest cycle anything is pending for; `u64::MAX` when nothing is.
+    /// Earliest cycle pending, on the wheel or the heap; `u64::MAX` if none.
     earliest: u64,
     /// First slot of the bucket for `cycle % WHEEL`, or `NIL`.
     head: [usize; WHEEL as usize],
@@ -92,7 +93,7 @@ struct Calendar {
     /// One bit per non-empty bucket.
     occupied: [u64; 4],
     /// Pushed for a cycle outside the wheel: already due (a zero latency,
-    /// a spawn between runs), or beyond it and linked in as it nears.
+    /// a spawn between runs), or beyond it and linked in by a drain near it.
     outside: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
@@ -160,29 +161,24 @@ impl Calendar {
     #[inline]
     fn drain_due(&mut self, now: u64, ready: &mut VecDeque<usize>) {
         let now = now.max(self.cursor);
-        if now < self.earliest {
-            self.cursor = now;
-            return;
-        }
-        loop {
-            // Off the heap, in order: what was pushed already due, then
-            // what the wheel now spans.
-            let mut far = u64::MAX;
-            while let Some(&Reverse((t, slot))) = self.outside.peek() {
-                if t > self.cursor + WHEEL {
-                    far = t;
-                    break;
-                }
-                self.outside.pop();
-                if t <= self.cursor {
+        while self.earliest <= now {
+            let t = self.earliest;
+            match self.outside.peek() {
+                // Pushed already due: off the heap, before the wheel.
+                Some(&Reverse((_, slot))) if t <= self.cursor => {
+                    self.outside.pop();
                     ready.push_back(slot);
-                } else {
-                    self.link(t, slot);
                 }
-            }
-            let end = now.min(self.cursor + WHEEL);
-            match self.wheel_head() {
-                Some(t) if t <= end => {
+                // Nothing is pending before `t`: link in what the heap holds
+                // for `t .. t + WHEEL`, then drain `t`'s bucket.
+                _ => {
+                    while let Some(&Reverse((u, slot))) = self.outside.peek() {
+                        if u >= t + WHEEL {
+                            break;
+                        }
+                        self.outside.pop();
+                        self.link(u, slot);
+                    }
                     let b = (t % WHEEL) as usize;
                     self.occupied[b / 64] &= !(1 << (b % 64));
                     let mut slot = std::mem::replace(&mut self.head[b], NIL);
@@ -190,18 +186,13 @@ impl Calendar {
                         ready.push_back(slot);
                         slot = self.next[slot];
                     }
-                }
-                // Nothing more is due within this wheel-length, and with the
-                // wheel empty nothing before the heap's first entry.
-                head => {
-                    self.cursor = head.map_or(now.min(far - 1), |_| end);
-                    if self.cursor == now {
-                        self.earliest = head.map_or(far, |t| t.min(far));
-                        return;
-                    }
+                    self.cursor = t;
                 }
             }
+            let far = self.outside.peek().map_or(u64::MAX, |&Reverse((u, _))| u);
+            self.earliest = self.wheel_head().map_or(far, |w| w.min(far));
         }
+        self.cursor = now;
     }
 }
 
