@@ -429,6 +429,10 @@ impl Machine {
                 if done || next_cycle >= max_cycles {
                     break;
                 }
+                // A ready stream makes the next event this very cycle.
+                if self.processors.iter().any(Processor::has_ready) {
+                    continue;
+                }
             }
             // Fast-forward to the next event, straight after an issue too, or detect
             // deadlock (only parked streams remain).

@@ -324,13 +324,18 @@ impl Processor {
         self.ready.pop_front()
     }
 
+    /// Whether a stream is in the ready queue, so that it may issue now.
+    pub fn has_ready(&self) -> bool {
+        !self.ready.is_empty()
+    }
+
     /// The earliest cycle from `now` on at which this processor could
     /// issue, given nothing external changes: `now` if a stream is ready
     /// or due, else the calendar's earliest; `None` if it is fully idle
     /// (only parked or free slots). Promotes nothing, so what is due at a
     /// cycle is sorted into the ready queue once, by `next_to_issue`.
     pub fn next_event(&mut self, now: u64) -> Option<u64> {
-        if !self.ready.is_empty() {
+        if self.has_ready() {
             return Some(now);
         }
         self.pending.next_time().map(|t| t.max(now))
