@@ -3,11 +3,11 @@
 //! Obtaining the workload (generating every scenario and counting what
 //! the benchmark programs record on it) and calibrating against it is a
 //! pure function of the measurement code and the [`WorkloadScale`]. This
-//! module memoizes that function on disk: `repro` and the integration
-//! tests call [`load_or_measure`], and the repo benchmark calls
-//! [`load_or_measure_in`]. Whether a hit still beats measuring is open:
-//! the build counts instead of recording, and a paper-scale hit has read
-//! slower than `--no-cache`.
+//! module memoizes that function on disk in [`load_or_measure_in`], which
+//! `repro` (through `Evaluator::load`), the integration tests and the repo
+//! benchmark call. Whether a hit still beats measuring is open: the build
+//! counts instead of recording, and a paper-scale hit has read slower than
+//! `--no-cache`.
 //!
 //! Correctness comes from the *code fingerprint*: a snapshot stores a hash
 //! of every source file the measured numbers depend on (benchmark
@@ -17,17 +17,15 @@
 //! silently re-measured, never trusted. Unreadable or corrupt snapshots
 //! are likewise treated as misses.
 //!
-//! Knobs (environment variables):
-//! * `C3I_CACHE_DIR` — override the snapshot directory (default:
-//!   `target/c3i-cache` in the workspace).
-//! * `C3I_NO_CACHE` — when set (to anything non-empty), neither read nor
-//!   write snapshots.
+//! One environment variable, a path: `C3I_CACHE_DIR` overrides the
+//! snapshot directory (default: `target/c3i-cache` in the workspace; see
+//! [`cache_dir`]). `repro --no-cache` neither reads nor writes snapshots.
 
 use crate::calibrate::{calibrate, Calibration};
 use crate::workload::{Workload, WorkloadScale};
 use std::path::{Path, PathBuf};
 
-/// Everything [`load_or_measure`] persists: the fingerprint that guards
+/// Everything [`load_or_measure_in`] persists: the fingerprint that guards
 /// staleness plus the two expensive-to-recompute values.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Snapshot {
@@ -39,14 +37,15 @@ pub struct Snapshot {
     pub cal: Calibration,
 }
 
-/// How [`load_or_measure`] obtained its result.
+/// How [`load_or_measure_in`] obtained its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheStatus {
     /// A valid snapshot with a matching fingerprint was loaded.
     Hit,
     /// No usable snapshot; measured and wrote a fresh one.
     Miss,
-    /// `C3I_NO_CACHE` was set; measured without touching the disk.
+    /// `--no-cache` (`use_cache == false`): measured without touching the
+    /// disk.
     Disabled,
 }
 
@@ -177,10 +176,6 @@ fn snapshot_path(dir: &Path, scale: WorkloadScale) -> PathBuf {
     dir.join(format!("workload_{slug}.json"))
 }
 
-fn cache_disabled() -> bool {
-    std::env::var_os("C3I_NO_CACHE").is_some_and(|v| !v.is_empty())
-}
-
 /// Load a usable snapshot from `dir`, or `None` on any problem (missing
 /// file, parse error, fingerprint or scale mismatch).
 fn try_load(dir: &Path, scale: WorkloadScale, fingerprint: &str) -> Option<Snapshot> {
@@ -210,8 +205,10 @@ fn try_store(dir: &Path, snap: &Snapshot) {
     }
 }
 
-/// [`load_or_measure`] against an explicit directory (the testable core;
-/// the public entry point resolves the directory from the environment).
+/// Return the measured workload and calibration for `scale`, from the
+/// snapshot in `dir` when it is usable (see the module docs for the
+/// staleness guarantee); with `use_cache == false`, measure without
+/// reading or writing `dir`.
 pub fn load_or_measure_in(
     dir: &Path,
     scale: WorkloadScale,
@@ -237,13 +234,6 @@ pub fn load_or_measure_in(
         },
     );
     (workload, cal, CacheStatus::Miss)
-}
-
-/// Return the measured workload and calibration for `scale`, from the
-/// snapshot cache when possible (see the module docs for the staleness
-/// guarantee and the `C3I_CACHE_DIR` / `C3I_NO_CACHE` knobs).
-pub fn load_or_measure(scale: WorkloadScale) -> (Workload, Calibration, CacheStatus) {
-    load_or_measure_in(&cache_dir(), scale, !cache_disabled())
 }
 
 #[cfg(test)]

@@ -133,14 +133,6 @@ impl Experiments {
         Self { workload, cal }
     }
 
-    /// Build the harness for `scale` via the snapshot cache
-    /// ([`crate::cache::load_or_measure`]): measurement and calibration
-    /// run only when no fresh snapshot exists.
-    pub fn load_or_measure(scale: crate::workload::WorkloadScale) -> (Self, crate::CacheStatus) {
-        let (workload, cal, status) = crate::cache::load_or_measure(scale);
-        (Self { workload, cal }, status)
-    }
-
     // ── shared helpers ───────────────────────────────────────────────────
     //
     // The model sums are functions of a workload and a calibration; the

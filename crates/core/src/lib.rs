@@ -40,7 +40,7 @@ pub mod validate;
 pub mod wire;
 pub mod workload;
 
-pub use cache::{load_or_measure, CacheStatus, Snapshot};
+pub use cache::{CacheStatus, Snapshot};
 pub use calibrate::{calibrate, Calibration, PaperAnchors};
 pub use experiments::{Experiments, Figure};
 pub use models::{ConventionalModel, TeraModel};

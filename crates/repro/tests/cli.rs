@@ -111,6 +111,32 @@ fn profile_reports_counters_and_no_timing() {
     assert!(!report.contains("busy / idle"), "{report}");
 }
 
+/// The snapshot cache as `repro` uses it, in a directory of its own
+/// (`C3I_CACHE_DIR`): a cold run measures and writes the snapshot, a warm
+/// run loads it, and `--no-cache` neither reads nor writes the directory.
+#[test]
+fn cache_misses_then_hits_and_no_cache_leaves_the_dir_alone() {
+    let base = std::env::temp_dir().join(format!("repro-cli-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let run = |dir: &std::path::Path, extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .env("C3I_CACHE_DIR", dir)
+            .args(["--reduced"].iter().chain(extra).chain(&["tables"]))
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        stderr(&out)
+    };
+    let warm = base.join("warm");
+    assert!(run(&warm, &[]).contains("workload: Miss"));
+    assert!(warm.join("workload_reduced.json").is_file());
+    assert!(run(&warm, &[]).contains("workload: Hit"));
+    let off = base.join("off");
+    assert!(run(&off, &["--no-cache"]).contains("workload: Disabled"));
+    assert!(!off.exists(), "--no-cache must not create {off:?}");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 /// `--json FILE` is written by the `tables` section only; asking for it
 /// without that section used to exit 0 having written nothing.
 #[test]
