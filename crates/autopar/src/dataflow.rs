@@ -51,11 +51,6 @@ impl BitSet {
         }
     }
 
-    /// Number of elements the universe holds.
-    pub fn universe(&self) -> usize {
-        self.nbits
-    }
-
     /// Insert `i`; returns whether the set changed.
     pub fn insert(&mut self, i: usize) -> bool {
         debug_assert!(i < self.nbits);
@@ -81,16 +76,6 @@ impl BitSet {
             *a = next;
         }
         changed
-    }
-
-    /// Whether no element is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Number of elements set.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Indices of set elements, ascending.
@@ -247,8 +232,6 @@ pub struct Facts {
     pub cfg: Cfg,
     /// Live scalars at node entry (over [`Cfg::scalars`]).
     pub live_in: Vec<BitSet>,
-    /// Live scalars at node exit.
-    pub live_out: Vec<BitSet>,
 }
 
 impl Facts {
@@ -290,11 +273,7 @@ pub fn solve(l: &LoopNest) -> Facts {
             }
         }
     }
-    Facts {
-        cfg,
-        live_in,
-        live_out,
-    }
+    Facts { cfg, live_in }
 }
 
 #[cfg(test)]
@@ -310,14 +289,13 @@ mod tests {
         assert!(!a.insert(0));
         assert!(a.contains(129));
         assert!(!a.contains(64));
-        assert_eq!(a.len(), 2);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 129]);
 
         let mut b = BitSet::new(130);
         b.insert(64);
         assert!(a.union_with(&b));
         assert!(!a.union_with(&b));
-        assert_eq!(a.len(), 3);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 64, 129]);
     }
 
     fn carried_loop() -> LoopNest {

@@ -1,7 +1,6 @@
 //! The emission pass: turn a "parallelizable" verdict into an executable
 //! plan — a [`Schedule`] choice plus the privatization /
-//! reduction / compaction clauses the runtime must honor — rendered as a
-//! pragma-style annotation.
+//! reduction / compaction clauses the runtime must honor.
 //!
 //! The schedule heuristic mirrors how the paper's manual transformations
 //! were scheduled:
@@ -30,8 +29,8 @@ pub enum Schedule {
 }
 
 impl std::fmt::Display for Schedule {
-    /// Lowercase schedule name (`static` / `dynamic`), the spelling of the
-    /// pragma annotation and of `table_auto.csv`'s Schedule column.
+    /// Lowercase schedule name (`static` / `dynamic`), the spelling of
+    /// `table_auto.csv`'s Schedule column.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Schedule::Static => "static",
@@ -54,24 +53,6 @@ pub struct ParallelPlan {
     /// Compacted `(array, counter)` outputs: workers fill private
     /// sections, concatenated in iteration order after the loop.
     pub compactions: Vec<(String, String)>,
-}
-
-impl ParallelPlan {
-    /// Render the plan as a pragma-style annotation, e.g.
-    /// `#pragma sthreads parallel schedule(dynamic) reduction(count:num_intervals) compaction(intervals[num_intervals])`.
-    pub fn annotation(&self) -> String {
-        let mut out = format!("#pragma sthreads parallel schedule({})", self.schedule);
-        for r in &self.reductions {
-            out.push_str(&format!(" reduction({}:{})", r.op, r.name));
-        }
-        if !self.privatized.is_empty() {
-            out.push_str(&format!(" lastprivate({})", self.privatized.join(",")));
-        }
-        for (array, counter) in &self.compactions {
-            out.push_str(&format!(" compaction({array}[{counter}])"));
-        }
-        out
-    }
 }
 
 /// Does any subscript in the nest fall outside affine-in-some-variable
@@ -125,15 +106,15 @@ mod tests {
     #[test]
     fn rejected_loops_emit_no_plan() {
         let l = LoopNest::new("for i", "i").stmt(Stmt::new("x = f(i)").writes(&["x"]).call("f"));
-        assert_eq!(plan(&l, &DataflowOptions::new()), None);
+        assert_eq!(plan(&l, &DataflowOptions::default()), None);
     }
 
     #[test]
     fn dense_affine_loops_schedule_statically() {
         let l = crate::programs::affine_vector_loop();
-        let p = plan(&l, &DataflowOptions::new()).expect("parallel");
+        let p = plan(&l, &DataflowOptions::default()).expect("parallel");
         assert_eq!(p.schedule, Schedule::Static);
-        assert_eq!(p.annotation(), "#pragma sthreads parallel schedule(static)");
+        assert!(p.reductions.is_empty() && p.privatized.is_empty() && p.compactions.is_empty());
     }
 
     #[test]
@@ -146,11 +127,14 @@ mod tests {
                 .array("out", vec![Expr::Opaque("n".into())], true)
                 .array("a", vec![Expr::var("i")], false),
         );
-        let p = plan(&l, &DataflowOptions::new()).expect("parallel");
+        let p = plan(&l, &DataflowOptions::default()).expect("parallel");
         assert_eq!(p.schedule, Schedule::Dynamic);
-        let text = p.annotation();
-        assert!(text.contains("reduction(count:n)"), "{text}");
-        assert!(text.contains("compaction(out[n])"), "{text}");
+        let count = Reduction {
+            name: "n".into(),
+            op: crate::ir::ReduceOp::Count,
+        };
+        assert_eq!(p.reductions, vec![count]);
+        assert_eq!(p.compactions, vec![("out".into(), "n".into())]);
     }
 
     #[test]
@@ -161,7 +145,7 @@ mod tests {
                 .array("a", vec![Expr::var("i")], true)
                 .array("b", vec![Expr::Opaque("idx".into())], false),
         );
-        let p = plan(&l, &DataflowOptions::new()).expect("parallel");
+        let p = plan(&l, &DataflowOptions::default()).expect("parallel");
         assert_eq!(p.schedule, Schedule::Dynamic);
     }
 

@@ -163,19 +163,8 @@ impl Stmt {
         self
     }
 
-    /// Builder: mark scalars as associative sum reductions (they must
-    /// also be listed as writes). Use [`Stmt::reduces_op`] for min/max
-    /// combining or monotone counters.
-    pub fn reduces(mut self, names: &[&str]) -> Self {
-        self.reductions.extend(names.iter().map(|s| Reduction {
-            name: s.to_string(),
-            op: ReduceOp::Sum,
-        }));
-        self
-    }
-
     /// Builder: mark one scalar as an associative reduction with an
-    /// explicit combining operator.
+    /// explicit combining operator (it must also be listed as a write).
     pub fn reduces_op(mut self, name: &str, op: ReduceOp) -> Self {
         self.reductions.push(Reduction {
             name: name.to_string(),

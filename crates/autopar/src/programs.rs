@@ -306,8 +306,7 @@ mod tests {
         // parallelizes.
         let benchmark_verdicts = &report.verdicts[..4];
         assert!(benchmark_verdicts.iter().all(|v| !v.parallel));
-        assert!(report.verdicts[4].parallel);
-        assert!(report.any_auto_parallel());
+        assert!(report.verdicts[4].parallel && !report.verdicts[4].by_pragma);
         let text = report.to_string();
         assert!(text.contains("NOT parallelized"));
         assert!(text.contains("num_intervals"));
@@ -360,6 +359,9 @@ mod tests {
     fn dataflow_pass_strictly_improves_on_the_conservative_pass() {
         let report = dataflow_report();
         assert!(report.strictly_improves(&benchmark_report()));
-        assert_eq!(report.auto_parallel_count(), 3, "P1, P2, control loop");
+        let auto =
+            |v: &&crate::reduction::DataflowVerdict| v.verdict.parallel && !v.verdict.by_pragma;
+        let auto_parallel = report.verdicts.iter().filter(auto).count();
+        assert_eq!(auto_parallel, 3, "P1, P2, control loop");
     }
 }

@@ -94,11 +94,6 @@ pub struct DataflowOptions {
 }
 
 impl DataflowOptions {
-    /// No summaries (calls stay opaque).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Benchmark-callee summaries.
     pub fn benchmark() -> Self {
         DataflowOptions {
@@ -145,14 +140,6 @@ pub struct DataflowReport {
 }
 
 impl DataflowReport {
-    /// Loops parallelized without a pragma.
-    pub fn auto_parallel_count(&self) -> usize {
-        self.verdicts
-            .iter()
-            .filter(|v| v.verdict.parallel && !v.verdict.by_pragma)
-            .count()
-    }
-
     /// Whether this pass parallelizes a strict superset of the loops the
     /// conservative pass did (same loop order assumed): nothing lost, at
     /// least one gained.
@@ -468,10 +455,10 @@ pub fn analyze_loop_dataflow(l: &LoopNest, opts: &DataflowOptions) -> DataflowVe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Expr, LoopNest, Stmt};
+    use crate::ir::{Expr, LoopNest, ReduceOp, Stmt};
 
     fn df(l: &LoopNest) -> DataflowVerdict {
-        analyze_loop_dataflow(l, &DataflowOptions::new())
+        analyze_loop_dataflow(l, &DataflowOptions::default())
     }
 
     #[test]
@@ -481,7 +468,7 @@ mod tests {
                 .at(2)
                 .reads(&["sum"])
                 .writes(&["sum"])
-                .reduces(&["sum"])
+                .reduces_op("sum", ReduceOp::Sum)
                 .array("a", vec![Expr::var("i")], false),
         );
         let v = df(&l);
@@ -497,7 +484,7 @@ mod tests {
                 Stmt::new("x += a[i]")
                     .reads(&["x"])
                     .writes(&["x"])
-                    .reduces(&["x"]),
+                    .reduces_op("x", ReduceOp::Sum),
             )
             .stmt(
                 Stmt::new("x = min(x, b[i])")
@@ -517,7 +504,7 @@ mod tests {
                 Stmt::new("sum += a[i]")
                     .reads(&["sum"])
                     .writes(&["sum"])
-                    .reduces(&["sum"]),
+                    .reduces_op("sum", ReduceOp::Sum),
             )
             .stmt(
                 Stmt::new("b[i] = sum")
@@ -675,7 +662,7 @@ mod tests {
                 true,
             ),
         );
-        let mut opts = DataflowOptions::new();
+        let mut opts = DataflowOptions::default();
         opts.summaries.add("f", "pure");
         let v = analyze_loop_dataflow(&l, &opts);
         assert!(!v.verdict.parallel);

@@ -276,27 +276,12 @@ impl std::fmt::Display for LoopVerdict {
 /// let report = Report {
 ///     verdicts: vec![analyze_loop(&dense)],
 /// };
-/// assert!(report.any_auto_parallel());
-/// assert!(!report.all_rejected());
+/// assert!(report.verdicts[0].parallel && !report.verdicts[0].by_pragma);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
     /// Verdicts, program order.
     pub verdicts: Vec<LoopVerdict>,
-}
-
-impl Report {
-    /// Whether the compiler found any loop it could parallelize *without*
-    /// a pragma.
-    pub fn any_auto_parallel(&self) -> bool {
-        self.verdicts.iter().any(|v| v.parallel && !v.by_pragma)
-    }
-
-    /// Whether every analyzed loop was rejected (the paper's outcome for
-    /// the unmodified benchmark programs).
-    pub fn all_rejected(&self) -> bool {
-        self.verdicts.iter().all(|v| !v.parallel)
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -375,27 +360,5 @@ mod tests {
         assert!(s.contains("NOT parallelized"));
         assert!(s.contains("scalar `n`"));
         assert!(s.contains("line 4"));
-    }
-
-    #[test]
-    fn report_aggregates() {
-        let report = Report {
-            verdicts: vec![
-                LoopVerdict {
-                    loop_label: "a".into(),
-                    parallel: false,
-                    by_pragma: false,
-                    reasons: vec![],
-                },
-                LoopVerdict {
-                    loop_label: "b".into(),
-                    parallel: true,
-                    by_pragma: true,
-                    reasons: vec![],
-                },
-            ],
-        };
-        assert!(!report.any_auto_parallel());
-        assert!(!report.all_rejected(), "the pragma loop counts as parallel");
     }
 }

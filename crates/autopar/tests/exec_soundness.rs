@@ -288,7 +288,7 @@ fn run_sequential(ops: &[Op]) -> Memory {
 /// a reduction — a parallel verdict must account for every scalar.
 fn run_parallel(ops: &[Op], order: &[i64]) -> Memory {
     let l = lower(ops);
-    let dv = analyze_loop_dataflow(&l, &DataflowOptions::new());
+    let dv = analyze_loop_dataflow(&l, &DataflowOptions::default());
     assert!(dv.verdict.parallel, "caller checks");
     let plan = emit_plan(&l, &dv).expect("parallel loops emit a plan");
 
@@ -471,7 +471,7 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..6)
     ) {
         let l = lower(&ops);
-        let dv = analyze_loop_dataflow(&l, &DataflowOptions::new());
+        let dv = analyze_loop_dataflow(&l, &DataflowOptions::default());
         if dv.verdict.parallel {
             let seq = run_sequential(&ops);
             for order in orders() {
@@ -489,7 +489,7 @@ proptest! {
     ) {
         let l = lower(&ops);
         if analyze_loop(&l).parallel {
-            let dv = analyze_loop_dataflow(&l, &DataflowOptions::new());
+            let dv = analyze_loop_dataflow(&l, &DataflowOptions::default());
             prop_assert!(dv.verdict.parallel, "dataflow pass regressed: {dv:?}");
         }
     }
@@ -503,7 +503,7 @@ proptest! {
         let mut ops = base;
         ops.push(Op::Carried);
         let l = lower(&ops);
-        let dv = analyze_loop_dataflow(&l, &DataflowOptions::new());
+        let dv = analyze_loop_dataflow(&l, &DataflowOptions::default());
         prop_assert!(!dv.verdict.parallel);
         prop_assert!(
             dv.verdict.reasons.iter().any(|r| r.to_string().contains("carried")),
@@ -526,7 +526,7 @@ fn program1_shaped_compaction_executes_bit_identically() {
         },
     ];
     let l = lower(&ops);
-    let dv = analyze_loop_dataflow(&l, &DataflowOptions::new());
+    let dv = analyze_loop_dataflow(&l, &DataflowOptions::default());
     assert!(dv.verdict.parallel, "{dv:?}");
     assert_eq!(dv.compactions, vec![("out".to_string(), "n".to_string())]);
     let seq = run_sequential(&ops);
@@ -560,7 +560,7 @@ fn privatized_temp_executes_bit_identically() {
         },
     ];
     let l = lower(&ops);
-    let dv = analyze_loop_dataflow(&l, &DataflowOptions::new());
+    let dv = analyze_loop_dataflow(&l, &DataflowOptions::default());
     assert!(dv.verdict.parallel, "{dv:?}");
     assert!(dv.privatized_scalars.contains(&"t0".to_string()));
     let seq = run_sequential(&ops);

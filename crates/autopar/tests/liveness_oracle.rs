@@ -60,11 +60,10 @@ impl NaiveCfg {
         }
     }
 
-    /// Round-robin to the fixpoint; returns `(live_in, live_out)`.
-    fn liveness(&self) -> (Vec<Names>, Vec<Names>) {
+    /// Round-robin to the fixpoint; returns `live_in` per node.
+    fn liveness(&self) -> Vec<Names> {
         let n = self.uses.len();
         let mut live_in = vec![Names::new(); n];
-        let mut live_out = vec![Names::new(); n];
         loop {
             let mut changed = false;
             for v in 0..n {
@@ -74,12 +73,11 @@ impl NaiveCfg {
                     .collect();
                 let mut inn = self.uses[v].clone();
                 inn.extend(out.difference(&self.defs[v]).cloned());
-                changed |= inn != live_in[v] || out != live_out[v];
+                changed |= inn != live_in[v];
                 live_in[v] = inn;
-                live_out[v] = out;
             }
             if !changed {
-                return (live_in, live_out);
+                return live_in;
             }
         }
     }
@@ -93,12 +91,9 @@ fn names(facts: &Facts, sets: &[BitSet]) -> Vec<Names> {
 }
 
 fn check_against_oracle(l: &LoopNest, facts: &Facts) -> Result<(), String> {
-    let (live_in, live_out) = NaiveCfg::of(l).liveness();
+    let live_in = NaiveCfg::of(l).liveness();
     if names(facts, &facts.live_in) != live_in {
         return Err(format!("live_in differs on {}", l.label));
-    }
-    if names(facts, &facts.live_out) != live_out {
-        return Err(format!("live_out differs on {}", l.label));
     }
     // The one query the analysis makes.
     let entry = live_in.first().cloned().unwrap_or_default();

@@ -127,7 +127,7 @@ proptest! {
     /// still never declare a conflicting loop parallel.
     #[test]
     fn dataflow_parallel_verdicts_are_sound(accesses in proptest::collection::vec(arb_access(), 1..5)) {
-        let dv = analyze_loop_dataflow(&build_loop(&accesses), &DataflowOptions::new());
+        let dv = analyze_loop_dataflow(&build_loop(&accesses), &DataflowOptions::default());
         if dv.verdict.parallel {
             prop_assert!(
                 !has_cross_iteration_conflict(&accesses),
@@ -143,7 +143,7 @@ proptest! {
         let l = build_loop(&accesses);
         if analyze_loop(&l).parallel {
             prop_assert!(
-                analyze_loop_dataflow(&l, &DataflowOptions::new()).verdict.parallel
+                analyze_loop_dataflow(&l, &DataflowOptions::default()).verdict.parallel
             );
         }
     }

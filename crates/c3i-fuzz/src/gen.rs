@@ -28,25 +28,6 @@ pub enum FuzzCase {
     Threat(ThreatScenario),
 }
 
-impl FuzzCase {
-    /// Short human-readable tag for reports (`"terrain"` / `"threat"`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FuzzCase::Terrain(_) => "terrain",
-            FuzzCase::Threat(_) => "threat",
-        }
-    }
-
-    /// A rough size measure used by shrink reporting: number of entities
-    /// (threats + weapons) plus grid cells.
-    pub fn size(&self) -> usize {
-        match self {
-            FuzzCase::Terrain(s) => s.threats.len() + s.terrain.len(),
-            FuzzCase::Threat(s) => s.threats.len() + s.weapons.len(),
-        }
-    }
-}
-
 /// Knobs bounding how large generated scenarios get. The default is
 /// full-size generation (`reduced: false`).
 #[derive(Debug, Clone, Copy, Default)]

@@ -12,8 +12,7 @@ use sthreads::{OpCounts, OpRecorder, ThreadCounts};
 /// Abstract-operation recorder interface. Counts are in units of "machine
 /// operations": one `int`/`fp` is one ALU instruction, one `load`/`store`
 /// is one word of memory traffic, one `sync` is one synchronized memory
-/// operation (full/empty access, fetch-add, or lock transition), one
-/// `spawn` is one logical thread creation.
+/// operation (full/empty access, fetch-add, or lock transition).
 pub trait Rec {
     /// Whether this recorder actually accumulates counts. One thing reads
     /// it: Threat Analysis's pair scan (`threat::intervals_for_pair`),
@@ -33,16 +32,12 @@ pub trait Rec {
     fn fp(&mut self, n: u64);
     /// Record `n` memory loads.
     fn load(&mut self, n: u64);
-    /// Record `n` memory stores.
-    fn store(&mut self, n: u64);
     /// Record `n` streaming loads over large, low-reuse arrays.
     fn sload(&mut self, n: u64);
     /// Record `n` streaming stores over large, low-reuse arrays.
     fn sstore(&mut self, n: u64);
     /// Record `n` synchronization operations.
     fn sync(&mut self, n: u64);
-    /// Record `n` logical thread spawns.
-    fn spawn(&mut self, n: u64);
 }
 
 /// The zero-cost recorder used by the host-timed benchmark variants.
@@ -58,15 +53,11 @@ impl Rec for NoRec {
     #[inline(always)]
     fn load(&mut self, _n: u64) {}
     #[inline(always)]
-    fn store(&mut self, _n: u64) {}
-    #[inline(always)]
     fn sload(&mut self, _n: u64) {}
     #[inline(always)]
     fn sstore(&mut self, _n: u64) {}
     #[inline(always)]
     fn sync(&mut self, _n: u64) {}
-    #[inline(always)]
-    fn spawn(&mut self, _n: u64) {}
 }
 
 impl Rec for OpRecorder {
@@ -83,10 +74,6 @@ impl Rec for OpRecorder {
         OpRecorder::load(self, n);
     }
     #[inline]
-    fn store(&mut self, n: u64) {
-        OpRecorder::store(self, n);
-    }
-    #[inline]
     fn sload(&mut self, n: u64) {
         OpRecorder::sload(self, n);
     }
@@ -97,10 +84,6 @@ impl Rec for OpRecorder {
     #[inline]
     fn sync(&mut self, n: u64) {
         OpRecorder::sync(self, n);
-    }
-    #[inline]
-    fn spawn(&mut self, n: u64) {
-        OpRecorder::spawn(self, n);
     }
 }
 
@@ -129,11 +112,6 @@ impl Profile {
     /// Sum of all operations in the run.
     pub fn total(&self) -> OpCounts {
         self.serial.merged(&self.parallel.total())
-    }
-
-    /// Number of logical threads in the parallel region.
-    pub fn n_logical_threads(&self) -> usize {
-        self.parallel.n_threads()
     }
 }
 
@@ -169,25 +147,6 @@ impl PhasedProfile {
             .iter()
             .fold(self.serial, |acc, p| acc.merged(&p.ops))
     }
-
-    /// Number of barrier-separated phases.
-    pub fn n_phases(&self) -> usize {
-        self.phases.len()
-    }
-
-    /// Operation-weighted mean phase width — the parallelism actually
-    /// available to the machine, counting wide phases more.
-    pub fn weighted_width(&self) -> f64 {
-        let total: u64 = self.phases.iter().map(|p| p.ops.instructions()).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.phases
-            .iter()
-            .map(|p| p.width as f64 * p.ops.instructions() as f64)
-            .sum::<f64>()
-            / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -207,9 +166,7 @@ mod tests {
         r.int(5);
         r.fp(5);
         r.load(5);
-        r.store(5);
         r.sync(5);
-        r.spawn(5);
         // NoRec carries no state; the assertion is that this compiles and
         // the generic algorithms can be instantiated with it.
     }
@@ -230,18 +187,17 @@ mod tests {
             parallel: ThreadCounts::new(vec![ops(5), ops(7)]),
         };
         assert_eq!(p.total().int_ops, 22);
-        assert_eq!(p.n_logical_threads(), 2);
     }
 
     #[test]
     fn sequential_profile_has_one_logical_thread() {
         let p = Profile::sequential(ops(1), ops(100));
-        assert_eq!(p.n_logical_threads(), 1);
+        assert_eq!(p.parallel.per_thread().len(), 1);
         assert_eq!(p.total().int_ops, 101);
     }
 
     #[test]
-    fn phased_profile_totals_and_width() {
+    fn phased_profile_totals() {
         let p = PhasedProfile {
             serial: ops(5),
             phases: vec![
@@ -256,15 +212,6 @@ mod tests {
             ],
         };
         assert_eq!(p.total().int_ops, 405);
-        assert_eq!(p.n_phases(), 2);
-        // weighted width = (10*100 + 40*300) / 400 = 32.5
-        assert!((p.weighted_width() - 32.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_phased_profile_width_is_zero() {
-        let p = PhasedProfile::default();
-        assert_eq!(p.weighted_width(), 0.0);
-        assert_eq!(p.total(), OpCounts::default());
+        assert_eq!(PhasedProfile::default().total(), OpCounts::default());
     }
 }

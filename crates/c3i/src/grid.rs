@@ -94,11 +94,6 @@ impl<T> Grid<T> {
         &self.data
     }
 
-    /// Mutably borrow the backing storage (row-major).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Borrow row `y` as a contiguous slice.
     #[inline]
     pub fn row(&self, y: usize) -> &[T] {

@@ -306,7 +306,7 @@ mod tests {
             .iter()
             .map(|t| 4 + (t.radius.max(1) - 1))
             .sum::<usize>();
-        assert_eq!(profile.n_phases(), expected);
+        assert_eq!(profile.phases.len(), expected);
     }
 
     #[test]
@@ -353,10 +353,13 @@ mod tests {
             ..Default::default()
         });
         let (_, profile) = terrain_masking_fine(&s);
-        assert!(
-            profile.weighted_width() > 100.0,
-            "weighted width = {}",
-            profile.weighted_width()
-        );
+        let ops = |p: &ParallelPhase| p.ops.instructions() as f64;
+        let width = profile
+            .phases
+            .iter()
+            .map(|p| p.width as f64 * ops(p))
+            .sum::<f64>()
+            / profile.phases.iter().map(ops).sum::<f64>();
+        assert!(width > 100.0, "op-weighted width = {width}");
     }
 }

@@ -111,11 +111,6 @@ impl Region {
         (self.x0..=self.x1).contains(&x) && (self.y0..=self.y1).contains(&y)
     }
 
-    /// Whether this region's bounding box overlaps `other`'s.
-    pub fn overlaps(&self, other: &Region) -> bool {
-        self.x0 <= other.x1 && other.x0 <= self.x1 && self.y0 <= other.y1 && other.y0 <= self.y1
-    }
-
     /// Iterate all cells of the clipped region, row-major.
     pub fn cells(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (self.y0..=self.y1).flat_map(move |y| (self.x0..=self.x1).map(move |x| (x, y)))
@@ -264,11 +259,6 @@ impl RingRuns {
         self.n += 1;
     }
 
-    /// Number of runs (≤ 4).
-    pub fn n_runs(&self) -> usize {
-        self.n
-    }
-
     /// Total number of cells across the runs.
     pub fn len(&self) -> usize {
         self.runs[..self.n].iter().map(RingRun::len).sum()
@@ -364,11 +354,6 @@ impl ScratchAlt {
         self.y0 = region.y0;
         self.grid
             .reset(region.x1 - region.x0 + 1, region.y1 - region.y0 + 1, fill);
-    }
-
-    /// Words of storage this scratch occupies.
-    pub fn words(&self) -> usize {
-        self.grid.len()
     }
 }
 
@@ -1066,40 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_detection() {
-        let a = Region {
-            cx: 5,
-            cy: 5,
-            radius: 3,
-            x0: 2,
-            y0: 2,
-            x1: 8,
-            y1: 8,
-        };
-        let b = Region {
-            cx: 10,
-            cy: 10,
-            radius: 3,
-            x0: 7,
-            y0: 7,
-            x1: 13,
-            y1: 13,
-        };
-        let c = Region {
-            cx: 20,
-            cy: 20,
-            radius: 2,
-            x0: 18,
-            y0: 18,
-            x1: 22,
-            y1: 22,
-        };
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
-    }
-
-    #[test]
     fn flat_terrain_masks_nothing_above_ground() {
         // On a flat plain a radar on a mast sees everything above ground:
         // every clamped masking value is exactly the terrain elevation.
@@ -1174,13 +1125,7 @@ mod tests {
         // Scratch store and full-grid store must produce identical raw
         // values — this is the invariant that makes Program 3 and
         // Program 4 outputs bit-identical.
-        let terrain = {
-            let mut g = flat_terrain(25, 0.0);
-            for (i, v) in g.as_mut_slice().iter_mut().enumerate() {
-                *v = ((i * 2654435761) % 997) as f64;
-            }
-            g
-        };
+        let terrain = Grid::from_fn(25, 25, |x, y| (((y * 25 + x) * 2654435761) % 997) as f64);
         let t = center_threat(25, 10);
         let region = Region::of_checked(&t, 25, 25);
 
@@ -1218,14 +1163,6 @@ mod tests {
         assert_eq!(clamp_alt(500.0, 120.0), 500.0);
     }
 
-    #[test]
-    fn scratch_words_match_region_size() {
-        let t = center_threat(101, 30);
-        let region = Region::of_checked(&t, 101, 101);
-        let scratch = ScratchAlt::new(&region, 0.0);
-        assert_eq!(scratch.words(), 61 * 61);
-    }
-
     fn bumpy_terrain(size: usize) -> Grid<f64> {
         Grid::from_fn(size, size, |x, y| {
             (((x * 31 + y * 17) * 2654435761) % 997) as f64
@@ -1258,12 +1195,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_runs_are_at_most_four_and_cover_the_ring() {
+    fn ring_runs_cover_the_ring() {
         for t in clipping_threats(19) {
             let region = Region::of_checked(&t, 19, 19);
             for k in 0..=region.radius {
                 let runs = region.ring_runs(k);
-                assert!(runs.n_runs() <= 4);
                 let flat: Vec<_> = runs.cells().collect();
                 assert_eq!(flat.len(), runs.len());
                 // Set-equal to the historical enumeration.

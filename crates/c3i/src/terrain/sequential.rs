@@ -215,26 +215,19 @@ mod tests {
         // The signature on a cache-based machine is streaming traffic over
         // large arrays: a substantial fraction of all operations here,
         // versus essentially none in Threat Analysis.
+        let stream_fraction =
+            |t: sthreads::OpCounts| t.stream_ops() as f64 / t.instructions() as f64;
         let (_, p) = terrain_masking_profile(&small_scenario(1));
-        let t = p.total();
-        assert!(
-            t.stream_fraction() > 0.15,
-            "Terrain Masking must stream heavily: {:.3}",
-            t.stream_fraction()
-        );
+        let tm = stream_fraction(p.total());
+        assert!(tm > 0.15, "Terrain Masking must stream heavily: {tm:.3}");
         let (_, ta) = crate::threat::sequential::threat_analysis_profile(
             &crate::threat::scenario::small_scenario(1),
         );
+        let ta = stream_fraction(ta.total());
+        assert!(ta < 0.02, "Threat Analysis must be compute-bound: {ta:.3}");
         assert!(
-            ta.total().stream_fraction() < 0.02,
-            "Threat Analysis must be compute-bound: {:.3}",
-            ta.total().stream_fraction()
-        );
-        assert!(
-            t.stream_fraction() > 10.0 * ta.total().stream_fraction(),
-            "TM ({:.3}) must stream far more than TA ({:.3})",
-            t.stream_fraction(),
-            ta.total().stream_fraction()
+            tm > 10.0 * ta,
+            "TM ({tm:.3}) must stream far more than TA ({ta:.3})"
         );
     }
 

@@ -8,7 +8,8 @@
 //!    per-threat masking fields (exactly — all variants are bit-identical
 //!    by construction);
 //! 4. monotonicity: the masking of a scenario never *increases* when a
-//!    threat is added.
+//!    threat is added (a unit test here: it compares two scenarios, so
+//!    [`verify_masking`] cannot make it).
 
 use super::los::per_threat_masking;
 use super::scenario::TerrainScenario;
@@ -159,25 +160,6 @@ pub fn verify_masking(
     Ok(())
 }
 
-/// Check 4: adding a threat never increases masking anywhere. Returns the
-/// first offending cell if violated.
-pub fn check_monotonicity(
-    base: &Grid<f64>,
-    with_extra_threat: &Grid<f64>,
-) -> Result<(), TerrainVerifyError> {
-    for (x, y, &b) in base.iter_cells() {
-        let w = with_extra_threat[(x, y)];
-        if w > b {
-            return Err(TerrainVerifyError::Mismatch {
-                cell: (x, y),
-                got: w,
-                expected: b,
-            });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,6 +232,25 @@ mod tests {
             verify_masking(&s, &m),
             Err(TerrainVerifyError::CoveredCellNotFinite { .. })
         ));
+    }
+
+    /// Adding a threat never increases masking anywhere. Returns the
+    /// first offending cell if violated.
+    fn check_monotonicity(
+        base: &Grid<f64>,
+        with_extra_threat: &Grid<f64>,
+    ) -> Result<(), TerrainVerifyError> {
+        for (x, y, &b) in base.iter_cells() {
+            let w = with_extra_threat[(x, y)];
+            if w > b {
+                return Err(TerrainVerifyError::Mismatch {
+                    cell: (x, y),
+                    got: w,
+                    expected: b,
+                });
+            }
+        }
+        Ok(())
     }
 
     #[test]

@@ -12,7 +12,7 @@ use super::model::{intervals_for_pair, Interval};
 use super::scenario::ThreatScenario;
 use crate::counts::NoRec;
 use parking_lot::Mutex;
-use sthreads::{chunk_range, ParFor};
+use sthreads::ParFor;
 
 /// How generously each chunk's output section is oversized: capacity =
 /// `OVERSIZE_INTERVALS_PER_PAIR × pairs in the chunk`. The verifier checks
@@ -25,10 +25,6 @@ pub struct ChunkedResult {
     /// `intervals[chunk]` — each chunk's output section, in that chunk's
     /// deterministic loop order.
     pub per_chunk: Vec<Vec<Interval>>,
-    /// Total words of output storage *reserved* (the oversized allocation
-    /// the paper identifies as the drawback of this approach; one interval
-    /// is 4 words).
-    pub reserved_words: usize,
 }
 
 impl ChunkedResult {
@@ -36,16 +32,6 @@ impl ChunkedResult {
     /// concatenation would produce).
     pub fn flatten(&self) -> Vec<Interval> {
         self.per_chunk.iter().flatten().copied().collect()
-    }
-
-    /// Total number of intervals found.
-    pub fn n_intervals(&self) -> usize {
-        self.per_chunk.iter().map(Vec::len).sum()
-    }
-
-    /// Words of output storage actually used.
-    pub fn used_words(&self) -> usize {
-        self.n_intervals() * 4
     }
 }
 
@@ -79,10 +65,6 @@ pub fn threat_analysis_chunked_host(
     let n_threats = scenario.threats.len();
     let cap_per_pair = OVERSIZE_INTERVALS_PER_PAIR * scenario.weapons.len();
     let slots: Vec<Mutex<Vec<Interval>>> = (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect();
-    let mut reserved_words = 0usize;
-    for c in 0..n_chunks {
-        reserved_words += chunk_range(c, n_threats, n_chunks).len() * cap_per_pair * 4;
-    }
 
     ParFor::new(0..n_threats)
         .threads(n_threads)
@@ -94,10 +76,7 @@ pub fn threat_analysis_chunked_host(
         });
 
     let per_chunk = slots.into_iter().map(Mutex::into_inner).collect();
-    ChunkedResult {
-        per_chunk,
-        reserved_words,
-    }
+    ChunkedResult { per_chunk }
 }
 
 #[cfg(test)]
@@ -105,6 +84,7 @@ mod tests {
     use super::*;
     use crate::threat::scenario::small_scenario;
     use crate::threat::sequential::{per_threat_counts, threat_analysis_host};
+    use sthreads::chunk_range;
 
     #[test]
     fn chunked_equals_sequential_when_flattened() {
@@ -124,22 +104,6 @@ mod tests {
             let res = threat_analysis_chunked_host(&s, 8, threads);
             assert_eq!(res.flatten(), seq, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn more_chunks_reserve_more_storage() {
-        // The paper's drawback: oversized storage grows with chunk count
-        // only through rounding here (capacity is per-pair), so reserved
-        // words are monotone non-decreasing and usage is constant.
-        let s = small_scenario(3);
-        let r8 = threat_analysis_chunked_host(&s, 8, 4);
-        let r32 = threat_analysis_chunked_host(&s, 32, 4);
-        assert_eq!(r8.n_intervals(), r32.n_intervals());
-        assert!(
-            r8.reserved_words >= r8.used_words(),
-            "allocation must cover usage"
-        );
-        assert!(r32.reserved_words >= r32.used_words());
     }
 
     #[test]

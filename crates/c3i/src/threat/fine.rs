@@ -91,6 +91,6 @@ mod tests {
         let s = small_scenario(4);
         let fine = threat_analysis_fine_host(&s, 4);
         let chunked = crate::threat::chunked::threat_analysis_chunked_host(&s, 256, 4);
-        assert_eq!(fine.intervals.len(), chunked.n_intervals());
+        assert_eq!(fine.intervals.len(), chunked.flatten().len());
     }
 }

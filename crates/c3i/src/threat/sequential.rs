@@ -161,7 +161,7 @@ mod tests {
         });
         let (_, p_big) = threat_analysis_profile(&big);
         assert!(p_big.total().instructions() > p_small.total().instructions());
-        assert_eq!(p_small.n_logical_threads(), 1);
+        assert_eq!(p_small.parallel.per_thread().len(), 1);
     }
 
     #[test]
@@ -170,7 +170,7 @@ mod tests {
         let (_, p) = threat_analysis_profile(&small_scenario(1));
         let t = p.total();
         assert!(
-            t.compute_ops() > t.mem_ops(),
+            t.int_ops + t.fp_ops > t.mem_ops(),
             "Threat Analysis must be compute-bound: {t:?}"
         );
     }

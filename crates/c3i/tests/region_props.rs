@@ -154,7 +154,6 @@ proptest! {
         let region = Region::of(&threat, xs, ys).expect("threat is on the grid");
         for k in 0..=region.radius {
             let runs = region.ring_runs(k);
-            prop_assert!(runs.n_runs() <= 4, "ring {k} produced {} runs", runs.n_runs());
             let flat: Vec<(usize, usize)> = runs.cells().collect();
             prop_assert_eq!(&flat, &region.ring(k), "ring {} order diverged", k);
             let as_set: HashSet<(usize, usize)> = flat.iter().copied().collect();

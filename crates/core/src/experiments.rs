@@ -1005,12 +1005,6 @@ impl AutoparSummary {
     pub fn all_rejected_for_benchmarks(&self) -> bool {
         self.report.verdicts[..4].iter().all(|v| !v.parallel) && self.report.verdicts[4].parallel
     }
-
-    /// Whether the dataflow pass parallelizes strictly more loops than
-    /// the conservative pass (it must — ISSUE 10's acceptance bar).
-    pub fn dataflow_improves(&self) -> bool {
-        self.dataflow.strictly_improves(&self.report)
-    }
 }
 
 /// One-line summary of what the dataflow pass cleared on a loop, for the
@@ -1294,7 +1288,7 @@ mod tests {
         let summary = exps().autopar_report();
         assert!(summary.all_rejected_for_benchmarks());
         // ...while the dataflow pass (ISSUE 10) clears strictly more.
-        assert!(summary.dataflow_improves());
+        assert!(summary.dataflow.strictly_improves(&summary.report));
     }
 
     /// Table Auto is thread-count independent (the verdicts are

@@ -134,9 +134,12 @@ impl Table {
         }
         out
     }
+}
 
+#[cfg(test)]
+impl Table {
     /// Extract `(model, paper)` pairs from every referenced value cell.
-    pub fn referenced_values(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn referenced_values(&self) -> Vec<(f64, f64)> {
         self.rows
             .iter()
             .flatten()

@@ -194,11 +194,6 @@ impl Workload {
         w
     }
 
-    /// Number of scenarios in the suite.
-    pub fn n_scenarios(&self) -> usize {
-        self.ta_per_threat.len()
-    }
-
     /// Per-scenario chunked Threat Analysis profiles (Program 2) with
     /// `n_chunks` chunks: per-threat counts grouped by the paper's
     /// blocking expression, plus the spawn prologue. Yielded one scenario
@@ -264,7 +259,7 @@ mod tests {
 
     #[test]
     fn suite_has_five_scenarios() {
-        assert_eq!(reduced().n_scenarios(), 5);
+        assert_eq!(reduced().ta_per_threat.len(), 5);
     }
 
     #[test]
@@ -291,7 +286,7 @@ mod tests {
                     direct.instructions(),
                     "scenario {s}, {n_chunks} chunks"
                 );
-                assert_eq!(profile.n_logical_threads(), n_chunks);
+                assert_eq!(profile.parallel.per_thread().len(), n_chunks);
             }
         }
     }
@@ -302,7 +297,7 @@ mod tests {
         // bodies, exactly: the workload counts each pair once and relies
         // on this to give both measurements.
         let w = reduced();
-        for s in 0..w.n_scenarios() {
+        for s in 0..w.ta_per_threat.len() {
             let mut expected: OpCounts = w.ta_per_threat[s].iter().copied().sum();
             expected.int_ops += 1;
             assert_eq!(w.ta_seq[s].serial, OpCounts::default(), "scenario {s}");
@@ -318,7 +313,11 @@ mod tests {
     fn coarse_bins_balance_reasonably() {
         let w = reduced();
         for profile in w.tm_coarse(4) {
-            let imb = profile.parallel.imbalance();
+            // `n_threads * max_thread / total`: 1 is a perfect balance.
+            let threads = profile.parallel.per_thread();
+            let max = threads.iter().map(OpCounts::instructions).max().unwrap();
+            let total = profile.parallel.total().instructions();
+            let imb = threads.len() as f64 * max as f64 / total as f64;
             assert!((1.0..2.0).contains(&imb), "imbalance {imb}");
         }
     }
@@ -326,16 +325,24 @@ mod tests {
     #[test]
     fn ta_is_compute_bound_and_tm_memory_bound() {
         let w = reduced();
-        assert!(w.ta_total().stream_fraction() < 0.02);
-        assert!(w.tm_total().stream_fraction() > 0.15);
+        let stream_fraction = |t: OpCounts| t.stream_ops() as f64 / t.instructions() as f64;
+        assert!(stream_fraction(w.ta_total()) < 0.02);
+        assert!(stream_fraction(w.tm_total()) > 0.15);
     }
 
     #[test]
     fn fine_profiles_have_many_phases() {
         let w = reduced();
+        let ops = |ph: &c3i::ParallelPhase| ph.ops.instructions() as f64;
         for p in &w.tm_fine {
-            assert!(p.n_phases() > 50, "phases: {}", p.n_phases());
-            assert!(p.weighted_width() > 50.0);
+            assert!(p.phases.len() > 50, "phases: {}", p.phases.len());
+            let width = p
+                .phases
+                .iter()
+                .map(|ph| ph.width as f64 * ops(ph))
+                .sum::<f64>()
+                / p.phases.iter().map(ops).sum::<f64>();
+            assert!(width > 50.0, "op-weighted width: {width}");
         }
     }
 }

@@ -112,8 +112,6 @@ pub struct VectorAddLayout {
     pub b_base: usize,
     /// First word of the result `c`.
     pub c_base: usize,
-    /// Vector length.
-    pub n: usize,
 }
 
 /// `c[i] = a[i] + b[i]` (f64), statically chunked over `n_workers` streams
@@ -123,7 +121,6 @@ pub fn vector_add_kernel(n: usize, n_workers: usize) -> (Program, VectorAddLayou
         a_base: 1024,
         b_base: 1024 + n,
         c_base: 1024 + 2 * n,
-        n,
     };
     let mut a = Assembler::new();
     fanout(&mut a, n_workers as i64, "work");
@@ -287,10 +284,6 @@ pub struct ChunkedScanLayout {
     pub windows_base: usize,
     /// Shared interval counter (fetch-add target).
     pub count_addr: usize,
-    /// Number of (threat, weapon) pairs.
-    pub n_pairs: usize,
-    /// Time steps scanned per pair.
-    pub steps: i64,
 }
 
 /// A miniature chunked Threat Analysis in simulator IR — the Table 6
@@ -311,8 +304,6 @@ pub fn chunked_scan_kernel(
     let layout = ChunkedScanLayout {
         windows_base: 8192,
         count_addr: 600,
-        n_pairs,
-        steps,
     };
     let mut a = Assembler::new();
     fanout(&mut a, n_chunks as i64, "work");
@@ -366,10 +357,6 @@ pub struct RaySweepLayout {
     pub out_base: usize,
     /// Self-scheduling ray claim counter.
     pub claim_addr: usize,
-    /// Number of rays.
-    pub n_rays: usize,
-    /// Steps per ray.
-    pub len: usize,
 }
 
 /// A miniature fine-grained Terrain Masking in simulator IR: the masking
@@ -386,8 +373,6 @@ pub fn ray_sweep_kernel(n_rays: usize, len: usize, n_workers: usize) -> (Program
         slopes_base: 16384,
         out_base: 16384 + n_rays * len,
         claim_addr: 700,
-        n_rays,
-        len,
     };
     let mut a = Assembler::new();
     fanout(&mut a, n_workers as i64, "work");
@@ -492,8 +477,10 @@ mod tests {
         let (program, layout) = vector_add_kernel(n, 8);
         let mut m = Machine::new(cfg1(), program).unwrap();
         for i in 0..n {
-            m.memory_mut().store_f64(layout.a_base + i, i as f64);
-            m.memory_mut().store_f64(layout.b_base + i, 2.0 * i as f64);
+            m.memory_mut()
+                .store(layout.a_base + i, (i as f64).to_bits());
+            m.memory_mut()
+                .store(layout.b_base + i, (2.0 * i as f64).to_bits());
         }
         m.spawn(0, 0).unwrap();
         let r = m.run(100_000_000);
@@ -513,8 +500,8 @@ mod tests {
         let (program, layout) = vector_add_kernel(n, 16);
         let mut m = Machine::new(cfg1(), program).unwrap();
         for i in 0..n {
-            m.memory_mut().store_f64(layout.a_base + i, 1.0);
-            m.memory_mut().store_f64(layout.b_base + i, 1.0);
+            m.memory_mut().store(layout.a_base + i, 1f64.to_bits());
+            m.memory_mut().store(layout.b_base + i, 1f64.to_bits());
         }
         m.spawn(0, 0).unwrap();
         let r = m.run(100_000_000);
@@ -717,7 +704,7 @@ mod tests {
                 program,
             )
             .unwrap();
-            for p in 0..layout.n_pairs {
+            for p in 0..192 {
                 m.memory_mut().store(layout.windows_base + 2 * p, 1);
                 m.memory_mut().store(layout.windows_base + 2 * p + 1, 2);
             }
@@ -756,7 +743,7 @@ mod tests {
         for r in 0..n_rays {
             for k in 0..len {
                 m.memory_mut()
-                    .store_f64(layout.slopes_base + r * len + k, slope(r, k));
+                    .store(layout.slopes_base + r * len + k, slope(r, k).to_bits());
             }
         }
         m.spawn(0, 0).unwrap();
@@ -790,7 +777,7 @@ mod tests {
             .unwrap();
             for i in 0..n_rays * 40 {
                 m.memory_mut()
-                    .store_f64(layout.slopes_base + i, (i % 7) as f64);
+                    .store(layout.slopes_base + i, ((i % 7) as f64).to_bits());
             }
             m.spawn(0, 0).unwrap();
             let r = m.run(2_000_000_000);

@@ -69,11 +69,6 @@ impl MtaConfig {
             mem_words: 1 << 22,
         }
     }
-
-    /// Uncontended memory-operation latency (bank service + network).
-    pub fn mem_latency(&self) -> u64 {
-        self.bank_service + self.mem_extra_latency
-    }
 }
 
 impl Default for MtaConfig {
@@ -163,18 +158,6 @@ pub struct InstrMix {
     pub sync: u64,
     /// Forks and halts.
     pub thread: u64,
-}
-
-impl InstrMix {
-    /// Fraction of issued instructions that touch memory (plain + sync).
-    pub fn mem_fraction(&self) -> f64 {
-        let total = self.alu + self.memory + self.sync + self.thread;
-        if total == 0 {
-            0.0
-        } else {
-            (self.memory + self.sync) as f64 / total as f64
-        }
-    }
 }
 
 impl SimStats {
@@ -356,11 +339,6 @@ impl Machine {
             sync: SyncStats::default(),
             mix: InstrMix::default(),
         })
-    }
-
-    /// The machine's configuration.
-    pub fn config(&self) -> &MtaConfig {
-        &self.config
     }
 
     /// Read access to memory (for initializing inputs / reading results).
@@ -1196,7 +1174,6 @@ mod tests {
         assert_eq!(r.stats.mix.memory, 1);
         assert_eq!(r.stats.mix.sync, 1);
         assert_eq!(r.stats.mix.thread, 1);
-        assert!((r.stats.mix.mem_fraction() - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl Memory {
         self.data[addr] = v;
     }
 
-    /// Whether the word's full/empty bit is full.
-    pub fn is_full(&self, addr: usize) -> bool {
-        self.full[addr]
-    }
-
     /// Force the word empty (synchronization-variable initialization).
     pub fn set_empty(&mut self, addr: usize) {
         self.full[addr] = false;
@@ -207,11 +202,6 @@ impl Memory {
     pub fn load_f64(&self, addr: usize) -> f64 {
         f64::from_bits(self.data[addr])
     }
-
-    /// Store an `f64` as its bit pattern.
-    pub fn store_f64(&mut self, addr: usize, v: f64) {
-        self.data[addr] = v.to_bits();
-    }
 }
 
 #[cfg(test)]
@@ -223,7 +213,7 @@ mod tests {
         let m = Memory::new(16, 4, 2);
         assert_eq!(m.len(), 16);
         for a in 0..16 {
-            assert!(m.is_full(a));
+            assert!(m.try_read_ff(a).is_some());
             assert_eq!(m.load(a), 0);
         }
     }
@@ -311,10 +301,10 @@ mod tests {
         let mut m = Memory::new(4, 2, 1);
         m.store(1, 42);
         assert_eq!(m.try_take(1), Some(42));
-        assert!(!m.is_full(1));
+        assert!(m.try_read_ff(1).is_none());
         assert_eq!(m.try_take(1), None, "second take must block");
         assert!(m.try_put_sync(1, 7));
-        assert!(m.is_full(1));
+        assert!(m.try_read_ff(1).is_some());
         assert!(!m.try_put_sync(1, 8), "put on full word must block");
         assert_eq!(m.load(1), 7);
     }
@@ -324,7 +314,7 @@ mod tests {
         let mut m = Memory::new(4, 2, 1);
         m.store(2, 9);
         assert_eq!(m.try_read_ff(2), Some(9));
-        assert!(m.is_full(2));
+        assert!(m.try_read_ff(2).is_some());
         m.set_empty(2);
         assert_eq!(m.try_read_ff(2), None);
     }
@@ -342,7 +332,7 @@ mod tests {
     #[test]
     fn f64_round_trips() {
         let mut m = Memory::new(4, 2, 1);
-        m.store_f64(3, -2.5);
+        m.store(3, (-2.5f64).to_bits());
         assert_eq!(m.load_f64(3), -2.5);
     }
 

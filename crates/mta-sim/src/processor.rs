@@ -249,11 +249,6 @@ impl Processor {
         self.issued_per_slot[slot] += 1;
     }
 
-    /// Number of hardware contexts.
-    pub fn n_streams(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Whether a free hardware context exists.
     pub fn has_free_slot(&self) -> bool {
         self.live < self.slots.len()

@@ -103,7 +103,7 @@ fn digest(m: &Machine, r: &RunResult) -> u64 {
     h.words([*alu, *plain, *synced, *thread]);
     let mem = m.memory();
     h.words((0..mem.len()).map(|a| mem.load(a)));
-    h.words((0..mem.len()).map(|a| u64::from(mem.is_full(a))));
+    h.words((0..mem.len()).map(|a| u64::from(mem.try_read_ff(a).is_some())));
     h.0
 }
 
@@ -318,9 +318,11 @@ fn run_matrix() -> Runs {
 
     let (program, l) = vector_add_kernel(48, 6);
     runs.run("vector_add", cfg(2), program, MAX, |m| {
-        for i in 0..l.n {
-            m.memory_mut().store_f64(l.a_base + i, i as f64 * 0.5);
-            m.memory_mut().store_f64(l.b_base + i, 100.0 - i as f64);
+        for i in 0..48 {
+            m.memory_mut()
+                .store(l.a_base + i, (i as f64 * 0.5).to_bits());
+            m.memory_mut()
+                .store(l.b_base + i, (100.0 - i as f64).to_bits());
         }
     });
     let (program, l) = reduce_kernel(40, 5);
@@ -336,20 +338,21 @@ fn run_matrix() -> Runs {
     });
     let (program, l) = chunked_scan_kernel(10, 6, 4);
     runs.run("chunked_scan", cfg(2), program, MAX, |m| {
-        for p in 0..l.n_pairs {
+        for p in 0..10 {
             let start = (p % 3) as u64;
             let end = if p % 2 == 0 { start + 2 } else { start };
             m.memory_mut().store(l.windows_base + 2 * p, start);
             m.memory_mut().store(l.windows_base + 2 * p + 1, end);
         }
     });
-    let (program, l) = ray_sweep_kernel(6, 8, 4);
+    let (n_rays, len) = (6, 8);
+    let (program, l) = ray_sweep_kernel(n_rays, len, 4);
     runs.run("ray_sweep", cfg(2), program, MAX, |m| {
-        for r in 0..l.n_rays {
-            for k in 0..l.len {
+        for r in 0..n_rays {
+            for k in 0..len {
                 let slope = ((r * 13 + k * 7) % 31) as f64 - 15.0;
                 m.memory_mut()
-                    .store_f64(l.slopes_base + r * l.len + k, slope);
+                    .store(l.slopes_base + r * len + k, slope.to_bits());
             }
         }
     });

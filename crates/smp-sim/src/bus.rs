@@ -48,15 +48,6 @@ impl Bus {
     pub fn queue_cycles(&self) -> u64 {
         self.queue_cycles
     }
-
-    /// Fraction of `elapsed` cycles the bus was occupied.
-    pub fn occupancy(&self, elapsed: u64) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            (self.transactions * self.per_transaction) as f64 / elapsed as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -79,14 +70,5 @@ mod tests {
         assert_eq!(b.transact(0), 10);
         assert_eq!(b.transact(100), 110);
         assert_eq!(b.queue_cycles(), 0);
-    }
-
-    #[test]
-    fn occupancy_reflects_traffic() {
-        let mut b = Bus::new(10);
-        for t in 0..5 {
-            b.transact(t * 100);
-        }
-        assert!((b.occupancy(500) - 0.1).abs() < 1e-12);
     }
 }

@@ -87,11 +87,6 @@ impl Cache {
         }
     }
 
-    /// Cache geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
     /// The line-aligned address (line id) of a word address.
     pub fn line_of(&self, addr: usize) -> usize {
         addr / self.config.line_words
@@ -165,32 +160,22 @@ impl Cache {
         false
     }
 
-    /// Whether the line containing `addr` is present.
-    pub fn contains(&self, addr: usize) -> bool {
-        let line_id = self.line_of(addr);
-        self.set_range(line_id)
-            .any(|i| self.lines[i].valid && self.lines[i].tag == line_id)
-    }
-
     /// (hits, misses, upgrades) so far.
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.upgrades)
-    }
-
-    /// Hit rate over all accesses so far (upgrades count as neither).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.upgrades;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether the line containing `addr` is present.
+    fn contains(c: &Cache, addr: usize) -> bool {
+        let line_id = c.line_of(addr);
+        c.set_range(line_id)
+            .any(|i| c.lines[i].valid && c.lines[i].tag == line_id)
+    }
 
     fn small() -> Cache {
         // 64 words, 4-word lines, 2-way → 8 sets.
@@ -233,18 +218,18 @@ mod tests {
         c.access(32, false);
         c.access(0, false); // touch 0 → 32 is LRU
         c.access(64, false); // evicts 32
-        assert!(c.contains(0));
-        assert!(!c.contains(32));
-        assert!(c.contains(64));
+        assert!(contains(&c, 0));
+        assert!(!contains(&c, 32));
+        assert!(contains(&c, 64));
     }
 
     #[test]
     fn invalidate_drops_the_line() {
         let mut c = small();
         c.access(20, false);
-        assert!(c.contains(20));
+        assert!(contains(&c, 20));
         assert!(c.invalidate(20));
-        assert!(!c.contains(20));
+        assert!(!contains(&c, 20));
         assert!(!c.invalidate(20), "second invalidate finds nothing");
         assert_eq!(c.access(20, false), AccessResult::Miss);
     }
@@ -261,7 +246,8 @@ mod tests {
         for a in 0..4000 {
             c.access(a, false);
         }
-        let hr = c.hit_rate();
+        let (hits, misses, upgrades) = c.stats();
+        let hr = hits as f64 / (hits + misses + upgrades) as f64;
         assert!((hr - 0.75).abs() < 0.01, "hit rate {hr}");
     }
 

@@ -102,18 +102,6 @@ impl TracePattern {
         }
         out
     }
-
-    /// Number of memory operations the trace will contain.
-    pub fn mem_ops(&self) -> usize {
-        match *self {
-            TracePattern::ResidentLoop {
-                block_words,
-                rounds,
-                ..
-            } => block_words * rounds,
-            TracePattern::Stream { words, .. } => words,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,28 +155,34 @@ mod tests {
     }
 
     #[test]
-    fn mem_ops_counts_match_generation() {
-        for p in [
-            TracePattern::ResidentLoop {
-                base: 0,
-                block_words: 10,
-                rounds: 3,
-                compute_per_access: 1,
-            },
-            TracePattern::Stream {
-                base: 0,
-                words: 25,
-                stride: 2,
-                compute_per_access: 0,
-                write: false,
-            },
+    fn generation_emits_one_mem_op_per_word_visit() {
+        for (p, mem_ops) in [
+            (
+                TracePattern::ResidentLoop {
+                    base: 0,
+                    block_words: 10,
+                    rounds: 3,
+                    compute_per_access: 1,
+                },
+                30,
+            ),
+            (
+                TracePattern::Stream {
+                    base: 0,
+                    words: 25,
+                    stride: 2,
+                    compute_per_access: 0,
+                    write: false,
+                },
+                25,
+            ),
         ] {
             let n = p
                 .generate()
                 .iter()
                 .filter(|op| matches!(op, Op::Mem { .. }))
                 .count();
-            assert_eq!(n, p.mem_ops());
+            assert_eq!(n, mem_ops);
         }
     }
 }

@@ -142,7 +142,7 @@ proptest! {
         let p = TracePattern::Stream { base, words, stride, compute_per_access: compute, write };
         let trace = p.generate();
         let mems: Vec<&Op> = trace.iter().filter(|o| matches!(o, Op::Mem { .. })).collect();
-        prop_assert_eq!(mems.len(), p.mem_ops());
+        prop_assert_eq!(mems.len(), words);
         for op in mems {
             if let Op::Mem { addr, write: w } = op {
                 prop_assert!(*addr >= base && *addr < base + words * stride);

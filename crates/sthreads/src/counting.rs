@@ -68,32 +68,6 @@ impl OpCounts {
         self.stream_loads + self.stream_stores
     }
 
-    /// Fraction of instructions that stream over large arrays — the
-    /// signature of a memory-bound program on a cache-based machine.
-    pub fn stream_fraction(&self) -> f64 {
-        let total = self.instructions();
-        if total == 0 {
-            0.0
-        } else {
-            self.stream_ops() as f64 / total as f64
-        }
-    }
-
-    /// Total compute (non-memory) operations.
-    pub fn compute_ops(&self) -> u64 {
-        self.int_ops + self.fp_ops
-    }
-
-    /// Fraction of instructions that touch memory; 0 for an empty count.
-    pub fn mem_fraction(&self) -> f64 {
-        let total = self.instructions();
-        if total == 0 {
-            0.0
-        } else {
-            self.mem_ops() as f64 / total as f64
-        }
-    }
-
     /// Element-wise accumulate.
     pub fn add(&mut self, other: &OpCounts) {
         self.int_ops += other.int_ops;
@@ -130,8 +104,7 @@ impl std::iter::Sum for OpCounts {
 /// r.load(2);       // read threat position, weapon position
 /// r.fp(5);         // distance computation
 /// r.int(1);        // loop counter
-/// r.store(1);      // write interval
-/// assert_eq!(r.counts().instructions(), 9);
+/// assert_eq!(r.counts().instructions(), 8);
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct OpRecorder {
@@ -160,12 +133,6 @@ impl OpRecorder {
     #[inline]
     pub fn load(&mut self, n: u64) {
         self.counts.loads += n;
-    }
-
-    /// Record `n` stores.
-    #[inline]
-    pub fn store(&mut self, n: u64) {
-        self.counts.stores += n;
     }
 
     /// Record `n` streaming loads (large-array, low-reuse).
@@ -210,11 +177,6 @@ impl ThreadCounts {
         Self { threads }
     }
 
-    /// Number of logical threads.
-    pub fn n_threads(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Per-thread counts, thread id order.
     pub fn per_thread(&self) -> &[OpCounts] {
         &self.threads
@@ -223,27 +185,6 @@ impl ThreadCounts {
     /// Sum over all threads.
     pub fn total(&self) -> OpCounts {
         self.threads.iter().copied().sum()
-    }
-
-    /// Instruction count of the most-loaded thread — the critical path of a
-    /// barrier-terminated parallel region.
-    pub fn max_thread_instructions(&self) -> u64 {
-        self.threads
-            .iter()
-            .map(OpCounts::instructions)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Makespan imbalance: `n_threads * max_thread / total`, i.e. how much
-    /// slower than a perfectly balanced decomposition this one is. 1.0 for
-    /// perfect balance or an empty region.
-    pub fn imbalance(&self) -> f64 {
-        let total = self.total().instructions();
-        if total == 0 || self.threads.is_empty() {
-            return 1.0;
-        }
-        self.n_threads() as f64 * self.max_thread_instructions() as f64 / total as f64
     }
 }
 
@@ -274,14 +215,6 @@ mod tests {
         assert_eq!(ops.instructions(), 35);
         assert_eq!(ops.mem_ops(), 16);
         assert_eq!(ops.stream_ops(), 10);
-        assert_eq!(ops.compute_ops(), 15);
-        assert!((ops.mem_fraction() - 16.0 / 35.0).abs() < 1e-12);
-        assert!((ops.stream_fraction() - 10.0 / 35.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_counts_have_zero_mem_fraction() {
-        assert_eq!(OpCounts::default().mem_fraction(), 0.0);
     }
 
     #[test]
@@ -296,7 +229,6 @@ mod tests {
         r.int(1);
         r.fp(2);
         r.load(3);
-        r.store(4);
         r.sload(7);
         r.sstore(8);
         r.sync(5);
@@ -307,40 +239,19 @@ mod tests {
                 int_ops: 1,
                 fp_ops: 2,
                 loads: 3,
-                stores: 4,
                 stream_loads: 7,
                 stream_stores: 8,
                 sync_ops: 5,
                 spawns: 6,
+                ..OpCounts::default()
             }
         );
     }
 
     #[test]
-    fn per_thread_counts_total_and_max() {
+    fn per_thread_counts_total() {
         let tc = ThreadCounts::new((1..=4).map(|t| c(t * 10, 0)).collect());
-        assert_eq!(tc.n_threads(), 4);
+        assert_eq!(tc.per_thread().len(), 4);
         assert_eq!(tc.total().int_ops, 100);
-        assert_eq!(tc.max_thread_instructions(), 40);
-    }
-
-    #[test]
-    fn imbalance_of_balanced_region_is_one() {
-        let tc = ThreadCounts::new(vec![c(10, 0); 8]);
-        assert!((tc.imbalance() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn imbalance_detects_straggler() {
-        let mut threads = vec![c(10, 0); 3];
-        threads.push(c(40, 0)); // straggler: 4 threads, total 70, max 40
-        let tc = ThreadCounts::new(threads);
-        assert!((tc.imbalance() - 4.0 * 40.0 / 70.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_region_has_unit_imbalance() {
-        assert_eq!(ThreadCounts::new(vec![]).imbalance(), 1.0);
-        assert_eq!(ThreadCounts::new(vec![]).max_thread_instructions(), 0);
     }
 }

@@ -273,7 +273,7 @@ mod tests {
         // The queue itself hands an exhausted range straight to None.
         let q = WorkQueue::new(0..3);
         while q.next_batch(dynamic_grain(q.remaining(), 16)).is_some() {}
-        assert!(q.is_exhausted());
+        assert_eq!(q.remaining(), 0);
         assert_eq!(q.next_batch(1), None, "exhausted queue must stay None");
     }
 

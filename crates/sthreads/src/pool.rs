@@ -238,15 +238,6 @@ impl ThreadPool {
         self.ensure_workers_locked(&mut st, width.saturating_sub(1));
     }
 
-    /// Run `body(thread_index)` on every worker and wait; region width is
-    /// the pool's `n_threads`.
-    pub fn run<F>(&self, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.run_width(self.n_threads.get(), body);
-    }
-
     /// Run a region of `width` logical threads: `body(0)` on the caller,
     /// `body(1..width)` on pool workers, all concurrent. Returns when every
     /// body has finished; re-raises the first panic any body produced.
@@ -499,7 +490,7 @@ mod tests {
         let pool = ThreadPool::new(3);
         assert_eq!(pool.n_threads(), 3);
         let count = AtomicUsize::new(0);
-        pool.run(|_| {
+        pool.run_width(pool.n_threads(), |_| {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 3);
@@ -523,7 +514,7 @@ mod tests {
         let worker_ids = || {
             let ids = parking_lot::Mutex::new(BTreeSet::new());
             let caller = std::thread::current().id();
-            pool.run(|_| {
+            pool.run_width(pool.n_threads(), |_| {
                 let id = std::thread::current().id();
                 if id != caller {
                     ids.lock().insert(format!("{id:?}"));
@@ -665,7 +656,7 @@ mod tests {
     fn pool_survives_a_panicking_region() {
         let pool = ThreadPool::new(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(|t| {
+            pool.run_width(pool.n_threads(), |t| {
                 if t == 2 {
                     panic!("one bad body");
                 }
@@ -674,7 +665,7 @@ mod tests {
         assert!(result.is_err(), "panic must propagate");
         // Parked workers must still answer the next region.
         let count = AtomicUsize::new(0);
-        pool.run(|_| {
+        pool.run_width(pool.n_threads(), |_| {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 4);
@@ -685,7 +676,7 @@ mod tests {
         let pool = ThreadPool::new(4);
         let count = AtomicUsize::new(0);
         for _ in 0..10_000 {
-            pool.run(|_| {
+            pool.run_width(pool.n_threads(), |_| {
                 count.fetch_add(1, Ordering::SeqCst);
             });
         }
@@ -695,7 +686,7 @@ mod tests {
     #[test]
     fn dropping_a_pool_shuts_workers_down() {
         let pool = ThreadPool::new(3);
-        pool.run(|_| {});
+        pool.run_width(pool.n_threads(), |_| {});
         // Drop joins the workers; if shutdown were broken this would hang
         // (and the harness timeout would catch it).
         drop(pool);

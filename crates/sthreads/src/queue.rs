@@ -25,13 +25,6 @@ impl WorkQueue {
         }
     }
 
-    /// Claim the next unprocessed index, or `None` when the range is
-    /// exhausted. Each index is returned to exactly one caller.
-    /// Equivalent to [`WorkQueue::next_batch`] with `k == 1`.
-    pub fn next(&self) -> Option<usize> {
-        self.next_batch(1).map(|r| r.start)
-    }
-
     /// Claim the next up-to-`k` unprocessed indices in one atomic
     /// operation, returning the claimed sub-range, or `None` when the
     /// range is exhausted. Every index is dispensed to exactly one caller
@@ -62,16 +55,6 @@ impl WorkQueue {
     pub fn remaining(&self) -> usize {
         self.end.saturating_sub(self.next.load(Ordering::Relaxed))
     }
-
-    /// How many indices have been claimed so far (saturating at range len).
-    pub fn claimed(&self) -> usize {
-        self.next.load(Ordering::Relaxed).min(self.end)
-    }
-
-    /// Whether every index has been claimed.
-    pub fn is_exhausted(&self) -> bool {
-        self.next.load(Ordering::Relaxed) >= self.end
-    }
 }
 
 #[cfg(test)]
@@ -81,41 +64,10 @@ mod tests {
     use std::sync::Mutex;
 
     #[test]
-    fn dispenses_each_index_exactly_once_sequentially() {
-        let q = WorkQueue::new(3..8);
-        let got: Vec<usize> = std::iter::from_fn(|| q.next()).collect();
-        assert_eq!(got, vec![3, 4, 5, 6, 7]);
-        assert!(q.next().is_none());
-        assert!(q.is_exhausted());
-    }
-
-    #[test]
     fn empty_range_dispenses_nothing() {
         let q = WorkQueue::new(5..5);
-        assert!(q.next().is_none());
-        assert_eq!(q.claimed(), 5);
-        assert!(q.is_exhausted());
-    }
-
-    #[test]
-    fn concurrent_claims_are_disjoint_and_complete() {
-        let q = WorkQueue::new(0..10_000);
-        let seen = Mutex::new(HashSet::new());
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    while let Some(i) = q.next() {
-                        local.push(i);
-                    }
-                    let mut set = seen.lock().unwrap();
-                    for i in local {
-                        assert!(set.insert(i), "index {i} claimed twice");
-                    }
-                });
-            }
-        });
-        assert_eq!(seen.lock().unwrap().len(), 10_000);
+        assert!(q.next_batch(1).is_none());
+        assert_eq!(q.remaining(), 0);
     }
 
     #[test]
@@ -128,7 +80,6 @@ mod tests {
         assert_eq!(q.next_batch(4), Some(10..12));
         assert_eq!(q.next_batch(4), None);
         assert_eq!(q.remaining(), 0);
-        assert!(q.is_exhausted());
     }
 
     #[test]
@@ -158,17 +109,5 @@ mod tests {
             }
         });
         assert_eq!(seen.lock().unwrap().len(), 10_000);
-    }
-
-    #[test]
-    fn claimed_counts_progress() {
-        let q = WorkQueue::new(0..3);
-        assert_eq!(q.claimed(), 0);
-        q.next();
-        assert_eq!(q.claimed(), 1);
-        q.next();
-        q.next();
-        q.next(); // overshoot
-        assert_eq!(q.claimed(), 3, "claimed saturates at range length");
     }
 }

@@ -28,7 +28,7 @@ fn spaced_regions_park_and_back_to_back_regions_are_handed_over() {
     pool.warm(2);
     let hits = [const { AtomicU64::new(0) }; 2];
     let region = || {
-        pool.run(|t| {
+        pool.run_width(pool.n_threads(), |t| {
             hits[t].fetch_add(1, Ordering::Relaxed);
         })
     };

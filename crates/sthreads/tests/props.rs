@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use sthreads::{chunk_range, multithreaded_for, OpCounts, ParFor, ThreadCounts, WorkQueue};
+use sthreads::{chunk_range, multithreaded_for, ParFor, WorkQueue};
 
 proptest! {
     /// Every index in 0..n belongs to exactly one chunk, for any (n, chunks).
@@ -47,19 +47,6 @@ proptest! {
         prop_assert_eq!(covered.load(Ordering::Relaxed), len as u64);
     }
 
-    /// WorkQueue dispenses the full range with no duplicates under
-    /// sequential draining from an arbitrary start.
-    #[test]
-    fn work_queue_is_exact(start in 0usize..1000, len in 0usize..1000) {
-        let q = WorkQueue::new(start..start + len);
-        let mut got = Vec::new();
-        while let Some(i) = q.next() {
-            got.push(i);
-        }
-        prop_assert_eq!(got, (start..start + len).collect::<Vec<_>>());
-        prop_assert!(q.is_exhausted());
-    }
-
     /// WorkQueue::next_batch dispenses every index exactly once for any
     /// batch size, truncating (never overshooting) at the range end.
     #[test]
@@ -72,7 +59,6 @@ proptest! {
             got.extend(r);
         }
         prop_assert_eq!(got, (start..start + len).collect::<Vec<_>>());
-        prop_assert!(q.is_exhausted());
         prop_assert_eq!(q.remaining(), 0);
     }
 
@@ -124,16 +110,6 @@ proptest! {
             });
             prop_assert_eq!(&got, &expected, "par_map diverged at {} threads", threads);
         }
-    }
-
-    /// ThreadCounts invariants: total >= max thread, imbalance >= 1.
-    #[test]
-    fn thread_counts_invariants(loads in proptest::collection::vec(0u64..10_000, 1..64)) {
-        let tc = ThreadCounts::new(
-            loads.iter().map(|&l| OpCounts { int_ops: l, ..OpCounts::default() }).collect(),
-        );
-        prop_assert!(tc.total().instructions() >= tc.max_thread_instructions());
-        prop_assert!(tc.imbalance() >= 1.0 - 1e-9);
     }
 }
 

@@ -97,10 +97,10 @@ fn main() {
     println!("\n== the dataflow pass: what a stronger compiler clears ==\n");
     let df = programs::dataflow_report();
     print!("{df}");
-    println!("\n-> emitted sthreads annotations for the loops it proved parallel:\n");
+    println!("\n-> emitted schedules for the loops it proved parallel:\n");
     for (l, v) in programs::benchmark_loops().iter().zip(&df.verdicts) {
         if let Some(p) = emit_plan(l, v) {
-            println!("  {}\n    {}", l.label, p.annotation());
+            println!("  {}: schedule({})", l.label, p.schedule);
         }
     }
 }

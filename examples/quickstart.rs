@@ -30,7 +30,7 @@ fn main() {
     let chunked = threat::threat_analysis_chunked_host(&scenario, 16, 4);
     println!(
         "  chunked (Program 2, 16 chunks / 4 threads): {} intervals in {:?}",
-        chunked.n_intervals(),
+        chunked.flatten().len(),
         t0.elapsed()
     );
     assert_eq!(

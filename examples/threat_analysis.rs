@@ -75,10 +75,4 @@ fn main() {
     for chunks in [8, 16, 32, 64, 128, 256] {
         println!("  {chunks:>4} chunks -> {:6.1} s", exps.ta_tera(chunks, 2));
     }
-    println!(
-        "\noversized-output cost of chunking (paper Section 5): 256 chunks reserve {} words\n\
-         for this scenario vs {} words actually used",
-        threat::threat_analysis_chunked_host(&scenario, 256, 4).reserved_words,
-        threat::threat_analysis_chunked_host(&scenario, 256, 4).used_words()
-    );
 }
