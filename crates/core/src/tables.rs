@@ -136,24 +136,6 @@ impl Table {
     }
 }
 
-#[cfg(test)]
-impl Table {
-    /// Extract `(model, paper)` pairs from every referenced value cell.
-    pub(crate) fn referenced_values(&self) -> Vec<(f64, f64)> {
-        self.rows
-            .iter()
-            .flatten()
-            .filter_map(|c| match c {
-                Cell::Value {
-                    model,
-                    paper: Some(p),
-                } => Some((*model, *p)),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
 /// An ASCII rendition of a speedup figure: processor count on x, speedup
 /// on y, model curve drawn with `*`, the paper's points with `o`.
 pub fn ascii_speedup_figure(
@@ -200,6 +182,24 @@ pub fn ascii_speedup_figure(
     out.push('\n');
     out.push_str(&format!("       processors 1..{max_x}\n"));
     out
+}
+
+#[cfg(test)]
+impl Table {
+    /// Extract `(model, paper)` pairs from every referenced value cell.
+    pub(crate) fn referenced_values(&self) -> Vec<(f64, f64)> {
+        self.rows
+            .iter()
+            .flatten()
+            .filter_map(|c| match c {
+                Cell::Value {
+                    model,
+                    paper: Some(p),
+                } => Some((*model, *p)),
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
