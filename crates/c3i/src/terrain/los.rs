@@ -1163,6 +1163,13 @@ mod tests {
         assert_eq!(clamp_alt(500.0, 120.0), 500.0);
     }
 
+    #[test]
+    fn scratch_words_match_region_size() {
+        let t = center_threat(101, 30);
+        let region = Region::of_checked(&t, 101, 101);
+        assert_eq!(ScratchAlt::new(&region, 0.0).grid.len(), 61 * 61);
+    }
+
     fn bumpy_terrain(size: usize) -> Grid<f64> {
         Grid::from_fn(size, size, |x, y| {
             (((x * 31 + y * 17) * 2654435761) % 997) as f64

@@ -134,6 +134,21 @@ impl Table {
         }
         out
     }
+
+    /// Extract `(model, paper)` pairs from every referenced value cell.
+    pub fn referenced_values(&self) -> Vec<(f64, f64)> {
+        self.rows
+            .iter()
+            .flatten()
+            .filter_map(|c| match c {
+                Cell::Value {
+                    model,
+                    paper: Some(p),
+                } => Some((*model, *p)),
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 /// An ASCII rendition of a speedup figure: processor count on x, speedup
@@ -182,24 +197,6 @@ pub fn ascii_speedup_figure(
     out.push('\n');
     out.push_str(&format!("       processors 1..{max_x}\n"));
     out
-}
-
-#[cfg(test)]
-impl Table {
-    /// Extract `(model, paper)` pairs from every referenced value cell.
-    pub(crate) fn referenced_values(&self) -> Vec<(f64, f64)> {
-        self.rows
-            .iter()
-            .flatten()
-            .filter_map(|c| match c {
-                Cell::Value {
-                    model,
-                    paper: Some(p),
-                } => Some((*model, *p)),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@
 use std::sync::OnceLock;
 use tera_c3i::eval_core::cache::{cache_dir, load_or_measure_in};
 use tera_c3i::eval_core::experiments::{paper, Figure};
-use tera_c3i::eval_core::tables::Cell;
 use tera_c3i::eval_core::{Experiments, Table, WorkloadScale};
 
 fn exps() -> &'static Experiments {
@@ -19,30 +18,15 @@ fn exps() -> &'static Experiments {
     })
 }
 
-/// `(model, paper)` pairs from every referenced value cell.
-fn referenced_values(t: &Table) -> Vec<(f64, f64)> {
-    t.rows
-        .iter()
-        .flatten()
-        .filter_map(|c| match c {
-            Cell::Value {
-                model,
-                paper: Some(p),
-            } => Some((*model, *p)),
-            _ => None,
-        })
-        .collect()
-}
-
 fn worst_error(t: &Table) -> f64 {
-    referenced_values(t)
+    t.referenced_values()
         .iter()
         .map(|&(m, p)| ((m - p) / p).abs())
         .fold(0.0, f64::max)
 }
 
 fn mean_error(t: &Table) -> f64 {
-    let v = referenced_values(t);
+    let v = t.referenced_values();
     v.iter().map(|&(m, p)| ((m - p) / p).abs()).sum::<f64>() / v.len() as f64
 }
 
@@ -187,7 +171,7 @@ fn automatic_parallelization_rows_equal_sequential_rows() {
     // the autopar model actually rejecting the loops.
     assert!(e.autopar_report().all_rejected_for_benchmarks());
     let t7 = e.table7();
-    let vals = referenced_values(&t7);
+    let vals = t7.referenced_values();
     // rows 2 & 4 are Exemplar None/Automatic — identical by construction.
     assert_eq!(vals[2].0, vals[4].0);
 }
@@ -198,7 +182,7 @@ fn csv_export_round_trips_all_values() {
     for t in e.all_tables() {
         let csv = t.to_csv();
         assert!(csv.lines().count() > t.rows.len());
-        for (m, _) in referenced_values(&t) {
+        for (m, _) in t.referenced_values() {
             assert!(
                 csv.contains(&format!("{m:.3}")),
                 "{}: model value {m} missing from CSV",
