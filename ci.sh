@@ -74,6 +74,12 @@ echo "== paper-scale workload: counted == recorded (release-only) =="
 # workers against one recorded assembly).
 cargo test -q --release --test parallel_oracle built_workload_equals_recorded_workload
 
+echo "== paper-scale Tera folds == their oracle loops (release-only) =="
+# `tm_tera(1..=1024)` and a grid of `ta_tera` up to 100 000 chunks and
+# 65 536 processors, bit for bit against the per-phase and per-chunk
+# loops the folds replace (ignored unoptimized, like the arm above).
+cargo test -q --release -p eval-core --test tera_folds paper_scale_entry_points_equal_the_oracles
+
 echo "== differential fuzz smoke (fixed seed) =="
 # A short fixed-seed campaign: 25 reduced-size generated scenarios, each
 # run sequential-oracle × {coarse,fine,chunked} × {1,2,8} workers with
