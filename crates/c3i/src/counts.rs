@@ -7,6 +7,8 @@
 //! that `eval-core`'s calibrated platform models turn into the paper's
 //! table entries.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use sthreads::{OpCounts, OpRecorder, ThreadCounts};
 
 /// Abstract-operation recorder interface. Counts are in units of "machine
@@ -119,7 +121,7 @@ impl Profile {
 /// `ops` in total. The fine-grained Terrain Masking variant is a sequence
 /// of these (one per ring of the masking recurrence, plus the bulk
 /// copy/merge loops), separated by barriers.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ParallelPhase {
     /// Number of independent iterations available to run concurrently.
     pub width: u64,
@@ -132,20 +134,84 @@ pub struct ParallelPhase {
 /// phases. The machine models charge each phase at the concurrency its
 /// `width` supports — this is what makes narrow rings limit the Tera's
 /// two-processor speedup (Table 11).
+///
+/// A paper scenario runs ≈ 4,700 phases but only ≈ 500 distinct ones:
+/// threats of one radius and clipping repeat the same rings and bulk
+/// loops. So each distinct phase is held once and the run order as
+/// indices into them, and a model can evaluate one term per distinct
+/// phase and still add the terms in run order.
 #[derive(Debug, Default, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PhasedProfile {
     /// Work performed on a single thread outside the parallel phases.
     pub serial: OpCounts,
-    /// Barrier-separated inner-loop parallel phases, in execution order.
-    pub phases: Vec<ParallelPhase>,
+    /// Each distinct phase once, in order of first appearance.
+    distinct: Vec<ParallelPhase>,
+    /// The barrier-separated phases in execution order, as indices into
+    /// `distinct`.
+    order: Vec<u32>,
 }
 
 impl PhasedProfile {
+    /// The profile of `serial` work and `phases` in execution order.
+    pub fn new(serial: OpCounts, phases: impl IntoIterator<Item = ParallelPhase>) -> Self {
+        let mut index = HashMap::<_, _, BuildHasherDefault<PhaseHasher>>::default();
+        let mut distinct = Vec::new();
+        let order = phases
+            .into_iter()
+            .map(|phase| {
+                *index.entry(phase).or_insert_with(|| {
+                    distinct.push(phase);
+                    u32::try_from(distinct.len() - 1).expect("distinct phases fit in u32")
+                })
+            })
+            .collect();
+        Self {
+            serial,
+            distinct,
+            order,
+        }
+    }
+
+    /// Each distinct phase once, in order of first appearance.
+    pub fn distinct(&self) -> &[ParallelPhase] {
+        &self.distinct
+    }
+
+    /// The phases in execution order, as indices into [`Self::distinct`].
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// The phases in execution order.
+    pub fn phases(&self) -> impl ExactSizeIterator<Item = ParallelPhase> + '_ {
+        self.order.iter().map(|&i| self.distinct[i as usize])
+    }
+
     /// Sum of all operations in the run.
     pub fn total(&self) -> OpCounts {
-        self.phases
-            .iter()
-            .fold(self.serial, |acc, p| acc.merged(&p.ops))
+        self.phases().fold(self.serial, |acc, p| acc.merged(&p.ops))
+    }
+}
+
+/// The Fx multiply-rotate hash, for [`PhasedProfile::new`]'s index of
+/// distinct phases: the keys are counts, not adversarial input, and
+/// SipHash made the index the larger part of building a profile.
+#[derive(Default)]
+struct PhaseHasher(u64);
+
+impl Hasher for PhaseHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.write_u64(u64::from(*b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -197,21 +263,20 @@ mod tests {
     }
 
     #[test]
-    fn phased_profile_totals() {
-        let p = PhasedProfile {
-            serial: ops(5),
-            phases: vec![
-                ParallelPhase {
-                    width: 10,
-                    ops: ops(100),
-                },
-                ParallelPhase {
-                    width: 40,
-                    ops: ops(300),
-                },
-            ],
+    fn phased_profile_holds_each_distinct_phase_once() {
+        let a = ParallelPhase {
+            width: 10,
+            ops: ops(100),
         };
-        assert_eq!(p.total().int_ops, 405);
+        let b = ParallelPhase {
+            width: 40,
+            ops: ops(300),
+        };
+        let p = PhasedProfile::new(ops(5), [a, b, a]);
+        assert_eq!(p.total().int_ops, 505);
+        assert_eq!(p.distinct(), [a, b]);
+        assert_eq!(p.order(), [0, 1, 0]);
+        assert_eq!(p.phases().collect::<Vec<_>>(), [a, b, a]);
         assert_eq!(PhasedProfile::default().total(), OpCounts::default());
     }
 }

@@ -114,11 +114,11 @@ pub fn op_profile(
 
     let mut seq = grid_init;
     let mut coarse_per_threat = Vec::with_capacity(threats.len());
-    let mut fine = PhasedProfile::default();
-    fine.phases.push(ParallelPhase {
+    let mut fine_serial = OpCounts::default();
+    let mut phases = vec![ParallelPhase {
         width: grid_cells,
         ops: grid_init,
-    });
+    }];
 
     for threat in threats {
         let region = Region::of_checked(threat, x_size, y_size);
@@ -136,8 +136,8 @@ pub fn op_profile(
         let inner = (region.ring_runs(0).len() + region.ring_runs(1).len()) as u64;
         let inner_ops = ops(|r| r.sstore(inner));
 
-        fine.serial.add(&threat_record);
-        fine.phases.extend([
+        fine_serial.add(&threat_record);
+        phases.extend([
             ParallelPhase {
                 width: n,
                 ops: copy,
@@ -157,9 +157,9 @@ pub fn op_profile(
         for k in 2..=region.radius {
             let (width, ops) = ring_ops(&region, k);
             recurrence.add(&ops);
-            fine.phases.push(ParallelPhase { width, ops });
+            phases.push(ParallelPhase { width, ops });
         }
-        fine.phases.push(ParallelPhase {
+        phases.push(ParallelPhase {
             width: n,
             ops: merge,
         });
@@ -183,6 +183,6 @@ pub fn op_profile(
     TerrainOps {
         seq: Profile::sequential(OpCounts::default(), seq),
         coarse_per_threat,
-        fine,
+        fine: PhasedProfile::new(fine_serial, phases),
     }
 }

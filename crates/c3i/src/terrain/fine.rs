@@ -117,7 +117,7 @@ pub fn terrain_masking_fine_host(scenario: &TerrainScenario, n_threads: usize) -
 pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedProfile) {
     let terrain = &scenario.terrain;
     let mut masking = Grid::new(terrain.x_size(), terrain.y_size(), f64::INFINITY);
-    let mut profile = PhasedProfile::default();
+    let mut phases = Vec::new();
 
     let mut serial = OpRecorder::new();
     // The masking initialization is itself a flat parallel loop over the
@@ -125,7 +125,7 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
     {
         let mut r = OpRecorder::new();
         r.sstore(terrain.len() as u64);
-        profile.phases.push(ParallelPhase {
+        phases.push(ParallelPhase {
             width: terrain.len() as u64,
             ops: r.counts(),
         });
@@ -146,7 +146,7 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
             r.sload(1);
             r.sstore(1);
         }
-        profile.phases.push(ParallelPhase {
+        phases.push(ParallelPhase {
             width: cells.len() as u64,
             ops: r.counts(),
         });
@@ -157,7 +157,7 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
             AltStore::set(&mut masking, x, y, f64::INFINITY);
             r.sstore(1);
         }
-        profile.phases.push(ParallelPhase {
+        phases.push(ParallelPhase {
             width: cells.len() as u64,
             ops: r.counts(),
         });
@@ -169,7 +169,7 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
             AltStore::set(&mut masking, x, y, f64::NEG_INFINITY);
             r.sstore(1);
         }
-        profile.phases.push(ParallelPhase {
+        phases.push(ParallelPhase {
             width: inner.len() as u64,
             ops: r.counts(),
         });
@@ -196,7 +196,7 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
                 AltStore::set(&mut masking, x, y, v);
                 r.sstore(1);
             }
-            profile.phases.push(ParallelPhase {
+            phases.push(ParallelPhase {
                 width: ring.len() as u64,
                 ops: r.counts(),
             });
@@ -212,14 +212,13 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
             r.fp(2);
             r.sstore(1);
         }
-        profile.phases.push(ParallelPhase {
+        phases.push(ParallelPhase {
             width: cells.len() as u64,
             ops: r.counts(),
         });
     }
 
-    profile.serial = serial.counts();
-    (masking, profile)
+    (masking, PhasedProfile::new(serial.counts(), phases))
 }
 
 #[cfg(test)]
@@ -306,7 +305,7 @@ mod tests {
             .iter()
             .map(|t| 4 + (t.radius.max(1) - 1))
             .sum::<usize>();
-        assert_eq!(profile.phases.len(), expected);
+        assert_eq!(profile.order().len(), expected);
     }
 
     #[test]
@@ -321,7 +320,8 @@ mod tests {
         t.radius = 20; // unclipped in a 128x128 grid
         let (_, profile) = terrain_masking_fine(&s);
         // phases: grid-init, copy, reset, inner(rings 0+1), ring2.., merge
-        let ring_phases = &profile.phases[4..profile.phases.len() - 1];
+        let phases: Vec<ParallelPhase> = profile.phases().collect();
+        let ring_phases = &phases[4..phases.len() - 1];
         assert_eq!(ring_phases.len(), 19);
         for (i, p) in ring_phases.iter().enumerate() {
             let k = i + 2;
@@ -355,11 +355,10 @@ mod tests {
         let (_, profile) = terrain_masking_fine(&s);
         let ops = |p: &ParallelPhase| p.ops.instructions() as f64;
         let width = profile
-            .phases
-            .iter()
-            .map(|p| p.width as f64 * ops(p))
+            .phases()
+            .map(|p| p.width as f64 * ops(&p))
             .sum::<f64>()
-            / profile.phases.iter().map(ops).sum::<f64>();
+            / profile.phases().map(|p| ops(&p)).sum::<f64>();
         assert!(width > 100.0, "op-weighted width = {width}");
     }
 }

@@ -32,7 +32,7 @@
 //! *prediction*. EXPERIMENTS.md tabulates paper-vs-model for all of them.
 
 use crate::models::{ConventionalModel, TeraModel};
-use crate::workload::Workload;
+use crate::workload::{chunk_prologue, Workload};
 use sthreads::OpCounts;
 
 /// The paper's measured numbers used as calibration anchors (a subset of
@@ -212,14 +212,16 @@ pub fn calibrate(workload: &Workload) -> Calibration {
     // ── MTA network efficiency η₂ from Table 5's 2-processor row ───────
     // T = s_ta * (serial + issue₂/η) / clock  (memory term non-binding for
     // the compute-bound Threat Analysis; asserted in tests).
-    let chunked: Vec<_> = workload.ta_chunked(256).collect();
-    let serial2: f64 = chunked
+    let prologue = chunk_prologue(256);
+    let serial2: f64 = workload
+        .ta_per_threat
         .iter()
-        .map(|p| tera.serial_cycles_of(&p.serial))
+        .map(|_| tera.serial_cycles_of(&prologue))
         .sum();
-    let issue2: f64 = chunked
+    let issue2: f64 = workload
+        .ta_per_threat
         .iter()
-        .map(|p| tera.chunked_issue_cycles(p, 2))
+        .map(|per_threat| tera.chunked_issue_cycles(per_threat, 256, 2))
         .sum();
     let target_cycles = anchors.ta_tera_p2 * clock / s_ta - serial2;
     assert!(target_cycles > 0.0, "eta2 calibration target underflow");
@@ -348,9 +350,14 @@ mod tests {
     fn anchor_rows_for_parallel_fits_are_met() {
         let (w, c) = cal();
         // Table 5 P=2 (η₂ fit).
+        let prologue = chunk_prologue(256);
         let t5: f64 = w
-            .ta_chunked(256)
-            .map(|p| c.tera.chunked_seconds(&p, 2, c.s_ta))
+            .ta_per_threat
+            .iter()
+            .map(|per_threat| {
+                c.tera
+                    .chunked_seconds(&prologue, per_threat, 256, 2, c.s_ta)
+            })
             .sum();
         assert!((t5 - 46.0).abs() < 1.0, "Table5 P2: {t5}");
         // Table 11 P=1 (κ fit).
@@ -383,9 +390,11 @@ mod tests {
         // The η₂ fit assumed Threat Analysis is issue-bound at 2
         // processors; verify.
         let (w, c) = cal();
-        for p in w.ta_chunked(256) {
-            let issue = c.tera.chunked_issue_cycles(&p, 2) / c.tera.eta(2);
-            let mem = c.tera.mem_cycles(&p.parallel.total());
+        for per_threat in &w.ta_per_threat {
+            let issue = c.tera.chunked_issue_cycles(per_threat, 256, 2) / c.tera.eta(2);
+            let mem = c
+                .tera
+                .mem_cycles(per_threat.iter().map(OpCounts::mem_ops).sum());
             assert!(issue > mem, "memory term binding: issue={issue} mem={mem}");
         }
     }

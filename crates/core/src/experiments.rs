@@ -9,7 +9,7 @@
 use crate::calibrate::{calibrate, Calibration};
 use crate::models::ConventionalModel;
 use crate::tables::{ascii_speedup_figure, Cell, Table};
-use crate::workload::Workload;
+use crate::workload::{chunk_prologue, Workload};
 use c3i::Profile;
 use sthreads::{par_map, ThreadPool};
 
@@ -194,14 +194,20 @@ impl Experiments {
         Self::sum_par(model, w.ta_chunked(n_procs), n_procs, cal.s_ta)
     }
 
-    /// Modeled chunked Threat Analysis seconds on the Tera.
+    /// Modeled chunked Threat Analysis seconds on the Tera. Zero chunks or
+    /// zero processors never finish the work: `f64::INFINITY`.
     pub fn ta_tera(&self, n_chunks: usize, n_procs: usize) -> f64 {
         Self::ta_tera_of(&self.workload, &self.cal, n_chunks, n_procs)
     }
 
     fn ta_tera_of(w: &Workload, cal: &Calibration, n_chunks: usize, n_procs: usize) -> f64 {
-        w.ta_chunked(n_chunks)
-            .map(|p| cal.tera.chunked_seconds(&p, n_procs, cal.s_ta))
+        let prologue = chunk_prologue(n_chunks);
+        w.ta_per_threat
+            .iter()
+            .map(|per_threat| {
+                cal.tera
+                    .chunked_seconds(&prologue, per_threat, n_chunks, n_procs, cal.s_ta)
+            })
             .sum()
     }
 
@@ -215,7 +221,8 @@ impl Experiments {
         )
     }
 
-    /// Modeled fine-grained Terrain Masking seconds on the Tera.
+    /// Modeled fine-grained Terrain Masking seconds on the Tera. Zero
+    /// processors never finish the work: `f64::INFINITY`.
     pub fn tm_tera(&self, n_procs: usize) -> f64 {
         Self::tm_tera_of(&self.workload, &self.cal, n_procs)
     }
@@ -1221,6 +1228,23 @@ mod tests {
             (1.2..1.7).contains(&speedup),
             "fine-grained 2-proc speedup {speedup}"
         );
+    }
+
+    #[test]
+    fn threat_analysis_on_zero_chunks_or_processors_never_finishes() {
+        let e = exps();
+        for (n_chunks, n_procs) in [(0, 2), (256, 0), (0, 0), (100_000, 0)] {
+            assert_eq!(
+                e.ta_tera(n_chunks, n_procs),
+                f64::INFINITY,
+                "ta_tera({n_chunks}, {n_procs})"
+            );
+        }
+    }
+
+    #[test]
+    fn terrain_masking_on_zero_processors_never_finishes() {
+        assert_eq!(exps().tm_tera(0), f64::INFINITY);
     }
 
     #[test]

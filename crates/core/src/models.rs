@@ -21,7 +21,7 @@
 //!   memory operation.
 
 use c3i::{PhasedProfile, Profile};
-use sthreads::OpCounts;
+use sthreads::{chunk_range, OpCounts};
 
 /// A cache-based conventional platform.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -171,51 +171,97 @@ impl TeraModel {
         ops.instructions() as f64 * self.avg_latency(ops)
     }
 
-    /// Issue-side makespan (cycles, before network efficiency) of a
-    /// chunked parallel region on `n_procs` processors: chunks spread
-    /// round-robin; each processor's utilization is `min(1, s/L)` with
-    /// `s` resident streams.
-    pub fn chunked_issue_cycles(&self, profile: &Profile, n_procs: usize) -> f64 {
-        let mut per_proc: Vec<Vec<&OpCounts>> = vec![Vec::new(); n_procs];
-        for (i, ops) in profile.parallel.per_thread().iter().enumerate() {
-            // Empty chunks (possible when chunks outnumber threats) halt
-            // immediately and contribute no resident stream.
-            if ops.instructions() > 0 {
-                per_proc[i % n_procs].push(ops);
-            }
-        }
-        let mut issue_makespan = 0.0f64;
-        for chunks in &per_proc {
-            if chunks.is_empty() {
-                continue;
-            }
-            let total: OpCounts = chunks.iter().map(|c| **c).sum();
-            let instr = total.instructions() as f64;
-            let latency = self.avg_latency(&total);
-            let s = chunks.len().min(self.streams_per_processor) as f64;
-            // Issue-limited (s >= L) or latency-limited (s < L):
-            // cycles = max(instr, instr*L/s).
-            let cycles = instr.max(instr * latency / s);
-            issue_makespan = issue_makespan.max(cycles);
-        }
-        issue_makespan
+    /// Issue-side makespan (cycles, before network efficiency) of the
+    /// chunked program's region: `per_threat` blocked into `n_chunks`
+    /// chunks by [`chunk_range`], the chunks spread round-robin over
+    /// `n_procs` processors; each processor's utilization is `min(1, s/L)`
+    /// with `s` resident streams. Zero chunks or zero processors never
+    /// finish the work: `f64::INFINITY`.
+    pub fn chunked_issue_cycles(
+        &self,
+        per_threat: &[OpCounts],
+        n_chunks: usize,
+        n_procs: usize,
+    ) -> f64 {
+        self.chunked_pass(per_threat, n_chunks, n_procs).0
     }
 
-    /// Network-bandwidth-bound cycles of a region's memory traffic.
-    pub fn mem_cycles(&self, total: &OpCounts) -> f64 {
-        total.mem_ops() as f64 / self.network_words_per_cycle
+    /// Network-bandwidth-bound cycles of a region's `mem_ops` memory
+    /// operations.
+    pub fn mem_cycles(&self, mem_ops: u64) -> f64 {
+        mem_ops as f64 / self.network_words_per_cycle
     }
 
-    /// Seconds for the chunked program: logical threads (chunks) spread
+    /// Seconds for the chunked program: `serial` work on one stream, then
+    /// `per_threat` in `n_chunks` chunks (logical threads) spread
     /// round-robin over processors; each processor's utilization is
     /// `min(1, s/L)` with `s` resident streams; aggregate memory traffic
-    /// is capped by the network.
-    pub fn chunked_seconds(&self, profile: &Profile, n_procs: usize, scale: f64) -> f64 {
-        let serial_cycles = self.serial_cycles_of(&profile.serial);
-        let issue_makespan = self.chunked_issue_cycles(profile, n_procs);
-        let mem_cycles = self.mem_cycles(&profile.parallel.total());
+    /// is capped by the network. Zero chunks or zero processors never
+    /// finish the work: `f64::INFINITY`.
+    pub fn chunked_seconds(
+        &self,
+        serial: &OpCounts,
+        per_threat: &[OpCounts],
+        n_chunks: usize,
+        n_procs: usize,
+        scale: f64,
+    ) -> f64 {
+        let serial_cycles = self.serial_cycles_of(serial);
+        let (issue_makespan, mem_ops) = self.chunked_pass(per_threat, n_chunks, n_procs);
+        let mem_cycles = self.mem_cycles(mem_ops);
         let cycles = serial_cycles + (issue_makespan / self.eta(n_procs)).max(mem_cycles);
         scale * cycles / (self.clock_mhz * 1e6)
+    }
+
+    /// One pass over the chunks of [`Self::chunked_issue_cycles`]: the
+    /// issue-side makespan and the region's memory operations. An empty
+    /// chunk (possible when chunks outnumber threats, or when its threats
+    /// count nothing) halts immediately and contributes no resident
+    /// stream, so only the nonempty chunks are visited, each added into
+    /// its processor's total.
+    fn chunked_pass(&self, per_threat: &[OpCounts], n_chunks: usize, n_procs: usize) -> (f64, u64) {
+        if n_chunks == 0 || n_procs == 0 {
+            return (f64::INFINITY, 0);
+        }
+        let n = per_threat.len();
+        // Per processor: the total of its chunks and their number.
+        let mut procs = vec![(OpCounts::default(), 0usize); n_procs.min(n_chunks)];
+        let mut deal = |chunk: usize, ops: OpCounts| {
+            if ops.instructions() > 0 {
+                let (total, streams) = &mut procs[chunk % n_procs];
+                total.add(&ops);
+                *streams += 1;
+            }
+        };
+        if n_chunks <= n {
+            // Every chunk holds a threat.
+            for c in 0..n_chunks {
+                let chunk = &per_threat[chunk_range(c, n, n_chunks)];
+                deal(c, chunk.iter().copied().sum());
+            }
+        } else {
+            // Chunks outnumber threats, so a nonempty chunk holds exactly
+            // one: threat `i` is the whole of the least chunk `c` with
+            // `(c + 1) * n / n_chunks > i`.
+            for (i, &ops) in per_threat.iter().enumerate() {
+                deal(((i + 1) * n_chunks - 1) / n, ops);
+            }
+        }
+        let makespan = procs
+            .iter()
+            .filter(|&&(_, streams)| streams > 0)
+            .map(|(total, streams)| {
+                let instr = total.instructions() as f64;
+                let latency = self.avg_latency(total);
+                let s = (*streams).min(self.streams_per_processor) as f64;
+                // Issue-limited (s >= L) or latency-limited (s < L):
+                // cycles = max(instr, instr*L/s).
+                instr.max(instr * latency / s)
+            })
+            .fold(0.0f64, f64::max);
+        // An empty chunk counts nothing, so the processors hold it all.
+        let mem_ops = procs.iter().map(|(total, _)| total.mem_ops()).sum();
+        (makespan, mem_ops)
     }
 
     /// Seconds for a fine-grained (inner-loop) program: a sequence of
@@ -224,38 +270,66 @@ impl TeraModel {
     /// outer thread* (the fine Terrain Masking program keeps the threat
     /// loop serial and creates futures from it, so spawning does not
     /// parallelize — this is what limits its 2-processor speedup to the
-    /// paper's 1.4×); memory traffic is network-capped.
+    /// paper's 1.4×); memory traffic is network-capped. See
+    /// [`Self::phased_issue_cycles`] for zero processors.
     pub fn phased_seconds(&self, profile: &PhasedProfile, n_procs: usize, scale: f64) -> f64 {
         let serial_cycles = self.serial_cycles_of(&profile.serial);
-        let issue_cycles = self.phased_issue_cycles(profile, n_procs);
-        let spawn_cycles = Self::phased_task_count(profile) * self.spawn_cycles_per_task;
-        let mem_cycles = self.mem_cycles(&profile.total());
+        let (issue_cycles, runs) = self.phased_pass(profile, n_procs);
+        // Exact integer sums: each distinct phase times its runs.
+        let (mut tasks, mut mem_ops) = (0u64, profile.serial.mem_ops());
+        for (ph, &k) in profile.distinct().iter().zip(&runs) {
+            tasks += ph.width * k;
+            mem_ops += ph.ops.mem_ops() * k;
+        }
+        let spawn_cycles = tasks as f64 * self.spawn_cycles_per_task;
+        let mem_cycles = self.mem_cycles(mem_ops);
         let cycles =
             serial_cycles + (issue_cycles / self.eta(n_procs) + spawn_cycles).max(mem_cycles);
         scale * cycles / (self.clock_mhz * 1e6)
     }
 
     /// Issue-side cycles (before network efficiency, excluding spawn
-    /// overhead) of a phased profile on `n_procs` processors.
+    /// overhead) of a phased profile on `n_procs` processors. Zero
+    /// processors never finish the work: `f64::INFINITY`.
     pub fn phased_issue_cycles(&self, profile: &PhasedProfile, n_procs: usize) -> f64 {
-        let p = n_procs as f64;
-        let mut issue_cycles = 0.0f64;
-        for ph in &profile.phases {
-            let instr = ph.ops.instructions() as f64;
-            let latency = self.avg_latency(&ph.ops);
-            // Streams available per processor for this phase.
-            let s = (ph.width as f64 / p)
-                .min(self.streams_per_processor as f64)
-                .max(1.0);
-            let per_proc_instr = instr / p;
-            issue_cycles += per_proc_instr.max(per_proc_instr * latency / s);
+        self.phased_pass(profile, n_procs).0
+    }
+
+    /// One pass over a phased profile's run order: the issue-side cycles
+    /// on `n_procs` processors — one term per distinct phase, the terms
+    /// added in run order, so the sum is the same `f64`, to the bit, as
+    /// a term per phase — and how many times each distinct phase runs.
+    fn phased_pass(&self, profile: &PhasedProfile, n_procs: usize) -> (f64, Vec<u64>) {
+        if n_procs == 0 {
+            return (f64::INFINITY, Vec::new());
         }
-        issue_cycles
+        let p = n_procs as f64;
+        let terms: Vec<f64> = profile
+            .distinct()
+            .iter()
+            .map(|ph| {
+                let instr = ph.ops.instructions() as f64;
+                let latency = self.avg_latency(&ph.ops);
+                // Streams available per processor for this phase.
+                let s = (ph.width as f64 / p)
+                    .min(self.streams_per_processor as f64)
+                    .max(1.0);
+                let per_proc_instr = instr / p;
+                per_proc_instr.max(per_proc_instr * latency / s)
+            })
+            .collect();
+        let mut runs = vec![0u64; terms.len()];
+        let mut issue_cycles = 0.0f64;
+        for &i in profile.order() {
+            issue_cycles += terms[i as usize];
+            runs[i as usize] += 1;
+        }
+        (issue_cycles, runs)
     }
 
     /// Total fine-grained tasks (futures) a phased profile spawns.
     pub fn phased_task_count(profile: &PhasedProfile) -> f64 {
-        profile.phases.iter().map(|ph| ph.width as f64).sum()
+        profile.phases().map(|ph| ph.width).sum::<u64>() as f64
     }
 }
 
@@ -352,6 +426,13 @@ mod tests {
         assert!(m.parallel_seconds(&skewed, 4, 1.0) > 2.0 * m.parallel_seconds(&balanced, 4, 1.0));
     }
 
+    /// The chunked program with one chunk per entry of `per_threat` and
+    /// no serial work.
+    fn tera_chunked(m: &TeraModel, per_threat: &[OpCounts], n_procs: usize) -> f64 {
+        let none = OpCounts::default();
+        m.chunked_seconds(&none, per_threat, per_threat.len(), n_procs, 1.0)
+    }
+
     #[test]
     fn tera_single_stream_pays_full_latency() {
         let m = tera();
@@ -369,19 +450,11 @@ mod tests {
         let m = tera();
         // A 50% memory mix: L = (21 + 70)/2 = 45.5, so saturation needs
         // ≈46 streams — the Table 6 regime.
-        let mk = |chunks: usize| Profile {
-            serial: OpCounts::default(),
-            parallel: ThreadCounts::new(vec![
-                ops(
-                    5_000_000 / chunks as u64,
-                    5_000_000 / chunks as u64
-                );
-                chunks
-            ]),
+        let mk = |chunks: usize| {
+            let each = 5_000_000 / chunks as u64;
+            tera_chunked(&m, &vec![ops(each, each); chunks], 1)
         };
-        let t4 = m.chunked_seconds(&mk(4), 1, 1.0);
-        let t32 = m.chunked_seconds(&mk(32), 1, 1.0);
-        let t128 = m.chunked_seconds(&mk(128), 1, 1.0);
+        let (t4, t32, t128) = (mk(4), mk(32), mk(128));
         assert!(
             t4 > 4.0 * t32,
             "4 chunks must be far from saturation: {t4} vs {t32}"
@@ -406,11 +479,7 @@ mod tests {
             stream_loads: mix.stream_loads / chunks,
             ..OpCounts::default()
         };
-        let par = Profile {
-            serial: OpCounts::default(),
-            parallel: ThreadCounts::new(vec![per; chunks as usize]),
-        };
-        let sat = m.chunked_seconds(&par, 1, 1.0);
+        let sat = tera_chunked(&m, &vec![per; chunks as usize], 1);
         let ratio = seq / sat;
         let expected_l = m.avg_latency(&mix);
         assert!(
@@ -422,12 +491,9 @@ mod tests {
     #[test]
     fn tera_two_processors_apply_network_efficiency() {
         let m = tera();
-        let par = Profile {
-            serial: OpCounts::default(),
-            parallel: ThreadCounts::new(vec![ops(100_000, 0); 256]),
-        };
-        let t1 = m.chunked_seconds(&par, 1, 1.0);
-        let t2 = m.chunked_seconds(&par, 2, 1.0);
+        let par = vec![ops(100_000, 0); 256];
+        let t1 = tera_chunked(&m, &par, 1);
+        let t2 = tera_chunked(&m, &par, 2);
         let speedup = t1 / t2;
         assert!((speedup - 2.0 * m.eta2).abs() < 0.05, "{speedup}");
     }
@@ -435,12 +501,9 @@ mod tests {
     #[test]
     fn tera_memory_bound_work_hits_the_network_ceiling() {
         let m = tera();
-        let par = Profile {
-            serial: OpCounts::default(),
-            parallel: ThreadCounts::new(vec![ops(1_000, 99_000); 256]),
-        };
-        let t1 = m.chunked_seconds(&par, 1, 1.0);
-        let t2 = m.chunked_seconds(&par, 2, 1.0);
+        let par = vec![ops(1_000, 99_000); 256];
+        let t1 = tera_chunked(&m, &par, 1);
+        let t2 = tera_chunked(&m, &par, 2);
         assert!(
             t1 / t2 < 1.1,
             "network-capped work must not scale: {}",
@@ -451,22 +514,20 @@ mod tests {
     #[test]
     fn phased_narrow_rings_limit_utilization() {
         let m = tera();
-        let wide = PhasedProfile {
-            serial: OpCounts::default(),
-            phases: vec![ParallelPhase {
+        let wide = PhasedProfile::new(
+            OpCounts::default(),
+            [ParallelPhase {
                 width: 1000,
                 ops: ops(1_000_000, 0),
             }],
-        };
-        let narrow = PhasedProfile {
-            serial: OpCounts::default(),
-            phases: (0..100)
-                .map(|_| ParallelPhase {
-                    width: 10,
-                    ops: ops(10_000, 0),
-                })
-                .collect(),
-        };
+        );
+        let narrow = PhasedProfile::new(
+            OpCounts::default(),
+            (0..100).map(|_| ParallelPhase {
+                width: 10,
+                ops: ops(10_000, 0),
+            }),
+        );
         // Same total instructions, same spawn totals — narrow phases must
         // be slower because 10 streams cannot cover L = 21.
         let tw = m.phased_seconds(&wide, 1, 1.0);
@@ -477,20 +538,12 @@ mod tests {
     #[test]
     fn phased_spawn_overhead_scales_with_width() {
         let m = tera();
-        let few_tasks = PhasedProfile {
-            serial: OpCounts::default(),
-            phases: vec![ParallelPhase {
-                width: 128,
-                ops: ops(1_000_000, 0),
-            }],
+        let phase = |width| ParallelPhase {
+            width,
+            ops: ops(1_000_000, 0),
         };
-        let many_tasks = PhasedProfile {
-            serial: OpCounts::default(),
-            phases: vec![ParallelPhase {
-                width: 1_000_000,
-                ops: ops(1_000_000, 0),
-            }],
-        };
+        let few_tasks = PhasedProfile::new(OpCounts::default(), [phase(128)]);
+        let many_tasks = PhasedProfile::new(OpCounts::default(), [phase(1_000_000)]);
         assert!(m.phased_seconds(&many_tasks, 1, 1.0) > m.phased_seconds(&few_tasks, 1, 1.0));
     }
 

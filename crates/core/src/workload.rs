@@ -105,6 +105,15 @@ pub fn tm_params(scale: WorkloadScale) -> Vec<TerrainScenarioParams> {
     }
 }
 
+/// The serial prologue of Program 2 with `n_chunks` chunks: the blocking
+/// arithmetic and one spawn per chunk.
+pub(crate) fn chunk_prologue(n_chunks: usize) -> OpCounts {
+    let mut serial = OpRecorder::new();
+    serial.int(2 * n_chunks as u64);
+    serial.spawn(n_chunks as u64);
+    serial.counts()
+}
+
 /// One task's output in [`Workload::build_with`]: every measurement of
 /// one scenario.
 enum Measured {
@@ -197,8 +206,10 @@ impl Workload {
     /// Per-scenario chunked Threat Analysis profiles (Program 2) with
     /// `n_chunks` chunks: per-threat counts grouped by the paper's
     /// blocking expression, plus the spawn prologue. Yielded one scenario
-    /// at a time, in scenario order, so a caller folding them holds one
-    /// scenario's `n_chunks` counts at once, not the suite's.
+    /// at a time, in scenario order. The conventional models read these
+    /// (one chunk per processor); the Tera model folds `ta_per_threat`
+    /// directly (`TeraModel::chunked_seconds`), since its chunk counts
+    /// run to 100 000.
     pub fn ta_chunked(&self, n_chunks: usize) -> impl Iterator<Item = Profile> + '_ {
         self.ta_per_threat.iter().map(move |per_threat| {
             let n = per_threat.len();
@@ -208,11 +219,8 @@ impl Workload {
                     per_threat[r].iter().copied().sum()
                 })
                 .collect();
-            let mut serial = OpRecorder::new();
-            serial.int(2 * n_chunks as u64);
-            serial.spawn(n_chunks as u64);
             Profile {
-                serial: serial.counts(),
+                serial: chunk_prologue(n_chunks),
                 parallel: ThreadCounts::new(chunks),
             }
         })
@@ -335,13 +343,9 @@ mod tests {
         let w = reduced();
         let ops = |ph: &c3i::ParallelPhase| ph.ops.instructions() as f64;
         for p in &w.tm_fine {
-            assert!(p.phases.len() > 50, "phases: {}", p.phases.len());
-            let width = p
-                .phases
-                .iter()
-                .map(|ph| ph.width as f64 * ops(ph))
-                .sum::<f64>()
-                / p.phases.iter().map(ops).sum::<f64>();
+            assert!(p.order().len() > 50, "phases: {}", p.order().len());
+            let width = p.phases().map(|ph| ph.width as f64 * ops(&ph)).sum::<f64>()
+                / p.phases().map(|ph| ops(&ph)).sum::<f64>();
             assert!(width > 50.0, "op-weighted width: {width}");
         }
     }

@@ -51,7 +51,7 @@ fn oracle_phased_seconds(
     let issue_cycles = oracle_phased_issue_cycles(m, phases, n_procs);
     let spawn_cycles = oracle_phased_task_count(phases) * m.spawn_cycles_per_task;
     let total = phases.iter().fold(*serial, |acc, p| acc.merged(&p.ops));
-    let mem_cycles = m.mem_cycles(&total);
+    let mem_cycles = total.mem_ops() as f64 / m.network_words_per_cycle;
     let cycles = serial_cycles + (issue_cycles / m.eta(n_procs) + spawn_cycles).max(mem_cycles);
     scale * cycles / (m.clock_mhz * 1e6)
 }
@@ -85,7 +85,7 @@ fn oracle_chunked_issue_cycles(m: &TeraModel, profile: &Profile, n_procs: usize)
 fn oracle_chunked_seconds(m: &TeraModel, profile: &Profile, n_procs: usize, scale: f64) -> f64 {
     let serial_cycles = m.serial_cycles_of(&profile.serial);
     let issue_makespan = oracle_chunked_issue_cycles(m, profile, n_procs);
-    let mem_cycles = m.mem_cycles(&profile.parallel.total());
+    let mem_cycles = profile.parallel.total().mem_ops() as f64 / m.network_words_per_cycle;
     let cycles = serial_cycles + (issue_makespan / m.eta(n_procs)).max(mem_cycles);
     scale * cycles / (m.clock_mhz * 1e6)
 }
@@ -93,10 +93,7 @@ fn oracle_chunked_seconds(m: &TeraModel, profile: &Profile, n_procs: usize, scal
 // ── the production folds, on the oracles' inputs ────────────────────────
 
 fn phased_profile(serial: OpCounts, phases: &[ParallelPhase]) -> PhasedProfile {
-    PhasedProfile {
-        serial,
-        phases: phases.to_vec(),
-    }
+    PhasedProfile::new(serial, phases.iter().copied())
 }
 
 /// A workload holding one Threat Analysis scenario, so that Program 2's
@@ -128,10 +125,10 @@ fn chunked(
     n_procs: usize,
     scale: f64,
 ) -> (f64, f64) {
-    let profile = chunked_profile(per_threat, n_chunks);
+    let prologue = chunked_profile(per_threat, n_chunks).serial;
     (
-        m.chunked_issue_cycles(&profile, n_procs),
-        m.chunked_seconds(&profile, n_procs, scale),
+        m.chunked_issue_cycles(per_threat, n_chunks, n_procs),
+        m.chunked_seconds(&prologue, per_threat, n_chunks, n_procs, scale),
     )
 }
 
@@ -299,7 +296,7 @@ fn assert_experiments_equal_the_oracles(e: &Experiments, procs: &[usize], chunks
             .tm_fine
             .iter()
             .map(|f| {
-                let phases: Vec<ParallelPhase> = f.phases.clone();
+                let phases: Vec<ParallelPhase> = f.phases().collect();
                 oracle_phased_seconds(&cal.tera, &f.serial, &phases, p, cal.s_tm)
             })
             .sum();

@@ -22,7 +22,9 @@
 /// line-size-determined rate). The Tera MTA has no caches, so its model
 /// charges both classes identically — which is precisely the architectural
 /// contrast the paper studies.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
+)]
 pub struct OpCounts {
     /// Integer ALU operations (adds, compares, index arithmetic, branches).
     pub int_ops: u64,
