@@ -213,6 +213,8 @@ pub fn calibrate(workload: &Workload) -> Calibration {
     // T = s_ta * (serial + issue₂/η) / clock  (memory term non-binding for
     // the compute-bound Threat Analysis; asserted in tests).
     let prologue = chunk_prologue(256);
+    // One prologue per scenario, added one at a time as the per-scenario
+    // profiles were, so η₂ keeps its bits.
     let serial2: f64 = workload
         .ta_per_threat
         .iter()
