@@ -74,6 +74,13 @@ echo "== paper-scale workload: counted == recorded (release-only) =="
 # workers against one recorded assembly).
 cargo test -q --release --test parallel_oracle built_workload_equals_recorded_workload
 
+echo "== single-parent cells: closed form == per-cell oracle (release-only) =="
+# The ring counter takes a cell's single parent from geometry alone (only
+# the radar's own coordinate has one). Every ring k <= 1100 around every
+# coordinate c < 1100, the paper grid, cell by cell against the
+# recurrence's own f64 test (ignored unoptimized, like the arm above).
+cargo test -q --release -p c3i --lib closed_form_equals_the_oracle_on_every_paper_ring
+
 echo "== paper-scale Tera folds == their oracle loops (release-only) =="
 # `tm_tera(1..=1024)` and a grid of `ta_tera` up to 100 000 chunks and
 # 65 536 processors, bit for bit against the per-phase and per-chunk

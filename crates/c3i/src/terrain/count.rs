@@ -186,3 +186,92 @@ pub fn op_profile(
         fine: PhasedProfile::new(fine_serial, phases),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use std::ops::RangeInclusive;
+
+    /// The oracle: which cells of `sub` on ring `k` around coordinate `c`
+    /// interpolate from a single parent, decided cell by cell with the
+    /// recurrence's own `f64` expression (`raw_alt_for_cell`'s scaled
+    /// coordinate, and its `w == 0.0`).
+    fn single_parent_cells_per_cell(c: usize, sub: RangeInclusive<usize>, k: usize) -> u64 {
+        let scale = (k - 1) as f64 / k as f64;
+        sub.filter(|&s| {
+            let d = s as isize - c as isize;
+            let f = c as f64 + d as f64 * scale;
+            f - f.floor() == 0.0
+        })
+        .count() as u64
+    }
+
+    /// The closed form the counter relies on: inside a ring, only the
+    /// radar's own coordinate has a single parent.
+    fn closed_form(c: usize, sub: RangeInclusive<usize>) -> u64 {
+        u64::from(sub.contains(&c))
+    }
+
+    /// The interior of ring `k`'s edge around `c`, `|s − c| ≤ k − 1`,
+    /// clipped at the grid's low edge (0) and, when `len` is `Some`, to
+    /// `len` cells starting `skip` cells in: any contiguous piece of an
+    /// edge run that clipping can leave.
+    fn edge_interior(c: usize, k: usize, skip: usize, len: Option<usize>) -> RangeInclusive<usize> {
+        let (lo, hi) = (c.saturating_sub(k - 1), c + (k - 1));
+        let lo = (lo + skip).min(hi);
+        let hi = len.map_or(hi, |len| (lo + len).min(hi));
+        lo..=hi
+    }
+
+    fn arb_ring() -> impl Strategy<Value = (usize, usize)> {
+        let k = prop_oneof![2usize..64, 64usize..4096, 4096usize..=1 << 20];
+        let c = prop_oneof![0usize..64, 0usize..=1 << 20];
+        (k, c)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whole edges, clipped only where the grid's low edge cuts them.
+        #[test]
+        fn closed_form_equals_the_oracle_on_unclipped_edges((k, c) in arb_ring()) {
+            let sub = edge_interior(c, k, 0, None);
+            prop_assert_eq!(
+                closed_form(c, sub.clone()),
+                single_parent_cells_per_cell(c, sub, k)
+            );
+        }
+
+        /// Pieces of edges, with and without the radar's coordinate.
+        #[test]
+        fn closed_form_equals_the_oracle_on_clipped_edges(
+            (k, c) in arb_ring(),
+            skip in prop_oneof![Just(0usize), 0usize..=1 << 21],
+            len in 0usize..4096,
+        ) {
+            let sub = edge_interior(c, k, skip, Some(len));
+            prop_assert_eq!(
+                closed_form(c, sub.clone()),
+                single_parent_cells_per_cell(c, sub, k)
+            );
+        }
+    }
+
+    /// Every ring of every radar coordinate a paper-scale grid can hold,
+    /// cell by cell (≈ 1.1 G cells; ignored unoptimized, `ci.sh` runs it
+    /// with `--release`).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "exhaustive: run with --release")]
+    fn closed_form_equals_the_oracle_on_every_paper_ring() {
+        for k in 2..=1100 {
+            for c in 0..1100 {
+                let sub = edge_interior(c, k, 0, None);
+                assert_eq!(
+                    closed_form(c, sub.clone()),
+                    single_parent_cells_per_cell(c, sub, k),
+                    "ring {k} around {c}"
+                );
+            }
+        }
+    }
+}

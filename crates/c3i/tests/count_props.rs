@@ -218,6 +218,65 @@ fn arb_pair_at_the_band_edges() -> impl Strategy<Value = (Threat, Weapon)> {
     })
 }
 
+/// Pairs whose ground track never comes within `max_range` of the weapon
+/// (the ground distance is `reach × max_range`, mostly past the
+/// uninstrumented scan's 1 % prune margin, sometimes inside it), with
+/// the band's top just under the apex (the two runs merge over it), just
+/// over it or far above it, its bottom near the ground, and detection
+/// anywhere from launch to mid-flight, so the reaction step falls inside
+/// a run.
+fn arb_out_of_range_pair() -> impl Strategy<Value = (Threat, Weapon)> {
+    let threat = (
+        0.0..2000.0f64,
+        prop_oneof![1.0..40.0f64, 150.0..1500.0f64],
+        20_000.0..220_000.0f64,
+        prop_oneof![Just(0.0), 0.0..0.5f64],
+        0.0..100_000.0f64,
+    )
+        .prop_map(
+            |(launch_time, flight_time, apex_height, detect_frac, y)| Threat {
+                launch: (0.0, y),
+                impact: (100_000.0, 50_000.0),
+                launch_time,
+                flight_time,
+                apex_height,
+                detect_delay: detect_frac * flight_time,
+            },
+        );
+    // `max_alt` and `min_alt` as fractions of the apex height.
+    let top = prop_oneof![
+        (1i32..=40).prop_map(|j| 1.0 - 2f64.powi(-j)),
+        (1i32..=40).prop_map(|j| 1.0 + 2f64.powi(-j)),
+        1.5..10.0f64,
+    ];
+    let bottom = prop_oneof![Just(0.0), 0.0..4e-9f64, 0.0..0.02f64];
+    let band = (top, bottom);
+    let geometry = (
+        prop_oneof![3 => 1.006..3.0f64, 1 => 0.99..1.006f64],
+        prop_oneof![Just(0.0), Just(1.0), 0.0..1.0f64],
+        20_000.0..400_000.0f64,
+    );
+    let timing = (500.0..10_000.0f64, 0.0..15.0f64);
+    (threat, band, geometry, timing).prop_map(
+        |(th, (top, bottom), (reach, along, max_range), (interceptor_speed, reaction_time))| {
+            // The point `along` the ground track, moved off it at a right
+            // angle: the track's nearest point to the weapon.
+            let (ax, ay) = th.launch;
+            let (dx, dy) = (th.impact.0 - ax, th.impact.1 - ay);
+            let off = reach * max_range / dx.hypot(dy);
+            let w = Weapon {
+                pos: (ax + along * dx - dy * off, ay + along * dy + dx * off),
+                interceptor_speed,
+                max_range,
+                min_alt: bottom * th.apex_height,
+                max_alt: top * th.apex_height,
+                reaction_time,
+            };
+            (th, w)
+        },
+    )
+}
+
 fn recorded_pair(threat: &Threat, weapon: &Weapon) -> OpCounts {
     let mut r = OpRecorder::new();
     threat::intervals_for_pair(0, 0, threat, weapon, &mut r, |_| {});
@@ -318,6 +377,23 @@ proptest! {
     #[test]
     fn pair_counter_matches_at_the_altitude_band_edges(
         (threat, weapon) in arb_pair_at_the_band_edges()
+    ) {
+        prop_assert_eq!(
+            threat::pair_counts(&threat, &weapon),
+            recorded_pair(&threat, &weapon)
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// (f) (b) on pairs that never come within range, where every step
+    /// of the altitude window's runs exits at the altitude or the range
+    /// test: the band's top just under, just over and far above the apex.
+    #[test]
+    fn pair_counter_matches_on_out_of_range_pairs(
+        (threat, weapon) in arb_out_of_range_pair()
     ) {
         prop_assert_eq!(
             threat::pair_counts(&threat, &weapon),
