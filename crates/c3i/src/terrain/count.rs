@@ -7,8 +7,10 @@
 //! parent — and the one data-dependent branch (an unset parent) records
 //! nothing. So the three measurements the harness needs of a scenario
 //! (Program 3's profile, Program 4's per-threat counts, the fine-grained
-//! phase list) follow from the grid size and the threat list, in one pass
-//! over each threat's rings, without running a recurrence.
+//! phase list) follow from the grid size and the threat list, without
+//! running a recurrence. Inside a ring the scaled coordinate lands on a
+//! parent only at the radar's own coordinate, so a ring costs what its
+//! runs (at most four) cost, not what its cells cost.
 //!
 //! The recorded programs stay the specification: [`op_profile`] must equal
 //! [`terrain_masking_profile`](super::sequential::terrain_masking_profile),
@@ -42,24 +44,25 @@ fn ops(record: impl FnOnce(&mut OpRecorder)) -> OpCounts {
 
 /// Of the edge cells of ring `k` whose subordinate coordinate runs over
 /// `sub`, how many interpolate from a single parent: those whose scaled
-/// coordinate has no fractional part. `c` is the radar's coordinate on
-/// that axis. The expression is the recurrence's own, in `f64`: the
-/// products round, so the answer is not a property of the offset alone.
-fn single_parent_cells(c: usize, sub: std::ops::RangeInclusive<usize>, scale: f64) -> u64 {
-    sub.filter(|&s| {
-        let d = s as isize - c as isize;
-        let f = c as f64 + d as f64 * scale;
-        f - f.floor() == 0.0
-    })
-    .count() as u64
+/// coordinate `c + d·(k−1)/k` (`d = s − c`, `c` the radar's coordinate on
+/// that axis) has no fractional part. An edge cell's `|d|` is at most
+/// `k − 1`, and `d·(k−1)/k = d − d/k` is an integer only for `d = 0`;
+/// every other cell's exact coordinate lies at least `1/k` from an
+/// integer. The recurrence computes it in `f64` (a rounded `(k−1)/k`, a
+/// product, a sum), which moves it by at most `(3k + c)·2⁻⁵³`, less than
+/// `1/k` while `k·(3k + c) < 2⁵³`. So inside a ring the answer is a
+/// property of the offset alone: one cell if `sub` holds `c`, none
+/// otherwise.
+fn single_parent_cells(c: usize, sub: std::ops::RangeInclusive<usize>) -> u64 {
+    u64::from(sub.contains(&c))
 }
 
 /// Width and recorded operations of ring `k ≥ 2` of `region`: what the
 /// row/column sweeps record over the ring's runs, which is also what
-/// `raw_alt_for_cell` plus the store records cell by cell.
+/// `raw_alt_for_cell` plus the store records cell by cell. Counted per
+/// run, in O(1) each.
 pub fn ring_ops(region: &Region, k: usize) -> (u64, OpCounts) {
     debug_assert!(k >= 2, "rings 0 and 1 are plain stores");
-    let scale = (k - 1) as f64 / k as f64;
     let (mut cells, mut corners, mut single) = (0u64, 0u64, 0u64);
     for run in region.ring_runs(k).iter() {
         cells += run.len() as u64;
@@ -70,11 +73,11 @@ pub fn ring_ops(region: &Region, k: usize) -> (u64, OpCounts) {
                 let (has_l, has_r) = (x0 + k == region.cx, x1 == region.cx + k);
                 corners += has_l as u64 + has_r as u64;
                 let interior = x0 + has_l as usize..=x1 - has_r as usize;
-                single += single_parent_cells(region.cx, interior, scale);
+                single += single_parent_cells(region.cx, interior);
             }
             // Corners belong to the rows: every column cell is an edge.
             RingRun::Col { y0, y1, .. } => {
-                single += single_parent_cells(region.cy, y0..=y1, scale);
+                single += single_parent_cells(region.cy, y0..=y1);
             }
         }
     }
@@ -189,6 +192,7 @@ pub fn op_profile(
 
 #[cfg(test)]
 mod tests {
+    use super::single_parent_cells;
     use proptest::prelude::*;
     use std::ops::RangeInclusive;
 
@@ -204,12 +208,6 @@ mod tests {
             f - f.floor() == 0.0
         })
         .count() as u64
-    }
-
-    /// The closed form the counter relies on: inside a ring, only the
-    /// radar's own coordinate has a single parent.
-    fn closed_form(c: usize, sub: RangeInclusive<usize>) -> u64 {
-        u64::from(sub.contains(&c))
     }
 
     /// The interior of ring `k`'s edge around `c`, `|s − c| ≤ k − 1`,
@@ -237,7 +235,7 @@ mod tests {
         fn closed_form_equals_the_oracle_on_unclipped_edges((k, c) in arb_ring()) {
             let sub = edge_interior(c, k, 0, None);
             prop_assert_eq!(
-                closed_form(c, sub.clone()),
+                single_parent_cells(c, sub.clone()),
                 single_parent_cells_per_cell(c, sub, k)
             );
         }
@@ -251,7 +249,7 @@ mod tests {
         ) {
             let sub = edge_interior(c, k, skip, Some(len));
             prop_assert_eq!(
-                closed_form(c, sub.clone()),
+                single_parent_cells(c, sub.clone()),
                 single_parent_cells_per_cell(c, sub, k)
             );
         }
@@ -267,7 +265,7 @@ mod tests {
             for c in 0..1100 {
                 let sub = edge_interior(c, k, 0, None);
                 assert_eq!(
-                    closed_form(c, sub.clone()),
+                    single_parent_cells(c, sub.clone()),
                     single_parent_cells_per_cell(c, sub, k),
                     "ring {k} around {c}"
                 );

@@ -238,10 +238,8 @@ pub fn can_intercept<R: Rec>(weapon: &Weapon, threat: &Threat, step: u32, r: &mu
 ///
 /// A recorder that does not count (`!R::COUNTING`: the host-timed
 /// programs) skips what it can show has no feasible step. First a pair
-/// whose ground track never comes within range: every step's slant² is at
-/// least `min_ground_dist2` up to rounding, and the 1 % margin dwarfs any
-/// accumulated float error (relative ~1e-15), so a skipped pair has no
-/// feasible step; NaN geometry fails the `>` and is scanned. Then it scans
+/// whose ground track never comes within range (`out_of_range`, a
+/// private function of this module, with a 1 % margin). Then it scans
 /// only the runs of the pair's altitude window (`altitude_window`, a
 /// private function of this module), whose edges are infeasible, so no
 /// interval crosses one. A counting recorder sees every step, which is
@@ -258,8 +256,7 @@ pub fn intervals_for_pair<R: Rec>(
     let last = threat.last_step();
     r.load(2);
     r.int(2);
-    let mr2 = weapon.max_range * weapon.max_range;
-    if first > last || (!R::COUNTING && min_ground_dist2(threat, weapon) > mr2 * 1.01) {
+    if first > last || (!R::COUNTING && out_of_range(threat, weapon)) {
         return;
     }
 
@@ -310,7 +307,7 @@ pub fn intervals_for_pair<R: Rec>(
 /// charges `int 2` per infeasible step and per step that extends an
 /// interval, and `sstore 4, int 2` per interval emitted. A counting
 /// recorder takes no range prune, so a pair that can never come within
-/// range still pays for every step.
+/// range is charged for every step, as the recorder would be.
 ///
 /// Only the steps inside the runs of the pair's altitude window
 /// (`altitude_window`) go through [`exit_class`], in one recorder-free
@@ -318,7 +315,11 @@ pub fn intervals_for_pair<R: Rec>(
 /// [`Exit::Timing`] before the reaction step, [`Exit::Envelope`] after it.
 /// A run's edges are infeasible, so no step outside a run follows a
 /// feasible one and none is evaluated twice. Where no window is shown,
-/// the pass covers every step.
+/// the pass covers every step. A pair the host's range prune rules out
+/// has no feasible step, so inside a run every step exits at the altitude
+/// or the range test; a run's middle, where the altitude is shown to lie
+/// inside the band, is counted in bulk as [`Exit::Range`]
+/// (`out_of_range_run`), and only its ends are classified.
 pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
     let mut r = OpRecorder::new();
     let first = threat.first_step();
@@ -332,8 +333,13 @@ pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
     let mut evaluations = [0u64; Exit::ALL.len()];
     let (mut infeasible, mut extending, mut intervals) = (0u64, 0u64, 0u64);
     let window = altitude_window(threat, weapon, first, last);
+    let pruned = window.is_some() && out_of_range(threat, weapon);
     let mut in_run = false;
     for (lo, hi) in window.unwrap_or([(first, last), NO_RUN]) {
+        if pruned {
+            infeasible += out_of_range_run(threat, weapon, lo, hi, &mut evaluations);
+            continue;
+        }
         for step in lo..=hi {
             let (exit, feasible) = exit_class(weapon, threat, step);
             evaluations[exit as usize] += if in_run && !feasible { 2 } else { 1 };
@@ -506,6 +512,89 @@ fn clears_the_band(
         || (up_hi + 1).max(lo) > (down_lo - 1).min(hi)
         || (above(up_hi.max(lo)) && above(down_lo.min(hi)));
     ascent && descent && over
+}
+
+/// [`pair_counts`] over one run `lo..=hi` of the window of a pair that
+/// [`out_of_range`] rules out: adds each step's exit to `evaluations` and
+/// returns how many steps the run has (every one infeasible). Every step
+/// exits at [`Exit::Envelope`] or [`Exit::Range`]: the window puts the run
+/// past the reaction step and inside the flight, and no step is within
+/// range. The steps are classified from each end until one lies inside
+/// the band by the margin; the steps between those two are then inside
+/// the band too, so they exit at [`Exit::Range`] and are counted in bulk,
+/// when either
+/// - `max_alt` clears the apex by the margin: no `z` reaches it, and the
+///   parabola is concave in the flight fraction `τ`, so between the two
+///   ends `z` is at least the smaller of theirs; or
+/// - the two ends' `τ`, computed as [`Threat::position`] computes it, lie
+///   on one side of ½: `τ` is monotone in the step, so `z` is monotone
+///   between the ends and lies between their values.
+///
+/// Either way, the computed `z` is off the true parabola at the computed
+/// `τ` by a few ulps of the apex height, which the margin dwarfs.
+/// Otherwise (the band's top under the apex, the run spanning it) the
+/// middle is classified step by step.
+fn out_of_range_run(
+    threat: &Threat,
+    weapon: &Weapon,
+    lo: u32,
+    hi: u32,
+    evaluations: &mut [u64; Exit::ALL.len()],
+) -> u64 {
+    if lo > hi {
+        return 0;
+    }
+    let margin = ALT_MARGIN * threat.apex_height;
+    let tau = |step: u32| (step as f64 * TIME_STEP - threat.launch_time) / threat.flight_time;
+    let inside = |step: u32| {
+        let z = threat
+            .position(step as f64 * TIME_STEP)
+            .map_or(f64::NAN, |p| p.2);
+        weapon.min_alt + margin <= z && z <= weapon.max_alt - margin
+    };
+    let mut classify = |step: u32| {
+        let (exit, feasible) = exit_class(weapon, threat, step);
+        debug_assert!(!feasible && matches!(exit, Exit::Envelope | Exit::Range));
+        evaluations[exit as usize] += 1;
+    };
+    // The first step inside the band, from below, and the last, from
+    // above; each end's steps up to it are classified.
+    let mut a = lo;
+    classify(a);
+    while a < hi && !inside(a) {
+        a += 1;
+        classify(a);
+    }
+    let mut b = hi;
+    if b > a {
+        classify(b);
+        while b > a + 1 && !inside(b) {
+            b -= 1;
+            classify(b);
+        }
+    }
+    // Steps strictly between: none unless both ends are inside the band.
+    let middle = (a + 1)..b;
+    if !middle.is_empty() {
+        let bounded =
+            weapon.max_alt > threat.apex_height + margin || tau(b) <= 0.5 || tau(a) >= 0.5;
+        if bounded {
+            evaluations[Exit::Range as usize] += u64::from(b - a - 1);
+        } else {
+            middle.for_each(classify);
+        }
+    }
+    u64::from(hi - lo) + 1
+}
+
+/// The host's range prune: whether the threat's ground track never comes
+/// within `max_range` of `weapon`, with a 1 % margin. Every step's slant²
+/// is at least [`min_ground_dist2`] up to rounding, and the margin dwarfs
+/// any accumulated float error (relative ~1e-15), so no step of such a
+/// pair is feasible, and none passes the range test. NaN geometry fails
+/// the `>`: such a pair is not ruled out.
+fn out_of_range(threat: &Threat, weapon: &Weapon) -> bool {
+    min_ground_dist2(threat, weapon) > weapon.max_range * weapon.max_range * 1.01
 }
 
 /// Squared minimum ground distance from `weapon` to the threat's ground
