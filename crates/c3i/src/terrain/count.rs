@@ -57,14 +57,26 @@ fn single_parent_cells(c: usize, sub: std::ops::RangeInclusive<usize>) -> u64 {
     u64::from(sub.contains(&c))
 }
 
+/// Whether [`single_parent_cells`] is exact on ring `k` around coordinate
+/// `c`: `k·(3k + c) < 2⁵³`. `TerrainScenario::validate` bounds the grid
+/// side so that every ring and coordinate a grid holds meets it.
+pub(crate) const fn closed_form_is_exact(k: usize, c: usize) -> bool {
+    (k as u128) * (3 * k as u128 + c as u128) < 1 << 53
+}
+
 /// Width and recorded operations of ring `k ≥ 2` of `region`: what the
 /// row/column sweeps record over the ring's runs, which is also what
 /// `raw_alt_for_cell` plus the store records cell by cell. Counted per
 /// run, in O(1) each.
 pub fn ring_ops(region: &Region, k: usize) -> (u64, OpCounts) {
     debug_assert!(k >= 2, "rings 0 and 1 are plain stores");
+    let runs = region.ring_runs(k);
+    debug_assert!(
+        runs.is_empty() || closed_form_is_exact(k, region.cx.max(region.cy)),
+        "ring {k} of {region:?} is past the grid side TerrainScenario::validate accepts"
+    );
     let (mut cells, mut corners, mut single) = (0u64, 0u64, 0u64);
-    for run in region.ring_runs(k).iter() {
+    for run in runs.iter() {
         cells += run.len() as u64;
         match run {
             // A row run's end cells are diagonal when they reach the

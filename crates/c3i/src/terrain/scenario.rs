@@ -37,11 +37,23 @@ pub struct TerrainScenario {
     pub cell_size_m: f64,
 }
 
+/// The longest grid side [`TerrainScenario::validate`] accepts. The ring
+/// counter ([`op_profile`](super::count::op_profile)) finds the cells that
+/// interpolate from a single parent from the ring geometry alone, which is
+/// exact while `k·(3k + c) < 2⁵³` for every ring `k` and radar coordinate
+/// `c`; on a grid whose sides are at most this long, both are under it.
+pub const MAX_GRID_SIDE: usize = 47_453_133;
+
 /// Why a [`TerrainScenario`] is malformed (see [`TerrainScenario::validate`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TerrainScenarioError {
     /// The terrain grid has zero cells.
     EmptyTerrain,
+    /// A grid side is longer than [`MAX_GRID_SIDE`].
+    GridTooLarge {
+        /// Grid dimensions.
+        grid: (usize, usize),
+    },
     /// The cell size is not a finite positive number.
     BadCellSize(f64),
     /// A terrain elevation is NaN or infinite.
@@ -81,6 +93,9 @@ impl std::fmt::Display for TerrainScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TerrainScenarioError::EmptyTerrain => write!(f, "terrain grid has zero cells"),
+            TerrainScenarioError::GridTooLarge { grid } => {
+                write!(f, "grid {grid:?} has a side over {MAX_GRID_SIDE} cells")
+            }
             TerrainScenarioError::BadCellSize(v) => {
                 write!(f, "cell size must be finite and positive, got {v}")
             }
@@ -115,6 +130,7 @@ impl TerrainScenario {
         if self.terrain.is_empty() {
             return Err(TerrainScenarioError::EmptyTerrain);
         }
+        check_grid_side(self.terrain.x_size(), self.terrain.y_size())?;
         if !(self.cell_size_m.is_finite() && self.cell_size_m > 0.0) {
             return Err(TerrainScenarioError::BadCellSize(self.cell_size_m));
         }
@@ -150,6 +166,17 @@ impl TerrainScenario {
         }
         Ok(())
     }
+}
+
+/// [`TerrainScenario::validate`]'s grid-size check, apart from a grid so
+/// that the bound can be tested without allocating one.
+fn check_grid_side(x_size: usize, y_size: usize) -> Result<(), TerrainScenarioError> {
+    if x_size.max(y_size) > MAX_GRID_SIDE {
+        return Err(TerrainScenarioError::GridTooLarge {
+            grid: (x_size, y_size),
+        });
+    }
+    Ok(())
 }
 
 /// Generation parameters for a synthetic scenario.
@@ -505,6 +532,30 @@ mod tests {
             Err(TerrainScenarioError::NonFiniteMast { index: 1, .. })
         ));
 
+        assert_eq!(small_scenario(1).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_grids_past_the_ring_counters_bound() {
+        use crate::terrain::count::closed_form_is_exact;
+        // The largest side for which every ring and radar coordinate the
+        // grid can hold (both at most `side − 1`) meets the bound.
+        let last = MAX_GRID_SIDE - 1;
+        assert!(closed_form_is_exact(last, last));
+        assert!(!closed_form_is_exact(last + 1, last + 1));
+
+        assert_eq!(check_grid_side(MAX_GRID_SIDE, 1), Ok(()));
+        assert_eq!(check_grid_side(1, MAX_GRID_SIDE), Ok(()));
+        for grid in [
+            (MAX_GRID_SIDE + 1, 1),
+            (1, MAX_GRID_SIDE + 1),
+            (usize::MAX, 3),
+        ] {
+            assert_eq!(
+                check_grid_side(grid.0, grid.1),
+                Err(TerrainScenarioError::GridTooLarge { grid })
+            );
+        }
         assert_eq!(small_scenario(1).validate(), Ok(()));
     }
 
