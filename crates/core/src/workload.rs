@@ -124,13 +124,13 @@ enum Measured {
 impl Workload {
     /// Obtain the workload at `scale`: generate what each scenario's counts
     /// depend on and count what the benchmark programs would record on it
-    /// (about 35 ms at Paper scale on two cores: on one thread the Threat
-    /// Analysis exit histogram is ≈ 29 ms and the Terrain Masking ring
-    /// counter with its threat draw ≈ 24 ms). One task per scenario, run
-    /// across all host processors — on the process-wide persistent pool,
-    /// so back-to-back builds pay condvar wakeups rather than thread
-    /// spawns — with dynamic self-scheduling; results are identical to
-    /// the sequential path.
+    /// (about 16–25 ms at Paper scale on a two-core Xeon: on one thread
+    /// the Threat Analysis exit histogram is ≈ 35 ms and the Terrain
+    /// Masking ring counter ≈ 2 ms, plus its threat draw). One task per
+    /// scenario, run across all host processors — on the process-wide
+    /// persistent pool, so back-to-back builds pay condvar wakeups rather
+    /// than thread spawns — with dynamic self-scheduling; results are
+    /// identical to the sequential path.
     pub fn build(scale: WorkloadScale) -> Self {
         Self::build_with(scale, ThreadPool::global().n_threads())
     }
