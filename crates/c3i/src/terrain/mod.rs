@@ -51,7 +51,7 @@ pub use los::{
 };
 pub use scenario::{
     benchmark_params, benchmark_suite, generate, generate_threats, small_scenario, GroundThreat,
-    TerrainScenario, TerrainScenarioError, TerrainScenarioParams, MAX_GRID_SIDE,
+    TerrainScenario, TerrainScenarioError, TerrainScenarioParams,
 };
 pub use sequential::{
     terrain_masking, terrain_masking_host, terrain_masking_into, terrain_masking_profile,
