@@ -16,6 +16,8 @@
 //! replay exercises concurrent admission with realistically mixed
 //! service times rather than uniform work.
 
+use eval_core::experiments::{Figure, TABLES};
+use eval_core::paper::{ALPHA, EXEMPLAR, MACHINES, PPRO};
 use eval_core::{EvalRequest, Platform};
 use rand::Rng;
 use rand::SeedableRng;
@@ -42,13 +44,16 @@ fn pick<T: Copy>(rng: &mut ChaCha8Rng, xs: &[T]) -> T {
 }
 
 /// A processor count admissible on `platform`: conventional machines are
-/// bounded by their Table 1 sizes (Alpha is a uniprocessor, the Sparta
-/// is 4-way, the Exemplar 16-way); the Tera model projects freely.
+/// bounded by their Table 1 sizes (the Exemplar's draws include its full
+/// size and one less); the Tera model projects freely.
 fn procs_for(rng: &mut ChaCha8Rng, platform: Platform) -> usize {
     match platform {
-        Platform::Alpha => 1,
-        Platform::PentiumPro => rng.random_range(1..=4),
-        Platform::Exemplar => pick(rng, &[1, 2, 4, 8, 15, 16]),
+        Platform::Alpha => MACHINES[ALPHA].processors,
+        Platform::PentiumPro => rng.random_range(1..=MACHINES[PPRO].processors),
+        Platform::Exemplar => {
+            let n = MACHINES[EXEMPLAR].processors;
+            pick(rng, &[1, 2, 4, 8, n - 1, n])
+        }
         Platform::Tera => pick(rng, PROC_COUNTS),
     }
 }
@@ -82,10 +87,10 @@ pub fn generate_request(seed: u64, index: usize) -> EvalRequest {
         }
         // Medium: rendered tables and figures.
         65..=84 => EvalRequest::Table {
-            n: rng.random_range(1..=12u8),
+            n: rng.random_range(1..=TABLES.len() as u8),
         },
         85..=92 => EvalRequest::FigurePlot {
-            n: rng.random_range(1..=4u8),
+            n: rng.random_range(1..=Figure::ALL.len() as u8),
         },
         // Heavy tail: projections and the perturbation sweep.
         93..=97 => {
@@ -107,14 +112,17 @@ pub fn generate_mix(seed: u64, n: usize) -> Vec<EvalRequest> {
 mod tests {
     use super::*;
 
-    /// The Table 1 processor counts the service's models enforce.
+    /// The processor counts the service admits: Table 1's for the
+    /// conventional machines, whose models enforce it, and the request
+    /// bound for the Tera, whose model projects past it.
     fn platform_cap(platform: Platform) -> usize {
-        match platform {
-            Platform::Alpha => 1,
-            Platform::PentiumPro => 4,
-            Platform::Exemplar => 16,
-            Platform::Tera => 1024,
-        }
+        let i = match platform {
+            Platform::Alpha => ALPHA,
+            Platform::PentiumPro => PPRO,
+            Platform::Exemplar => EXEMPLAR,
+            Platform::Tera => return 1024,
+        };
+        MACHINES[i].processors
     }
 
     #[test]
@@ -128,8 +136,10 @@ mod tests {
         // BadRequest traffic in a load run).
         for req in &a {
             match req {
-                EvalRequest::Table { n } => assert!((1..=12).contains(n)),
-                EvalRequest::FigurePlot { n } => assert!((1..=4).contains(n)),
+                EvalRequest::Table { n } => assert!((1..=TABLES.len()).contains(&usize::from(*n))),
+                EvalRequest::FigurePlot { n } => {
+                    assert!((1..=Figure::ALL.len()).contains(&usize::from(*n)))
+                }
                 EvalRequest::ThreatModel {
                     platform,
                     n_procs,

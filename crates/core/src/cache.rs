@@ -11,8 +11,9 @@
 //!
 //! Correctness comes from the *code fingerprint*: a snapshot stores a hash
 //! of every source file the measured numbers depend on (benchmark
-//! algorithms, counting backend, workload/calibration definitions,
-//! embedded via `include_str!` at compile time). Any edit to those files
+//! algorithms, counting backend, workload/calibration definitions and the
+//! published numbers calibration is anchored to, `paper.rs`, embedded via
+//! `include_str!` at compile time). Any edit to those files
 //! changes the fingerprint of the running binary, so stale snapshots are
 //! silently re-measured, never trusted. Unreadable or corrupt snapshots
 //! are likewise treated as misses.
@@ -58,6 +59,7 @@ pub enum CacheStatus {
 const MEASUREMENT_SOURCES: &[(&str, &str)] = &[
     ("core/src/workload.rs", include_str!("workload.rs")),
     ("core/src/calibrate.rs", include_str!("calibrate.rs")),
+    ("core/src/paper.rs", include_str!("paper.rs")),
     ("core/src/models.rs", include_str!("models.rs")),
     ("c3i/src/lib.rs", include_str!("../../c3i/src/lib.rs")),
     ("c3i/src/grid.rs", include_str!("../../c3i/src/grid.rs")),
@@ -369,6 +371,7 @@ mod tests {
         for must in [
             "core/src/workload.rs",
             "core/src/calibrate.rs",
+            "core/src/paper.rs",
             "core/src/models.rs",
             "sthreads/src/counting.rs",
             "../vendor/rand_chacha/src/lib.rs",

@@ -3,8 +3,9 @@
 //! Everything the models need falls into three groups:
 //!
 //! 1. **Hardware constants** taken from Table 1 and §2 of the paper:
-//!    clock rates, processor counts, the MTA's 21-cycle pipeline,
-//!    ≈70-cycle memory latency, 128 streams/processor, thread costs.
+//!    clock rates, processor counts, the MTA's issue pipeline and streams
+//!    per processor (all in [`crate::paper`]), and the memory latency and
+//!    thread costs below.
 //!
 //! 2. **Workload-size factors** `S_TA`, `S_TM`: the C3IPBS inputs are not
 //!    public, so our synthetic scenarios do a different absolute amount of
@@ -15,7 +16,7 @@
 //!    latency, no cache behaviour to argue about).
 //!
 //! 3. **Platform efficiency constants**, each fit to exactly one paper
-//!    row and documented here:
+//!    row and documented here (every anchor is read from [`crate::paper`]):
 //!    * per-platform cycles-per-resident-op `c` and cycles-per-streaming-op
 //!      `m`: solved from that platform's two sequential rows (Tables 2, 8);
 //!    * MTA 2-processor network efficiency `η₂` (the paper itself
@@ -32,39 +33,9 @@
 //! *prediction*. EXPERIMENTS.md tabulates paper-vs-model for all of them.
 
 use crate::models::{ConventionalModel, TeraModel};
+use crate::paper::{self, ALPHA, EXEMPLAR, MACHINES, PPRO, TABLE5_CHUNKS, TERA};
 use crate::workload::{chunk_prologue, Workload};
 use sthreads::OpCounts;
-
-/// The paper's measured numbers used as calibration anchors (a subset of
-/// the full tables in [`crate::experiments::paper`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PaperAnchors {
-    /// Table 2: sequential Threat Analysis (Alpha, PPro, Exemplar, Tera).
-    pub ta_seq: [f64; 4],
-    /// Table 8: sequential Terrain Masking (Alpha, PPro, Exemplar, Tera).
-    pub tm_seq: [f64; 4],
-    /// Table 5: chunked Threat Analysis on the Tera, 2 processors.
-    pub ta_tera_p2: f64,
-    /// Table 11: fine-grained Terrain Masking on the Tera, 1 processor.
-    pub tm_tera_p1: f64,
-    /// Table 9: coarse Terrain Masking on the Pentium Pro, 4 processors.
-    pub tm_ppro_p4: f64,
-    /// Table 10: coarse Terrain Masking on the Exemplar, 16 processors.
-    pub tm_exemplar_p16: f64,
-}
-
-impl Default for PaperAnchors {
-    fn default() -> Self {
-        Self {
-            ta_seq: [187.0, 458.0, 343.0, 2584.0],
-            tm_seq: [158.0, 197.0, 228.0, 978.0],
-            ta_tera_p2: 46.0,
-            tm_tera_p1: 48.0,
-            tm_ppro_p4: 65.0,
-            tm_exemplar_p16: 37.0,
-        }
-    }
-}
 
 /// Fixed (non-fit) cost constants, from §2/§7 of the paper.
 mod constants {
@@ -86,13 +57,13 @@ mod constants {
 /// The calibrated model set.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Calibration {
-    /// DEC AlphaStation 500 MHz (1 processor).
+    /// DEC AlphaStation (uniprocessor).
     pub alpha: ConventionalModel,
-    /// NeTpower Sparta: 4 × 200 MHz Pentium Pro.
+    /// NeTpower Sparta, quad Pentium Pro.
     pub ppro: ConventionalModel,
-    /// HP Exemplar: 16 × 180 MHz PA-8000.
+    /// HP Exemplar, 16 PA-8000s.
     pub exemplar: ConventionalModel,
-    /// Tera MTA: 2 × 255 MHz.
+    /// Tera MTA, two processors.
     pub tera: TeraModel,
     /// Workload-size factor for Threat Analysis.
     pub s_ta: f64,
@@ -104,27 +75,24 @@ fn resident_ops(ops: &OpCounts) -> f64 {
     (ops.int_ops + ops.fp_ops + ops.loads + ops.stores) as f64
 }
 
-/// Solve the 2×2 system for one conventional platform's per-op costs from
-/// its two sequential anchors.
-#[allow(clippy::too_many_arguments)] // one anchor row per argument; a struct would obscure the system
+/// Solve the 2×2 system for the per-op costs of platform `i` of Table 1
+/// from its two sequential anchors (Tables 2 and 8).
 fn fit_conventional(
-    name: &str,
-    clock_mhz: f64,
-    n_processors: usize,
+    i: usize,
     ta_ops: &OpCounts,
     tm_ops: &OpCounts,
-    ta_secs: f64,
-    tm_secs: f64,
     s_ta: f64,
     s_tm: f64,
 ) -> ConventionalModel {
+    let machine = &MACHINES[i];
+    let (name, clock_mhz) = (machine.name, machine.clock_mhz);
     // s_ta*(Rta*c + Sta*m) = ta_secs*clock ; s_tm*(Rtm*c + Stm*m) = tm_secs*clock
     let a11 = s_ta * resident_ops(ta_ops);
     let a12 = s_ta * ta_ops.stream_ops() as f64;
     let a21 = s_tm * resident_ops(tm_ops);
     let a22 = s_tm * tm_ops.stream_ops() as f64;
-    let b1 = ta_secs * clock_mhz * 1e6;
-    let b2 = tm_secs * clock_mhz * 1e6;
+    let b1 = paper::TABLE2[i] * clock_mhz * 1e6;
+    let b2 = paper::TABLE8[i] * clock_mhz * 1e6;
     let det = a11 * a22 - a12 * a21;
     assert!(det.abs() > 1e-6, "degenerate calibration system for {name}");
     let c = (b1 * a22 - b2 * a12) / det;
@@ -134,7 +102,7 @@ fn fit_conventional(
     ConventionalModel {
         name: name.to_string(),
         clock_mhz,
-        n_processors,
+        n_processors: machine.processors,
         resident_cost: c,
         stream_cost: m,
         sync_cost: constants::CONV_SYNC_CYCLES,
@@ -146,12 +114,11 @@ fn fit_conventional(
 /// Calibrate all models against `workload` (see module docs for exactly
 /// which paper rows are anchors).
 pub fn calibrate(workload: &Workload) -> Calibration {
-    let anchors = PaperAnchors::default();
     let mut tera = TeraModel {
-        clock_mhz: 255.0,
-        issue_latency: 21.0,
+        clock_mhz: MACHINES[TERA].clock_mhz,
+        issue_latency: paper::TERA_ISSUE_CYCLES,
         mem_latency: constants::TERA_MEM_LATENCY,
-        streams_per_processor: 128,
+        streams_per_processor: paper::TERA_STREAMS,
         eta2: 1.0,
         network_words_per_cycle: constants::TERA_NETWORK_WORDS_PER_CYCLE,
         spawn_cycles_per_task: 0.0,
@@ -164,55 +131,24 @@ pub fn calibrate(workload: &Workload) -> Calibration {
         .iter()
         .map(|p| tera.seq_seconds(p, 1.0))
         .sum();
-    let s_ta = anchors.ta_seq[3] / t0_ta;
+    let s_ta = paper::TABLE2[TERA] / t0_ta;
     let t0_tm: f64 = workload
         .tm_seq
         .iter()
         .map(|p| tera.seq_seconds(p, 1.0))
         .sum();
-    let s_tm = anchors.tm_seq[3] / t0_tm;
+    let s_tm = paper::TABLE8[TERA] / t0_tm;
 
     // ── conventional per-op costs from Tables 2 and 8 ───────────────────
     let ta_ops = workload.ta_total();
     let tm_ops = workload.tm_total();
-    let alpha = fit_conventional(
-        "Alpha",
-        500.0,
-        1,
-        &ta_ops,
-        &tm_ops,
-        anchors.ta_seq[0],
-        anchors.tm_seq[0],
-        s_ta,
-        s_tm,
-    );
-    let mut ppro = fit_conventional(
-        "Pentium Pro",
-        200.0,
-        4,
-        &ta_ops,
-        &tm_ops,
-        anchors.ta_seq[1],
-        anchors.tm_seq[1],
-        s_ta,
-        s_tm,
-    );
-    let mut exemplar = fit_conventional(
-        "Exemplar",
-        180.0,
-        16,
-        &ta_ops,
-        &tm_ops,
-        anchors.ta_seq[2],
-        anchors.tm_seq[2],
-        s_ta,
-        s_tm,
-    );
+    let [alpha, mut ppro, mut exemplar] =
+        [ALPHA, PPRO, EXEMPLAR].map(|i| fit_conventional(i, &ta_ops, &tm_ops, s_ta, s_tm));
 
     // ── MTA network efficiency η₂ from Table 5's 2-processor row ───────
     // T = s_ta * (serial + issue₂/η) / clock  (memory term non-binding for
     // the compute-bound Threat Analysis; asserted in tests).
-    let prologue = chunk_prologue(256);
+    let prologue = chunk_prologue(TABLE5_CHUNKS);
     // One prologue per scenario, added one at a time as the per-scenario
     // profiles were, so η₂ keeps its bits.
     let serial2: f64 = workload
@@ -223,9 +159,9 @@ pub fn calibrate(workload: &Workload) -> Calibration {
     let issue2: f64 = workload
         .ta_per_threat
         .iter()
-        .map(|per_threat| tera.chunked_issue_cycles(per_threat, 256, 2))
+        .map(|per_threat| tera.chunked_issue_cycles(per_threat, TABLE5_CHUNKS, 2))
         .sum();
-    let target_cycles = anchors.ta_tera_p2 * clock / s_ta - serial2;
+    let target_cycles = paper::at(&paper::TABLE5, 2) * clock / s_ta - serial2;
     assert!(target_cycles > 0.0, "eta2 calibration target underflow");
     tera.eta2 = (issue2 / target_cycles).min(1.0);
 
@@ -245,7 +181,7 @@ pub fn calibrate(workload: &Workload) -> Calibration {
         .iter()
         .map(TeraModel::phased_task_count)
         .sum();
-    let spawn_budget = anchors.tm_tera_p1 * clock / s_tm - serial_fine - issue_fine1;
+    let spawn_budget = paper::at(&paper::TABLE11, 1) * clock / s_tm - serial_fine - issue_fine1;
     assert!(
         spawn_budget > 0.0,
         "fine-grained issue model already exceeds Table 11's 1-processor time"
@@ -253,21 +189,23 @@ pub fn calibrate(workload: &Workload) -> Calibration {
     tera.spawn_cycles_per_task = spawn_budget / tasks;
 
     // ── SMP bus costs from Table 9 (P=4) and Table 10 (P=16) ───────────
-    // At those points the memory-bound program is interconnect-limited:
+    // At those points — each machine's full size — the memory-bound
+    // program is interconnect-limited:
     // T = s_tm * (serial + stream_total × bus_cost) / clock.
-    let fit_bus = |model: &ConventionalModel, n_procs: usize, t_secs: f64, w: &Workload| -> f64 {
-        let coarse = w.tm_coarse(n_procs);
+    let fit_bus = |model: &ConventionalModel, table: &[(usize, f64)]| -> f64 {
+        let n_procs = model.n_processors;
+        let coarse = workload.tm_coarse(n_procs);
         let serial_cycles: f64 = coarse.iter().map(|p| model.cpu_cycles(&p.serial)).sum();
         let stream_total: f64 = coarse
             .iter()
             .map(|p| p.parallel.total().stream_ops() as f64)
             .sum();
-        let budget = t_secs * model.clock_mhz * 1e6 / s_tm - serial_cycles;
+        let budget = paper::at(table, n_procs) * model.clock_mhz * 1e6 / s_tm - serial_cycles;
         assert!(budget > 0.0, "{}: bus calibration underflow", model.name);
         budget / stream_total
     };
-    ppro.bus_cost_per_stream_op = fit_bus(&ppro, 4, anchors.tm_ppro_p4, workload);
-    exemplar.bus_cost_per_stream_op = fit_bus(&exemplar, 16, anchors.tm_exemplar_p16, workload);
+    ppro.bus_cost_per_stream_op = fit_bus(&ppro, &paper::TABLE9);
+    exemplar.bus_cost_per_stream_op = fit_bus(&exemplar, &paper::TABLE10);
 
     Calibration {
         alpha,

@@ -1,108 +1,39 @@
-//! The paper's experiments: one generator per table and figure.
+//! The paper's experiments: one generator per table shape, and the list
+//! of tables and figures they fill.
 //!
 //! Every generator returns a [`Table`] whose value cells carry both the
-//! model's number and the paper's published number, so the rendered output
-//! *is* the paper-vs-reproduction comparison. Figures 1–4 are the speedup
-//! curves of Tables 3, 4, 9, 10; [`Experiments::figure`] renders them as
-//! ASCII plots and exposes the raw series for the benchmark harness.
+//! model's number and the paper's published number (from
+//! [`crate::paper`]), so the rendered output *is* the
+//! paper-vs-reproduction comparison. The Threat Analysis and Terrain
+//! Masking twins share one generator per shape and differ only in the
+//! data they pass it. Figures 1–4 are the speedup curves of Tables 3, 4,
+//! 9, 10; [`Experiments::figure`] renders them as ASCII plots and exposes
+//! the raw series for the benchmark harness.
 
 use crate::calibrate::{calibrate, Calibration};
 use crate::models::ConventionalModel;
+use crate::paper::{self, ALPHA, EXEMPLAR, MACHINES, PPRO, TABLE5_CHUNKS, TERA};
 use crate::tables::{ascii_speedup_figure, Cell, Table};
 use crate::workload::{chunk_prologue, Workload};
 use c3i::Profile;
 use sthreads::{par_map, ThreadPool};
 
-/// The paper's published numbers, verbatim from the tables.
-pub mod paper {
-    /// Table 2: sequential Threat Analysis seconds
-    /// (Alpha, Pentium Pro, Exemplar, Tera).
-    pub const TABLE2: [(&str, f64); 4] = [
-        ("Alpha", 187.0),
-        ("Pentium Pro", 458.0),
-        ("Exemplar", 343.0),
-        ("Tera", 2584.0),
-    ];
-
-    /// Table 3: chunked Threat Analysis on the quad Pentium Pro.
-    /// `(processors, seconds)`; the sequential program took 458 s.
-    pub const TABLE3: [(usize, f64); 4] = [(1, 466.0), (2, 233.0), (3, 157.0), (4, 117.0)];
-    /// Sequential reference for Table 3.
-    pub const TABLE3_SEQ: f64 = 458.0;
-
-    /// Table 4: chunked Threat Analysis on the 16-processor Exemplar.
-    pub const TABLE4: [(usize, f64); 16] = [
-        (1, 343.0),
-        (2, 172.0),
-        (3, 115.0),
-        (4, 87.0),
-        (5, 69.0),
-        (6, 58.0),
-        (7, 50.0),
-        (8, 43.0),
-        (9, 39.0),
-        (10, 35.0),
-        (11, 32.0),
-        (12, 29.0),
-        (13, 27.0),
-        (14, 26.0),
-        (15, 24.0),
-        (16, 22.0),
-    ];
-    /// Sequential reference for Table 4.
-    pub const TABLE4_SEQ: f64 = 343.0;
-
-    /// Table 5: chunked Threat Analysis on the Tera MTA (256 chunks).
-    pub const TABLE5: [(usize, f64); 2] = [(1, 82.0), (2, 46.0)];
-
-    /// Table 6: Threat Analysis chunk sweep on the 2-processor Tera.
-    pub const TABLE6: [(usize, f64); 6] = [
-        (8, 386.0),
-        (16, 197.0),
-        (32, 104.0),
-        (64, 61.0),
-        (128, 46.0),
-        (256, 46.0),
-    ];
-
-    /// Table 8: sequential Terrain Masking seconds.
-    pub const TABLE8: [(&str, f64); 4] = [
-        ("Alpha", 158.0),
-        ("Pentium Pro", 197.0),
-        ("Exemplar", 228.0),
-        ("Tera", 978.0),
-    ];
-
-    /// Table 9: coarse Terrain Masking on the quad Pentium Pro.
-    pub const TABLE9: [(usize, f64); 4] = [(1, 172.0), (2, 97.0), (3, 74.0), (4, 65.0)];
-    /// Sequential reference for Table 9.
-    pub const TABLE9_SEQ: f64 = 197.0;
-
-    /// Table 10: coarse Terrain Masking on the 16-processor Exemplar.
-    pub const TABLE10: [(usize, f64); 16] = [
-        (1, 228.0),
-        (2, 102.0),
-        (3, 90.0),
-        (4, 59.0),
-        (5, 62.0),
-        (6, 43.0),
-        (7, 51.0),
-        (8, 37.0),
-        (9, 49.0),
-        (10, 34.0),
-        (11, 41.0),
-        (12, 34.0),
-        (13, 32.0),
-        (14, 40.0),
-        (15, 41.0),
-        (16, 37.0),
-    ];
-    /// Sequential reference for Table 10.
-    pub const TABLE10_SEQ: f64 = 228.0;
-
-    /// Table 11: fine-grained Terrain Masking on the Tera MTA.
-    pub const TABLE11: [(usize, f64); 2] = [(1, 48.0), (2, 34.0)];
-}
+/// Every paper table, in paper order: `TABLES[n - 1]` generates Table `n`.
+/// The twins of one shape share a generator and differ only in its data.
+pub const TABLES: [fn(&Experiments) -> Table; 12] = [
+    Experiments::table1,
+    |e| e.sequential_table(&TA_SEQ),
+    |e| e.scaling_table(&TA_PPRO),
+    |e| e.scaling_table(&TA_EXEMPLAR),
+    |e| e.scaling_table(&TA_TERA),
+    Experiments::table6,
+    Experiments::table7,
+    |e| e.sequential_table(&TM_SEQ),
+    |e| e.scaling_table(&TM_PPRO),
+    |e| e.scaling_table(&TM_EXEMPLAR),
+    |e| e.scaling_table(&TM_TERA),
+    |e| e.summary_table(&TM_SUMMARY),
+];
 
 /// Which figure to render/extract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,6 +47,173 @@ pub enum Figure {
     /// Figure 4: Terrain Masking speedup on the Exemplar.
     TerrainExemplar,
 }
+
+impl Figure {
+    /// Every figure, in paper order: `Figure::ALL[n - 1]` is Figure `n`.
+    pub const ALL: [Figure; 4] = [
+        Figure::ThreatPPro,
+        Figure::ThreatExemplar,
+        Figure::TerrainPPro,
+        Figure::TerrainExemplar,
+    ];
+
+    /// The figure's id and caption, and the table whose speedups it plots.
+    fn spec(self) -> (&'static str, &'static str, &'static Scaling) {
+        match self {
+            Figure::ThreatPPro => (
+                "Figure 1",
+                "Speedup of multithreaded Threat Analysis on quad Pentium Pro",
+                &TA_PPRO,
+            ),
+            Figure::ThreatExemplar => (
+                "Figure 2",
+                "Speedup of multithreaded Threat Analysis on 16-processor Exemplar",
+                &TA_EXEMPLAR,
+            ),
+            Figure::TerrainPPro => (
+                "Figure 3",
+                "Speedup of coarse-grained Terrain Masking on quad Pentium Pro",
+                &TM_PPRO,
+            ),
+            Figure::TerrainExemplar => (
+                "Figure 4",
+                "Speedup of multithreaded Terrain Masking on 16-processor Exemplar",
+                &TM_EXEMPLAR,
+            ),
+        }
+    }
+}
+
+// ── the tables as data ───────────────────────────────────────────────────
+//
+// One value per table shape and benchmark; the generators below never ask
+// which table they are building.
+
+/// Tables 2 and 8: one benchmark's sequential seconds on each platform.
+struct Sequential {
+    id: &'static str,
+    title: &'static str,
+    /// Modeled seconds, in [`MACHINES`] order.
+    model: fn(&Experiments) -> [f64; 4],
+    paper: &'static [f64; 4],
+}
+
+/// Tables 3–5 and 9–11: one benchmark's seconds and speedups against the
+/// processor count on one platform.
+struct Scaling {
+    id: &'static str,
+    title: &'static str,
+    /// The first header, spelled as the paper spells it in this table.
+    procs_header: &'static str,
+    /// The sequential table and the platform's index in it: the first
+    /// row and the speedup baseline. `None` makes the first processor row
+    /// the baseline.
+    seq: Option<(&'static Sequential, usize)>,
+    /// `(processors, published seconds)`, one per row.
+    paper: &'static [(usize, f64)],
+    /// Modeled seconds on `n` processors.
+    time: fn(&Experiments, usize) -> f64,
+}
+
+/// Tables 7 and 12: one benchmark without, with automatic and with manual
+/// parallelization, every cell read from the detail tables.
+struct Summary {
+    id: &'static str,
+    title: &'static str,
+    seq: &'static Sequential,
+    ppro: &'static Scaling,
+    exemplar: &'static Scaling,
+    tera: &'static Scaling,
+}
+
+const CONV_PROCS: &str = "Number of processors";
+const TERA_PROCS: &str = "Number of Processors";
+
+const TA_SEQ: Sequential = Sequential {
+    id: "Table 2",
+    title: "Execution time of sequential Threat Analysis without parallelization",
+    model: Experiments::ta_seq_secs,
+    paper: &paper::TABLE2,
+};
+
+const TA_PPRO: Scaling = Scaling {
+    id: "Table 3",
+    title: "Multithreaded Threat Analysis on quad-processor Pentium Pro",
+    procs_header: CONV_PROCS,
+    seq: Some((&TA_SEQ, PPRO)),
+    paper: &paper::TABLE3,
+    time: |e, n| e.ta_conv_parallel(&e.cal.ppro, n),
+};
+
+const TA_EXEMPLAR: Scaling = Scaling {
+    id: "Table 4",
+    title: "Multithreaded Threat Analysis on 16-processor Exemplar",
+    procs_header: CONV_PROCS,
+    seq: Some((&TA_SEQ, EXEMPLAR)),
+    paper: &paper::TABLE4,
+    time: |e, n| e.ta_conv_parallel(&e.cal.exemplar, n),
+};
+
+const TA_TERA: Scaling = Scaling {
+    id: "Table 5",
+    title: "Multithreaded Threat Analysis on dual-processor Tera MTA (256 chunks)",
+    procs_header: TERA_PROCS,
+    seq: None,
+    paper: &paper::TABLE5,
+    time: |e, n| e.ta_tera(TABLE5_CHUNKS, n),
+};
+
+const TA_SUMMARY: Summary = Summary {
+    id: "Table 7",
+    title: "Performance comparison for execution times of Threat Analysis",
+    seq: &TA_SEQ,
+    ppro: &TA_PPRO,
+    exemplar: &TA_EXEMPLAR,
+    tera: &TA_TERA,
+};
+
+const TM_SEQ: Sequential = Sequential {
+    id: "Table 8",
+    title: "Execution time of sequential Terrain Masking without parallelization",
+    model: Experiments::tm_seq_secs,
+    paper: &paper::TABLE8,
+};
+
+const TM_PPRO: Scaling = Scaling {
+    id: "Table 9",
+    title: "Multithreaded Terrain Masking on quad-processor Pentium Pro (10x10 blocking)",
+    procs_header: CONV_PROCS,
+    seq: Some((&TM_SEQ, PPRO)),
+    paper: &paper::TABLE9,
+    time: |e, n| e.tm_conv_parallel(&e.cal.ppro, n),
+};
+
+const TM_EXEMPLAR: Scaling = Scaling {
+    id: "Table 10",
+    title: "Multithreaded Terrain Masking on 16-processor Exemplar (10x10 blocking)",
+    procs_header: CONV_PROCS,
+    seq: Some((&TM_SEQ, EXEMPLAR)),
+    paper: &paper::TABLE10,
+    time: |e, n| e.tm_conv_parallel(&e.cal.exemplar, n),
+};
+
+const TM_TERA: Scaling = Scaling {
+    id: "Table 11",
+    title: "Multithreaded (fine-grained) Terrain Masking on dual-processor Tera MTA",
+    procs_header: TERA_PROCS,
+    seq: None,
+    paper: &paper::TABLE11,
+    time: Experiments::tm_tera,
+};
+
+const TM_SUMMARY: Summary = Summary {
+    id: "Table 12",
+    title: "Performance comparison for execution times of Terrain Masking",
+    seq: &TM_SEQ,
+    ppro: &TM_PPRO,
+    exemplar: &TM_EXEMPLAR,
+    tera: &TM_TERA,
+};
 
 /// The full experiment harness: a measured workload plus calibrated
 /// models.
@@ -234,19 +332,130 @@ impl Experiments {
             .sum()
     }
 
-    // ── tables ───────────────────────────────────────────────────────────
+    // ── one generator per table shape ────────────────────────────────────
 
-    /// Table 1: the platforms (static — from the paper, annotated with
-    /// what stands in for each here).
-    pub fn table1(&self) -> Table {
-        let row = |machine: &str, procs: &str, os: &str, sub: &str| {
-            vec![
-                Cell::text(machine),
-                Cell::text(procs),
-                Cell::text(os),
-                Cell::text(sub),
-            ]
+    fn sequential_table(&self, s: &Sequential) -> Table {
+        Table {
+            id: s.id.into(),
+            title: s.title.into(),
+            headers: vec!["Platform".into(), "Time (seconds)".into()],
+            rows: MACHINES
+                .iter()
+                .zip((s.model)(self))
+                .zip(s.paper)
+                .map(|((m, secs), &p)| vec![Cell::text(m.name), Cell::val(secs, p)])
+                .collect(),
+        }
+    }
+
+    /// `s`'s speedup baseline as `(model, paper)` seconds, and its rows as
+    /// `(processors, model, paper)` seconds.
+    #[allow(clippy::type_complexity)] // (baseline, rows); named once, here
+    fn scaling_points(&self, s: &Scaling) -> ((f64, f64), Vec<(usize, f64, f64)>) {
+        let points: Vec<_> = s
+            .paper
+            .iter()
+            .map(|&(n, p)| (n, (s.time)(self, n), p))
+            .collect();
+        let base = match s.seq {
+            Some((seq, i)) => ((seq.model)(self)[i], seq.paper[i]),
+            None => (points[0].1, points[0].2),
         };
+        (base, points)
+    }
+
+    fn scaling_table(&self, s: &Scaling) -> Table {
+        let ((base_m, base_p), points) = self.scaling_points(s);
+        let seq_row = s.seq.map(|_| {
+            vec![
+                Cell::text("Sequential"),
+                Cell::val(base_m, base_p),
+                Cell::text("N.A."),
+            ]
+        });
+        let rows = seq_row.into_iter().chain(points.iter().map(|&(n, m, p)| {
+            vec![
+                Cell::text(n.to_string()),
+                Cell::val(m, p),
+                Cell::val(base_m / m, base_p / p),
+            ]
+        }));
+        Table {
+            id: s.id.into(),
+            title: s.title.into(),
+            headers: vec![
+                s.procs_header.into(),
+                "Time (seconds)".into(),
+                "Speedup".into(),
+            ],
+            rows: rows.collect(),
+        }
+    }
+
+    fn summary_table(&self, s: &Summary) -> Table {
+        let seq = (s.seq.model)(self);
+        let none = |i: usize| (MACHINES[i].name.to_string(), seq[i], s.seq.paper[i]);
+        let manual = |name: &str, spec: &Scaling, n: usize| {
+            let plural = if n == 1 { "" } else { "s" };
+            (
+                format!("{name} ({n} processor{plural})"),
+                (spec.time)(self, n),
+                paper::at(spec.paper, n),
+            )
+        };
+        let (ppro, exemplar, tera) = (&MACHINES[PPRO], &MACHINES[EXEMPLAR], &MACHINES[TERA]);
+        let groups = [
+            (
+                "None",
+                vec![none(ALPHA), none(PPRO), none(EXEMPLAR), none(TERA)],
+            ),
+            ("Automatic", vec![none(EXEMPLAR), none(TERA)]),
+            (
+                "Manual",
+                vec![
+                    manual(ppro.name, s.ppro, ppro.processors),
+                    manual(exemplar.name, s.exemplar, 4),
+                    manual(exemplar.name, s.exemplar, 8),
+                    manual(exemplar.name, s.exemplar, exemplar.processors),
+                    manual(tera.machine, s.tera, 1),
+                    manual(tera.machine, s.tera, tera.processors),
+                ],
+            ),
+        ];
+        let rows = groups.into_iter().flat_map(|(group, rows)| {
+            rows.into_iter()
+                .enumerate()
+                .map(move |(i, (platform, m, p))| {
+                    vec![
+                        Cell::text(if i == 0 { group } else { "" }),
+                        Cell::text(platform),
+                        Cell::val(m, p),
+                    ]
+                })
+        });
+        Table {
+            id: s.id.into(),
+            title: s.title.into(),
+            headers: vec![
+                "Parallelization".into(),
+                "Platform".into(),
+                "Time (seconds)".into(),
+            ],
+            rows: rows.collect(),
+        }
+    }
+
+    // ── the tables with a shape of their own ─────────────────────────────
+
+    /// Table 1: the platforms (from the paper, annotated with what stands
+    /// in for each here).
+    fn table1(&self) -> Table {
+        const REPRODUCED_BY: [&str; 4] = [
+            "calibrated uniprocessor cache model",
+            "calibrated SMP model + smp-sim bus",
+            "calibrated SMP model + smp-sim bus",
+            "mta-sim + calibrated stream model",
+        ];
         Table {
             id: "Table 1".into(),
             title: "Platforms used in the performance comparison".into(),
@@ -256,145 +465,27 @@ impl Experiments {
                 "Operating System".into(),
                 "Reproduced by".into(),
             ],
-            rows: vec![
-                row(
-                    "Digital AlphaStation",
-                    "1 x 500 MHz Alpha 21164A",
-                    "Digital Unix 4.0C",
-                    "calibrated uniprocessor cache model",
-                ),
-                row(
-                    "NeTpower Sparta",
-                    "4 x 200 MHz Pentium Pro",
-                    "Windows NT 4.0",
-                    "calibrated SMP model + smp-sim bus",
-                ),
-                row(
-                    "Hewlett-Packard Exemplar",
-                    "16 x 180 MHz PA-8000",
-                    "SPP-UX 5.3",
-                    "calibrated SMP model + smp-sim bus",
-                ),
-                row(
-                    "Tera MTA",
-                    "2 x 255 MHz MTA-1",
-                    "Carlos",
-                    "mta-sim + calibrated stream model",
-                ),
-            ],
-        }
-    }
-
-    /// Table 2: sequential Threat Analysis times.
-    pub fn table2(&self) -> Table {
-        let secs = self.ta_seq_secs();
-        Table {
-            id: "Table 2".into(),
-            title: "Execution time of sequential Threat Analysis without parallelization".into(),
-            headers: vec!["Platform".into(), "Time (seconds)".into()],
-            rows: paper::TABLE2
+            rows: MACHINES
                 .iter()
-                .zip(secs)
-                .map(|(&(name, p), m)| vec![Cell::text(name), Cell::val(m, p)])
+                .zip(REPRODUCED_BY)
+                .map(|(m, by)| {
+                    vec![
+                        Cell::text(m.machine),
+                        Cell::text(format!("{} x {} MHz {}", m.processors, m.clock_mhz, m.cpu)),
+                        Cell::text(m.os),
+                        Cell::text(by),
+                    ]
+                })
                 .collect(),
         }
     }
 
-    fn conv_scaling_table(
-        &self,
-        id: &str,
-        title: &str,
-        seq_model: f64,
-        seq_paper: f64,
-        rows: &[(usize, f64)],
-        time: impl Fn(usize) -> f64,
-    ) -> Table {
-        let mut out_rows = vec![vec![
-            Cell::text("Sequential"),
-            Cell::val(seq_model, seq_paper),
-            Cell::text("N.A."),
-        ]];
-        for &(n, p_secs) in rows {
-            let m_secs = time(n);
-            out_rows.push(vec![
-                Cell::text(n.to_string()),
-                Cell::val(m_secs, p_secs),
-                Cell::val(seq_model / m_secs, seq_paper / p_secs),
-            ]);
-        }
-        Table {
-            id: id.into(),
-            title: title.into(),
-            headers: vec![
-                "Number of processors".into(),
-                "Time (seconds)".into(),
-                "Speedup".into(),
-            ],
-            rows: out_rows,
-        }
-    }
-
-    /// Table 3: chunked Threat Analysis on the quad Pentium Pro.
-    pub fn table3(&self) -> Table {
-        let seq = self.ta_seq_secs()[1];
-        let ppro = self.cal.ppro.clone();
-        self.conv_scaling_table(
-            "Table 3",
-            "Multithreaded Threat Analysis on quad-processor Pentium Pro",
-            seq,
-            paper::TABLE3_SEQ,
-            &paper::TABLE3,
-            |n| self.ta_conv_parallel(&ppro, n),
-        )
-    }
-
-    /// Table 4: chunked Threat Analysis on the 16-processor Exemplar.
-    pub fn table4(&self) -> Table {
-        let seq = self.ta_seq_secs()[2];
-        let exemplar = self.cal.exemplar.clone();
-        self.conv_scaling_table(
-            "Table 4",
-            "Multithreaded Threat Analysis on 16-processor Exemplar",
-            seq,
-            paper::TABLE4_SEQ,
-            &paper::TABLE4,
-            |n| self.ta_conv_parallel(&exemplar, n),
-        )
-    }
-
-    /// Table 5: chunked Threat Analysis on the Tera MTA (256 chunks).
-    pub fn table5(&self) -> Table {
-        let t1 = self.ta_tera(256, 1);
-        let rows = paper::TABLE5
-            .iter()
-            .map(|&(n, p)| {
-                let m = self.ta_tera(256, n);
-                let p1 = paper::TABLE5[0].1;
-                vec![
-                    Cell::text(n.to_string()),
-                    Cell::val(m, p),
-                    Cell::val(t1 / m, p1 / p),
-                ]
-            })
-            .collect();
-        Table {
-            id: "Table 5".into(),
-            title: "Multithreaded Threat Analysis on dual-processor Tera MTA (256 chunks)".into(),
-            headers: vec![
-                "Number of Processors".into(),
-                "Time (seconds)".into(),
-                "Speedup".into(),
-            ],
-            rows,
-        }
-    }
-
     /// Table 6: Threat Analysis chunk-count sweep on the 2-processor Tera.
-    pub fn table6(&self) -> Table {
+    fn table6(&self) -> Table {
         let rows = paper::TABLE6
             .iter()
             .map(|&(chunks, p)| {
-                let m = self.ta_tera(chunks, 2);
+                let m = self.ta_tera(chunks, MACHINES[TERA].processors);
                 vec![Cell::text(chunks.to_string()), Cell::val(m, p)]
             })
             .collect();
@@ -409,224 +500,12 @@ impl Experiments {
     /// Table 7: Threat Analysis summary. The "Automatic" rows equal the
     /// sequential rows because the modeled compiler (like the real ones)
     /// rejects every loop — see [`Experiments::autopar_report`].
-    pub fn table7(&self) -> Table {
-        let seq = self.ta_seq_secs();
-        let auto_failed = self.autopar_report().all_rejected_for_benchmarks();
+    fn table7(&self) -> Table {
         assert!(
-            auto_failed,
+            self.autopar_report().all_rejected_for_benchmarks(),
             "the autopar model must reject the benchmark loops"
         );
-        let rows = vec![
-            vec![
-                Cell::text("None"),
-                Cell::text("Alpha"),
-                Cell::val(seq[0], 187.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Pentium Pro"),
-                Cell::val(seq[1], 458.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Exemplar"),
-                Cell::val(seq[2], 343.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Tera"),
-                Cell::val(seq[3], 2584.0),
-            ],
-            vec![
-                Cell::text("Automatic"),
-                Cell::text("Exemplar"),
-                Cell::val(seq[2], 343.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Tera"),
-                Cell::val(seq[3], 2584.0),
-            ],
-            vec![
-                Cell::text("Manual"),
-                Cell::text("Pentium Pro (4 processors)"),
-                Cell::val(self.ta_conv_parallel(&self.cal.ppro, 4), 117.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Exemplar (4 processors)"),
-                Cell::val(self.ta_conv_parallel(&self.cal.exemplar, 4), 87.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Exemplar (8 processors)"),
-                Cell::val(self.ta_conv_parallel(&self.cal.exemplar, 8), 43.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Exemplar (16 processors)"),
-                Cell::val(self.ta_conv_parallel(&self.cal.exemplar, 16), 22.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Tera MTA (1 processor)"),
-                Cell::val(self.ta_tera(256, 1), 82.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Tera MTA (2 processors)"),
-                Cell::val(self.ta_tera(256, 2), 46.0),
-            ],
-        ];
-        Table {
-            id: "Table 7".into(),
-            title: "Performance comparison for execution times of Threat Analysis".into(),
-            headers: vec![
-                "Parallelization".into(),
-                "Platform".into(),
-                "Time (seconds)".into(),
-            ],
-            rows,
-        }
-    }
-
-    /// Table 8: sequential Terrain Masking times.
-    pub fn table8(&self) -> Table {
-        let secs = self.tm_seq_secs();
-        Table {
-            id: "Table 8".into(),
-            title: "Execution time of sequential Terrain Masking without parallelization".into(),
-            headers: vec!["Platform".into(), "Time (seconds)".into()],
-            rows: paper::TABLE8
-                .iter()
-                .zip(secs)
-                .map(|(&(name, p), m)| vec![Cell::text(name), Cell::val(m, p)])
-                .collect(),
-        }
-    }
-
-    /// Table 9: coarse Terrain Masking on the quad Pentium Pro.
-    pub fn table9(&self) -> Table {
-        let seq = self.tm_seq_secs()[1];
-        let ppro = self.cal.ppro.clone();
-        self.conv_scaling_table(
-            "Table 9",
-            "Multithreaded Terrain Masking on quad-processor Pentium Pro (10x10 blocking)",
-            seq,
-            paper::TABLE9_SEQ,
-            &paper::TABLE9,
-            |n| self.tm_conv_parallel(&ppro, n),
-        )
-    }
-
-    /// Table 10: coarse Terrain Masking on the 16-processor Exemplar.
-    pub fn table10(&self) -> Table {
-        let seq = self.tm_seq_secs()[2];
-        let exemplar = self.cal.exemplar.clone();
-        self.conv_scaling_table(
-            "Table 10",
-            "Multithreaded Terrain Masking on 16-processor Exemplar (10x10 blocking)",
-            seq,
-            paper::TABLE10_SEQ,
-            &paper::TABLE10,
-            |n| self.tm_conv_parallel(&exemplar, n),
-        )
-    }
-
-    /// Table 11: fine-grained Terrain Masking on the Tera MTA.
-    pub fn table11(&self) -> Table {
-        let t1 = self.tm_tera(1);
-        let rows = paper::TABLE11
-            .iter()
-            .map(|&(n, p)| {
-                let m = self.tm_tera(n);
-                let p1 = paper::TABLE11[0].1;
-                vec![
-                    Cell::text(n.to_string()),
-                    Cell::val(m, p),
-                    Cell::val(t1 / m, p1 / p),
-                ]
-            })
-            .collect();
-        Table {
-            id: "Table 11".into(),
-            title: "Multithreaded (fine-grained) Terrain Masking on dual-processor Tera MTA".into(),
-            headers: vec![
-                "Number of Processors".into(),
-                "Time (seconds)".into(),
-                "Speedup".into(),
-            ],
-            rows,
-        }
-    }
-
-    /// Table 12: Terrain Masking summary.
-    pub fn table12(&self) -> Table {
-        let seq = self.tm_seq_secs();
-        let rows = vec![
-            vec![
-                Cell::text("None"),
-                Cell::text("Alpha"),
-                Cell::val(seq[0], 158.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Pentium Pro"),
-                Cell::val(seq[1], 197.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Exemplar"),
-                Cell::val(seq[2], 228.0),
-            ],
-            vec![Cell::text(""), Cell::text("Tera"), Cell::val(seq[3], 978.0)],
-            vec![
-                Cell::text("Automatic"),
-                Cell::text("Exemplar"),
-                Cell::val(seq[2], 228.0),
-            ],
-            vec![Cell::text(""), Cell::text("Tera"), Cell::val(seq[3], 978.0)],
-            vec![
-                Cell::text("Manual"),
-                Cell::text("Pentium Pro (4 processors)"),
-                Cell::val(self.tm_conv_parallel(&self.cal.ppro, 4), 65.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Exemplar (4 processors)"),
-                Cell::val(self.tm_conv_parallel(&self.cal.exemplar, 4), 59.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Exemplar (8 processors)"),
-                Cell::val(self.tm_conv_parallel(&self.cal.exemplar, 8), 37.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Exemplar (16 processors)"),
-                Cell::val(self.tm_conv_parallel(&self.cal.exemplar, 16), 37.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Tera MTA (1 processor)"),
-                Cell::val(self.tm_tera(1), 48.0),
-            ],
-            vec![
-                Cell::text(""),
-                Cell::text("Tera MTA (2 processors)"),
-                Cell::val(self.tm_tera(2), 34.0),
-            ],
-        ];
-        Table {
-            id: "Table 12".into(),
-            title: "Performance comparison for execution times of Terrain Masking".into(),
-            headers: vec![
-                "Parallelization".into(),
-                "Platform".into(),
-                "Time (seconds)".into(),
-            ],
-            rows,
-        }
+        self.summary_table(&TA_SUMMARY)
     }
 
     /// Every table, in paper order. Generated across all host processors
@@ -640,83 +519,27 @@ impl Experiments {
     /// [`Experiments::all_tables`] with an explicit worker count.
     ///
     /// Each table is a pure function of `&self`, so the generators run as
-    /// one [`par_map`] over the fixed row of 12, which preserves paper
-    /// order regardless of thread interleaving.
+    /// one [`par_map`] over [`TABLES`], which preserves paper order
+    /// regardless of thread interleaving.
     pub fn all_tables_with_threads(&self, n_threads: usize) -> Vec<Table> {
-        const GENERATORS: [fn(&Experiments) -> Table; 12] = [
-            Experiments::table1,
-            Experiments::table2,
-            Experiments::table3,
-            Experiments::table4,
-            Experiments::table5,
-            Experiments::table6,
-            Experiments::table7,
-            Experiments::table8,
-            Experiments::table9,
-            Experiments::table10,
-            Experiments::table11,
-            Experiments::table12,
-        ];
-        par_map(GENERATORS.len(), n_threads, |i| GENERATORS[i](self))
+        par_map(TABLES.len(), n_threads, |i| TABLES[i](self))
     }
 
     // ── figures ──────────────────────────────────────────────────────────
 
-    /// Model and paper speedup series for a figure.
+    /// Model and paper speedup series for a figure: the speedup column of
+    /// the table it plots.
     #[allow(clippy::type_complexity)] // (model series, paper series), both (procs, speedup)
     pub fn figure_series(&self, f: Figure) -> (Vec<(usize, f64)>, Vec<(usize, f64)>) {
-        let (seq_m, seq_p, rows, time): (f64, f64, &[(usize, f64)], Box<dyn Fn(usize) -> f64>) =
-            match f {
-                Figure::ThreatPPro => (
-                    self.ta_seq_secs()[1],
-                    paper::TABLE3_SEQ,
-                    &paper::TABLE3,
-                    Box::new(|n| self.ta_conv_parallel(&self.cal.ppro, n)),
-                ),
-                Figure::ThreatExemplar => (
-                    self.ta_seq_secs()[2],
-                    paper::TABLE4_SEQ,
-                    &paper::TABLE4,
-                    Box::new(|n| self.ta_conv_parallel(&self.cal.exemplar, n)),
-                ),
-                Figure::TerrainPPro => (
-                    self.tm_seq_secs()[1],
-                    paper::TABLE9_SEQ,
-                    &paper::TABLE9,
-                    Box::new(|n| self.tm_conv_parallel(&self.cal.ppro, n)),
-                ),
-                Figure::TerrainExemplar => (
-                    self.tm_seq_secs()[2],
-                    paper::TABLE10_SEQ,
-                    &paper::TABLE10,
-                    Box::new(|n| self.tm_conv_parallel(&self.cal.exemplar, n)),
-                ),
-            };
-        let model = rows.iter().map(|&(n, _)| (n, seq_m / time(n))).collect();
-        let paper_pts = rows.iter().map(|&(n, p)| (n, seq_p / p)).collect();
+        let ((base_m, base_p), points) = self.scaling_points(f.spec().2);
+        let model = points.iter().map(|&(n, m, _)| (n, base_m / m)).collect();
+        let paper_pts = points.iter().map(|&(n, _, p)| (n, base_p / p)).collect();
         (model, paper_pts)
     }
 
     /// Render a figure as an ASCII plot.
     pub fn figure(&self, f: Figure) -> String {
-        let (id, title) = match f {
-            Figure::ThreatPPro => (
-                "Figure 1",
-                "Speedup of multithreaded Threat Analysis on quad Pentium Pro",
-            ),
-            Figure::ThreatExemplar => (
-                "Figure 2",
-                "Speedup of multithreaded Threat Analysis on 16-processor Exemplar",
-            ),
-            Figure::TerrainPPro => (
-                "Figure 3",
-                "Speedup of coarse-grained Terrain Masking on quad Pentium Pro",
-            ),
-            Figure::TerrainExemplar => (
-                "Figure 4",
-                "Speedup of multithreaded Terrain Masking on 16-processor Exemplar",
-            ),
-        };
+        let (id, title, _) = f.spec();
         let (model, paper_pts) = self.figure_series(f);
         ascii_speedup_figure(id, title, &model, &paper_pts)
     }
@@ -855,7 +678,7 @@ impl Experiments {
             let alpha_ta = Self::sum_seq(&cal.alpha, &w.ta_seq, cal.s_ta);
             [
                 tera_seq_ta / alpha_ta, // Tera-vs-Alpha sequential slowdown
-                Self::ta_tera_of(w, cal, 256, 1)
+                Self::ta_tera_of(w, cal, TABLE5_CHUNKS, 1)
                     / Self::ta_conv_parallel_of(w, cal, &cal.exemplar, 4), // Tera(1)/Exemplar(4)
                 Self::tm_tera_of(w, cal, 1) / Self::tm_tera_of(w, cal, 2), // TM 2-proc speedup
             ]
@@ -1117,6 +940,11 @@ mod tests {
         E.get_or_init(|| Experiments::new(Workload::build(WorkloadScale::Reduced)))
     }
 
+    /// Paper table `n`.
+    fn table(n: usize) -> Table {
+        TABLES[n - 1](exps())
+    }
+
     /// Geometric-mean relative error of a table's referenced cells.
     fn max_rel_error(t: &Table) -> f64 {
         t.referenced_values()
@@ -1127,48 +955,44 @@ mod tests {
 
     #[test]
     fn anchor_tables_are_tight() {
-        let e = exps();
-        assert!(max_rel_error(&e.table2()) < 0.01, "{}", e.table2().render());
-        assert!(max_rel_error(&e.table8()) < 0.01, "{}", e.table8().render());
+        assert!(max_rel_error(&table(2)) < 0.01, "{}", table(2).render());
+        assert!(max_rel_error(&table(8)) < 0.01, "{}", table(8).render());
     }
 
     #[test]
     fn table3_ppro_threat_scaling_is_close() {
-        let e = exps();
-        let err = max_rel_error(&e.table3());
+        let err = max_rel_error(&table(3));
         assert!(
             err < 0.15,
             "Table 3 worst error {err}:\n{}",
-            e.table3().render()
+            table(3).render()
         );
     }
 
     #[test]
     fn table4_exemplar_threat_scaling_is_close() {
-        let e = exps();
-        let err = max_rel_error(&e.table4());
+        let err = max_rel_error(&table(4));
         assert!(
             err < 0.20,
             "Table 4 worst error {err}:\n{}",
-            e.table4().render()
+            table(4).render()
         );
     }
 
     #[test]
     fn table5_tera_threat_matches_shape() {
-        let e = exps();
-        let err = max_rel_error(&e.table5());
+        let err = max_rel_error(&table(5));
         assert!(
             err < 0.20,
             "Table 5 worst error {err}:\n{}",
-            e.table5().render()
+            table(5).render()
         );
     }
 
     #[test]
     fn table6_chunk_sweep_matches_shape() {
         let e = exps();
-        let t = e.table6();
+        let t = table(6);
         // Monotone non-increasing in chunk count, saturating at the end.
         let times: Vec<f64> = paper::TABLE6
             .iter()
@@ -1187,11 +1011,11 @@ mod tests {
     #[test]
     fn table9_ppro_terrain_saturates() {
         let e = exps();
-        let err = max_rel_error(&e.table9());
+        let err = max_rel_error(&table(9));
         assert!(
             err < 0.25,
             "Table 9 worst error {err}:\n{}",
-            e.table9().render()
+            table(9).render()
         );
         // Speedup at 4 processors must be well below 4 (memory-bound).
         let seq = e.tm_seq_secs()[1];
@@ -1208,11 +1032,11 @@ mod tests {
         assert!(s16 > 4.0, "but still speed up: {s16}");
         // Mid-range rows within a loose band (the paper's own data is
         // noisy and non-monotonic there).
-        let err = max_rel_error(&e.table10());
+        let err = max_rel_error(&table(10));
         assert!(
             err < 0.45,
             "Table 10 worst error {err}:\n{}",
-            e.table10().render()
+            table(10).render()
         );
     }
 
@@ -1249,17 +1073,49 @@ mod tests {
 
     #[test]
     fn summary_tables_are_consistent_with_detail_tables() {
-        let e = exps();
-        let t7 = e.table7();
-        let t12 = e.table12();
-        assert_eq!(t7.rows.len(), 12);
-        assert_eq!(t12.rows.len(), 12);
-        // Spot-check: Table 7 Tera(1) equals Table 5 P=1.
-        let t5_p1 = e.ta_tera(256, 1);
-        if let Cell::Value { model, .. } = &t7.rows[10][2] {
-            assert!((model - t5_p1).abs() < 1e-9);
-        } else {
-            panic!("unexpected cell");
+        // A time cell's (model, paper) bits.
+        let bits = |c: &Cell| match c {
+            Cell::Value {
+                model,
+                paper: Some(p),
+            } => (model.to_bits(), p.to_bits()),
+            other => panic!("expected a referenced value, got {other:?}"),
+        };
+        // The time cell of `t`'s row labelled `label`.
+        let cell = |t: &Table, label: &str| {
+            let row = t
+                .rows
+                .iter()
+                .find(|r| matches!(&r[0], Cell::Text(s) if s == label));
+            bits(&row.unwrap_or_else(|| panic!("{} has no row {label}", t.id))[1])
+        };
+        for (summary, seq, ppro, exemplar, tera) in [
+            (table(7), table(2), table(3), table(4), table(5)),
+            (table(12), table(8), table(9), table(10), table(11)),
+        ] {
+            let expected = [
+                ("None", "Alpha", cell(&seq, "Alpha")),
+                ("", "Pentium Pro", cell(&seq, "Pentium Pro")),
+                ("", "Exemplar", cell(&seq, "Exemplar")),
+                ("", "Tera", cell(&seq, "Tera")),
+                ("Automatic", "Exemplar", cell(&seq, "Exemplar")),
+                ("", "Tera", cell(&seq, "Tera")),
+                ("Manual", "Pentium Pro (4 processors)", cell(&ppro, "4")),
+                ("", "Exemplar (4 processors)", cell(&exemplar, "4")),
+                ("", "Exemplar (8 processors)", cell(&exemplar, "8")),
+                ("", "Exemplar (16 processors)", cell(&exemplar, "16")),
+                ("", "Tera MTA (1 processor)", cell(&tera, "1")),
+                ("", "Tera MTA (2 processors)", cell(&tera, "2")),
+            ];
+            assert_eq!(summary.rows.len(), expected.len(), "{}", summary.id);
+            for (row, (group, platform, time)) in summary.rows.iter().zip(expected) {
+                let labels = [&row[0], &row[1]].map(|c| match c {
+                    Cell::Text(s) => s.as_str(),
+                    other => panic!("expected a label, got {other:?}"),
+                });
+                assert_eq!(labels, [group, platform], "{}", summary.id);
+                assert_eq!(bits(&row[2]), time, "{} {platform}", summary.id);
+            }
         }
     }
 
@@ -1290,12 +1146,7 @@ mod tests {
     #[test]
     fn figures_render_and_match_monotonicity() {
         let e = exps();
-        for f in [
-            Figure::ThreatPPro,
-            Figure::ThreatExemplar,
-            Figure::TerrainPPro,
-            Figure::TerrainExemplar,
-        ] {
+        for f in Figure::ALL {
             let plot = e.figure(f);
             assert!(plot.contains("Figure"));
             let (model, _) = e.figure_series(f);

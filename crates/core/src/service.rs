@@ -33,7 +33,7 @@
 //! The socket layer (length-prefixed JSON frames, the `repro --serve`
 //! server and `--load` client) lives in [`crate::wire`].
 
-use crate::experiments::{Experiments, Figure};
+use crate::experiments::{Experiments, Figure, TABLES};
 use crate::workload::WorkloadScale;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::time::Instant;
@@ -63,14 +63,14 @@ pub enum Platform {
 pub enum EvalRequest {
     /// Liveness probe; evaluates to `"pong"` without touching the models.
     Ping,
-    /// Render paper table `n` (1–12).
+    /// Render paper table `n`, [`TABLES`]`[n - 1]`.
     Table {
-        /// Table number, 1–12.
+        /// Table number, from 1.
         n: u8,
     },
-    /// Render paper figure `n` (1–4) as an ASCII plot.
+    /// Render paper figure `n`, [`Figure::ALL`]`[n - 1]`, as an ASCII plot.
     FigurePlot {
-        /// Figure number, 1–4.
+        /// Figure number, from 1.
         n: u8,
     },
     /// Modeled Threat Analysis seconds for one configuration: chunked on
@@ -212,34 +212,8 @@ impl Evaluator {
         let e = &self.exps;
         match req {
             EvalRequest::Ping => Ok("pong".to_string()),
-            EvalRequest::Table { n } => {
-                let table = match n {
-                    1 => e.table1(),
-                    2 => e.table2(),
-                    3 => e.table3(),
-                    4 => e.table4(),
-                    5 => e.table5(),
-                    6 => e.table6(),
-                    7 => e.table7(),
-                    8 => e.table8(),
-                    9 => e.table9(),
-                    10 => e.table10(),
-                    11 => e.table11(),
-                    12 => e.table12(),
-                    _ => unreachable!("validate_request holds n to 1..=12"),
-                };
-                Ok(table.render())
-            }
-            EvalRequest::FigurePlot { n } => {
-                let fig = match n {
-                    1 => Figure::ThreatPPro,
-                    2 => Figure::ThreatExemplar,
-                    3 => Figure::TerrainPPro,
-                    4 => Figure::TerrainExemplar,
-                    _ => unreachable!("validate_request holds n to 1..=4"),
-                };
-                Ok(e.figure(fig))
-            }
+            EvalRequest::Table { n } => Ok(TABLES[usize::from(*n) - 1](e).render()),
+            EvalRequest::FigurePlot { n } => Ok(e.figure(Figure::ALL[usize::from(*n) - 1])),
             EvalRequest::ThreatModel {
                 platform,
                 n_procs,
@@ -397,11 +371,14 @@ impl Service {
 fn validate_request(req: &EvalRequest) -> Result<(), EvalError> {
     let bad = |msg: String| Err(EvalError::BadRequest(msg));
     match req {
-        EvalRequest::Table { n } if !(1..=12).contains(n) => {
-            bad(format!("table number {n} not in 1..=12"))
+        EvalRequest::Table { n } if !(1..=TABLES.len()).contains(&usize::from(*n)) => {
+            bad(format!("table number {n} not in 1..={}", TABLES.len()))
         }
-        EvalRequest::FigurePlot { n } if !(1..=4).contains(n) => {
-            bad(format!("figure number {n} not in 1..=4"))
+        EvalRequest::FigurePlot { n } if !(1..=Figure::ALL.len()).contains(&usize::from(*n)) => {
+            bad(format!(
+                "figure number {n} not in 1..={}",
+                Figure::ALL.len()
+            ))
         }
         EvalRequest::ThreatModel { n_procs, .. } | EvalRequest::TerrainModel { n_procs, .. }
             if !(1..=1024).contains(n_procs) =>

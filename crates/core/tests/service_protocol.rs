@@ -7,6 +7,8 @@
 //! holding only its own connection, and bit-identity of served responses
 //! against direct sequential evaluation.
 
+use eval_core::experiments::{Figure, TABLES};
+use eval_core::paper::{ALPHA, EXEMPLAR, MACHINES, PPRO};
 use eval_core::service::{EvalError, EvalRequest, Evaluator, Platform, Service, ServiceConfig};
 use eval_core::wire::{
     read_frame, write_frame, Client, ClientError, FrameError, Server, WireRequest, WireResponse,
@@ -284,13 +286,13 @@ fn served_responses_are_bit_identical_to_direct_evaluation() {
             procs: vec![1, 2, 4, 8, 256],
         },
     ];
-    requests.extend((1..=12).map(|n| EvalRequest::Table { n }));
-    requests.extend((1..=4).map(|n| EvalRequest::FigurePlot { n }));
+    requests.extend((1..=TABLES.len() as u8).map(|n| EvalRequest::Table { n }));
+    requests.extend((1..=Figure::ALL.len() as u8).map(|n| EvalRequest::FigurePlot { n }));
     // Each platform at its Table 1 machine size.
     for (platform, n_procs) in [
-        (Platform::Alpha, 1),
-        (Platform::PentiumPro, 4),
-        (Platform::Exemplar, 16),
+        (Platform::Alpha, MACHINES[ALPHA].processors),
+        (Platform::PentiumPro, MACHINES[PPRO].processors),
+        (Platform::Exemplar, MACHINES[EXEMPLAR].processors),
         (Platform::Tera, 256),
     ] {
         requests.push(EvalRequest::ThreatModel {

@@ -650,12 +650,7 @@ fn main() {
     }
 
     if want(&opts, "figures") {
-        for f in [
-            Figure::ThreatPPro,
-            Figure::ThreatExemplar,
-            Figure::TerrainPPro,
-            Figure::TerrainExemplar,
-        ] {
+        for f in Figure::ALL {
             out.push_str(&exps.figure(f));
             out.push('\n');
         }

@@ -5,7 +5,8 @@
 
 use std::sync::OnceLock;
 use tera_c3i::eval_core::cache::{cache_dir, load_or_measure_in};
-use tera_c3i::eval_core::experiments::{paper, Figure};
+use tera_c3i::eval_core::experiments::{Figure, TABLES};
+use tera_c3i::eval_core::paper::{self, PPRO, TERA};
 use tera_c3i::eval_core::{Experiments, Table, WorkloadScale};
 
 fn exps() -> &'static Experiments {
@@ -16,6 +17,11 @@ fn exps() -> &'static Experiments {
         let (workload, cal, _) = load_or_measure_in(&cache_dir(), WorkloadScale::Reduced, true);
         Experiments { workload, cal }
     })
+}
+
+/// Paper table `n`.
+fn table(n: usize) -> Table {
+    TABLES[n - 1](exps())
 }
 
 fn worst_error(t: &Table) -> f64 {
@@ -32,21 +38,20 @@ fn mean_error(t: &Table) -> f64 {
 
 #[test]
 fn every_table_meets_its_fidelity_band() {
-    let e = exps();
     // (table, worst-case band, mean band) — anchors tight, predictions
     // looser, Table 10's mid-range is the paper's own noisiest data.
     let bands: Vec<(Table, f64, f64)> = vec![
-        (e.table2(), 0.01, 0.01),
-        (e.table3(), 0.10, 0.05),
-        (e.table4(), 0.15, 0.08),
-        (e.table5(), 0.15, 0.10),
-        (e.table6(), 0.25, 0.12),
-        (e.table7(), 0.15, 0.08),
-        (e.table8(), 0.01, 0.01),
-        (e.table9(), 0.10, 0.06),
-        (e.table10(), 0.45, 0.15),
-        (e.table11(), 0.12, 0.08),
-        (e.table12(), 0.25, 0.10),
+        (table(2), 0.01, 0.01),
+        (table(3), 0.10, 0.05),
+        (table(4), 0.15, 0.08),
+        (table(5), 0.15, 0.10),
+        (table(6), 0.25, 0.12),
+        (table(7), 0.15, 0.08),
+        (table(8), 0.01, 0.01),
+        (table(9), 0.10, 0.06),
+        (table(10), 0.45, 0.15),
+        (table(11), 0.12, 0.08),
+        (table(12), 0.25, 0.10),
     ];
     for (t, worst_band, mean_band) in bands {
         let w = worst_error(&t);
@@ -170,7 +175,7 @@ fn automatic_parallelization_rows_equal_sequential_rows() {
     // Table 7/12's "Automatic" rows are the sequential times — tied to
     // the autopar model actually rejecting the loops.
     assert!(e.autopar_report().all_rejected_for_benchmarks());
-    let t7 = e.table7();
+    let t7 = table(7);
     let vals = t7.referenced_values();
     // rows 2 & 4 are Exemplar None/Automatic — identical by construction.
     assert_eq!(vals[2].0, vals[4].0);
@@ -195,11 +200,12 @@ fn csv_export_round_trips_all_values() {
 #[test]
 fn paper_constants_match_the_tables_in_the_text() {
     // Guard against typos in the transcribed paper data.
-    assert_eq!(paper::TABLE2[3].1, 2584.0);
+    assert_eq!(paper::TABLE2[TERA], 2584.0);
     assert_eq!(paper::TABLE6[0], (8, 386.0));
     assert_eq!(paper::TABLE4[15], (16, 22.0));
     assert_eq!(paper::TABLE10[9], (10, 34.0));
     assert_eq!(paper::TABLE11[1], (2, 34.0));
-    assert_eq!(paper::TABLE3_SEQ, 458.0);
-    assert_eq!(paper::TABLE9_SEQ, 197.0);
+    // The sequential baselines of Tables 3 and 9.
+    assert_eq!(paper::TABLE2[PPRO], 458.0);
+    assert_eq!(paper::TABLE8[PPRO], 197.0);
 }
