@@ -47,6 +47,7 @@ use eval_core::workload::WorkloadScale;
 use eval_core::{Client, Evaluator, Server, Service, ServiceConfig};
 use mta_sim::kernels::measure_utilization_sweep;
 use std::io::Write;
+use std::num::NonZeroUsize;
 use sthreads::ThreadPool;
 
 #[derive(Debug)]
@@ -107,7 +108,7 @@ const FLAGS: &[Flag] = &[
         set(&mut o.fuzz_seed, num(v)?)
     }),
     Flag("--threads", Some(("N", "a positive integer")), |o, v| {
-        set(&mut o.n_threads, Some(num(v)?))
+        set(&mut o.n_threads, Some(num::<NonZeroUsize>(v)?.get()))
     }),
     Flag("--csv", Some(("DIR", "a directory")), |o, v| {
         set(&mut o.csv_dir, v)
@@ -733,6 +734,7 @@ mod tests {
             &["--fuzz", "many"][..],
             &["--fuzz-seed", "1.5"],
             &["--threads", "-2"],
+            &["--threads", "0"],
             &["--requests", "x"],
             &["--conns", ""],
             &["--mix-seed", "-1"],
