@@ -253,6 +253,15 @@ if grep -rn 'C3I_NO_CACHE\|cache_disabled\|\<load_or_measure\>\|DataflowOptions:
   echo "an item no root reached is referenced again" >&2
   exit 1
 fi
+# So are the second and third statements of the paper's numbers: the
+# calibration anchors and the sequential cells the scaling tables restated.
+# Every published number lives in crates/core/src/paper.rs.
+if grep -rn 'PaperAnchors\|TABLE3_SEQ\|TABLE4_SEQ\|TABLE9_SEQ\|TABLE10_SEQ' \
+  crates src tests examples docs README.md EXPERIMENTS.md DESIGN.md .claude |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "a second statement of the paper's numbers is referenced again" >&2
+  exit 1
+fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
 # the crate denies unsafe_code everywhere else.
 if [ "$(grep -rhw 'unsafe' crates/sthreads/src | grep -vc '^ *//')" -ne 1 ]; then

@@ -116,13 +116,12 @@ mod tests {
     /// conventional machines, whose models enforce it, and the request
     /// bound for the Tera, whose model projects past it.
     fn platform_cap(platform: Platform) -> usize {
-        let i = match platform {
-            Platform::Alpha => ALPHA,
-            Platform::PentiumPro => PPRO,
-            Platform::Exemplar => EXEMPLAR,
-            Platform::Tera => return 1024,
-        };
-        MACHINES[i].processors
+        match platform {
+            Platform::Alpha => MACHINES[ALPHA].processors,
+            Platform::PentiumPro => MACHINES[PPRO].processors,
+            Platform::Exemplar => MACHINES[EXEMPLAR].processors,
+            Platform::Tera => 1024,
+        }
     }
 
     #[test]

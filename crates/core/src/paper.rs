@@ -2,7 +2,7 @@
 //! §2 Tera constants the models take as given, and every measured second
 //! of Tables 2–11.
 //!
-//! [`crate::calibrate`] fits its free constants to some of these cells and
+//! [`crate::calibrate()`] fits its free constants to some of these cells and
 //! [`crate::experiments`] prints every one of them beside the model's
 //! number; neither writes a published number of its own. Tables 7 and 12
 //! repeat cells of the detail tables, so they have no constants here.
