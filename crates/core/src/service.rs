@@ -556,12 +556,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn evaluate_rejects_exactly_what_validate_request_rejects() {
-        let evaluator = Evaluator::new(
+    fn reduced_evaluator() -> Evaluator {
+        Evaluator::new(
             Experiments::new(crate::Workload::build(WorkloadScale::Reduced)),
             WorkloadScale::Reduced,
-        );
+        )
+    }
+
+    /// The requests that take no parameter, each with the direct
+    /// [`Experiments`] call that is its response.
+    fn parameterless(e: &Experiments) -> Vec<(EvalRequest, String)> {
+        let mut reqs = Vec::new();
+        for (n, table) in (1u8..).zip(TABLES) {
+            reqs.push((EvalRequest::Table { n }, table(e).render()));
+        }
+        for (n, figure) in (1u8..).zip(Figure::ALL) {
+            reqs.push((EvalRequest::FigurePlot { n }, e.figure(figure)));
+        }
+        reqs.push((EvalRequest::Sensitivity, e.sensitivity().render()));
+        reqs
+    }
+
+    #[test]
+    fn parameterless_requests_equal_their_direct_calls_first_second_and_racing() {
+        let evaluator = reduced_evaluator();
+        let expected = parameterless(evaluator.experiments());
+        assert_eq!(expected.len(), 17);
+        for call in ["first", "second"] {
+            for (req, direct) in &expected {
+                assert_eq!(
+                    evaluator.evaluate(req).as_ref(),
+                    Ok(direct),
+                    "{call} call of {req:?}"
+                );
+            }
+        }
+
+        // Four threads race each first call on another fresh evaluator.
+        let racing = reduced_evaluator();
+        let expected = parameterless(racing.experiments());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for (req, direct) in &expected {
+                        assert_eq!(racing.evaluate(req).as_ref(), Ok(direct), "racing {req:?}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn evaluate_rejects_exactly_what_validate_request_rejects() {
+        let evaluator = reduced_evaluator();
         for bad in [
             EvalRequest::Table { n: 0 },
             EvalRequest::Table { n: 13 },
