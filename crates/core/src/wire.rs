@@ -28,6 +28,14 @@
 //! the address contains a `/` — a Unix socket path. One OS thread per
 //! connection, and each request is evaluated on its connection's thread
 //! once the [`Service`] behind it has admitted it.
+//!
+//! [`write_frame`] writes the prefix and the body with one write, and
+//! every TCP stream, accepted or connected, sets `TCP_NODELAY`. A request
+//! and its reply are each one small segment, so nothing waits on Nagle's
+//! algorithm for the peer's delayed ACK: when the prefix and the body went
+//! out as two writes on a Nagle stream, the body waited for the prefix's
+//! ACK on both sides, ≈ 88 ms a round trip over `127.0.0.1` against
+//! ≈ 0.25 ms over a Unix socket.
 
 use crate::service::{EvalError, EvalRequest, Pending, Service};
 use std::io::{Read, Write};
@@ -126,7 +134,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     }
 }
 
-/// Write one frame (4-byte big-endian length, then the body). A body over
+/// Write one frame (4-byte big-endian length, then the body) with one
+/// `write_all`, so a TCP peer receives the frame as one segment rather
+/// than a prefix it must acknowledge before the body follows. A body over
 /// [`MAX_FRAME_BYTES`] is an `InvalidInput` error and nothing is written,
 /// so the stream stays in sync.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> std::io::Result<()> {
@@ -139,8 +149,10 @@ pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> std::io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -249,8 +261,19 @@ impl Stream {
         if addr.contains('/') {
             Ok(Stream::Unix(UnixStream::connect(addr)?))
         } else {
-            Ok(Stream::Tcp(TcpStream::connect(addr)?))
+            Ok(Stream::tcp(TcpStream::connect(addr)?))
         }
+    }
+
+    /// A TCP stream with Nagle's algorithm off (`TCP_NODELAY`): each frame
+    /// is one small write answered by one small write, and with Nagle on,
+    /// a write that follows an unacknowledged one waits for the peer's
+    /// delayed ACK. Best effort: a stream where the option cannot be set
+    /// still works, only slower, so the failure does not close it (nor,
+    /// on the accepting side, stop the server).
+    fn tcp(stream: TcpStream) -> Self {
+        let _ = stream.set_nodelay(true);
+        Stream::Tcp(stream)
     }
 }
 
@@ -286,7 +309,7 @@ enum Listener {
 impl Listener {
     fn accept(&self) -> std::io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::tcp(s)),
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
     }
@@ -573,6 +596,49 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(buf.is_empty(), "{} bytes written", buf.len());
         write_frame(&mut buf, &body[1..]).expect("a body at the cap is written");
+    }
+
+    /// A writer that counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        for (frames, body) in (1..).zip([&b"{\"x\":1}"[..], b"", &[b' '; 4096]]) {
+            write_frame(&mut w, body).unwrap();
+            assert_eq!(w.writes, frames, "frame of {} bytes", body.len());
+        }
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"{\"x\":1}");
+    }
+
+    #[test]
+    fn tcp_streams_set_nodelay_on_both_ends() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let connected = Stream::connect(&addr).unwrap();
+        let accepted = Listener::Tcp(listener).accept().unwrap();
+        for (end, stream) in [("connected", connected), ("accepted", accepted)] {
+            let Stream::Tcp(stream) = stream else {
+                panic!("{end}: not a TCP stream")
+            };
+            assert!(stream.nodelay().unwrap(), "{end}: Nagle is on");
+        }
     }
 
     #[test]

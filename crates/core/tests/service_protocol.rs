@@ -4,8 +4,9 @@
 //! clean close, with the server still serving afterwards), a request too
 //! large to frame refused by the client before it sends a byte, bounded
 //! admission's reject-not-buffer contract at capacity 1, a slow request
-//! holding only its own connection, and bit-identity of served responses
-//! against direct sequential evaluation.
+//! holding only its own connection, TCP round trips that do not wait on
+//! delayed ACKs, and bit-identity of served responses against direct
+//! sequential evaluation.
 
 use eval_core::experiments::{Experiments, Figure, TABLES};
 use eval_core::paper::{ALPHA, EXEMPLAR, MACHINES, PPRO};
@@ -271,6 +272,28 @@ fn a_slow_request_does_not_hold_another_connections_reply() {
         ponged_at - slept_at
     );
     stop_server(&addr, handle);
+}
+
+/// A round trip over TCP waits on nothing but the work: with a frame
+/// written as a prefix and a body and Nagle's algorithm on, each body
+/// waited for the peer's delayed ACK of its prefix, and 50 pings took
+/// ≈ 4.4 s.
+#[test]
+fn sequential_tcp_pings_do_not_wait_for_delayed_acks() {
+    let (addr, handle, _service) = start_server(ServiceConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    let t0 = Instant::now();
+    for _ in 0..50 {
+        let resp = client.call(EvalRequest::Ping).expect("ping");
+        assert_eq!(resp.ok.as_deref(), Some("pong"), "{:?}", resp.error);
+    }
+    let took = t0.elapsed();
+    drop(client);
+    stop_server(&addr, handle);
+    assert!(
+        took < Duration::from_secs(1),
+        "50 sequential TCP pings took {took:?}"
+    );
 }
 
 /// The direct `Experiments` call behind a request that takes no
