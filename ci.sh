@@ -281,6 +281,10 @@ echo "== service smoke (serve + load replay) =="
 # connections, and verifies every served response is bit-identical to a
 # direct sequential evaluation. `repro --load` exits non-zero on any
 # mismatch or incomplete request, and `set -e` fails the step on it.
+# 257 is the smallest request count at which mix seed 1 holds each of the
+# 17 parameterless requests (12 tables, 4 figures, Sensitivity) at least
+# twice, so every stored body is served both when it is computed and
+# after.
 SERVICE_SOCK=target/c3i-serve.sock
 rm -f "$SERVICE_SOCK"
 ./target/release/repro --serve "$SERVICE_SOCK" --reduced &
@@ -295,7 +299,33 @@ if ! [ -S "$SERVICE_SOCK" ]; then
   exit 1
 fi
 ./target/release/repro --load "$SERVICE_SOCK" --reduced \
-  --requests 40 --mix-seed 1 --conns 4 --stop-server
+  --requests 257 --mix-seed 1 --conns 4 --stop-server
+wait "$SERVICE_PID"
+trap - EXIT
+
+echo "== service smoke over TCP =="
+# The same replay over 127.0.0.1 on an OS-assigned port, one connection.
+# A round trip that waits on Nagle's algorithm for a delayed ACK costs
+# ≈ 88 ms, so 257 sequential requests would take ≈ 22 s; the timeout
+# fails the step long before that (the replay itself takes well under
+# a second).
+SERVICE_OUT=target/c3i-serve-tcp.out
+rm -f "$SERVICE_OUT"
+./target/release/repro --serve 127.0.0.1:0 --reduced >"$SERVICE_OUT" &
+SERVICE_PID=$!
+trap 'kill "$SERVICE_PID" 2>/dev/null || true' EXIT
+SERVICE_ADDR=
+for _ in $(seq 1 150); do
+  SERVICE_ADDR=$(sed -n 's/^serving on //p' "$SERVICE_OUT")
+  [ -n "$SERVICE_ADDR" ] && break
+  sleep 0.2
+done
+if [ -z "$SERVICE_ADDR" ]; then
+  echo "service smoke: TCP server never reported its address" >&2
+  exit 1
+fi
+timeout 10 ./target/release/repro --load "$SERVICE_ADDR" --reduced \
+  --requests 257 --mix-seed 1 --conns 1 --stop-server
 wait "$SERVICE_PID"
 trap - EXIT
 
