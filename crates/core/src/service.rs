@@ -25,9 +25,9 @@
 //!    take no parameter (the 12 tables, the 4 figures and
 //!    [`EvalRequest::Sensitivity`]) are also evaluated once: the first
 //!    request of each kind computes its body into a `OnceLock`, and every
-//!    later one clones it (about 14 KB for all 17 at paper scale). A stored
-//!    body cannot go stale, because nothing it is computed from changes
-//!    after [`Evaluator::new`]: the evaluator is never mutated. A panic
+//!    later one clones it (10,696 bytes for all 17 at paper scale). A stored
+//!    body cannot go stale: it is computed from the snapshot and the
+//!    calibration, which nothing changes after [`Evaluator::new`]. A panic
 //!    while a body is first computed leaves its slot empty, and the next
 //!    request of that kind computes it again. Parameterised requests are
 //!    computed on every call.

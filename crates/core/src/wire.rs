@@ -32,10 +32,9 @@
 //! [`write_frame`] writes the prefix and the body with one write, and
 //! every TCP stream, accepted or connected, sets `TCP_NODELAY`. A request
 //! and its reply are each one small segment, so nothing waits on Nagle's
-//! algorithm for the peer's delayed ACK: when the prefix and the body went
-//! out as two writes on a Nagle stream, the body waited for the prefix's
-//! ACK on both sides, ≈ 88 ms a round trip over `127.0.0.1` against
-//! ≈ 0.25 ms over a Unix socket.
+//! algorithm for the peer's delayed ACK. (Two writes per frame on a Nagle
+//! stream hold each body until the prefix is acknowledged, on both sides:
+//! ≈ 88 ms a round trip over `127.0.0.1`.)
 
 use crate::service::{EvalError, EvalRequest, Pending, Service};
 use std::io::{Read, Write};
@@ -265,10 +264,8 @@ impl Stream {
         }
     }
 
-    /// A TCP stream with Nagle's algorithm off (`TCP_NODELAY`): each frame
-    /// is one small write answered by one small write, and with Nagle on,
-    /// a write that follows an unacknowledged one waits for the peer's
-    /// delayed ACK. Best effort: a stream where the option cannot be set
+    /// A TCP stream with Nagle's algorithm off (`TCP_NODELAY`; see the
+    /// module docs). Best effort: a stream where the option cannot be set
     /// still works, only slower, so the failure does not close it (nor,
     /// on the accepting side, stop the server).
     fn tcp(stream: TcpStream) -> Self {
