@@ -27,9 +27,8 @@
 //! its own: every timing comes from `benchmark/` (see its README).
 //!
 //! `--profile` appends an observability report: the `sthreads::stats`
-//! counters of the whole run (regions, tasks, batches, parks) with the
-//! measured dispatch floor, plus a sample `mta-sim` run's machine
-//! counters (issue slots, bank-queue histogram, full/empty retry
+//! counters of the whole run (regions, tasks, batches, parks), plus a
+//! sample `mta-sim` run's machine counters (issue slots, bank-queue histogram, full/empty retry
 //! traffic).
 //!
 //! `--serve ADDR` loads the workload once and serves scenario-evaluation
@@ -434,17 +433,16 @@ fn utilization_report(n_threads: usize) -> String {
     out
 }
 
-/// The `--profile` report: process-lifetime pool counters with the
-/// measured dispatch floor, and a sample simulator run's structured
-/// machine counters.
+/// The `--profile` report: process-lifetime pool counters, and a sample
+/// simulator run's structured machine counters.
 fn profile_report() -> String {
     use sthreads::stats;
     let s = stats::snapshot();
     let mut out = String::new();
     out.push_str("Observability profile (sthreads::stats, process lifetime)\n");
     out.push_str(&format!(
-        "  pool regions          {:>10}  (nested fallback {}, serial cutoff {})\n",
-        s.regions, s.nested_regions, s.serial_cutoff_regions
+        "  pool regions          {:>10}  (nested fallback {})\n",
+        s.regions, s.nested_regions
     ));
     out.push_str(&format!(
         "  tasks / batches       {:>10} / {} (mean batch {:.1} tasks)\n",
@@ -453,10 +451,6 @@ fn profile_report() -> String {
         s.mean_batch_items()
     ));
     out.push_str(&format!("  worker parks          {:>10}\n", s.parks));
-    out.push_str(&format!(
-        "  dispatch floor        {:>10} ns/region (parked pool)\n",
-        stats::dispatch_floor_ns()
-    ));
 
     // One deterministic simulator run, profiled through SimStats: 32
     // streams of the standard utilization mix plus a fetch-add hot word.

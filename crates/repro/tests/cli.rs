@@ -87,8 +87,8 @@ fn load_against_a_dead_address_exits_one_without_panicking() {
 }
 
 /// `--profile` appends the pool counters and a simulator run's machine
-/// counters, and no timing. The region count is not asserted: on a
-/// one-CPU host `par_map` runs every region inline.
+/// counters, and no timing. The region count is not asserted here: it
+/// follows the pool's width, which is one thread on a one-CPU host.
 #[test]
 fn profile_reports_counters_and_no_timing() {
     let out = repro(&["--reduced", "--no-cache", "--profile", "tables"]);

@@ -15,13 +15,14 @@
 //! from a shared atomic counter (good load balance for irregular work such
 //! as variable-size threat regions). That is the one production
 //! dispatcher: [`par_map`] and every host kernel that does not need
-//! Program 2's chunk shape run on it.
+//! Program 2's chunk shape run on it. Whether a loop opens a region is
+//! the caller's to say, through its thread and task counts: nothing here
+//! times a task to decide it.
 
 use crate::pool::scope_threads;
 use crate::queue::WorkQueue;
 use crate::stats;
 use parking_lot::Mutex;
-use std::time::Instant;
 
 /// Bounds of one static chunk, as produced by [`ParFor::chunks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,13 +111,23 @@ impl ParFor {
     }
 
     /// Run `body(i)` for every index in the range, the workers claiming
-    /// indices from a shared counter.
+    /// batches of indices from a shared counter.
     pub fn run<F>(&self, body: F)
     where
         F: Fn(usize) + Sync,
     {
         stats::record_tasks(self.range.len());
-        self.run_dynamic(&body);
+        let queue = WorkQueue::new(self.range.clone());
+        // Never wider than the range: a worker woken for an already
+        // exhausted queue is pure dispatch cost.
+        let n_threads = self.n_threads.min(self.range.len().max(1));
+        scope_threads(n_threads, |_| {
+            while let Some(batch) = queue.next_batch(dynamic_grain(queue.remaining(), n_threads)) {
+                for i in batch {
+                    body(i);
+                }
+            }
+        });
     }
 
     /// Run `body(chunk_bounds)` once per static chunk, each worker owning
@@ -138,23 +149,6 @@ impl ParFor {
             }
         });
     }
-
-    fn run_dynamic<F>(&self, body: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let queue = WorkQueue::new(self.range.clone());
-        // Never wider than the range: a worker woken for an already
-        // exhausted queue is pure dispatch cost.
-        let n_threads = self.n_threads.min(self.range.len().max(1));
-        scope_threads(n_threads, |_| {
-            while let Some(batch) = queue.next_batch(dynamic_grain(queue.remaining(), n_threads)) {
-                for i in batch {
-                    body(i);
-                }
-            }
-        });
-    }
 }
 
 /// Batch size for dynamic self-scheduling: claim ~1/8 of a fair share per
@@ -172,20 +166,11 @@ pub(crate) fn dynamic_grain(remaining: usize, n_threads: usize) -> usize {
 ///
 /// Each task writes into its own write-once slot, so the output is
 /// bit-identical to the sequential path for every thread count — the
-/// property the experiment harness's oracle cross-checks rely on. Tasks
-/// are self-scheduled: variable-size ones
-/// (benchmark scenarios, simulator sweeps) balance across workers, and
-/// short uniform ones (table rows) are kept inline by the cutoff below.
-///
-/// The cutoff: `par_map` runs task 0 on the caller and times it. If the
-/// estimated wall-clock saving from parallelizing the rest — best case
-/// `total × (1 − 1/w)`, with `w` capped by the host's real parallelism —
-/// cannot amortize the *measured* cost of waking the pool
-/// ([`stats::dispatch_floor_ns`]), the rest runs inline too. This is the
-/// §7 `CreateThread` lesson applied to wakeups: a region whose per-task
-/// work sits below the dispatch floor is pure overhead, so the scheduler
-/// refuses to open it. Each task runs exactly once either way, and the
-/// output is the same.
+/// property the experiment harness's oracle cross-checks rely on. The
+/// caller decides the schedule: one thread or one task runs inline on
+/// the caller, anything else is one self-scheduled [`ParFor::run`]
+/// region, so variable-size tasks (benchmark scenarios, simulator
+/// sweeps) balance across workers.
 pub fn par_map<T, F>(n_tasks: usize, n_threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -194,29 +179,15 @@ where
     if n_threads <= 1 || n_tasks <= 1 {
         return (0..n_tasks).map(f).collect();
     }
-    stats::record_tasks(n_tasks);
-    // The probe is work that had to happen anyway, so a wrong decision
-    // costs only the dispatch floor, never lost work.
-    let probe_start = Instant::now();
-    let first = f(0);
-    let per_task_ns = probe_start.elapsed().as_nanos() as u64;
-    if stats::should_serialize(per_task_ns, n_tasks - 1, n_threads) {
-        stats::record_serial_cutoff();
-        return std::iter::once(first).chain((1..n_tasks).map(f)).collect();
-    }
     // One write-once slot per task. The lock is uncontended (the schedule
     // dispenses each index exactly once) and is what lets the slots be
     // shared with only `T: Send`; a region that panics drops them, and
     // with them every value already written.
     let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-    *slots[0].lock() = Some(first);
-    // `run_dynamic`, not `run`: these tasks were counted above.
-    ParFor::new(1..n_tasks)
-        .threads(n_threads)
-        .run_dynamic(&|i| {
-            let value = f(i);
-            *slots[i].lock() = Some(value);
-        });
+    ParFor::new(0..n_tasks).threads(n_threads).run(|i| {
+        let value = f(i);
+        *slots[i].lock() = Some(value);
+    });
     slots
         .into_iter()
         .map(|slot| slot.into_inner().expect("par_map: every index runs once"))
@@ -361,11 +332,9 @@ mod tests {
     }
 
     #[test]
-    fn serial_cutoff_visits_each_index_exactly_once() {
-        // Whichever way par_map's measured cutoff decides (probe-then-inline
-        // for ns-scale tasks, probe-then-parallel-remainder for 100 µs ones
-        // on a multi-core host), every index runs exactly once — the
-        // invariant its write-once slots depend on.
+    fn par_map_visits_each_index_exactly_once() {
+        // Whether the tasks are ns-scale or 100 µs ones, every index runs
+        // exactly once — the invariant its write-once slots depend on.
         for task in [
             std::time::Duration::ZERO,
             std::time::Duration::from_micros(100),
@@ -379,36 +348,6 @@ mod tests {
             assert_eq!(got, (0..64).collect::<Vec<_>>());
             assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
         }
-    }
-
-    #[test]
-    fn cutoff_decision_follows_the_probe() {
-        // The pure decision `run` makes after its probe, on synthetic
-        // probes so no scheduler can change the reading: 63 remaining
-        // ns-scale tasks never repay a region, ms-scale ones always do.
-        assert!(stats::should_serialize(20, 63, 4));
-        if stats::host_parallelism() >= 2 {
-            assert!(!stats::should_serialize(2_000_000, 63, 4));
-        }
-    }
-
-    #[test]
-    fn trivial_tasks_take_the_sequential_cutoff() {
-        // End to end: ~ns-scale tasks sit far below the measured dispatch
-        // floor on any host, so the cutoff refuses to open a region —
-        // unless the one timed probe iteration is descheduled and reads
-        // as a slow task, hence five attempts. Counters are
-        // process-global and tests run concurrently, so assert on the
-        // delta being at least our own contribution.
-        let before = crate::stats::snapshot();
-        for _ in 0..5 {
-            let got = par_map(64, 4, |i| i as u64 * 3 + 1);
-            assert_eq!(got, (0..64).map(|i| i * 3 + 1).collect::<Vec<u64>>());
-            if (crate::stats::snapshot() - before).serial_cutoff_regions >= 1 {
-                return;
-            }
-        }
-        panic!("64 trivial tasks must run inline, not pay the dispatch floor");
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!
 //! [`StatsSnapshot`] is always on — relaxed `fetch_add`s, a handful per
 //! *region* or per *batch claim*, never per iteration:
-//! * `regions`, `nested_regions`, `serial_cutoff_regions` — how often the
-//!   pool ran a region, fell back to scoped threads, or kept a region
-//!   inline because the work could not pay the dispatch floor;
+//! * `regions`, `nested_regions` — how often the pool ran a region, and
+//!   how often it fell back to scoped threads;
 //! * `tasks`, `batches`, `batch_items` — loop iterations entering
 //!   `ParFor`, and how coarsely the dynamic schedule claimed them
 //!   ([`StatsSnapshot::mean_batch_items`]);
@@ -22,22 +21,17 @@
 //!   happen. A worker handed its next region inside the pool's watch
 //!   window never parks: back-to-back regions read few of them.
 //!
-//! The module also owns the *measured dispatch floor* ([`dispatch_floor_ns`])
-//! that [`ParFor`](crate::ParFor)'s small-region sequential cutoff compares
-//! against: the cost of waking a *parked* pool — what a caller arriving at
-//! an arbitrary time meets — is measured on this host at first use, never
-//! hard-coded, so the cutoff adapts to the machine it runs on.
+//! Nothing here decides how a loop is scheduled: [`par_map`](crate::par_map)
+//! runs inline exactly when its caller asks for one thread or one task,
+//! and dispatches otherwise.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 // Process-wide accumulators. Relaxed is sufficient everywhere: each value
 // is a statistic, and the region-exit handshake (a mutex) orders the
 // interesting cross-thread flushes anyway.
 static REGIONS: AtomicU64 = AtomicU64::new(0);
 static NESTED_REGIONS: AtomicU64 = AtomicU64::new(0);
-static SERIAL_CUTOFF_REGIONS: AtomicU64 = AtomicU64::new(0);
 static TASKS: AtomicU64 = AtomicU64::new(0);
 static BATCHES: AtomicU64 = AtomicU64::new(0);
 static BATCH_ITEMS: AtomicU64 = AtomicU64::new(0);
@@ -47,12 +41,12 @@ static PARKS: AtomicU64 = AtomicU64::new(0);
 /// (`after - before`) to get the activity of the phase between them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Parallel regions opened (pooled, nested-fallback, and cutoff).
+    /// Parallel regions opened (pooled and nested-fallback).
     pub regions: u64,
     /// Regions that took the nested scoped-thread fallback.
     pub nested_regions: u64,
-    /// Regions the measured sequential cutoff ran inline instead of
-    /// dispatching (see [`dispatch_floor_ns`]).
+    /// Always 0: `benchmark/src/layers.rs` still reads it; the next
+    /// `benchmark` PR may drop it.
     pub serial_cutoff_regions: u64,
     /// Loop iterations dispatched through `ParFor`/`par_map`.
     pub tasks: u64,
@@ -78,9 +72,7 @@ impl std::ops::Sub for StatsSnapshot {
         StatsSnapshot {
             regions: self.regions.saturating_sub(rhs.regions),
             nested_regions: self.nested_regions.saturating_sub(rhs.nested_regions),
-            serial_cutoff_regions: self
-                .serial_cutoff_regions
-                .saturating_sub(rhs.serial_cutoff_regions),
+            serial_cutoff_regions: 0,
             tasks: self.tasks.saturating_sub(rhs.tasks),
             batches: self.batches.saturating_sub(rhs.batches),
             batch_items: self.batch_items.saturating_sub(rhs.batch_items),
@@ -109,7 +101,7 @@ pub fn snapshot() -> StatsSnapshot {
     StatsSnapshot {
         regions: REGIONS.load(Relaxed),
         nested_regions: NESTED_REGIONS.load(Relaxed),
-        serial_cutoff_regions: SERIAL_CUTOFF_REGIONS.load(Relaxed),
+        serial_cutoff_regions: 0,
         tasks: TASKS.load(Relaxed),
         batches: BATCHES.load(Relaxed),
         batch_items: BATCH_ITEMS.load(Relaxed),
@@ -136,12 +128,6 @@ pub(crate) fn record_nested_region() {
     NESTED_REGIONS.fetch_add(1, Relaxed);
 }
 
-/// The sequential cutoff ran a would-be region inline.
-pub(crate) fn record_serial_cutoff() {
-    REGIONS.fetch_add(1, Relaxed);
-    SERIAL_CUTOFF_REGIONS.fetch_add(1, Relaxed);
-}
-
 /// `n` loop iterations entered a `ParFor` dispatch.
 pub(crate) fn record_tasks(n: usize) {
     TASKS.fetch_add(n as u64, Relaxed);
@@ -151,83 +137,6 @@ pub(crate) fn record_tasks(n: usize) {
 pub(crate) fn record_batch(items: usize) {
     BATCHES.fetch_add(1, Relaxed);
     BATCH_ITEMS.fetch_add(items as u64, Relaxed);
-}
-
-/// Cached `available_parallelism` — the most threads that can make
-/// wall-clock progress simultaneously on this host.
-pub(crate) fn host_parallelism() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// The measured cost of opening and closing an empty region on the global
-/// pool *with its workers parked*, in nanoseconds — the "dispatch floor" a
-/// parallel region must amortize before it can pay for itself. Callers of
-/// the cutoff arrive at arbitrary times and do meet a parked pool; the
-/// handoff a region right behind another gets is not what they would pay.
-/// Measured once per process and cached: the minimum of eight regions
-/// (noise inflates rather than deflates the saving estimate it feeds),
-/// each counted only if its workers had parked since the last one (the
-/// `parks` counter says so) and no other region ran meanwhile.
-pub fn dispatch_floor_ns() -> u64 {
-    static FLOOR: OnceLock<u64> = OnceLock::new();
-    *FLOOR.get_or_init(|| {
-        let pool = crate::ThreadPool::global();
-        let width = pool.n_threads().clamp(2, 4);
-        pool.warm(width);
-        let (mut parked_best, mut any_best) = (None, u64::MAX);
-        for _ in 0..8 {
-            let (regions, parks) = (REGIONS.load(Relaxed), PARKS.load(Relaxed));
-            // Two windows for the workers' watch to close and their parks
-            // to be counted, a third for those waits to have become sleeps.
-            let idle = Instant::now();
-            while idle.elapsed() < 2 * crate::pool::HANDOFF_WINDOW {
-                std::thread::yield_now();
-            }
-            let parked = PARKS.load(Relaxed) - parks >= width as u64 - 1;
-            while idle.elapsed() < 3 * crate::pool::HANDOFF_WINDOW {
-                std::thread::yield_now();
-            }
-            let t0 = Instant::now();
-            pool.run_width(width, |_| {});
-            let ns = t0.elapsed().as_nanos() as u64;
-            any_best = any_best.min(ns);
-            if parked && REGIONS.load(Relaxed) == regions + 1 {
-                parked_best = Some(parked_best.map_or(ns, |b: u64| b.min(ns)));
-            }
-        }
-        // Another thread kept the pool busy throughout: the hot figure is
-        // the only measurement there is.
-        parked_best.unwrap_or(any_best).max(1)
-    })
-}
-
-/// Safety margin over the raw empty-region floor: real regions also pay
-/// per-task dispatch, cache migration, and (on loaded hosts) scheduling
-/// churn that the empty-region measurement cannot see. Dimensionless.
-const CUTOFF_MARGIN: u64 = 4;
-
-/// Decide whether a region whose probed per-task cost is `per_task_ns`
-/// over `n_rest` further iterations should run inline on the caller.
-///
-/// Parallel execution is worth opening a region only when the best-case
-/// wall-clock saving — `total × (1 − 1/w)` with `w` capped by the host's
-/// real parallelism — exceeds the measured dispatch floor with margin. On
-/// a single-core host `w == 1`: no saving is possible and every region
-/// serializes, which is exactly the honest answer (the table-generation
-/// "0.63x speedup" regression was this case paying dispatch for nothing).
-pub(crate) fn should_serialize(per_task_ns: u64, n_rest: usize, n_threads: usize) -> bool {
-    let w = n_threads.min(host_parallelism()) as u64;
-    if w <= 1 {
-        return true;
-    }
-    let total = per_task_ns.saturating_mul(n_rest as u64);
-    let saving = total - total / w;
-    saving < CUTOFF_MARGIN * dispatch_floor_ns()
 }
 
 #[cfg(test)]
@@ -260,35 +169,6 @@ mod tests {
         let after = snapshot();
         let d = after - before;
         assert!(d.regions >= 1, "a region must be counted");
-    }
-
-    #[test]
-    fn dispatch_floor_is_positive_and_stable() {
-        let a = dispatch_floor_ns();
-        let b = dispatch_floor_ns();
-        assert!(a > 0);
-        assert_eq!(a, b, "the floor is measured once and cached");
-    }
-
-    #[test]
-    fn single_core_equivalent_width_always_serializes() {
-        // w == 1 (explicitly single-threaded) can never save wall-clock.
-        assert!(should_serialize(1_000_000, 1000, 1));
-    }
-
-    #[test]
-    fn large_work_parallelizes_when_width_allows() {
-        if host_parallelism() < 2 {
-            return; // on a 1-CPU host every region honestly serializes
-        }
-        // 1 ms × 1000 tasks dwarfs any plausible dispatch floor.
-        assert!(!should_serialize(1_000_000, 1000, 4));
-    }
-
-    #[test]
-    fn tiny_work_serializes_even_on_wide_hosts() {
-        // 10 ns × 8 tasks is far below any measurable region cost.
-        assert!(should_serialize(10, 8, 4));
     }
 
     #[test]

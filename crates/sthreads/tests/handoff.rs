@@ -7,12 +7,10 @@
 //! must run every logical thread of every region exactly once, whatever
 //! the pool does between regions — and `stats::parks`, which counts real
 //! waits on the pool's condition variable, must tell the two apart: one
-//! park per spaced region, next to none for the back-to-back ones. The
-//! measured dispatch floor, which prices a region for callers that arrive
-//! at arbitrary times, must be the first kind. Alone in its binary
-//! because the counters and the global pool are process-wide: beside the
-//! crate's unit tests, which share that pool and both CPUs, neither an
-//! exact count nor a timing ratio means anything.
+//! park per spaced region, next to none for the back-to-back ones. Alone
+//! in its binary because the counters are process-wide: beside the
+//! crate's unit tests, which open regions of their own on both CPUs, an
+//! exact count means nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -78,22 +76,4 @@ fn spaced_regions_park_and_back_to_back_regions_are_handed_over() {
         return;
     }
     assert!(hot.parks <= HOT / 2, "{} parks in {HOT} regions", hot.parks);
-
-    // The floor `par_map`'s cutoff compares against is what a region costs
-    // on a pool that has parked, several times a handoff.
-    let floor = stats::dispatch_floor_ns();
-    let global = ThreadPool::global();
-    let width = global.n_threads().clamp(2, 4);
-    let handoff = (0..HOT)
-        .map(|_| {
-            let t0 = Instant::now();
-            global.run_width(width, |_| {});
-            t0.elapsed().as_nanos() as u64
-        })
-        .min()
-        .expect("HOT > 0");
-    assert!(
-        floor >= 3 * handoff,
-        "floor {floor} ns must price a wake, not a handoff ({handoff} ns)"
-    );
 }

@@ -5,7 +5,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use sthreads::{multithreaded_for, stats, ParFor};
+use sthreads::{multithreaded_for, par_map, stats, ParFor};
 
 /// A region is never wider than its work: 3 indices (or 3 chunks) at 16
 /// threads open one 3-wide region (the caller plus 2 workers), not a
@@ -14,8 +14,10 @@ use sthreads::{multithreaded_for, stats, ParFor};
 /// caller among them. (`parks == 2` used to be the witness, when `parks`
 /// was inferred as `width − 1` per region; it now counts real waits on the
 /// pool's condition variable, which a worker handed its region inside the
-/// watch window never makes.) The index loop and the chunked loop run one
-/// after the other, in this one test, so each delta is exact.
+/// watch window never makes.) `par_map` of 3 trivial tasks at 16 threads
+/// is the same region: it dispatches on its arguments alone, so it claims
+/// its tasks from the shared queue however cheap they are. The loops run
+/// one after the other, in this one test, so each delta is exact.
 #[test]
 fn region_is_no_wider_than_its_range() {
     assert_three_wide("index loop", |body| multithreaded_for(0..3, 16, |_| body()));
@@ -25,11 +27,19 @@ fn region_is_no_wider_than_its_range() {
             .chunk_count(3)
             .run_chunked(|_| body())
     });
+    let mapped = assert_three_wide("par_map", |body| {
+        let mapped = par_map(3, 16, |i| {
+            body();
+            i
+        });
+        assert_eq!(mapped, [0, 1, 2]);
+    });
+    assert!(mapped.batches >= 1, "par_map drew no batch: {mapped:?}");
 }
 
-/// Run a 3-task loop through `run` and check it opened one region on at
-/// most 3 OS threads.
-fn assert_three_wide(name: &str, run: impl FnOnce(&(dyn Fn() + Sync))) {
+/// Run a 3-task loop through `run`, check it opened one region on at most
+/// 3 OS threads, and return the counters it moved.
+fn assert_three_wide(name: &str, run: impl FnOnce(&(dyn Fn() + Sync))) -> stats::StatsSnapshot {
     let hits = AtomicU64::new(0);
     let threads = Mutex::new(HashSet::new());
     let before = stats::snapshot();
@@ -46,4 +56,5 @@ fn assert_three_wide(name: &str, run: impl FnOnce(&(dyn Fn() + Sync))) {
         "{name}: {} OS threads ran a 3-task range",
         threads.len()
     );
+    delta
 }
