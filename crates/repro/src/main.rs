@@ -417,15 +417,11 @@ fn utilization_report(n_threads: usize) -> String {
     out.push_str("  paper Section 5/7: single stream ~5%; ~80 streams for full utilization\n");
     out.push_str("  streams  measured   model min(1, s/L)\n");
     // mixed_kernel with alu_per_iter = 3: 5 instructions per iteration,
-    // 1 load => L = (4*21 + 70)/5 = 30.8 cycles.
-    let l = (4.0 * 21.0 + 70.0) / 5.0;
-    let measured = measure_utilization_sweep(
-        &experiments::util_cfg(),
-        &experiments::UTIL_STREAMS,
-        400,
-        3,
-        n_threads,
-    );
+    // 4 taking `issue_latency` and 1 load taking `mem_extra_latency +
+    // bank_service` => L = (4*21 + 70)/5 = 30.8 cycles on the Tera.
+    let cfg = experiments::util_cfg();
+    let l = (4 * cfg.issue_latency + cfg.mem_extra_latency + cfg.bank_service) as f64 / 5.0;
+    let measured = measure_utilization_sweep(&cfg, &experiments::UTIL_STREAMS, 400, 3, n_threads);
     for (&s, u) in experiments::UTIL_STREAMS.iter().zip(measured) {
         let model = (s as f64 / l).min(1.0);
         out.push_str(&format!("  {s:>7}  {u:>8.3}   {model:>8.3}\n"));
@@ -629,7 +625,7 @@ fn main() {
     ));
 
     if want(&opts, "tables") {
-        let tables = exps.all_tables();
+        let tables = exps.all_tables_with_threads(n_threads);
         if let Some(path) = &opts.json_file {
             let json = serde_json::to_string_pretty(&tables).expect("serialize tables");
             std::fs::write(path, json).expect("write json");

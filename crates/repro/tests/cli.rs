@@ -111,6 +111,31 @@ fn profile_reports_counters_and_no_timing() {
     assert!(!report.contains("busy / idle"), "{report}");
 }
 
+/// `--threads N` reaches table generation. With `--threads 1` the tables
+/// run inline, so the one pool region left is the workload build, which
+/// `Evaluator::load` runs at the pool's width: one region on a host with
+/// two or more CPUs, none on one CPU.
+#[test]
+fn threads_flag_reaches_table_generation() {
+    let out = repro(&[
+        "--reduced",
+        "--no-cache",
+        "--threads",
+        "1",
+        "--profile",
+        "tables",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("pool regions"))
+        .expect("pool regions line");
+    let regions: u64 = line.split_whitespace().nth(2).unwrap().parse().unwrap();
+    let multi_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
+    assert_eq!(regions, u64::from(multi_cpu), "{line}");
+}
+
 /// The snapshot cache as `repro` uses it, in a directory of its own
 /// (`C3I_CACHE_DIR`): a cold run measures and writes the snapshot, a warm
 /// run loads it, and `--no-cache` neither reads nor writes the directory.
