@@ -201,12 +201,23 @@ if grep -rn 'intervals_for_pair_batch\|intervals_for_pair_stepwise\|SCAN_BLOCK\|
 fi
 # So are the second and third timers — the Criterion suite with its
 # quick-scale knob, and the sthreads nano-timing tier — and ParFor's
-# cutoff switch (the cutoff is par_map's own): benchmark/ times every
-# layer. `\<` keeps `record_serial_cutoff(` out of the match.
+# cutoff switch: benchmark/ times every layer. `\<` keeps names that
+# merely end in `serial_cutoff(` out of the match.
 if grep -rn 'set_timing\|timing_enabled\|last_region_worker_busy\|KERNELS_BENCH_QUICK\|criterion\|\<serial_cutoff(' \
   crates src tests examples docs README.md EXPERIMENTS.md DESIGN.md .claude |
   grep -v '^docs/LAYERS.md:'; then
   echo "a deleted timer or the ParFor cutoff switch is referenced again" >&2
+  exit 1
+fi
+# So is par_map's measured sequential cutoff: the dispatch floor it timed
+# once per process, the decision that weighed a probed task against it,
+# that decision's margin and host-width cap, and the counter's recorder.
+# `par_map` runs inline exactly when its caller asks for one thread or
+# one task.
+if grep -rn 'dispatch_floor_ns\|should_serialize\|CUTOFF_MARGIN\|record_serial_cutoff\|host_parallelism' \
+  crates src tests examples docs README.md EXPERIMENTS.md DESIGN.md .claude |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "the deleted par_map cutoff is referenced again" >&2
   exit 1
 fi
 # So is the service's batch worker with its thread, its queue and its two
