@@ -28,8 +28,8 @@
 //!
 //! `--profile` appends an observability report: the `sthreads::stats`
 //! counters of the whole run (regions, tasks, batches, parks), plus a
-//! sample `mta-sim` run's machine counters (issue slots, bank-queue histogram, full/empty retry
-//! traffic).
+//! sample `mta-sim` run's machine counters (issue slots, bank-queue
+//! histogram, full/empty retry traffic).
 //!
 //! `--serve ADDR` loads the workload once and serves scenario-evaluation
 //! requests over a socket (Unix path if ADDR contains `/`, else TCP)

@@ -87,15 +87,30 @@ fn load_against_a_dead_address_exits_one_without_panicking() {
 }
 
 /// `--profile` appends the pool counters and a simulator run's machine
-/// counters, and no timing. The region count is not asserted here: it
-/// follows the pool's width, which is one thread on a one-CPU host.
+/// counters, and no timing. `--threads N` reaches table generation: with
+/// `--threads 1` the tables run inline, so the one pool region left is
+/// the workload build, which `Evaluator::load` runs at the pool's width —
+/// one region on a host with two or more CPUs, none on one CPU.
 #[test]
 fn profile_reports_counters_and_no_timing() {
-    let out = repro(&["--reduced", "--no-cache", "--profile", "tables"]);
+    let out = repro(&[
+        "--reduced",
+        "--no-cache",
+        "--threads",
+        "1",
+        "--profile",
+        "tables",
+    ]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let text = String::from_utf8(out.stdout).unwrap();
     let report = &text[text.find("Observability profile").expect("profile header")..];
-    assert!(report.contains("\n  pool regions "), "{report}");
+    let pool = report
+        .lines()
+        .find(|l| l.trim_start().starts_with("pool regions"))
+        .expect("pool regions line");
+    let regions: u64 = pool.split_whitespace().nth(2).unwrap().parse().unwrap();
+    let multi_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
+    assert_eq!(regions, u64::from(multi_cpu), "{pool}");
     assert!(report.contains("\nSimulator machine counters"), "{report}");
     let line = report
         .lines()
@@ -109,31 +124,6 @@ fn profile_reports_counters_and_no_timing() {
     assert!(counts.len() == 2 && counts.iter().all(|&n| n > 0), "{line}");
     assert!(!report.contains("dispatch / imbalance"), "{report}");
     assert!(!report.contains("busy / idle"), "{report}");
-}
-
-/// `--threads N` reaches table generation. With `--threads 1` the tables
-/// run inline, so the one pool region left is the workload build, which
-/// `Evaluator::load` runs at the pool's width: one region on a host with
-/// two or more CPUs, none on one CPU.
-#[test]
-fn threads_flag_reaches_table_generation() {
-    let out = repro(&[
-        "--reduced",
-        "--no-cache",
-        "--threads",
-        "1",
-        "--profile",
-        "tables",
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let text = String::from_utf8(out.stdout).unwrap();
-    let line = text
-        .lines()
-        .find(|l| l.trim_start().starts_with("pool regions"))
-        .expect("pool regions line");
-    let regions: u64 = line.split_whitespace().nth(2).unwrap().parse().unwrap();
-    let multi_cpu = std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
-    assert_eq!(regions, u64::from(multi_cpu), "{line}");
 }
 
 /// The snapshot cache as `repro` uses it, in a directory of its own

@@ -16,8 +16,7 @@
 //! as variable-size threat regions). That is the one production
 //! dispatcher: [`par_map`] and every host kernel that does not need
 //! Program 2's chunk shape run on it. Whether a loop opens a region is
-//! the caller's to say, through its thread and task counts: nothing here
-//! times a task to decide it.
+//! decided by its caller's thread and task counts alone.
 
 use crate::pool::scope_threads;
 use crate::queue::WorkQueue;

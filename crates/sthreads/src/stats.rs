@@ -20,10 +20,6 @@
 //! * `parks` — waits on the pool's condition variable, counted where they
 //!   happen. A worker handed its next region inside the pool's watch
 //!   window never parks: back-to-back regions read few of them.
-//!
-//! Nothing here decides how a loop is scheduled: [`par_map`](crate::par_map)
-//! runs inline exactly when its caller asks for one thread or one task,
-//! and dispatches otherwise.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
