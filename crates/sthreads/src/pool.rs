@@ -84,7 +84,7 @@ struct Job {
 /// last worker, before parking. 5 to 200 µs read the same on the
 /// fine-grained kernel (docs/LAYERS.md); the small end spares an
 /// oversubscribed host.
-pub(crate) const HANDOFF_WINDOW: Duration = Duration::from_micros(20);
+const HANDOFF_WINDOW: Duration = Duration::from_micros(20);
 
 /// Watch `ready` for up to [`HANDOFF_WINDOW`]: a few dozen pauses, then a
 /// yield, until it holds or the window closes. The yield lets the thread
