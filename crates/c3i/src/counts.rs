@@ -1,15 +1,115 @@
-//! Operation recording for the machine models.
+//! The abstract operation counts, and the recording that produces them.
+//!
+//! The paper's tables report wall-clock times on four machines we do not
+//! have. The reproduction instead *counts the abstract operations* each
+//! logical thread of a benchmark performs — integer ops, floating-point
+//! ops, loads, stores, synchronization operations, thread spawns — and
+//! feeds those counts ([`OpCounts`]) through `eval-core`'s calibrated
+//! machine models.
 //!
 //! The benchmark algorithms are written once, generic over [`Rec`]. With
 //! [`NoRec`] every recording call is a no-op the optimizer deletes, so the
-//! host-timed variants pay nothing. With [`sthreads::OpRecorder`] the same
-//! code path produces the abstract operation counts (per logical thread)
-//! that `eval-core`'s calibrated platform models turn into the paper's
-//! table entries.
+//! host-timed variants pay nothing. With an [`OpCounts`] the same code
+//! path runs one logical thread at a time and accumulates that thread's
+//! counts, so counting needs no atomics and is deterministic.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use sthreads::{OpCounts, OpRecorder, ThreadCounts};
+
+/// Abstract operation counts for one logical thread (or one whole program).
+///
+/// Memory operations are split by *locality class*, because that is what
+/// separates compute-bound from memory-bound programs on cache-based
+/// machines: `loads`/`stores` touch small, reused working sets (they hit in
+/// cache on the conventional platforms), while `stream_loads`/
+/// `stream_stores` sweep large arrays with little reuse (they miss at a
+/// line-size-determined rate). The Tera MTA has no caches, so its model
+/// charges both classes identically — which is precisely the architectural
+/// contrast the paper studies.
+///
+/// It is also the counting [`Rec`]: instrumentation reads like annotations
+/// on the computation.
+///
+/// ```
+/// use c3i::{OpCounts, Rec};
+/// let mut r = OpCounts::default();
+/// r.load(2); // read threat position, weapon position
+/// r.fp(5); // distance computation
+/// r.int(1); // loop counter
+/// assert_eq!(r.instructions(), 8);
+/// ```
+#[derive(
+    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
+)]
+pub struct OpCounts {
+    /// Integer ALU operations (adds, compares, index arithmetic, branches).
+    pub int_ops: u64,
+    /// Memory loads of cache-resident data (words read).
+    pub loads: u64,
+    /// Floating-point operations.
+    pub fp_ops: u64,
+    /// Memory stores to cache-resident data (words written).
+    pub stores: u64,
+    /// Loads streaming over large, low-reuse arrays.
+    pub stream_loads: u64,
+    /// Stores streaming over large, low-reuse arrays.
+    pub stream_stores: u64,
+    /// Synchronization operations: full/empty loads/stores, fetch-adds,
+    /// lock acquire/release pairs count as one each.
+    pub sync_ops: u64,
+    /// Logical threads spawned by this thread.
+    pub spawns: u64,
+}
+
+impl OpCounts {
+    /// Total instructions issued (every abstract op is one instruction in
+    /// the machine models).
+    pub fn instructions(&self) -> u64 {
+        self.int_ops
+            + self.fp_ops
+            + self.loads
+            + self.stores
+            + self.stream_loads
+            + self.stream_stores
+            + self.sync_ops
+            + self.spawns
+    }
+
+    /// Total memory operations (all loads and stores plus sync ops, which
+    /// all touch memory on every platform in the study).
+    pub fn mem_ops(&self) -> u64 {
+        self.loads + self.stores + self.stream_loads + self.stream_stores + self.sync_ops
+    }
+
+    /// Memory operations in the streaming (low-reuse) class.
+    pub fn stream_ops(&self) -> u64 {
+        self.stream_loads + self.stream_stores
+    }
+
+    /// Element-wise accumulate.
+    pub fn add(&mut self, other: &OpCounts) {
+        self.int_ops += other.int_ops;
+        self.fp_ops += other.fp_ops;
+        self.loads += other.loads;
+        self.stores += other.stores;
+        self.stream_loads += other.stream_loads;
+        self.stream_stores += other.stream_stores;
+        self.sync_ops += other.sync_ops;
+        self.spawns += other.spawns;
+    }
+
+    /// Element-wise sum of two counts.
+    pub fn merged(mut self, other: &OpCounts) -> OpCounts {
+        self.add(other);
+        self
+    }
+}
+
+impl std::iter::Sum for OpCounts {
+    fn sum<I: Iterator<Item = OpCounts>>(iter: I) -> Self {
+        iter.fold(OpCounts::default(), |acc, c| acc.merged(&c))
+    }
+}
 
 /// Abstract-operation recorder interface. Counts are in units of "machine
 /// operations": one `int`/`fp` is one ALU instruction, one `load`/`store`
@@ -62,30 +162,30 @@ impl Rec for NoRec {
     fn sync(&mut self, _n: u64) {}
 }
 
-impl Rec for OpRecorder {
+impl Rec for OpCounts {
     #[inline]
     fn int(&mut self, n: u64) {
-        OpRecorder::int(self, n);
+        self.int_ops += n;
     }
     #[inline]
     fn fp(&mut self, n: u64) {
-        OpRecorder::fp(self, n);
+        self.fp_ops += n;
     }
     #[inline]
     fn load(&mut self, n: u64) {
-        OpRecorder::load(self, n);
+        self.loads += n;
     }
     #[inline]
     fn sload(&mut self, n: u64) {
-        OpRecorder::sload(self, n);
+        self.stream_loads += n;
     }
     #[inline]
     fn sstore(&mut self, n: u64) {
-        OpRecorder::sstore(self, n);
+        self.stream_stores += n;
     }
     #[inline]
     fn sync(&mut self, n: u64) {
-        OpRecorder::sync(self, n);
+        self.sync_ops += n;
     }
 }
 
@@ -98,7 +198,7 @@ pub struct Profile {
     pub serial: OpCounts,
     /// Per-logical-thread work inside the parallel region. For sequential
     /// programs this holds exactly one logical thread.
-    pub parallel: ThreadCounts,
+    pub parallel: Vec<OpCounts>,
 }
 
 impl Profile {
@@ -107,13 +207,13 @@ impl Profile {
     pub fn sequential(serial: OpCounts, main: OpCounts) -> Self {
         Self {
             serial,
-            parallel: ThreadCounts::new(vec![main]),
+            parallel: vec![main],
         }
     }
 
     /// Sum of all operations in the run.
     pub fn total(&self) -> OpCounts {
-        self.serial.merged(&self.parallel.total())
+        self.serial.merged(&self.parallel.iter().copied().sum())
     }
 }
 
@@ -238,19 +338,61 @@ mod tests {
     }
 
     #[test]
-    fn oprecorder_implements_rec() {
-        let mut r = OpRecorder::new();
-        Rec::int(&mut r, 3);
-        Rec::load(&mut r, 2);
-        assert_eq!(r.counts().int_ops, 3);
-        assert_eq!(r.counts().loads, 2);
+    fn instruction_and_mem_totals() {
+        let ops = OpCounts {
+            int_ops: 10,
+            fp_ops: 5,
+            loads: 3,
+            stores: 2,
+            stream_loads: 6,
+            stream_stores: 4,
+            sync_ops: 1,
+            spawns: 4,
+        };
+        assert_eq!(ops.instructions(), 35);
+        assert_eq!(ops.mem_ops(), 16);
+        assert_eq!(ops.stream_ops(), 10);
+    }
+
+    #[test]
+    fn add_and_sum_accumulate() {
+        let c = |int_ops, loads| OpCounts {
+            int_ops,
+            loads,
+            ..OpCounts::default()
+        };
+        let total: OpCounts = [c(1, 2), c(3, 4), c(5, 6)].into_iter().sum();
+        assert_eq!(total, c(9, 12));
+    }
+
+    #[test]
+    fn recorder_accumulates_each_category() {
+        let mut r = OpCounts::default();
+        r.int(1);
+        r.fp(2);
+        r.load(3);
+        r.sload(7);
+        r.sstore(8);
+        r.sync(5);
+        assert_eq!(
+            r,
+            OpCounts {
+                int_ops: 1,
+                fp_ops: 2,
+                loads: 3,
+                stream_loads: 7,
+                stream_stores: 8,
+                sync_ops: 5,
+                ..OpCounts::default()
+            }
+        );
     }
 
     #[test]
     fn profile_total_includes_serial_and_parallel() {
         let p = Profile {
             serial: ops(10),
-            parallel: ThreadCounts::new(vec![ops(5), ops(7)]),
+            parallel: vec![ops(5), ops(7)],
         };
         assert_eq!(p.total().int_ops, 22);
     }
@@ -258,7 +400,7 @@ mod tests {
     #[test]
     fn sequential_profile_has_one_logical_thread() {
         let p = Profile::sequential(ops(1), ops(100));
-        assert_eq!(p.parallel.per_thread().len(), 1);
+        assert_eq!(p.parallel.len(), 1);
         assert_eq!(p.total().int_ops, 101);
     }
 

@@ -31,14 +31,15 @@
 //!
 //! All algorithms are written once, generic over a [`counts::Rec`] operation
 //! recorder: instantiated with [`counts::NoRec`] they run at full speed on
-//! the host; instantiated with an [`sthreads::OpRecorder`] they produce the
+//! the host; instantiated with an [`OpCounts`] they produce the
 //! per-logical-thread operation counts consumed by the machine models in
-//! `eval-core`.
+//! `eval-core`. The count format is this crate's ([`counts`]); `sthreads`
+//! supplies only the threads the host variants run on.
 
 pub mod counts;
 pub mod grid;
 pub mod terrain;
 pub mod threat;
 
-pub use counts::{NoRec, ParallelPhase, PhasedProfile, Profile, Rec};
+pub use counts::{NoRec, OpCounts, ParallelPhase, PhasedProfile, Profile, Rec};
 pub use grid::Grid;

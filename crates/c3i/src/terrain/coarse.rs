@@ -16,11 +16,11 @@
 
 use super::los::{clamp_alt, compute_raw_alts_in, AltStore, KernelArena, Region};
 use super::scenario::TerrainScenario;
-use crate::counts::{NoRec, Rec};
+use crate::counts::{NoRec, OpCounts, Rec};
 use crate::grid::Grid;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use sthreads::{multithreaded_for, OpRecorder, ThreadCounts};
+use sthreads::multithreaded_for;
 
 /// The paper's block decomposition: `nb × nb` equal-ish blocks over the
 /// terrain, one lock per block ("ten-by-ten blocking").
@@ -205,24 +205,25 @@ pub fn terrain_masking_coarse_host(
 /// Per-threat operation counts of the coarse-grained program (temp init,
 /// recurrence, block-locked merge). Thread profiles for *any* worker count
 /// are greedy aggregations of this vector — see [`greedy_bins`].
-pub fn per_threat_counts(scenario: &TerrainScenario, n_blocks: usize) -> Vec<sthreads::OpCounts> {
+pub fn per_threat_counts(scenario: &TerrainScenario, n_blocks: usize) -> Vec<OpCounts> {
     let terrain = &scenario.terrain;
     let blocking = Blocking::new(terrain.x_size(), terrain.y_size(), n_blocks);
     let masking = SharedMaskGrid::new_infinite(terrain.x_size(), terrain.y_size());
     (0..scenario.threats.len())
         .map(|ti| {
-            let mut r = OpRecorder::new();
+            let mut r = OpCounts::default();
             process_threat(scenario, ti, &blocking, &masking, None, &mut r);
-            r.counts()
+            r
         })
         .collect()
 }
 
 /// The deterministic model of dynamic self-scheduling: each item, in claim
-/// order, goes to the least-loaded of `n_threads` logical threads.
-pub fn greedy_bins(per_item: &[sthreads::OpCounts], n_threads: usize) -> ThreadCounts {
+/// order, goes to the least-loaded of `n_threads` logical threads. One
+/// `OpCounts` per logical thread, in thread order.
+pub fn greedy_bins(per_item: &[OpCounts], n_threads: usize) -> Vec<OpCounts> {
     let n = n_threads.max(1);
-    let mut bins = vec![sthreads::OpCounts::default(); n];
+    let mut bins = vec![OpCounts::default(); n];
     let mut load = vec![0u64; n];
     for c in per_item {
         let t = load
@@ -234,7 +235,7 @@ pub fn greedy_bins(per_item: &[sthreads::OpCounts], n_threads: usize) -> ThreadC
         bins[t].add(c);
         load[t] += c.instructions();
     }
-    ThreadCounts::new(bins)
+    bins
 }
 
 #[cfg(test)]
@@ -315,8 +316,9 @@ mod tests {
         // 12 irregular threats over 3 threads: greedy keeps imbalance
         // (`n_threads * max_thread / total`) well under the worst case.
         let bins = greedy_bins(&per_threat_counts(&s, 10), 3);
-        let max = bins.per_thread().iter().map(|c| c.instructions()).max();
-        let imbalance = 3.0 * max.unwrap() as f64 / bins.total().instructions() as f64;
+        let max = bins.iter().map(|c| c.instructions()).max();
+        let total = bins.iter().copied().sum::<OpCounts>().instructions();
+        let imbalance = 3.0 * max.unwrap() as f64 / total as f64;
         assert!((1.0..3.0).contains(&imbalance), "imbalance={imbalance}");
     }
 

@@ -21,8 +21,7 @@
 use super::coarse::Blocking;
 use super::los::{Region, RingRun};
 use super::scenario::GroundThreat;
-use crate::counts::{ParallelPhase, PhasedProfile, Profile};
-use sthreads::{OpCounts, OpRecorder};
+use crate::counts::{OpCounts, ParallelPhase, PhasedProfile, Profile, Rec};
 
 /// All three Terrain Masking measurements of one scenario, as
 /// [`op_profile`] counts them.
@@ -36,10 +35,10 @@ pub struct TerrainOps {
     pub fine: PhasedProfile,
 }
 
-fn ops(record: impl FnOnce(&mut OpRecorder)) -> OpCounts {
-    let mut r = OpRecorder::new();
+fn ops(record: impl FnOnce(&mut OpCounts)) -> OpCounts {
+    let mut r = OpCounts::default();
     record(&mut r);
-    r.counts()
+    r
 }
 
 /// Of the edge cells of ring `k` whose subordinate coordinate runs over

@@ -23,10 +23,10 @@ use super::los::{
     KernelArena, Region, RingSweep, ScratchAlt,
 };
 use super::scenario::TerrainScenario;
-use crate::counts::{NoRec, ParallelPhase, PhasedProfile};
+use crate::counts::{NoRec, OpCounts, ParallelPhase, PhasedProfile, Rec};
 use crate::grid::Grid;
 use std::sync::atomic::{AtomicU64, Ordering};
-use sthreads::{chunk_range, multithreaded_for, OpRecorder};
+use sthreads::{chunk_range, multithreaded_for};
 
 /// Fine-grained Terrain Masking on real host threads. Produces the same
 /// grid as Programs 3 and 4 bit-for-bit. `n_threads` is the worker count
@@ -119,15 +119,15 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
     let mut masking = Grid::new(terrain.x_size(), terrain.y_size(), f64::INFINITY);
     let mut phases = Vec::new();
 
-    let mut serial = OpRecorder::new();
+    let mut serial = OpCounts::default();
     // The masking initialization is itself a flat parallel loop over the
     // whole grid (width = every cell).
     {
-        let mut r = OpRecorder::new();
+        let mut r = OpCounts::default();
         r.sstore(terrain.len() as u64);
         phases.push(ParallelPhase {
             width: terrain.len() as u64,
-            ops: r.counts(),
+            ops: r,
         });
     }
 
@@ -140,7 +140,7 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
 
         // Phase: parallel copy masking -> temp.
         let mut temp = ScratchAlt::new(&region, f64::INFINITY);
-        let mut r = OpRecorder::new();
+        let mut r = OpCounts::default();
         for &(x, y) in &cells {
             temp.set(x, y, AltStore::get(&masking, x, y));
             r.sload(1);
@@ -148,22 +148,22 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
         }
         phases.push(ParallelPhase {
             width: cells.len() as u64,
-            ops: r.counts(),
+            ops: r,
         });
 
         // Phase: parallel reset.
-        let mut r = OpRecorder::new();
+        let mut r = OpCounts::default();
         for &(x, y) in &cells {
             AltStore::set(&mut masking, x, y, f64::INFINITY);
             r.sstore(1);
         }
         phases.push(ParallelPhase {
             width: cells.len() as u64,
-            ops: r.counts(),
+            ops: r,
         });
 
         // Ring phases.
-        let mut r = OpRecorder::new();
+        let mut r = OpCounts::default();
         let inner: Vec<(usize, usize)> = region.ring(0).into_iter().chain(region.ring(1)).collect();
         for &(x, y) in &inner {
             AltStore::set(&mut masking, x, y, f64::NEG_INFINITY);
@@ -171,11 +171,11 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
         }
         phases.push(ParallelPhase {
             width: inner.len() as u64,
-            ops: r.counts(),
+            ops: r,
         });
         for k in 2..=region.radius {
             let ring = region.ring(k);
-            let mut r = OpRecorder::new();
+            let mut r = OpCounts::default();
             let values: Vec<f64> = ring
                 .iter()
                 .map(|&(x, y)| {
@@ -198,12 +198,12 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
             }
             phases.push(ParallelPhase {
                 width: ring.len() as u64,
-                ops: r.counts(),
+                ops: r,
             });
         }
 
         // Phase: parallel min-merge.
-        let mut r = OpRecorder::new();
+        let mut r = OpCounts::default();
         for &(x, y) in &cells {
             let per_threat = clamp_alt(AltStore::get(&masking, x, y), terrain[(x, y)]);
             let prior = temp.get(x, y);
@@ -214,11 +214,11 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
         }
         phases.push(ParallelPhase {
             width: cells.len() as u64,
-            ops: r.counts(),
+            ops: r,
         });
     }
 
-    (masking, PhasedProfile::new(serial.counts(), phases))
+    (masking, PhasedProfile::new(serial, phases))
 }
 
 #[cfg(test)]

@@ -961,7 +961,7 @@ pub fn per_threat_masking(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counts::NoRec;
+    use crate::counts::{NoRec, OpCounts};
 
     fn flat_terrain(size: usize, elev: f64) -> Grid<f64> {
         Grid::new(size, size, elev)
@@ -1148,9 +1148,8 @@ mod tests {
         let t = center_threat(33, 12);
         let region = Region::of_checked(&t, 33, 33);
         let mut scratch = ScratchAlt::new(&region, f64::INFINITY);
-        let mut r = sthreads::OpRecorder::new();
-        compute_raw_alts(&terrain, 100.0, &t, &region, &mut scratch, &mut r);
-        let c = r.counts();
+        let mut c = OpCounts::default();
+        compute_raw_alts(&terrain, 100.0, &t, &region, &mut scratch, &mut c);
         assert!(c.stream_loads > 0 && c.stream_stores > 0 && c.fp_ops > 0);
         // Every region cell is stored exactly once (streaming class).
         assert_eq!(c.stream_stores, region.n_cells() as u64);
@@ -1257,12 +1256,12 @@ mod tests {
         for (terrain, t) in clipping_cases() {
             let region = Region::of_checked(&t, terrain.x_size(), terrain.y_size());
             let mut opt = ScratchAlt::new(&region, f64::INFINITY);
-            let mut r_opt = sthreads::OpRecorder::new();
+            let mut r_opt = OpCounts::default();
             compute_raw_alts(&terrain, 100.0, &t, &region, &mut opt, &mut r_opt);
             let mut refr = ScratchAlt::new(&region, f64::INFINITY);
-            let mut r_ref = sthreads::OpRecorder::new();
+            let mut r_ref = OpCounts::default();
             reference::compute_raw_alts(&terrain, 100.0, &t, &region, &mut refr, &mut r_ref);
-            assert_eq!(r_opt.counts(), r_ref.counts(), "threat {t:?}");
+            assert_eq!(r_opt, r_ref, "threat {t:?}");
         }
     }
 

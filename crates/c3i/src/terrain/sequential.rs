@@ -16,9 +16,8 @@ use super::los::{
     Region, ScratchAlt,
 };
 use super::scenario::TerrainScenario;
-use crate::counts::{NoRec, Profile, Rec};
+use crate::counts::{NoRec, OpCounts, Profile, Rec};
 use crate::grid::Grid;
-use sthreads::OpRecorder;
 
 /// Sequential Terrain Masking (Program 3). Returns the masking grid:
 /// `masking[x][y]` is the maximum altitude at which an aircraft at that
@@ -121,9 +120,9 @@ pub fn terrain_masking_host(scenario: &TerrainScenario) -> Grid<f64> {
 /// Run Program 3 under the counting backend, returning the masking grid
 /// and the operation [`Profile`] (one logical thread).
 pub fn terrain_masking_profile(scenario: &TerrainScenario) -> (Grid<f64>, Profile) {
-    let mut r = OpRecorder::new();
+    let mut r = OpCounts::default();
     let masking = terrain_masking(scenario, &mut r);
-    (masking, Profile::sequential(Default::default(), r.counts()))
+    (masking, Profile::sequential(Default::default(), r))
 }
 
 #[cfg(test)]
@@ -215,8 +214,7 @@ mod tests {
         // The signature on a cache-based machine is streaming traffic over
         // large arrays: a substantial fraction of all operations here,
         // versus essentially none in Threat Analysis.
-        let stream_fraction =
-            |t: sthreads::OpCounts| t.stream_ops() as f64 / t.instructions() as f64;
+        let stream_fraction = |t: OpCounts| t.stream_ops() as f64 / t.instructions() as f64;
         let (_, p) = terrain_masking_profile(&small_scenario(1));
         let tm = stream_fraction(p.total());
         assert!(tm > 0.15, "Terrain Masking must stream heavily: {tm:.3}");

@@ -9,8 +9,7 @@
 //! constraints that switches on and off as the threat flies, producing
 //! zero, one, or more maximal interception intervals per pair.
 
-use crate::counts::Rec;
-use sthreads::{OpCounts, OpRecorder};
+use crate::counts::{OpCounts, Rec};
 
 /// Simulation time step in seconds. The benchmark scans interception
 /// feasibility at integer multiples of this step.
@@ -296,8 +295,8 @@ pub fn intervals_for_pair<R: Rec>(
     }
 }
 
-/// What [`intervals_for_pair`] records for one pair under an
-/// [`OpRecorder`], counted instead of recorded: a histogram of predicate
+/// What [`intervals_for_pair`] records for one pair into an
+/// [`OpCounts`], counted instead of recorded: a histogram of predicate
 /// exits over the scan window, and the loop's own bookkeeping, which
 /// follows from how the feasible steps group into runs.
 ///
@@ -321,13 +320,13 @@ pub fn intervals_for_pair<R: Rec>(
 /// inside the band, is counted in bulk as [`Exit::Range`]
 /// (`out_of_range_run`), and only its ends are classified.
 pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
-    let mut r = OpRecorder::new();
+    let mut r = OpCounts::default();
     let first = threat.first_step();
     let last = threat.last_step();
     r.load(2);
     r.int(2);
     if first > last {
-        return r.counts();
+        return r;
     }
 
     let mut evaluations = [0u64; Exit::ALL.len()];
@@ -369,7 +368,7 @@ pub fn pair_counts(threat: &Threat, weapon: &Weapon) -> OpCounts {
     }
     r.int(2 * (infeasible + extending + intervals));
     r.sstore(4 * intervals);
-    r.counts()
+    r
 }
 
 /// Up to two inclusive runs of time steps, in increasing order; a run with
@@ -733,13 +732,13 @@ mod tests {
     }
 
     /// The pair scan under `NoRec`, which may skip a pair the range prune
-    /// rules out, and under an `OpRecorder`, which evaluates every step.
+    /// rules out, and into an `OpCounts`, which evaluates every step.
     fn pruned_and_unpruned(th: &Threat, w: &Weapon) -> (Vec<Interval>, Vec<Interval>) {
         let (mut pruned, mut unpruned) = (Vec::new(), Vec::new());
         intervals_for_pair(7, 9, th, w, &mut NoRec, |iv| pruned.push(iv));
-        let mut r = OpRecorder::new();
+        let mut r = OpCounts::default();
         intervals_for_pair(7, 9, th, w, &mut r, |iv| unpruned.push(iv));
-        assert!(r.counts().int_ops > 0, "nothing recorded");
+        assert!(r.int_ops > 0, "nothing recorded");
         (pruned, unpruned)
     }
 
@@ -1084,10 +1083,10 @@ mod tests {
             (&w, 205, Exit::FlyOut),
         ] {
             assert_eq!(exit_class(weapon, &th, step).0, exit, "step {step}");
-            let mut r = sthreads::OpRecorder::new();
+            let mut r = OpCounts::default();
             let feasible = can_intercept(weapon, &th, step, &mut r);
             assert_eq!(feasible, exit_class(weapon, &th, step).1);
-            let (c, cost) = (r.counts(), exit.cost());
+            let (c, cost) = (r, exit.cost());
             assert_eq!(
                 (c.int_ops, c.fp_ops, c.loads),
                 (cost.int, cost.fp, cost.load)

@@ -8,8 +8,7 @@
 
 use super::model::{intervals_for_pair, pair_counts, Interval};
 use super::scenario::ThreatScenario;
-use crate::counts::{NoRec, Profile, Rec};
-use sthreads::{OpCounts, OpRecorder};
+use crate::counts::{NoRec, OpCounts, Profile, Rec};
 
 /// Sequential Threat Analysis (Program 1). Returns the interval list in
 /// the canonical (threat-major, weapon-minor, time-increasing) order the
@@ -39,37 +38,30 @@ pub fn threat_analysis_host(scenario: &ThreatScenario) -> Vec<Interval> {
 /// This is the oracle for [`op_profile`]'s `seq`, which is how the harness
 /// obtains the same profile without recording.
 pub fn threat_analysis_profile(scenario: &ThreatScenario) -> (Vec<Interval>, Profile) {
-    let mut r = OpRecorder::new();
+    let mut r = OpCounts::default();
     let intervals = threat_analysis(scenario, &mut r);
-    let profile = Profile::sequential(Default::default(), r.counts());
+    let profile = Profile::sequential(Default::default(), r);
     (intervals, profile)
 }
 
 /// Per-threat operation counts (threat `i`'s work against every weapon).
 /// Chunk profiles for *any* chunking are cheap aggregations of this
 /// vector, which is how the experiment harness sweeps Tables 3–6 without
-/// re-running the benchmark per configuration. Recorded under an
-/// [`OpRecorder`]: the oracle for [`op_profile`]'s `per_threat`.
-pub fn per_threat_counts(scenario: &ThreatScenario) -> Vec<sthreads::OpCounts> {
+/// re-running the benchmark per configuration. Recorded into an
+/// [`OpCounts`]: the oracle for [`op_profile`]'s `per_threat`.
+pub fn per_threat_counts(scenario: &ThreatScenario) -> Vec<OpCounts> {
     scenario
         .threats
         .iter()
         .enumerate()
         .map(|(ti, threat)| {
-            let mut r = OpRecorder::new();
+            let mut r = OpCounts::default();
             for (wi, weapon) in scenario.weapons.iter().enumerate() {
-                crate::counts::Rec::int(&mut r, 2);
-                crate::counts::Rec::load(&mut r, 2);
-                crate::threat::model::intervals_for_pair(
-                    ti as u32,
-                    wi as u32,
-                    threat,
-                    weapon,
-                    &mut r,
-                    |_| {},
-                );
+                r.int(2);
+                r.load(2);
+                intervals_for_pair(ti as u32, wi as u32, threat, weapon, &mut r, |_| {});
             }
-            r.counts()
+            r
         })
         .collect()
 }
@@ -96,20 +88,16 @@ pub fn op_profile(scenario: &ThreatScenario) -> ThreatOps {
         .threats
         .iter()
         .map(|threat| {
-            let mut pair_loop = OpRecorder::new();
+            let mut pair_loop = OpCounts::default();
             pair_loop.int(2 * n_weapons); // loop bookkeeping
             pair_loop.load(2 * n_weapons); // threat/weapon descriptors
             let pairs = scenario.weapons.iter().map(|w| pair_counts(threat, w));
-            pairs.sum::<OpCounts>().merged(&pair_loop.counts())
+            pairs.sum::<OpCounts>().merged(&pair_loop)
         })
         .collect();
-    let mut main = OpRecorder::new();
+    let mut main = OpCounts::default();
     main.int(1); // num_intervals = 0
-    let main = per_threat
-        .iter()
-        .copied()
-        .sum::<OpCounts>()
-        .merged(&main.counts());
+    let main = per_threat.iter().copied().sum::<OpCounts>().merged(&main);
     ThreatOps {
         per_threat,
         seq: Profile::sequential(Default::default(), main),
@@ -161,7 +149,7 @@ mod tests {
         });
         let (_, p_big) = threat_analysis_profile(&big);
         assert!(p_big.total().instructions() > p_small.total().instructions());
-        assert_eq!(p_small.parallel.per_thread().len(), 1);
+        assert_eq!(p_small.parallel.len(), 1);
     }
 
     #[test]

@@ -4,16 +4,15 @@
 //! `terrain::op_profile` / `terrain::ring_ops` count what the masking
 //! programs record from ring geometry alone; `threat::pair_counts` /
 //! `threat::op_profile` count what the stepwise engagement scan records
-//! from a histogram of predicate exits. The `Rec`-generic kernels under an
-//! `OpRecorder` are the oracle: equality here is exact (`OpCounts` is
+//! from a histogram of predicate exits. The `Rec`-generic kernels recording
+//! into an `OpCounts` are the oracle: equality here is exact (`OpCounts` is
 //! integer-only), field by field, phase by phase.
 
 use c3i::terrain::los::{self, raw_alt_for_cell, sensor_height, AltStore, Region, ScratchAlt};
 use c3i::terrain::{self, GroundThreat, TerrainScenario, TerrainScenarioParams};
 use c3i::threat::{self, Threat, ThreatScenario, Weapon};
-use c3i::Grid;
+use c3i::{Grid, OpCounts, Rec};
 use proptest::prelude::*;
-use sthreads::{OpCounts, OpRecorder};
 
 const N_BLOCKS: usize = 10;
 
@@ -92,7 +91,7 @@ fn recorded_ring(
     k: usize,
     store: &mut ScratchAlt,
 ) -> OpCounts {
-    let mut r = OpRecorder::new();
+    let mut r = OpCounts::default();
     let ring = region.ring(k);
     let values: Vec<f64> = ring
         .iter()
@@ -106,7 +105,7 @@ fn recorded_ring(
         store.set(x, y, v);
         r.sstore(1);
     }
-    r.counts()
+    r
 }
 
 /// Threat / weapon pairs around one base geometry, perturbed into every
@@ -278,9 +277,9 @@ fn arb_out_of_range_pair() -> impl Strategy<Value = (Threat, Weapon)> {
 }
 
 fn recorded_pair(threat: &Threat, weapon: &Weapon) -> OpCounts {
-    let mut r = OpRecorder::new();
+    let mut r = OpCounts::default();
     threat::intervals_for_pair(0, 0, threat, weapon, &mut r, |_| {});
-    r.counts()
+    r
 }
 
 /// The counters against all five recorded entry points on one scenario of
@@ -318,11 +317,10 @@ proptest! {
         for &(x, y) in &inner {
             store.set(x, y, f64::NEG_INFINITY);
         }
-        let mut total = OpRecorder::new();
+        let mut total = OpCounts::default();
         total.load(2);
         total.fp(1);
         total.sstore(inner.len() as u64);
-        let mut total = total.counts();
         for k in 2..=region.radius {
             let (width, counted) = terrain::ring_ops(&region, k);
             prop_assert_eq!(width, region.ring_runs(k).len() as u64);
@@ -334,10 +332,10 @@ proptest! {
             total.add(&counted);
         }
 
-        let mut sweeps = OpRecorder::new();
+        let mut sweeps = OpCounts::default();
         let mut swept = ScratchAlt::new(&region, f64::INFINITY);
         los::compute_raw_alts(&terrain, 30.0, &threat, &region, &mut swept, &mut sweeps);
-        prop_assert_eq!(total, sweeps.counts());
+        prop_assert_eq!(total, sweeps);
     }
 
     /// (b) The exit-class histogram equals the stepwise loop under a

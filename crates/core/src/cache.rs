@@ -11,7 +11,7 @@
 //!
 //! Correctness comes from the *code fingerprint*: a snapshot stores a hash
 //! of every source file the measured numbers depend on (benchmark
-//! algorithms, counting backend, workload/calibration definitions and the
+//! algorithms and their op counts, workload/calibration definitions and the
 //! published numbers calibration is anchored to, `paper.rs`, embedded via
 //! `include_str!` at compile time). Any edit to those files
 //! changes the fingerprint of the running binary, so stale snapshots are
@@ -127,10 +127,6 @@ const MEASUREMENT_SOURCES: &[(&str, &str)] = &[
     (
         "c3i/src/terrain/verify.rs",
         include_str!("../../c3i/src/terrain/verify.rs"),
-    ),
-    (
-        "sthreads/src/counting.rs",
-        include_str!("../../sthreads/src/counting.rs"),
     ),
     // The RNG every scenario is drawn from: the ChaCha8 stream and the
     // range sampling that turns its words into threats and weapons.
@@ -336,8 +332,8 @@ mod tests {
 
     #[test]
     fn fingerprint_covers_every_measurement_source_on_disk() {
-        // The measurement chain is workload.rs -> c3i benchmarks ->
-        // sthreads counting backend. Walk the benchmark crate on disk and
+        // The measurement chain is workload.rs -> c3i benchmarks and
+        // their op counts (`c3i::counts`). Walk the benchmark crate on disk and
         // require every source file to be embedded, byte-identical — a new
         // c3i file that silently isn't fingerprinted would let stale
         // snapshots survive edits to it.
@@ -373,7 +369,6 @@ mod tests {
             "core/src/calibrate.rs",
             "core/src/paper.rs",
             "core/src/models.rs",
-            "sthreads/src/counting.rs",
             "../vendor/rand_chacha/src/lib.rs",
             "../vendor/rand/src/lib.rs",
         ] {

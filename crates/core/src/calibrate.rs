@@ -35,7 +35,7 @@
 use crate::models::{ConventionalModel, TeraModel};
 use crate::paper::{self, ALPHA, EXEMPLAR, MACHINES, PPRO, TABLE5_CHUNKS, TERA};
 use crate::workload::{chunk_prologue, Workload};
-use sthreads::OpCounts;
+use c3i::OpCounts;
 
 /// Fixed (non-fit) cost constants, from §2/§7 of the paper.
 mod constants {
@@ -198,7 +198,7 @@ pub fn calibrate(workload: &Workload) -> Calibration {
         let serial_cycles: f64 = coarse.iter().map(|p| model.cpu_cycles(&p.serial)).sum();
         let stream_total: f64 = coarse
             .iter()
-            .map(|p| p.parallel.total().stream_ops() as f64)
+            .map(|p| p.parallel.iter().copied().sum::<OpCounts>().stream_ops() as f64)
             .sum();
         let budget = paper::at(table, n_procs) * model.clock_mhz * 1e6 / s_tm - serial_cycles;
         assert!(budget > 0.0, "{}: bus calibration underflow", model.name);

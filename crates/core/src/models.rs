@@ -20,8 +20,8 @@
 //!   tests. Thread creation costs a few cycles, synchronization is one
 //!   memory operation.
 
-use c3i::{PhasedProfile, Profile};
-use sthreads::{chunk_range, OpCounts};
+use c3i::{OpCounts, PhasedProfile, Profile};
+use sthreads::chunk_range;
 
 /// A cache-based conventional platform.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -84,12 +84,7 @@ impl ConventionalModel {
             scale * self.cpu_cycles(&profile.serial) + self.overhead_cycles(&profile.total());
         let per_worker = self.worker_cycles(profile, n_procs);
         let makespan = per_worker.iter().copied().fold(0.0f64, f64::max);
-        let total_stream: f64 = profile
-            .parallel
-            .per_thread()
-            .iter()
-            .map(|c| c.stream_ops() as f64)
-            .sum();
+        let total_stream: f64 = profile.parallel.iter().map(|c| c.stream_ops() as f64).sum();
         let bus = total_stream * self.bus_cost_per_stream_op;
         let cycles = serial + scale * makespan.max(bus);
         cycles / (self.clock_mhz * 1e6)
@@ -99,7 +94,7 @@ impl ConventionalModel {
     /// threads.
     fn worker_cycles(&self, profile: &Profile, n_procs: usize) -> Vec<f64> {
         let mut w = vec![0.0f64; n_procs];
-        for (i, ops) in profile.parallel.per_thread().iter().enumerate() {
+        for (i, ops) in profile.parallel.iter().enumerate() {
             w[i % n_procs] += self.cpu_cycles(ops);
         }
         w
@@ -337,7 +332,6 @@ impl TeraModel {
 mod tests {
     use super::*;
     use c3i::ParallelPhase;
-    use sthreads::ThreadCounts;
 
     fn ops(compute: u64, stream: u64) -> OpCounts {
         OpCounts {
@@ -384,7 +378,7 @@ mod tests {
         let m = conv();
         let p = Profile {
             serial: OpCounts::default(),
-            parallel: ThreadCounts::new(vec![ops(1_000_000, 0); 8]),
+            parallel: vec![ops(1_000_000, 0); 8],
         };
         let t1 = m.parallel_seconds(&p, 1, 1.0);
         let t8 = m.parallel_seconds(&p, 8, 1.0);
@@ -398,7 +392,7 @@ mod tests {
         // CPU cycles; bus cost 4 × 800k total = 3.2M cycles.
         let p = Profile {
             serial: OpCounts::default(),
-            parallel: ThreadCounts::new(vec![ops(0, 100_000); 8]),
+            parallel: vec![ops(0, 100_000); 8],
         };
         let t1 = m.parallel_seconds(&p, 1, 1.0);
         let t8 = m.parallel_seconds(&p, 8, 1.0);
@@ -414,13 +408,13 @@ mod tests {
         let m = conv();
         let balanced = Profile {
             serial: OpCounts::default(),
-            parallel: ThreadCounts::new(vec![ops(100, 0); 4]),
+            parallel: vec![ops(100, 0); 4],
         };
         let mut threads = vec![ops(10, 0); 3];
         threads.push(ops(370, 0));
         let skewed = Profile {
             serial: OpCounts::default(),
-            parallel: ThreadCounts::new(threads),
+            parallel: threads,
         };
         // Same total work; the skewed decomposition must be slower on 4.
         assert!(m.parallel_seconds(&skewed, 4, 1.0) > 2.0 * m.parallel_seconds(&balanced, 4, 1.0));

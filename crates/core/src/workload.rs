@@ -26,8 +26,8 @@
 
 use c3i::terrain::{self, TerrainOps, TerrainScenarioParams};
 use c3i::threat::{self, ThreatOps, ThreatScenarioParams};
-use c3i::{PhasedProfile, Profile};
-use sthreads::{chunk_range, par_map, OpCounts, OpRecorder, ThreadCounts, ThreadPool};
+use c3i::{OpCounts, PhasedProfile, Profile};
+use sthreads::{chunk_range, par_map, ThreadPool};
 
 /// Workload size selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -108,10 +108,11 @@ pub fn tm_params(scale: WorkloadScale) -> Vec<TerrainScenarioParams> {
 /// The serial prologue of Program 2 with `n_chunks` chunks: the blocking
 /// arithmetic and one spawn per chunk.
 pub(crate) fn chunk_prologue(n_chunks: usize) -> OpCounts {
-    let mut serial = OpRecorder::new();
-    serial.int(2 * n_chunks as u64);
-    serial.spawn(n_chunks as u64);
-    serial.counts()
+    OpCounts {
+        int_ops: 2 * n_chunks as u64,
+        spawns: n_chunks as u64,
+        ..OpCounts::default()
+    }
 }
 
 /// One task's output in [`Workload::build_with`]: every measurement of
@@ -193,10 +194,11 @@ impl Workload {
                     w.tm_per_threat.push(ops.coarse_per_threat);
                     w.tm_seq.push(ops.seq);
                     w.tm_fine.push(ops.fine);
-                    let mut init = OpRecorder::new();
-                    init.sstore(grid_cells);
-                    init.int(2 * (TM_BLOCKS * TM_BLOCKS) as u64);
-                    w.tm_serial.push(init.counts());
+                    w.tm_serial.push(OpCounts {
+                        stream_stores: grid_cells,
+                        int_ops: 2 * (TM_BLOCKS * TM_BLOCKS) as u64,
+                        ..OpCounts::default()
+                    });
                 }
             }
         }
@@ -221,7 +223,7 @@ impl Workload {
                 .collect();
             Profile {
                 serial: chunk_prologue(n_chunks),
-                parallel: ThreadCounts::new(chunks),
+                parallel: chunks,
             }
         })
     }
@@ -233,10 +235,12 @@ impl Workload {
             .iter()
             .zip(&self.tm_serial)
             .map(|(per_threat, &init)| {
-                let mut serial = OpRecorder::new();
-                serial.spawn(n_threads as u64);
+                let spawns = OpCounts {
+                    spawns: n_threads as u64,
+                    ..OpCounts::default()
+                };
                 Profile {
-                    serial: init.merged(&serial.counts()),
+                    serial: init.merged(&spawns),
                     parallel: terrain::greedy_bins(per_threat, n_threads),
                 }
             })
@@ -290,11 +294,16 @@ mod tests {
             for (s, profile) in w.ta_chunked(n_chunks).enumerate() {
                 let direct: OpCounts = w.ta_per_threat[s].iter().copied().sum();
                 assert_eq!(
-                    profile.parallel.total().instructions(),
+                    profile
+                        .parallel
+                        .iter()
+                        .copied()
+                        .sum::<OpCounts>()
+                        .instructions(),
                     direct.instructions(),
                     "scenario {s}, {n_chunks} chunks"
                 );
-                assert_eq!(profile.parallel.per_thread().len(), n_chunks);
+                assert_eq!(profile.parallel.len(), n_chunks);
             }
         }
     }
@@ -309,11 +318,7 @@ mod tests {
             let mut expected: OpCounts = w.ta_per_threat[s].iter().copied().sum();
             expected.int_ops += 1;
             assert_eq!(w.ta_seq[s].serial, OpCounts::default(), "scenario {s}");
-            assert_eq!(
-                w.ta_seq[s].parallel.per_thread(),
-                [expected],
-                "scenario {s}"
-            );
+            assert_eq!(w.ta_seq[s].parallel, [expected], "scenario {s}");
         }
     }
 
@@ -322,9 +327,9 @@ mod tests {
         let w = reduced();
         for profile in w.tm_coarse(4) {
             // `n_threads * max_thread / total`: 1 is a perfect balance.
-            let threads = profile.parallel.per_thread();
+            let threads = &profile.parallel;
             let max = threads.iter().map(OpCounts::instructions).max().unwrap();
-            let total = profile.parallel.total().instructions();
+            let total = threads.iter().copied().sum::<OpCounts>().instructions();
             let imb = threads.len() as f64 * max as f64 / total as f64;
             assert!((1.0..2.0).contains(&imb), "imbalance {imb}");
         }

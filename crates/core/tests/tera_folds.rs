@@ -11,10 +11,9 @@
 //! paper-scale arm is ignored unoptimized; `ci.sh` runs it with
 //! `--release`.
 
-use c3i::{ParallelPhase, PhasedProfile, Profile};
+use c3i::{OpCounts, ParallelPhase, PhasedProfile, Profile};
 use eval_core::{calibrate, Experiments, TeraModel, Workload, WorkloadScale};
 use proptest::prelude::*;
-use sthreads::OpCounts;
 
 // ── the oracles ─────────────────────────────────────────────────────────
 
@@ -60,7 +59,7 @@ fn oracle_phased_seconds(
 /// each processor's utilization `min(1, s/L)` with `s` resident streams.
 fn oracle_chunked_issue_cycles(m: &TeraModel, profile: &Profile, n_procs: usize) -> f64 {
     let mut per_proc: Vec<Vec<&OpCounts>> = vec![Vec::new(); n_procs];
-    for (i, ops) in profile.parallel.per_thread().iter().enumerate() {
+    for (i, ops) in profile.parallel.iter().enumerate() {
         // Empty chunks (possible when chunks outnumber threats) halt
         // immediately and contribute no resident stream.
         if ops.instructions() > 0 {
@@ -85,7 +84,8 @@ fn oracle_chunked_issue_cycles(m: &TeraModel, profile: &Profile, n_procs: usize)
 fn oracle_chunked_seconds(m: &TeraModel, profile: &Profile, n_procs: usize, scale: f64) -> f64 {
     let serial_cycles = m.serial_cycles_of(&profile.serial);
     let issue_makespan = oracle_chunked_issue_cycles(m, profile, n_procs);
-    let mem_cycles = profile.parallel.total().mem_ops() as f64 / m.network_words_per_cycle;
+    let mem_cycles = profile.parallel.iter().copied().sum::<OpCounts>().mem_ops() as f64
+        / m.network_words_per_cycle;
     let cycles = serial_cycles + (issue_makespan / m.eta(n_procs)).max(mem_cycles);
     scale * cycles / (m.clock_mhz * 1e6)
 }

@@ -22,19 +22,14 @@
 //! (Full/empty words themselves are simulated, with their timing, by
 //! `mta-sim`.)
 //!
-//! Two "backends" exist:
-//!
-//! * the **host backend** (this module's default entry points) runs the
-//!   structures on real OS threads — parallel regions execute on a
-//!   persistent, process-wide worker pool ([`ThreadPool::global`]) whose
-//!   workers are kept between regions, so a region costs a handoff or a
-//!   condvar wakeup rather than thread spawns — letting benchmark
-//!   parallelizations be checked for correctness and timed on the host
-//!   (by the repo benchmark, `benchmark/`), and
-//! * the **counting backend** ([`counting`]) runs the same logical thread
-//!   structure while recording abstract operation counts per logical
-//!   thread; those counts feed the calibrated machine models in
-//!   `eval-core` that regenerate the paper's tables.
+//! Parallel regions run on real OS threads: a persistent, process-wide
+//! worker pool ([`ThreadPool::global`]) whose workers are kept between
+//! regions, so a region costs a handoff or a condvar wakeup rather than
+//! thread spawns. The host-timed benchmark variants in `c3i` run on it,
+//! so their parallelizations can be checked for correctness and timed on
+//! the host (by the repo benchmark, `benchmark/`). The abstract operation
+//! counts the machine models consume are not this crate's: `c3i` records
+//! them, one logical thread at a time, with no thread of its own.
 //!
 //! # Quick examples
 //!
@@ -82,14 +77,12 @@
 // region's body for the duration of the region (`pool.rs`).
 #![deny(unsafe_code)]
 
-pub mod counting;
 pub mod par_for;
 pub mod pool;
 pub mod queue;
 pub mod stats;
 pub mod syncvar;
 
-pub use counting::{OpCounts, OpRecorder, ThreadCounts};
 pub use par_for::{multithreaded_for, par_map, ChunkBounds, ParFor};
 pub use pool::{scope_threads, ThreadPool};
 pub use queue::WorkQueue;

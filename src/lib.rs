@@ -9,9 +9,10 @@
 //!
 //! * [`sthreads`] — structured multithreading runtime: what Programs
 //!   1–4 as built use of the paper's programming systems (multithreaded
-//!   for-loops, an `int_fetch_add` counter) plus the op-counting backend,
+//!   for-loops on a persistent worker pool, an `int_fetch_add` counter),
 //! * [`c3i`] — the Threat Analysis and Terrain Masking benchmarks with
-//!   sequential, coarse-grained and fine-grained implementations,
+//!   sequential, coarse-grained and fine-grained implementations, and the
+//!   op counts (`c3i::OpCounts`) they record for the machine models,
 //! * [`mta_sim`] — cycle-level Tera MTA simulator,
 //! * [`smp_sim`] — cache/bus simulator for the conventional platforms,
 //! * [`eval_core`] — calibrated machine models and the experiment harness

@@ -3,11 +3,11 @@
 //! the mechanisms they abstract. This is what justifies using the
 //! analytic models for the full benchmark-scale tables.
 
+use tera_c3i::c3i::OpCounts;
 use tera_c3i::eval_core::models::TeraModel;
 use tera_c3i::mta_sim::kernels::{measure_utilization_sweep, mixed_kernel, run_kernel};
 use tera_c3i::mta_sim::MtaConfig;
 use tera_c3i::smp_sim::{CacheConfig, CpuConfig, SmpConfig, SmpMachine, TracePattern};
-use tera_c3i::sthreads::OpCounts;
 
 fn tera_model() -> TeraModel {
     TeraModel {

@@ -6,15 +6,14 @@
 //!
 //! The same bar covers *how* the workload is obtained: `Workload::build`
 //! counts (ring geometry, an exit-class histogram) where it used to run
-//! the `Rec`-generic kernels under an `OpRecorder`. [`recorded_workload`]
+//! the `Rec`-generic kernels recording into an `OpCounts`. [`recorded_workload`]
 //! is that recorded assembly, kept as the oracle, and the built workload
 //! must equal it in every `OpCounts` and every phase.
 
 use std::sync::OnceLock;
-use tera_c3i::c3i::{terrain, threat};
+use tera_c3i::c3i::{terrain, threat, OpCounts, Rec};
 use tera_c3i::eval_core::workload::{ta_params, tm_params, TM_BLOCKS};
 use tera_c3i::eval_core::{Experiments, Workload, WorkloadScale};
-use tera_c3i::sthreads::OpRecorder;
 
 /// The sequential oracle: one worker, measured once per test binary.
 fn oracle() -> &'static Workload {
@@ -54,10 +53,10 @@ fn recorded_workload(scale: WorkloadScale) -> Workload {
         tm_serial: tm
             .iter()
             .map(|s| {
-                let mut r = OpRecorder::new();
+                let mut r = OpCounts::default();
                 r.sstore(s.terrain.len() as u64);
                 r.int(2 * (TM_BLOCKS * TM_BLOCKS) as u64);
-                r.counts()
+                r
             })
             .collect(),
     }
