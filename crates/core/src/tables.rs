@@ -1,12 +1,10 @@
 //! Result tables: the shape the paper reports in, rendered as text, CSV,
 //! and (for the figures) ASCII speedup plots.
 
-use serde::Serialize;
-
 /// One reproduced table: headers plus rows of labelled values, with the
 /// paper's published value carried alongside the model's for every cell
 /// that has one.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Table identifier ("Table 5").
     pub id: String,
@@ -19,7 +17,7 @@ pub struct Table {
 }
 
 /// One table cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum Cell {
     /// A label (platform name, chunk count...).
     Text(String),

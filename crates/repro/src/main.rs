@@ -10,16 +10,17 @@
 //! line accepts: the parser loops over them and `repro --help` prints
 //! the usage rendered from them. Anything else — an unknown flag, a
 //! positional that is not a section, a value-taking flag whose operand
-//! is missing or flag-like (a bare `repro --json` is a mistake, not a
-//! request to skip JSON output), `--json` without the `tables` section
-//! that would write it — gets the usage message and exit status 2.
+//! is missing or flag-like (a bare `repro --csv` is a mistake, not a
+//! request to skip CSV output) — gets the usage message and exit status
+//! 2.
 //!
 //! With no arguments the binary measures the paper-scale workload,
 //! calibrates the machine models, and prints Tables 1–12 with the paper's
 //! published value next to every modeled value, followed by ASCII
 //! renditions of Figures 1–4. `--reduced` uses the smaller test workload
 //! (same structure, faster). `--csv DIR` additionally writes one CSV per
-//! table.
+//! table; a DIR or file that cannot be written ends the run with the path
+//! and the error on stderr and exit status 1.
 //!
 //! The expensive workload measurement is memoized on disk (see
 //! `eval_core::cache`); `--no-cache` forces a fresh measurement without
@@ -53,8 +54,6 @@ use sthreads::ThreadPool;
 struct Options {
     scale: WorkloadScale,
     csv_dir: Option<String>,
-    json_file: Option<String>,
-    out_file: Option<String>,
     use_cache: bool,
     profile: bool,
     n_threads: Option<usize>,
@@ -112,12 +111,6 @@ const FLAGS: &[Flag] = &[
     Flag("--csv", Some(("DIR", "a directory")), |o, v| {
         set(&mut o.csv_dir, v)
     }),
-    Flag("--json", Some(("FILE", "a file path")), |o, v| {
-        set(&mut o.json_file, v)
-    }),
-    Flag("--out", Some(("FILE", "a file path")), |o, v| {
-        set(&mut o.out_file, v)
-    }),
     Flag("--serve", Some(("ADDR", ADDR)), |o, v| set(&mut o.serve, v)),
     Flag("--load", Some(("ADDR", ADDR)), |o, v| set(&mut o.load, v)),
     Flag("--requests", Some(("N", "a request count")), |o, v| {
@@ -160,8 +153,6 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Option<Opti
     let mut opts = Options {
         scale: WorkloadScale::Paper,
         csv_dir: None,
-        json_file: None,
-        out_file: None,
         use_cache: true,
         profile: false,
         n_threads: None,
@@ -195,7 +186,7 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Option<Opti
             continue;
         };
         // A missing operand and one that looks like the next flag are
-        // both hard errors: `repro --json` must not behave like `repro`.
+        // both hard errors: `repro --csv` must not behave like `repro`.
         let v = match args.next() {
             Some(v) if !v.starts_with("--") => v,
             Some(v) => return Err(format!("{a} requires {what}, got flag '{v}'")),
@@ -205,9 +196,6 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Option<Opti
     }
     if opts.sections.is_empty() {
         opts.sections.push("all".to_string());
-    }
-    if opts.json_file.is_some() && !want(&opts, "tables") {
-        return Err("--json writes the tables: name the 'tables' section (or 'all')".to_string());
     }
     Ok(Some(opts))
 }
@@ -552,11 +540,18 @@ fn run_fuzz(n_cases: usize, seed: u64, reduced: bool) -> ! {
     std::process::exit(1);
 }
 
-/// Write `t` as `DIR/<table id>.csv`, creating `DIR`; returns the path.
+/// End the run on a path `repro` cannot write: the path and the error on
+/// stderr, exit status 1.
+fn cannot_write(path: &str, e: std::io::Error) -> ! {
+    eprintln!("repro: cannot write {path}: {e}");
+    std::process::exit(1);
+}
+
+/// Write `t` as `DIR/<table id>.csv` into the existing `DIR`; returns the
+/// path.
 fn write_csv(dir: &str, t: &eval_core::Table) -> String {
-    std::fs::create_dir_all(dir).expect("create csv dir");
     let path = format!("{dir}/{}.csv", t.id.to_lowercase().replace(' ', "_"));
-    std::fs::write(&path, t.to_csv()).expect("write csv");
+    std::fs::write(&path, t.to_csv()).unwrap_or_else(|e| cannot_write(&path, e));
     path
 }
 
@@ -578,6 +573,11 @@ fn main() {
     if let Some(addr) = &opts.load {
         run_load(addr, &opts);
     }
+    // Before any workload is built: a paper-scale build takes a while, and
+    // a CSV directory that cannot be created should not wait for it.
+    if let Some(dir) = &opts.csv_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, e));
+    }
     let mut out = String::new();
 
     // "table-auto" is the living auto-vs-manual comparison (ISSUE 10):
@@ -595,10 +595,6 @@ fn main() {
         }
         if opts.sections.iter().all(|s| s == "table-auto") {
             print!("{out}");
-            if let Some(path) = &opts.out_file {
-                std::fs::write(path, out.as_bytes()).expect("write out file");
-                eprintln!("wrote {path}");
-            }
             return;
         }
     }
@@ -625,13 +621,7 @@ fn main() {
     ));
 
     if want(&opts, "tables") {
-        let tables = exps.all_tables_with_threads(n_threads);
-        if let Some(path) = &opts.json_file {
-            let json = serde_json::to_string_pretty(&tables).expect("serialize tables");
-            std::fs::write(path, json).expect("write json");
-            eprintln!("wrote {path}");
-        }
-        for t in &tables {
+        for t in &exps.all_tables_with_threads(n_threads) {
             out.push_str(&t.render());
             out.push('\n');
             if let Some(dir) = &opts.csv_dir {
@@ -683,11 +673,6 @@ fn main() {
     }
 
     print!("{out}");
-    if let Some(path) = &opts.out_file {
-        let mut f = std::fs::File::create(path).expect("create out file");
-        f.write_all(out.as_bytes()).expect("write out file");
-        eprintln!("wrote {path}");
-    }
 }
 
 #[cfg(test)]
@@ -699,7 +684,7 @@ mod tests {
             .map(|opts| opts.unwrap_or_else(|| panic!("{args:?} asked for --help")))
     }
 
-    /// The PR-8 satellite bug: `repro --json` (missing operand) silently
+    /// `repro --json` (a deleted flag; missing operand) once silently
     /// behaved like plain `repro`. Every value-taking flag must reject a
     /// missing or flag-like operand, naming the flag in the error.
     #[test]
@@ -735,8 +720,16 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        // `--timing` and `--gate` were flags once; `benchmark/` replaced them.
-        for args in [&["--bogus"][..], &["--timing"], &["--gate", "x"]] {
+        // `--timing` and `--gate` were flags once; `benchmark/` replaced
+        // them. `--json` and `--out` were too: nothing turned `--json` on,
+        // and `--out` wrote what stdout gets.
+        for args in [
+            &["--bogus"][..],
+            &["--timing"],
+            &["--gate", "x"],
+            &["--json", "t.json", "tables"],
+            &["--out", "o.txt"],
+        ] {
             assert!(parse(args).unwrap_err().contains(args[0]), "{args:?}");
         }
     }
@@ -767,25 +760,11 @@ mod tests {
         }
     }
 
-    /// `repro --json x.json table-auto` used to exit 0 and write nothing.
-    #[test]
-    fn json_needs_the_section_that_writes_it() {
-        let err = parse(&["--json", "t.json", "table-auto", "figures"]).unwrap_err();
-        assert!(err.contains("--json"), "{err}");
-        for ok in [
-            &["--json", "t.json"][..],
-            &["--json", "t.json", "figures", "tables"],
-        ] {
-            assert!(parse(ok).is_ok(), "{ok:?}");
-        }
-    }
-
     #[test]
     fn valid_invocations_parse() {
-        let o = parse(&["--reduced", "--csv", "outdir", "--json", "t.json", "tables"]).unwrap();
+        let o = parse(&["--reduced", "--csv", "outdir", "tables"]).unwrap();
         assert_eq!(o.scale, WorkloadScale::Reduced);
         assert_eq!(o.csv_dir.as_deref(), Some("outdir"));
-        assert_eq!(o.json_file.as_deref(), Some("t.json"));
         assert_eq!(o.sections, ["tables"]);
 
         let o = parse(&["--serve", "target/c3i.sock", "--threads", "2", "--no-cache"]).unwrap();

@@ -35,7 +35,7 @@ fn help_exits_zero_and_every_flag_it_names_is_accepted() {
             (inner.split(' ').next().unwrap(), inner.contains(' '))
         })
         .collect();
-    assert_eq!(flags.len(), 15, "{flags:?}");
+    assert_eq!(flags.len(), 13, "{flags:?}");
     for (flag, takes_operand) in flags {
         // The parser reads left to right, so an error about what follows
         // the flag shows the flag itself was accepted.
@@ -152,14 +152,24 @@ fn cache_misses_then_hits_and_no_cache_leaves_the_dir_alone() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// `--json FILE` is written by the `tables` section only; asking for it
-/// without that section used to exit 0 having written nothing.
+/// A `--csv DIR` that cannot be created is a failed run, not a crash:
+/// exit 1, the path and the error on stderr, no panic message. (`f/sub`
+/// with `f` a regular file: `create_dir_all` fails on any host.)
 #[test]
-fn json_without_the_tables_section_is_a_usage_error() {
-    let file = std::env::temp_dir().join(format!("repro-cli-{}.json", std::process::id()));
-    let out = repro(&["--reduced", "--json", file.to_str().unwrap(), "table-auto"]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("--json"), "{}", stderr(&out));
-    assert!(out.stdout.is_empty());
-    assert!(!file.exists());
+fn an_unwritable_csv_dir_exits_one_naming_the_path() {
+    let base = std::env::temp_dir().join(format!("repro-cli-csv-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let file = base.join("f");
+    std::fs::write(&file, "not a directory").unwrap();
+    let dir = file.join("sub");
+    let out = repro(&["--reduced", "--csv", dir.to_str().unwrap(), "table-auto"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(
+        err.contains(&format!("repro: cannot write {}: ", dir.display())),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&base);
 }
