@@ -68,10 +68,11 @@ diff -r results "$TABLES_DIR"
 rm -rf "$TABLES_DIR"
 
 echo "== paper-scale workload: counted == recorded (release-only) =="
-# `Workload::build` counts its op profiles; the recorded programs under
-# an OpRecorder are the oracle. tier-1 holds the identity at Reduced;
-# the paper-scale arm is ignored unoptimized, so it runs here (1/2/8
-# workers against one recorded assembly).
+# `Workload::build` counts its op profiles; the recorded programs (each
+# logical thread recording into an `OpCounts`) are the oracle. tier-1
+# holds the identity at Reduced; the paper-scale arm is ignored
+# unoptimized, so it runs here (1/2/8 workers against one recorded
+# assembly).
 cargo test -q --release --test parallel_oracle built_workload_equals_recorded_workload
 
 echo "== single-parent cells: closed form == per-cell oracle (release-only) =="
@@ -235,7 +236,7 @@ fi
 # schedule with `sthreads`' `Schedule` (the label lives in `autopar::emit`,
 # and autopar does not depend on sthreads). `\<…\>` keeps the `_host`
 # kernels out of the match.
-if grep -rn '\<threat_analysis_chunked\>\|\<threat_analysis_fine\>\|\<terrain_masking_coarse\>\|ThreadCounts::record\|worker_instructions\|run_static\|sthreads::Schedule' \
+if grep -rn '\<threat_analysis_chunked\>\|\<threat_analysis_fine\>\|\<terrain_masking_coarse\>\|worker_instructions\|run_static\|sthreads::Schedule' \
   crates src tests examples docs README.md EXPERIMENTS.md DESIGN.md .claude |
   grep -v '^docs/LAYERS.md:'; then
   echo "a deleted recorded program or the static index schedule is referenced again" >&2
@@ -243,6 +244,20 @@ if grep -rn '\<threat_analysis_chunked\>\|\<threat_analysis_fine\>\|\<terrain_ma
 fi
 if grep -n 'sthreads' crates/autopar/Cargo.toml; then
   echo "autopar depends on sthreads again" >&2
+  exit 1
+fi
+# So is the op-count format's second home: `OpCounts` lives in
+# `c3i::counts` and is its own recorder, so the `sthreads` newtype around
+# it, the per-thread wrapper and the module that held them are gone, and
+# `sthreads` (the threading runtime alone) serializes nothing.
+if grep -rn 'OpRecorder\|ThreadCounts\|sthreads::counting\|sthreads::OpCounts' \
+  crates src tests examples docs README.md EXPERIMENTS.md DESIGN.md .claude |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "the deleted sthreads op-count wrappers are referenced again" >&2
+  exit 1
+fi
+if grep -n 'serde' crates/sthreads/Cargo.toml; then
+  echo "sthreads depends on serde again" >&2
   exit 1
 fi
 # So is mta-sim's second issue rule — the lookahead mode with its
