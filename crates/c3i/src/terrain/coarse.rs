@@ -317,7 +317,7 @@ mod tests {
         // (`n_threads * max_thread / total`) well under the worst case.
         let bins = greedy_bins(&per_threat_counts(&s, 10), 3);
         let max = bins.iter().map(|c| c.instructions()).max();
-        let total = bins.iter().copied().sum::<OpCounts>().instructions();
+        let total: u64 = bins.iter().map(OpCounts::instructions).sum();
         let imbalance = 3.0 * max.unwrap() as f64 / total as f64;
         assert!((1.0..3.0).contains(&imbalance), "imbalance={imbalance}");
     }

@@ -198,7 +198,7 @@ pub fn calibrate(workload: &Workload) -> Calibration {
         let serial_cycles: f64 = coarse.iter().map(|p| model.cpu_cycles(&p.serial)).sum();
         let stream_total: f64 = coarse
             .iter()
-            .map(|p| p.parallel.iter().copied().sum::<OpCounts>().stream_ops() as f64)
+            .map(|p| p.parallel.iter().map(OpCounts::stream_ops).sum::<u64>() as f64)
             .sum();
         let budget = paper::at(table, n_procs) * model.clock_mhz * 1e6 / s_tm - serial_cycles;
         assert!(budget > 0.0, "{}: bus calibration underflow", model.name);

@@ -234,15 +234,12 @@ impl Workload {
         self.tm_per_threat
             .iter()
             .zip(&self.tm_serial)
-            .map(|(per_threat, &init)| {
-                let spawns = OpCounts {
-                    spawns: n_threads as u64,
-                    ..OpCounts::default()
-                };
-                Profile {
-                    serial: init.merged(&spawns),
-                    parallel: terrain::greedy_bins(per_threat, n_threads),
-                }
+            .map(|(per_threat, &init)| Profile {
+                serial: OpCounts {
+                    spawns: init.spawns + n_threads as u64,
+                    ..init
+                },
+                parallel: terrain::greedy_bins(per_threat, n_threads),
             })
             .collect()
     }
@@ -297,9 +294,8 @@ mod tests {
                     profile
                         .parallel
                         .iter()
-                        .copied()
-                        .sum::<OpCounts>()
-                        .instructions(),
+                        .map(OpCounts::instructions)
+                        .sum::<u64>(),
                     direct.instructions(),
                     "scenario {s}, {n_chunks} chunks"
                 );
@@ -329,7 +325,7 @@ mod tests {
             // `n_threads * max_thread / total`: 1 is a perfect balance.
             let threads = &profile.parallel;
             let max = threads.iter().map(OpCounts::instructions).max().unwrap();
-            let total = threads.iter().copied().sum::<OpCounts>().instructions();
+            let total: u64 = threads.iter().map(OpCounts::instructions).sum();
             let imb = threads.len() as f64 * max as f64 / total as f64;
             assert!((1.0..2.0).contains(&imb), "imbalance {imb}");
         }

@@ -84,7 +84,7 @@ fn oracle_chunked_issue_cycles(m: &TeraModel, profile: &Profile, n_procs: usize)
 fn oracle_chunked_seconds(m: &TeraModel, profile: &Profile, n_procs: usize, scale: f64) -> f64 {
     let serial_cycles = m.serial_cycles_of(&profile.serial);
     let issue_makespan = oracle_chunked_issue_cycles(m, profile, n_procs);
-    let mem_cycles = profile.parallel.iter().copied().sum::<OpCounts>().mem_ops() as f64
+    let mem_cycles = profile.parallel.iter().map(OpCounts::mem_ops).sum::<u64>() as f64
         / m.network_words_per_cycle;
     let cycles = serial_cycles + (issue_makespan / m.eta(n_procs)).max(mem_cycles);
     scale * cycles / (m.clock_mhz * 1e6)

@@ -684,9 +684,9 @@ mod tests {
             .map(|opts| opts.unwrap_or_else(|| panic!("{args:?} asked for --help")))
     }
 
-    /// `repro --json` (a deleted flag; missing operand) once silently
-    /// behaved like plain `repro`. Every value-taking flag must reject a
-    /// missing or flag-like operand, naming the flag in the error.
+    /// Every value-taking flag must reject a missing or flag-like operand,
+    /// naming the flag in the error: a bare `repro --csv` must not behave
+    /// like plain `repro`.
     #[test]
     fn value_flags_reject_missing_or_flaglike_operands() {
         for Flag(flag, ..) in FLAGS.iter().filter(|Flag(_, operand, _)| operand.is_some()) {
