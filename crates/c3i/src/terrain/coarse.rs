@@ -316,7 +316,7 @@ mod tests {
         // 12 irregular threats over 3 threads: greedy keeps imbalance
         // (`n_threads * max_thread / total`) well under the worst case.
         let bins = greedy_bins(&per_threat_counts(&s, 10), 3);
-        let max = bins.iter().map(|c| c.instructions()).max();
+        let max = bins.iter().map(OpCounts::instructions).max();
         let total: u64 = bins.iter().map(OpCounts::instructions).sum();
         let imbalance = 3.0 * max.unwrap() as f64 / total as f64;
         assert!((1.0..3.0).contains(&imbalance), "imbalance={imbalance}");

@@ -1083,10 +1083,10 @@ mod tests {
             (&w, 205, Exit::FlyOut),
         ] {
             assert_eq!(exit_class(weapon, &th, step).0, exit, "step {step}");
-            let mut r = OpCounts::default();
-            let feasible = can_intercept(weapon, &th, step, &mut r);
+            let mut c = OpCounts::default();
+            let feasible = can_intercept(weapon, &th, step, &mut c);
             assert_eq!(feasible, exit_class(weapon, &th, step).1);
-            let (c, cost) = (r, exit.cost());
+            let cost = exit.cost();
             assert_eq!(
                 (c.int_ops, c.fp_ops, c.loads),
                 (cost.int, cost.fp, cost.load)

@@ -333,10 +333,10 @@ mod tests {
     #[test]
     fn fingerprint_covers_every_measurement_source_on_disk() {
         // The measurement chain is workload.rs -> c3i benchmarks and
-        // their op counts (`c3i::counts`). Walk the benchmark crate on disk and
-        // require every source file to be embedded, byte-identical — a new
-        // c3i file that silently isn't fingerprinted would let stale
-        // snapshots survive edits to it.
+        // their op counts (`c3i::counts`). Walk the benchmark crate on
+        // disk and require every source file to be embedded,
+        // byte-identical — a new c3i file that silently isn't
+        // fingerprinted would let stale snapshots survive edits to it.
         let crates_root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
         let c3i_src = crates_root.join("c3i/src");
         let mut walk = vec![c3i_src.clone()];
