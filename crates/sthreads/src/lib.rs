@@ -22,10 +22,10 @@
 //! (Full/empty words themselves are simulated, with their timing, by
 //! `mta-sim`.)
 //!
-//! Parallel regions run on real OS threads: a persistent, process-wide
-//! worker pool ([`ThreadPool::global`]) whose workers are kept between
-//! regions, so a region costs a handoff or a condvar wakeup rather than
-//! thread spawns. The host-timed benchmark variants in `c3i` run on it,
+//! Parallel regions run on real OS threads of one pool, the persistent,
+//! process-wide [`ThreadPool::global`]: its workers are spawned on first
+//! use and live as long as the process, so a region costs a handoff or a
+//! condvar wakeup rather than thread spawns. The host-timed benchmark variants in `c3i` run on it,
 //! so their parallelizations can be checked for correctness and timed on
 //! the host (by the repo benchmark, `benchmark/`). The abstract operation
 //! counts the machine models consume are not this crate's: `c3i` records
@@ -84,7 +84,7 @@ pub mod stats;
 pub mod syncvar;
 
 pub use par_for::{multithreaded_for, par_map, ChunkBounds, ParFor};
-pub use pool::{scope_threads, ThreadPool};
+pub use pool::ThreadPool;
 pub use queue::WorkQueue;
 pub use stats::StatsSnapshot;
 pub use syncvar::SyncCounter;

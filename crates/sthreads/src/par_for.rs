@@ -18,7 +18,7 @@
 //! Program 2's chunk shape run on it. Whether a loop opens a region is
 //! decided by its caller's thread and task counts alone.
 
-use crate::pool::scope_threads;
+use crate::pool::ThreadPool;
 use crate::queue::WorkQueue;
 use crate::stats;
 use parking_lot::Mutex;
@@ -120,7 +120,7 @@ impl ParFor {
         // Never wider than the range: a worker woken for an already
         // exhausted queue is pure dispatch cost.
         let n_threads = self.n_threads.min(self.range.len().max(1));
-        scope_threads(n_threads, |_| {
+        ThreadPool::global().run_width(n_threads, |_| {
             while let Some(batch) = queue.next_batch(dynamic_grain(queue.remaining(), n_threads)) {
                 for i in batch {
                     body(i);
@@ -142,7 +142,7 @@ impl ParFor {
     {
         let chunks = self.chunks();
         let n_threads = self.n_threads.min(chunks.len().max(1));
-        scope_threads(n_threads, |t| {
+        ThreadPool::global().run_width(n_threads, |t| {
             for c in &chunks[crate::chunk_range(t, chunks.len(), n_threads)] {
                 body(*c);
             }

@@ -1,30 +1,32 @@
-//! Persistent worker-pool execution.
+//! The persistent, process-wide worker pool.
 //!
 //! The Sthreads library of the paper creates one OS thread per loop chunk
 //! on Windows NT, at a cost of "tens of thousands of cycles" per
 //! `CreateThread` (§7) — the overhead that erased most of the Pentium Pro
 //! speedups. This module deliberately does **not** re-teach that lesson on
-//! the host: workers are spawned once and handed each region by an epoch
-//! bump. A worker that has just finished a region *watches* the epoch for
-//! `HANDOFF_WINDOW` (a few pauses, a yield, repeat) before it parks on a
-//! condition variable, and the caller watches for its last worker the same
-//! way: regions back to back (one per ring in the fine-grained Terrain
-//! Masking) cost a cache-line handoff, and only one that arrives after the
-//! window pays a wake. The OS-thread cost model of the paper (per-spawn
-//! cycle charges on NT and the Exemplar) lives only in the machine
-//! simulators and calibrated models (`eval-core::models`, `smp-sim`).
+//! the host: there is one pool, [`ThreadPool::global`], whose workers are
+//! spawned once, live as long as the process, and are handed each region
+//! by an epoch bump. A worker that has just finished a region *watches*
+//! the epoch for `HANDOFF_WINDOW` (a few pauses, a yield, repeat) before
+//! it parks on a condition variable, and the caller watches for its last
+//! worker the same way: regions back to back (one per ring in the
+//! fine-grained Terrain Masking) cost a cache-line handoff, and only one
+//! that arrives after the window pays a wake. The OS-thread cost model of
+//! the paper (per-spawn cycle charges on NT and the Exemplar) lives only
+//! in the machine simulators and calibrated models (`eval-core::models`,
+//! `smp-sim`).
 //!
-//! Semantics are unchanged from the scoped-thread implementation this
-//! replaces: a region of width `n` runs `body(0)` on the caller and
-//! `body(1..n)` on pool workers, all concurrently, and returns when every
-//! logical thread has finished. Bodies may share borrowed (non-`'static`)
-//! data and may synchronize with each other (barriers, full/empty
-//! variables), because every logical thread of a region is a real,
-//! simultaneously-running OS thread.
+//! A region of width `n` ([`ThreadPool::run_width`]) runs `body(0)` on
+//! the caller and `body(1..n)` on pool workers, all concurrently, and
+//! returns when every logical thread has finished. Bodies may share
+//! borrowed (non-`'static`) data and may synchronize with each other
+//! (barriers, full/empty variables), because every logical thread of a
+//! region is a real, simultaneously-running OS thread.
 //!
 //! A panic in any body is caught, the region is drained (parked workers
 //! are *not* left deadlocked), and the panic is re-raised on the caller.
-//! Nested or concurrent regions fall back to plain scoped threads, so
+//! Concurrent regions from independent threads take turns; a region
+//! opened from inside another falls back to plain scoped threads, so
 //! re-entrancy can never deadlock the pool.
 
 use std::any::Any;
@@ -32,7 +34,7 @@ use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -42,30 +44,11 @@ use crate::stats;
 thread_local! {
     /// Set while the current thread is executing a parallel-region body
     /// (as pool worker, region caller, or fallback scoped thread). A
-    /// nested `scope_threads` from such a thread must not wait on the
-    /// pool's region lock — the outer region holds it — so it falls back
-    /// to scoped OS threads instead.
+    /// nested region opened from such a thread must not wait on the pool's
+    /// region lock — the outer region holds it — so it falls back to
+    /// scoped OS threads instead. Only a region caller clears it again:
+    /// workers and fallback threads run region bodies until they exit.
     static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
-}
-
-/// RAII flag for [`IN_PARALLEL_REGION`]; restores the previous value on
-/// drop so it unwinds correctly through panicking bodies.
-struct RegionGuard {
-    prev: bool,
-}
-
-impl RegionGuard {
-    fn enter() -> Self {
-        let prev = IN_PARALLEL_REGION.with(|f| f.replace(true));
-        Self { prev }
-    }
-}
-
-impl Drop for RegionGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        IN_PARALLEL_REGION.with(|f| f.set(prev));
-    }
 }
 
 /// A published parallel region: a type- and lifetime-erased pointer to the
@@ -74,7 +57,6 @@ impl Drop for RegionGuard {
 /// The `'static` lifetime is a lie told to the type system; see the SAFETY
 /// argument in [`ThreadPool::run_width`] for why the pointer never
 /// outlives the borrow it erases.
-#[derive(Clone, Copy)]
 struct Job {
     body: &'static (dyn Fn(usize) + Sync),
     width: usize,
@@ -116,13 +98,24 @@ struct PoolState {
     active: usize,
     /// First panic payload captured from a worker body this region.
     panic: Option<Box<dyn Any + Send>>,
-    /// Set once, on drop of the owning pool; workers exit their loop.
-    shutdown: bool,
     /// Number of worker threads spawned so far (workers are lazy).
     n_workers: usize,
 }
 
-struct PoolShared {
+/// The process-wide worker pool, [`ThreadPool::global`]; there is no
+/// other.
+///
+/// Workers are spawned lazily on first use (asking the pool for its
+/// [`n_threads`](ThreadPool::n_threads) costs nothing) and live for the
+/// rest of the process; back-to-back regions pay a cache-line handoff,
+/// spaced ones a condvar wakeup, never an OS thread spawn.
+pub struct ThreadPool {
+    /// The host's available parallelism, read once.
+    n_threads: usize,
+    /// Serializes regions. Held for the whole region, so a region's
+    /// logical threads are exactly caller + dedicated workers — never
+    /// interleaved with another region's bodies.
+    region: Mutex<()>,
     state: Mutex<PoolState>,
     /// Copies of `state.epoch` and `state.active` for [`watch`], written
     /// inside the critical sections that change the originals and only
@@ -135,106 +128,39 @@ struct PoolShared {
     done_cv: Condvar,
 }
 
-/// Private core of [`ThreadPool`]; shared via `Arc` so `ThreadPool` stays
-/// cheaply cloneable (clones share the same workers).
-struct Inner {
-    shared: Arc<PoolShared>,
-    /// Serializes regions on this pool. Held for the whole region, so a
-    /// region's logical threads are exactly caller + dedicated workers —
-    /// never interleaved with another region's bodies.
-    region: Mutex<()>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
-        for h in self.handles.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// A persistent, reusable worker pool.
-///
-/// Workers are spawned lazily on first use (a pool that is only asked for
-/// its [`n_threads`](ThreadPool::n_threads) costs nothing) and kept
-/// between regions; back-to-back regions pay a cache-line handoff, spaced
-/// ones a condvar wakeup, never an OS thread spawn. [`ThreadPool::global`]
-/// is the process-wide pool every [`scope_threads`] region runs on;
-/// explicit pools (`ThreadPool::new`) own their workers and shut them down
-/// on drop, which keeps tests hermetic.
-#[derive(Clone)]
-pub struct ThreadPool {
-    n_threads: NonZeroUsize,
-    inner: Arc<Inner>,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("n_threads", &self.n_threads.get())
-            .field("spawned_workers", &self.inner.shared.state.lock().n_workers)
-            .finish()
-    }
-}
-
 impl ThreadPool {
-    /// Create a pool of `n_threads` workers. Panics if `n_threads == 0`.
-    pub fn new(n_threads: usize) -> Self {
-        Self {
-            n_threads: NonZeroUsize::new(n_threads).expect("ThreadPool: n_threads must be > 0"),
-            inner: Arc::new(Inner {
-                shared: Arc::new(PoolShared {
-                    state: Mutex::new(PoolState {
-                        epoch: 0,
-                        job: None,
-                        active: 0,
-                        panic: None,
-                        shutdown: false,
-                        n_workers: 0,
-                    }),
-                    epoch_hint: AtomicU64::new(0),
-                    active_hint: AtomicUsize::new(0),
-                    work_cv: Condvar::new(),
-                    done_cv: Condvar::new(),
-                }),
-                region: Mutex::new(()),
-                handles: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// A pool sized to the host's available parallelism.
-    pub fn host() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::new(n)
-    }
-
-    /// The process-wide pool, sized to the host on first use. All
-    /// [`scope_threads`] regions run here; its workers grow on demand when
-    /// a region is wider than the host (oracle tests run 8 logical threads
-    /// on small containers) and are never torn down.
+    /// The process-wide pool, sized to the host's available parallelism
+    /// on first use. Its workers grow on demand when a region is wider
+    /// than the host (oracle tests run 8 logical threads on small
+    /// containers) and are never torn down.
     pub fn global() -> &'static ThreadPool {
         static POOL: OnceLock<ThreadPool> = OnceLock::new();
-        POOL.get_or_init(ThreadPool::host)
+        POOL.get_or_init(|| ThreadPool {
+            n_threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            region: Mutex::new(()),
+            state: Mutex::new(PoolState {
+                epoch: 0,
+                job: None,
+                active: 0,
+                panic: None,
+                n_workers: 0,
+            }),
+            epoch_hint: AtomicU64::new(0),
+            active_hint: AtomicUsize::new(0),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+        })
     }
 
-    /// Number of worker threads in the pool.
+    /// The host's available parallelism: the width callers default to.
     pub fn n_threads(&self) -> usize {
-        self.n_threads.get()
+        self.n_threads
     }
 
     /// Pre-spawn the workers a region of `width` logical threads needs, so
     /// the first timed region does not pay thread-creation cost.
-    pub fn warm(&self, width: usize) {
-        let mut st = self.inner.shared.state.lock();
+    pub fn warm(&'static self, width: usize) {
+        let mut st = self.state.lock();
         self.ensure_workers_locked(&mut st, width.saturating_sub(1));
     }
 
@@ -242,27 +168,28 @@ impl ThreadPool {
     /// `body(1..width)` on pool workers, all concurrent. Returns when every
     /// body has finished; re-raises the first panic any body produced.
     ///
+    /// With `width == 1` the body runs on the calling thread — the paper's
+    /// measurement convention, where the 1-processor parallel run is the
+    /// parallel program on one thread, not the sequential program.
+    ///
     /// Called from inside another region (nested parallelism) this falls
     /// back to scoped OS threads — the pool's workers are busy with the
     /// outer region, and blocking on them would deadlock.
-    pub fn run_width<F>(&self, width: usize, body: F)
+    pub fn run_width<F>(&'static self, width: usize, body: F)
     where
         F: Fn(usize) + Sync,
     {
         assert!(width > 0, "ThreadPool: region width must be > 0");
         if width == 1 {
-            // The paper's measurement convention: the 1-thread parallel run
-            // is the parallel program on the calling thread.
             body(0);
             return;
         }
-        if IN_PARALLEL_REGION.with(Cell::get) {
+        if IN_PARALLEL_REGION.get() {
             stats::record_nested_region();
             spawn_region(width, &body);
             return;
         }
-        let _region = self.inner.region.lock();
-        let shared = &self.inner.shared;
+        let _region = self.region.lock();
 
         // SAFETY: the job pointer is dereferenced only by workers between
         // the publish below and their `active` decrement, and this frame
@@ -275,7 +202,7 @@ impl ThreadPool {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(&body)
         };
         {
-            let mut st = shared.state.lock();
+            let mut st = self.state.lock();
             self.ensure_workers_locked(&mut st, width - 1);
             st.epoch += 1;
             st.job = Some(Job {
@@ -284,24 +211,23 @@ impl ThreadPool {
             });
             st.active = width - 1;
             st.panic = None;
-            shared.active_hint.store(st.active, Ordering::Relaxed);
-            shared.epoch_hint.store(st.epoch, Ordering::Release);
+            self.active_hint.store(st.active, Ordering::Relaxed);
+            self.epoch_hint.store(st.epoch, Ordering::Release);
         }
-        shared.work_cv.notify_all();
+        self.work_cv.notify_all();
 
         // Run our own share as logical thread 0. A panic here must not
         // skip the completion wait: workers still hold the job pointer
         // into this frame.
-        let caller_result = catch_unwind(AssertUnwindSafe(|| {
-            let _in_region = RegionGuard::enter();
-            body(0);
-        }));
+        IN_PARALLEL_REGION.set(true);
+        let caller_result = catch_unwind(AssertUnwindSafe(|| body(0)));
+        IN_PARALLEL_REGION.set(false);
 
-        watch(|| shared.active_hint.load(Ordering::Acquire) == 0);
+        watch(|| self.active_hint.load(Ordering::Acquire) == 0);
         let worker_panic = {
-            let mut st = shared.state.lock();
+            let mut st = self.state.lock();
             while st.active > 0 {
-                shared.done_cv.wait(&mut st);
+                self.done_cv.wait(&mut st);
             }
             st.job = None;
             st.panic.take()
@@ -319,68 +245,65 @@ impl ThreadPool {
     /// Grow the worker set to at least `min_workers` threads. Must be
     /// called with the state lock held; new workers observe the current
     /// epoch as already-seen, so only a region published *after* this call
-    /// reaches them.
+    /// reaches them. A worker lives as long as the process, so its
+    /// `JoinHandle` is dropped.
     fn ensure_workers_locked(
-        &self,
+        &'static self,
         st: &mut parking_lot::MutexGuard<'_, PoolState>,
         min_workers: usize,
     ) {
         while st.n_workers < min_workers {
             let index = st.n_workers;
             let seen_epoch = st.epoch;
-            let shared = Arc::clone(&self.inner.shared);
-            let handle = std::thread::Builder::new()
+            std::thread::Builder::new()
                 .name(format!("sthreads-worker-{index}"))
-                .spawn(move || worker_loop(&shared, index, seen_epoch))
+                .spawn(move || self.worker_loop(index, seen_epoch))
                 .expect("ThreadPool: failed to spawn worker thread");
-            self.inner.handles.lock().push(handle);
             st.n_workers += 1;
         }
     }
-}
 
-/// The worker loop: run our logical thread of a new epoch's region if the
-/// width covers us, signal completion, then watch for the next epoch and
-/// park if the window closes without one.
-fn worker_loop(shared: &PoolShared, index: usize, mut seen_epoch: u64) {
-    // Worker threads only ever execute region bodies, so a nested
-    // scope_threads from one must always take the scoped fallback.
-    IN_PARALLEL_REGION.with(|f| f.set(true));
-    let mut st = shared.state.lock();
-    loop {
-        if st.shutdown {
-            return;
-        }
-        if st.epoch != seen_epoch {
-            seen_epoch = st.epoch;
-            // Worker `index` is logical thread `index + 1` (the caller is
-            // thread 0); a region narrower than that skips this worker.
-            let job = st.job.filter(|j| index + 1 < j.width);
-            if let Some(job) = job {
-                drop(st);
-                let result = catch_unwind(AssertUnwindSafe(|| (job.body)(index + 1)));
-                st = shared.state.lock();
-                if let Err(payload) = result {
-                    if st.panic.is_none() {
-                        st.panic = Some(payload);
+    /// The worker loop: run our logical thread of a new epoch's region if
+    /// the width covers us, signal completion, then watch for the next
+    /// epoch and park if the window closes without one.
+    fn worker_loop(&self, index: usize, mut seen_epoch: u64) -> ! {
+        // Worker threads only ever execute region bodies, so a nested
+        // region opened from one must always take the scoped fallback.
+        IN_PARALLEL_REGION.set(true);
+        let mut st = self.state.lock();
+        loop {
+            if st.epoch != seen_epoch {
+                seen_epoch = st.epoch;
+                // Worker `index` is logical thread `index + 1` (the caller
+                // is thread 0); a region narrower than that skips this
+                // worker.
+                let body = st.job.as_ref().filter(|j| index + 1 < j.width).map(|j| j.body);
+                if let Some(body) = body {
+                    drop(st);
+                    let result = catch_unwind(AssertUnwindSafe(|| body(index + 1)));
+                    st = self.state.lock();
+                    if let Err(payload) = result {
+                        if st.panic.is_none() {
+                            st.panic = Some(payload);
+                        }
+                    }
+                    st.active -= 1;
+                    self.active_hint.store(st.active, Ordering::Release);
+                    if st.active == 0 {
+                        self.done_cv.notify_all();
                     }
                 }
-                st.active -= 1;
-                shared.active_hint.store(st.active, Ordering::Release);
-                if st.active == 0 {
-                    shared.done_cv.notify_all();
-                }
+                continue;
             }
-            continue;
-        }
-        drop(st);
-        let handed = watch(|| shared.epoch_hint.load(Ordering::Acquire) != seen_epoch);
-        st = shared.state.lock();
-        // Re-checked under the lock: a publish or a shutdown may have
-        // landed between the last look and the lock.
-        if !handed && st.epoch == seen_epoch && !st.shutdown {
-            stats::record_park();
-            shared.work_cv.wait(&mut st);
+            drop(st);
+            let handed = watch(|| self.epoch_hint.load(Ordering::Acquire) != seen_epoch);
+            st = self.state.lock();
+            // Re-checked under the lock: a publish may have landed between
+            // the last look and the lock.
+            if !handed && st.epoch == seen_epoch {
+                stats::record_park();
+                self.work_cv.wait(&mut st);
+            }
         }
     }
 }
@@ -404,7 +327,7 @@ where
         let handles: Vec<_> = (1..width)
             .map(|t| {
                 s.spawn(move || {
-                    let _in_region = RegionGuard::enter();
+                    IN_PARALLEL_REGION.set(true);
                     body(t);
                 })
             })
@@ -426,21 +349,6 @@ where
     }
 }
 
-/// Run `n_threads` copies of `body` concurrently on the process-wide
-/// persistent pool ([`ThreadPool::global`]) and wait for all of them.
-/// `body` receives the thread index `0..n_threads`.
-///
-/// With `n_threads == 1` the body runs on the calling thread — this mirrors
-/// the paper's measurement convention where the 1-processor parallel run is
-/// the parallel program on one thread, not the sequential program.
-pub fn scope_threads<F>(n_threads: usize, body: F)
-where
-    F: Fn(usize) + Sync,
-{
-    assert!(n_threads > 0, "scope_threads: need at least one thread");
-    ThreadPool::global().run_width(n_threads, body);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,9 +356,9 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn scope_threads_runs_every_index_once() {
+    fn region_runs_every_index_once() {
         let hits = [const { AtomicUsize::new(0) }; 8];
-        scope_threads(8, |t| {
+        ThreadPool::global().run_width(8, |t| {
             hits[t].fetch_add(1, Ordering::SeqCst);
         });
         for h in &hits {
@@ -459,11 +367,11 @@ mod tests {
     }
 
     #[test]
-    fn scope_threads_single_thread_runs_inline() {
+    fn width_one_region_runs_inline() {
         let tid = std::thread::current().id();
         // body is Fn + Sync, so record through a mutex-guarded slot.
         let slot = parking_lot::Mutex::new(None);
-        scope_threads(1, |t| {
+        ThreadPool::global().run_width(1, |t| {
             assert_eq!(t, 0);
             *slot.lock() = Some(std::thread::current().id());
         });
@@ -475,10 +383,10 @@ mod tests {
     }
 
     #[test]
-    fn scope_threads_shares_borrowed_data() {
+    fn region_shares_borrowed_data() {
         let data = vec![1u64; 1000];
         let sum = AtomicUsize::new(0);
-        scope_threads(4, |t| {
+        ThreadPool::global().run_width(4, |t| {
             let part: u64 = data[t * 250..(t + 1) * 250].iter().sum();
             sum.fetch_add(part as usize, Ordering::SeqCst);
         });
@@ -486,35 +394,18 @@ mod tests {
     }
 
     #[test]
-    fn pool_reports_size_and_runs() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.n_threads(), 3);
-        let count = AtomicUsize::new(0);
-        pool.run_width(pool.n_threads(), |_| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "n_threads must be > 0")]
-    fn pool_rejects_zero_threads() {
-        let _ = ThreadPool::new(0);
-    }
-
-    #[test]
-    fn host_pool_has_at_least_one_thread() {
-        assert!(ThreadPool::host().n_threads() >= 1);
+    fn global_pool_has_at_least_one_thread() {
+        assert!(ThreadPool::global().n_threads() >= 1);
     }
 
     #[test]
     fn pool_workers_persist_across_regions() {
-        let pool = ThreadPool::new(4);
+        let pool = ThreadPool::global();
         pool.warm(4);
         let worker_ids = || {
             let ids = parking_lot::Mutex::new(BTreeSet::new());
             let caller = std::thread::current().id();
-            pool.run_width(pool.n_threads(), |_| {
+            pool.run_width(4, |_| {
                 let id = std::thread::current().id();
                 if id != caller {
                     ids.lock().insert(format!("{id:?}"));
@@ -530,20 +421,21 @@ mod tests {
     }
 
     #[test]
-    fn explicit_pool_grows_beyond_its_default_width() {
-        let pool = ThreadPool::new(2);
+    fn pool_grows_beyond_the_host_width() {
+        let pool = ThreadPool::global();
+        let width = pool.n_threads() + 4;
         let count = AtomicUsize::new(0);
-        pool.run_width(6, |_| {
+        pool.run_width(width, |_| {
             count.fetch_add(1, Ordering::SeqCst);
         });
-        assert_eq!(count.load(Ordering::SeqCst), 6);
+        assert_eq!(count.load(Ordering::SeqCst), width);
     }
 
     #[test]
     fn nested_regions_fall_back_and_complete() {
         let count = AtomicUsize::new(0);
-        scope_threads(2, |_| {
-            scope_threads(3, |_| {
+        ThreadPool::global().run_width(2, |_| {
+            ThreadPool::global().run_width(3, |_| {
                 count.fetch_add(1, Ordering::SeqCst);
             });
         });
@@ -557,7 +449,7 @@ mod tests {
             for _ in 0..3 {
                 s.spawn(|| {
                     for _ in 0..20 {
-                        scope_threads(4, |_| {
+                        ThreadPool::global().run_width(4, |_| {
                             total.fetch_add(1, Ordering::SeqCst);
                         });
                     }
@@ -570,7 +462,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker body panicked")]
     fn worker_panic_propagates_to_caller() {
-        scope_threads(4, |t| {
+        ThreadPool::global().run_width(4, |t| {
             if t == 3 {
                 panic!("worker body panicked");
             }
@@ -580,7 +472,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "caller body panicked")]
     fn caller_panic_propagates_after_draining_workers() {
-        scope_threads(4, |t| {
+        ThreadPool::global().run_width(4, |t| {
             if t == 0 {
                 panic!("caller body panicked");
             }
@@ -606,7 +498,7 @@ mod tests {
         // surface the original payload — not thread::scope's generic
         // "a scoped thread panicked" replacement.
         let pooled = catch_unwind(AssertUnwindSafe(|| {
-            scope_threads(2, |t| {
+            ThreadPool::global().run_width(2, |t| {
                 if t == 1 {
                     panic!("nested payload {}", 6 * 7);
                 }
@@ -614,9 +506,9 @@ mod tests {
         }))
         .unwrap_err();
         let nested = catch_unwind(AssertUnwindSafe(|| {
-            scope_threads(2, |t| {
+            ThreadPool::global().run_width(2, |t| {
                 if t == 0 {
-                    scope_threads(2, |u| {
+                    ThreadPool::global().run_width(2, |u| {
                         if u == 1 {
                             panic!("nested payload {}", 6 * 7);
                         }
@@ -639,9 +531,9 @@ mod tests {
         // path": when both the nested caller and a nested worker panic,
         // the caller's payload wins, as in run_width.
         let got = catch_unwind(AssertUnwindSafe(|| {
-            scope_threads(2, |t| {
+            ThreadPool::global().run_width(2, |t| {
                 if t == 0 {
-                    scope_threads(2, |u| match u {
+                    ThreadPool::global().run_width(2, |u| match u {
                         0 => panic!("nested caller payload"),
                         _ => panic!("nested worker payload"),
                     });
@@ -654,9 +546,9 @@ mod tests {
 
     #[test]
     fn pool_survives_a_panicking_region() {
-        let pool = ThreadPool::new(4);
+        let pool = ThreadPool::global();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_width(pool.n_threads(), |t| {
+            pool.run_width(4, |t| {
                 if t == 2 {
                     panic!("one bad body");
                 }
@@ -665,7 +557,7 @@ mod tests {
         assert!(result.is_err(), "panic must propagate");
         // Parked workers must still answer the next region.
         let count = AtomicUsize::new(0);
-        pool.run_width(pool.n_threads(), |_| {
+        pool.run_width(4, |_| {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 4);
@@ -673,22 +565,15 @@ mod tests {
 
     #[test]
     fn pool_survives_many_back_to_back_regions() {
-        let pool = ThreadPool::new(4);
+        let pool = ThreadPool::global();
         let count = AtomicUsize::new(0);
         for _ in 0..10_000 {
-            pool.run_width(pool.n_threads(), |_| {
+            pool.run_width(4, |_| {
                 count.fetch_add(1, Ordering::SeqCst);
             });
         }
         assert_eq!(count.load(Ordering::SeqCst), 40_000);
     }
 
-    #[test]
-    fn dropping_a_pool_shuts_workers_down() {
-        let pool = ThreadPool::new(3);
-        pool.run_width(pool.n_threads(), |_| {});
-        // Drop joins the workers; if shutdown were broken this would hang
-        // (and the harness timeout would catch it).
-        drop(pool);
-    }
+
 }

@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn counters_are_monotonic_across_a_region() {
         let before = snapshot();
-        crate::scope_threads(2, |_| {});
+        crate::ThreadPool::global().run_width(2, |_| {});
         let after = snapshot();
         let d = after - before;
         assert!(d.regions >= 1, "a region must be counted");

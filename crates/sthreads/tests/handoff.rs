@@ -1,4 +1,4 @@
-//! One test, alone in its binary: the two ways regions reach a pool.
+//! One test, alone in its binary: the two ways regions reach the pool.
 //!
 //! A caller that arrives every few milliseconds meets workers that have
 //! long gone idle; a caller that opens regions back to back (the
@@ -22,11 +22,11 @@ const HOT: u64 = 1000;
 #[test]
 fn spaced_regions_park_and_back_to_back_regions_are_handed_over() {
     let spawned = stats::snapshot();
-    let pool = ThreadPool::new(2);
+    let pool = ThreadPool::global();
     pool.warm(2);
     let hits = [const { AtomicU64::new(0) }; 2];
     let region = || {
-        pool.run_width(pool.n_threads(), |t| {
+        pool.run_width(2, |t| {
             hits[t].fetch_add(1, Ordering::Relaxed);
         })
     };
