@@ -29,6 +29,14 @@
 //! connection, and each request is evaluated on its connection's thread
 //! once the [`Service`] behind it has admitted it.
 //!
+//! [`Server::bind`] takes over a Unix path only when it holds a *stale*
+//! socket, one that refuses a connection; a live socket is `AddrInUse`
+//! and anything else that is not a socket `AlreadyExists`, so binding
+//! never deletes a file or another server's address. On `Shutdown` the
+//! server stops accepting and closes the read half of every open
+//! connection: an idle one sees EOF at once, while one still evaluating
+//! a request writes its reply first; then it joins them all and returns.
+//!
 //! [`write_frame`] writes the prefix and the body with one write, and
 //! every TCP stream, accepted or connected, sets `TCP_NODELAY`. A request
 //! and its reply are each one small segment, so nothing waits on Nagle's
@@ -37,9 +45,11 @@
 //! ≈ 88 ms a round trip over `127.0.0.1`.)
 
 use crate::service::{EvalError, EvalRequest, Pending, Service};
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{Error, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -272,6 +282,20 @@ impl Stream {
         let _ = stream.set_nodelay(true);
         Stream::Tcp(stream)
     }
+
+    fn try_clone(&self) -> std::io::Result<Self> {
+        match self {
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
+        }
+    }
+
+    fn shutdown(&self, how: Shutdown) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.shutdown(how),
+            Stream::Unix(s) => s.shutdown(how),
+        }
+    }
 }
 
 impl Read for Stream {
@@ -319,19 +343,20 @@ impl Listener {
 pub struct Server {
     listener: Listener,
     local_addr: String,
-    unix_path: Option<std::path::PathBuf>,
+    unix_path: Option<PathBuf>,
     service: Arc<Service>,
 }
 
 impl Server {
     /// Bind `addr` (Unix socket path if it contains `/`, else TCP — use
     /// port 0 for an OS-assigned port) and attach `service`. A stale
-    /// Unix socket file at the path is removed first.
+    /// Unix socket at the path is removed first; anything else there is
+    /// an error that names the path (see the module docs).
     pub fn bind(addr: &str, service: Service) -> std::io::Result<Self> {
         let service = Arc::new(service);
         if addr.contains('/') {
-            let path = std::path::PathBuf::from(addr);
-            let _ = std::fs::remove_file(&path);
+            let path = PathBuf::from(addr);
+            remove_stale_socket(&path)?;
             let listener = UnixListener::bind(&path)?;
             Ok(Self {
                 listener: Listener::Unix(listener),
@@ -367,23 +392,34 @@ impl Server {
     pub fn run(self) -> std::io::Result<()> {
         let service = self.service;
         let stop = Arc::new(AtomicBool::new(false));
-        let mut handles: Vec<JoinHandle<()>> = Vec::new();
+        // Each connection's thread, beside a second handle on its socket
+        // for closing the read half at shutdown.
+        let mut conns: Vec<(JoinHandle<()>, Stream)> = Vec::new();
         loop {
-            let stream = self.listener.accept()?;
+            let mut stream = self.listener.accept()?;
             if stop.load(Ordering::SeqCst) {
                 break;
             }
             // A finished thread keeps its stack mapped until it is joined.
-            for done in handles.extract_if(.., |h| h.is_finished()) {
+            for (done, _) in conns.extract_if(.., |(h, _)| h.is_finished()) {
                 let _ = done.join();
             }
+            // Out of descriptors: this connection is dropped (closed)
+            // unserved, and the server keeps accepting.
+            let Ok(reader) = stream.try_clone() else {
+                continue;
+            };
             let service = Arc::clone(&service);
             let stop = Arc::clone(&stop);
             let wake_addr = self.local_addr.clone();
             let spawned = std::thread::Builder::new()
                 .name("c3i-serve-conn".into())
                 .spawn(move || {
-                    if serve_connection(stream, &service) == ConnOutcome::ShutdownRequested {
+                    let outcome = serve_connection(&mut stream, &service);
+                    // `reader` keeps the socket open until the next sweep:
+                    // shut it down so the peer sees the close now.
+                    let _ = stream.shutdown(Shutdown::Both);
+                    if outcome == ConnOutcome::ShutdownRequested {
                         stop.store(true, Ordering::SeqCst);
                         // Unblock the accept loop so it observes the flag.
                         let _ = Stream::connect(&wake_addr);
@@ -392,16 +428,41 @@ impl Server {
             // Out of threads: this connection is dropped (closed) unserved,
             // and the server keeps accepting.
             if let Ok(handle) = spawned {
-                handles.push(handle);
+                conns.push((handle, reader));
             }
         }
-        for h in handles {
+        for (_, reader) in &conns {
+            let _ = reader.shutdown(Shutdown::Read);
+        }
+        for (h, _) in conns {
             let _ = h.join();
         }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
+    }
+}
+
+/// Clear a Unix `path` for [`Server::bind`]: a missing path is fine, a
+/// socket that refuses a connection (its server is gone) is removed, and
+/// anything else is left alone and reported.
+fn remove_stale_socket(path: &Path) -> std::io::Result<()> {
+    let meta = match std::fs::symlink_metadata(path) {
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
+        meta => meta?,
+    };
+    let named = |kind, what: &str| Error::new(kind, format!("{}: {what}", path.display()));
+    if !meta.file_type().is_socket() {
+        return Err(named(
+            ErrorKind::AlreadyExists,
+            "exists and is not a socket",
+        ));
+    }
+    match UnixStream::connect(path) {
+        Ok(_) => Err(named(ErrorKind::AddrInUse, "a server is listening on it")),
+        Err(e) if e.kind() == ErrorKind::ConnectionRefused => std::fs::remove_file(path),
+        Err(e) => Err(named(e.kind(), &e.to_string())),
     }
 }
 
@@ -415,9 +476,9 @@ enum ConnOutcome {
 /// Framing errors follow the module-level policy; a client that vanishes
 /// mid-request (write failure) just closes this connection — the request
 /// itself still completes and its response is dropped.
-fn serve_connection(mut stream: Stream, service: &Service) -> ConnOutcome {
+fn serve_connection(stream: &mut Stream, service: &Service) -> ConnOutcome {
     loop {
-        let body = match read_frame(&mut stream) {
+        let body = match read_frame(stream) {
             Ok(None) => return ConnOutcome::Closed,
             Ok(Some(body)) => body,
             Err(FrameError::Oversized { announced }) => {
@@ -427,7 +488,7 @@ fn serve_connection(mut stream: Stream, service: &Service) -> ConnOutcome {
                     format!("frame of {announced} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
                     None,
                 );
-                let _ = send_response(&mut stream, &resp);
+                let _ = send_response(stream, &resp);
                 return ConnOutcome::Closed; // stream is desynchronized
             }
             // Truncated or broken input: no intact peer to answer.
@@ -440,7 +501,7 @@ fn serve_connection(mut stream: Stream, service: &Service) -> ConnOutcome {
             Ok(req) => req,
             Err(msg) => {
                 let resp = WireResponse::failure(0, "malformed_request", msg, None);
-                if send_response(&mut stream, &resp).is_err() {
+                if send_response(stream, &resp).is_err() {
                     return ConnOutcome::Closed;
                 }
                 continue; // the frame itself was intact: keep serving
@@ -449,7 +510,7 @@ fn serve_connection(mut stream: Stream, service: &Service) -> ConnOutcome {
         match req {
             WireRequest::Shutdown { id } => {
                 let resp = WireResponse::success(id, "shutting down".to_string());
-                let _ = send_response(&mut stream, &resp);
+                let _ = send_response(stream, &resp);
                 return ConnOutcome::ShutdownRequested;
             }
             WireRequest::Eval { id, request } => {
@@ -457,7 +518,7 @@ fn serve_connection(mut stream: Stream, service: &Service) -> ConnOutcome {
                     Ok(body) => WireResponse::success(id, body),
                     Err(err) => WireResponse::from_eval_error(id, &err),
                 };
-                if send_response(&mut stream, &resp).is_err() {
+                if send_response(stream, &resp).is_err() {
                     return ConnOutcome::Closed;
                 }
             }

@@ -5,7 +5,9 @@
 //! large to frame refused by the client before it sends a byte, bounded
 //! admission's reject-not-buffer contract at capacity 1, a slow request
 //! holding only its own connection, TCP round trips that do not wait on
-//! delayed ACKs, and bit-identity of served responses against direct
+//! delayed ACKs, a Unix bind that replaces only a stale socket, a
+//! shutdown that neither waits on an idle connection nor drops an
+//! in-flight reply, and bit-identity of served responses against direct
 //! sequential evaluation.
 
 use eval_core::experiments::{Experiments, Figure, TABLES};
@@ -16,9 +18,11 @@ use eval_core::wire::{
     MAX_FRAME_BYTES,
 };
 use eval_core::workload::WorkloadScale;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::os::unix::net::UnixListener;
+use std::path::PathBuf;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn reduced_evaluator() -> Evaluator {
@@ -377,4 +381,117 @@ fn served_responses_are_bit_identical_to_direct_evaluation() {
     assert_eq!(service.latency().count(), (requests.len() + fixed) as u64);
 
     stop_server(&addr, handle);
+}
+
+/// A server bound at `addr` with the default configuration.
+fn bind(addr: &str) -> std::io::Result<Server> {
+    Server::bind(
+        addr,
+        Service::start(reduced_evaluator(), ServiceConfig::default()),
+    )
+}
+
+/// Run `server` on a background thread. The receiver yields once `run`
+/// has returned, so a test waits for that with a deadline instead of
+/// hanging on a join.
+fn run_in_background(server: Server) -> mpsc::Receiver<()> {
+    let (done, returned) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.run().expect("server accept loop");
+        let _ = done.send(());
+    });
+    returned
+}
+
+fn shut_down_within(addr: &str, returned: &mpsc::Receiver<()>, deadline: Duration) {
+    let mut client = Client::connect(addr).expect("connect for shutdown");
+    let resp = client.shutdown_server().expect("shutdown ack");
+    assert!(resp.ok.is_some(), "shutdown must be acknowledged");
+    returned
+        .recv_timeout(deadline)
+        .unwrap_or_else(|e| panic!("run() had not returned {deadline:?} after Shutdown: {e}"));
+}
+
+/// A per-process Unix socket path under the temp dir, nothing there yet.
+fn socket_path(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("c3i-wire-{name}-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// Binding a Unix path that holds a regular file fails and leaves the
+/// file as it was (`repro --serve results/table_1.csv` used to delete it).
+#[test]
+fn bind_over_a_regular_file_fails_and_keeps_it() {
+    let path = socket_path("file");
+    std::fs::write(&path, "pinned,csv\n1,2\n").unwrap();
+    let addr = path.to_str().unwrap();
+    let err = bind(addr)
+        .err()
+        .expect("bind over a regular file must fail");
+    assert_eq!(err.kind(), ErrorKind::AlreadyExists, "{err}");
+    assert!(err.to_string().contains(addr), "{err}");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), "pinned,csv\n1,2\n");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A second bind on a running server's path fails, and the first server
+/// keeps its address and answers.
+#[test]
+fn bind_over_a_live_socket_fails_and_the_first_server_keeps_serving() {
+    let path = socket_path("live");
+    let addr = path.to_str().unwrap();
+    let returned = run_in_background(bind(addr).expect("first bind"));
+    let err = bind(addr).err().expect("a second bind must fail");
+    assert_eq!(err.kind(), ErrorKind::AddrInUse, "{err}");
+    assert!(err.to_string().contains(addr), "{err}");
+    assert_ping_works(addr);
+    shut_down_within(addr, &returned, Duration::from_secs(10));
+    assert!(!path.exists(), "the server removes its socket on shutdown");
+}
+
+/// A socket left behind by a listener that is gone (a server that was
+/// killed) is stale: bind replaces it.
+#[test]
+fn bind_over_a_stale_socket_succeeds() {
+    let path = socket_path("stale");
+    drop(UnixListener::bind(&path).unwrap());
+    assert!(path.exists(), "a dropped listener leaves its socket file");
+    let addr = path.to_str().unwrap();
+    let returned = run_in_background(bind(addr).expect("bind over a stale socket"));
+    assert_ping_works(addr);
+    shut_down_within(addr, &returned, Duration::from_secs(10));
+}
+
+/// `Shutdown` from one connection ends `run()` while another stays open
+/// and idle: the idle connection's thread was blocked reading its next
+/// frame, and `run()` used to wait on it for ever.
+#[test]
+fn shutdown_returns_with_an_idle_connection_open() {
+    let server = bind("127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let returned = run_in_background(server);
+    let mut idle = Client::connect(&addr).expect("connect the idle client");
+    let resp = idle.call(EvalRequest::Ping).expect("ping");
+    assert_eq!(resp.ok.as_deref(), Some("pong"), "{:?}", resp.error);
+    shut_down_within(&addr, &returned, Duration::from_secs(3));
+    drop(idle);
+}
+
+/// A request in flight when `Shutdown` arrives still gets its reply.
+#[test]
+fn an_in_flight_request_is_answered_across_shutdown() {
+    let server = bind("127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let returned = run_in_background(server);
+    std::thread::scope(|s| {
+        let slow = s.spawn(|| {
+            let mut client = Client::connect(&addr).expect("connect");
+            client.call(EvalRequest::Sleep { ms: 300 }).expect("sleep")
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        shut_down_within(&addr, &returned, Duration::from_secs(5));
+        let resp = slow.join().expect("sleeping client");
+        assert_eq!(resp.ok.as_deref(), Some("slept 300 ms"), "{:?}", resp.error);
+    });
 }
