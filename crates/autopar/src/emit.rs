@@ -97,22 +97,22 @@ pub fn emit_plan(l: &LoopNest, v: &DataflowVerdict) -> Option<ParallelPlan> {
 mod tests {
     use super::*;
     use crate::ir::{LoopNest, Stmt};
-    use crate::reduction::{analyze_loop_dataflow, DataflowOptions};
+    use crate::reduction::{analyze_loop_dataflow, Summaries};
 
-    fn plan(l: &LoopNest, opts: &DataflowOptions) -> Option<ParallelPlan> {
-        emit_plan(l, &analyze_loop_dataflow(l, opts))
+    fn plan(l: &LoopNest, summaries: &Summaries) -> Option<ParallelPlan> {
+        emit_plan(l, &analyze_loop_dataflow(l, summaries))
     }
 
     #[test]
     fn rejected_loops_emit_no_plan() {
         let l = LoopNest::new("for i", "i").stmt(Stmt::new("x = f(i)").writes(&["x"]).call("f"));
-        assert_eq!(plan(&l, &DataflowOptions::default()), None);
+        assert_eq!(plan(&l, &Summaries::empty()), None);
     }
 
     #[test]
     fn dense_affine_loops_schedule_statically() {
         let l = crate::programs::affine_vector_loop();
-        let p = plan(&l, &DataflowOptions::default()).expect("parallel");
+        let p = plan(&l, &Summaries::empty()).expect("parallel");
         assert_eq!(p.schedule, Schedule::Static);
         assert!(p.reductions.is_empty() && p.privatized.is_empty() && p.compactions.is_empty());
     }
@@ -127,7 +127,7 @@ mod tests {
                 .array("out", vec![Expr::Opaque("n".into())], true)
                 .array("a", vec![Expr::var("i")], false),
         );
-        let p = plan(&l, &DataflowOptions::default()).expect("parallel");
+        let p = plan(&l, &Summaries::empty()).expect("parallel");
         assert_eq!(p.schedule, Schedule::Dynamic);
         let count = Reduction {
             name: "n".into(),
@@ -145,14 +145,14 @@ mod tests {
                 .array("a", vec![Expr::var("i")], true)
                 .array("b", vec![Expr::Opaque("idx".into())], false),
         );
-        let p = plan(&l, &DataflowOptions::default()).expect("parallel");
+        let p = plan(&l, &Summaries::empty()).expect("parallel");
         assert_eq!(p.schedule, Schedule::Dynamic);
     }
 
     #[test]
     fn pragma_loops_still_get_a_plan() {
         let l = crate::programs::program2_threat_chunked(true);
-        let p = plan(&l, &DataflowOptions::benchmark()).expect("pragma loops run parallel");
+        let p = plan(&l, &Summaries::benchmark()).expect("pragma loops run parallel");
         assert_eq!(p.loop_label, l.label);
     }
 }

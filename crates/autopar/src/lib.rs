@@ -53,7 +53,5 @@ pub mod report;
 pub use deps::analyze_loop;
 pub use emit::{emit_plan, ParallelPlan};
 pub use ir::{ArrayRef, Expr, LoopNest, Node, ReduceOp, Reduction, Stmt};
-pub use reduction::{
-    analyze_loop_dataflow, DataflowOptions, DataflowReport, DataflowVerdict, Summaries,
-};
+pub use reduction::{analyze_loop_dataflow, DataflowReport, DataflowVerdict, Summaries};
 pub use report::{ClearedKind, Clearing, LoopVerdict, Reason, ReasonKind, Report};

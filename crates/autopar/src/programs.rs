@@ -26,7 +26,7 @@
 
 use crate::deps::analyze_loop;
 use crate::ir::{Expr, LoopNest, ReduceOp, Stmt};
-use crate::reduction::{analyze_loop_dataflow, DataflowOptions, DataflowReport};
+use crate::reduction::{analyze_loop_dataflow, DataflowReport, Summaries};
 use crate::report::Report;
 
 /// Program 1: sequential Threat Analysis — the outer `for threat` loop.
@@ -231,11 +231,11 @@ pub fn benchmark_report() -> Report {
 /// Run the dataflow pass (with benchmark purity summaries) over the same
 /// five loops.
 pub fn dataflow_report() -> DataflowReport {
-    let opts = DataflowOptions::benchmark();
+    let summaries = Summaries::benchmark();
     DataflowReport {
         verdicts: benchmark_loops()
             .iter()
-            .map(|l| analyze_loop_dataflow(l, &opts))
+            .map(|l| analyze_loop_dataflow(l, &summaries))
             .collect(),
     }
 }

@@ -86,22 +86,6 @@ impl Summaries {
     }
 }
 
-/// Capabilities of the dataflow pass.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DataflowOptions {
-    /// Interprocedural purity summaries.
-    pub summaries: Summaries,
-}
-
-impl DataflowOptions {
-    /// Benchmark-callee summaries.
-    pub fn benchmark() -> Self {
-        DataflowOptions {
-            summaries: Summaries::benchmark(),
-        }
-    }
-}
-
 /// The dataflow pass's verdict on one loop: the base verdict plus every
 /// obstacle the analysis cleared and the facts the emission pass needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -256,7 +240,7 @@ fn compaction_counter(a: &ArrayRef, counters: &BTreeSet<String>) -> Option<Strin
 
 /// Analyze one loop with the dataflow pass. See the module docs for what
 /// gets cleared; residual obstacles keep statement-level provenance.
-pub fn analyze_loop_dataflow(l: &LoopNest, opts: &DataflowOptions) -> DataflowVerdict {
+pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVerdict {
     if l.pragma_parallel {
         return DataflowVerdict {
             verdict: LoopVerdict {
@@ -330,7 +314,7 @@ pub fn analyze_loop_dataflow(l: &LoopNest, opts: &DataflowOptions) -> DataflowVe
             if !called.insert(c) {
                 continue;
             }
-            match opts.summaries.why(c) {
+            match summaries.why(c) {
                 Some(why) => {
                     clearings.push(Clearing::at(
                         ClearedKind::PureCall {
@@ -458,7 +442,7 @@ mod tests {
     use crate::ir::{Expr, LoopNest, ReduceOp, Stmt};
 
     fn df(l: &LoopNest) -> DataflowVerdict {
-        analyze_loop_dataflow(l, &DataflowOptions::default())
+        analyze_loop_dataflow(l, &Summaries::empty())
     }
 
     #[test]
@@ -662,9 +646,9 @@ mod tests {
                 true,
             ),
         );
-        let mut opts = DataflowOptions::default();
-        opts.summaries.add("f", "pure");
-        let v = analyze_loop_dataflow(&l, &opts);
+        let mut summaries = Summaries::empty();
+        summaries.add("f", "pure");
+        let v = analyze_loop_dataflow(&l, &summaries);
         assert!(!v.verdict.parallel);
         assert_eq!(v.cleared_calls, vec!["f".to_string()]);
         assert!(v
@@ -673,8 +657,8 @@ mod tests {
             .iter()
             .any(|r| matches!(&r.kind, ReasonKind::OpaqueCall { name } if name == "g")));
 
-        opts.summaries.add("g", "pure");
-        assert!(analyze_loop_dataflow(&l, &opts).verdict.parallel);
+        summaries.add("g", "pure");
+        assert!(analyze_loop_dataflow(&l, &summaries).verdict.parallel);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! allowed: the analyzer is conservative, exactly like the compilers in
 //! the paper.)
 
-use autopar::reduction::{analyze_loop_dataflow, DataflowOptions};
+use autopar::reduction::{analyze_loop_dataflow, Summaries};
 use autopar::{analyze_loop, ArrayRef, Expr, LoopNest, Stmt};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -127,7 +127,7 @@ proptest! {
     /// still never declare a conflicting loop parallel.
     #[test]
     fn dataflow_parallel_verdicts_are_sound(accesses in proptest::collection::vec(arb_access(), 1..5)) {
-        let dv = analyze_loop_dataflow(&build_loop(&accesses), &DataflowOptions::default());
+        let dv = analyze_loop_dataflow(&build_loop(&accesses), &Summaries::empty());
         if dv.verdict.parallel {
             prop_assert!(
                 !has_cross_iteration_conflict(&accesses),
@@ -143,7 +143,7 @@ proptest! {
         let l = build_loop(&accesses);
         if analyze_loop(&l).parallel {
             prop_assert!(
-                analyze_loop_dataflow(&l, &DataflowOptions::default()).verdict.parallel
+                analyze_loop_dataflow(&l, &Summaries::empty()).verdict.parallel
             );
         }
     }
