@@ -277,8 +277,8 @@ impl ThreadPool {
                 // Worker `index` is logical thread `index + 1` (the caller
                 // is thread 0); a region narrower than that skips this
                 // worker.
-                let body = st.job.as_ref().filter(|j| index + 1 < j.width).map(|j| j.body);
-                if let Some(body) = body {
+                let job = st.job.as_ref().filter(|j| index + 1 < j.width);
+                if let Some(body) = job.map(|j| j.body) {
                     drop(st);
                     let result = catch_unwind(AssertUnwindSafe(|| body(index + 1)));
                     st = self.state.lock();
@@ -574,6 +574,4 @@ mod tests {
         }
         assert_eq!(count.load(Ordering::SeqCst), 40_000);
     }
-
-
 }
