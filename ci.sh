@@ -273,7 +273,7 @@ fi
 # item-level surface no root reached (docs/LAYERS.md, the PR 33
 # reachability table) where its names are specific; the compiler guards
 # the rest. `\<…\>` keeps `load_or_measure_in` out of the match.
-if grep -rn 'C3I_NO_CACHE\|cache_disabled\|\<load_or_measure\>\|DataflowOptions::new\|dataflow_improves\|auto_parallel_count\|any_auto_parallel\|max_thread_instructions\|n_logical_threads' \
+if grep -rn 'C3I_NO_CACHE\|cache_disabled\|\<load_or_measure\>\|\<DataflowOptions\>\|dataflow_improves\|auto_parallel_count\|any_auto_parallel\|max_thread_instructions\|n_logical_threads' \
   crates src tests examples docs README.md EXPERIMENTS.md .claude |
   grep -v '^docs/LAYERS.md:'; then
   echo "an item no root reached is referenced again" >&2
@@ -286,6 +286,16 @@ if grep -rn 'PaperAnchors\|TABLE3_SEQ\|TABLE4_SEQ\|TABLE9_SEQ\|TABLE10_SEQ' \
   crates src tests examples docs README.md EXPERIMENTS.md DESIGN.md .claude |
   grep -v '^docs/LAYERS.md:'; then
   echo "a second statement of the paper's numbers is referenced again" >&2
+  exit 1
+fi
+# So is every pool but the process-wide one: explicit pools with their
+# width option and their shutdown-and-join lifecycle, the shared core
+# they held, and the `scope_threads` alias. `ThreadPool::global()` is the
+# pool and `run_width` its one region entry.
+if grep -rn 'ThreadPool::new\|ThreadPool::host\|scope_threads\|PoolShared' \
+  crates src tests examples README.md EXPERIMENTS.md DESIGN.md docs .claude |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "an explicit pool or scope_threads is referenced again" >&2
   exit 1
 fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
