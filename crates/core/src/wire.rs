@@ -29,13 +29,11 @@
 //! connection, and each request is evaluated on its connection's thread
 //! once the [`Service`] behind it has admitted it.
 //!
-//! [`Server::bind`] takes over a Unix path only when it holds a *stale*
-//! socket, one that refuses a connection; a live socket is `AddrInUse`
-//! and anything else that is not a socket `AlreadyExists`, so binding
-//! never deletes a file or another server's address. On `Shutdown` the
-//! server stops accepting and closes the read half of every open
-//! connection: an idle one sees EOF at once, while one still evaluating
-//! a request writes its reply first; then it joins them all and returns.
+//! [`Server::bind`] replaces only a *stale* Unix socket, one that refuses
+//! a connection: a live one is `AddrInUse`, a non-socket `AlreadyExists`.
+//! On `Shutdown` the server closes the read half of every open
+//! connection, so an idle one sees EOF while one still evaluating a
+//! request writes its reply first, then joins them all and returns.
 //!
 //! [`write_frame`] writes the prefix and the body with one write, and
 //! every TCP stream, accepted or connected, sets `TCP_NODELAY`. A request
@@ -404,8 +402,8 @@ impl Server {
             for (done, _) in conns.extract_if(.., |(h, _)| h.is_finished()) {
                 let _ = done.join();
             }
-            // Out of descriptors: this connection is dropped (closed)
-            // unserved, and the server keeps accepting.
+            // Out of descriptors or threads: this connection is dropped
+            // (closed) unserved, and the server keeps accepting.
             let Ok(reader) = stream.try_clone() else {
                 continue;
             };
@@ -425,8 +423,6 @@ impl Server {
                         let _ = Stream::connect(&wake_addr);
                     }
                 });
-            // Out of threads: this connection is dropped (closed) unserved,
-            // and the server keeps accepting.
             if let Ok(handle) = spawned {
                 conns.push((handle, reader));
             }
@@ -454,10 +450,7 @@ fn remove_stale_socket(path: &Path) -> std::io::Result<()> {
     };
     let named = |kind, what: &str| Error::new(kind, format!("{}: {what}", path.display()));
     if !meta.file_type().is_socket() {
-        return Err(named(
-            ErrorKind::AlreadyExists,
-            "exists and is not a socket",
-        ));
+        return Err(named(ErrorKind::AlreadyExists, "not a socket"));
     }
     match UnixStream::connect(path) {
         Ok(_) => Err(named(ErrorKind::AddrInUse, "a server is listening on it")),

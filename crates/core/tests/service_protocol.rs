@@ -21,7 +21,7 @@ use eval_core::workload::WorkloadScale;
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -30,23 +30,34 @@ fn reduced_evaluator() -> Evaluator {
     evaluator
 }
 
-/// Bind a server on an OS-assigned TCP port and run it on a background
-/// thread; returns the resolved address, the accept-loop handle and the
-/// service behind the socket.
-fn start_server(config: ServiceConfig) -> (String, std::thread::JoinHandle<()>, Arc<Service>) {
-    let service = Service::start(reduced_evaluator(), config);
-    let server = Server::bind("127.0.0.1:0", service).expect("bind test server");
+/// A running server's address, a receiver that yields once `run` has
+/// returned (waited on with a deadline, not joined), and its service.
+type Running = (String, mpsc::Receiver<()>, Arc<Service>);
+
+/// Bind a server at `addr` (`127.0.0.1:0` for an OS-assigned port) and
+/// run it on a background thread.
+fn start_server_at(addr: &str, config: ServiceConfig) -> std::io::Result<Running> {
+    let server = Server::bind(addr, Service::start(reduced_evaluator(), config))?;
     let addr = server.local_addr().to_string();
     let service = server.service();
-    let handle = std::thread::spawn(move || server.run().expect("server accept loop"));
-    (addr, handle, service)
+    let (done, returned) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.run().expect("server accept loop");
+        done.send(())
+    });
+    Ok((addr, returned, service))
 }
 
-fn stop_server(addr: &str, handle: std::thread::JoinHandle<()>) {
+fn start_server(config: ServiceConfig) -> Running {
+    start_server_at("127.0.0.1:0", config).expect("bind test server")
+}
+
+fn stop_server(addr: &str, returned: mpsc::Receiver<()>) {
     let mut client = Client::connect(addr).expect("connect for shutdown");
     let resp = client.shutdown_server().expect("shutdown ack");
     assert!(resp.ok.is_some(), "shutdown must be acknowledged");
-    handle.join().expect("server thread");
+    let returned = returned.recv_timeout(Duration::from_secs(5));
+    assert!(returned.is_ok(), "run() still running 5 s after Shutdown");
 }
 
 fn send_eval_frame(stream: &mut TcpStream, id: u64, request: EvalRequest) {
@@ -69,7 +80,7 @@ fn assert_ping_works(addr: &str) {
 
 #[test]
 fn protocol_errors_are_typed_and_the_server_keeps_serving() {
-    let (addr, handle, _service) = start_server(ServiceConfig { capacity: 16 });
+    let (addr, returned, _service) = start_server(ServiceConfig { capacity: 16 });
 
     // 1. Truncated length prefix: two bytes then EOF. No response frame
     //    is owed (there is no intact request); the connection closes.
@@ -163,7 +174,7 @@ fn protocol_errors_are_typed_and_the_server_keeps_serving() {
     }
     assert_ping_works(&addr);
 
-    stop_server(&addr, handle);
+    stop_server(&addr, returned);
 }
 
 /// A request that serializes past the frame cap is the caller's error:
@@ -171,7 +182,7 @@ fn protocol_errors_are_typed_and_the_server_keeps_serving() {
 /// stays in sync and keeps serving.
 #[test]
 fn an_oversized_request_is_an_error_and_the_connection_keeps_serving() {
-    let (addr, handle, service) = start_server(ServiceConfig::default());
+    let (addr, returned, service) = start_server(ServiceConfig::default());
     let mut client = Client::connect(&addr).expect("connect");
     let oversized = EvalRequest::Scalability {
         procs: vec![4; 600_000],
@@ -192,7 +203,7 @@ fn an_oversized_request_is_an_error_and_the_connection_keeps_serving() {
         "only the ping reached the service"
     );
     drop(client);
-    stop_server(&addr, handle);
+    stop_server(&addr, returned);
 }
 
 #[test]
@@ -250,7 +261,7 @@ fn capacity_one_rejects_rather_than_buffers() {
 /// later, is answered while A is still sleeping.
 #[test]
 fn a_slow_request_does_not_hold_another_connections_reply() {
-    let (addr, handle, _service) = start_server(ServiceConfig::default());
+    let (addr, returned, _service) = start_server(ServiceConfig::default());
     let (slept_at, ponged_at) = std::thread::scope(|s| {
         let slow = s.spawn(|| {
             let mut client = Client::connect(&addr).expect("connect A");
@@ -275,7 +286,7 @@ fn a_slow_request_does_not_hold_another_connections_reply() {
         "B's ping was answered {:?} after A's sleep: it waited behind it",
         ponged_at - slept_at
     );
-    stop_server(&addr, handle);
+    stop_server(&addr, returned);
 }
 
 /// A round trip over TCP waits on nothing but the work: with a frame
@@ -284,7 +295,7 @@ fn a_slow_request_does_not_hold_another_connections_reply() {
 /// ≈ 4.4 s.
 #[test]
 fn sequential_tcp_pings_do_not_wait_for_delayed_acks() {
-    let (addr, handle, _service) = start_server(ServiceConfig::default());
+    let (addr, returned, _service) = start_server(ServiceConfig::default());
     let mut client = Client::connect(&addr).expect("connect");
     let t0 = Instant::now();
     for _ in 0..50 {
@@ -293,7 +304,7 @@ fn sequential_tcp_pings_do_not_wait_for_delayed_acks() {
     }
     let took = t0.elapsed();
     drop(client);
-    stop_server(&addr, handle);
+    stop_server(&addr, returned);
     assert!(
         took < Duration::from_secs(1),
         "50 sequential TCP pings took {took:?}"
@@ -315,7 +326,7 @@ fn parameterless_call(e: &Experiments, req: &EvalRequest) -> Option<String> {
 
 #[test]
 fn served_responses_are_bit_identical_to_direct_evaluation() {
-    let (addr, handle, service) = start_server(ServiceConfig::default());
+    let (addr, returned, service) = start_server(ServiceConfig::default());
     let reference = reduced_evaluator();
 
     // One of every request kind, plus boundary model configurations.
@@ -380,118 +391,80 @@ fn served_responses_are_bit_identical_to_direct_evaluation() {
     let fixed = TABLES.len() + Figure::ALL.len() + 1;
     assert_eq!(service.latency().count(), (requests.len() + fixed) as u64);
 
-    stop_server(&addr, handle);
-}
-
-/// A server bound at `addr` with the default configuration.
-fn bind(addr: &str) -> std::io::Result<Server> {
-    Server::bind(
-        addr,
-        Service::start(reduced_evaluator(), ServiceConfig::default()),
-    )
-}
-
-/// Run `server` on a background thread. The receiver yields once `run`
-/// has returned, so a test waits for that with a deadline instead of
-/// hanging on a join.
-fn run_in_background(server: Server) -> mpsc::Receiver<()> {
-    let (done, returned) = mpsc::channel();
-    std::thread::spawn(move || {
-        server.run().expect("server accept loop");
-        let _ = done.send(());
-    });
-    returned
-}
-
-fn shut_down_within(addr: &str, returned: &mpsc::Receiver<()>, deadline: Duration) {
-    let mut client = Client::connect(addr).expect("connect for shutdown");
-    let resp = client.shutdown_server().expect("shutdown ack");
-    assert!(resp.ok.is_some(), "shutdown must be acknowledged");
-    returned
-        .recv_timeout(deadline)
-        .unwrap_or_else(|e| panic!("run() had not returned {deadline:?} after Shutdown: {e}"));
+    stop_server(&addr, returned);
 }
 
 /// A per-process Unix socket path under the temp dir, nothing there yet.
-fn socket_path(name: &str) -> PathBuf {
+fn socket_path(name: &str) -> String {
     let path = std::env::temp_dir().join(format!("c3i-wire-{name}-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    path
+    path.to_str().unwrap().to_string()
+}
+
+/// The error a bind at `path` fails with, which names the path.
+fn bind_error(path: &str) -> std::io::Error {
+    let bound = start_server_at(path, ServiceConfig::default());
+    let err = bound.err().expect("bind must fail");
+    assert!(err.to_string().contains(path), "{err}");
+    err
 }
 
 /// Binding a Unix path that holds a regular file fails and leaves the
-/// file as it was (`repro --serve results/table_1.csv` used to delete it).
+/// file as it was.
 #[test]
 fn bind_over_a_regular_file_fails_and_keeps_it() {
     let path = socket_path("file");
-    std::fs::write(&path, "pinned,csv\n1,2\n").unwrap();
-    let addr = path.to_str().unwrap();
-    let err = bind(addr)
-        .err()
-        .expect("bind over a regular file must fail");
-    assert_eq!(err.kind(), ErrorKind::AlreadyExists, "{err}");
-    assert!(err.to_string().contains(addr), "{err}");
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), "pinned,csv\n1,2\n");
+    std::fs::write(&path, "pinned").unwrap();
+    assert_eq!(bind_error(&path).kind(), ErrorKind::AlreadyExists);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), "pinned");
     std::fs::remove_file(&path).unwrap();
 }
 
 /// A second bind on a running server's path fails, and the first server
-/// keeps its address and answers.
+/// keeps its socket and answers.
 #[test]
 fn bind_over_a_live_socket_fails_and_the_first_server_keeps_serving() {
     let path = socket_path("live");
-    let addr = path.to_str().unwrap();
-    let returned = run_in_background(bind(addr).expect("first bind"));
-    let err = bind(addr).err().expect("a second bind must fail");
-    assert_eq!(err.kind(), ErrorKind::AddrInUse, "{err}");
-    assert!(err.to_string().contains(addr), "{err}");
-    assert_ping_works(addr);
-    shut_down_within(addr, &returned, Duration::from_secs(10));
-    assert!(!path.exists(), "the server removes its socket on shutdown");
+    let (addr, returned, _service) = start_server_at(&path, ServiceConfig::default()).unwrap();
+    assert_eq!(bind_error(&path).kind(), ErrorKind::AddrInUse);
+    assert_ping_works(&addr);
+    stop_server(&addr, returned);
+    assert!(!Path::new(&path).exists(), "shutdown removes the socket");
 }
 
-/// A socket left behind by a listener that is gone (a server that was
-/// killed) is stale: bind replaces it.
+/// A socket whose listener is gone (a killed server's) is replaced.
 #[test]
 fn bind_over_a_stale_socket_succeeds() {
     let path = socket_path("stale");
     drop(UnixListener::bind(&path).unwrap());
-    assert!(path.exists(), "a dropped listener leaves its socket file");
-    let addr = path.to_str().unwrap();
-    let returned = run_in_background(bind(addr).expect("bind over a stale socket"));
-    assert_ping_works(addr);
-    shut_down_within(addr, &returned, Duration::from_secs(10));
+    let (addr, returned, _service) = start_server_at(&path, ServiceConfig::default()).unwrap();
+    assert_ping_works(&addr);
+    stop_server(&addr, returned);
 }
 
-/// `Shutdown` from one connection ends `run()` while another stays open
-/// and idle: the idle connection's thread was blocked reading its next
-/// frame, and `run()` used to wait on it for ever.
+/// `Shutdown` ends `run()` while another connection stays open and idle,
+/// its thread blocked reading the next frame.
 #[test]
 fn shutdown_returns_with_an_idle_connection_open() {
-    let server = bind("127.0.0.1:0").expect("bind");
-    let addr = server.local_addr().to_string();
-    let returned = run_in_background(server);
-    let mut idle = Client::connect(&addr).expect("connect the idle client");
-    let resp = idle.call(EvalRequest::Ping).expect("ping");
-    assert_eq!(resp.ok.as_deref(), Some("pong"), "{:?}", resp.error);
-    shut_down_within(&addr, &returned, Duration::from_secs(3));
-    drop(idle);
+    let (addr, returned, _service) = start_server(ServiceConfig::default());
+    let mut idle = Client::connect(&addr).expect("connect");
+    idle.call(EvalRequest::Ping).expect("ping");
+    stop_server(&addr, returned);
 }
 
 /// A request in flight when `Shutdown` arrives still gets its reply.
 #[test]
 fn an_in_flight_request_is_answered_across_shutdown() {
-    let server = bind("127.0.0.1:0").expect("bind");
-    let addr = server.local_addr().to_string();
-    let returned = run_in_background(server);
+    let (addr, returned, service) = start_server(ServiceConfig::default());
     std::thread::scope(|s| {
         let slow = s.spawn(|| {
             let mut client = Client::connect(&addr).expect("connect");
             client.call(EvalRequest::Sleep { ms: 300 }).expect("sleep")
         });
-        std::thread::sleep(Duration::from_millis(100));
-        shut_down_within(&addr, &returned, Duration::from_secs(5));
-        let resp = slow.join().expect("sleeping client");
-        assert_eq!(resp.ok.as_deref(), Some("slept 300 ms"), "{:?}", resp.error);
+        while service.in_flight() == 0 && !slow.is_finished() {
+            std::thread::yield_now();
+        }
+        stop_server(&addr, returned);
+        assert_eq!(slow.join().unwrap().ok.as_deref(), Some("slept 300 ms"));
     });
 }

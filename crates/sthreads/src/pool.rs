@@ -88,6 +88,7 @@ fn watch(ready: impl Fn() -> bool) -> bool {
     }
 }
 
+#[derive(Default)]
 struct PoolState {
     /// Region counter; bumped once per published region. Workers compare
     /// it against the last epoch they observed to detect new work.
@@ -110,7 +111,6 @@ struct PoolState {
 /// rest of the process; back-to-back regions pay a cache-line handoff,
 /// spaced ones a condvar wakeup, never an OS thread spawn.
 pub struct ThreadPool {
-    /// The host's available parallelism, read once.
     n_threads: usize,
     /// Serializes regions. Held for the whole region, so a region's
     /// logical threads are exactly caller + dedicated workers — never
@@ -138,13 +138,7 @@ impl ThreadPool {
         POOL.get_or_init(|| ThreadPool {
             n_threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             region: Mutex::new(()),
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                active: 0,
-                panic: None,
-                n_workers: 0,
-            }),
+            state: Mutex::default(),
             epoch_hint: AtomicU64::new(0),
             active_hint: AtomicUsize::new(0),
             work_cv: Condvar::new(),
@@ -247,11 +241,7 @@ impl ThreadPool {
     /// epoch as already-seen, so only a region published *after* this call
     /// reaches them. A worker lives as long as the process, so its
     /// `JoinHandle` is dropped.
-    fn ensure_workers_locked(
-        &'static self,
-        st: &mut parking_lot::MutexGuard<'_, PoolState>,
-        min_workers: usize,
-    ) {
+    fn ensure_workers_locked(&'static self, st: &mut PoolState, min_workers: usize) {
         while st.n_workers < min_workers {
             let index = st.n_workers;
             let seen_epoch = st.epoch;
