@@ -247,53 +247,52 @@ impl ThreadPool {
             let seen_epoch = st.epoch;
             std::thread::Builder::new()
                 .name(format!("sthreads-worker-{index}"))
-                .spawn(move || self.worker_loop(index, seen_epoch))
+                .spawn(move || worker_loop(self, index, seen_epoch))
                 .expect("ThreadPool: failed to spawn worker thread");
             st.n_workers += 1;
         }
     }
+}
 
-    /// The worker loop: run our logical thread of a new epoch's region if
-    /// the width covers us, signal completion, then watch for the next
-    /// epoch and park if the window closes without one.
-    fn worker_loop(&self, index: usize, mut seen_epoch: u64) -> ! {
-        // Worker threads only ever execute region bodies, so a nested
-        // region opened from one must always take the scoped fallback.
-        IN_PARALLEL_REGION.set(true);
-        let mut st = self.state.lock();
-        loop {
-            if st.epoch != seen_epoch {
-                seen_epoch = st.epoch;
-                // Worker `index` is logical thread `index + 1` (the caller
-                // is thread 0); a region narrower than that skips this
-                // worker.
-                let job = st.job.as_ref().filter(|j| index + 1 < j.width);
-                if let Some(body) = job.map(|j| j.body) {
-                    drop(st);
-                    let result = catch_unwind(AssertUnwindSafe(|| body(index + 1)));
-                    st = self.state.lock();
-                    if let Err(payload) = result {
-                        if st.panic.is_none() {
-                            st.panic = Some(payload);
-                        }
-                    }
-                    st.active -= 1;
-                    self.active_hint.store(st.active, Ordering::Release);
-                    if st.active == 0 {
-                        self.done_cv.notify_all();
+/// The worker loop: run our logical thread of a new epoch's region if the
+/// width covers us, signal completion, then watch for the next epoch and
+/// park if the window closes without one.
+fn worker_loop(pool: &ThreadPool, index: usize, mut seen_epoch: u64) -> ! {
+    // Worker threads only ever execute region bodies, so a nested
+    // region opened from one must always take the scoped fallback.
+    IN_PARALLEL_REGION.set(true);
+    let mut st = pool.state.lock();
+    loop {
+        if st.epoch != seen_epoch {
+            seen_epoch = st.epoch;
+            // Worker `index` is logical thread `index + 1` (the caller is
+            // thread 0); a region narrower than that skips this worker.
+            let job = st.job.as_ref().filter(|j| index + 1 < j.width);
+            if let Some(body) = job.map(|j| j.body) {
+                drop(st);
+                let result = catch_unwind(AssertUnwindSafe(|| body(index + 1)));
+                st = pool.state.lock();
+                if let Err(payload) = result {
+                    if st.panic.is_none() {
+                        st.panic = Some(payload);
                     }
                 }
-                continue;
+                st.active -= 1;
+                pool.active_hint.store(st.active, Ordering::Release);
+                if st.active == 0 {
+                    pool.done_cv.notify_all();
+                }
             }
-            drop(st);
-            let handed = watch(|| self.epoch_hint.load(Ordering::Acquire) != seen_epoch);
-            st = self.state.lock();
-            // Re-checked under the lock: a publish may have landed between
-            // the last look and the lock.
-            if !handed && st.epoch == seen_epoch {
-                stats::record_park();
-                self.work_cv.wait(&mut st);
-            }
+            continue;
+        }
+        drop(st);
+        let handed = watch(|| pool.epoch_hint.load(Ordering::Acquire) != seen_epoch);
+        st = pool.state.lock();
+        // Re-checked under the lock: a publish may have landed between the
+        // last look and the lock.
+        if !handed && st.epoch == seen_epoch {
+            stats::record_park();
+            pool.work_cv.wait(&mut st);
         }
     }
 }
