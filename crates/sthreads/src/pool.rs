@@ -553,6 +553,48 @@ mod tests {
     }
 
     #[test]
+    fn parked_threads_are_woken_on_both_condvars() {
+        // Even rounds: the workers outlast the caller's window, so it parks
+        // on `done_cv` and the last finish must wake it. Odd rounds: the
+        // workers' windows close before the publish, so they park on
+        // `work_cv` and the publish must wake every one. A skip that is
+        // not exact loses a wakeup, which hangs the rounds, not the test.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ThreadPool::global();
+            for round in 0..300 {
+                let width = 2 + round % 3;
+                let ran = AtomicUsize::new(0);
+                if round % 2 == 1 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                pool.run_width(width, |t| {
+                    if t > 0 && round % 2 == 0 {
+                        std::thread::sleep(5 * HANDOFF_WINDOW);
+                    }
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+                assert_eq!(ran.load(Ordering::SeqCst), width, "round {round}");
+            }
+            done.send(()).unwrap();
+        });
+        match finished.recv_timeout(Duration::from_secs(30)) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("a round failed"),
+            // The wedged region holds the region lock, so every later
+            // region in this binary would hang too: end the process.
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                use std::io::Write;
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "lost wakeup: a parked thread was never woken"
+                );
+                std::process::exit(101);
+            }
+        }
+    }
+
+    #[test]
     fn pool_survives_many_back_to_back_regions() {
         let pool = ThreadPool::global();
         let count = AtomicUsize::new(0);
