@@ -18,8 +18,8 @@ use super::los::{clamp_alt, compute_raw_alts_in, AltStore, KernelArena, Region};
 use super::scenario::TerrainScenario;
 use crate::counts::{NoRec, OpCounts, Rec};
 use crate::grid::Grid;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use sthreads::multithreaded_for;
 
 /// The paper's block decomposition: `nb × nb` equal-ish blocks over the
@@ -153,7 +153,13 @@ fn process_threat<R: Rec>(
         // Merge into the shared masking array block by block, locking each
         // block around its overlap.
         for (bi, bj) in blocking.blocks_overlapping(&region) {
-            let _guard = locks.map(|l| l[bi * blocking.nb() + bj].lock());
+            // A lock poisoned by another body's panic still guards its
+            // block: the region re-raises that panic, not a `PoisonError`.
+            let _guard = locks.map(|l| {
+                l[bi * blocking.nb() + bj]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+            });
             r.sync(2); // lock + unlock
             let (bx0, by0, bx1, by1) = blocking.block_bounds(bi, bj);
             let x0 = bx0.max(region.x0);

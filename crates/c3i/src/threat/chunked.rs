@@ -11,7 +11,7 @@
 use super::model::{intervals_for_pair, Interval};
 use super::scenario::ThreatScenario;
 use crate::counts::NoRec;
-use parking_lot::Mutex;
+use std::sync::OnceLock;
 use sthreads::ParFor;
 
 /// How generously each chunk's output section is oversized: capacity =
@@ -64,7 +64,7 @@ pub fn threat_analysis_chunked_host(
 ) -> ChunkedResult {
     let n_threats = scenario.threats.len();
     let cap_per_pair = OVERSIZE_INTERVALS_PER_PAIR * scenario.weapons.len();
-    let slots: Vec<Mutex<Vec<Interval>>> = (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect();
+    let slots: Vec<OnceLock<Vec<Interval>>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
 
     ParFor::new(0..n_threats)
         .threads(n_threads)
@@ -72,10 +72,13 @@ pub fn threat_analysis_chunked_host(
         .run_chunked(|cb| {
             let capacity = (cb.end - cb.first) * cap_per_pair;
             let section = run_chunk(scenario, cb.first, cb.end, capacity);
-            *slots[cb.chunk].lock() = section;
+            slots[cb.chunk].set(section).expect("each chunk runs once");
         });
 
-    let per_chunk = slots.into_iter().map(Mutex::into_inner).collect();
+    let per_chunk = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_default())
+        .collect();
     ChunkedResult { per_chunk }
 }
 

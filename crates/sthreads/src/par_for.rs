@@ -21,7 +21,7 @@
 use crate::pool::ThreadPool;
 use crate::queue::WorkQueue;
 use crate::stats;
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Bounds of one static chunk, as produced by [`ParFor::chunks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,16 +180,21 @@ where
     }
     // One write-once slot per task. The lock is uncontended (the schedule
     // dispenses each index exactly once) and is what lets the slots be
-    // shared with only `T: Send`; a region that panics drops them, and
-    // with them every value already written.
+    // shared with only `T: Send` (a `OnceLock` would need `T: Sync`); a
+    // region that panics drops them, and with them every value already
+    // written.
     let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
     ParFor::new(0..n_tasks).threads(n_threads).run(|i| {
         let value = f(i);
-        *slots[i].lock() = Some(value);
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
     });
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("par_map: every index runs once"))
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("par_map: every index runs once")
+        })
         .collect()
 }
 
@@ -357,19 +362,19 @@ mod tests {
         // runs; round-robin chunk assignment would produce `n_chunks`
         // runs, contiguous block assignment exactly `n_threads`.
         for (n_threads, n_chunks) in [(4, 4), (4, 16), (3, 7), (2, 256)] {
-            let owner = parking_lot::Mutex::new(vec![None; 1000]);
+            let owner = Mutex::new(vec![None; 1000]);
             ParFor::new(0..1000)
                 .threads(n_threads)
                 .chunk_count(n_chunks)
                 .run_chunked(|c| {
                     let me = std::thread::current().id();
-                    let mut owner = owner.lock();
+                    let mut owner = owner.lock().unwrap();
                     for slot in &mut owner[c.first..c.end] {
                         assert!(slot.is_none(), "index written twice");
                         *slot = Some(me);
                     }
                 });
-            let owners = owner.into_inner();
+            let owners = owner.into_inner().unwrap();
             assert!(owners.iter().all(|o| o.is_some()));
             let mut runs = 1;
             for w in owners.windows(2) {

@@ -28,16 +28,21 @@
 //! Concurrent regions from independent threads take turns; a region
 //! opened from inside another falls back to plain scoped threads, so
 //! re-entrancy can never deadlock the pool.
+//!
+//! Every handoff is decided under one lock, the one over `PoolState`,
+//! and that includes who waits: a thread records itself there before it
+//! parks, so a publish or a last finish that finds nobody parked makes no
+//! futex wake. The locks are `std::sync`'s with poison mapped to the
+//! guard: `run_width` re-raises a body's panic while it still holds the
+//! region lock, and the next region must open regardless.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::stats;
 
@@ -101,6 +106,20 @@ struct PoolState {
     panic: Option<Box<dyn Any + Send>>,
     /// Number of worker threads spawned so far (workers are lazy).
     n_workers: usize,
+    /// Workers waiting on `work_cv`, and whether the region caller waits
+    /// on `done_cv`. Each is set before its `wait` and cleared after it,
+    /// under this lock, so a publish or a last finish skips the wake
+    /// exactly when nobody waits: a thread not yet counted re-checks
+    /// `epoch` or `active` under the same lock and does not wait.
+    parked: usize,
+    caller_parked: bool,
+}
+
+/// Lock `mutex`, mapping poison to the guard: a region that re-raised a
+/// body's panic poisoned the region lock, and the pool's state stays
+/// consistent across a panicking body (bodies run outside the state lock).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The process-wide worker pool, [`ThreadPool::global`]; there is no
@@ -154,7 +173,7 @@ impl ThreadPool {
     /// Pre-spawn the workers a region of `width` logical threads needs, so
     /// the first timed region does not pay thread-creation cost.
     pub fn warm(&'static self, width: usize) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         self.ensure_workers_locked(&mut st, width.saturating_sub(1));
     }
 
@@ -183,7 +202,7 @@ impl ThreadPool {
             spawn_region(width, &body);
             return;
         }
-        let _region = self.region.lock();
+        let _region = lock(&self.region);
 
         // SAFETY: the job pointer is dereferenced only by workers between
         // the publish below and their `active` decrement, and this frame
@@ -195,8 +214,8 @@ impl ThreadPool {
         let erased: &'static (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(&body)
         };
-        {
-            let mut st = self.state.lock();
+        let wake = {
+            let mut st = lock(&self.state);
             self.ensure_workers_locked(&mut st, width - 1);
             st.epoch += 1;
             st.job = Some(Job {
@@ -207,8 +226,11 @@ impl ThreadPool {
             st.panic = None;
             self.active_hint.store(st.active, Ordering::Relaxed);
             self.epoch_hint.store(st.epoch, Ordering::Release);
+            st.parked > 0
+        };
+        if wake {
+            self.work_cv.notify_all();
         }
-        self.work_cv.notify_all();
 
         // Run our own share as logical thread 0. A panic here must not
         // skip the completion wait: workers still hold the job pointer
@@ -219,9 +241,14 @@ impl ThreadPool {
 
         watch(|| self.active_hint.load(Ordering::Acquire) == 0);
         let worker_panic = {
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             while st.active > 0 {
-                self.done_cv.wait(&mut st);
+                st.caller_parked = true;
+                st = self
+                    .done_cv
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+                st.caller_parked = false;
             }
             st.job = None;
             st.panic.take()
@@ -261,7 +288,7 @@ fn worker_loop(pool: &ThreadPool, index: usize, mut seen_epoch: u64) -> ! {
     // Worker threads only ever execute region bodies, so a nested
     // region opened from one must always take the scoped fallback.
     IN_PARALLEL_REGION.set(true);
-    let mut st = pool.state.lock();
+    let mut st = lock(&pool.state);
     loop {
         if st.epoch != seen_epoch {
             seen_epoch = st.epoch;
@@ -271,7 +298,7 @@ fn worker_loop(pool: &ThreadPool, index: usize, mut seen_epoch: u64) -> ! {
             if let Some(body) = job.map(|j| j.body) {
                 drop(st);
                 let result = catch_unwind(AssertUnwindSafe(|| body(index + 1)));
-                st = pool.state.lock();
+                st = lock(&pool.state);
                 if let Err(payload) = result {
                     if st.panic.is_none() {
                         st.panic = Some(payload);
@@ -279,7 +306,7 @@ fn worker_loop(pool: &ThreadPool, index: usize, mut seen_epoch: u64) -> ! {
                 }
                 st.active -= 1;
                 pool.active_hint.store(st.active, Ordering::Release);
-                if st.active == 0 {
+                if st.active == 0 && st.caller_parked {
                     pool.done_cv.notify_all();
                 }
             }
@@ -287,12 +314,17 @@ fn worker_loop(pool: &ThreadPool, index: usize, mut seen_epoch: u64) -> ! {
         }
         drop(st);
         let handed = watch(|| pool.epoch_hint.load(Ordering::Acquire) != seen_epoch);
-        st = pool.state.lock();
+        st = lock(&pool.state);
         // Re-checked under the lock: a publish may have landed between the
         // last look and the lock.
         if !handed && st.epoch == seen_epoch {
             stats::record_park();
-            pool.work_cv.wait(&mut st);
+            st.parked += 1;
+            st = pool
+                .work_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+            st.parked -= 1;
         }
     }
 }
@@ -359,13 +391,13 @@ mod tests {
     fn width_one_region_runs_inline() {
         let tid = std::thread::current().id();
         // body is Fn + Sync, so record through a mutex-guarded slot.
-        let slot = parking_lot::Mutex::new(None);
+        let slot = Mutex::new(None);
         ThreadPool::global().run_width(1, |t| {
             assert_eq!(t, 0);
-            *slot.lock() = Some(std::thread::current().id());
+            *lock(&slot) = Some(std::thread::current().id());
         });
         assert_eq!(
-            *slot.lock(),
+            *lock(&slot),
             Some(tid),
             "width-1 region must run on the caller"
         );
@@ -392,15 +424,15 @@ mod tests {
         let pool = ThreadPool::global();
         pool.warm(4);
         let worker_ids = || {
-            let ids = parking_lot::Mutex::new(BTreeSet::new());
+            let ids = Mutex::new(BTreeSet::new());
             let caller = std::thread::current().id();
             pool.run_width(4, |_| {
                 let id = std::thread::current().id();
                 if id != caller {
-                    ids.lock().insert(format!("{id:?}"));
+                    lock(&ids).insert(format!("{id:?}"));
                 }
             });
-            ids.into_inner()
+            ids.into_inner().unwrap()
         };
         let first = worker_ids();
         assert_eq!(first.len(), 3, "width-4 region uses 3 dedicated workers");
