@@ -51,6 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Hard cap on a frame body, in bytes. Every real response (a rendered
 /// table is a few KiB) fits with orders of magnitude to spare; anything
@@ -386,15 +387,16 @@ impl Server {
     }
 
     /// Accept and serve connections until a `Shutdown` request arrives,
-    /// then drain and return. Blocks the calling thread.
-    pub fn run(self) -> std::io::Result<()> {
+    /// then drain and return. Blocks the calling thread. A failed accept
+    /// (out of descriptors) is retried, never returned.
+    pub fn run(self) {
         let service = self.service;
         let stop = Arc::new(AtomicBool::new(false));
         // Each connection's thread, beside a second handle on its socket
         // for closing the read half at shutdown.
         let mut conns: Vec<(JoinHandle<()>, Stream)> = Vec::new();
         loop {
-            let mut stream = self.listener.accept()?;
+            let accepted = self.listener.accept();
             if stop.load(Ordering::SeqCst) {
                 break;
             }
@@ -402,6 +404,13 @@ impl Server {
             for (done, _) in conns.extract_if(.., |(h, _)| h.is_finished()) {
                 let _ = done.join();
             }
+            // Out of descriptors: the connection waits in the backlog while
+            // the sweep above frees some; the pause keeps an exhausted
+            // server from spinning.
+            let Ok(mut stream) = accepted else {
+                std::thread::sleep(Duration::from_millis(10));
+                continue;
+            };
             // Out of descriptors or threads: this connection is dropped
             // (closed) unserved, and the server keeps accepting.
             let Ok(reader) = stream.try_clone() else {
@@ -436,7 +445,6 @@ impl Server {
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
-        Ok(())
     }
 }
 

@@ -241,16 +241,9 @@ fn run_serve(addr: &str, scale: WorkloadScale, use_cache: bool) -> ! {
     };
     println!("serving on {}", server.local_addr());
     std::io::stdout().flush().ok();
-    match server.run() {
-        Ok(()) => {
-            eprintln!("serve: shutdown complete");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("serve: accept loop failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    server.run();
+    eprintln!("serve: shutdown complete");
+    std::process::exit(0);
 }
 
 /// Per-connection tally from one load-generator thread.
