@@ -260,6 +260,19 @@ if grep -n 'serde' crates/sthreads/Cargo.toml; then
   echo "sthreads depends on serde again" >&2
   exit 1
 fi
+# Every `[dependencies]` entry is named in its crate's code (`-` read as
+# `_`): under `src/`, and for the root package under src, tests and
+# examples. The two greps above forbid a dependency even when it is used.
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  dir=$(dirname "$manifest")
+  if [ "$dir" = . ]; then code="src tests examples"; else code="$dir/src"; fi
+  for dep in $(sed -n '/^\[dependencies\]/,/^\[/s/^\([A-Za-z0-9_-]\+\)[. =].*/\1/p' "$manifest"); do
+    if ! grep -rqw "${dep//-/_}" $code; then
+      echo "$manifest lists $dep, which nothing under $code names" >&2
+      exit 1
+    fi
+  done
+done
 # So is mta-sim's second issue rule — the lookahead mode with its
 # register scoreboard — and the two instructions no assembler emitted.
 # mta-run's exit-code test keeps one row that the deleted flag is refused.
@@ -296,6 +309,15 @@ if grep -rn 'ThreadPool::new\|ThreadPool::host\|scope_threads\|PoolShared' \
   crates src tests examples README.md EXPERIMENTS.md DESIGN.md docs .claude |
   grep -v '^docs/LAYERS.md:'; then
   echo "an explicit pool or scope_threads is referenced again" >&2
+  exit 1
+fi
+# So is the vendored lock crate: `sthreads` states its synchronisation
+# with `std::sync` alone (the notify skip is two `PoolState` fields read
+# under the state lock), and so do `c3i`'s two lock sites.
+if grep -rn 'parking_lot' \
+  crates src tests examples docs Cargo.toml Cargo.lock README.md EXPERIMENTS.md DESIGN.md .claude |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "the deleted parking_lot stand-in is referenced again" >&2
   exit 1
 fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
