@@ -153,13 +153,10 @@ fn process_threat<R: Rec>(
         // Merge into the shared masking array block by block, locking each
         // block around its overlap.
         for (bi, bj) in blocking.blocks_overlapping(&region) {
-            // A lock poisoned by another body's panic still guards its
-            // block: the region re-raises that panic, not a `PoisonError`.
-            let _guard = locks.map(|l| {
-                l[bi * blocking.nb() + bj]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-            });
+            // A poisoned lock still guards its block: the region re-raises
+            // the panicking body's payload, not a `PoisonError`.
+            let block = locks.map(|l| &l[bi * blocking.nb() + bj]);
+            let _guard = block.map(|m| m.lock().unwrap_or_else(PoisonError::into_inner));
             r.sync(2); // lock + unlock
             let (bx0, by0, bx1, by1) = blocking.block_bounds(bi, bj);
             let x0 = bx0.max(region.x0);

@@ -51,7 +51,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Hard cap on a frame body, in bytes. Every real response (a rendered
 /// table is a few KiB) fits with orders of magnitude to spare; anything
@@ -404,11 +403,10 @@ impl Server {
             for (done, _) in conns.extract_if(.., |(h, _)| h.is_finished()) {
                 let _ = done.join();
             }
-            // Out of descriptors: the connection waits in the backlog while
-            // the sweep above frees some; the pause keeps an exhausted
-            // server from spinning.
+            // Out of descriptors: the connection waits in the backlog until
+            // the sweep frees some, and the pause keeps the loop from spinning.
             let Ok(mut stream) = accepted else {
-                std::thread::sleep(Duration::from_millis(10));
+                std::thread::sleep(std::time::Duration::from_millis(10));
                 continue;
             };
             // Out of descriptors or threads: this connection is dropped

@@ -1,12 +1,10 @@
 //! The `repro` binary from the outside: what it prints and how it exits
 //! on the command lines a unit test of the parser cannot reach.
 
-use eval_core::service::EvalRequest;
-use eval_core::wire::Client;
+use eval_core::wire::{read_frame, write_frame};
 use std::os::unix::net::UnixStream;
 use std::process::{Command, Output, Stdio};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -179,81 +177,48 @@ fn an_unwritable_csv_dir_exits_one_naming_the_path() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// A child process that is killed and reaped however the test ends.
-struct Reaped(std::process::Child);
-
-impl Drop for Reaped {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Run `f` on a thread of its own and give up on it after `secs`.
-fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || tx.send(f()));
-    rx.recv_timeout(Duration::from_secs(secs)).ok()
-}
-
-/// Out of descriptors, `--serve` keeps accepting: a burst of held
-/// connections past its descriptor limit waits in the backlog, and once
-/// the burst closes the server answers a `Ping`, acknowledges `Shutdown`,
-/// removes its socket and exits 0.
+/// Out of descriptors, `--serve` keeps accepting: once a burst of held
+/// connections past its limit closes, it answers a `Ping`, acknowledges
+/// `Shutdown`, removes its socket and exits 0, each within a deadline.
 #[test]
 fn serve_outlives_a_descriptor_burst() {
-    let base = std::env::temp_dir().join(format!("repro-cli-burst-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).unwrap();
-    let sock = base.join("serve.sock");
-    let addr = sock.to_str().unwrap().to_string();
-    let mut server = Reaped(
-        Command::new("sh")
-            .args([
-                "-c",
-                r#"ulimit -n 48 && exec "$0" --reduced --no-cache --serve "$1""#,
-            ])
-            .arg(env!("CARGO_BIN_EXE_repro"))
-            .arg(&sock)
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn repro --serve"),
-    );
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !sock.exists() && Instant::now() < deadline {
+    let sock = std::env::temp_dir().join(format!("repro-cli-burst-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let server = Command::new("sh")
+        .args([
+            "-c",
+            r#"ulimit -n 48 && exec timeout 60 "$0" --reduced --no-cache --serve "$1""#,
+        ])
+        .arg(env!("CARGO_BIN_EXE_repro"))
+        .arg(&sock)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn repro --serve");
+    for _ in 0..3000 {
+        if sock.exists() {
+            break;
+        }
         std::thread::sleep(Duration::from_millis(20));
     }
-
     let burst: Vec<UnixStream> = (0..60)
-        .map(|_| UnixStream::connect(&sock).expect("connect into the backlog"))
+        .map(|_| UnixStream::connect(&sock).unwrap())
         .collect();
     std::thread::sleep(Duration::from_millis(300));
     drop(burst);
 
-    let ping = addr.clone();
-    let pong = within(30, move || {
-        Client::connect(&ping).ok()?.call(EvalRequest::Ping).ok()
-    });
-    let pong = pong.flatten().and_then(|r| r.ok);
-    let ack = within(30, move || {
-        Client::connect(&addr).ok()?.shutdown_server().ok()
-    });
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        match server.0.try_wait().expect("poll the server") {
-            Some(status) => break Some(status),
-            None if Instant::now() > deadline => break None,
-            None => std::thread::sleep(Duration::from_millis(20)),
-        }
+    let call = |request: &str| -> Option<String> {
+        let mut conn = UnixStream::connect(&sock).ok()?;
+        conn.set_read_timeout(Some(Duration::from_secs(30))).ok()?;
+        write_frame(&mut conn, request.as_bytes()).ok()?;
+        String::from_utf8(read_frame(&mut conn).ok()??).ok()
     };
-    let mut err = String::new();
-    if status.is_some() {
-        std::io::Read::read_to_string(server.0.stderr.as_mut().unwrap(), &mut err).unwrap();
-    }
-    assert_eq!(pong.as_deref(), Some("pong"), "{err}");
-    assert!(ack.flatten().is_some_and(|r| r.error.is_none()), "{err}");
-    assert_eq!(status.and_then(|s| s.code()), Some(0), "{err}");
+    let pong = call(r#"{"Eval": {"id": 1, "request": "Ping"}}"#);
+    let ack = call(r#"{"Shutdown": {"id": 2}}"#);
+    let out = server.wait_with_output().unwrap();
+    let err = stderr(&out);
+    assert!(pong.is_some_and(|r| r.contains(r#""ok":"pong""#)), "{err}");
+    assert!(ack.is_some_and(|r| r.contains(r#""error":null"#)), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
     assert!(!sock.exists(), "the server removes its socket");
-    let _ = std::fs::remove_dir_all(&base);
 }

@@ -18,10 +18,10 @@
 //! Program 2's chunk shape run on it. Whether a loop opens a region is
 //! decided by its caller's thread and task counts alone.
 
-use crate::pool::ThreadPool;
+use crate::pool::{unpoisoned, ThreadPool};
 use crate::queue::WorkQueue;
 use crate::stats;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// Bounds of one static chunk, as produced by [`ParFor::chunks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,15 +186,11 @@ where
     let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
     ParFor::new(0..n_tasks).threads(n_threads).run(|i| {
         let value = f(i);
-        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
+        *unpoisoned(slots[i].lock()) = Some(value);
     });
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("par_map: every index runs once")
-        })
+        .map(|slot| unpoisoned(slot.into_inner()).expect("par_map: every index runs once"))
         .collect()
 }
 

@@ -29,19 +29,18 @@
 //! opened from inside another falls back to plain scoped threads, so
 //! re-entrancy can never deadlock the pool.
 //!
-//! Every handoff is decided under one lock, the one over `PoolState`,
-//! and that includes who waits: a thread records itself there before it
-//! parks, so a publish or a last finish that finds nobody parked makes no
-//! futex wake. The locks are `std::sync`'s with poison mapped to the
-//! guard: `run_width` re-raises a body's panic while it still holds the
-//! region lock, and the next region must open regardless.
+//! Every handoff is decided under the one lock over `PoolState`, who
+//! waits included, so a publish or a last finish that finds nobody parked
+//! makes no futex wake. The locks are `std::sync`'s with poison mapped to
+//! the guard: `run_width` re-raises a body's panic while it still holds
+//! the region lock, and the next region must open regardless.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Condvar, LockResult, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::stats;
@@ -115,11 +114,11 @@ struct PoolState {
     caller_parked: bool,
 }
 
-/// Lock `mutex`, mapping poison to the guard: a region that re-raised a
-/// body's panic poisoned the region lock, and the pool's state stays
-/// consistent across a panicking body (bodies run outside the state lock).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+/// The guard of a lock or wait, poisoned or not: a region that re-raised a
+/// body's panic poisoned the region lock, and what the crate's locks guard
+/// stays consistent across a panicking body (no body runs under them).
+pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The process-wide worker pool, [`ThreadPool::global`]; there is no
@@ -173,7 +172,7 @@ impl ThreadPool {
     /// Pre-spawn the workers a region of `width` logical threads needs, so
     /// the first timed region does not pay thread-creation cost.
     pub fn warm(&'static self, width: usize) {
-        let mut st = lock(&self.state);
+        let mut st = unpoisoned(self.state.lock());
         self.ensure_workers_locked(&mut st, width.saturating_sub(1));
     }
 
@@ -202,7 +201,7 @@ impl ThreadPool {
             spawn_region(width, &body);
             return;
         }
-        let _region = lock(&self.region);
+        let _region = unpoisoned(self.region.lock());
 
         // SAFETY: the job pointer is dereferenced only by workers between
         // the publish below and their `active` decrement, and this frame
@@ -215,7 +214,7 @@ impl ThreadPool {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(&body)
         };
         let wake = {
-            let mut st = lock(&self.state);
+            let mut st = unpoisoned(self.state.lock());
             self.ensure_workers_locked(&mut st, width - 1);
             st.epoch += 1;
             st.job = Some(Job {
@@ -241,13 +240,10 @@ impl ThreadPool {
 
         watch(|| self.active_hint.load(Ordering::Acquire) == 0);
         let worker_panic = {
-            let mut st = lock(&self.state);
+            let mut st = unpoisoned(self.state.lock());
             while st.active > 0 {
                 st.caller_parked = true;
-                st = self
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
+                st = unpoisoned(self.done_cv.wait(st));
                 st.caller_parked = false;
             }
             st.job = None;
@@ -288,7 +284,7 @@ fn worker_loop(pool: &ThreadPool, index: usize, mut seen_epoch: u64) -> ! {
     // Worker threads only ever execute region bodies, so a nested
     // region opened from one must always take the scoped fallback.
     IN_PARALLEL_REGION.set(true);
-    let mut st = lock(&pool.state);
+    let mut st = unpoisoned(pool.state.lock());
     loop {
         if st.epoch != seen_epoch {
             seen_epoch = st.epoch;
@@ -298,7 +294,7 @@ fn worker_loop(pool: &ThreadPool, index: usize, mut seen_epoch: u64) -> ! {
             if let Some(body) = job.map(|j| j.body) {
                 drop(st);
                 let result = catch_unwind(AssertUnwindSafe(|| body(index + 1)));
-                st = lock(&pool.state);
+                st = unpoisoned(pool.state.lock());
                 if let Err(payload) = result {
                     if st.panic.is_none() {
                         st.panic = Some(payload);
@@ -314,16 +310,13 @@ fn worker_loop(pool: &ThreadPool, index: usize, mut seen_epoch: u64) -> ! {
         }
         drop(st);
         let handed = watch(|| pool.epoch_hint.load(Ordering::Acquire) != seen_epoch);
-        st = lock(&pool.state);
+        st = unpoisoned(pool.state.lock());
         // Re-checked under the lock: a publish may have landed between the
         // last look and the lock.
         if !handed && st.epoch == seen_epoch {
             stats::record_park();
             st.parked += 1;
-            st = pool
-                .work_cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+            st = unpoisoned(pool.work_cv.wait(st));
             st.parked -= 1;
         }
     }
@@ -394,10 +387,10 @@ mod tests {
         let slot = Mutex::new(None);
         ThreadPool::global().run_width(1, |t| {
             assert_eq!(t, 0);
-            *lock(&slot) = Some(std::thread::current().id());
+            *slot.lock().unwrap() = Some(std::thread::current().id());
         });
         assert_eq!(
-            *lock(&slot),
+            *slot.lock().unwrap(),
             Some(tid),
             "width-1 region must run on the caller"
         );
@@ -429,7 +422,7 @@ mod tests {
             pool.run_width(4, |_| {
                 let id = std::thread::current().id();
                 if id != caller {
-                    lock(&ids).insert(format!("{id:?}"));
+                    ids.lock().unwrap().insert(format!("{id:?}"));
                 }
             });
             ids.into_inner().unwrap()
@@ -588,9 +581,8 @@ mod tests {
     fn parked_threads_are_woken_on_both_condvars() {
         // Even rounds: the workers outlast the caller's window, so it parks
         // on `done_cv` and the last finish must wake it. Odd rounds: the
-        // workers' windows close before the publish, so they park on
-        // `work_cv` and the publish must wake every one. A skip that is
-        // not exact loses a wakeup, which hangs the rounds, not the test.
+        // workers park on `work_cv` before the publish, which must wake
+        // them all. A lost wakeup hangs the rounds, not the test.
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let pool = ThreadPool::global();
@@ -611,18 +603,14 @@ mod tests {
             done.send(()).unwrap();
         });
         match finished.recv_timeout(Duration::from_secs(30)) {
-            Ok(()) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("a round failed"),
-            // The wedged region holds the region lock, so every later
-            // region in this binary would hang too: end the process.
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                use std::io::Write;
-                let _ = writeln!(
-                    std::io::stderr(),
-                    "lost wakeup: a parked thread was never woken"
-                );
+                // The wedged region holds the region lock, so every later
+                // region in this binary would hang too: end the process.
+                let lost = "lost wakeup: a parked thread was never woken\n";
+                let _ = std::io::Write::write_all(&mut std::io::stderr(), lost.as_bytes());
                 std::process::exit(101);
             }
+            result => result.expect("a round failed"),
         }
     }
 
