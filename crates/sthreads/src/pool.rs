@@ -115,8 +115,8 @@ struct PoolState {
 }
 
 /// The guard of a lock or wait, poisoned or not: a region that re-raised a
-/// body's panic poisoned the region lock, and what the crate's locks guard
-/// stays consistent across a panicking body (no body runs under them).
+/// body's panic poisoned the region lock, which guards nothing, and the
+/// state lock and `par_map`'s slots are never held while a body runs.
 pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
