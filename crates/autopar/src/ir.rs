@@ -282,6 +282,34 @@ impl LoopNest {
         out
     }
 
+    /// Whether scalar `name` is live at the body's entry: some iteration
+    /// reads it before writing it, so a value flows in around the back
+    /// edge. A written scalar that is not live at entry is defined before
+    /// it is used in every iteration: privatizable.
+    ///
+    /// A read is a [`Stmt::reads`] entry or an identifier-shaped opaque
+    /// subscript ([`Expr::opaque_scalar`]); within one statement reads
+    /// happen before writes, so `x = x + 1` reads `x`. The body's control
+    /// flow is program order plus one back edge per loop, and no edge
+    /// skips forward, so every path from the entry reaches a statement
+    /// only after passing each one before it. The first statement that
+    /// touches `name` therefore decides: live if it reads `name`, not
+    /// live if it only writes it. An untouched name is not live.
+    pub fn live_at_entry(&self, name: &str) -> bool {
+        for s in self.all_stmts() {
+            let mut subscripts = s.arrays.iter().flat_map(|a| &a.indices);
+            if s.reads.iter().any(|r| r == name)
+                || subscripts.any(|e| e.opaque_scalar() == Some(name))
+            {
+                return true;
+            }
+            if s.writes.iter().any(|w| w == name) {
+                return false;
+            }
+        }
+        false
+    }
+
     /// Variables private to the body at any nesting level (inner loop
     /// variables are private by construction).
     pub fn all_private(&self) -> Vec<String> {

@@ -9,7 +9,7 @@
 //! benchmark loops.
 
 use autopar::dataflow::{solve, BitSet, Facts};
-use autopar::{LoopNest, Node, Stmt};
+use autopar::{Expr, LoopNest, Node, Stmt};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -105,41 +105,75 @@ fn check_against_oracle(l: &LoopNest, facts: &Facts) -> Result<(), String> {
     Ok(())
 }
 
-/// A small random loop nest: statements with reads/writes over a fixed
-/// scalar pool, at up to three nesting levels.
+/// The scalar pool every generated statement draws from.
+const POOL: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+
+/// Every name the entry query is checked for: the pool, whether or not
+/// the loop touches it, and every scalar the loop reads, writes or uses
+/// as a subscript.
+fn queried_names(l: &LoopNest) -> Names {
+    let g = NaiveCfg::of(l);
+    let touched = g.uses.into_iter().chain(g.defs).flatten();
+    POOL.iter().map(|n| n.to_string()).chain(touched).collect()
+}
+
+/// The first-touch scan answers the entry query as the solver does.
+fn scan_matches_solver(l: &LoopNest) -> Result<(), String> {
+    let facts = solve(l);
+    for name in queried_names(l) {
+        if l.live_at_entry(&name) != facts.live_at_entry(&name) {
+            return Err(format!("live_at_entry({name}) differs on {}", l.label));
+        }
+    }
+    Ok(())
+}
+
+/// A small random loop nest: statements with reads, writes and opaque
+/// subscripts over [`POOL`], and nested loops placed before, between and
+/// after them, up to three levels below the analyzed loop.
 fn arb_loop() -> impl Strategy<Value = LoopNest> {
-    const POOL: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+    fn name() -> impl Strategy<Value = String> {
+        (0usize..POOL.len()).prop_map(|i| POOL[i].to_string())
+    }
+    // One past the pool is free text: an opaque subscript that reads no
+    // scalar.
+    let subscript = (0usize..POOL.len() + 1, 0usize..2).prop_map(|(i, write)| {
+        let text = POOL.get(i).copied().unwrap_or("x in region");
+        (Expr::Opaque(text.to_string()), write == 1)
+    });
     let stmt = (
-        proptest::collection::vec(0usize..POOL.len(), 0..3),
-        proptest::collection::vec(0usize..POOL.len(), 0..3),
+        proptest::collection::vec(name(), 0..3),
+        proptest::collection::vec(name(), 0..3),
+        proptest::collection::vec(subscript, 0..2),
     )
-        .prop_map(|(reads, writes)| {
+        .prop_map(|(reads, writes, subscripts)| {
             let mut s = Stmt::new("gen");
-            s.reads = reads.iter().map(|&i| POOL[i].to_string()).collect();
-            s.writes = writes.iter().map(|&i| POOL[i].to_string()).collect();
+            s.reads = reads;
+            s.writes = writes;
+            for (e, write) in subscripts {
+                s = s.array("m", vec![e], write);
+            }
             s
         });
-    proptest::collection::vec((stmt, 0usize..3), 1..8).prop_map(|items| {
-        // depth 0 statements go in the outer loop, 1 in a middle nest,
-        // 2 in an inner nest — enough shape variety to exercise multiple
-        // back edges.
-        let mut outer = LoopNest::new("outer", "i");
-        let mut mid = LoopNest::new("mid", "j");
-        let mut inner = LoopNest::new("inner", "k");
-        for (s, depth) in items {
-            match depth {
-                0 => outer = outer.stmt(s),
-                1 => mid = mid.stmt(s),
-                _ => inner = inner.stmt(s),
+    // Each event adds a statement to the innermost open loop (four in
+    // six), opens a nested loop, or closes the innermost one.
+    proptest::collection::vec((0usize..6, stmt), 1..12).prop_map(|events| {
+        fn close(open: &mut Vec<LoopNest>) {
+            let inner = open.pop().unwrap();
+            open.last_mut().unwrap().body.push(Node::Loop(inner));
+        }
+        let mut open = vec![LoopNest::new("outer", "i")];
+        for (kind, s) in events {
+            match kind {
+                4 if open.len() < 4 => open.push(LoopNest::new("nest", "j")),
+                5 if open.len() > 1 => close(&mut open),
+                _ => open.last_mut().unwrap().body.push(Node::Stmt(s)),
             }
         }
-        if !inner.body.is_empty() {
-            mid = mid.nest(inner);
+        while open.len() > 1 {
+            close(&mut open);
         }
-        if !mid.body.is_empty() {
-            outer = outer.nest(mid);
-        }
-        outer
+        open.pop().unwrap()
     })
 }
 
@@ -151,6 +185,12 @@ proptest! {
         let checked = check_against_oracle(&l, &solve(&l));
         prop_assert!(checked.is_ok(), "{:?}", checked);
     }
+
+    #[test]
+    fn scanned_liveness_equals_the_solver(l in arb_loop()) {
+        let checked = scan_matches_solver(&l);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
+    }
 }
 
 /// The benchmark encodings themselves (the only loops with subscript
@@ -159,5 +199,12 @@ proptest! {
 fn benchmark_loops_match_the_naive_fixpoint() {
     for l in autopar::programs::benchmark_loops() {
         check_against_oracle(&l, &solve(&l)).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+#[test]
+fn benchmark_loops_scan_as_the_solver_solves() {
+    for l in autopar::programs::benchmark_loops() {
+        scan_matches_solver(&l).unwrap_or_else(|e| panic!("{e}"));
     }
 }
