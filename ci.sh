@@ -99,9 +99,11 @@ echo "== differential fuzz smoke (fixed seed) =="
 
 echo "== autopar oracle + soundness suites =="
 # The dataflow pass's contract, by name (see docs/AUTOPAR.md): the
-# liveness the bitset worklist solves equals a naive round-robin
+# scalars the first-touch scan (`LoopNest::live_at_entry`) calls live at
+# the body's entry are exactly the entry set of a naive round-robin
 # fixpoint over BTreeSet<String> that shares no code with it, on random
-# three-level loop nests and the five benchmark loops (liveness_oracle);
+# nests up to four levels deep and the five benchmark loops
+# (liveness_oracle);
 # every PARALLEL verdict also *executes* bit-identically — random loop
 # bodies interpreted sequentially vs uneven workers under adversarial
 # iteration orders, privatized temps poisoned (exec_soundness);
@@ -180,6 +182,14 @@ fi
 if grep -rni 'scc\|n_workers\|reach_in\|gen_rd\|AnalysisOptions' \
   crates/autopar crates/core/src; then
   echo "the deleted autopar dataflow paths are referenced again" >&2
+  exit 1
+fi
+# So is the bitset worklist liveness solver with its CFG: liveness at the
+# body's entry is `LoopNest::live_at_entry`, a first-touch scan.
+if grep -rn 'autopar::dataflow\|dataflow::solve\|\<BitSet\>\|Cfg::from_loop\|pub mod dataflow' \
+  crates src tests examples docs README.md EXPERIMENTS.md DESIGN.md .claude |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "the deleted liveness solver is referenced again" >&2
   exit 1
 fi
 # So is the surface no root reached (docs/LAYERS.md, the reachability

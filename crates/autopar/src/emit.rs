@@ -13,7 +13,7 @@
 //! * dense affine loops block statically ([`Schedule::Static`]), the
 //!   paper's `(chunk*n)/num_chunks` expression.
 
-use crate::ir::{Expr, LoopNest, Node, Reduction};
+use crate::ir::{Expr, LoopNest, Reduction};
 use crate::reduction::DataflowVerdict;
 
 /// How a plan hands iterations to workers: the two schedules of the
@@ -58,16 +58,10 @@ pub struct ParallelPlan {
 /// Does any subscript in the nest fall outside affine-in-some-variable
 /// analysis (the irregular-access signal for the schedule heuristic)?
 fn any_opaque_subscript(l: &LoopNest) -> bool {
-    fn walk(nodes: &[Node]) -> bool {
-        nodes.iter().any(|n| match n {
-            Node::Stmt(s) => s
-                .arrays
-                .iter()
-                .any(|a| a.indices.iter().any(|e| matches!(e, Expr::Opaque(_)))),
-            Node::Loop(l) => walk(&l.body),
-        })
-    }
-    walk(&l.body)
+    l.all_stmts()
+        .iter()
+        .flat_map(|s| &s.arrays)
+        .any(|a| a.indices.iter().any(|e| matches!(e, Expr::Opaque(_))))
 }
 
 /// Emit the plan for a loop the dataflow pass (or the programmer's

@@ -367,6 +367,57 @@ mod tests {
     }
 
     #[test]
+    fn live_at_entry_is_decided_by_the_first_touch() {
+        // for i { y = y + x; x = a[i] }: y's use sees the last iteration's
+        // x around the back edge.
+        let carried = LoopNest::new("carried", "i")
+            .stmt(Stmt::new("y = y + x").reads(&["y", "x"]).writes(&["y"]))
+            .stmt(
+                Stmt::new("x = a[i]")
+                    .writes(&["x"])
+                    .array("a", vec![Expr::var("i")], false),
+            );
+        // for i { t = a[i]; b[i] = t }: t is defined before every use.
+        let def_before_use = LoopNest::new("def before use", "i")
+            .stmt(
+                Stmt::new("t = a[i]")
+                    .writes(&["t"])
+                    .array("a", vec![Expr::var("i")], false),
+            )
+            .stmt(
+                Stmt::new("b[i] = t")
+                    .reads(&["t"])
+                    .array("b", vec![Expr::var("i")], true),
+            );
+        // for i: out[k] = i, whose subscript reads k.
+        let subscript = LoopNest::new("opaque subscript", "i").stmt(Stmt::new("out[k] = i").array(
+            "out",
+            vec![Expr::Opaque("k".into())],
+            true,
+        ));
+        // Free text in a subscript reads nothing.
+        let free_text = LoopNest::new("free text", "t").stmt(Stmt::new("m[region] = ...").array(
+            "m",
+            vec![Expr::Opaque("x in region".into())],
+            true,
+        ));
+        let empty = LoopNest::new("empty", "i");
+        assert!(empty.all_stmts().is_empty());
+        let cases = [
+            (&carried, "x", true),
+            (&carried, "y", true),
+            (&def_before_use, "t", false),
+            (&subscript, "k", true),
+            (&free_text, "x in region", false),
+            (&free_text, "x", false),
+            (&empty, "anything", false),
+        ];
+        for (l, name, live) in cases {
+            assert_eq!(l.live_at_entry(name), live, "{name} on {}", l.label);
+        }
+    }
+
+    #[test]
     fn expr_var_is_identity_affine() {
         assert_eq!(
             Expr::var("i"),

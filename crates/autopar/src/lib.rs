@@ -23,10 +23,11 @@
 //!   scalar/affine (GCD) subscript tests — the 1998 stance, on which the
 //!   paper's Programs 1–4 ([`programs`]) reach exactly the published
 //!   verdicts;
-//! * a bitset liveness solver ([`dataflow`]): one sequential worklist
-//!   over the flattened CFG, checked against an independent naive
-//!   fixpoint (`tests/liveness_oracle.rs`);
-//! * recognition on top of the solved facts ([`reduction`]): associative
+//! * scalar liveness at the loop body's entry
+//!   ([`LoopNest::live_at_entry`]): a first-touch scan in program order,
+//!   checked against an independent naive fixpoint
+//!   (`tests/liveness_oracle.rs`);
+//! * recognition on top of liveness ([`reduction`]): associative
 //!   reductions, scalar/array privatization, the `out[count++]`
 //!   compaction idiom, and interprocedural purity summaries — each
 //!   clearing (and each residual rejection) carrying statement-level
@@ -42,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod dataflow;
 pub mod deps;
 pub mod emit;
 pub mod ir;

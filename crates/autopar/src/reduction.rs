@@ -2,8 +2,8 @@
 //! on top of the conservative dependence test.
 //!
 //! Where [`crate::deps::analyze_loop`] reproduces the paper's compilers —
-//! every obstacle is a rejection — this pass consumes the solved
-//! [`crate::dataflow::Facts`] and *clears* the obstacles that modern
+//! every obstacle is a rejection — this pass reads scalar liveness
+//! ([`LoopNest::live_at_entry`]) and *clears* the obstacles that modern
 //! analysis handles, recording each clearing with statement provenance:
 //!
 //! * **reductions** — a shared scalar touched only by consistent
@@ -30,7 +30,6 @@
 //! blocking statement — the honesty requirement: Programs 3 and 4 keep
 //! their genuinely carried dependences.
 
-use crate::dataflow::{self, Facts};
 use crate::deps;
 use crate::ir::{ArrayRef, Expr, LoopNest, ReduceOp, Reduction, Stmt};
 use crate::report::{ClearedKind, Clearing, LoopVerdict, Reason, ReasonKind, Report};
@@ -169,11 +168,11 @@ impl std::fmt::Display for DataflowReport {
 /// intermediate values may appear, but only as *store* subscripts in the
 /// same statement that bumps the counter (the `out[count++] = v` idiom
 /// the compaction recognizer then validates on the array side).
-fn recognized_reduction<'a>(w: &str, stmts: &'a [Stmt]) -> Option<(ReduceOp, &'a Stmt)> {
+fn recognized_reduction<'a>(w: &str, stmts: &[&'a Stmt]) -> Option<(ReduceOp, &'a Stmt)> {
     let mut op: Option<ReduceOp> = None;
     let mut anchor: Option<&Stmt> = None;
     // First pass: operator consistency and no stray touches.
-    for s in stmts {
+    for &s in stmts {
         match s.reductions.iter().find(|r| r.name == w) {
             Some(r) => {
                 if op.is_some_and(|o| o != r.op) {
@@ -210,7 +209,7 @@ fn recognized_reduction<'a>(w: &str, stmts: &'a [Stmt]) -> Option<(ReduceOp, &'a
 
 /// Is scratch array `name` privatizable: every read covered by an earlier
 /// same-iteration write with identical subscript expressions?
-fn array_privatizable(name: &str, stmts: &[Stmt]) -> bool {
+fn array_privatizable(name: &str, stmts: &[&Stmt]) -> bool {
     let mut written: Vec<&Vec<Expr>> = Vec::new();
     let mut any = false;
     for s in stmts {
@@ -258,8 +257,7 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
         };
     }
 
-    let facts: Facts = dataflow::solve(l);
-    let stmts = &facts.cfg.stmts;
+    let stmts = l.all_stmts();
     let private: BTreeSet<String> = l.all_private().into_iter().collect();
     let scratch: BTreeSet<String> = l.all_scratch().into_iter().collect();
 
@@ -271,12 +269,12 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
 
     // --- scalars, in order of first write ---
     let mut seen: BTreeSet<&str> = BTreeSet::new();
-    for s in stmts {
+    for s in &stmts {
         for w in &s.writes {
             if w == &l.var || private.contains(w) || !seen.insert(w) {
                 continue;
             }
-            if let Some((op, anchor)) = recognized_reduction(w, stmts) {
+            if let Some((op, anchor)) = recognized_reduction(w, &stmts) {
                 clearings.push(Clearing::at(
                     ClearedKind::Reduction {
                         name: w.clone(),
@@ -291,7 +289,7 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
                 if op == ReduceOp::Count {
                     counters.insert(w.clone());
                 }
-            } else if !facts.live_at_entry(w) {
+            } else if !l.live_at_entry(w) {
                 clearings.push(Clearing::at(
                     ClearedKind::PrivatizedScalar { name: w.clone() },
                     s,
@@ -309,7 +307,7 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
     // --- calls ---
     let mut cleared_calls: Vec<String> = Vec::new();
     let mut called: BTreeSet<&str> = BTreeSet::new();
-    for s in stmts {
+    for s in &stmts {
         for c in &s.calls {
             if !called.insert(c) {
                 continue;
@@ -335,7 +333,7 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
     // part in conflict testing.
     let mut privatized_arrays: Vec<String> = Vec::new();
     for name in &scratch {
-        if array_privatizable(name, stmts) {
+        if array_privatizable(name, &stmts) {
             let anchor = stmts
                 .iter()
                 .find(|s| s.arrays.iter().any(|a| a.array == *name && a.write))
@@ -353,7 +351,7 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
 
     let mut compactions: Vec<(String, String)> = Vec::new();
     let mut seen_pairs: BTreeSet<(String, String)> = BTreeSet::new();
-    for s1 in stmts {
+    for s1 in &stmts {
         for a in s1.arrays.iter().filter(|a| a.write) {
             if privatized.contains(a.array.as_str()) {
                 continue;
@@ -378,7 +376,7 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
                     continue;
                 }
             }
-            for s2 in stmts {
+            for s2 in &stmts {
                 for b in &s2.arrays {
                     if privatized.contains(b.array.as_str()) {
                         continue;

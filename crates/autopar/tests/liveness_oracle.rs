@@ -1,14 +1,15 @@
-//! The liveness the solver reports equals an independent fixpoint.
+//! The liveness the analysis reads equals an independent fixpoint.
 //!
-//! The oracle shares no code with `autopar::dataflow`: it flattens the
-//! loop nest itself, keeps its sets as `BTreeSet<String>`, and recomputes
+//! The analysis asks one question: is a scalar live at the loop body's
+//! entry (`LoopNest::live_at_entry`, a first-touch scan in program
+//! order)? The oracle shares no code with it: it flattens the loop nest
+//! itself into a control-flow graph (fall-through edges and one back edge
+//! per loop), keeps its sets as `BTreeSet<String>`, and recomputes
 //! `live_in = use ∪ (live_out − def)` for every node, round-robin, until
-//! nothing changes. The least fixpoint of a monotone union problem is
-//! unique, so the bitset worklist must land on exactly the same names at
-//! every node — checked on random three-level loop nests and on the five
-//! benchmark loops.
+//! nothing changes. Its entry node's set must hold exactly the names the
+//! scan calls live — checked on random nests up to four levels deep and
+//! on the five benchmark loops.
 
-use autopar::dataflow::{solve, BitSet, Facts};
 use autopar::{Expr, LoopNest, Node, Stmt};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -83,45 +84,19 @@ impl NaiveCfg {
     }
 }
 
-/// The solver's bitsets, decoded to names through its scalar universe.
-fn names(facts: &Facts, sets: &[BitSet]) -> Vec<Names> {
-    sets.iter()
-        .map(|s| s.iter().map(|i| facts.cfg.scalars[i].clone()).collect())
-        .collect()
-}
-
-fn check_against_oracle(l: &LoopNest, facts: &Facts) -> Result<(), String> {
-    let live_in = NaiveCfg::of(l).liveness();
-    if names(facts, &facts.live_in) != live_in {
-        return Err(format!("live_in differs on {}", l.label));
-    }
-    // The one query the analysis makes.
-    let entry = live_in.first().cloned().unwrap_or_default();
-    for name in &facts.cfg.scalars {
-        if facts.live_at_entry(name) != entry.contains(name) {
-            return Err(format!("live_at_entry({name}) differs on {}", l.label));
-        }
-    }
-    Ok(())
-}
-
 /// The scalar pool every generated statement draws from.
 const POOL: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
 
-/// Every name the entry query is checked for: the pool, whether or not
-/// the loop touches it, and every scalar the loop reads, writes or uses
-/// as a subscript.
-fn queried_names(l: &LoopNest) -> Names {
+/// The scan calls live exactly the names in the fixpoint's entry set.
+/// Checked for every pool name, whether or not the loop touches it, and
+/// every scalar the loop reads, writes or uses as a subscript.
+fn check_against_oracle(l: &LoopNest) -> Result<(), String> {
     let g = NaiveCfg::of(l);
-    let touched = g.uses.into_iter().chain(g.defs).flatten();
-    POOL.iter().map(|n| n.to_string()).chain(touched).collect()
-}
-
-/// The first-touch scan answers the entry query as the solver does.
-fn scan_matches_solver(l: &LoopNest) -> Result<(), String> {
-    let facts = solve(l);
-    for name in queried_names(l) {
-        if l.live_at_entry(&name) != facts.live_at_entry(&name) {
+    let entry = g.liveness().first().cloned().unwrap_or_default();
+    let touched = g.uses.iter().chain(&g.defs).flatten().cloned();
+    let names: Names = POOL.iter().map(|n| n.to_string()).chain(touched).collect();
+    for name in names {
+        if l.live_at_entry(&name) != entry.contains(&name) {
             return Err(format!("live_at_entry({name}) differs on {}", l.label));
         }
     }
@@ -181,30 +156,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn solved_liveness_equals_the_naive_fixpoint(l in arb_loop()) {
-        let checked = check_against_oracle(&l, &solve(&l));
-        prop_assert!(checked.is_ok(), "{:?}", checked);
-    }
-
-    #[test]
-    fn scanned_liveness_equals_the_solver(l in arb_loop()) {
-        let checked = scan_matches_solver(&l);
+    fn scanned_liveness_equals_the_naive_fixpoint(l in arb_loop()) {
+        let checked = check_against_oracle(&l);
         prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 }
 
-/// The benchmark encodings themselves (the only loops with subscript
-/// uses), as a fixed regression.
+/// The benchmark encodings themselves, as a fixed regression.
 #[test]
 fn benchmark_loops_match_the_naive_fixpoint() {
     for l in autopar::programs::benchmark_loops() {
-        check_against_oracle(&l, &solve(&l)).unwrap_or_else(|e| panic!("{e}"));
-    }
-}
-
-#[test]
-fn benchmark_loops_scan_as_the_solver_solves() {
-    for l in autopar::programs::benchmark_loops() {
-        scan_matches_solver(&l).unwrap_or_else(|e| panic!("{e}"));
+        check_against_oracle(&l).unwrap_or_else(|e| panic!("{e}"));
     }
 }
