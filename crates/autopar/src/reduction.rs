@@ -558,6 +558,28 @@ mod tests {
     }
 
     #[test]
+    fn a_compaction_store_still_conflicts_with_another_store_to_its_array() {
+        // The compaction clears `out[n]` as a writer only: `out[i]` may
+        // still land on a slot some other iteration's `out[n]` fills.
+        let l = LoopNest::new("for i", "i")
+            .stmt(
+                Stmt::new("out[n] = a[i]; n++")
+                    .reads(&["n"])
+                    .writes(&["n"])
+                    .reduces_op("n", ReduceOp::Count)
+                    .array("out", vec![Expr::Opaque("n".into())], true)
+                    .array("a", vec![Expr::var("i")], false),
+            )
+            .stmt(Stmt::new("out[i] = 0").array("out", vec![Expr::var("i")], true));
+        let v = df(&l);
+        assert!(!v.verdict.parallel, "{v}");
+        assert_eq!(v.compactions, vec![("out".to_string(), "n".to_string())]);
+        let text = v.verdict.to_string();
+        assert!(text.contains("store to `out`"), "{text}");
+        assert!(text.contains("[`out[i] = 0`]"), "{text}");
+    }
+
+    #[test]
     fn compaction_requires_write_only_array() {
         // Reading back out[] defeats the idiom.
         let l = LoopNest::new("for i", "i").stmt(
