@@ -18,7 +18,7 @@
 //!   asserts independence) — this is how the paper's transformed programs
 //!   were actually compiled.
 
-use crate::ir::{ArrayRef, Expr, LoopNest};
+use crate::ir::{ArrayRef, Expr, LoopNest, Stmt};
 use crate::report::{LoopVerdict, Reason, ReasonKind};
 use std::collections::BTreeSet;
 
@@ -82,10 +82,8 @@ fn dim_may_conflict(a: &Expr, b: &Expr, loop_var: &str) -> bool {
 }
 
 /// Can the reference pair conflict across iterations? Independent if ANY
-/// dimension provably separates them. Shared with the dataflow pass
-/// ([`crate::reduction`]), which runs the same test after clearing
-/// privatized and compacted references.
-pub(crate) fn refs_may_conflict(a: &ArrayRef, b: &ArrayRef, loop_var: &str) -> bool {
+/// dimension provably separates them.
+fn refs_may_conflict(a: &ArrayRef, b: &ArrayRef, loop_var: &str) -> bool {
     if a.array != b.array {
         return false;
     }
@@ -98,31 +96,49 @@ pub(crate) fn refs_may_conflict(a: &ArrayRef, b: &ArrayRef, loop_var: &str) -> b
         .all(|(x, y)| dim_may_conflict(x, y, loop_var))
 }
 
+/// What the dataflow pass ([`crate::reduction`]) proved harmless before
+/// the dependence test runs: written scalars, callees, and stores as
+/// `(statement, reference)` indices into [`LoopNest::all_stmts`]. A
+/// cleared store is skipped as the writing side of a pair only; it still
+/// conflicts with the other stores to its array. The 1998 pass clears
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Cleared {
+    pub(crate) scalars: BTreeSet<String>,
+    pub(crate) calls: BTreeSet<String>,
+    pub(crate) stores: BTreeSet<(usize, usize)>,
+}
+
 /// Analyze one loop (not descending into nested loops' own verdicts — call
 /// per loop of interest). Returns the verdict with every blocking reason.
 /// This is the 1998-compiler behaviour the paper measured: reductions are
 /// NOT recognized.
 pub fn analyze_loop(l: &LoopNest) -> LoopVerdict {
-    let mut reasons: Vec<Reason> = Vec::new();
-
     if l.pragma_parallel {
-        return LoopVerdict {
-            loop_label: l.label.clone(),
-            parallel: true,
-            by_pragma: true,
-            reasons: Vec::new(),
-        };
+        return LoopVerdict::by_pragma(l);
     }
+    let reasons = blocking_reasons(l, &l.all_stmts(), &Cleared::default());
+    LoopVerdict::from_reasons(l, reasons)
+}
 
+/// The dependence test: every obstacle to running `l`'s iterations
+/// concurrently that `cleared` does not cover, each anchored at its
+/// statement — carried scalars, then opaque calls, then array pairs.
+/// `stmts` is `l.all_stmts()`.
+pub(crate) fn blocking_reasons(l: &LoopNest, stmts: &[&Stmt], cleared: &Cleared) -> Vec<Reason> {
+    let mut reasons: Vec<Reason> = Vec::new();
     let private: BTreeSet<String> = l.all_private().into_iter().collect();
-    let stmts = l.all_stmts();
 
     // Scalar dependences: a written scalar that is not private and not the
     // loop variable is carried (ordering matters across iterations).
     let mut flagged: BTreeSet<&str> = BTreeSet::new();
-    for s in &stmts {
+    for s in stmts {
         for w in &s.writes {
-            if w != &l.var && !private.contains(w) && flagged.insert(w) {
+            if w != &l.var
+                && !private.contains(w)
+                && !cleared.scalars.contains(w)
+                && flagged.insert(w)
+            {
                 reasons.push(Reason::at(
                     ReasonKind::ScalarDependence { name: w.clone() },
                     s,
@@ -133,9 +149,9 @@ pub fn analyze_loop(l: &LoopNest) -> LoopVerdict {
 
     // Opaque calls thwart everything.
     let mut called: BTreeSet<&str> = BTreeSet::new();
-    for s in &stmts {
+    for s in stmts {
         for c in &s.calls {
-            if called.insert(c) {
+            if !cleared.calls.contains(c) && called.insert(c) {
                 reasons.push(Reason::at(ReasonKind::OpaqueCall { name: c.clone() }, s));
             }
         }
@@ -146,12 +162,12 @@ pub fn analyze_loop(l: &LoopNest) -> LoopVerdict {
     // how `intervals[num_intervals]`-style stores and overlapping-region
     // stores are caught.
     let mut seen_pairs: BTreeSet<(String, String)> = BTreeSet::new();
-    for s1 in &stmts {
-        for a in &s1.arrays {
-            if !a.write {
+    for (i, s1) in stmts.iter().enumerate() {
+        for (r, a) in s1.arrays.iter().enumerate() {
+            if !a.write || cleared.stores.contains(&(i, r)) {
                 continue;
             }
-            for s2 in &stmts {
+            for s2 in stmts {
                 for b in &s2.arrays {
                     if refs_may_conflict(a, b, &l.var) {
                         let key = (a.array.clone(), format!("{}/{}", s1.label, s2.label));
@@ -182,27 +198,12 @@ pub fn analyze_loop(l: &LoopNest) -> LoopVerdict {
             }
         }
     }
-
-    // Deduplicate identical reasons while preserving order.
-    let mut dedup: Vec<Reason> = Vec::new();
-    for r in reasons {
-        if !dedup.contains(&r) {
-            dedup.push(r);
-        }
-    }
-
-    LoopVerdict {
-        loop_label: l.label.clone(),
-        parallel: dedup.is_empty(),
-        by_pragma: false,
-        reasons: dedup,
-    }
+    reasons
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::Stmt;
 
     fn v(l: &LoopNest) -> LoopVerdict {
         analyze_loop(l)

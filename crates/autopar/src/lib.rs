@@ -19,8 +19,9 @@
 //! compiler the paper wished for:
 //!
 //! * a loop-nest IR ([`ir`]);
-//! * the conservative dependence analyzer ([`deps`]) with the standard
-//!   scalar/affine (GCD) subscript tests — the 1998 stance, on which the
+//! * the dependence test ([`deps`]): carried scalars, opaque calls and the
+//!   standard affine (GCD) subscript tests, stated once. Run with nothing
+//!   cleared it is the 1998 stance ([`analyze_loop`]), on which the
 //!   paper's Programs 1–4 ([`programs`]) reach exactly the published
 //!   verdicts;
 //! * scalar liveness at the loop body's entry
@@ -29,9 +30,10 @@
 //!   (`tests/liveness_oracle.rs`);
 //! * recognition on top of liveness ([`reduction`]): associative
 //!   reductions, scalar/array privatization, the `out[count++]`
-//!   compaction idiom, and interprocedural purity summaries — each
-//!   clearing (and each residual rejection) carrying statement-level
-//!   provenance in canal-style reports ([`report`]);
+//!   compaction idiom, and interprocedural purity summaries clear
+//!   obstacles, and the same dependence test runs on what is left — each
+//!   clearing and each residual rejection an [`Anchored`] entry with
+//!   statement-level provenance in canal-style reports ([`report`]);
 //! * an emission pass ([`emit`]) turning parallel verdicts into
 //!   [`Schedule`](emit::Schedule) annotations, executed by the `repro
 //!   table-auto` experiment against the manual transformations.
@@ -54,4 +56,4 @@ pub use deps::analyze_loop;
 pub use emit::{emit_plan, ParallelPlan};
 pub use ir::{ArrayRef, Expr, LoopNest, Node, ReduceOp, Reduction, Stmt};
 pub use reduction::{analyze_loop_dataflow, DataflowReport, DataflowVerdict, Summaries};
-pub use report::{ClearedKind, Clearing, LoopVerdict, Reason, ReasonKind, Report};
+pub use report::{Anchored, ClearedKind, Clearing, LoopVerdict, Reason, ReasonKind, Report};

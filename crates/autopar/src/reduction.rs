@@ -26,13 +26,14 @@
 //! * **pure calls** — an interprocedural [`Summaries`] table clears calls
 //!   the loop-local analysis must otherwise treat as opaque.
 //!
-//! Everything the pass cannot clear stays a [`Reason`] with the exact
-//! blocking statement — the honesty requirement: Programs 3 and 4 keep
-//! their genuinely carried dependences.
+//! The pass then runs the 1998 pass's dependence test on what is left:
+//! everything it cannot clear stays a [`Reason`](crate::report::Reason)
+//! with the exact blocking statement — the honesty requirement: Programs
+//! 3 and 4 keep their genuinely carried dependences.
 
-use crate::deps;
+use crate::deps::{self, Cleared};
 use crate::ir::{ArrayRef, Expr, LoopNest, ReduceOp, Reduction, Stmt};
-use crate::report::{ClearedKind, Clearing, LoopVerdict, Reason, ReasonKind, Report};
+use crate::report::{ClearedKind, Clearing, LoopVerdict, Report};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Interprocedural purity summaries: callee name → why the call is safe
@@ -238,16 +239,13 @@ fn compaction_counter(a: &ArrayRef, counters: &BTreeSet<String>) -> Option<Strin
 }
 
 /// Analyze one loop with the dataflow pass. See the module docs for what
-/// gets cleared; residual obstacles keep statement-level provenance.
+/// gets cleared; the dependence test of [`crate::deps::analyze_loop`]
+/// then runs on what is left, so residual obstacles keep statement-level
+/// provenance.
 pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVerdict {
     if l.pragma_parallel {
         return DataflowVerdict {
-            verdict: LoopVerdict {
-                loop_label: l.label.clone(),
-                parallel: true,
-                by_pragma: true,
-                reasons: Vec::new(),
-            },
+            verdict: LoopVerdict::by_pragma(l),
             clearings: Vec::new(),
             reductions: Vec::new(),
             privatized_scalars: Vec::new(),
@@ -261,8 +259,8 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
     let private: BTreeSet<String> = l.all_private().into_iter().collect();
     let scratch: BTreeSet<String> = l.all_scratch().into_iter().collect();
 
+    let mut cleared = Cleared::default();
     let mut clearings: Vec<Clearing> = Vec::new();
-    let mut reasons: Vec<Reason> = Vec::new();
     let mut reductions: Vec<Reduction> = Vec::new();
     let mut privatized_scalars: Vec<String> = Vec::new();
     let mut counters: BTreeSet<String> = BTreeSet::new();
@@ -289,31 +287,24 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
                 if op == ReduceOp::Count {
                     counters.insert(w.clone());
                 }
+                cleared.scalars.insert(w.clone());
             } else if !l.live_at_entry(w) {
                 clearings.push(Clearing::at(
                     ClearedKind::PrivatizedScalar { name: w.clone() },
                     s,
                 ));
                 privatized_scalars.push(w.clone());
-            } else {
-                reasons.push(Reason::at(
-                    ReasonKind::ScalarDependence { name: w.clone() },
-                    s,
-                ));
+                cleared.scalars.insert(w.clone());
             }
         }
     }
 
     // --- calls ---
     let mut cleared_calls: Vec<String> = Vec::new();
-    let mut called: BTreeSet<&str> = BTreeSet::new();
     for s in &stmts {
         for c in &s.calls {
-            if !called.insert(c) {
-                continue;
-            }
-            match summaries.why(c) {
-                Some(why) => {
+            if let Some(why) = summaries.why(c) {
+                if cleared.calls.insert(c.clone()) {
                     clearings.push(Clearing::at(
                         ClearedKind::PureCall {
                             name: c.clone(),
@@ -323,14 +314,11 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
                     ));
                     cleared_calls.push(c.clone());
                 }
-                None => reasons.push(Reason::at(ReasonKind::OpaqueCall { name: c.clone() }, s)),
             }
         }
     }
 
     // --- arrays ---
-    // Privatizable scratch arrays first: their references then take no
-    // part in conflict testing.
     let mut privatized_arrays: Vec<String> = Vec::new();
     for name in &scratch {
         if array_privatizable(name, &stmts) {
@@ -347,84 +335,41 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
             privatized_arrays.push(name.clone());
         }
     }
-    let privatized: BTreeSet<&str> = privatized_arrays.iter().map(String::as_str).collect();
-
+    // Every store to a privatized array is cleared; so is a compaction
+    // store: a write-only array, counter-subscripted, the counter bumped
+    // in the same statement.
     let mut compactions: Vec<(String, String)> = Vec::new();
-    let mut seen_pairs: BTreeSet<(String, String)> = BTreeSet::new();
-    for s1 in &stmts {
-        for a in s1.arrays.iter().filter(|a| a.write) {
-            if privatized.contains(a.array.as_str()) {
+    for (i, s) in stmts.iter().enumerate() {
+        for (r, a) in s.arrays.iter().enumerate().filter(|(_, a)| a.write) {
+            if privatized_arrays.contains(&a.array) {
+                cleared.stores.insert((i, r));
                 continue;
             }
-            // Compaction: write-only array, counter-subscripted, bumped in
-            // the same statement.
+            let Some(counter) = compaction_counter(a, &counters) else {
+                continue;
+            };
             let write_only = stmts
                 .iter()
-                .all(|s| s.arrays.iter().all(|r| r.array != a.array || r.write));
-            if let Some(counter) = compaction_counter(a, &counters) {
-                if write_only && s1.writes.contains(&counter) {
-                    if !compactions.contains(&(a.array.clone(), counter.clone())) {
-                        clearings.push(Clearing::at(
-                            ClearedKind::Compaction {
-                                array: a.array.clone(),
-                                counter: counter.clone(),
-                            },
-                            s1,
-                        ));
-                        compactions.push((a.array.clone(), counter));
-                    }
-                    continue;
+                .all(|t| t.arrays.iter().all(|b| b.array != a.array || b.write));
+            if write_only && s.writes.contains(&counter) {
+                if !compactions.contains(&(a.array.clone(), counter.clone())) {
+                    clearings.push(Clearing::at(
+                        ClearedKind::Compaction {
+                            array: a.array.clone(),
+                            counter: counter.clone(),
+                        },
+                        s,
+                    ));
+                    compactions.push((a.array.clone(), counter));
                 }
-            }
-            for s2 in &stmts {
-                for b in &s2.arrays {
-                    if privatized.contains(b.array.as_str()) {
-                        continue;
-                    }
-                    if deps::refs_may_conflict(a, b, &l.var) {
-                        let key = (a.array.clone(), format!("{}/{}", s1.label, s2.label));
-                        if seen_pairs.insert(key) {
-                            let opaque = a.indices.iter().chain(&b.indices).any(|e| {
-                                !matches!(e, Expr::Const(_))
-                                    && !matches!(e, Expr::Affine { var, .. } if var == &l.var)
-                            });
-                            reasons.push(if opaque {
-                                Reason::at(
-                                    ReasonKind::DataDependentSubscript {
-                                        array: a.array.clone(),
-                                    },
-                                    s1,
-                                )
-                            } else {
-                                Reason::at(
-                                    ReasonKind::ArrayConflict {
-                                        array: a.array.clone(),
-                                        with: s2.label.clone(),
-                                    },
-                                    s1,
-                                )
-                            });
-                        }
-                    }
-                }
+                cleared.stores.insert((i, r));
             }
         }
     }
 
-    let mut dedup: Vec<Reason> = Vec::new();
-    for r in reasons {
-        if !dedup.contains(&r) {
-            dedup.push(r);
-        }
-    }
-
+    let reasons = deps::blocking_reasons(l, &stmts, &cleared);
     DataflowVerdict {
-        verdict: LoopVerdict {
-            loop_label: l.label.clone(),
-            parallel: dedup.is_empty(),
-            by_pragma: false,
-            reasons: dedup,
-        },
+        verdict: LoopVerdict::from_reasons(l, reasons),
         clearings,
         reductions,
         privatized_scalars,
@@ -437,7 +382,7 @@ pub fn analyze_loop_dataflow(l: &LoopNest, summaries: &Summaries) -> DataflowVer
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Expr, LoopNest, ReduceOp, Stmt};
+    use crate::report::ReasonKind;
 
     fn df(l: &LoopNest) -> DataflowVerdict {
         analyze_loop_dataflow(l, &Summaries::empty())

@@ -5,7 +5,7 @@
 //! blocking dependences, stated plainly and pinned to the exact statement
 //! (and source line) that carries each dependence.
 
-use crate::ir::{ReduceOp, Stmt};
+use crate::ir::{LoopNest, ReduceOp, Stmt};
 
 /// What kind of dependence blocked parallelization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,43 +65,45 @@ impl std::fmt::Display for ReasonKind {
     }
 }
 
-/// Why a loop could not be auto-parallelized: the dependence kind plus the
-/// statement (and source line) it was found at. The paper's compilers
-/// named only the loop; carrying the blocking statement is what lets the
-/// living auto-vs-manual table (`docs/AUTOPAR.md`) cite exact statements.
+/// A report entry pinned to the statement (and source line) it concerns.
+/// The paper's compilers named only the loop; carrying the statement is
+/// what lets the living auto-vs-manual table (`docs/AUTOPAR.md`) cite
+/// exact statements.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reason {
-    /// The dependence kind.
-    pub kind: ReasonKind,
-    /// Label of the statement carrying the dependence.
+pub struct Anchored<K> {
+    /// What the entry says: a [`ReasonKind`] or a [`ClearedKind`].
+    pub kind: K,
+    /// Label of the statement it applies to.
     pub stmt: String,
     /// Source line of that statement (0 when unknown).
     pub line: u32,
 }
 
-impl Reason {
-    /// A reason anchored at a statement.
-    pub fn at(kind: ReasonKind, stmt: &Stmt) -> Self {
-        Reason {
+/// Why a loop could not be auto-parallelized: the dependence kind at the
+/// statement carrying it.
+pub type Reason = Anchored<ReasonKind>;
+
+/// One cleared obstacle, at the statement the clearing applies to.
+pub type Clearing = Anchored<ClearedKind>;
+
+impl<K> Anchored<K> {
+    /// An entry anchored at a statement.
+    pub fn at(kind: K, stmt: &Stmt) -> Self {
+        Anchored {
             kind,
             stmt: stmt.label.clone(),
             line: stmt.line,
         }
     }
-
-    /// Render just the provenance suffix (`at line 7: \`...\``).
-    fn provenance(&self) -> String {
-        if self.line > 0 {
-            format!(" [line {}: `{}`]", self.line, self.stmt)
-        } else {
-            format!(" [`{}`]", self.stmt)
-        }
-    }
 }
 
-impl std::fmt::Display for Reason {
+impl<K: std::fmt::Display> std::fmt::Display for Anchored<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}{}", self.kind, self.provenance())
+        if self.line > 0 {
+            write!(f, "{} [line {}: `{}`]", self.kind, self.line, self.stmt)
+        } else {
+            write!(f, "{} [`{}`]", self.kind, self.stmt)
+        }
     }
 }
 
@@ -179,38 +181,6 @@ impl std::fmt::Display for ClearedKind {
     }
 }
 
-/// One cleared obstacle, with statement provenance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Clearing {
-    /// What was cleared and how.
-    pub kind: ClearedKind,
-    /// Label of the statement the clearing applies to.
-    pub stmt: String,
-    /// Source line of that statement (0 when unknown).
-    pub line: u32,
-}
-
-impl Clearing {
-    /// A clearing anchored at a statement.
-    pub fn at(kind: ClearedKind, stmt: &Stmt) -> Self {
-        Clearing {
-            kind,
-            stmt: stmt.label.clone(),
-            line: stmt.line,
-        }
-    }
-}
-
-impl std::fmt::Display for Clearing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.line > 0 {
-            write!(f, "{} [line {}: `{}`]", self.kind, self.line, self.stmt)
-        } else {
-            write!(f, "{} [`{}`]", self.kind, self.stmt)
-        }
-    }
-}
-
 /// The analyzer's verdict on one loop.
 ///
 /// ```
@@ -241,6 +211,35 @@ pub struct LoopVerdict {
     pub by_pragma: bool,
     /// Blocking reasons when not parallel.
     pub reasons: Vec<Reason>,
+}
+
+impl LoopVerdict {
+    /// Parallel because the programmer asserted it: no analysis runs.
+    pub fn by_pragma(l: &LoopNest) -> Self {
+        LoopVerdict {
+            loop_label: l.label.clone(),
+            parallel: true,
+            by_pragma: true,
+            reasons: Vec::new(),
+        }
+    }
+
+    /// The analysis's verdict: parallel exactly when nothing blocks,
+    /// each blocking reason listed once, in the order first found.
+    pub fn from_reasons(l: &LoopNest, reasons: Vec<Reason>) -> Self {
+        let mut dedup: Vec<Reason> = Vec::new();
+        for r in reasons {
+            if !dedup.contains(&r) {
+                dedup.push(r);
+            }
+        }
+        LoopVerdict {
+            loop_label: l.label.clone(),
+            parallel: dedup.is_empty(),
+            by_pragma: false,
+            reasons: dedup,
+        }
+    }
 }
 
 impl std::fmt::Display for LoopVerdict {
