@@ -17,35 +17,15 @@
 //! assert_eq!(program.len(), 4);
 //! ```
 
-use crate::ir::{Instr, Program, Reg, Target};
+use crate::ir::{Instr, Program, Reg};
 use std::collections::HashMap;
-
-/// A pending instruction: either fully resolved or waiting for a label.
-enum Pending {
-    Ready(Instr),
-    /// Instruction whose `Target` must be patched to `label`'s address.
-    Branch {
-        make: fn(Target) -> Instr,
-        label: String,
-    },
-    /// Like `Branch` but for two-register branches.
-    CondBranch {
-        make: fn(Reg, Reg, Target) -> Instr,
-        ra: Reg,
-        rb: Reg,
-        label: String,
-    },
-    /// Fork whose entry is a label.
-    Fork {
-        label: String,
-        arg: Reg,
-    },
-}
 
 /// Incremental program builder with named labels.
 #[derive(Default)]
 pub struct Assembler {
-    pending: Vec<Pending>,
+    /// Emitted instructions, each with the label its target (branch
+    /// target or fork entry) is patched to by [`Assembler::assemble`].
+    pending: Vec<(Instr, Option<String>)>,
     labels: HashMap<String, usize>,
 }
 
@@ -68,7 +48,12 @@ impl Assembler {
 
     /// Emit a raw instruction.
     pub fn emit(&mut self, i: Instr) {
-        self.pending.push(Pending::Ready(i));
+        self.pending.push((i, None));
+    }
+
+    /// Emit a branch or fork whose target is `label`'s address.
+    pub(crate) fn emit_to(&mut self, i: Instr, label: &str) {
+        self.pending.push((i, Some(label.to_string())));
     }
 
     // ── ergonomic emitters ───────────────────────────────────────────────
@@ -229,87 +214,48 @@ impl Assembler {
 
     /// Unconditional jump to `label`.
     pub fn jmp_l(&mut self, label: &str) {
-        self.pending.push(Pending::Branch {
-            make: |t| Instr::Jmp { target: t },
-            label: label.to_string(),
-        });
+        self.emit_to(Instr::Jmp { target: 0 }, label);
     }
 
     /// Branch to `label` if `ra == rb`.
     pub fn beq_l(&mut self, ra: Reg, rb: Reg, label: &str) {
-        self.pending.push(Pending::CondBranch {
-            make: |ra, rb, t| Instr::Beq { ra, rb, target: t },
-            ra,
-            rb,
-            label: label.to_string(),
-        });
+        self.emit_to(Instr::Beq { ra, rb, target: 0 }, label);
     }
 
     /// Branch to `label` if `ra != rb`.
     pub fn bne_l(&mut self, ra: Reg, rb: Reg, label: &str) {
-        self.pending.push(Pending::CondBranch {
-            make: |ra, rb, t| Instr::Bne { ra, rb, target: t },
-            ra,
-            rb,
-            label: label.to_string(),
-        });
+        self.emit_to(Instr::Bne { ra, rb, target: 0 }, label);
     }
 
     /// Branch to `label` if `ra < rb` (signed).
     pub fn blt_l(&mut self, ra: Reg, rb: Reg, label: &str) {
-        self.pending.push(Pending::CondBranch {
-            make: |ra, rb, t| Instr::Blt { ra, rb, target: t },
-            ra,
-            rb,
-            label: label.to_string(),
-        });
+        self.emit_to(Instr::Blt { ra, rb, target: 0 }, label);
     }
 
     /// Branch to `label` if `ra >= rb` (signed).
     pub fn bge_l(&mut self, ra: Reg, rb: Reg, label: &str) {
-        self.pending.push(Pending::CondBranch {
-            make: |ra, rb, t| Instr::Bge { ra, rb, target: t },
-            ra,
-            rb,
-            label: label.to_string(),
-        });
+        self.emit_to(Instr::Bge { ra, rb, target: 0 }, label);
     }
 
     /// Fork a stream at `label` with `r1 = regs[arg]`.
     pub fn fork_l(&mut self, label: &str, arg: Reg) {
-        self.pending.push(Pending::Fork {
-            label: label.to_string(),
-            arg,
-        });
+        self.emit_to(Instr::Fork { entry: 0, arg }, label);
     }
 
     /// Resolve labels and produce the validated [`Program`].
     pub fn assemble(self) -> Result<Program, String> {
-        let resolve = |label: &str| -> Result<Target, String> {
-            self.labels
-                .get(label)
-                .copied()
-                .ok_or_else(|| format!("undefined label {label:?}"))
-        };
-        let code: Result<Vec<Instr>, String> = self
-            .pending
-            .iter()
-            .map(|p| match p {
-                Pending::Ready(i) => Ok(*i),
-                Pending::Branch { make, label } => Ok(make(resolve(label)?)),
-                Pending::CondBranch {
-                    make,
-                    ra,
-                    rb,
-                    label,
-                } => Ok(make(*ra, *rb, resolve(label)?)),
-                Pending::Fork { label, arg } => Ok(Instr::Fork {
-                    entry: resolve(label)?,
-                    arg: *arg,
-                }),
-            })
-            .collect();
-        let program = Program::new(code?);
+        let mut code = Vec::with_capacity(self.pending.len());
+        for (mut instr, label) in self.pending {
+            if let Some(label) = label {
+                let at = self.labels.get(&label).copied();
+                let at = at.ok_or_else(|| format!("undefined label {label:?}"))?;
+                *instr
+                    .target_mut()
+                    .expect("only branches and forks take a label") = at;
+            }
+            code.push(instr);
+        }
+        let program = Program::new(code);
         program.validate()?;
         Ok(program)
     }

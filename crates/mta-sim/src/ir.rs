@@ -123,6 +123,21 @@ impl Instr {
         )
     }
 
+    /// The branch target or fork entry, if this instruction has one: the
+    /// field [`crate::asm::Assembler::assemble`] patches with a label's
+    /// address.
+    pub fn target_mut(&mut self) -> Option<&mut Target> {
+        match self {
+            Instr::Jmp { target }
+            | Instr::Beq { target, .. }
+            | Instr::Bne { target, .. }
+            | Instr::Blt { target, .. }
+            | Instr::Bge { target, .. } => Some(target),
+            Instr::Fork { entry, .. } => Some(entry),
+            _ => None,
+        }
+    }
+
     /// Whether this instruction synchronizes on full/empty bits.
     pub fn is_sync(&self) -> bool {
         matches!(
