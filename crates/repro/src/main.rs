@@ -319,7 +319,8 @@ fn replay_connection(
 
 /// `--load ADDR`: replay a seeded request mix against a running server
 /// and verify bit-identity against direct sequential evaluation. Exits
-/// non-zero if any response differed or any request was dropped. A
+/// non-zero if any response differed, any request was dropped or any
+/// connection failed. A
 /// smoke, not a measurement: service timings come from the benchmark's
 /// `serve-mix` workload.
 fn run_load(addr: &str, opts: &Options) -> ! {
@@ -382,11 +383,12 @@ fn run_load(addr: &str, opts: &Options) -> ! {
     if mismatches.len() > 10 {
         eprintln!("load: ... and {} more mismatches", mismatches.len() - 10);
     }
-    if let Some(first) = per_conn.iter().find_map(|c| c.failure.as_ref()) {
+    let failure = per_conn.iter().find_map(|c| c.failure.as_ref());
+    if let Some(first) = failure {
         let dropped = requests - completed;
         eprintln!("load: {dropped} of {requests} requests not completed; first failure: {first}");
     }
-    if mismatches.is_empty() && completed == requests {
+    if mismatches.is_empty() && completed == requests && failure.is_none() {
         std::process::exit(0);
     }
     std::process::exit(1);

@@ -89,6 +89,22 @@ fn load_against_a_dead_address_exits_one_without_panicking() {
     assert!(failed[0].starts_with("load: 8 of 8 requests not completed; first failure: "));
 }
 
+/// With no requests to drop, a connection that cannot reach the server
+/// still fails the smoke.
+#[test]
+fn load_of_zero_requests_against_a_dead_address_exits_one() {
+    let sock =
+        std::env::temp_dir().join(format!("repro-cli-no-server-0-{}.sock", std::process::id()));
+    let addr = sock.to_str().unwrap();
+    let out = repro(&["--reduced", "--no-cache", "--load", addr, "--requests", "0"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let failed: Vec<&str> = err.lines().filter(|l| l.contains("cannot reach")).collect();
+    assert_eq!(failed.len(), 1, "{err}");
+    assert!(failed[0].contains(addr), "{err}");
+}
+
 /// `--profile` appends the pool counters and a simulator run's machine
 /// counters, and no timing. `--threads N` reaches table generation: with
 /// `--threads 1` the tables run inline, so the one pool region left is
