@@ -107,12 +107,25 @@ echo "== autopar oracle + soundness suites =="
 # every PARALLEL verdict also *executes* bit-identically — random loop
 # bodies interpreted sequentially vs uneven workers under adversarial
 # iteration orders, privatized temps poisoned (exec_soundness);
-# brute-force soundness plus dataflow-subsumes-conservative on random
-# affine loops (soundness); and the pinned provenance-carrying report
-# text (report_snapshot). All also part of `cargo test`; explicit so a
-# verdict regression is named in CI output.
+# brute-force soundness on random affine loops (soundness); the
+# dataflow pass's residual reasons a subsequence of the 1998 pass's
+# (outside a statement that stores to a compacted array twice), every
+# reason it drops named by one of its clearings, on random nests mixing
+# every ingredient its recognizers read (residual_reasons); and the
+# pinned provenance-carrying report text (report_snapshot). All also
+# part of `cargo test`; explicit so a verdict regression is named in CI
+# output.
 cargo test -q -p autopar --test soundness --test liveness_oracle \
-  --test exec_soundness --test report_snapshot
+  --test exec_soundness --test residual_reasons --test report_snapshot
+
+# The dataflow pass clears obstacles and then runs the 1998 pass's
+# dependence test (`deps::blocking_reasons`); it does not grow its own
+# conflict scan again.
+if sed '/^#\[cfg(test)\]/,$d' crates/autopar/src/reduction.rs |
+  grep -n 'refs_may_conflict\|Reason::at\|seen_pairs'; then
+  echo "reduction.rs carries its own dependence test again" >&2
+  exit 1
+fi
 
 echo "== table-auto smoke (auto-vs-manual comparison, pinned CSV) =="
 # Regenerates the living comparison table behind docs/AUTOPAR.md:

@@ -337,6 +337,21 @@ mod tests {
     }
 
     #[test]
+    fn each_reason_is_listed_once() {
+        // out[k] meets itself and the next statement's out[i]: two pairs,
+        // one reason.
+        let l = LoopNest::new("for i", "i")
+            .stmt(Stmt::new("out[k] = i").array("out", vec![Expr::Opaque("k".into())], true))
+            .stmt(
+                Stmt::new("b[i] = out[i]")
+                    .array("out", vec![Expr::var("i")], false)
+                    .array("b", vec![Expr::var("i")], true),
+            );
+        let verdict = v(&l);
+        assert_eq!(verdict.reasons.len(), 1, "{verdict}");
+    }
+
+    #[test]
     fn leading_loop_dimension_separates_rows() {
         // for c: out[c][anything] = ... — per-iteration rows are disjoint.
         let l = LoopNest::new("for c", "c").stmt(
