@@ -17,6 +17,10 @@
 //! * an explicit parallel pragma overrides the analysis (the programmer
 //!   asserts independence) — this is how the paper's transformed programs
 //!   were actually compiled.
+//!
+//! The test is stated once, in `blocking_reasons`. [`analyze_loop`] runs
+//! it with nothing cleared; the dataflow pass ([`crate::reduction`]) runs
+//! it on what its recognizers leave.
 
 use crate::ir::{ArrayRef, Expr, LoopNest, Stmt};
 use crate::report::{LoopVerdict, Reason, ReasonKind};
