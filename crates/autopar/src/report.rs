@@ -306,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn reasons_render_readably_with_provenance() {
+    fn reasons_and_clearings_render_with_provenance() {
         let r = Reason::at(
             ReasonKind::ScalarDependence {
                 name: "num_intervals".into(),
@@ -327,10 +327,7 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("can_intercept"));
         assert!(!text.contains("line"), "unknown lines are omitted: {text}");
-    }
 
-    #[test]
-    fn clearings_render_readably() {
         let c = Clearing::at(
             ClearedKind::Compaction {
                 array: "intervals".into(),

@@ -4,29 +4,17 @@
 //! `analyze_loop_dataflow` clears reductions, scalars not live at entry,
 //! summarized calls, privatized scratch arrays and compaction stores,
 //! and runs `analyze_loop`'s dependence test on what is left. So on
-//! every loop:
+//! every loop its residual reasons are a subsequence of `analyze_loop`'s,
+//! and every reason it drops names a scalar, callee or array that one of
+//! its clearings names.
 //!
-//! * the dataflow pass's residual reasons are a subsequence of
-//!   `analyze_loop`'s reasons, and
-//! * every reason it drops names a scalar, callee or array that one of
-//!   its clearings names.
-//!
-//! The first holds with one exception: a statement that stores to a
+//! The subsequence has one exception: a statement that stores to a
 //! compacted array twice. The dependence test keeps one reason per
 //! array, writing statement and other statement, worded after the first
 //! store that conflicts. With the compaction store cleared, the
 //! statement's other store takes over, so that array's reasons at that
-//! statement may be worded or ordered differently
-//! (`a_second_store_beside_a_compaction_store_may_be_worded_differently`).
-//! Both passes still reject the loop, since the second store is never
-//! cleared.
-//!
-//! Checked on random nests that mix every ingredient the recognizers
-//! read: written, read and private scalars; sum, min and count
-//! reductions with mixed operators; compaction stores; a scratch array
-//! with covered and uncovered reads, declared or not; summarized and
-//! unsummarized calls; affine, constant, identifier and free-text
-//! subscripts; and nested loops.
+//! statement may be worded or ordered differently. Both passes still
+//! reject the loop, since the second store is never cleared.
 
 use autopar::{
     analyze_loop, analyze_loop_dataflow, ClearedKind, DataflowVerdict, Expr, LoopNest, Node,
@@ -35,165 +23,95 @@ use autopar::{
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// Scalars every statement draws from.
-const SCALARS: [&str; 4] = ["n", "s", "t", "x"];
-/// Arrays; `tmp` is the one a loop may declare scratch.
+/// What generated statements draw from: scalars, arrays (`tmp` is the
+/// one a loop may declare scratch) and callees (`f` is summarized).
+const SCALARS: [&str; 3] = ["n", "s", "x"];
 const ARRAYS: [&str; 3] = ["out", "tmp", "m"];
-/// Callees; `f` and `g` are summarized, `h` is not.
-const CALLEES: [&str; 3] = ["f", "g", "h"];
+const CALLEES: [&str; 2] = ["f", "h"];
 
-/// One effect of a generated statement.
-#[derive(Debug, Clone)]
-enum Effect {
-    Read(usize),
-    Write(usize),
-    /// `x = x op e`, annotated.
-    Reduce(usize, ReduceOp),
-    /// `arr[n] = ...; n++`, the counter annotated as a count.
-    Compact {
-        array: usize,
-        counter: usize,
-    },
-    /// A reference to any array with arbitrary subscripts.
-    Access {
-        array: usize,
-        indices: Vec<Expr>,
-        write: bool,
-    },
-    /// A reference to `tmp` from three subscripts, so that reads are
-    /// often covered by an earlier write with the same subscript.
-    Scratch {
-        sub: usize,
-        write: bool,
-    },
-    Call(usize),
-}
-
-fn subscript() -> impl Strategy<Value = Expr> {
-    prop_oneof![
-        (0usize..2, -2i64..3, -3i64..4).prop_map(|(v, scale, offset)| Expr::Affine {
-            var: ["i", "j"][v].to_string(),
-            scale,
-            offset,
-        }),
-        (-2i64..3).prop_map(Expr::Const),
-        // One past the pool is free text: opaque, but reads no scalar.
-        (0usize..SCALARS.len() + 1).prop_map(|k| {
-            Expr::Opaque(SCALARS.get(k).copied().unwrap_or("x in region").to_string())
-        }),
-    ]
-}
-
-fn effect() -> impl Strategy<Value = Effect> {
-    let scalar = 0usize..SCALARS.len();
-    let op = prop_oneof![
-        Just(ReduceOp::Sum),
-        Just(ReduceOp::Min),
-        Just(ReduceOp::Count)
-    ];
-    prop_oneof![
-        scalar.clone().prop_map(Effect::Read),
-        scalar.clone().prop_map(Effect::Write),
-        (scalar.clone(), op).prop_map(|(k, op)| Effect::Reduce(k, op)),
-        (0usize..ARRAYS.len(), scalar)
-            .prop_map(|(array, counter)| Effect::Compact { array, counter }),
-        (
-            0usize..ARRAYS.len(),
-            proptest::collection::vec(subscript(), 1..3),
-            any::<bool>()
-        )
-            .prop_map(|(array, indices, write)| Effect::Access {
-                array,
-                indices,
-                write
-            }),
-        (0usize..3, any::<bool>()).prop_map(|(sub, write)| Effect::Scratch { sub, write }),
-        (0usize..CALLEES.len()).prop_map(Effect::Call),
-    ]
-}
-
-fn apply(s: Stmt, e: Effect) -> Stmt {
-    match e {
-        Effect::Read(k) => s.reads(&[SCALARS[k]]),
-        Effect::Write(k) => s.writes(&[SCALARS[k]]),
-        Effect::Reduce(k, op) => s
-            .reads(&[SCALARS[k]])
-            .writes(&[SCALARS[k]])
-            .reduces_op(SCALARS[k], op),
-        Effect::Compact { array, counter } => {
-            let n = SCALARS[counter];
-            s.reads(&[n])
-                .writes(&[n])
-                .reduces_op(n, ReduceOp::Count)
-                .array(ARRAYS[array], vec![Expr::Opaque(n.to_string())], true)
+/// One statement effect `(kind, k, subscript)`, each kind an ingredient
+/// of the recognizers: a scalar read or write; a sum, min or count
+/// update; a compaction store `ARRAYS[k][x] = ...; x++`; an array load or
+/// store; a `tmp` access from two subscripts, so that a read is often
+/// covered by an earlier write; a call.
+fn apply(s: Stmt, (kind, k, e): (usize, usize, Expr)) -> Stmt {
+    let x = SCALARS[k];
+    let bump = |s: Stmt, op| s.reads(&[x]).writes(&[x]).reduces_op(x, op);
+    match kind {
+        0 => s.reads(&[x]),
+        1 => s.writes(&[x]),
+        2 => bump(s, ReduceOp::Sum),
+        3 => bump(s, ReduceOp::Min),
+        4 => bump(s, ReduceOp::Count),
+        5 => bump(s, ReduceOp::Count).array(ARRAYS[k], vec![Expr::Opaque(x.into())], true),
+        6 | 7 => s.array(ARRAYS[k], vec![e], kind == 7),
+        8 | 9 => {
+            let e = [Expr::Opaque("k".into()), Expr::var("i")][k % 2].clone();
+            s.array("tmp", vec![e], kind == 9)
         }
-        Effect::Access {
-            array,
-            indices,
-            write,
-        } => s.array(ARRAYS[array], indices, write),
-        Effect::Scratch { sub, write } => {
-            let e = [Expr::Opaque("k".into()), Expr::var("i"), Expr::Const(0)][sub].clone();
-            s.array("tmp", vec![e], write)
-        }
-        Effect::Call(k) => s.call(CALLEES[k]),
+        _ => s.call(CALLEES[k % 2]),
     }
+}
+
+/// A subscript: affine in the analyzed `i` or a nested `j`, constant, an
+/// identifier (which reads that scalar) or free text.
+fn subscript() -> impl Strategy<Value = Expr> {
+    (0usize..5, -2i64..3, -3i64..4).prop_map(|(kind, a, b)| match kind {
+        0 | 1 => Expr::Affine {
+            var: ["i", "j"][kind].into(),
+            scale: a,
+            offset: b,
+        },
+        2 => Expr::Const(a),
+        _ => Expr::Opaque(
+            SCALARS
+                .get(b.unsigned_abs() as usize)
+                .map_or("x y", |x| x)
+                .into(),
+        ),
+    })
 }
 
 /// A random nest: each event adds a statement of one to three effects to
 /// the innermost open loop (four in six), opens a nested `for j`, or
 /// closes the innermost one, up to three levels below the analyzed
-/// loop. The analyzed loop declares zero or one private scalar and may
-/// declare `tmp` scratch. Statements are labelled and lined by position.
+/// loop, which may declare one scalar private and `tmp` scratch.
 fn arb_loop() -> impl Strategy<Value = LoopNest> {
-    let stmt = proptest::collection::vec(effect(), 1..4);
-    (
-        proptest::collection::vec((0usize..6, stmt), 1..10),
-        0usize..SCALARS.len() + 1,
-        any::<bool>(),
-    )
-        .prop_map(|(events, private, scratch)| {
-            fn close(open: &mut Vec<LoopNest>) {
+    let effects = proptest::collection::vec((0usize..11, 0usize..3, subscript()), 1..4);
+    let events = proptest::collection::vec((0usize..6, effects), 1..10);
+    (events, 0usize..4, any::<bool>()).prop_map(|(events, private, scratch)| {
+        let mut outer = LoopNest::new("for i", "i");
+        outer
+            .private
+            .extend(SCALARS.get(private).map(|p| p.to_string()));
+        if scratch {
+            outer = outer.scratch(&["tmp"]);
+        }
+        let mut open = vec![outer];
+        for (k, (kind, effects)) in events.into_iter().enumerate() {
+            if kind == 4 && open.len() < 4 {
+                open.push(LoopNest::new("for j", "j"));
+            } else if kind == 5 && open.len() > 1 {
                 let inner = open.pop().unwrap();
                 open.last_mut().unwrap().body.push(Node::Loop(inner));
+            } else {
+                let s = Stmt::new(&format!("s{k}")).at(k as u32 + 1);
+                let s = effects.into_iter().fold(s, apply);
+                open.last_mut().unwrap().body.push(Node::Stmt(s));
             }
-            let mut outer = LoopNest::new("for i", "i");
-            if let Some(p) = SCALARS.get(private) {
-                outer = outer.private(&[p]);
+        }
+        while let Some(inner) = open.pop() {
+            match open.last_mut() {
+                Some(l) => l.body.push(Node::Loop(inner)),
+                None => return inner,
             }
-            if scratch {
-                outer = outer.scratch(&["tmp"]);
-            }
-            let mut open = vec![outer];
-            for (k, (kind, effects)) in events.into_iter().enumerate() {
-                match kind {
-                    4 if open.len() < 4 => open.push(LoopNest::new("for j", "j")),
-                    5 if open.len() > 1 => close(&mut open),
-                    _ => {
-                        let label = format!("s{k}");
-                        let s = effects
-                            .into_iter()
-                            .fold(Stmt::new(&label).at(k as u32 + 1), apply);
-                        open.last_mut().unwrap().body.push(Node::Stmt(s));
-                    }
-                }
-            }
-            while open.len() > 1 {
-                close(&mut open);
-            }
-            open.pop().unwrap()
-        })
-}
-
-fn summaries() -> Summaries {
-    let mut s = Summaries::empty();
-    s.add("f", "pure");
-    s.add("g", "pure");
-    s
+        }
+        unreachable!("the analyzed loop is always open")
+    })
 }
 
 /// The scalar, callee or array a reason names.
-fn named_by_reason(k: &ReasonKind) -> &str {
+fn named(k: &ReasonKind) -> &str {
     match k {
         ReasonKind::ScalarDependence { name } | ReasonKind::OpaqueCall { name } => name,
         ReasonKind::DataDependentSubscript { array } | ReasonKind::ArrayConflict { array, .. } => {
@@ -202,55 +120,43 @@ fn named_by_reason(k: &ReasonKind) -> &str {
     }
 }
 
-/// The scalars, callees and arrays a clearing names.
-fn named_by_clearing(k: &ClearedKind) -> Vec<&str> {
-    match k {
-        ClearedKind::Reduction { name, .. }
-        | ClearedKind::PrivatizedScalar { name }
-        | ClearedKind::PureCall { name, .. } => vec![name],
-        ClearedKind::PrivatizedArray { array } => vec![array],
-        ClearedKind::Compaction { array, counter } => vec![array, counter],
-    }
-}
-
 /// Whether `r` names a compacted array at a statement that stores to it
-/// twice or more: the one place the two passes may word or order an
-/// array's reasons differently.
+/// twice or more: the exception in the module doc.
 fn beside_a_compaction(l: &LoopNest, dv: &DataflowVerdict, r: &Reason) -> bool {
-    let array = named_by_reason(&r.kind);
-    let stores = l
-        .all_stmts()
-        .into_iter()
-        .filter(|s| s.label == r.stmt)
+    let array = named(&r.kind);
+    let stores = l.all_stmts().into_iter().filter(|s| s.label == r.stmt);
+    let stores = stores
         .flat_map(|s| &s.arrays)
-        .filter(|a| a.write && a.array == array)
-        .count();
-    stores > 1 && dv.compactions.iter().any(|(a, _)| a == array)
+        .filter(|a| a.write && a.array == array);
+    stores.count() > 1 && dv.compactions.iter().any(|(a, _)| a == array)
 }
 
-/// Residual reasons in order among the 1998 reasons, outside the
-/// compaction corner; every dropped reason named by a clearing.
-fn check(l: &LoopNest) -> Result<(), String> {
+fn check(l: &LoopNest, summaries: &Summaries) -> Result<(), String> {
     let base = analyze_loop(l).reasons;
-    let dv = analyze_loop_dataflow(l, &summaries());
+    let dv = analyze_loop_dataflow(l, summaries);
     let residual = &dv.verdict.reasons;
     let mut rest = base.iter().filter(|b| !beside_a_compaction(l, &dv, b));
     for r in residual.iter().filter(|r| !beside_a_compaction(l, &dv, r)) {
         if !rest.any(|b| b == r) {
-            return Err(format!("residual `{r}` is not in order among\n{base:#?}"));
+            return Err(format!("residual `{r}` is not in order among {base:?}"));
         }
     }
-    let cleared: BTreeSet<&str> = dv
-        .clearings
-        .iter()
-        .flat_map(|c| named_by_clearing(&c.kind))
+    let cleared: BTreeSet<&str> = (dv.clearings.iter())
+        .flat_map(|c| match &c.kind {
+            ClearedKind::Reduction { name, .. }
+            | ClearedKind::PrivatizedScalar { name }
+            | ClearedKind::PureCall { name, .. } => vec![name.as_str()],
+            ClearedKind::PrivatizedArray { array } => vec![array.as_str()],
+            ClearedKind::Compaction { array, counter } => vec![array.as_str(), counter],
+        })
         .collect();
-    for b in base.iter().filter(|b| !residual.contains(b)) {
-        if !cleared.contains(named_by_reason(&b.kind)) {
-            return Err(format!("dropped `{b}`, which no clearing names:\n{dv}"));
-        }
+    match base
+        .iter()
+        .find(|b| !residual.contains(b) && !cleared.contains(named(&b.kind)))
+    {
+        Some(b) => Err(format!("dropped `{b}`, which no clearing names:\n{dv}")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 proptest! {
@@ -258,50 +164,31 @@ proptest! {
 
     #[test]
     fn residual_reasons_are_the_1998_reasons_minus_the_cleared(l in arb_loop()) {
-        let checked = check(&l);
+        let mut summaries = Summaries::empty();
+        summaries.add("f", "pure");
+        let checked = check(&l, &summaries);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 }
 
-/// The benchmark encodings themselves, as a fixed regression.
+/// The benchmark encodings, and the exception: `s1` stores to the
+/// compacted `out` twice, so the 1998 pass words its `out` reasons after
+/// `out[n]` and the dataflow pass, which cleared `out[n]`, after `out[0]`.
 #[test]
-fn benchmark_loops_keep_the_1998_reasons_minus_the_cleared() {
+fn benchmark_loops_and_the_compaction_exception() {
     for l in autopar::programs::benchmark_loops() {
-        check(&l).unwrap_or_else(|e| panic!("{}: {e}", l.label));
+        check(&l, &Summaries::benchmark()).unwrap_or_else(|e| panic!("{}: {e}", l.label));
     }
-}
-
-/// The exception is not vacuous. `s1` stores to the compacted `out`
-/// twice: the 1998 pass words its `out` reasons after `out[n]`, the
-/// first store, and the dataflow pass, which cleared `out[n]`, after
-/// `out[0]`. Both reject the loop.
-#[test]
-fn a_second_store_beside_a_compaction_store_may_be_worded_differently() {
     let l = LoopNest::new("for i", "i")
         .stmt(Stmt::new("s0").array("out", vec![Expr::Const(0)], true))
-        .stmt(
-            Stmt::new("s1")
-                .reads(&["n"])
-                .writes(&["n"])
-                .reduces_op("n", ReduceOp::Count)
-                .array("out", vec![Expr::Opaque("n".into())], true)
-                .array("out", vec![Expr::Const(0)], true),
-        );
-    let base = analyze_loop(&l);
-    let dv = analyze_loop_dataflow(&l, &summaries());
-    assert!(!base.parallel && !dv.verdict.parallel, "{dv}");
-    let conflict =
-        |r: &Reason| matches!(&r.kind, ReasonKind::ArrayConflict { with, .. } if with == "s0");
-    assert!(
-        !base.reasons.iter().any(|r| r.stmt == "s1" && conflict(r)),
-        "{base}"
-    );
-    assert!(
-        dv.verdict
-            .reasons
-            .iter()
-            .any(|r| r.stmt == "s1" && conflict(r)),
-        "{dv}"
-    );
-    check(&l).unwrap();
+        .stmt(apply(Stmt::new("s1"), (5, 0, Expr::Const(0))).array(
+            "out",
+            vec![Expr::Const(0)],
+            true,
+        ));
+    let dv = analyze_loop_dataflow(&l, &Summaries::empty());
+    let with_s0 = |r: &Reason| r.stmt == "s1" && r.to_string().contains("(vs s0)");
+    assert!(!analyze_loop(&l).reasons.iter().any(with_s0));
+    assert!(dv.verdict.reasons.iter().any(with_s0), "{dv}");
+    check(&l, &Summaries::empty()).unwrap();
 }
