@@ -160,8 +160,10 @@ echo "== simulator pinned digests (single driver) =="
 # `processor::tests` case: the calendar hands slots out as the binary heap
 # it replaced would, across the wheel's edge and through its lazy link of
 # far entries. All in a debug build, so `promote`'s one-entry-per-slot
-# `debug_assert!` is live.
-cargo test -q -p mta-sim --test pinned_digests --test run_boundaries
+# `debug_assert!` is live. `memory_model` holds `Memory` to a flat model
+# (one value and one full bit per word): `interp::run_reference` shares
+# `Memory`, so the reference test cannot see a fault in it.
+cargo test -q -p mta-sim --test pinned_digests --test run_boundaries --test memory_model
 cargo test -q -p mta-sim --lib processor::tests
 
 echo "== deleted paths stay deleted =="
