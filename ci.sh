@@ -166,6 +166,14 @@ echo "== simulator pinned digests (single driver) =="
 cargo test -q -p mta-sim --test pinned_digests --test run_boundaries --test memory_model
 cargo test -q -p mta-sim --lib processor::tests
 
+# Memory maps a page on the first write to it; a machine's `mem_words` is
+# an address bound, not an up-front allocation.
+if sed '/^#\[cfg(test)\]/,$d' crates/mta-sim/src/memory.rs |
+  grep -n 'vec!\[[^]]*; *[a-z_.]*words\]'; then
+  echo "memory.rs allocates every word up front again" >&2
+  exit 1
+fi
+
 echo "== deleted paths stay deleted =="
 # The parallel tick, its barrier, and its env knob are gone; the only
 # remaining matches are unrelated functions of the same name.

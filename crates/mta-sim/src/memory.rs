@@ -7,14 +7,40 @@
 //! unit-stride traffic spreads evenly. There is no cache anywhere —
 //! latency tolerance comes entirely from stream multiplicity, which is the
 //! architectural bet the paper evaluates.
+//!
+//! The host holds the words in pages of [`PAGE_WORDS`] words, each mapped
+//! on the first write that lands on it. A word on an unmapped page reads
+//! as zero and full, the MTA's born-full convention, and reading it maps
+//! nothing, so a machine's size (`mem_words`) is an address bound, not a
+//! host cost: a run pays for the pages its program writes.
+
+/// Words per host page: a power of two.
+const PAGE_WORDS: usize = 1 << 10;
+
+/// One mapped page: its words' data and full/empty bits.
+#[derive(Debug, Clone)]
+struct Page {
+    data: [u64; PAGE_WORDS],
+    full: [bool; PAGE_WORDS],
+}
+
+impl Page {
+    /// A page of words born full and zero, the state it had unmapped.
+    fn new() -> Box<Self> {
+        Box::new(Self {
+            data: [0; PAGE_WORDS],
+            full: [true; PAGE_WORDS],
+        })
+    }
+}
 
 /// Per-word synchronization state plus data. Words are born **full** (the
 /// MTA convention for ordinary data); synchronization variables are
 /// initialized empty explicitly.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    data: Vec<u64>,
-    full: Vec<bool>,
+    words: usize,
+    pages: Vec<Option<Box<Page>>>,
     n_banks: usize,
     bank_service: u64,
     bank_free_at: Vec<u64>,
@@ -73,12 +99,14 @@ pub struct BankTiming {
 impl Memory {
     /// A memory of `words` words across `n_banks` banks, each taking
     /// `bank_service` cycles per access. All words start full and zero.
+    /// `words` bounds the addresses; no page is mapped until a write
+    /// lands on it.
     pub fn new(words: usize, n_banks: usize, bank_service: u64) -> Self {
         assert!(n_banks > 0, "need at least one bank");
         assert!(bank_service > 0, "bank service time must be positive");
         Self {
-            data: vec![0; words],
-            full: vec![true; words],
+            words,
+            pages: vec![None; words.div_ceil(PAGE_WORDS)],
             n_banks,
             bank_service,
             bank_free_at: vec![0; n_banks],
@@ -88,12 +116,12 @@ impl Memory {
 
     /// Number of words.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.words
     }
 
     /// Whether the memory has no words.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.words == 0
     }
 
     /// The bank a word lives in (word-interleaved).
@@ -108,12 +136,12 @@ impl Memory {
 
     /// Check that `addr` is mapped.
     pub fn check(&self, addr: usize) -> Result<(), String> {
-        if addr < self.data.len() {
+        if addr < self.words {
             Ok(())
         } else {
             Err(format!(
                 "address {addr} out of range (memory has {} words)",
-                self.data.len()
+                self.words
             ))
         }
     }
@@ -134,27 +162,55 @@ impl Memory {
 
     // ── data access (timing-free; the machine layers timing on top) ─────
 
+    /// The page index and offset of `addr`; panics if it is out of range.
+    fn locate(&self, addr: usize) -> (usize, usize) {
+        assert!(
+            addr < self.words,
+            "address {addr} out of range (memory has {} words)",
+            self.words
+        );
+        (addr / PAGE_WORDS, addr % PAGE_WORDS)
+    }
+
+    /// The value and full bit of `addr`, mapping nothing.
+    fn word(&self, addr: usize) -> (u64, bool) {
+        let (page, i) = self.locate(addr);
+        match &self.pages[page] {
+            Some(p) => (p.data[i], p.full[i]),
+            None => (0, true),
+        }
+    }
+
+    /// The page holding `addr`, mapped if it was not, and the offset.
+    fn page_mut(&mut self, addr: usize) -> (&mut Page, usize) {
+        let (page, i) = self.locate(addr);
+        (self.pages[page].get_or_insert_with(Page::new), i)
+    }
+
     /// Plain load, ignoring the full/empty bit.
     pub fn load(&self, addr: usize) -> u64 {
-        self.data[addr]
+        self.word(addr).0
     }
 
     /// Plain store, ignoring the full/empty bit.
     pub fn store(&mut self, addr: usize, v: u64) {
-        self.data[addr] = v;
+        let (p, i) = self.page_mut(addr);
+        p.data[i] = v;
     }
 
     /// Force the word empty (synchronization-variable initialization).
     pub fn set_empty(&mut self, addr: usize) {
-        self.full[addr] = false;
+        let (p, i) = self.page_mut(addr);
+        p.full[i] = false;
     }
 
     /// Synchronized consuming load: if full, returns the value and sets the
     /// word empty; `None` if the word is empty.
     pub fn try_take(&mut self, addr: usize) -> Option<u64> {
-        if self.full[addr] {
-            self.full[addr] = false;
-            Some(self.data[addr])
+        let (p, i) = self.page_mut(addr);
+        if p.full[i] {
+            p.full[i] = false;
+            Some(p.data[i])
         } else {
             None
         }
@@ -163,35 +219,35 @@ impl Memory {
     /// Synchronized store: if empty, writes the value, sets full, and
     /// returns `true`; `false` if the word is full.
     pub fn try_put_sync(&mut self, addr: usize, v: u64) -> bool {
-        if self.full[addr] {
+        let (p, i) = self.page_mut(addr);
+        if p.full[i] {
             false
         } else {
-            self.data[addr] = v;
-            self.full[addr] = true;
+            p.data[i] = v;
+            p.full[i] = true;
             true
         }
     }
 
     /// Read-and-leave-full: value if full, `None` if empty.
     pub fn try_read_ff(&self, addr: usize) -> Option<u64> {
-        if self.full[addr] {
-            Some(self.data[addr])
-        } else {
-            None
-        }
+        let (v, full) = self.word(addr);
+        full.then_some(v)
     }
 
     /// Unconditional publish: write and set full.
     pub fn put(&mut self, addr: usize, v: u64) {
-        self.data[addr] = v;
-        self.full[addr] = true;
+        let (p, i) = self.page_mut(addr);
+        p.data[i] = v;
+        p.full[i] = true;
     }
 
     /// Atomic fetch-and-add (wrapping) on a full word; `None` if empty.
     pub fn try_fetch_add(&mut self, addr: usize, delta: u64) -> Option<u64> {
-        if self.full[addr] {
-            let old = self.data[addr];
-            self.data[addr] = old.wrapping_add(delta);
+        let (p, i) = self.page_mut(addr);
+        if p.full[i] {
+            let old = p.data[i];
+            p.data[i] = old.wrapping_add(delta);
             Some(old)
         } else {
             None
@@ -200,7 +256,7 @@ impl Memory {
 
     /// Load a word as an `f64` bit pattern.
     pub fn load_f64(&self, addr: usize) -> f64 {
-        f64::from_bits(self.data[addr])
+        f64::from_bits(self.load(addr))
     }
 }
 
@@ -342,5 +398,51 @@ mod tests {
         assert!(m.check(3).is_ok());
         let e = m.check(4).unwrap_err();
         assert!(e.contains("4"));
+    }
+
+    /// Pages mapped so far.
+    fn mapped_pages(m: &Memory) -> usize {
+        m.pages.iter().filter(|p| p.is_some()).count()
+    }
+
+    fn tera_sized() -> Memory {
+        let cfg = crate::MtaConfig::tera(1);
+        Memory::new(cfg.mem_words, cfg.n_banks, cfg.bank_service)
+    }
+
+    #[test]
+    fn a_memory_maps_only_the_pages_it_writes() {
+        let mut m = tera_sized();
+        let last = m.len() - 1;
+        assert_eq!(m.len(), 1 << 22);
+        assert_eq!(mapped_pages(&m), 0);
+        for a in [0, 1, PAGE_WORDS - 1, PAGE_WORDS, 100_000, last] {
+            assert_eq!(m.load(a), 0);
+            assert_eq!(m.try_read_ff(a), Some(0));
+        }
+        assert_eq!(mapped_pages(&m), 0, "reads map nothing");
+        m.store(last, 7);
+        assert_eq!(mapped_pages(&m), 1);
+        assert_eq!(m.load(last), 7);
+        assert_eq!(m.load(last - 1), 0);
+        assert_eq!(m.try_read_ff(last - PAGE_WORDS), Some(0));
+        assert_eq!(mapped_pages(&m), 1);
+        assert!(m.check(last).is_ok());
+        assert!(m.check(m.len()).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn an_out_of_range_load_panics() {
+        let m = tera_sized();
+        m.load(m.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_load_past_the_end_of_a_partial_page_panics() {
+        let mut m = Memory::new(PAGE_WORDS + 3, 2, 1);
+        m.store(PAGE_WORDS, 1);
+        m.load(PAGE_WORDS + 3);
     }
 }
