@@ -6,17 +6,18 @@
 //! sequences of every data operation and `set_empty` run on both, every
 //! return value is compared, and then every word's value and full bit.
 //!
-//! The memory is not a whole number of pages for any power-of-two page
-//! size from 256 to 4,096 words, so its last page is partial. Addresses
-//! are drawn mostly from word 0, each multiple of 256 and its neighbours,
-//! and the last two words, so page boundaries are hit whatever the page
-//! size; a sequence touches a few of the memory's pages, and the final
-//! sweep reads the rest, which were never written.
+//! Each sequence runs on a memory of 8,192 words, a whole number of pages
+//! for any power-of-two page size up to 8,192 words, or of 8,229, whose
+//! last page is partial for any from 64. Addresses are drawn mostly from
+//! word 0, each multiple of 256 and its neighbours, and the last two
+//! words, so page boundaries are hit whatever the page size; a sequence
+//! touches a few of the memory's pages, and the final sweep reads the
+//! rest, which were never written.
 
 use mta_sim::Memory;
 use proptest::prelude::*;
 
-const WORDS: usize = 8 * 1024 + 37;
+const SIZES: [usize; 2] = [8 * 1024, 8 * 1024 + 37];
 
 /// The flat model: the specification `Memory` must meet.
 struct Model {
@@ -25,10 +26,10 @@ struct Model {
 }
 
 impl Model {
-    fn new() -> Self {
+    fn new(words: usize) -> Self {
         Self {
-            data: vec![0; WORDS],
-            full: vec![true; WORDS],
+            data: vec![0; words],
+            full: vec![true; words],
         }
     }
 }
@@ -89,26 +90,26 @@ fn apply(op: Op, m: &mut Memory, model: &mut Model) -> Result<(), TestCaseError>
             }
             prop_assert_eq!(m.try_fetch_add(a, d), want, "{:?}", op);
         }
-        Op::Check(a) => prop_assert_eq!(m.check(a).is_ok(), a < WORDS, "{:?}", op),
+        Op::Check(a) => prop_assert_eq!(m.check(a).is_ok(), a < data.len(), "{:?}", op),
     }
     Ok(())
 }
 
 /// Word 0, every multiple of 256 with its two neighbours, and the last
 /// two words.
-fn boundary_addrs() -> Vec<usize> {
-    let mut v = vec![0, WORDS - 2, WORDS - 1];
-    for k in (256..WORDS).step_by(256) {
+fn boundary_addrs(words: usize) -> Vec<usize> {
+    let mut v = vec![0, words - 2, words - 1];
+    for k in (256..words - 1).step_by(256) {
         v.extend([k - 1, k, k + 1]);
     }
     v
 }
 
-fn arb_addr() -> impl Strategy<Value = usize> {
-    let boundary = boundary_addrs();
+fn arb_addr(words: usize) -> impl Strategy<Value = usize> {
+    let boundary = boundary_addrs(words);
     prop_oneof![
         4 => (0..boundary.len()).prop_map(move |i| boundary[i]),
-        1 => 0..WORDS,
+        1 => 0..words,
     ]
 }
 
@@ -116,8 +117,8 @@ fn arb_value() -> impl Strategy<Value = u64> {
     prop_oneof![Just(0), Just(1), Just(u64::MAX), any::<u64>()]
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    let a = arb_addr;
+fn arb_op(words: usize) -> impl Strategy<Value = Op> {
+    let a = || arb_addr(words);
     prop_oneof![
         a().prop_map(Op::Load),
         a().prop_map(Op::LoadF64),
@@ -128,7 +129,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         a().prop_map(Op::TryReadFf),
         (a(), arb_value()).prop_map(|(a, v)| Op::Put(a, v)),
         (a(), arb_value()).prop_map(|(a, d)| Op::TryFetchAdd(a, d)),
-        prop_oneof![a(), WORDS..WORDS + 2048, Just(usize::MAX)].prop_map(Op::Check),
+        prop_oneof![a(), words..words + 2048, Just(usize::MAX)].prop_map(Op::Check),
     ]
 }
 
@@ -138,14 +139,19 @@ proptest! {
     /// Every return value, then every word's value and full bit, equal
     /// the flat model's.
     #[test]
-    fn memory_matches_the_flat_model(ops in proptest::collection::vec(arb_op(), 0..96)) {
-        let mut m = Memory::new(WORDS, 64, 1);
-        let mut model = Model::new();
+    fn memory_matches_the_flat_model(
+        (words, ops) in (0..SIZES.len()).prop_flat_map(|i| {
+            let words = SIZES[i];
+            proptest::collection::vec(arb_op(words), 0..96).prop_map(move |ops| (words, ops))
+        })
+    ) {
+        let mut m = Memory::new(words, 64, 1);
+        let mut model = Model::new(words);
         for &op in &ops {
             apply(op, &mut m, &mut model)?;
         }
-        prop_assert_eq!(m.len(), WORDS);
-        for a in 0..WORDS {
+        prop_assert_eq!(m.len(), words);
+        for a in 0..words {
             prop_assert_eq!(m.load(a), model.data[a], "value of word {}", a);
             prop_assert_eq!(m.try_read_ff(a).is_some(), model.full[a], "full bit of word {}", a);
         }
