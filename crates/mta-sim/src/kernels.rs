@@ -79,10 +79,10 @@ pub fn mem_kernel(n_workers: usize, iters: i64, stride: i64, base: i64) -> Progr
     a.assemble().expect("mem_kernel must assemble")
 }
 
-/// A mixed compute/memory kernel: each iteration does `alu_per_iter`
-/// integer instructions and one load, giving a memory fraction of
-/// `1 / (alu_per_iter + 1)`. This is the knob for the
-/// utilization-vs-streams experiments.
+/// A mixed compute/memory kernel: each iteration issues `alu_per_iter`
+/// integer instructions, one load and one branch, giving a memory
+/// fraction of `1 / (alu_per_iter + 2)` (20 % at 3). This is the knob for
+/// the utilization-vs-streams experiments.
 pub fn mixed_kernel(n_workers: usize, iters: i64, alu_per_iter: i64, base: i64) -> Program {
     assert!(alu_per_iter >= 1);
     let mut a = Assembler::new();
@@ -463,6 +463,7 @@ pub fn measure_utilization_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::InstrMix;
 
     fn cfg1() -> MtaConfig {
         MtaConfig {
@@ -548,6 +549,29 @@ mod tests {
         let u = measure_utilization(cfg1(), 1, 2000, 8);
         assert!(u < 0.06, "single stream must be ≈5%: {u}");
         assert!(u > 0.02, "but not absurdly low: {u}");
+    }
+
+    #[test]
+    fn mixed_kernel_issues_one_load_in_alu_per_iter_plus_two() {
+        let (iters, alu_per_iter) = (40, 3);
+        let (_, r) = run_kernel(cfg1(), mixed_kernel(1, iters, alu_per_iter, 4096), &[]);
+        let iters = iters as u64;
+        // Main: two `li`, one spawn round (`bge`, `fork`, `addi`, `jmp`),
+        // the `bge` out and `halt`. Worker: `li`, `li`, `mov`, `addi`,
+        // then the loop, then `halt`.
+        assert_eq!(
+            r.stats.mix,
+            InstrMix {
+                alu: 10 + iters * (alu_per_iter as u64 + 1),
+                memory: iters,
+                sync: 0,
+                thread: 3,
+            }
+        );
+        assert_eq!(
+            r.stats.instructions(),
+            iters * (alu_per_iter as u64 + 2) + 13
+        );
     }
 
     #[test]

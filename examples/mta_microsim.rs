@@ -75,7 +75,7 @@ fn main() {
     );
 
     // ── 2. The utilization curve (paper Sections 5 and 7) ──────────────
-    println!("\nutilization vs streams (25% memory mix):");
+    println!("\nutilization vs streams (20% memory mix):");
     let cfg = || MtaConfig {
         mem_words: 1 << 20,
         ..MtaConfig::tera(1)
