@@ -8,11 +8,11 @@
 //! latency tolerance comes entirely from stream multiplicity, which is the
 //! architectural bet the paper evaluates.
 //!
-//! The host holds the words in pages of [`PAGE_WORDS`] words, each mapped
-//! on the first write that lands on it. A word on an unmapped page reads
-//! as zero and full, the MTA's born-full convention, and reading it maps
-//! nothing, so a machine's size (`mem_words`) is an address bound, not a
-//! host cost: a run pays for the pages its program writes.
+//! The host holds the words in pages of 1,024 words, each mapped on the
+//! first write that lands on it. A word on an unmapped page reads as zero
+//! and full, the MTA's born-full convention, and reading it maps nothing,
+//! so a machine's size (`mem_words`) is an address bound, not a host
+//! cost: a run pays for the pages its program writes.
 
 /// Words per host page: a power of two.
 const PAGE_WORDS: usize = 1 << 10;
