@@ -88,6 +88,12 @@ echo "== paper-scale Tera folds == their oracle loops (release-only) =="
 # loops the folds replace (ignored unoptimized, like the arm above).
 cargo test -q --release -p eval-core --test tera_folds paper_scale_entry_points_equal_the_oracles
 
+echo "== paper-scale served projections == their direct calls (release-only) =="
+# `Scalability` lists and Tera `TerrainModel` requests, first and second
+# call on one `Evaluator`, byte for byte against `scalability_projection`
+# and `tm_tera` (ignored unoptimized, like the arm above).
+cargo test -q --release -p eval-core --lib paper_scale_projections_equal_their_direct_calls
+
 echo "== differential fuzz smoke (fixed seed) =="
 # A short fixed-seed campaign: 25 reduced-size generated scenarios, each
 # run sequential-oracle × {coarse,fine,chunked} × {1,2,8} workers with

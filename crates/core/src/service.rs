@@ -654,6 +654,75 @@ mod tests {
         });
     }
 
+    /// `Scalability` lists (repeated counts, with and without `1`, the
+    /// largest admissible count) and Tera `TerrainModel` requests, each
+    /// with the direct [`Experiments`] call that is its response.
+    fn projections(e: &Experiments) -> Vec<(EvalRequest, String)> {
+        let mut reqs = Vec::new();
+        for p in [1, 2, 1024] {
+            let req = EvalRequest::TerrainModel {
+                platform: Platform::Tera,
+                n_procs: p,
+            };
+            reqs.push((req, seconds_body(e.tm_tera(p))));
+        }
+        for procs in [
+            vec![8, 8, 1, 8],
+            vec![2, 4, 16, 4],
+            vec![1],
+            vec![65_536, 3, 65_536],
+            vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 1024],
+        ] {
+            let direct = e.scalability_projection(&procs).render();
+            reqs.push((EvalRequest::Scalability { procs }, direct));
+        }
+        reqs
+    }
+
+    fn assert_projections_equal_direct_calls(evaluator: &Evaluator, call: &str) {
+        for (req, direct) in projections(evaluator.experiments()) {
+            assert_eq!(
+                evaluator.evaluate(&req),
+                Ok(direct),
+                "{call} call of {req:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn projections_equal_their_direct_calls_first_second_and_racing() {
+        let evaluator = reduced_evaluator();
+        for call in ["first", "second"] {
+            assert_projections_equal_direct_calls(&evaluator, call);
+        }
+
+        // Four threads race each first call on another fresh evaluator.
+        let racing = reduced_evaluator();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    assert_projections_equal_direct_calls(&racing, "racing");
+                });
+            }
+        });
+    }
+
+    /// The same at paper scale, where Threat Analysis runs 1000 chunks
+    /// (ignored unoptimized; `ci.sh` runs it with `--release`).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn paper_scale_projections_equal_their_direct_calls() {
+        let evaluator = Evaluator::new(
+            Experiments::new(crate::Workload::build(WorkloadScale::Paper)),
+            WorkloadScale::Paper,
+        );
+        for call in ["first", "second"] {
+            assert_projections_equal_direct_calls(&evaluator, call);
+        }
+    }
+
     #[test]
     fn evaluate_rejects_exactly_what_validate_request_rejects() {
         let evaluator = reduced_evaluator();

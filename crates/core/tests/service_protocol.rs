@@ -311,15 +311,27 @@ fn sequential_tcp_pings_do_not_wait_for_delayed_acks() {
     );
 }
 
-/// The direct `Experiments` call behind a request that takes no
-/// parameter (a table, a figure, the sensitivity table), or `None` for a
-/// parameterised kind. It never goes through an `Evaluator`, so it does
-/// not read the bodies the server stores.
-fn parameterless_call(e: &Experiments, req: &EvalRequest) -> Option<String> {
+/// The direct `Experiments` call behind a request whose response an
+/// `Evaluator` stores or folds from stored points: a table, a figure, the
+/// sensitivity table, a scalability projection or a Terrain Masking
+/// model. `None` for any other kind. It never goes through an
+/// `Evaluator`, so it does not read what the server stores.
+fn direct_call(e: &Experiments, req: &EvalRequest) -> Option<String> {
     match req {
         EvalRequest::Table { n } => Some(TABLES[usize::from(*n) - 1](e).render()),
         EvalRequest::FigurePlot { n } => Some(e.figure(Figure::ALL[usize::from(*n) - 1])),
         EvalRequest::Sensitivity => Some(e.sensitivity().render()),
+        EvalRequest::Scalability { procs } => Some(e.scalability_projection(procs).render()),
+        EvalRequest::TerrainModel { platform, n_procs } => {
+            let secs = match platform {
+                Platform::Alpha => e.tm_conv_parallel(&e.cal.alpha, *n_procs),
+                Platform::PentiumPro => e.tm_conv_parallel(&e.cal.ppro, *n_procs),
+                Platform::Exemplar => e.tm_conv_parallel(&e.cal.exemplar, *n_procs),
+                Platform::Tera => e.tm_tera(*n_procs),
+            };
+            let secs = serde_json::to_string(&secs).expect("serialize seconds");
+            Some(format!("{{\"seconds\":{secs}}}"))
+        }
         _ => None,
     }
 }
@@ -353,30 +365,36 @@ fn served_responses_are_bit_identical_to_direct_evaluation() {
         });
         requests.push(EvalRequest::TerrainModel { platform, n_procs });
     }
+    // Each request with its expected body and how often it is sent. A
+    // request with a direct call is sent twice: the second reply is read
+    // from what the server stored on the first.
+    let expected: Vec<(EvalRequest, String, usize)> = requests
+        .into_iter()
+        .map(|req| match direct_call(reference.experiments(), &req) {
+            Some(body) => (req, body, 2),
+            None => {
+                let body = reference.evaluate(&req).expect("direct evaluation");
+                (req, body, 1)
+            }
+        })
+        .collect();
 
     // Two concurrent connections interleave their requests so responses
     // really go through concurrent admission and evaluation.
     std::thread::scope(|s| {
         for conn in 0..2usize {
             let addr = &addr;
-            let reference = &reference;
-            let requests = &requests;
+            let expected = &expected;
             s.spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
-                for (i, req) in requests.iter().enumerate().skip(conn).step_by(2) {
-                    // A parameterless request is sent twice: the second
-                    // reply is the server's stored body.
-                    let (direct, sends) = match parameterless_call(reference.experiments(), req) {
-                        Some(body) => (body, 2),
-                        None => (reference.evaluate(req).expect("direct evaluation"), 1),
-                    };
-                    for send in 1..=sends {
+                for (i, (req, direct, sends)) in expected.iter().enumerate().skip(conn).step_by(2) {
+                    for send in 1..=*sends {
                         let resp = client.call(req.clone()).expect("call");
                         let served = resp.ok.unwrap_or_else(|| {
                             panic!("request {i} failed on the wire: {:?}", resp.error)
                         });
                         assert_eq!(
-                            served, direct,
+                            &served, direct,
                             "request {i} ({req:?}), send {send}: served response differs \
                              from direct evaluation"
                         );
@@ -388,8 +406,11 @@ fn served_responses_are_bit_identical_to_direct_evaluation() {
 
     // This service's histogram saw every completed request, and nothing
     // else: one sample each, recorded before the reply is sent.
-    let fixed = TABLES.len() + Figure::ALL.len() + 1;
-    assert_eq!(service.latency().count(), (requests.len() + fixed) as u64);
+    // Sent twice: the 17 fixed kinds, the projection and the four
+    // `TerrainModel`s.
+    let sends: usize = expected.iter().map(|(_, _, sends)| sends).sum();
+    assert_eq!(sends, expected.len() + 17 + 1 + 4);
+    assert_eq!(service.latency().count(), sends as u64);
 
     stop_server(&addr, returned);
 }
