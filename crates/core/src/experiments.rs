@@ -775,20 +775,39 @@ impl Experiments {
     /// processor want ~L streams each), while fine-grained Terrain
     /// Masking hits an Amdahl wall at the serial spawner.
     pub fn scalability_projection(&self, procs: &[usize]) -> Table {
-        let max_chunks = self
-            .workload
+        self.projection_from(procs, |p| self.projection_point(p))
+    }
+
+    /// The Threat Analysis chunk count of the projection: one chunk per
+    /// threat of the smallest scenario.
+    fn projection_chunks(&self) -> usize {
+        self.workload
             .ta_per_threat
             .iter()
             .map(Vec::len)
             .min()
-            .unwrap_or(1000);
-        let ta1 = self.ta_tera(max_chunks, 1);
-        let tm1 = self.tm_tera(1);
+            .unwrap_or(1000)
+    }
+
+    /// One point of the projection at `p` processors: the modeled Tera
+    /// seconds `(ta_tera(chunks, p), tm_tera(p))`.
+    pub(crate) fn projection_point(&self, p: usize) -> (f64, f64) {
+        (self.ta_tera(self.projection_chunks(), p), self.tm_tera(p))
+    }
+
+    /// The projection table over `procs`, reading each count's point, and
+    /// the one-processor baseline's, from `point` (which must return what
+    /// [`Self::projection_point`] does).
+    pub(crate) fn projection_from(
+        &self,
+        procs: &[usize],
+        mut point: impl FnMut(usize) -> (f64, f64),
+    ) -> Table {
+        let (ta1, tm1) = point(1);
         let rows = procs
             .iter()
             .map(|&p| {
-                let ta = self.ta_tera(max_chunks, p);
-                let tm = self.tm_tera(p);
+                let (ta, tm) = point(p);
                 vec![
                     Cell::text(p.to_string()),
                     Cell::bare(ta),
@@ -803,7 +822,8 @@ impl Experiments {
             title: format!(
                 "Tera MTA scalability outlook (Section 8; model extrapolation, \
                  eta={:.2} held constant, TA parallelized over all {} threats)",
-                self.cal.tera.eta2, max_chunks
+                self.cal.tera.eta2,
+                self.projection_chunks()
             ),
             headers: vec![
                 "Processors".into(),

@@ -29,8 +29,11 @@
 //!    body cannot go stale: it is computed from the snapshot and the
 //!    calibration, which nothing changes after [`Evaluator::new`]. A panic
 //!    while a body is first computed leaves its slot empty, and the next
-//!    request of that kind computes it again. Parameterised requests are
-//!    computed on every call.
+//!    request of that kind computes it again. A `Scalability` projection
+//!    and a Tera `TerrainModel` read *projection points*: the pair
+//!    `(ta_tera(chunks, p), tm_tera(p))` of each processor count `p` is
+//!    folded on its first use and stored in a map (at most 65,536 points).
+//!    Every other parameterised request is computed on every call.
 //! 3. [`Service`] — admission. At most `capacity` requests are evaluated
 //!    at once; one more fails *immediately* with
 //!    [`EvalError::Overloaded`] carrying a retry hint, so admission never
@@ -44,8 +47,9 @@
 
 use crate::experiments::{Experiments, Figure, TABLES};
 use crate::workload::WorkloadScale;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Platforms a modeled-benchmark request can target. Mirrors Table 1.
@@ -180,6 +184,12 @@ pub struct Evaluator {
     /// The response bodies of the parameterless requests, each computed
     /// on its first use ([`stored_slot`]).
     stored: [OnceLock<String>; STORED],
+    /// The projection points, keyed by processor count: `p` ↦
+    /// [`Experiments::projection_point`]`(p)`, folded on the first use of
+    /// `p` ([`Evaluator::point`]). [`validate_request`] admits `p` in
+    /// `1..=65_536` only, so the map holds at most 65,536 entries, about
+    /// 3 MB with the table's spare capacity; nothing is ever evicted.
+    points: Mutex<HashMap<usize, (f64, f64)>>,
 }
 
 impl Evaluator {
@@ -189,6 +199,7 @@ impl Evaluator {
             exps,
             scale,
             stored: [const { OnceLock::new() }; STORED],
+            points: Mutex::new(HashMap::new()),
         }
     }
 
@@ -235,11 +246,36 @@ impl Evaluator {
         Ok(model)
     }
 
+    /// The projection point at `p` processors, folded on its first use.
+    /// The fold runs outside the lock, so two threads that miss on one
+    /// `p` both fold it and both insert the same bits. The map only ever
+    /// gains whole entries, so a lock poisoned by a panic elsewhere
+    /// still guards a sound map and is used as it is.
+    fn point(&self, p: usize) -> (f64, f64) {
+        let points = || self.points.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&point) = points().get(&p) {
+            return point;
+        }
+        let point = self.exps.projection_point(p);
+        points().insert(p, point);
+        point
+    }
+
+    /// The processor counts whose projection points are stored, ascending.
+    #[cfg(test)]
+    fn stored_points(&self) -> Vec<usize> {
+        let points = self.points.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut keys: Vec<usize> = points.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
     /// Evaluate one request **sequentially and deterministically**. This
     /// is both the direct-call reference path and what [`Service::submit`]
     /// runs — served results are bit-identical to direct calls because
     /// they *are* the same call. A parameterless request's body is
-    /// computed on its first call and cloned from then on.
+    /// computed on its first call and cloned from then on; a projection
+    /// or a Tera Terrain Masking model reads the stored points.
     pub fn evaluate(&self, req: &EvalRequest) -> Result<String, EvalError> {
         validate_request(req)?;
         match stored_slot(req) {
@@ -276,7 +312,7 @@ impl Evaluator {
             }
             EvalRequest::TerrainModel { platform, n_procs } => {
                 let secs = match platform {
-                    Platform::Tera => e.tm_tera(*n_procs),
+                    Platform::Tera => self.point(*n_procs).1,
                     _ => {
                         let model = self.checked_model(*platform, *n_procs)?;
                         e.tm_conv_parallel(model, *n_procs)
@@ -284,7 +320,9 @@ impl Evaluator {
                 };
                 Ok(seconds_body(secs))
             }
-            EvalRequest::Scalability { procs } => Ok(e.scalability_projection(procs).render()),
+            EvalRequest::Scalability { procs } => {
+                Ok(e.projection_from(procs, |p| self.point(p)).render())
+            }
             EvalRequest::Sensitivity => Ok(e.sensitivity().render()),
             EvalRequest::Sleep { ms } => {
                 std::thread::sleep(std::time::Duration::from_millis(*ms));
@@ -707,6 +745,52 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn a_projection_stores_one_point_per_distinct_count_and_its_baseline() {
+        let evaluator = reduced_evaluator();
+        assert_eq!(evaluator.stored_points(), Vec::<usize>::new());
+        let requests = [
+            EvalRequest::Scalability {
+                procs: vec![8, 8, 1, 8],
+            },
+            EvalRequest::TerrainModel {
+                platform: Platform::Tera,
+                n_procs: 8,
+            },
+            EvalRequest::TerrainModel {
+                platform: Platform::Exemplar,
+                n_procs: 4,
+            },
+        ];
+        for req in &requests {
+            evaluator.evaluate(req).expect("admissible");
+            assert_eq!(evaluator.stored_points(), [1, 8], "after {req:?}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_point_store_still_serves() {
+        let evaluator = reduced_evaluator();
+        let direct = evaluator
+            .experiments()
+            .scalability_projection(&[4, 2])
+            .render();
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _points = evaluator.points.lock().unwrap();
+            panic!("a panic while the store is locked");
+        }));
+        assert!(poisoned.is_err() && evaluator.points.is_poisoned());
+        let req = EvalRequest::Scalability { procs: vec![4, 2] };
+        for call in ["first", "second"] {
+            assert_eq!(
+                evaluator.evaluate(&req).as_ref(),
+                Ok(&direct),
+                "{call} call"
+            );
+        }
+        assert_eq!(evaluator.stored_points(), [1, 2, 4]);
     }
 
     /// The same at paper scale, where Threat Analysis runs 1000 chunks
