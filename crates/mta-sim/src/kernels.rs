@@ -289,9 +289,10 @@ pub struct ChunkedScanLayout {
 /// A miniature chunked Threat Analysis in simulator IR — the Table 6
 /// experiment at cycle level. `n_pairs` pairs are split over `n_chunks`
 /// worker streams with the paper's blocking expression; each pair scans
-/// `steps` time steps (one window-table load plus compare/advance per
-/// step, the benchmark's ~25% memory mix) and counts pairs whose window
-/// is non-empty via fetch-add on a shared counter.
+/// `steps` time steps (per step two window-table loads, `start` and
+/// `end`, and four ALU instructions to compare, count and loop, so a
+/// third of the step loop's instructions are loads) and counts pairs
+/// whose window is non-empty via fetch-add on a shared counter.
 ///
 /// Sweeping `n_chunks` on a fixed machine reproduces, *in the simulator*,
 /// the saturation shape of the paper's Table 6 that the analytic model
@@ -711,6 +712,36 @@ mod tests {
         let r = m.run(200_000_000);
         assert!(r.completed, "{r:?}");
         assert_eq!(m.memory().load(layout.count_addr), expected);
+    }
+
+    #[test]
+    fn chunked_scan_issues_two_loads_in_six_per_step() {
+        let (n_pairs, steps) = (3u64, 4u64);
+        let (program, layout) = chunked_scan_kernel(n_pairs as usize, steps as i64, 1);
+        let mut m = Machine::new(cfg1(), program).unwrap();
+        // Pair 0's window is non-empty; the others read zero words.
+        m.memory_mut().store(layout.windows_base, 1);
+        m.memory_mut().store(layout.windows_base + 1, 2);
+        m.spawn(0, 0).unwrap();
+        let r = m.run(100_000_000);
+        assert!(r.completed, "{r:?}");
+        assert_eq!(m.memory().load(layout.count_addr), 1);
+        // Main: two `li`, one spawn round (`bge`, `fork`, `addi`, `jmp`),
+        // the `bge` out and `halt`. Worker: eight instructions of chunk
+        // bounds; per pair `bge`, `li`, `add`, `add`, `li`, `li`, the
+        // steps (`load`, `load`, `slt`, `add`, `addi`, `bne`), `beq`,
+        // `addi`, `jmp`, plus `li`, `li`, `fetch_add` for the non-empty
+        // pair; then the `bge` out and `halt`.
+        assert_eq!(
+            r.stats.mix,
+            InstrMix {
+                alu: 6 + 8 + n_pairs * (9 + 4 * steps) + 2 + 1,
+                memory: n_pairs * steps * 2,
+                sync: 1,
+                thread: 3,
+            }
+        );
+        assert_eq!(r.stats.instructions(), n_pairs * (9 + 6 * steps) + 21);
     }
 
     #[test]
