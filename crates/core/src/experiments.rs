@@ -1297,6 +1297,29 @@ mod tests {
     }
 
     #[test]
+    fn projection_rows_are_the_folds_and_their_one_processor_speedups() {
+        let e = exps();
+        let chunks = e.workload.ta_per_threat.iter().map(Vec::len).min().unwrap();
+        let (ta1, tm1) = (e.ta_tera(chunks, 1), e.tm_tera(1));
+        // No `1` in the list: the baseline is folded, not read from a row.
+        let procs = [8usize, 2, 8, 1024];
+        let t = e.scalability_projection(&procs);
+        for (row, &p) in t.rows.iter().zip(&procs) {
+            let (ta, tm) = (e.ta_tera(chunks, p), e.tm_tera(p));
+            let cells: Vec<u64> = row[1..]
+                .iter()
+                .map(|c| match c {
+                    Cell::Value { model, paper: None } => model.to_bits(),
+                    _ => panic!("expected a bare value"),
+                })
+                .collect();
+            let folds = [ta, ta1 / ta, tm, tm1 / tm].map(f64::to_bits);
+            assert_eq!(cells, folds, "row for p = {p}");
+        }
+        assert_eq!(t.rows.len(), procs.len());
+    }
+
+    #[test]
     fn all_tables_render_without_panic() {
         let e = exps();
         for t in e.all_tables() {
