@@ -661,35 +661,43 @@ mod tests {
         reqs
     }
 
-    #[test]
-    fn parameterless_requests_equal_their_direct_calls_first_second_and_racing() {
+    fn assert_served(evaluator: &Evaluator, expected: &[(EvalRequest, String)], call: &str) {
+        for (req, direct) in expected {
+            assert_eq!(
+                evaluator.evaluate(req).as_ref(),
+                Ok(direct),
+                "{call} call of {req:?}"
+            );
+        }
+    }
+
+    /// Each of `requests`' bodies equals its direct call on the first and
+    /// the second call of a fresh evaluator, and when four threads race
+    /// every first call on another.
+    fn assert_first_second_and_racing(requests: fn(&Experiments) -> Vec<(EvalRequest, String)>) {
         let evaluator = reduced_evaluator();
-        let expected = parameterless(evaluator.experiments());
-        assert_eq!(expected.len(), 17);
+        let expected = requests(evaluator.experiments());
         for call in ["first", "second"] {
-            for (req, direct) in &expected {
-                assert_eq!(
-                    evaluator.evaluate(req).as_ref(),
-                    Ok(direct),
-                    "{call} call of {req:?}"
-                );
-            }
+            assert_served(&evaluator, &expected, call);
         }
 
-        // Four threads race each first call on another fresh evaluator.
         let racing = reduced_evaluator();
-        let expected = parameterless(racing.experiments());
+        let expected = requests(racing.experiments());
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     start.wait();
-                    for (req, direct) in &expected {
-                        assert_eq!(racing.evaluate(req).as_ref(), Ok(direct), "racing {req:?}");
-                    }
+                    assert_served(&racing, &expected, "racing");
                 });
             }
         });
+    }
+
+    #[test]
+    fn parameterless_requests_equal_their_direct_calls_first_second_and_racing() {
+        assert_eq!(parameterless(reduced_evaluator().experiments()).len(), 17);
+        assert_first_second_and_racing(parameterless);
     }
 
     /// `Scalability` lists (repeated counts, with and without `1`, the
@@ -717,34 +725,9 @@ mod tests {
         reqs
     }
 
-    fn assert_projections_equal_direct_calls(evaluator: &Evaluator, call: &str) {
-        for (req, direct) in projections(evaluator.experiments()) {
-            assert_eq!(
-                evaluator.evaluate(&req),
-                Ok(direct),
-                "{call} call of {req:?}"
-            );
-        }
-    }
-
     #[test]
     fn projections_equal_their_direct_calls_first_second_and_racing() {
-        let evaluator = reduced_evaluator();
-        for call in ["first", "second"] {
-            assert_projections_equal_direct_calls(&evaluator, call);
-        }
-
-        // Four threads race each first call on another fresh evaluator.
-        let racing = reduced_evaluator();
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    start.wait();
-                    assert_projections_equal_direct_calls(&racing, "racing");
-                });
-            }
-        });
+        assert_first_second_and_racing(projections);
     }
 
     #[test]
@@ -802,8 +785,9 @@ mod tests {
             Experiments::new(crate::Workload::build(WorkloadScale::Paper)),
             WorkloadScale::Paper,
         );
+        let expected = projections(evaluator.experiments());
         for call in ["first", "second"] {
-            assert_projections_equal_direct_calls(&evaluator, call);
+            assert_served(&evaluator, &expected, call);
         }
     }
 
