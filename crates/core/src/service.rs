@@ -579,6 +579,7 @@ impl LatencySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::ConventionalModel;
 
     #[test]
     fn latency_histogram_reports_bucket_edge_quantiles() {
@@ -730,6 +731,89 @@ mod tests {
         assert_first_second_and_racing(projections);
     }
 
+    /// The conventional platforms with their calibrated models and Table
+    /// 1 processor counts.
+    fn conventional(e: &Experiments) -> [(Platform, &ConventionalModel, usize); 3] {
+        [
+            (Platform::Alpha, &e.cal.alpha, 1),
+            (Platform::PentiumPro, &e.cal.ppro, 4),
+            (Platform::Exemplar, &e.cal.exemplar, 16),
+        ]
+    }
+
+    /// Every admissible conventional `(platform, p)` as a `ThreatModel` at
+    /// two chunk counts (which it ignores) and as a `TerrainModel`, and
+    /// Tera `ThreatModel`s at four `(n_chunks, p)`, each with the direct
+    /// [`Experiments`] call that is its response.
+    fn model_points(e: &Experiments) -> Vec<(EvalRequest, String)> {
+        let mut reqs = Vec::new();
+        for (platform, model, procs) in conventional(e) {
+            for n_procs in 1..=procs {
+                let ta = seconds_body(e.ta_conv_parallel(model, n_procs));
+                for n_chunks in [1, 45] {
+                    let req = EvalRequest::ThreatModel {
+                        platform,
+                        n_procs,
+                        n_chunks,
+                    };
+                    reqs.push((req, ta.clone()));
+                }
+                let tm = seconds_body(e.tm_conv_parallel(model, n_procs));
+                reqs.push((EvalRequest::TerrainModel { platform, n_procs }, tm));
+            }
+        }
+        for (n_chunks, n_procs) in [(1, 1), (45, 8), (256, 2), (100_000, 1024)] {
+            let req = EvalRequest::ThreatModel {
+                platform: Platform::Tera,
+                n_procs,
+                n_chunks,
+            };
+            reqs.push((req, seconds_body(e.ta_tera(n_chunks, n_procs))));
+        }
+        reqs
+    }
+
+    #[test]
+    fn model_points_equal_their_direct_calls_first_second_and_racing() {
+        assert_eq!(
+            model_points(reduced_evaluator().experiments()).len(),
+            21 * 3 + 4
+        );
+        assert_first_second_and_racing(model_points);
+    }
+
+    /// One processor past each conventional machine, as a `ThreatModel`
+    /// and as a `TerrainModel`.
+    fn past_each_machine(e: &Experiments) -> Vec<EvalRequest> {
+        let mut reqs = Vec::new();
+        for (platform, model, procs) in conventional(e) {
+            assert_eq!(model.n_processors, procs, "{platform:?}");
+            let n_procs = procs + 1;
+            reqs.push(EvalRequest::ThreatModel {
+                platform,
+                n_procs,
+                n_chunks: n_procs,
+            });
+            reqs.push(EvalRequest::TerrainModel { platform, n_procs });
+        }
+        reqs
+    }
+
+    #[test]
+    fn a_count_past_the_machine_is_rejected_before_and_after_every_point_is_stored() {
+        let evaluator = reduced_evaluator();
+        let e = evaluator.experiments();
+        let assert_rejected = |when: &str| {
+            for req in past_each_machine(e) {
+                let err = evaluator.evaluate(&req).expect_err(when);
+                assert!(matches!(err, EvalError::BadRequest(_)), "{when}: {req:?}");
+            }
+        };
+        assert_rejected("before any point is stored");
+        assert_served(&evaluator, &model_points(e), "first");
+        assert_rejected("after every point is stored");
+    }
+
     #[test]
     fn a_projection_stores_one_point_per_distinct_count_and_its_baseline() {
         let evaluator = reduced_evaluator();
@@ -776,8 +860,9 @@ mod tests {
         assert_eq!(evaluator.stored_points(), [1, 2, 4]);
     }
 
-    /// The same at paper scale, where Threat Analysis runs 1000 chunks
-    /// (ignored unoptimized; `ci.sh` runs it with `--release`).
+    /// The projections and the model points at paper scale, where Threat
+    /// Analysis runs 1000 chunks (ignored unoptimized; `ci.sh` runs it
+    /// with `--release`).
     #[test]
     #[cfg_attr(debug_assertions, ignore)]
     fn paper_scale_projections_equal_their_direct_calls() {
@@ -785,7 +870,8 @@ mod tests {
             Experiments::new(crate::Workload::build(WorkloadScale::Paper)),
             WorkloadScale::Paper,
         );
-        let expected = projections(evaluator.experiments());
+        let mut expected = projections(evaluator.experiments());
+        expected.extend(model_points(evaluator.experiments()));
         for call in ["first", "second"] {
             assert_served(&evaluator, &expected, call);
         }

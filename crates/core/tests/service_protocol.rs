@@ -11,6 +11,7 @@
 //! sequential evaluation.
 
 use eval_core::experiments::{Experiments, Figure, TABLES};
+use eval_core::models::ConventionalModel;
 use eval_core::paper::{ALPHA, EXEMPLAR, MACHINES, PPRO};
 use eval_core::service::{EvalError, EvalRequest, Evaluator, Platform, Service, ServiceConfig};
 use eval_core::wire::{
@@ -311,26 +312,44 @@ fn sequential_tcp_pings_do_not_wait_for_delayed_acks() {
     );
 }
 
+/// The calibrated model of a conventional platform; `None` for the Tera.
+fn conventional(e: &Experiments, platform: Platform) -> Option<&ConventionalModel> {
+    match platform {
+        Platform::Alpha => Some(&e.cal.alpha),
+        Platform::PentiumPro => Some(&e.cal.ppro),
+        Platform::Exemplar => Some(&e.cal.exemplar),
+        Platform::Tera => None,
+    }
+}
+
 /// The direct `Experiments` call behind a request whose response an
 /// `Evaluator` stores or folds from stored points: a table, a figure, the
-/// sensitivity table, a scalability projection or a Terrain Masking
-/// model. `None` for any other kind. It never goes through an
-/// `Evaluator`, so it does not read what the server stores.
+/// sensitivity table, a scalability projection, or a Threat Analysis or
+/// Terrain Masking model. `None` for any other kind. It never goes through
+/// an `Evaluator`, so it does not read what the server stores.
 fn direct_call(e: &Experiments, req: &EvalRequest) -> Option<String> {
+    let seconds = |secs: f64| {
+        let secs = serde_json::to_string(&secs).expect("serialize seconds");
+        format!("{{\"seconds\":{secs}}}")
+    };
     match req {
         EvalRequest::Table { n } => Some(TABLES[usize::from(*n) - 1](e).render()),
         EvalRequest::FigurePlot { n } => Some(e.figure(Figure::ALL[usize::from(*n) - 1])),
         EvalRequest::Sensitivity => Some(e.sensitivity().render()),
         EvalRequest::Scalability { procs } => Some(e.scalability_projection(procs).render()),
+        EvalRequest::ThreatModel {
+            platform,
+            n_procs,
+            n_chunks,
+        } => Some(seconds(match conventional(e, *platform) {
+            Some(model) => e.ta_conv_parallel(model, *n_procs),
+            None => e.ta_tera(*n_chunks, *n_procs),
+        })),
         EvalRequest::TerrainModel { platform, n_procs } => {
-            let secs = match platform {
-                Platform::Alpha => e.tm_conv_parallel(&e.cal.alpha, *n_procs),
-                Platform::PentiumPro => e.tm_conv_parallel(&e.cal.ppro, *n_procs),
-                Platform::Exemplar => e.tm_conv_parallel(&e.cal.exemplar, *n_procs),
-                Platform::Tera => e.tm_tera(*n_procs),
-            };
-            let secs = serde_json::to_string(&secs).expect("serialize seconds");
-            Some(format!("{{\"seconds\":{secs}}}"))
+            Some(seconds(match conventional(e, *platform) {
+                Some(model) => e.tm_conv_parallel(model, *n_procs),
+                None => e.tm_tera(*n_procs),
+            }))
         }
         _ => None,
     }
@@ -406,10 +425,10 @@ fn served_responses_are_bit_identical_to_direct_evaluation() {
 
     // This service's histogram saw every completed request, and nothing
     // else: one sample each, recorded before the reply is sent.
-    // Sent twice: the 17 fixed kinds, the projection and the four
-    // `TerrainModel`s.
+    // Sent twice: the 17 fixed kinds, the projection, the four
+    // `ThreatModel`s and the four `TerrainModel`s.
     let sends: usize = expected.iter().map(|(_, _, sends)| sends).sum();
-    assert_eq!(sends, expected.len() + 17 + 1 + 4);
+    assert_eq!(sends, expected.len() + 17 + 1 + 4 + 4);
     assert_eq!(service.latency().count(), sends as u64);
 
     stop_server(&addr, returned);
