@@ -29,11 +29,13 @@
 //!    body cannot go stale: it is computed from the snapshot and the
 //!    calibration, which nothing changes after [`Evaluator::new`]. A panic
 //!    while a body is first computed leaves its slot empty, and the next
-//!    request of that kind computes it again. A `Scalability` projection
-//!    and a Tera `TerrainModel` read *projection points*: the pair
-//!    `(ta_tera(chunks, p), tm_tera(p))` of each processor count `p` is
-//!    folded on its first use and stored in a map (at most 65,536 points).
-//!    Every other parameterised request is computed on every call.
+//!    request of that kind computes it again. A `Scalability` projection,
+//!    every `TerrainModel` and a conventional `ThreatModel` read *model
+//!    points*: the modeled `(Threat Analysis, Terrain Masking)` seconds of
+//!    each platform and processor count, folded on the first use of that
+//!    pair and stored in one map (at most 65,557 points). Every other
+//!    parameterised request, the Tera `ThreatModel` among them, is
+//!    computed on every call.
 //! 3. [`Service`] — admission. At most `capacity` requests are evaluated
 //!    at once; one more fails *immediately* with
 //!    [`EvalError::Overloaded`] carrying a retry hint, so admission never
@@ -53,7 +55,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Platforms a modeled-benchmark request can target. Mirrors Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Platform {
     /// Digital AlphaStation (uniprocessor cache model).
     Alpha,
@@ -184,12 +186,16 @@ pub struct Evaluator {
     /// The response bodies of the parameterless requests, each computed
     /// on its first use ([`stored_slot`]).
     stored: [OnceLock<String>; STORED],
-    /// The projection points, keyed by processor count: `p` ↦
-    /// [`Experiments::projection_point`]`(p)`, folded on the first use of
-    /// `p` ([`Evaluator::point`]). [`validate_request`] admits `p` in
-    /// `1..=65_536` only, so the map holds at most 65,536 entries, about
-    /// 3 MB with the table's spare capacity; nothing is ever evicted.
-    points: Mutex<HashMap<usize, (f64, f64)>>,
+    /// The model points, keyed by platform and processor count: `(Tera,
+    /// p)` ↦ [`Experiments::projection_point`]`(p)`, and a conventional
+    /// `(platform, p)` ↦ `(ta_conv_parallel(model, p), tm_conv_parallel(model,
+    /// p))`, folded on the first use of the key ([`Evaluator::point`]).
+    /// [`validate_request`] admits a Tera `p` in `1..=65_536` only, and
+    /// [`Evaluator::checked_model`] a conventional one up to the machine's
+    /// 1, 4 or 16 processors, so the map holds at most 65,557 entries: a
+    /// 16-byte key and a 16-byte value in 131,072 buckets, about 4 MB.
+    /// Nothing is ever evicted.
+    points: Mutex<HashMap<(Platform, usize), (f64, f64)>>,
 }
 
 impl Evaluator {
@@ -222,20 +228,20 @@ impl Evaluator {
         self.scale
     }
 
-    /// The calibrated conventional model for `platform`, with `n_procs`
-    /// checked against the machine's actual processor count — the
-    /// model's own out-of-range assertion must surface as a typed error,
-    /// not a panic.
+    /// The calibrated conventional model for `platform` (`None` for the
+    /// Tera), with `n_procs` checked against the machine's actual
+    /// processor count — the model's own out-of-range assertion must
+    /// surface as a typed error, not a panic.
     fn checked_model(
         &self,
         platform: Platform,
         n_procs: usize,
-    ) -> Result<&crate::models::ConventionalModel, EvalError> {
+    ) -> Result<Option<&crate::models::ConventionalModel>, EvalError> {
         let model = match platform {
             Platform::Alpha => &self.exps.cal.alpha,
             Platform::PentiumPro => &self.exps.cal.ppro,
             Platform::Exemplar => &self.exps.cal.exemplar,
-            Platform::Tera => unreachable!("Tera is not a conventional model"),
+            Platform::Tera => return Ok(None),
         };
         if n_procs > model.n_processors {
             return Err(EvalError::BadRequest(format!(
@@ -243,30 +249,38 @@ impl Evaluator {
                 model.n_processors
             )));
         }
-        Ok(model)
+        Ok(Some(model))
     }
 
-    /// The projection point at `p` processors, folded on its first use.
-    /// The fold runs outside the lock, so two threads that miss on one
-    /// `p` both fold it and both insert the same bits. The map only ever
-    /// gains whole entries, so a lock poisoned by a panic elsewhere
-    /// still guards a sound map and is used as it is.
-    fn point(&self, p: usize) -> (f64, f64) {
+    /// The model point of `platform` at `p` processors, folded on the
+    /// first use of that key. A conventional `p` is checked against its
+    /// machine before the store is read, so a rejected request stores
+    /// nothing. The fold runs outside the lock, so two threads that miss
+    /// on one key both fold it and both insert the same bits. The map
+    /// only ever gains whole entries, so a lock poisoned by a panic
+    /// elsewhere still guards a sound map and is used as it is.
+    fn point(&self, platform: Platform, p: usize) -> Result<(f64, f64), EvalError> {
+        let model = self.checked_model(platform, p)?;
         let points = || self.points.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&point) = points().get(&p) {
-            return point;
+        if let Some(&point) = points().get(&(platform, p)) {
+            return Ok(point);
         }
-        let point = self.exps.projection_point(p);
-        points().insert(p, point);
-        point
+        let e = &self.exps;
+        let point = match model {
+            Some(model) => (e.ta_conv_parallel(model, p), e.tm_conv_parallel(model, p)),
+            None => e.projection_point(p),
+        };
+        points().insert((platform, p), point);
+        Ok(point)
     }
 
-    /// The processor counts whose projection points are stored, ascending.
+    /// The keys of the stored model points, ascending by platform, then
+    /// processor count.
     #[cfg(test)]
-    fn stored_points(&self) -> Vec<usize> {
+    fn stored_points(&self) -> Vec<(Platform, usize)> {
         let points = self.points.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut keys: Vec<usize> = points.keys().copied().collect();
-        keys.sort_unstable();
+        let mut keys: Vec<(Platform, usize)> = points.keys().copied().collect();
+        keys.sort_unstable_by_key(|&(platform, p)| (platform as u8, p));
         keys
     }
 
@@ -274,8 +288,9 @@ impl Evaluator {
     /// is both the direct-call reference path and what [`Service::submit`]
     /// runs — served results are bit-identical to direct calls because
     /// they *are* the same call. A parameterless request's body is
-    /// computed on its first call and cloned from then on; a projection
-    /// or a Tera Terrain Masking model reads the stored points.
+    /// computed on its first call and cloned from then on; a projection,
+    /// a Terrain Masking model and a conventional Threat Analysis model
+    /// read the stored points.
     pub fn evaluate(&self, req: &EvalRequest) -> Result<String, EvalError> {
         validate_request(req)?;
         match stored_slot(req) {
@@ -297,32 +312,22 @@ impl Evaluator {
             EvalRequest::Table { n } => Ok(TABLES[usize::from(*n) - 1](e).render()),
             EvalRequest::FigurePlot { n } => Ok(e.figure(Figure::ALL[usize::from(*n) - 1])),
             EvalRequest::ThreatModel {
-                platform,
+                platform: Platform::Tera,
                 n_procs,
                 n_chunks,
-            } => {
-                let secs = match platform {
-                    Platform::Tera => e.ta_tera(*n_chunks, *n_procs),
-                    _ => {
-                        let model = self.checked_model(*platform, *n_procs)?;
-                        e.ta_conv_parallel(model, *n_procs)
-                    }
-                };
-                Ok(seconds_body(secs))
-            }
+            } => Ok(seconds_body(e.ta_tera(*n_chunks, *n_procs))),
+            EvalRequest::ThreatModel {
+                platform, n_procs, ..
+            } => Ok(seconds_body(self.point(*platform, *n_procs)?.0)),
             EvalRequest::TerrainModel { platform, n_procs } => {
-                let secs = match platform {
-                    Platform::Tera => self.point(*n_procs).1,
-                    _ => {
-                        let model = self.checked_model(*platform, *n_procs)?;
-                        e.tm_conv_parallel(model, *n_procs)
-                    }
-                };
-                Ok(seconds_body(secs))
+                Ok(seconds_body(self.point(*platform, *n_procs)?.1))
             }
-            EvalRequest::Scalability { procs } => {
-                Ok(e.projection_from(procs, |p| self.point(p)).render())
-            }
+            EvalRequest::Scalability { procs } => Ok(e
+                .projection_from(procs, |p| {
+                    self.point(Platform::Tera, p)
+                        .expect("the Tera model admits every processor count")
+                })
+                .render()),
             EvalRequest::Sensitivity => Ok(e.sensitivity().render()),
             EvalRequest::Sleep { ms } => {
                 std::thread::sleep(std::time::Duration::from_millis(*ms));
@@ -816,25 +821,71 @@ mod tests {
 
     #[test]
     fn a_projection_stores_one_point_per_distinct_count_and_its_baseline() {
+        use Platform::{Exemplar, PentiumPro, Tera};
         let evaluator = reduced_evaluator();
-        assert_eq!(evaluator.stored_points(), Vec::<usize>::new());
-        let requests = [
-            EvalRequest::Scalability {
-                procs: vec![8, 8, 1, 8],
-            },
-            EvalRequest::TerrainModel {
-                platform: Platform::Tera,
-                n_procs: 8,
-            },
-            EvalRequest::TerrainModel {
-                platform: Platform::Exemplar,
-                n_procs: 4,
-            },
+        assert_eq!(evaluator.stored_points(), []);
+        let projection = [(Tera, 1), (Tera, 8)];
+        let exemplar = [(Exemplar, 4), (Tera, 1), (Tera, 8)];
+        let ppro = [(PentiumPro, 2), (Exemplar, 4), (Tera, 1), (Tera, 8)];
+        let steps: [(EvalRequest, &[(Platform, usize)]); 6] = [
+            (
+                EvalRequest::Scalability {
+                    procs: vec![8, 8, 1, 8],
+                },
+                &projection,
+            ),
+            (
+                EvalRequest::TerrainModel {
+                    platform: Tera,
+                    n_procs: 8,
+                },
+                &projection,
+            ),
+            (
+                EvalRequest::TerrainModel {
+                    platform: Exemplar,
+                    n_procs: 4,
+                },
+                &exemplar,
+            ),
+            (
+                EvalRequest::ThreatModel {
+                    platform: Exemplar,
+                    n_procs: 4,
+                    n_chunks: 7,
+                },
+                &exemplar,
+            ),
+            (
+                EvalRequest::ThreatModel {
+                    platform: PentiumPro,
+                    n_procs: 2,
+                    n_chunks: 2,
+                },
+                &ppro,
+            ),
+            (
+                EvalRequest::ThreatModel {
+                    platform: Tera,
+                    n_procs: 4,
+                    n_chunks: 45,
+                },
+                &ppro,
+            ),
         ];
-        for req in &requests {
+        for (req, keys) in &steps {
             evaluator.evaluate(req).expect("admissible");
-            assert_eq!(evaluator.stored_points(), [1, 8], "after {req:?}");
+            assert_eq!(evaluator.stored_points(), *keys, "after {req:?}");
         }
+        let rejected = EvalRequest::TerrainModel {
+            platform: Platform::Alpha,
+            n_procs: 2,
+        };
+        let err = evaluator
+            .evaluate(&rejected)
+            .expect_err("Alpha has one processor");
+        assert!(matches!(err, EvalError::BadRequest(_)), "{err:?}");
+        assert_eq!(evaluator.stored_points(), ppro, "after {rejected:?}");
     }
 
     #[test]
@@ -857,7 +908,8 @@ mod tests {
                 "{call} call"
             );
         }
-        assert_eq!(evaluator.stored_points(), [1, 2, 4]);
+        let tera = |p| (Platform::Tera, p);
+        assert_eq!(evaluator.stored_points(), [tera(1), tera(2), tera(4)]);
     }
 
     /// The projections and the model points at paper scale, where Threat
