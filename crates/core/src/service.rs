@@ -821,7 +821,13 @@ mod tests {
 
     #[test]
     fn a_projection_stores_one_point_per_distinct_count_and_its_baseline() {
-        use Platform::{Exemplar, PentiumPro, Tera};
+        use Platform::{Alpha, Exemplar, PentiumPro, Tera};
+        let threat = |platform, n_procs, n_chunks| EvalRequest::ThreatModel {
+            platform,
+            n_procs,
+            n_chunks,
+        };
+        let terrain = |platform, n_procs| EvalRequest::TerrainModel { platform, n_procs };
         let evaluator = reduced_evaluator();
         assert_eq!(evaluator.stored_points(), []);
         let projection = [(Tera, 1), (Tera, 8)];
@@ -834,53 +840,17 @@ mod tests {
                 },
                 &projection,
             ),
-            (
-                EvalRequest::TerrainModel {
-                    platform: Tera,
-                    n_procs: 8,
-                },
-                &projection,
-            ),
-            (
-                EvalRequest::TerrainModel {
-                    platform: Exemplar,
-                    n_procs: 4,
-                },
-                &exemplar,
-            ),
-            (
-                EvalRequest::ThreatModel {
-                    platform: Exemplar,
-                    n_procs: 4,
-                    n_chunks: 7,
-                },
-                &exemplar,
-            ),
-            (
-                EvalRequest::ThreatModel {
-                    platform: PentiumPro,
-                    n_procs: 2,
-                    n_chunks: 2,
-                },
-                &ppro,
-            ),
-            (
-                EvalRequest::ThreatModel {
-                    platform: Tera,
-                    n_procs: 4,
-                    n_chunks: 45,
-                },
-                &ppro,
-            ),
+            (terrain(Tera, 8), &projection),
+            (terrain(Exemplar, 4), &exemplar),
+            (threat(Exemplar, 4, 7), &exemplar),
+            (threat(PentiumPro, 2, 2), &ppro),
+            (threat(Tera, 4, 45), &ppro),
         ];
         for (req, keys) in &steps {
             evaluator.evaluate(req).expect("admissible");
             assert_eq!(evaluator.stored_points(), *keys, "after {req:?}");
         }
-        let rejected = EvalRequest::TerrainModel {
-            platform: Platform::Alpha,
-            n_procs: 2,
-        };
+        let rejected = terrain(Alpha, 2);
         let err = evaluator
             .evaluate(&rejected)
             .expect_err("Alpha has one processor");
