@@ -228,26 +228,30 @@ mod tests {
 
     #[test]
     fn loop_carried_affine_dependence_is_rejected() {
-        // for i: a[i] = a[i-1]
-        let l = LoopNest::new("for i", "i").stmt(
-            Stmt::new("a[i]=a[i-1]")
-                .array("a", vec![Expr::var("i")], true)
-                .array(
-                    "a",
-                    vec![Expr::Affine {
-                        var: "i".into(),
-                        scale: 1,
-                        offset: -1,
-                    }],
-                    false,
-                ),
-        );
-        let verdict = v(&l);
-        assert!(!verdict.parallel);
-        assert!(matches!(
-            verdict.reasons[0].kind,
-            ReasonKind::ArrayConflict { .. }
-        ));
+        // for i: a[i] = a[i-d] + b[i], at d = 1 and as the distance-2
+        // stencil
+        for offset in [-1, -2] {
+            let l = LoopNest::new("for i", "i").stmt(
+                Stmt::new("a[i]=a[i-d]+b[i]")
+                    .array("a", vec![Expr::var("i")], true)
+                    .array(
+                        "a",
+                        vec![Expr::Affine {
+                            var: "i".into(),
+                            scale: 1,
+                            offset,
+                        }],
+                        false,
+                    )
+                    .array("b", vec![Expr::var("i")], false),
+            );
+            let verdict = v(&l);
+            assert!(!verdict.parallel, "offset {offset}");
+            assert!(
+                matches!(verdict.reasons[0].kind, ReasonKind::ArrayConflict { .. }),
+                "offset {offset}: {verdict:?}"
+            );
+        }
     }
 
     #[test]
