@@ -29,6 +29,14 @@ cargo test -q
 echo "== full workspace tests =="
 cargo test -q --workspace
 
+echo "== examples (each asserts the paper claims it prints) =="
+# `cargo test` compiles the examples and runs none of them. Each one
+# turns the claims it prints into assertions on the values it computed,
+# so running it is its test.
+for example in examples/*.rs; do
+  cargo run -q --release --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "== one-CPU behaviour of the pool handoff (taskset -c 0) =="
 # The pool's workers and its region caller *watch* for each other before
 # they park (crates/sthreads/src/pool.rs). On one CPU a wait that only

@@ -83,12 +83,18 @@ fn main() {
         "    Alpha {:.0}s | Pentium Pro {:.0}s | Exemplar {:.0}s | Tera MTA {:.0}s",
         ta[0], ta[1], ta[2], ta[3]
     );
+    // The paper's Section 7 findings, in the bands tests/end_to_end.rs
+    // asserts: one Tera stream is about 15x slower than the Alpha on this
+    // compute-bound program, and one multithreaded Tera processor is 2 to
+    // 3.5x faster than it.
+    let slowdown = ta[3] / ta[0];
+    println!("  one Tera stream runs it {slowdown:.0}x slower than the Alpha,");
+    assert!((11.0..17.0).contains(&slowdown), "Tera/Alpha {slowdown}");
+    let tera1 = exps.ta_tera(256, 1);
+    let speedup = ta[0] / tera1;
     println!(
-        "  the Tera runs one stream at ~5% utilization — {:.0}x slower than the Alpha,",
-        ta[3] / ta[0]
+        "  but multithreaded (256 chunks) one Tera processor needs only {tera1:.0}s, \
+         {speedup:.1}x faster than the Alpha."
     );
-    println!(
-        "  but multithreaded (256 chunks) it needs only {:.0}s on one processor.",
-        exps.ta_tera(256, 1)
-    );
+    assert!((1.7..4.0).contains(&speedup), "Alpha/Tera(1) {speedup}");
 }

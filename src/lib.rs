@@ -20,8 +20,10 @@
 //! * [`autopar`] — the automatic-parallelization (dependence analysis)
 //!   model.
 //!
-//! See `examples/quickstart.rs` for a guided tour and the `repro` binary
-//! for the full table/figure reproduction.
+//! See `examples/quickstart.rs` for a guided tour,
+//! `examples/mta_microsim.rs` for a program assembled and run on the
+//! simulator, and the `repro` binary for the full table/figure
+//! reproduction.
 
 pub use autopar;
 pub use c3i;
