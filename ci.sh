@@ -367,6 +367,17 @@ if grep -rn 'parking_lot' \
   echo "the deleted parking_lot stand-in is referenced again" >&2
   exit 1
 fi
+# So are the `repro` sections and the Criterion targets that the design's
+# experiment index once named (`repro table1` … `repro table12`, the
+# `bench tNN_*` targets), and a `machine_model` crate that never existed:
+# every paper table is a row of `repro tables`, and the models are
+# `eval_core::models`.
+if grep -rn 'repro table[0-9]\|bench `t[0-9]\|machine[_-]model' \
+  README.md DESIGN.md EXPERIMENTS.md docs |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "a nonexistent repro section, bench target or machine_model is named again" >&2
+  exit 1
+fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
 # the crate denies unsafe_code everywhere else.
 if [ "$(grep -rhw 'unsafe' crates/sthreads/src | grep -vc '^ *//')" -ne 1 ]; then

@@ -965,7 +965,7 @@ mod tests {
         TABLES[n - 1](exps())
     }
 
-    /// Geometric-mean relative error of a table's referenced cells.
+    /// Largest relative error of a table's referenced cells.
     fn max_rel_error(t: &Table) -> f64 {
         t.referenced_values()
             .iter()
