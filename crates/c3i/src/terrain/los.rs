@@ -962,6 +962,7 @@ pub fn per_threat_masking(
 mod tests {
     use super::*;
     use crate::counts::{NoRec, OpCounts};
+    use proptest::prelude::*;
 
     fn flat_terrain(size: usize, elev: f64) -> Grid<f64> {
         Grid::new(size, size, elev)
@@ -1263,6 +1264,172 @@ mod tests {
             reference::compute_raw_alts(&terrain, 100.0, &t, &region, &mut refr, &mut r_ref);
             assert_eq!(r_opt, r_ref, "threat {t:?}");
         }
+    }
+
+    /// `raw_alt_for_cell`'s parent expression, verbatim: the two-division
+    /// blocking value the sweep's one-division form is held to.
+    fn two_division_blocking(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
+        let b = if raw == f64::NEG_INFINITY {
+            f64::NEG_INFINITY
+        } else {
+            (raw - h_s) / d
+        };
+        let slope = (elev - h_s) / d;
+        b.max(slope)
+    }
+
+    /// Any finite `f64`, subnormals and both zeros included: a bit pattern
+    /// with an all-ones exponent has its lowest exponent bit cleared.
+    fn arb_finite() -> impl Strategy<Value = f64> {
+        any::<u64>().prop_map(|b| {
+            let x = f64::from_bits(b);
+            if x.is_finite() {
+                x
+            } else {
+                f64::from_bits(b ^ (1 << 52))
+            }
+        })
+    }
+
+    /// Stored raw altitudes: `−∞` (rings 0 and 1), both zeros, subnormals,
+    /// the edges of the finite range, the `±∞` and NaN an overflowing
+    /// `h_s + v·d` leaves, and anything finite.
+    fn arb_raw() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NEG_INFINITY),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::from_bits(1)),
+            Just(-f64::from_bits(1)),
+            Just(f64::MIN_POSITIVE / 2.0),
+            Just(1e308),
+            Just(-1e308),
+            Just(f64::INFINITY),
+            Just(f64::NAN),
+            arb_finite(),
+        ]
+    }
+
+    /// Admissible elevations (`TerrainScenario::validate`: finite).
+    fn arb_elev() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            -1e4..0.0,
+            Just(f64::MAX),
+            Just(-f64::MAX),
+            1e300..1e308,
+            arb_finite(),
+        ]
+    }
+
+    /// Sensor heights: a finite elevation plus a finite mast, so `±0`,
+    /// below the terrain, and the sum that overflows to `±∞`.
+    fn arb_h_s() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            -1e4..0.0,
+            Just(f64::MAX + f64::MAX),
+            Just(-f64::MAX - f64::MAX),
+            arb_finite(),
+        ]
+    }
+
+    /// Parent distances: an entry of `KernelScratch::fill`'s `par_d`
+    /// table, or any positive finite value (subnormals included).
+    fn arb_d() -> impl Strategy<Value = f64> {
+        let table = (
+            2usize..1500,
+            prop_oneof![Just(1.0), Just(30.0), Just(100.0), Just(1000.0), 1e-3..1e6],
+            any::<usize>(),
+        )
+            .prop_map(|(k, cell_size, at)| {
+                let mut kern = KernelScratch::new();
+                kern.fill(k, cell_size);
+                kern.par_d[at % kern.par_d.len()]
+            });
+        let positive = any::<u64>().prop_map(|b| {
+            let x = f64::from_bits(b >> 1);
+            if x == 0.0 {
+                f64::from_bits(1)
+            } else if x.is_finite() {
+                x
+            } else {
+                f64::from_bits((b >> 1) ^ (1 << 52))
+            }
+        });
+        prop_oneof![table, positive]
+    }
+
+    /// The one-division blocking value the sweep fills its parents with.
+    fn one_division(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
+        (raw.max(elev) - h_s) / d
+    }
+
+    /// The two-division form without the `−∞` branch: the value the
+    /// sweep refills a chunk with when a one-division value is zero.
+    fn two_divisions(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
+        ((raw - h_s) / d).max((elev - h_s) / d)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// One division per parent: wherever `(max(raw, elev) − h_s) / d`
+        /// is nonzero it is bit-equal to `raw_alt_for_cell`'s
+        /// `max((raw − h_s)/d, (elev − h_s)/d)` with the `−∞` branch.
+        /// Subtracting `h_s` and dividing by `d > 0` are each correctly
+        /// rounded and monotone, so they commute with `max`, and two equal
+        /// nonzero quotients have equal bits. A NaN or `−∞` `raw` is the
+        /// other operand of either `max`. Where it is zero, the two
+        /// quotients may be zeros of opposite signs, and `max` keeps its
+        /// first operand's (see the test below), so the sweep refills the
+        /// chunk with the two-division form, which drops only the branch:
+        /// a `−∞` (or, with `h_s = −∞`, NaN) quotient loses either `max`.
+        /// The one pair left out, `raw = h_s = +∞`, never occurs: once
+        /// `h_s` is `+∞` every blocking value is `−∞`, so every stored raw
+        /// altitude is `−∞` (rings 0 and 1) or NaN (`+∞ + (−∞)`).
+        #[test]
+        fn one_division_equals_raw_alt_for_cells_parent_expression(
+            raw in prop_oneof![arb_raw().prop_map(Some), Just(None)],
+            elev in arb_elev(),
+            h_s in arb_h_s(),
+            d in arb_d(),
+        ) {
+            // `None`: the stored altitude ties the parent's elevation.
+            let raw = raw.unwrap_or(elev);
+            let want = two_division_blocking(raw, elev, h_s, d);
+            let exact = two_divisions(raw, elev, h_s, d);
+            prop_assert_eq!(
+                exact.to_bits(), want.to_bits(),
+                "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, exact, want
+            );
+            prop_assume!(!(raw == f64::INFINITY && h_s == f64::INFINITY));
+            let got = one_division(raw, elev, h_s, d);
+            if got != 0.0 {
+                prop_assert_eq!(
+                    got.to_bits(), want.to_bits(),
+                    "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, got, want
+                );
+            }
+        }
+    }
+
+    /// Why a zero one-division value is refilled: the terrain slope wins
+    /// `max` before the division, but both quotients underflow, to zeros
+    /// of opposite signs. `f64::max` may return either zero; on x86-64 the
+    /// compiled `max` of run-time operands returns the first, the
+    /// inherited slope's `−0`, where the one-division form gives `+0`.
+    #[test]
+    fn a_zero_blocking_value_can_hide_two_zeros_of_opposite_signs() {
+        use std::hint::black_box;
+        let (raw, elev, h_s, d) = black_box((-f64::from_bits(1), 0.0, 0.0, 2.0));
+        assert_eq!(((raw - h_s) / d).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(((elev - h_s) / d).to_bits(), 0.0f64.to_bits());
+        assert_eq!(one_division(raw, elev, h_s, d).to_bits(), 0.0f64.to_bits());
+        let want = two_division_blocking(raw, elev, h_s, d);
+        assert_eq!(two_divisions(raw, elev, h_s, d).to_bits(), want.to_bits());
     }
 
     #[test]

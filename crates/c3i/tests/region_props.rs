@@ -88,6 +88,26 @@ fn arb_bumpy_terrain(sides: std::ops::Range<usize>) -> impl Strategy<Value = Gri
     })
 }
 
+/// Terrain whose elevations sit at and below zero, so a sensor height can
+/// be `±0` or below the ground: each cell is drawn from `palette` by a
+/// salted hash. The near-zero palette's subnormals make a blocking
+/// slope's division underflow to a signed zero.
+fn arb_signed_terrain(sides: std::ops::Range<usize>) -> impl Strategy<Value = Grid<f64>> {
+    const SIGNED: [f64; 7] = [0.0, -0.0, -1.0, -37.5, -600.0, 12.0, 0.0];
+    const NEAR_ZERO: [f64; 7] = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 2.5e-310];
+    (
+        sides.clone(),
+        sides,
+        1usize..1000,
+        prop_oneof![Just(SIGNED), Just(NEAR_ZERO)],
+    )
+        .prop_map(|(xs, ys, salt, palette)| {
+            Grid::from_fn(xs, ys, |x, y| {
+                palette[((x * 31 + y * 17 + salt) * 2654435761) % 997 % palette.len()]
+            })
+        })
+}
+
 /// A threat on `terrain` in one of its four corners (`corner` 0..4) or at
 /// the fractional position `(fx, fy)` (`corner` 4).
 fn placed_threat(
@@ -241,6 +261,29 @@ proptest! {
         // Four grid corners (rings clipped to one quadrant, row runs that
         // end in a corner cell on one side only) or anywhere.
         let threat = placed_threat(&terrain, corner, (fx, fy), radius);
+        every_sweep_equals_the_recurrence(&terrain, cell_size, &threat, |len| {
+            (1..len).map(|c| vec![c]).collect()
+        })?;
+    }
+    /// The same on the terrains where slopes tie or vanish: flat, spiked
+    /// and cliff terrains, elevations at and below zero (`±0` included) or
+    /// subnormal, under masts of `±0`, below zero, and below the terrain
+    /// (a sensor height of `±0` or under the ground).
+    #[test]
+    fn degenerate_and_signed_terrains_sweep_to_the_recurrences_bits(
+        terrain in prop_oneof![arb_degenerate_terrain(), arb_signed_terrain(3..40)],
+        (fx, fy) in (0.0..1.0f64, 0.0..1.0f64),
+        corner in 0usize..5,
+        radius in 2usize..=40,
+        mast_height in prop_oneof![
+            Just(0.0f64), Just(-0.0), -50.0..0.0, Just(-3000.0), Just(12.0)
+        ],
+        cell_size in prop_oneof![Just(1.0f64), Just(30.0), Just(100.0)],
+    ) {
+        let threat = GroundThreat {
+            mast_height,
+            ..placed_threat(&terrain, corner, (fx, fy), radius)
+        };
         every_sweep_equals_the_recurrence(&terrain, cell_size, &threat, |len| {
             (1..len).map(|c| vec![c]).collect()
         })?;
