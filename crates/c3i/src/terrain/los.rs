@@ -479,7 +479,7 @@ pub fn raw_alt_for_cell<S: AltStore, R: Rec>(
 }
 
 /// Per-ring scratch owned by a [`KernelArena`]: distance tables shared by
-/// every run of one ring, and a staging buffer for one run's results.
+/// every run of one ring, and a staging buffer for the ring's results.
 ///
 /// The table entries are the *same integer expressions* `dist_cells`
 /// evaluates per call (`aᵢ² + k²` in exact integer arithmetic, then one
@@ -494,7 +494,9 @@ pub struct KernelScratch {
     /// `par_d[a]`: distance of a ring-`k−1` parent with off-axis offset
     /// `a`. Valid indices `0..k`.
     par_d: Vec<f64>,
-    /// Staging buffer for one ring, written back run by run.
+    /// Staging buffer for one ring: resized to the ring (within its
+    /// retained capacity once warm), written by index, then written back
+    /// run by run.
     row: Vec<f64>,
 }
 
@@ -607,11 +609,18 @@ impl<S: AltStore> RingSweep<'_, S> {
     /// end; every other cell goes through one interpolation loop, shared by
     /// both run kinds, that works through the cells a chunk at a time.
     ///
-    /// Each parent's blocking value is [`raw_alt_for_cell`]'s IEEE
-    /// expression, evaluated once per parent instead of once per child that
-    /// reads it, and the rest of a cell's arithmetic is that function's in
-    /// its order, so the results are bit-identical to the reference
-    /// recurrence. The op counts charged are also its: per parent *use*.
+    /// Each parent's blocking value is evaluated once per parent instead of
+    /// once per child that reads it, in one division: `(max(raw, elev) −
+    /// h_s) / d`. Subtracting `h_s` and dividing by `d > 0` are correctly
+    /// rounded and monotone, so they commute with `raw_alt_for_cell`'s
+    /// `max` of the two quotients, and a `−∞` (or NaN) raw altitude is the
+    /// other operand of either `max`. Only a zero can differ, as the sign of
+    /// two quotients that underflowed to zeros, so a zero is recomputed in
+    /// two divisions. The rest of a cell's arithmetic is `raw_alt_for_cell`'s
+    /// in its order, so the results are bit-identical to the reference
+    /// recurrence for finite elevations and masts and a finite positive
+    /// cell size (`TerrainScenario::validate`). The op counts charged are
+    /// also its: per parent *use*.
     pub fn run<R: Rec>(
         &self,
         run: RingRun,
@@ -620,7 +629,7 @@ impl<S: AltStore> RingSweep<'_, S> {
         r: &mut R,
     ) {
         debug_assert!(range.start < range.end && range.end <= run.len());
-        let (region, k, kern) = (self.region, self.k, self.kern);
+        let (region, k, h_s, par_d) = (self.region, self.k, self.h_s, &self.kern.par_d[..]);
         let (cx, cy) = (region.cx, region.cy);
         match run {
             RingRun::Row { y, x0, x1 } => {
@@ -632,21 +641,33 @@ impl<S: AltStore> RingSweep<'_, S> {
                 let px1 = (cx + k - 1).min(region.x1);
                 let raw = self.store.row(py, px0, px1);
                 let elev = &self.terrain.row(py)[px0..=px1];
-                let parent = |px: usize| (raw[px - px0], elev[px - px0]);
                 let corner = |px: usize, r: &mut R| {
                     r.int(6);
                     r.fp(2 + 7 + 5);
                     r.sload(2);
-                    self.h_s + self.blocking(parent(px), kern.par_d[k - 1]) * kern.cell_d[k]
+                    let b = blocking(raw[px - px0], elev[px - px0], h_s, par_d[k - 1]);
+                    h_s + b * self.kern.cell_d[k]
                 };
                 let has_l = range.start == 0 && x0 + k == cx;
                 let has_r = range.end == run.len() && x1 == cx + k;
                 if has_l {
                     sink(corner(px0, r));
                 }
+                let fill = |v: &mut [f64], p0: usize| {
+                    let n = v.len();
+                    let (raw, elev) = (&raw[p0 - px0..][..n], &elev[p0 - px0..][..n]);
+                    fill_row(v, raw, elev, par_d, cx, p0, |raw, elev, d| {
+                        one_division(raw, elev, h_s, d)
+                    });
+                    if v.contains(&0.0) {
+                        fill_row(v, raw, elev, par_d, cx, p0, |raw, elev, d| {
+                            two_divisions(raw, elev, h_s, d)
+                        });
+                    }
+                };
                 let cells =
                     x0 + range.start + usize::from(has_l)..x0 + range.end - usize::from(has_r);
-                self.interpolate(cx, px1, cells, parent, &mut sink, r);
+                self.interpolate(cx, px1, cells, fill, &mut sink, r);
                 if has_r {
                     sink(corner(px1, r));
                 }
@@ -654,55 +675,62 @@ impl<S: AltStore> RingSweep<'_, S> {
             RingRun::Col { x, y0, .. } => {
                 // Parent column: one step back toward the radar.
                 let px = if x < cx { x + 1 } else { x - 1 };
-                let parent = |py: usize| (self.store.get(px, py), self.terrain[(px, py)]);
+                let fill = |v: &mut [f64], p0: usize| {
+                    for (v, py) in v.iter_mut().zip(p0..) {
+                        let (raw, elev) = (self.store.get(px, py), self.terrain[(px, py)]);
+                        *v = blocking(raw, elev, h_s, par_d[py.abs_diff(cy)]);
+                    }
+                };
                 let py1 = (cy + k - 1).min(region.y1);
                 let cells = y0 + range.start..y0 + range.end;
-                self.interpolate(cy, py1, cells, parent, &mut sink, r);
+                self.interpolate(cy, py1, cells, fill, &mut sink, r);
             }
         }
     }
 
     /// The interpolation loop of both run kinds. `cells` are coordinates
     /// along the run of edge-dominant cells, `c` is the radar's coordinate
-    /// on that axis, and `parent(p)` reads the ring-`k − 1` parent at `p`
-    /// (raw altitude, elevation) for `p ≤ p_end`. The cells go in chunks of
-    /// at most [`CHUNK`]: the blocking values of a chunk's parents are
-    /// evaluated once into a stack array, then each cell interpolates
-    /// between the two that straddle its scaled coordinate.
+    /// on that axis, and `fill(v, p0)` writes the blocking values of the
+    /// ring-`k − 1` parents `p0..p0 + v.len()` (all `≤ p_end`) into `v`. The
+    /// cells go in chunks of at most [`CHUNK`]: a chunk's parents are filled
+    /// once into a stack array, then each cell interpolates between the two
+    /// that straddle its scaled coordinate.
     fn interpolate<R: Rec>(
         &self,
         c: usize,
         p_end: usize,
         cells: Range<usize>,
-        parent: impl Fn(usize) -> (f64, f64),
+        fill: impl Fn(&mut [f64], usize),
         sink: &mut impl FnMut(f64),
         r: &mut R,
     ) {
-        let KernelScratch { cell_d, par_d, .. } = self.kern;
+        let cell_d = &self.kern.cell_d;
         let scale = (self.k - 1) as f64 / self.k as f64;
-        // The lower parent and the weight of the upper one. The scaled
+        // The lower parent and the weight of the upper one, from a cell's
+        // offset `o = s − c` (an exact integer in an `f64`). The scaled
         // coordinate `f` is ≥ 0: past the radar it is ≥ `c`, and short of it
         // `c − |s − c|·scale` is computed no lower than `c − |s − c| = s`
         // (`scale ≤ 1`, and rounding is monotone). So truncation is `floor`,
         // exactly, without the libm call `f64::floor` is on baseline x86-64.
-        let straddle = |s: usize| {
-            let f = c as f64 + (s as isize - c as isize) as f64 * scale;
+        let straddle = |o: f64| {
+            let f = c as f64 + o * scale;
             debug_assert!(f >= 0.0);
-            let lo = f as usize;
-            (lo, f - lo as f64)
+            let lo = f as i64;
+            (lo as usize, f - lo as f64)
         };
         let mut v = [0.0; CHUNK + 1];
         let mut first = cells.start;
+        // `first − c`, then one more per cell: exact below 2^53.
+        let mut o = (first as isize - c as isize) as f64;
         while first < cells.end {
             let end = (first + CHUNK).min(cells.end);
-            let p0 = straddle(first).0;
-            let p1 = (straddle(end - 1).0 + 1).min(p_end);
+            let p0 = straddle(o).0;
+            let p1 = (straddle(o + (end - 1 - first) as f64).0 + 1).min(p_end);
             debug_assert!(p1 - p0 <= CHUNK);
-            for (v, p) in v.iter_mut().zip(p0..=p1) {
-                *v = self.blocking(parent(p), par_d[p.abs_diff(c)]);
-            }
+            fill(&mut v[..=p1 - p0], p0);
             for s in first..end {
-                let (lo, w) = straddle(s);
+                let (lo, w) = straddle(o);
+                o += 1.0;
                 // `raw_alt_for_cell`'s charges: per cell, and per parent use.
                 let uses = if w == 0.0 { 1 } else { 2 };
                 r.int(6);
@@ -719,18 +747,60 @@ impl<S: AltStore> RingSweep<'_, S> {
             first = end;
         }
     }
+}
 
-    /// Blocking value of a parent `(raw, elev)` at distance `d`: the steeper
-    /// of its inherited blocking slope (recovered from its raw altitude)
-    /// and its own terrain slope — `raw_alt_for_cell`'s `parent_v`.
-    #[inline]
-    fn blocking(&self, (raw, elev): (f64, f64), d: f64) -> f64 {
-        let b = if raw == f64::NEG_INFINITY {
-            f64::NEG_INFINITY
-        } else {
-            (raw - self.h_s) / d
-        };
-        b.max((elev - self.h_s) / d)
+/// A parent's blocking value in one division, `(max(raw, elev) − h_s) / d`:
+/// `raw_alt_for_cell`'s `parent_v` wherever it is nonzero (see
+/// [`RingSweep::run`]).
+#[inline]
+fn one_division(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
+    (raw.max(elev) - h_s) / d
+}
+
+/// A parent's blocking value in two divisions, `max((raw − h_s)/d, (elev −
+/// h_s)/d)`: `raw_alt_for_cell`'s `parent_v` everywhere, without its `−∞`
+/// branch (a `−∞`, or with `h_s = −∞` NaN, quotient loses either `max`).
+#[inline]
+fn two_divisions(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
+    ((raw - h_s) / d).max((elev - h_s) / d)
+}
+
+/// A parent's blocking value: one division, or two where that gives zero.
+#[inline]
+fn blocking(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
+    let b = one_division(raw, elev, h_s, d);
+    if b == 0.0 {
+        two_divisions(raw, elev, h_s, d)
+    } else {
+        b
+    }
+}
+
+/// Fill `v[i] = b(raw[i], elev[i], d)` for the parents `p0..p0 + v.len()`
+/// of a parent row around the radar's axis `c`. Their distances are two
+/// slices of `par_d` split at the axis: descending left of it, ascending
+/// from it.
+#[inline]
+fn fill_row(
+    v: &mut [f64],
+    raw: &[f64],
+    elev: &[f64],
+    par_d: &[f64],
+    c: usize,
+    p0: usize,
+    b: impl Fn(f64, f64, f64) -> f64,
+) {
+    let at = c.saturating_sub(p0);
+    let left = at.min(v.len());
+    let (v_l, v_r) = v.split_at_mut(left);
+    let d_l = par_d[at + 1 - left..=at].iter().rev();
+    for (((v, &raw), &elev), &d) in v_l.iter_mut().zip(raw).zip(elev).zip(d_l) {
+        *v = b(raw, elev, d);
+    }
+    let from = (p0 + left).saturating_sub(c);
+    let d_r = &par_d[from..from + v_r.len()];
+    for (((v, &raw), &elev), &d) in v_r.iter_mut().zip(&raw[left..]).zip(&elev[left..]).zip(d_r) {
+        *v = b(raw, elev, d);
     }
 }
 
@@ -788,7 +858,7 @@ pub fn compute_raw_alts_in<S: AltStore, R: Rec>(
         // The ring is staged and then written back: its cells read ring
         // k − 1 out of the store they are written to.
         let mut ring = std::mem::take(&mut kern.row);
-        ring.clear();
+        ring.resize(runs.len(), 0.0);
         let sweep = RingSweep {
             terrain,
             h_s,
@@ -797,8 +867,13 @@ pub fn compute_raw_alts_in<S: AltStore, R: Rec>(
             store: &*store,
             kern,
         };
+        let mut i = 0;
         for run in runs.iter() {
-            sweep.run(run, 0..run.len(), |v| ring.push(v), r);
+            let sink = |v| {
+                ring[i] = v;
+                i += 1;
+            };
+            sweep.run(run, 0..run.len(), sink, r);
         }
         write_ring(store, runs, |i| ring[i]);
         r.sstore(runs.len() as u64);
@@ -1362,17 +1437,6 @@ mod tests {
         prop_oneof![table, positive]
     }
 
-    /// The one-division blocking value the sweep fills its parents with.
-    fn one_division(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
-        (raw.max(elev) - h_s) / d
-    }
-
-    /// The two-division form without the `−∞` branch: the value the
-    /// sweep refills a chunk with when a one-division value is zero.
-    fn two_divisions(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
-        ((raw - h_s) / d).max((elev - h_s) / d)
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
@@ -1406,13 +1470,18 @@ mod tests {
                 "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, exact, want
             );
             prop_assume!(!(raw == f64::INFINITY && h_s == f64::INFINITY));
-            let got = one_division(raw, elev, h_s, d);
-            if got != 0.0 {
+            let one = one_division(raw, elev, h_s, d);
+            if one != 0.0 {
                 prop_assert_eq!(
-                    got.to_bits(), want.to_bits(),
-                    "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, got, want
+                    one.to_bits(), want.to_bits(),
+                    "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, one, want
                 );
             }
+            let got = blocking(raw, elev, h_s, d);
+            prop_assert_eq!(
+                got.to_bits(), want.to_bits(),
+                "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, got, want
+            );
         }
     }
 
