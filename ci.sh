@@ -60,6 +60,16 @@ echo "== kernels data-layout ratio (release-only assertion) =="
 # other timing is produced and bounded by benchmark/ (see its README).
 cargo test -q --release -p eval-core measured_kernels_phase_clears_the_gate
 
+echo "== LOS sweep == per-cell recurrence, optimized =="
+# The release build packs the ring sweep's parent fill into vector
+# divisions and maxima, so the bit-identity proofs also run on the code
+# the benchmark times, not only on tier-1's debug build: every sweep
+# against `raw_alt_for_cell` (region_props), and the one-division
+# blocking value against its two-division form, alone and through a
+# sweep over quotients that underflow to zeros of opposite signs.
+cargo test -q --release -p c3i --test region_props
+cargo test -q --release -p c3i --lib -- one_division a_zero_blocking_value sweeps_keep_the_sign
+
 # The tier-1 release build above only covers the root package (the
 # workspace root is itself a package), so build the harness CLI
 # explicitly before invoking it.

@@ -1501,6 +1501,53 @@ mod tests {
         assert_eq!(two_divisions(raw, elev, h_s, d).to_bits(), want.to_bits());
     }
 
+    /// The same two zeros through the sweep: ring `k − 1` of a hand-set
+    /// store holds `−5e-324` over flat `+0` terrain, and the sensor stands
+    /// at `−0`, so every parent's quotients are `−0` and `+0`. Row runs,
+    /// column runs and corners must all give `raw_alt_for_cell`'s bits.
+    #[test]
+    fn sweeps_keep_the_sign_of_two_underflowed_quotients() {
+        let mut terrain = flat_terrain(17, 0.0);
+        terrain[(8, 8)] = -0.0;
+        let t = GroundThreat {
+            x: 8,
+            y: 8,
+            radius: 8,
+            mast_height: -0.0,
+        };
+        let region = Region::of_checked(&t, 17, 17);
+        let h_s = sensor_height(&terrain, &t);
+        assert_eq!(h_s.to_bits(), (-0.0f64).to_bits());
+        let mut kern = KernelScratch::new();
+        for k in 3..=8 {
+            let mut store = ScratchAlt::new(&region, f64::INFINITY);
+            for (x, y) in region.ring(k - 1) {
+                store.set(x, y, -f64::from_bits(1));
+            }
+            kern.fill(k, 1.0);
+            let sweep = RingSweep {
+                terrain: &terrain,
+                h_s,
+                region: &region,
+                k,
+                store: &store,
+                kern: &kern,
+            };
+            for run in region.ring_runs(k).iter() {
+                let mut got = Vec::new();
+                sweep.run(run, 0..run.len(), |v| got.push(v.to_bits()), &mut NoRec);
+                let want: Vec<u64> = run
+                    .cells()
+                    .map(|(x, y)| {
+                        raw_alt_for_cell(&terrain, 1.0, h_s, 8, 8, x, y, &store, &mut NoRec)
+                            .to_bits()
+                    })
+                    .collect();
+                assert_eq!(got, want, "ring {k} run {run:?}");
+            }
+        }
+    }
+
     #[test]
     fn arena_scratch_reset_matches_fresh_scratch() {
         let terrain = bumpy_terrain(17);
