@@ -1447,10 +1447,11 @@ mod tests {
         /// rounded and monotone, so they commute with `max`, and two equal
         /// nonzero quotients have equal bits. A NaN or `−∞` `raw` is the
         /// other operand of either `max`. Where it is zero, the two
-        /// quotients may be zeros of opposite signs, and `max` keeps its
-        /// first operand's (see the test below), so the sweep refills the
-        /// chunk with the two-division form, which drops only the branch:
-        /// a `−∞` (or, with `h_s = −∞`, NaN) quotient loses either `max`.
+        /// quotients may be zeros of opposite signs, and `max` may keep
+        /// either (`sweeps_keep_the_sign_of_two_underflowed_quotients`), so
+        /// the sweep refills the chunk with the two-division form, which
+        /// drops only the branch: a `−∞` (or, with `h_s = −∞`, NaN)
+        /// quotient loses either `max`.
         /// The one pair left out, `raw = h_s = +∞`, never occurs: once
         /// `h_s` is `+∞` every blocking value is `−∞`, so every stored raw
         /// altitude is `−∞` (rings 0 and 1) or NaN (`+∞ + (−∞)`).
@@ -1485,28 +1486,20 @@ mod tests {
         }
     }
 
-    /// Why a zero one-division value is refilled: the terrain slope wins
-    /// `max` before the division, but both quotients underflow, to zeros
-    /// of opposite signs. `f64::max` may return either zero; on x86-64 the
-    /// compiled `max` of run-time operands returns the first, the
-    /// inherited slope's `−0`, where the one-division form gives `+0`.
-    #[test]
-    fn a_zero_blocking_value_can_hide_two_zeros_of_opposite_signs() {
-        use std::hint::black_box;
-        let (raw, elev, h_s, d) = black_box((-f64::from_bits(1), 0.0, 0.0, 2.0));
-        assert_eq!(((raw - h_s) / d).to_bits(), (-0.0f64).to_bits());
-        assert_eq!(((elev - h_s) / d).to_bits(), 0.0f64.to_bits());
-        assert_eq!(one_division(raw, elev, h_s, d).to_bits(), 0.0f64.to_bits());
-        let want = two_division_blocking(raw, elev, h_s, d);
-        assert_eq!(two_divisions(raw, elev, h_s, d).to_bits(), want.to_bits());
-    }
-
-    /// The same two zeros through the sweep: ring `k − 1` of a hand-set
-    /// store holds `−5e-324` over flat `+0` terrain, and the sensor stands
-    /// at `−0`, so every parent's quotients are `−0` and `+0`. Row runs,
-    /// column runs and corners must all give `raw_alt_for_cell`'s bits.
+    /// Why a zero one-division value is recomputed: ring `k − 1` of a
+    /// hand-set store holds `−5e-324` over flat `+0` terrain, and the
+    /// sensor stands at `−0`. The terrain slope wins `max` before the
+    /// division, but both quotients underflow, to zeros of opposite signs.
+    /// `f64::max` may return either zero; on x86-64 the compiled `max` of
+    /// run-time operands returns the first, the inherited slope's `−0`,
+    /// where one division gives `+0`. Row runs, column runs and corners
+    /// must all give `raw_alt_for_cell`'s bits.
     #[test]
     fn sweeps_keep_the_sign_of_two_underflowed_quotients() {
+        let (raw, d) = (-f64::from_bits(1), 2.0);
+        assert_eq!(((raw - -0.0) / d).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(((0.0 - -0.0) / d).to_bits(), 0.0f64.to_bits());
+        assert_eq!(one_division(raw, 0.0, -0.0, d).to_bits(), 0.0f64.to_bits());
         let mut terrain = flat_terrain(17, 0.0);
         terrain[(8, 8)] = -0.0;
         let t = GroundThreat {
@@ -1522,7 +1515,7 @@ mod tests {
         for k in 3..=8 {
             let mut store = ScratchAlt::new(&region, f64::INFINITY);
             for (x, y) in region.ring(k - 1) {
-                store.set(x, y, -f64::from_bits(1));
+                store.set(x, y, raw);
             }
             kern.fill(k, 1.0);
             let sweep = RingSweep {
