@@ -614,13 +614,14 @@ impl<S: AltStore> RingSweep<'_, S> {
     /// h_s) / d`. Subtracting `h_s` and dividing by `d > 0` are correctly
     /// rounded and monotone, so they commute with `raw_alt_for_cell`'s
     /// `max` of the two quotients, and a `−∞` (or NaN) raw altitude is the
-    /// other operand of either `max`. Only a zero can differ, as the sign of
-    /// two quotients that underflowed to zeros, so a zero is recomputed in
-    /// two divisions. The rest of a cell's arithmetic is `raw_alt_for_cell`'s
-    /// in its order, so the results are bit-identical to the reference
-    /// recurrence for finite elevations and masts and a finite positive
-    /// cell size (`TerrainScenario::validate`). The op counts charged are
-    /// also its: per parent *use*.
+    /// other operand of either `max`. Only a zero can differ: the two
+    /// quotients may be zeros of opposite signs, of which `max` may keep
+    /// either, so a zero is recomputed in two divisions. The rest of a
+    /// cell's arithmetic is `raw_alt_for_cell`'s in its order, so the
+    /// results are bit-identical to the reference recurrence for finite
+    /// elevations and masts and a finite positive cell size
+    /// (`TerrainScenario::validate`). The op counts charged are also its:
+    /// per parent *use*.
     pub fn run<R: Rec>(
         &self,
         run: RingRun,
