@@ -1484,6 +1484,62 @@ mod tests {
                 got.to_bits(), want.to_bits(),
                 "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, got, want
             );
+            // The select form: wherever `blocking` is nonzero, the same
+            // bits; where it is a zero, a zero.
+            let sel = (max_sel(raw, elev) - h_s) / d;
+            if got != 0.0 {
+                prop_assert_eq!(
+                    sel.to_bits(), got.to_bits(),
+                    "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, sel, got
+                );
+            } else {
+                prop_assert!(sel == 0.0, "raw {:e} elev {:e} h_s {:e} d {:e}: {:e}", raw, elev, h_s, d, sel);
+            }
+        }
+
+        /// A child's raw altitude, `h_s + (v_lo·(1 − w) + v_hi·w)·cd` (or
+        /// `h_s + v_lo·cd` where `w == 0`), has the same bits whichever
+        /// zero `max(raw, elev)` keeps when a parent's raw altitude and
+        /// elevation are zeros of opposite signs. Its one-division value
+        /// is `(±0 − h_s)/d`: with `h_s = −0` both zeros give `+0`; with
+        /// `h_s = +0` they give `±0`, and `+0 + (±0)·cd` is `+0`
+        /// whatever the other parent adds; with any other `h_s`, `±0 −
+        /// h_s` is `−h_s` exactly. `None` is such a tied parent; `Some(m)`
+        /// any other, `m` being its larger operand.
+        #[test]
+        fn children_ignore_which_zero_a_tied_parent_takes(
+            h_s in arb_h_s(),
+            lo in prop_oneof![arb_finite().prop_map(Some), Just(None)],
+            hi in prop_oneof![arb_finite().prop_map(Some), Just(None)],
+            d_lo in arb_d(),
+            d_hi in arb_d(),
+            cd in arb_d(),
+            w in prop_oneof![Just(0.0), Just(0.5), 0.0..1.0],
+        ) {
+            let values = |m: Option<f64>, d: f64| match m {
+                None => vec![(0.0 - h_s) / d, (-0.0 - h_s) / d],
+                Some(m) => vec![(m - h_s) / d],
+            };
+            let mut children = Vec::new();
+            for &v_lo in &values(lo, d_lo) {
+                for &v_hi in &values(hi, d_hi) {
+                    let b = if w == 0.0 { v_lo } else { v_lo * (1.0 - w) + v_hi * w };
+                    children.push((h_s + b * cd).to_bits());
+                }
+            }
+            prop_assert!(
+                children.iter().all(|&c| c == children[0]),
+                "h_s {:e} lo {:?} hi {:?} w {:e}: {:x?}", h_s, lo, hi, w, children
+            );
+        }
+    }
+
+    /// `if a > b { a } else { b }`: a NaN `a` and a tie give `b`.
+    fn max_sel(a: f64, b: f64) -> f64 {
+        if a > b {
+            a
+        } else {
+            b
         }
     }
 
