@@ -14,7 +14,7 @@
 //! this approach drowns in memory for the hundreds of threads the Tera MTA
 //! wants.
 
-use super::los::{clamp_alt, compute_raw_alts_in, AltStore, KernelArena, Region};
+use super::los::{compute_raw_alts_in, merged, AltStore, KernelArena, Region};
 use super::scenario::TerrainScenario;
 use crate::counts::{NoRec, OpCounts, Rec};
 use crate::grid::Grid;
@@ -171,7 +171,7 @@ fn process_threat<R: Rec>(
                     .zip(temp.row(y, x0, x1))
                 {
                     let prior = f64::from_bits(m.load(Ordering::Relaxed));
-                    m.store(clamp_alt(raw, elev).min(prior).to_bits(), Ordering::Relaxed);
+                    m.store(merged(raw, elev, prior).to_bits(), Ordering::Relaxed);
                 }
             }
             let n = ((x1 - x0 + 1) * (y1 - y0 + 1)) as u64;

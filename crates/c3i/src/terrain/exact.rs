@@ -17,7 +17,7 @@
 //! 2. on arbitrary rays the recurrence is a bounded approximation of the
 //!    oracle (interpolation smooths ridges) — close on smooth terrain.
 
-use super::los::{clamp_alt, sensor_height, AltStore, Region, ScratchAlt};
+use super::los::{max_sel, sensor_height, AltStore, Region, ScratchAlt};
 use super::scenario::GroundThreat;
 use crate::grid::Grid;
 
@@ -99,7 +99,7 @@ fn exact_per_threat_masking(
         } else {
             h_s + b * d
         };
-        out.set(x, y, clamp_alt(raw, terrain[(x, y)]));
+        out.set(x, y, max_sel(raw, terrain[(x, y)]));
     }
     (region, out)
 }

@@ -19,7 +19,7 @@
 //! synchronization.
 
 use super::los::{
-    clamp_alt, merge_min, raw_alt_for_cell, save_and_reset, sensor_height, write_ring, AltStore,
+    merge_min, merged, raw_alt_for_cell, save_and_reset, sensor_height, write_ring, AltStore,
     KernelArena, Region, RingSweep, ScratchAlt,
 };
 use super::scenario::TerrainScenario;
@@ -205,9 +205,9 @@ pub fn terrain_masking_fine(scenario: &TerrainScenario) -> (Grid<f64>, PhasedPro
         // Phase: parallel min-merge.
         let mut r = OpCounts::default();
         for &(x, y) in &cells {
-            let per_threat = clamp_alt(AltStore::get(&masking, x, y), terrain[(x, y)]);
-            let prior = temp.get(x, y);
-            AltStore::set(&mut masking, x, y, per_threat.min(prior));
+            let raw = AltStore::get(&masking, x, y);
+            let v = merged(raw, terrain[(x, y)], temp.get(x, y));
+            AltStore::set(&mut masking, x, y, v);
             r.sload(3);
             r.fp(2);
             r.sstore(1);

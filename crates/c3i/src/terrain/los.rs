@@ -395,6 +395,12 @@ fn dist_cells(dx: isize, dy: isize, cell_size: f64) -> f64 {
 /// an edge-dominant cell the two parents straddle the scaled coordinate on
 /// the dominant-axis edge of ring `k − 1`; on a diagonal cell the single
 /// parent is the diagonal cell of ring `k − 1`.
+///
+/// A parent's value is `blocking`, the one expression the sweeps
+/// evaluate too; its tests hold it to the benchmark's two slopes and their
+/// `max` wherever that is nonzero. The charges count the benchmark's
+/// operations, not this arithmetic: `fp(7)` per parent is the distance,
+/// the two slopes and the `max`.
 #[inline]
 #[allow(clippy::too_many_arguments)] // mirrors the benchmark kernel's signature: grid + threat geometry + cell
 pub fn raw_alt_for_cell<S: AltStore, R: Rec>(
@@ -421,17 +427,9 @@ pub fn raw_alt_for_cell<S: AltStore, R: Rec>(
     let parent_v = |px: isize, py: isize, r: &mut R| -> f64 {
         let (pxu, pyu) = (px as usize, py as usize);
         let d = dist_cells(px - cx as isize, py - cy as isize, cell_size);
-        let raw = store.get(pxu, pyu);
-        let elev = terrain[(pxu, pyu)];
         r.sload(2); // raw + terrain, streaming over large grids
-        r.fp(7); // distance, two slopes, max
-        let b = if raw == f64::NEG_INFINITY {
-            f64::NEG_INFINITY
-        } else {
-            (raw - h_s) / d
-        };
-        let slope = (elev - h_s) / d;
-        b.max(slope)
+        r.fp(7); // the benchmark's distance, two slopes and max
+        blocking(store.get(pxu, pyu), terrain[(pxu, pyu)], h_s, d)
     };
 
     let v = if dx.abs() == dy.abs() {
@@ -609,19 +607,12 @@ impl<S: AltStore> RingSweep<'_, S> {
     /// end; every other cell goes through one interpolation loop, shared by
     /// both run kinds, that works through the cells a chunk at a time.
     ///
-    /// Each parent's blocking value is evaluated once per parent instead of
-    /// once per child that reads it, in one division: `(max(raw, elev) −
-    /// h_s) / d`. Subtracting `h_s` and dividing by `d > 0` are correctly
-    /// rounded and monotone, so they commute with `raw_alt_for_cell`'s
-    /// `max` of the two quotients, and a `−∞` (or NaN) raw altitude is the
-    /// other operand of either `max`. Only a zero can differ: the two
-    /// quotients may be zeros of opposite signs, of which `max` may keep
-    /// either, so a zero is recomputed in two divisions. The rest of a
-    /// cell's arithmetic is `raw_alt_for_cell`'s in its order, so the
-    /// results are bit-identical to the reference recurrence for finite
-    /// elevations and masts and a finite positive cell size
-    /// (`TerrainScenario::validate`). The op counts charged are also its:
-    /// per parent *use*.
+    /// Each parent's `blocking` value is evaluated once per parent
+    /// instead of once per child that reads it. It is the expression
+    /// `raw_alt_for_cell` evaluates, and the rest of a cell's arithmetic is
+    /// `raw_alt_for_cell`'s in its order, so every cell has the reference
+    /// recurrence's bits, whatever the store holds. The op counts charged
+    /// are also its: per parent *use*.
     pub fn run<R: Rec>(
         &self,
         run: RingRun,
@@ -657,14 +648,7 @@ impl<S: AltStore> RingSweep<'_, S> {
                 let fill = |v: &mut [f64], p0: usize| {
                     let n = v.len();
                     let (raw, elev) = (&raw[p0 - px0..][..n], &elev[p0 - px0..][..n]);
-                    fill_row(v, raw, elev, par_d, cx, p0, |raw, elev, d| {
-                        one_division(raw, elev, h_s, d)
-                    });
-                    if v.contains(&0.0) {
-                        fill_row(v, raw, elev, par_d, cx, p0, |raw, elev, d| {
-                            two_divisions(raw, elev, h_s, d)
-                        });
-                    }
+                    fill_row(v, raw, elev, h_s, par_d, cx, p0);
                 };
                 let cells =
                     x0 + range.start + usize::from(has_l)..x0 + range.end - usize::from(has_r);
@@ -750,34 +734,40 @@ impl<S: AltStore> RingSweep<'_, S> {
     }
 }
 
-/// A parent's blocking value in one division, `(max(raw, elev) − h_s) / d`:
-/// `raw_alt_for_cell`'s `parent_v` wherever it is nonzero (see
-/// [`RingSweep::run`]).
+/// The larger of `a` and `b` by one comparison: a tie and a NaN `a` give
+/// `b`. Unlike `f64::max`, it says which of `+0` and `−0` a tie of the two
+/// gives, so no masking value depends on how a build compiles `max`.
 #[inline]
-fn one_division(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
-    (raw.max(elev) - h_s) / d
-}
-
-/// A parent's blocking value in two divisions, `max((raw − h_s)/d, (elev −
-/// h_s)/d)`: `raw_alt_for_cell`'s `parent_v` everywhere, without its `−∞`
-/// branch (a `−∞`, or with `h_s = −∞` NaN, quotient loses either `max`).
-#[inline]
-fn two_divisions(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
-    ((raw - h_s) / d).max((elev - h_s) / d)
-}
-
-/// A parent's blocking value: one division, or two where that gives zero.
-#[inline]
-fn blocking(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
-    let b = one_division(raw, elev, h_s, d);
-    if b == 0.0 {
-        two_divisions(raw, elev, h_s, d)
+pub(super) fn max_sel(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
     } else {
         b
     }
 }
 
-/// Fill `v[i] = b(raw[i], elev[i], d)` for the parents `p0..p0 + v.len()`
+/// A parent's blocking value, `(max_sel(raw, elev) − h_s) / d`: the
+/// steeper of the slope it inherits (its raw altitude) and its own terrain
+/// slope, at distance `d > 0` from the sensor at height `h_s`.
+#[inline]
+fn blocking(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
+    (max_sel(raw, elev) - h_s) / d
+}
+
+/// One cell of every program's merge: the threat's raw altitude clamped to
+/// the terrain floor (a tie keeps the terrain), then the smaller of that
+/// and the `prior` masking value (a tie keeps `prior`).
+#[inline]
+pub(super) fn merged(raw: f64, elev: f64, prior: f64) -> f64 {
+    let v = max_sel(raw, elev);
+    if v < prior {
+        v
+    } else {
+        prior
+    }
+}
+
+/// Fill `v` with the [`blocking`] values of the parents `p0..p0 + v.len()`
 /// of a parent row around the radar's axis `c`. Their distances are two
 /// slices of `par_d` split at the axis: descending left of it, ascending
 /// from it.
@@ -786,22 +776,22 @@ fn fill_row(
     v: &mut [f64],
     raw: &[f64],
     elev: &[f64],
+    h_s: f64,
     par_d: &[f64],
     c: usize,
     p0: usize,
-    b: impl Fn(f64, f64, f64) -> f64,
 ) {
     let at = c.saturating_sub(p0);
     let left = at.min(v.len());
     let (v_l, v_r) = v.split_at_mut(left);
     let d_l = par_d[at + 1 - left..=at].iter().rev();
     for (((v, &raw), &elev), &d) in v_l.iter_mut().zip(raw).zip(elev).zip(d_l) {
-        *v = b(raw, elev, d);
+        *v = blocking(raw, elev, h_s, d);
     }
     let from = (p0 + left).saturating_sub(c);
     let d_r = &par_d[from..from + v_r.len()];
     for (((v, &raw), &elev), &d) in v_r.iter_mut().zip(&raw[left..]).zip(&elev[left..]).zip(d_r) {
-        *v = b(raw, elev, d);
+        *v = blocking(raw, elev, h_s, d);
     }
 }
 
@@ -971,15 +961,6 @@ pub mod reference {
     }
 }
 
-/// Clamp a raw altitude into the final per-threat masking value at a cell:
-/// the shadow ceiling, but never below the local terrain (an aircraft on
-/// the ground can always be there; "safe altitude" bottoms out at ground
-/// level).
-#[inline]
-pub fn clamp_alt(raw: f64, elev: f64) -> f64 {
-    raw.max(elev)
-}
-
 /// The copy-out and reset that open a threat in the sequential and the
 /// fine-grained programs, a row of the region at a time: `temp = masking`,
 /// then `masking = +∞`.
@@ -993,7 +974,7 @@ pub(super) fn save_and_reset(masking: &mut Grid<f64>, temp: &mut ScratchAlt, reg
 }
 
 /// The min-merge that closes a threat in the same two programs, one zipped
-/// pass per row: `masking = min(clamp(masking, terrain), temp)`.
+/// pass per row: `masking = merged(masking, terrain, temp)`.
 pub(super) fn merge_min(
     masking: &mut Grid<f64>,
     terrain: &Grid<f64>,
@@ -1004,13 +985,15 @@ pub(super) fn merge_min(
     for y in region.y0..=region.y1 {
         let raw = masking.row_mut(y)[x0..=x1].iter_mut();
         for ((m, &elev), &prior) in raw.zip(&terrain.row(y)[x0..=x1]).zip(temp.row(y, x0, x1)) {
-            *m = clamp_alt(*m, elev).min(prior);
+            *m = merged(*m, elev, prior);
         }
     }
 }
 
 /// Convenience: the complete per-threat masking field over the threat's
-/// region (clamped), as a scratch array. Used by the verifier and tests.
+/// region, clamped to the terrain floor (an aircraft on the ground can
+/// always be there; "safe altitude" bottoms out at ground level), as a
+/// scratch array. Used by the verifier and tests.
 pub fn per_threat_masking(
     terrain: &Grid<f64>,
     cell_size: f64,
@@ -1029,7 +1012,7 @@ pub fn per_threat_masking(
     // Clamp in place.
     let mut clamped = scratch.clone();
     for (x, y) in region.cells() {
-        clamped.set(x, y, clamp_alt(scratch.get(x, y), terrain[(x, y)]));
+        clamped.set(x, y, max_sel(scratch.get(x, y), terrain[(x, y)]));
     }
     (region, clamped)
 }
@@ -1233,10 +1216,20 @@ mod tests {
     }
 
     #[test]
-    fn clamp_respects_terrain_floor() {
-        assert_eq!(clamp_alt(f64::NEG_INFINITY, 120.0), 120.0);
-        assert_eq!(clamp_alt(80.0, 120.0), 120.0);
-        assert_eq!(clamp_alt(500.0, 120.0), 500.0);
+    fn merged_clamps_to_the_terrain_then_keeps_the_lower() {
+        let inf = f64::INFINITY;
+        assert_eq!(merged(f64::NEG_INFINITY, 120.0, inf), 120.0);
+        assert_eq!(merged(80.0, 120.0, inf), 120.0);
+        assert_eq!(merged(500.0, 120.0, inf), 500.0);
+        assert_eq!(merged(500.0, 120.0, 300.0), 300.0);
+        assert_eq!(merged(f64::NAN, 120.0, inf), 120.0);
+        // Ties of opposite zeros: the clamp keeps the terrain's, the min
+        // the prior's.
+        let bits = f64::to_bits;
+        assert_eq!(bits(merged(0.0, -0.0, inf)), bits(-0.0));
+        assert_eq!(bits(merged(-0.0, 0.0, inf)), bits(0.0));
+        assert_eq!(bits(merged(-0.0, -0.0, 0.0)), bits(0.0));
+        assert_eq!(bits(merged(0.0, 0.0, -0.0)), bits(-0.0));
     }
 
     #[test]
@@ -1342,9 +1335,10 @@ mod tests {
         }
     }
 
-    /// `raw_alt_for_cell`'s parent expression, verbatim: the two-division
-    /// blocking value the sweep's one-division form is held to.
-    fn two_division_blocking(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
+    /// `raw_alt_for_cell`'s parent expression before it called
+    /// [`blocking`], verbatim: two slopes and their `max`, the independent
+    /// oracle of `blocking`'s nonzero values.
+    fn two_slope_blocking(raw: f64, elev: f64, h_s: f64, d: f64) -> f64 {
         let b = if raw == f64::NEG_INFINITY {
             f64::NEG_INFINITY
         } else {
@@ -1441,23 +1435,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
-        /// One division per parent: wherever `(max(raw, elev) − h_s) / d`
-        /// is nonzero it is bit-equal to `raw_alt_for_cell`'s
-        /// `max((raw − h_s)/d, (elev − h_s)/d)` with the `−∞` branch.
+        /// [`blocking`] is the two-slope form `max((raw − h_s)/d, (elev −
+        /// h_s)/d)`, with `raw_alt_for_cell`'s old `−∞` branch, wherever
+        /// that form is nonzero, and a zero where it is a zero.
         /// Subtracting `h_s` and dividing by `d > 0` are each correctly
         /// rounded and monotone, so they commute with `max`, and two equal
-        /// nonzero quotients have equal bits. A NaN or `−∞` `raw` is the
-        /// other operand of either `max`. Where it is zero, the two
-        /// quotients may be zeros of opposite signs, and `max` may keep
-        /// either (`sweeps_keep_the_sign_of_two_underflowed_quotients`), so
-        /// the sweep refills the chunk with the two-division form, which
-        /// drops only the branch: a `−∞` (or, with `h_s = −∞`, NaN)
-        /// quotient loses either `max`.
+        /// nonzero quotients have equal bits. A NaN or `−∞` `raw` loses
+        /// `max_sel` and the two-slope `max` alike. Only the sign of a zero
+        /// can differ: the two quotients may underflow to zeros of opposite
+        /// signs, of which `f64::max` may keep either, while `blocking`
+        /// takes the larger numerator's
+        /// (`sweeps_and_the_oracle_pin_the_zero_of_two_underflowed_quotients`).
         /// The one pair left out, `raw = h_s = +∞`, never occurs: once
         /// `h_s` is `+∞` every blocking value is `−∞`, so every stored raw
         /// altitude is `−∞` (rings 0 and 1) or NaN (`+∞ + (−∞)`).
         #[test]
-        fn one_division_equals_raw_alt_for_cells_parent_expression(
+        fn blocking_is_the_two_slope_form_wherever_that_is_nonzero(
             raw in prop_oneof![arb_raw().prop_map(Some), Just(None)],
             elev in arb_elev(),
             h_s in arb_h_s(),
@@ -1465,43 +1458,24 @@ mod tests {
         ) {
             // `None`: the stored altitude ties the parent's elevation.
             let raw = raw.unwrap_or(elev);
-            let want = two_division_blocking(raw, elev, h_s, d);
-            let exact = two_divisions(raw, elev, h_s, d);
-            prop_assert_eq!(
-                exact.to_bits(), want.to_bits(),
-                "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, exact, want
-            );
             prop_assume!(!(raw == f64::INFINITY && h_s == f64::INFINITY));
-            let one = one_division(raw, elev, h_s, d);
-            if one != 0.0 {
-                prop_assert_eq!(
-                    one.to_bits(), want.to_bits(),
-                    "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, one, want
-                );
-            }
+            let want = two_slope_blocking(raw, elev, h_s, d);
             let got = blocking(raw, elev, h_s, d);
-            prop_assert_eq!(
-                got.to_bits(), want.to_bits(),
-                "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, got, want
-            );
-            // The select form: wherever `blocking` is nonzero, the same
-            // bits; where it is a zero, a zero.
-            let sel = (max_sel(raw, elev) - h_s) / d;
-            if got != 0.0 {
+            if want != 0.0 {
                 prop_assert_eq!(
-                    sel.to_bits(), got.to_bits(),
-                    "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, sel, got
+                    got.to_bits(), want.to_bits(),
+                    "raw {:e} elev {:e} h_s {:e} d {:e}: {:e} vs {:e}", raw, elev, h_s, d, got, want
                 );
             } else {
-                prop_assert!(sel == 0.0, "raw {:e} elev {:e} h_s {:e} d {:e}: {:e}", raw, elev, h_s, d, sel);
+                prop_assert!(got == 0.0, "raw {:e} elev {:e} h_s {:e} d {:e}: {:e}", raw, elev, h_s, d, got);
             }
         }
 
         /// A child's raw altitude, `h_s + (v_lo·(1 − w) + v_hi·w)·cd` (or
         /// `h_s + v_lo·cd` where `w == 0`), has the same bits whichever
         /// zero `max(raw, elev)` keeps when a parent's raw altitude and
-        /// elevation are zeros of opposite signs. Its one-division value
-        /// is `(±0 − h_s)/d`: with `h_s = −0` both zeros give `+0`; with
+        /// elevation are zeros of opposite signs. Its blocking value is
+        /// `(±0 − h_s)/d`: with `h_s = −0` both zeros give `+0`; with
         /// `h_s = +0` they give `±0`, and `+0 + (±0)·cd` is `+0`
         /// whatever the other parent adds; with any other `h_s`, `±0 −
         /// h_s` is `−h_s` exactly. `None` is such a tied parent; `Some(m)`
@@ -1534,29 +1508,19 @@ mod tests {
         }
     }
 
-    /// `if a > b { a } else { b }`: a NaN `a` and a tie give `b`.
-    fn max_sel(a: f64, b: f64) -> f64 {
-        if a > b {
-            a
-        } else {
-            b
-        }
-    }
-
-    /// Why a zero one-division value is recomputed: ring `k − 1` of a
+    /// Two quotients that underflow to opposite zeros: ring `k − 1` of a
     /// hand-set store holds `−5e-324` over flat `+0` terrain, and the
-    /// sensor stands at `−0`. The terrain slope wins `max` before the
-    /// division, but both quotients underflow, to zeros of opposite signs.
-    /// `f64::max` may return either zero; on x86-64 the compiled `max` of
-    /// run-time operands returns the first, the inherited slope's `−0`,
-    /// where one division gives `+0`. Row runs, column runs and corners
-    /// must all give `raw_alt_for_cell`'s bits.
+    /// sensor stands at `−0`. The two slopes are `−0` and `+0`, of which
+    /// `f64::max` may keep either; `max_sel(−5e-324, +0)` is `+0`, so a
+    /// parent's blocking value is `+0` and every cell `−0 + (+0)·cd =
+    /// +0`. Row runs, column runs and corners must all give
+    /// `raw_alt_for_cell`'s bits, and those bits.
     #[test]
-    fn sweeps_keep_the_sign_of_two_underflowed_quotients() {
+    fn sweeps_and_the_oracle_pin_the_zero_of_two_underflowed_quotients() {
         let (raw, d) = (-f64::from_bits(1), 2.0);
         assert_eq!(((raw - -0.0) / d).to_bits(), (-0.0f64).to_bits());
         assert_eq!(((0.0 - -0.0) / d).to_bits(), 0.0f64.to_bits());
-        assert_eq!(one_division(raw, 0.0, -0.0, d).to_bits(), 0.0f64.to_bits());
+        assert_eq!(blocking(raw, 0.0, -0.0, d).to_bits(), 0.0f64.to_bits());
         let mut terrain = flat_terrain(17, 0.0);
         terrain[(8, 8)] = -0.0;
         let t = GroundThreat {
@@ -1586,14 +1550,19 @@ mod tests {
             for run in region.ring_runs(k).iter() {
                 let mut got = Vec::new();
                 sweep.run(run, 0..run.len(), |v| got.push(v.to_bits()), &mut NoRec);
-                let want: Vec<u64> = run
+                let oracle: Vec<u64> = run
                     .cells()
                     .map(|(x, y)| {
                         raw_alt_for_cell(&terrain, 1.0, h_s, 8, 8, x, y, &store, &mut NoRec)
                             .to_bits()
                     })
                     .collect();
-                assert_eq!(got, want, "ring {k} run {run:?}");
+                assert_eq!(got, oracle, "ring {k} run {run:?}");
+                assert_eq!(
+                    got,
+                    vec![0.0f64.to_bits(); run.len()],
+                    "ring {k} run {run:?}"
+                );
             }
         }
     }

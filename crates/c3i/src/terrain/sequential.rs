@@ -12,7 +12,7 @@
 //! paper finds this program memory-bound.
 
 use super::los::{
-    clamp_alt, compute_raw_alts_in, merge_min, reference, save_and_reset, AltStore, KernelArena,
+    compute_raw_alts_in, merge_min, merged, reference, save_and_reset, AltStore, KernelArena,
     Region, ScratchAlt,
 };
 use super::scenario::TerrainScenario;
@@ -104,9 +104,9 @@ pub fn terrain_masking_reference(scenario: &TerrainScenario) -> Grid<f64> {
             &mut NoRec,
         );
         for (x, y) in region.cells() {
-            let per_threat = clamp_alt(AltStore::get(&masking, x, y), terrain[(x, y)]);
-            let prior = temp.get(x, y);
-            AltStore::set(&mut masking, x, y, per_threat.min(prior));
+            let raw = AltStore::get(&masking, x, y);
+            let v = merged(raw, terrain[(x, y)], temp.get(x, y));
+            AltStore::set(&mut masking, x, y, v);
         }
     }
     masking

@@ -118,3 +118,64 @@ proptest! {
         prop_assert_eq!(canonical(re), base);
     }
 }
+
+/// On flat ground every program masks nothing above the terrain, and the
+/// ground keeps its own zero. The terrain is `−0` everywhere but the two
+/// radar cells, which are `+0` under `+0` masts, so `h_s = +0` and every
+/// raw altitude past ring 1 is `+0`: each merge clamps a `+0` (or, on
+/// rings 0 and 1, a `−∞`) against a `−0` elevation, a tie `f64::max`
+/// may settle either way. Every program must give the terrain's bits.
+#[test]
+fn a_ground_of_negative_zeros_is_masked_at_its_own_zero() {
+    let mut grid = c3i::Grid::new(40, 40, -0.0);
+    let threats = [(12, 15, 10), (25, 20, 12)].map(|(x, y, radius)| {
+        grid[(x, y)] = 0.0;
+        terrain::GroundThreat {
+            x,
+            y,
+            radius,
+            mast_height: 0.0,
+        }
+    });
+    let s = terrain::TerrainScenario {
+        terrain: grid,
+        threats: threats.to_vec(),
+        cell_size_m: 30.0,
+    };
+    assert!(s.validate().is_ok());
+    let regions: Vec<_> = threats
+        .iter()
+        .map(|t| terrain::Region::of_checked(t, 40, 40))
+        .collect();
+    let programs = [
+        ("Program 3", terrain::terrain_masking_host(&s)),
+        (
+            "Program 4, 1 worker",
+            terrain::terrain_masking_coarse_host(&s, 1, 3),
+        ),
+        (
+            "Program 4, 2 workers",
+            terrain::terrain_masking_coarse_host(&s, 2, 3),
+        ),
+        ("fine, 1 worker", terrain::terrain_masking_fine_host(&s, 1)),
+        ("fine, 2 workers", terrain::terrain_masking_fine_host(&s, 2)),
+        ("recorded fine", terrain::terrain_masking_fine(&s).0),
+        ("reference", terrain::terrain_masking_reference(&s)),
+    ];
+    let wrong: Vec<String> = programs
+        .iter()
+        .filter_map(|(name, masking)| {
+            let cells = masking.iter_cells().filter(|&(x, y, &v)| {
+                let want = if regions.iter().any(|r| r.contains(x, y)) {
+                    s.terrain[(x, y)]
+                } else {
+                    f64::INFINITY
+                };
+                v.to_bits() != want.to_bits()
+            });
+            let n = cells.count();
+            (n > 0).then(|| format!("{name}: {n} cells"))
+        })
+        .collect();
+    assert!(wrong.is_empty(), "{wrong:?}");
+}
