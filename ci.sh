@@ -9,6 +9,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Run a `cargo test` that selects its tests by a name filter, and fail
+# the step if its runs passed no test: a filter that matches nothing
+# (a renamed test) exits 0 and would leave the step empty.
+filtered() {
+  local log
+  log=$(mktemp)
+  "$@" | tee "$log"
+  if ! grep -q '^test result: ok\. [1-9][0-9]* passed' "$log"; then
+    rm -f "$log"
+    echo "no test matched: $*" >&2
+    exit 1
+  fi
+  rm -f "$log"
+}
+
 echo "== format check =="
 cargo fmt --check
 
@@ -47,7 +62,7 @@ echo "== one-CPU behaviour of the pool handoff (taskset -c 0) =="
 if command -v taskset > /dev/null; then
   cargo test -q --release --no-run -p sthreads -p c3i
   timeout 120 taskset -c 0 cargo test -q --release -p sthreads
-  timeout 120 taskset -c 0 cargo test -q --release -p c3i fine
+  filtered timeout 120 taskset -c 0 cargo test -q --release -p c3i fine
 else
   echo "taskset not found: skipping the pinned run"
 fi
@@ -58,17 +73,20 @@ echo "== kernels data-layout ratio (release-only assertion) =="
 # identity in every profile, and >= 1.5x only with optimizations on —
 # which is why this one test also runs here under --release. Every
 # other timing is produced and bounded by benchmark/ (see its README).
-cargo test -q --release -p eval-core measured_kernels_phase_clears_the_gate
+filtered cargo test -q --release -p eval-core measured_kernels_phase_clears_the_gate
 
 echo "== LOS sweep == per-cell recurrence, optimized =="
 # The release build packs the ring sweep's parent fill into vector
-# divisions and maxima, so the bit-identity proofs also run on the code
+# divisions and selects, so the bit-identity proofs also run on the code
 # the benchmark times, not only on tier-1's debug build: every sweep
-# against `raw_alt_for_cell` (region_props), and the one-division
-# blocking value against its two-division form, alone and through a
-# sweep over quotients that underflow to zeros of opposite signs.
+# against `raw_alt_for_cell` (region_props); the one blocking value
+# against the benchmark's two slopes and their `max`, a child against
+# either zero of a tied parent, and a sweep over slopes that underflow
+# to zeros of opposite signs, which must give `raw_alt_for_cell`'s
+# pinned `+0`.
 cargo test -q --release -p c3i --test region_props
-cargo test -q --release -p c3i --lib -- one_division sweeps_keep_the_sign
+filtered cargo test -q --release -p c3i --lib -- blocking_is_the_two_slope_form \
+  children_ignore_which_zero sweeps_and_the_oracle_pin_the_zero
 
 # The tier-1 release build above only covers the root package (the
 # workspace root is itself a package), so build the harness CLI
@@ -91,26 +109,26 @@ echo "== paper-scale workload: counted == recorded (release-only) =="
 # holds the identity at Reduced; the paper-scale arm is ignored
 # unoptimized, so it runs here (1/2/8 workers against one recorded
 # assembly).
-cargo test -q --release --test parallel_oracle built_workload_equals_recorded_workload
+filtered cargo test -q --release --test parallel_oracle built_workload_equals_recorded_workload
 
 echo "== single-parent cells: closed form == per-cell oracle (release-only) =="
 # The ring counter takes a cell's single parent from geometry alone (only
 # the radar's own coordinate has one). Every ring k <= 1100 around every
 # coordinate c < 1100, the paper grid, cell by cell against the
 # recurrence's own f64 test (ignored unoptimized, like the arm above).
-cargo test -q --release -p c3i --lib closed_form_equals_the_oracle_on_every_paper_ring
+filtered cargo test -q --release -p c3i --lib closed_form_equals_the_oracle_on_every_paper_ring
 
 echo "== paper-scale Tera folds == their oracle loops (release-only) =="
 # `tm_tera(1..=1024)` and a grid of `ta_tera` up to 100 000 chunks and
 # 65 536 processors, bit for bit against the per-phase and per-chunk
 # loops the folds replace (ignored unoptimized, like the arm above).
-cargo test -q --release -p eval-core --test tera_folds paper_scale_entry_points_equal_the_oracles
+filtered cargo test -q --release -p eval-core --test tera_folds paper_scale_entry_points_equal_the_oracles
 
 echo "== paper-scale served projections == their direct calls (release-only) =="
 # `Scalability` lists and Tera `TerrainModel` requests, first and second
 # call on one `Evaluator`, byte for byte against `scalability_projection`
 # and `tm_tera` (ignored unoptimized, like the arm above).
-cargo test -q --release -p eval-core --lib paper_scale_projections_equal_their_direct_calls
+filtered cargo test -q --release -p eval-core --lib paper_scale_projections_equal_their_direct_calls
 
 echo "== differential fuzz smoke (fixed seed) =="
 # A short fixed-seed campaign: 25 reduced-size generated scenarios, each
@@ -188,7 +206,7 @@ echo "== simulator pinned digests (single driver) =="
 # (one value and one full bit per word): `interp::run_reference` shares
 # `Memory`, so the reference test cannot see a fault in it.
 cargo test -q -p mta-sim --test pinned_digests --test run_boundaries --test memory_model
-cargo test -q -p mta-sim --lib processor::tests
+filtered cargo test -q -p mta-sim --lib processor::tests
 
 # Memory maps a page on the first write to it; a machine's `mem_words` is
 # an address bound, not an up-front allocation.
