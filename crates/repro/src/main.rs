@@ -396,14 +396,17 @@ fn run_load(addr: &str, opts: &Options) -> ! {
 
 fn utilization_report(n_threads: usize) -> String {
     let mut out = String::new();
-    out.push_str("Processor utilization vs hardware streams (mta-sim, 20% memory mix)\n");
-    out.push_str("  paper Section 5/7: single stream ~5%; ~80 streams for full utilization\n");
-    out.push_str("  streams  measured   model min(1, s/L)\n");
     // mixed_kernel with alu_per_iter = 3: 5 instructions per iteration,
     // 4 taking `issue_latency` and 1 load taking `mem_extra_latency +
     // bank_service` => L = (4*21 + 70)/5 = 30.8 cycles on the Tera.
     let cfg = experiments::util_cfg();
     let l = (4 * cfg.issue_latency + cfg.mem_extra_latency + cfg.bank_service) as f64 / 5.0;
+    out.push_str("Processor utilization vs hardware streams (mta-sim, 20% memory mix)\n");
+    out.push_str(&format!(
+        "  paper Section 5/7: single stream ~5%, ~80 streams to saturate; this mix: 1/L = {:.1}%, saturates at L = {l:.1} streams\n",
+        100.0 / l
+    ));
+    out.push_str("  streams  measured   model min(1, s/L)\n");
     let measured = measure_utilization_sweep(&cfg, &experiments::UTIL_STREAMS, 400, 3, n_threads);
     for (&s, u) in experiments::UTIL_STREAMS.iter().zip(measured) {
         let model = (s as f64 / l).min(1.0);
