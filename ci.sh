@@ -406,6 +406,16 @@ if grep -rn 'repro table[0-9]\|bench `t[0-9]\|machine[_-]model' \
   echo "a nonexistent repro section, bench target or machine_model is named again" >&2
   exit 1
 fi
+# So is the ring sweep's second blocking-value path (one division, two
+# divisions, the zero scan that chose between them) and `clamp_alt`: a
+# parent's blocking value is `los::blocking` and a merged cell
+# `los::merged`, both on one select that says which zero a tie gives.
+if grep -rn 'one_division\|two_divisions\|clamp_alt\|contains(&0\.0)' \
+  crates src tests examples README.md EXPERIMENTS.md DESIGN.md docs .claude |
+  grep -v '^docs/LAYERS.md:'; then
+  echo "the deleted two-division blocking path is referenced again" >&2
+  exit 1
+fi
 # sthreads keeps one line of `unsafe` (the pool's lifetime erasure);
 # the crate denies unsafe_code everywhere else.
 if [ "$(grep -rhw 'unsafe' crates/sthreads/src | grep -vc '^ *//')" -ne 1 ]; then
