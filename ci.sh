@@ -83,10 +83,15 @@ echo "== LOS sweep == per-cell recurrence, optimized =="
 # against the benchmark's two slopes and their `max`, a child against
 # either zero of a tied parent, and a sweep over slopes that underflow
 # to zeros of opposite signs, which must give `raw_alt_for_cell`'s
-# pinned `+0`.
+# pinned `+0`. Every program on a ground of `−0` under a `+0` sensor
+# must keep the ground's zero, in the build whose `max` codegen once
+# decided it.
 cargo test -q --release -p c3i --test region_props
-filtered cargo test -q --release -p c3i --lib -- blocking_is_the_two_slope_form \
-  children_ignore_which_zero sweeps_and_the_oracle_pin_the_zero
+for proof in blocking_is_the_two_slope_form children_ignore_which_zero \
+  sweeps_and_the_oracle_pin_the_zero; do
+  filtered cargo test -q --release -p c3i --lib "$proof"
+done
+filtered cargo test -q --release -p c3i --test props a_ground_of_negative_zeros
 
 # The tier-1 release build above only covers the root package (the
 # workspace root is itself a package), so build the harness CLI
